@@ -11,6 +11,12 @@ Conventions used everywhere in this package:
   ``A(q) @ v == vec(conj(q) * (v; 0) * q)``.
 * The kinematic rate is ``q_dot = 0.5 * (omega; 0) * q`` and the exact
   one-step integrator composes the axis-angle increment on the left.
+  ``integrate_quat`` also takes a block of rates, shape ``(n, 3)``: the n
+  increments are built in one vectorized step and multiplied by a tree (a
+  Hillis-Steele prefix scan) instead of n sequential products, which is how
+  the filters cross a block of gyro steps. A single ``(3,)`` rate, or a
+  block of one, takes the scalar one-step path, so step-by-step propagation
+  (the truth, and the filters on one-step blocks) is unchanged bit for bit.
 
 File formats that print quaternions for humans emit the scalar first;
 only the in-memory layout is vector-first.
@@ -25,6 +31,7 @@ from .errors import DegenerateQuaternion, GibbsSingularity, InvalidInput
 _NORM_EPS = 1e-12
 _GIBBS_EPS = 1e-9
 _UNIT_TOL = 1e-6
+_TINY = np.finfo(float).tiny
 
 
 def identity_quat() -> np.ndarray:
@@ -54,6 +61,13 @@ def quat_mul(a, b) -> np.ndarray:
             aw * bw - ax * bx - ay * by - az * bz,
         ]
     )
+
+
+# the matrix L(a) with L(a) @ b == quat_mul(a, b) is linear in a: row i of
+# the table is L(e_i) flattened, so L(a) = (a @ table).reshape(4, 4)
+_QUAT_LEFT_TABLE = np.array(
+    [np.array([quat_mul(e, f) for f in np.eye(4)]).T.ravel() for e in np.eye(4)]
+)
 
 
 def quat_norm(q) -> float:
@@ -98,14 +112,20 @@ def quat_kinematics(q, omega) -> np.ndarray:
 
 
 def integrate_quat(q, omega, dt: float) -> np.ndarray:
-    """Exact one-step attitude propagation for constant ``omega`` over ``dt``.
+    """Exact attitude propagation for piecewise-constant rates over steps of ``dt``.
 
-    Composes the axis-angle increment exp(0.5 * (omega*dt; 0)) on the left,
-    which is the closed-form solution of the kinematic equation. The map is
-    linear in ``q`` and preserves unit norm to machine precision, so no
-    renormalization is applied.
+    ``omega`` is one rate (shape ``(3,)``, one step) or a block of rates
+    (shape ``(n, 3)``, n steps, row k held over step k). Each step composes
+    the axis-angle increment exp(0.5 * (omega*dt; 0)) on the left, which is
+    the closed-form solution of the kinematic equation; a block composes its
+    n increments by a tree product (a prefix scan) and returns the attitude
+    after the last step. The map is linear in ``q`` and preserves unit norm
+    to machine precision, so no renormalization is applied.
     """
-    wx, wy, wz = float(omega[0]), float(omega[1]), float(omega[2])
+    w = np.asarray(omega, dtype=float)
+    if w.ndim == 2:
+        return integrate_quat_path(q, w, dt)[-1]
+    wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
     wnorm = math.sqrt(wx * wx + wy * wy + wz * wz)
     if wnorm == 0.0:
         return np.asarray(q, dtype=float).copy()
@@ -113,6 +133,53 @@ def integrate_quat(q, omega, dt: float) -> np.ndarray:
     s = math.sin(half) / wnorm
     dq = np.array([wx * s, wy * s, wz * s, math.cos(half)])
     return quat_mul(dq, q)
+
+
+def integrate_quat_path(q, omegas, dt: float) -> np.ndarray:
+    """Attitudes after each step of a block of rates ``omegas`` (shape ``(n, 3)``).
+
+    Row k is :func:`integrate_quat` of ``q`` over the first k + 1 rows, taken
+    from one prefix product of the step increments instead of k + 1 calls.
+    A block of one step takes the scalar one-step path.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.shape[0] == 1:
+        return integrate_quat(q, omegas[0], dt)[None, :]
+    prefix = _quat_prefix_products(_quat_increments(omegas, dt))
+    return _quat_mul_rows(prefix, np.asarray(q, dtype=float))
+
+
+def _quat_increments(omegas: np.ndarray, dt: float) -> np.ndarray:
+    """Step increments exp(0.5 * (omega*dt; 0)), one row per row of ``omegas``."""
+    wnorm = np.sqrt((omegas * omegas).sum(axis=1))
+    half = (0.5 * dt) * wnorm
+    # a zero rate gives sin(0) / tiny = 0, the identity increment
+    s = np.sin(half) / np.maximum(wnorm, _TINY)
+    dq = np.empty((omegas.shape[0], 4))
+    dq[:, :3] = omegas * s[:, None]
+    dq[:, 3] = np.cos(half)
+    return dq
+
+
+def _quat_prefix_products(dq: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products ``dq[k] * ... * dq[1] * dq[0]`` of a stack of quaternions.
+
+    A Hillis-Steele scan: ceil(log2 n) levels, each one batched product, in
+    place of n - 1 sequential products.
+    """
+    out = dq
+    span = 1
+    while span < out.shape[0]:
+        out = np.concatenate((out[:span], _quat_mul_rows(out[span:], out[:-span])))
+        span *= 2
+    return out
+
+
+def _quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton products ``a[k] * b[k]`` of an (n, 4) stack ``a`` and
+    an (n, 4) stack or a single quaternion ``b``."""
+    left = (a @ _QUAT_LEFT_TABLE).reshape(-1, 4, 4)
+    return (left @ b[..., None])[:, :, 0]
 
 
 def quat_to_matrix(q) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 Additive EKF (AEKF)
     The state is the raw 4-component quaternion with a 4x4 covariance.
-    Prediction propagates the quaternion through the exact kinematic step
-    and the covariance through the first-order transition
-    ``F = I + 0.5 * Omega(omega) * dt``. The update treats the measured
-    quaternion as a direct observation (H = I), adds the Kalman correction
-    componentwise, and renormalizes the result by brute force.
+    Prediction propagates the quaternion through the exact kinematic steps,
+    renormalizing once per block, and the covariance through the
+    first-order transitions ``F = I + 0.5 * Omega(omega) * dt``. The update
+    treats the measured quaternion as a direct observation (H = I), adds the
+    Kalman correction componentwise, and renormalizes the result by brute
+    force.
 
 Multiplicative EKF (MEKF)
     The reference quaternion is propagated exactly and is always unit; the
@@ -19,10 +20,24 @@ Multiplicative EKF (MEKF)
     covariance has the standard 6x6 shape, but the bias estimate is frozen
     at zero and never fed back.
 
+Block predict
+    Each filter has one predict, and it crosses a whole block of gyro
+    steps: ``predict(state, omegas, dt, noise)`` with ``omegas`` of shape
+    ``(n, 3)``, one rate per step; a ``(3,)`` rate is a block of one step.
+    Between two measurements the covariance recursion
+    ``P <- Phi P Phi^T + Q`` is linear, and its per-step pairs compose
+    associatively (:func:`compose_transitions`), so the n transitions are
+    built in one vectorized step (Phi is linear in the rate), reduced by a
+    tree of batched matrix products, and applied to P once. The attitude
+    advances by a tree product of the exact per-step increments
+    (:func:`attsim.attitude.integrate_quat`). The result equals n one-step
+    predicts up to rounding; the caller decides where a block ends (the
+    harness ends one at every tracker epoch and every record instant).
+
 Both updates sign-align the measured quaternion against the current
 estimate before forming a residual, which makes the filters insensitive
 to the q/-q double cover. Covariances are re-symmetrized after every
-propagation and update.
+predict and update.
 """
 
 from dataclasses import dataclass, field
@@ -34,16 +49,18 @@ import numpy as np
 from .attitude import (
     cross_matrix,
     integrate_quat,
+    integrate_quat_path,
+    omega_matrix,
     quat_conjugate,
     quat_mul,
     quat_normalize,
-    xi_matrix,
 )
 from .errors import GibbsSingularity, InvalidInput
 from .numerics import solve, symmetrize
 
 _I3 = np.eye(3)
 _I4 = np.eye(4)
+_I4_FLAT = _I4.ravel()
 
 
 @dataclass(frozen=True)
@@ -110,38 +127,73 @@ def _aekf_flat_q(sigma_v: float, dt: float) -> np.ndarray:
     return q
 
 
-def aekf_predict(s: AekfState, omega, dt: float, noise: NoiseParams) -> AekfState:
-    """Propagate the AEKF through one gyro interval.
+# F = I + 0.5 * dt * Omega(omega) is linear in omega: row j of the table is
+# Omega(e_j) flattened, so the stack of n transitions is one matrix product
+_AEKF_OMEGA_TABLE = np.array([omega_matrix(e).ravel() for e in _I3])
 
-    The quaternion advances by the exact kinematic step and is
-    renormalized; the covariance advances through the first-order
-    transition ``F = I + 0.5 * Omega(omega) * dt`` of the kinematic
-    equation plus gyro process noise.
-    """
+
+def _rate_block(omegas, dt: float) -> np.ndarray:
+    """Gyro rates as an (n, 3) block; a single (3,) rate is a block of one step."""
     if dt <= 0.0:
         raise InvalidInput("dt must be positive")
-    q_new = quat_normalize(integrate_quat(s.q, omega, dt))
-    h = 0.5 * dt
-    wx, wy, wz = (h * float(omega[0]), h * float(omega[1]), h * float(omega[2]))
-    f = np.array(
-        [
-            [1.0, -wz, wy, wx],
-            [wz, 1.0, -wx, wy],
-            [-wy, wx, 1.0, wz],
-            [-wx, -wy, -wz, 1.0],
-        ]
-    )
-    qscale = noise.sigma_v * noise.sigma_v * dt
-    if qscale > 0.0:
-        if noise.aekf_q_flat:
-            qmat = _aekf_flat_q(noise.sigma_v, dt)
-        else:
-            xi = xi_matrix(s.q)
-            qmat = (0.25 * qscale) * (xi @ xi.T)
-        p_new = symmetrize(f @ s.p @ f.T + qmat)
+    w = np.asarray(omegas, dtype=float)
+    if w.shape == (3,):
+        w = w[None, :]
+    if w.ndim != 2 or w.shape[0] == 0 or w.shape[1] != 3:
+        raise InvalidInput("gyro rates must be a (3,) rate or a nonempty (n, 3) block")
+    return w
+
+
+def compose_transitions(phi: np.ndarray, q: np.ndarray):
+    """Compose per-step pairs (Phi_k, Q_k), stacked in time order, into one pair.
+
+    The covariance recursion P <- Phi P Phi^T + Q composes associatively,
+    ``(Phi2, Q2) o (Phi1, Q1) = (Phi2 Phi1, Phi2 Q1 Phi2^T + Q2)``, so a
+    block of n steps reduces by a tree of ceil(log2 n) batched levels:
+    each level composes neighbours pairwise, and an odd last element passes
+    to the next level unchanged. Applying the result to P once equals n
+    sequential steps up to rounding. A single step is returned as it is.
+    """
+    while phi.shape[0] > 1:
+        even = phi.shape[0] // 2 * 2
+        later = phi[1:even:2]
+        q_new = later @ q[0:even:2] @ later.transpose(0, 2, 1) + q[1:even:2]
+        phi_new = later @ phi[0:even:2]
+        if even < phi.shape[0]:
+            q_new = np.concatenate((q_new, q[even:]))
+            phi_new = np.concatenate((phi_new, phi[even:]))
+        phi, q = phi_new, q_new
+    return phi[0], q[0]
+
+
+def aekf_predict(s: AekfState, omegas, dt: float, noise: NoiseParams) -> AekfState:
+    """Propagate the AEKF across a block of gyro intervals.
+
+    ``omegas`` holds one gyro rate per step, shape ``(n, 3)``; a single
+    ``(3,)`` rate is one step. The quaternion advances by the exact
+    kinematic steps (:func:`integrate_quat`) and is renormalized once per
+    block, since the exact steps preserve the norm to about 1e-16. The
+    covariance advances through the first-order transitions
+    ``F_k = I + 0.5 * Omega(omega_k) * dt`` of the kinematic equation plus
+    gyro process noise ``Q_k``, composed over the block by
+    :func:`compose_transitions` and applied to P once. The non-flat
+    ``Q_k = 0.25 * sigma_v^2 * dt * Xi(q) Xi(q)^T = 0.25 * sigma_v^2 * dt *
+    (|q|^2 I - q q^T)`` is taken at the attitude q before step k, which a
+    prefix product over the block supplies.
+    """
+    w = _rate_block(omegas, dt)
+    f = (_I4_FLAT + (0.5 * dt) * w @ _AEKF_OMEGA_TABLE).reshape(-1, 4, 4)
+    path = integrate_quat_path(s.q, w, dt)
+    if noise.aekf_q_flat:
+        qmat = _aekf_flat_q(noise.sigma_v, dt)[None].repeat(w.shape[0], axis=0)
     else:
-        p_new = symmetrize(f @ s.p @ f.T)
-    return AekfState(q=q_new, p=p_new)
+        prior = np.concatenate((s.q[None, :], path[:-1]))
+        qmat = (0.25 * noise.sigma_v * noise.sigma_v * dt) * (
+            (prior * prior).sum(axis=1)[:, None, None] * _I4
+            - prior[:, :, None] * prior[:, None, :]
+        )
+    phi, qsum = compose_transitions(f, qmat)
+    return AekfState(q=quat_normalize(path[-1]), p=symmetrize(phi @ s.p @ phi.T + qsum))
 
 
 def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
@@ -163,34 +215,6 @@ def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
     return AekfState(q=q_new, p=p_new)
 
 
-def mekf_build_matrices(noise: NoiseParams, omega, dt: float):
-    """Continuous-time error-state matrices (F, G, Q, H) for one step.
-
-    F couples the attitude error to itself through the angular-rate cross
-    matrix and to the bias error through -I; the bias error is a random
-    walk. Q carries the standard white-noise/random-walk discretization;
-    H observes the attitude error only.
-    """
-    if dt <= 0.0:
-        raise InvalidInput("dt must be positive")
-    sv2 = noise.sigma_v * noise.sigma_v
-    su2 = noise.sigma_u * noise.sigma_u
-    f = np.zeros((6, 6))
-    f[:3, :3] = -cross_matrix(omega)
-    f[:3, 3:] = -_I3
-    g = np.zeros((6, 6))
-    g[:3, :3] = -_I3
-    g[3:, 3:] = _I3
-    q = np.zeros((6, 6))
-    q[:3, :3] = (sv2 * dt + su2 * dt**3 / 3.0) * _I3
-    q[:3, 3:] = -(0.5 * su2 * dt * dt) * _I3
-    q[3:, :3] = -(0.5 * su2 * dt * dt) * _I3
-    q[3:, 3:] = (su2 * dt) * _I3
-    h = np.zeros((3, 6))
-    h[:, :3] = _I3
-    return f, g, q, h
-
-
 @lru_cache(maxsize=64)
 def _mekf_gqg(sigma_v: float, sigma_u: float, dt: float) -> np.ndarray:
     """G Q G^T for one step; constant given the noise densities and dt."""
@@ -205,31 +229,49 @@ def _mekf_gqg(sigma_v: float, sigma_u: float, dt: float) -> np.ndarray:
     return out
 
 
-def mekf_predict(s: MekfState, omega, dt: float, noise: NoiseParams) -> MekfState:
-    """Propagate the MEKF reference and error covariance through one gyro interval.
+@lru_cache(maxsize=64)
+def _mekf_phi_const(dt: float) -> np.ndarray:
+    """The rate-independent part of Phi, flattened: I plus the -I dt bias coupling."""
+    out = np.eye(6)
+    out[:3, 3:] = -dt * _I3
+    out.setflags(write=False)
+    return out.ravel()
 
-    The covariance transition is the first-order discretization
-    ``Phi = I + F dt`` of the continuous error dynamics from
-    :func:`mekf_build_matrices`; Phi and G Q G^T are assembled directly
-    here, which is algebraically identical and avoids rebuilding the
-    block matrices every gyro step.
+
+def _mekf_omega_table() -> np.ndarray:
+    """The rate-dependent part of Phi is -[omega x] dt in the attitude block,
+    linear in omega: row j is that 6x6 matrix for omega = e_j, flattened."""
+    table = np.zeros((3, 6, 6))
+    for j in range(3):
+        table[j, :3, :3] = -cross_matrix(_I3[j])
+    return table.reshape(3, 36)
+
+
+_MEKF_OMEGA_TABLE = _mekf_omega_table()
+
+
+def mekf_predict(s: MekfState, omegas, dt: float, noise: NoiseParams) -> MekfState:
+    """Propagate the MEKF reference and error covariance across a block of gyro intervals.
+
+    ``omegas`` holds one gyro rate per step, shape ``(n, 3)``; a single
+    ``(3,)`` rate is one step. The reference advances by the exact kinematic
+    steps (:func:`integrate_quat`). The covariance transition of each step
+    is the first-order discretization ``Phi_k = I + F_k dt`` of the
+    continuous error dynamics, with F_k coupling the attitude error to
+    itself through -[omega_k x] and to the bias error through -I; the
+    process noise G Q G^T carries the standard white-noise/random-walk
+    discretization and is the same every step. The pairs are composed over
+    the block by :func:`compose_transitions` and applied to P once.
     """
-    if dt <= 0.0:
-        raise InvalidInput("dt must be positive")
-    q_ref = integrate_quat(s.q_ref, omega, dt)
-    wx, wy, wz = (dt * float(omega[0]), dt * float(omega[1]), dt * float(omega[2]))
-    phi = np.array(
-        [
-            [1.0, wz, -wy, -dt, 0.0, 0.0],
-            [-wz, 1.0, wx, 0.0, -dt, 0.0],
-            [wy, -wx, 1.0, 0.0, 0.0, -dt],
-            [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-        ]
+    w = _rate_block(omegas, dt)
+    phi = (_mekf_phi_const(dt) + dt * w @ _MEKF_OMEGA_TABLE).reshape(-1, 6, 6)
+    gqg = _mekf_gqg(noise.sigma_v, noise.sigma_u, dt)[None].repeat(w.shape[0], axis=0)
+    phi, qsum = compose_transitions(phi, gqg)
+    return MekfState(
+        q_ref=integrate_quat(s.q_ref, w, dt),
+        dx=s.dx.copy(),
+        p=symmetrize(phi @ s.p @ phi.T + qsum),
     )
-    p_new = symmetrize(phi @ s.p @ phi.T + _mekf_gqg(noise.sigma_v, noise.sigma_u, dt))
-    return MekfState(q_ref=q_ref, dx=s.dx.copy(), p=p_new)
 
 
 def mekf_update(s: MekfState, q_meas, r3) -> MekfState:

@@ -2,12 +2,18 @@
 
 The simulated trajectory mimics a low-Earth-orbit pass: a single-axis
 angular rate ``omega(t) = -cos(2*pi*t / 5280) * pi/2`` whose period is the
-88-minute orbit time. Truth propagates at the gyro rate with the exact
-kinematic step; both filters predict from the same noisy gyro sample each
-step, and at star-tracker epochs one Davenport solution (from the full
+88-minute orbit time. Truth and the noisy gyro samples are generated step
+by step at the gyro rate, truth with the exact kinematic step. The
+measured rates are buffered, and both filters predict once per block of
+gyro steps from the same samples (see :mod:`attsim.filters`). A block ends
+at the next event: a star-tracker epoch, a record instant, the last step,
+or at most ``_MAX_BLOCK_STEPS`` steps. So every update and every record
+sees the filter states it would see after one predict per step, up to
+rounding. At star-tracker epochs one Davenport solution (from the full
 emulated camera pipeline) is shared by both filters as the quaternion
 measurement. Everything downstream of the seed is deterministic except
-the wall-clock timing fields.
+the wall-clock timing fields; a filter's timing is the wall time of its
+block predicts and updates divided by the gyro steps they cover.
 
 Default tuning notes (the trade study this harness supports never pins
 sensor grades, so defaults are artifact choices, documented here):
@@ -30,6 +36,7 @@ sensor grades, so defaults are artifact choices, documented here):
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -62,6 +69,18 @@ _R_FLOOR = 1e-12
 
 _P0_ATTITUDE = 1e-6
 
+# longest block of gyro steps handed to one predict when no event ends it
+# sooner; bounds the per-block stacks to well under a megabyte
+_MAX_BLOCK_STEPS = 1000
+
+
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, (bool, np.bool_))
+        and math.isfinite(value)
+    )
+
 
 @dataclass
 class SimConfig:
@@ -88,12 +107,15 @@ class SimConfig:
     catalog_path: Optional[str] = None
 
     def validate(self) -> None:
+        self._check_types()
         if self.duration_s <= 0.0:
             raise ConfigError("duration_s must be positive")
         if self.gyro_rate_hz <= 0.0 or self.tracker_rate_hz <= 0.0:
             raise ConfigError("sensor rates must be positive")
         if self.duration_s * self.gyro_rate_hz < 1.0:
             raise ConfigError("duration_s must cover at least one gyro step")
+        if not math.isfinite(self.duration_s * self.gyro_rate_hz):
+            raise ConfigError("duration_s * gyro_rate_hz must be finite")
         if self.gyro_rate_hz < self.tracker_rate_hz:
             raise ConfigError("gyro rate must be at least the tracker rate")
         if self.n_stars < 2:
@@ -116,6 +138,36 @@ class SimConfig:
             raise ConfigError("aekf_r_scale must be positive")
         if self.record_stride < 0:
             raise ConfigError("record_stride must be nonnegative")
+
+    def _check_types(self) -> None:
+        """Reject values of the wrong type and non-finite numbers.
+
+        JSON admits ``NaN`` and ``Infinity``, and NaN passes every range
+        check (its comparisons are false), so finiteness is checked here,
+        before the ranges. Floats accept integers; integers accept no
+        fractions; flags accept only booleans.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float:
+                if not _is_finite_number(value):
+                    raise ConfigError(f"{f.name} must be a finite number, not {value!r}")
+            elif f.type is int:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"{f.name} must be an integer, not {value!r}")
+            elif f.type is bool:
+                if not isinstance(value, (bool, np.bool_)):
+                    raise ConfigError(f"{f.name} must be true or false, not {value!r}")
+        axis = self.axis
+        if (
+            isinstance(axis, (str, bytes))
+            or not hasattr(axis, "__len__")
+            or len(axis) != 3
+            or not all(_is_finite_number(v) for v in axis)
+        ):
+            raise ConfigError(f"axis must be three finite numbers, not {axis!r}")
+        if self.catalog_path is not None and not isinstance(self.catalog_path, str):
+            raise ConfigError(f"catalog_path must be a string or null, not {self.catalog_path!r}")
 
     def axis_unit(self) -> np.ndarray:
         ax = np.asarray(self.axis, dtype=float)
@@ -321,26 +373,36 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         win_time_m = 0.0
         win_steps = 0
 
+    # gyro rates measured since the last event, for one block predict
+    block = np.empty((min(stride, _MAX_BLOCK_STEPS), 3))
+    n_block = 0
     t_now = 0.0
     try:
         for k in range(1, n_steps + 1):
             t_prev = (k - 1) * dt
             t_now = k * dt
             omega_true = trajectory_omega(t_prev + 0.5 * dt, axis)
-            omega_meas = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
+            block[n_block] = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
+            n_block += 1
             q_true = integrate_quat(q_true, omega_true, dt)
-            win_steps += 1
 
+            epoch = t_now >= next_tracker - 1e-9
+            due = k % stride == 0 or k == n_steps
+            if not (epoch or due or n_block == block.shape[0]):
+                continue
+            rates = block[:n_block]
+            win_steps += n_block
+            n_block = 0
             if cfg.run_aekf:
                 t0 = time.perf_counter()
-                aekf = aekf_predict(aekf, omega_meas, dt, noise)
+                aekf = aekf_predict(aekf, rates, dt, noise)
                 win_time_a += time.perf_counter() - t0
             if cfg.run_mekf:
                 t0 = time.perf_counter()
-                mekf = mekf_predict(mekf, omega_meas, dt, noise)
+                mekf = mekf_predict(mekf, rates, dt, noise)
                 win_time_m += time.perf_counter() - t0
 
-            if t_now >= next_tracker - 1e-9:
+            if epoch:
                 next_tracker += tracker_dt
                 obs = startracker.observe(q_true, catalog, cams, cfg.sigma_star, rng_star)
                 try:
@@ -360,7 +422,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
                         mekf = mekf_update(mekf, solution.q, noise.r3)
                         win_time_m += time.perf_counter() - t0
 
-            if k % stride == 0 or k == n_steps:
+            if due:
                 record(t_now)
     except NumericalFailure as exc:
         aborted = str(exc)

@@ -129,12 +129,6 @@ def condition_number(m) -> float:
     return float(mags.max()) / lo
 
 
-def spectral_norm_sym(m) -> float:
-    """2-norm (largest eigenvalue magnitude) of a symmetric matrix."""
-    evals, _ = jacobi_eigen_sym(m)
-    return float(np.max(np.abs(evals)))
-
-
 def solve(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by Gauss-Jordan elimination with partial pivoting.
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attitude import quat_mul, quat_norm, quat_normalize, quat_to_matrix
+from .attitude import quat_norm, quat_normalize, quat_to_matrix
 from .errors import BehindImagePlane, InvalidInput
 from .numerics import RngStream
 
@@ -229,8 +229,3 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
                 b = b / math.sqrt(float(b @ b))
             out.append(StarObservation(b=b, r=catalog.stars[idx].copy()))
     return out
-
-
-def camera_frame_quat(q_true, cam: CameraModel) -> np.ndarray:
-    """Quaternion whose passive matrix maps inertial coordinates to this camera."""
-    return quat_mul(np.asarray(q_true, dtype=float), cam.mount)

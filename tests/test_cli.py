@@ -36,6 +36,44 @@ class TestRunCommand:
         rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # non-finite numbers: json.load accepts NaN and Infinity
+            '{"duration_s": NaN}',
+            '{"duration_s": Infinity}',
+            '{"duration_s": 1e308}',
+            '{"sigma_gyro": NaN}',
+            '{"aekf_r_scale": NaN}',
+            '{"sigma_star": -Infinity}',
+            # integers that are not integers
+            '{"n_stars": 10.5}',
+            '{"n_cameras": 3.0}',
+            '{"seed": 1.5}',
+            '{"record_stride": 0.5}',
+            '{"n_stars": true}',
+            # flags that are not booleans
+            '{"run_aekf": "yes"}',
+            '{"aekf_q_flat": 1}',
+            # axes that are not three finite numbers
+            '{"axis": "abc"}',
+            '{"axis": [0.0, 1.0]}',
+            '{"axis": [0.0, NaN, 1.0]}',
+            '{"axis": [0.0, "1", 1.0]}',
+            '{"axis": 1.0}',
+            '{"catalog_path": 5}',
+        ],
+    )
+    def test_malformed_value_exits_2_without_traceback(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "a"), "--no-timing"])

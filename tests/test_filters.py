@@ -5,9 +5,11 @@ import pytest
 
 from attsim.attitude import (
     axis_angle_quat,
+    cross_matrix,
     error_angle,
     identity_quat,
     integrate_quat,
+    integrate_quat_path,
     quat_mul,
     quat_normalize,
     xi_matrix,
@@ -20,12 +22,11 @@ from attsim.filters import (
     aekf_init,
     aekf_predict,
     aekf_update,
-    mekf_build_matrices,
     mekf_init,
     mekf_predict,
     mekf_update,
 )
-from attsim.harness import trajectory_omega
+from attsim.harness import ORBIT_PERIOD_S, trajectory_omega
 from attsim.numerics import RngStream
 
 from conftest import random_unit_quat, random_unit_vec
@@ -40,6 +41,33 @@ def _quiet():
 def _psd(rng, n, scale=1.0):
     m = np.array([[rng.gaussian(1.0) for _ in range(n)] for _ in range(n)])
     return scale * (m @ m.T) / n + 1e-9 * np.eye(n)
+
+
+def mekf_build_matrices(noise: NoiseParams, omega, dt: float):
+    """Continuous-time MEKF error-state matrices (F, G, Q, H) for one step.
+
+    The textbook oracle of ``mekf_predict``: F couples the attitude error to
+    itself through the angular-rate cross matrix and to the bias error
+    through -I; the bias error is a random walk. Q carries the standard
+    white-noise/random-walk discretization; H observes the attitude error
+    only. ``mekf_predict`` must equal ``Phi = I + F dt`` and ``G Q G^T``.
+    """
+    sv2 = noise.sigma_v * noise.sigma_v
+    su2 = noise.sigma_u * noise.sigma_u
+    f = np.zeros((6, 6))
+    f[:3, :3] = -cross_matrix(omega)
+    f[:3, 3:] = -np.eye(3)
+    g = np.zeros((6, 6))
+    g[:3, :3] = -np.eye(3)
+    g[3:, 3:] = np.eye(3)
+    q = np.zeros((6, 6))
+    q[:3, :3] = (sv2 * dt + su2 * dt**3 / 3.0) * np.eye(3)
+    q[:3, 3:] = -(0.5 * su2 * dt * dt) * np.eye(3)
+    q[3:, :3] = -(0.5 * su2 * dt * dt) * np.eye(3)
+    q[3:, 3:] = (su2 * dt) * np.eye(3)
+    h = np.zeros((3, 6))
+    h[:, :3] = np.eye(3)
+    return f, g, q, h
 
 
 class TestAekfPredict:
@@ -215,8 +243,10 @@ class TestMekfPredict:
         phi = np.eye(6) + DT * f
         p_explicit = phi @ s.p @ phi.T + g @ q @ g.T
         p_explicit = 0.5 * (p_explicit + p_explicit.T)
-        s2 = mekf_predict(s, w, DT, noise)
-        assert np.max(np.abs(s2.p - p_explicit)) <= 1e-18
+        # a single rate and a block of one step are the same predict
+        for rates in (w, w[None, :]):
+            s2 = mekf_predict(s, rates, DT, noise)
+            assert np.max(np.abs(s2.p - p_explicit)) <= 1e-18
 
     def test_rejects_bad_dt(self):
         s = mekf_init(identity_quat(), np.zeros((6, 6)))
@@ -288,6 +318,102 @@ class TestMekfUpdate:
             gaps.append(float(np.max(np.abs(exact - linear))))
         orders = [math.log2(gaps[i] / gaps[i + 1]) for i in range(len(gaps) - 1)]
         assert min(orders) >= 1.9
+
+
+ORBIT_BLOCKS = 5280
+BLOCK_STEPS = 100
+
+
+def _orbit_rates(seed):
+    """True and measured gyro rates of one full orbit at 100 Hz, shaped (blocks, steps, 3).
+
+    The true rate is the harness trajectory about z; the measured rate adds
+    seeded white noise of 1e-3 rad/s per axis.
+    """
+    t = (np.arange(ORBIT_BLOCKS * BLOCK_STEPS) + 0.5) * DT
+    true = np.zeros((t.size, 3))
+    true[:, 2] = -np.cos(2.0 * math.pi * t / ORBIT_PERIOD_S) * (0.5 * math.pi)
+    meas = true + 1e-3 * np.random.default_rng(seed).standard_normal(true.shape)
+    shape = (ORBIT_BLOCKS, BLOCK_STEPS, 3)
+    return true.reshape(shape), meas.reshape(shape)
+
+
+class TestBlockPredict:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 100])
+    def test_block_equals_sequential_steps(self, n):
+        rng = np.random.default_rng(n)
+        rates = rng.standard_normal((n, 3))
+        for flat in (True, False):
+            noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=flat)
+            a = b = aekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(4))
+            a = aekf_predict(a, rates, DT, noise)
+            for w in rates:
+                b = aekf_predict(b, w, DT, noise)
+            assert error_angle(a.q, b.q) <= 1e-14
+            assert np.max(np.abs(a.p - b.p)) <= 1e-14 * np.max(np.abs(b.p))
+        noise = NoiseParams(sigma_v=1e-3, sigma_u=1e-4)
+        a = b = mekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(6))
+        a = mekf_predict(a, rates, DT, noise)
+        for w in rates:
+            b = mekf_predict(b, w, DT, noise)
+        assert error_angle(a.q_ref, b.q_ref) <= 1e-14
+        assert np.max(np.abs(a.p - b.p)) <= 1e-14 * np.max(np.abs(b.p))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4,), (2, 4), (2, 3, 1)])
+    def test_rejects_malformed_rate_blocks(self, shape):
+        with pytest.raises(InvalidInput):
+            aekf_predict(aekf_init(identity_quat(), np.eye(4)), np.zeros(shape), DT, _quiet())
+        with pytest.raises(InvalidInput):
+            mekf_predict(mekf_init(identity_quat(), np.eye(6)), np.zeros(shape), DT, _quiet())
+
+    def test_integrate_block_equals_steps(self):
+        rng = np.random.default_rng(7)
+        q = quat_normalize(rng.standard_normal(4))
+        rates = rng.standard_normal((37, 3))
+        rates[4] = 0.0
+        path = integrate_quat_path(q, rates, DT)
+        step = q
+        for k, w in enumerate(rates):
+            step = integrate_quat(step, w, DT)
+            assert np.max(np.abs(path[k] - step)) <= 1e-14
+        assert np.max(np.abs(integrate_quat(q, rates, DT) - step)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "name, noise",
+        [
+            ("aekf", NoiseParams(sigma_v=1e-3 * math.sqrt(DT), aekf_q_flat=True)),
+            ("aekf", NoiseParams(sigma_v=1e-3 * math.sqrt(DT), aekf_q_flat=False)),
+            ("mekf", NoiseParams(sigma_v=1e-3 * math.sqrt(DT), sigma_u=1e-5)),
+        ],
+        ids=["aekf-flat-q", "aekf-kinematic-q", "mekf-bias-walk"],
+    )
+    def test_block_predict_tracks_step_predict_over_an_orbit(self, name, noise):
+        # path A predicts once per 100-step block, path B once per step, with
+        # the same update after every block; rounding may differ, nothing else
+        q_true = identity_quat()
+        if name == "aekf":
+            predict, update, r = aekf_predict, aekf_update, 1e-6 * np.eye(4)
+            a = b = aekf_init(q_true, 1e-6 * np.eye(4))
+        else:
+            predict, update, r = mekf_predict, mekf_update, 1e-6 * np.eye(3)
+            a = b = mekf_init(q_true, np.diag([1e-6, 1e-6, 1e-6, 1e-8, 1e-8, 1e-8]))
+        true, meas = _orbit_rates(3)
+        rng = np.random.default_rng(4)
+        q_gap = p_gap = 0.0
+        for k in range(ORBIT_BLOCKS):
+            a = predict(a, meas[k], DT, noise)
+            for w in meas[k]:
+                b = predict(b, w, DT, noise)
+            q_true = integrate_quat(q_true, true[k], DT)
+            tilt = 5e-4 * rng.standard_normal(3)
+            z = quat_normalize(quat_mul(np.append(tilt, 1.0), q_true))
+            a = update(a, z, r)
+            b = update(b, z, r)
+            qa, qb = (a.q, b.q) if name == "aekf" else (a.q_ref, b.q_ref)
+            q_gap = max(q_gap, error_angle(qa, qb))
+            p_gap = max(p_gap, float(np.max(np.abs(a.p - b.p)) / np.max(np.abs(b.p))))
+        assert q_gap <= 1e-12, f"quaternion gap {q_gap:.3e} rad"
+        assert p_gap <= 1e-10, f"relative covariance gap {p_gap:.3e}"
 
 
 class TestFilterInvariants:

@@ -102,6 +102,34 @@ class TestSimConfig:
             with pytest.raises(ConfigError):
                 SimConfig.from_dict(bad)
 
+    def test_non_finite_and_mistyped_values_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            {"duration_s": nan},
+            {"duration_s": inf},
+            {"tracker_rate_hz": nan},
+            {"sigma_meas": -inf},
+            {"focal_length": "1.0"},
+            {"n_stars": 10.5},
+            {"n_cameras": 3.0},
+            {"record_stride": 0.5},
+            {"seed": True},
+            {"run_mekf": 1},
+            {"aekf_q_flat": None},
+            {"axis": [1.0, nan, 0.0]},
+            {"axis": [1.0, 0.0]},
+            {"axis": "xyz"},
+            {"catalog_path": 3},
+        ):
+            with pytest.raises(ConfigError):
+                SimConfig.from_dict(bad)
+        with pytest.raises(ConfigError):
+            run_simulation(SimConfig(duration_s=nan))
+
+    def test_integers_accepted_for_floats(self):
+        cfg = SimConfig.from_dict({"duration_s": 30, "sigma_gyro": 0, "axis": [0, 1, 0]})
+        assert cfg.axis == (0, 1, 0)
+
     def test_json_round_trip(self, tmp_path):
         cfg = short_cfg(seed=77)
         path = tmp_path / "cfg.json"
@@ -195,6 +223,44 @@ class TestRunSimulation:
         cfg = short_cfg(duration_s=5.0, catalog_path=str(path))
         res = run_simulation(cfg)
         assert res.aborted is None
+
+    def test_blocks_end_at_records_and_epochs(self, monkeypatch):
+        # 50 Hz gyro, an epoch every 50 steps, a record every 20: each predict
+        # covers the steps up to the next event and no further
+        import attsim.harness as hmod
+
+        sizes = {"aekf": [], "mekf": []}
+        real_a, real_m = hmod.aekf_predict, hmod.mekf_predict
+
+        def aekf_spy(s, omegas, dt, noise):
+            sizes["aekf"].append(len(omegas))
+            return real_a(s, omegas, dt, noise)
+
+        def mekf_spy(s, omegas, dt, noise):
+            sizes["mekf"].append(len(omegas))
+            return real_m(s, omegas, dt, noise)
+
+        monkeypatch.setattr(hmod, "aekf_predict", aekf_spy)
+        monkeypatch.setattr(hmod, "mekf_predict", mekf_spy)
+        res = run_simulation(short_cfg(duration_s=3.0, record_stride=20))
+        assert sizes["aekf"] == [20, 20, 10, 10, 20, 20, 20, 20, 10]
+        assert sizes["mekf"] == sizes["aekf"]
+        assert len(res.t) == 8
+        assert np.allclose(res.t, [0.4, 0.8, 1.2, 1.6, 2.0, 2.4, 2.8, 3.0])
+
+    def test_long_blocks_are_capped(self, monkeypatch):
+        import attsim.harness as hmod
+
+        sizes = []
+        real = hmod.mekf_predict
+
+        def spy(s, omegas, dt, noise):
+            sizes.append(len(omegas))
+            return real(s, omegas, dt, noise)
+
+        monkeypatch.setattr(hmod, "mekf_predict", spy)
+        run_simulation(short_cfg(duration_s=50.0, tracker_rate_hz=0.02, record_stride=10**9))
+        assert sizes == [hmod._MAX_BLOCK_STEPS, hmod._MAX_BLOCK_STEPS, 500]
 
     def test_numerical_failure_aborts_with_partial_result(self, monkeypatch):
         import attsim.harness as hmod
