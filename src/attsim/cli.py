@@ -174,6 +174,19 @@ def _selfcheck_cases(tol_scale: float):
         )
         return worst, 1e-10 * tol_scale
 
+    def check_jacobi_stack():
+        # the stacked sweep must reproduce the one-matrix sweep bit for bit
+        stack_rng = numerics.RngStream(6)
+        stack = np.array([[stack_rng.gaussian_vec(1.0, 6) for _ in range(6)] for _ in range(8)])
+        stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+        evals, evecs = numerics.jacobi_eigen_sym(stack)
+        worst = 0.0
+        for m, stack_evals, stack_evecs in zip(stack, evals, evecs):
+            ev, vec = numerics.jacobi_eigen_sym(m)
+            gap = max(float(np.max(np.abs(stack_evals - ev))), float(np.max(np.abs(stack_evecs - vec))))
+            worst = max(worst, gap)
+        return worst, 0.0
+
     def check_identity_cond():
         c = numerics.condition_number(np.eye(4))
         return abs(c - 1.0), 0.0
@@ -215,6 +228,7 @@ def _selfcheck_cases(tol_scale: float):
 
     return [
         ("jacobi_residual", check_jacobi),
+        ("jacobi_stack_bitwise", check_jacobi_stack),
         ("condition_number_identity", check_identity_cond),
         ("davenport_recovery", check_davenport),
         ("triad_exactness", check_triad),

@@ -42,7 +42,6 @@ predict and update.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -65,15 +64,13 @@ _I4_FLAT = _I4.ravel()
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Process and measurement noise configuration.
+    """Process noise configuration.
 
     Args:
         sigma_v: gyro rate white-noise density [rad/s/sqrt(Hz)]; the
             attitude covariance grows by sigma_v^2 * dt per step.
         sigma_u: gyro bias random-walk density [rad/s^(3/2)]; zero freezes
             the bias blocks entirely.
-        r3: 3x3 measurement covariance for the MEKF attitude-error update.
-        r4: 4x4 measurement covariance for the AEKF quaternion update.
         aekf_q_flat: when True the AEKF process noise is the flat diagonal
             sigma_v^2 * dt * I4 (tuning-parity fallback); when False it is
             mapped through the kinematics operator,
@@ -82,8 +79,6 @@ class NoiseParams:
 
     sigma_v: float = 0.0
     sigma_u: float = 0.0
-    r3: Optional[np.ndarray] = None
-    r4: Optional[np.ndarray] = None
     aekf_q_flat: bool = False
 
     def __post_init__(self):

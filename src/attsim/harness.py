@@ -73,6 +73,11 @@ _P0_ATTITUDE = 1e-6
 # sooner; bounds the per-block stacks to well under a megabyte
 _MAX_BLOCK_STEPS = 1000
 
+# records whose covariance snapshots one stacked eigensolve takes; keeps the
+# pending buffers and the solver's temporaries at a fixed small size however
+# many records a run writes
+_RECORD_CHUNK = 512
+
 
 def _is_finite_number(value) -> bool:
     return (
@@ -220,7 +225,10 @@ class RunResult:
     that filter per gyro step over the record window. Covariance norms and
     condition numbers are spectral; for the MEKF they are taken over the
     3x3 attitude block (the bias block is frozen at zero, so the full 6x6
-    would be singular by construction).
+    would be singular by construction). A record keeps a snapshot of each
+    filter's covariance, and the norms and condition numbers come from one
+    stacked eigensolve per chunk of up to ``_RECORD_CHUNK`` snapshots; they
+    equal bit for bit what one eigensolve per record gives.
     """
 
     config: SimConfig
@@ -288,12 +296,18 @@ def _sign_aligned_diff(qa: np.ndarray, qb: np.ndarray) -> float:
 
 
 def _pnorm_and_cond(p: np.ndarray):
-    """Spectral 2-norm and condition number from one eigendecomposition."""
+    """Spectral 2-norms and condition numbers of a stack of covariances, ``(k, n, n)``.
+
+    One stacked eigendecomposition; returns two arrays of length ``k``. A
+    condition number is +inf where the smallest eigenvalue magnitude is
+    below 1e-300.
+    """
     evals, _ = jacobi_eigen_sym(p)
     mags = np.abs(evals)
-    hi = float(mags.max())
-    lo = float(mags.min())
-    cond = math.inf if lo < 1e-300 else hi / lo
+    hi = mags.max(axis=1)
+    lo = mags.min(axis=1)
+    singular = lo < 1e-300
+    cond = np.where(singular, math.inf, hi / np.where(singular, 1.0, lo))
     return hi, cond
 
 
@@ -330,8 +344,6 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     noise = NoiseParams(
         sigma_v=cfg.sigma_gyro * math.sqrt(dt),
         sigma_u=cfg.sigma_bias_walk,
-        r3=r3,
-        r4=r4,
         aekf_q_flat=cfg.aekf_q_flat,
     )
 
@@ -352,20 +364,32 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     win_time_m = 0.0
     win_steps = 0
 
+    # covariance snapshots of the records not yet solved
+    pending_a = np.empty((_RECORD_CHUNK, 4, 4))
+    pending_m = np.empty((_RECORD_CHUNK, 3, 3))
+    n_pending = 0
+
+    def flush() -> None:
+        nonlocal n_pending
+        for pending, norms, conds in ((pending_a, rec_pa, rec_ca), (pending_m, rec_pm, rec_cm)):
+            pnorm, cond = _pnorm_and_cond(pending[:n_pending])
+            norms.extend(pnorm.tolist())
+            conds.extend(cond.tolist())
+        n_pending = 0
+
     def record(t_now: float) -> None:
-        nonlocal win_time_a, win_time_m, win_steps
+        nonlocal win_time_a, win_time_m, win_steps, n_pending
         rec_t.append(t_now)
         rec_qt.append(q_true.copy())
         rec_qa.append(aekf.q.copy())
         rec_qm.append(mekf.q_ref.copy())
         rec_ea.append(error_angle(q_true, aekf.q))
         rec_em.append(error_angle(q_true, mekf.q_ref))
-        pnorm_a, cond_a = _pnorm_and_cond(aekf.p)
-        pnorm_m, cond_m = _pnorm_and_cond(mekf.p[:3, :3])
-        rec_pa.append(pnorm_a)
-        rec_pm.append(pnorm_m)
-        rec_ca.append(cond_a)
-        rec_cm.append(cond_m)
+        pending_a[n_pending] = aekf.p
+        pending_m[n_pending] = mekf.p[:3, :3]
+        n_pending += 1
+        if n_pending == _RECORD_CHUNK:
+            flush()
         steps = max(1, win_steps)
         rec_ta.append(win_time_a / steps)
         rec_tm.append(win_time_m / steps)
@@ -415,11 +439,11 @@ def run_simulation(cfg: SimConfig) -> RunResult:
                     epoch_q.append(solution.q.copy())
                     if cfg.run_aekf:
                         t0 = time.perf_counter()
-                        aekf = aekf_update(aekf, solution.q, noise.r4)
+                        aekf = aekf_update(aekf, solution.q, r4)
                         win_time_a += time.perf_counter() - t0
                     if cfg.run_mekf:
                         t0 = time.perf_counter()
-                        mekf = mekf_update(mekf, solution.q, noise.r3)
+                        mekf = mekf_update(mekf, solution.q, r3)
                         win_time_m += time.perf_counter() - t0
 
             if due:
@@ -430,6 +454,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         # keep the partial result well-formed: snapshot the pre-failure state
         if t_now > 0.0 and (not rec_t or t_now > rec_t[-1]):
             record(t_now)
+    flush()
 
     def arr(rows, width=None):
         if width is None:

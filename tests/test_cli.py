@@ -192,6 +192,7 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert rc == 0
         assert "ok: davenport_recovery" in out
+        assert "ok: jacobi_stack_bitwise" in out
         assert "FAIL" not in out
 
     def test_strict_profile(self, capsys):

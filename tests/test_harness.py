@@ -279,6 +279,21 @@ class TestRunSimulation:
         res = run_simulation(short_cfg(duration_s=10.0, record_stride=1))
         assert res.aborted == "synthetic failure"
         assert 0 < len(res.t) < 10.0 * 50.0
+        # the pending covariance snapshots are solved on the abort path too
+        for series in (res.pnorm_aekf, res.pnorm_mekf, res.cond_aekf, res.cond_mekf):
+            assert len(series) == len(res.t)
+            assert np.all(np.isfinite(series)) and np.all(series > 0.0)
+
+    def test_record_chunk_size_does_not_change_outputs(self, monkeypatch):
+        import attsim.harness as hmod
+
+        cfg = short_cfg(duration_s=1.4, record_stride=1)  # 70 records
+        whole = run_simulation(cfg)
+        monkeypatch.setattr(hmod, "_RECORD_CHUNK", 7)  # ten full chunks, then an empty one
+        chunked = run_simulation(cfg)
+        assert len(chunked.t) == 70
+        for name in ("pnorm_aekf", "pnorm_mekf", "cond_aekf", "cond_mekf"):
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name))
 
 
 class TestComputeMetrics:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from attsim.errors import InvalidInput
+import attsim.numerics as numerics
+from attsim.errors import InvalidInput, NumericalFailure
 from attsim.numerics import (
     RngStream,
     condition_number,
@@ -126,6 +127,86 @@ class TestJacobi:
         assert np.allclose(evecs @ evecs.T, np.eye(4))
 
 
+def _per_matrix(stack):
+    """Reference: the one-matrix path applied to each member of a stack."""
+    n = stack.shape[1]
+    evals = np.zeros((len(stack), n))
+    evecs = np.zeros((len(stack), n, n))
+    for i, m in enumerate(stack):
+        evals[i], evecs[i] = jacobi_eigen_sym(m)
+    return evals, evecs
+
+
+class TestJacobiStack:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_per_matrix_bitwise(self, n):
+        rng = RngStream(100 + n)
+        stack = np.array([random_symmetric(rng, n) for _ in range(40)])
+        evals, evecs = jacobi_eigen_sym(stack)
+        ref_evals, ref_evecs = _per_matrix(stack)
+        assert evals.shape == (40, n) and evecs.shape == (40, n, n)
+        assert np.array_equal(evals, ref_evals)
+        assert np.array_equal(evecs, ref_evecs)
+
+    def test_mixed_stack_equals_per_matrix_bitwise(self):
+        # members that converge before the first sweep sit beside ones that
+        # need several, so the per-matrix mask decides every rotation
+        rng = RngStream(31)
+        stack = np.array(
+            [
+                random_symmetric(rng, 4),
+                2.5 * np.eye(4),
+                np.diag([3.0, -1.0, 0.5, 2.0]),
+                np.zeros((4, 4)),
+                random_symmetric(rng, 4) * 1e-8,
+                -np.eye(4),
+                random_symmetric(rng, 4) * 1e6,
+                np.diag([1.0, 1.0, 0.0, 0.0]),
+            ]
+        )
+        evals, evecs = jacobi_eigen_sym(stack)
+        ref_evals, ref_evecs = _per_matrix(stack)
+        assert np.array_equal(evals, ref_evals)
+        assert np.array_equal(evecs, ref_evecs)
+        # the zero member returns +0.0 eigenvalues, as the one-matrix path does
+        assert not np.signbit(evals[3]).any()
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_empty_stack(self, n):
+        evals, evecs = jacobi_eigen_sym(np.zeros((0, n, n)))
+        assert evals.shape == (0, n)
+        assert evecs.shape == (0, n, n)
+
+    def test_rejects_one_non_symmetric_member(self):
+        rng = RngStream(41)
+        stack = np.array([random_symmetric(rng, 3) for _ in range(5)])
+        stack[3, 0, 2] += 1e-3
+        with pytest.raises(InvalidInput, match="matrix 3"):
+            jacobi_eigen_sym(stack)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_one_non_finite_member(self, bad):
+        rng = RngStream(42)
+        stack = np.array([random_symmetric(rng, 3) for _ in range(5)])
+        stack[2, 1, 1] = bad
+        with pytest.raises(InvalidInput):
+            jacobi_eigen_sym(stack)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 7, 7)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(InvalidInput):
+            jacobi_eigen_sym(np.zeros(shape))
+
+    def test_sweep_limit_raises(self, monkeypatch):
+        rng = RngStream(43)
+        stack = np.array([np.eye(4), random_symmetric(rng, 4)])
+        monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalFailure):
+            jacobi_eigen_sym(stack[1])
+        with pytest.raises(NumericalFailure, match="in 1 matrices"):
+            jacobi_eigen_sym(stack)
+
+
 class TestConditionNumber:
     def test_identity_is_exactly_one(self):
         assert condition_number(np.eye(4)) == 1.0
@@ -139,6 +220,10 @@ class TestConditionNumber:
     def test_rejects_non_symmetric(self):
         with pytest.raises(InvalidInput):
             condition_number(np.array([[1.0, 3.0], [0.0, 1.0]]))
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(InvalidInput):
+            condition_number(np.array([np.eye(3), 2.0 * np.eye(3)]))
 
 
 class TestSolve:
