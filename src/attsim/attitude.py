@@ -205,7 +205,7 @@ def error_angle(a, b) -> float:
     significant digits.
     """
     qe = quat_mul(a, quat_conjugate(b))
-    vec = math.sqrt(float(qe[0] ** 2 + qe[1] ** 2 + qe[2] ** 2))
+    vec = math.sqrt(float(qe[0] * qe[0] + qe[1] * qe[1] + qe[2] * qe[2]))
     return 2.0 * math.atan2(vec, abs(float(qe[3])))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import harness, numerics, startracker, wahba
 from .attitude import error_angle, identity_quat, integrate_quat, quat_to_matrix
 from .errors import AttsimError, ConfigError, InvalidInput
-from .startracker import StarObservation
+from .startracker import ObservationSet, row_norms
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,19 +72,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _unit_or_config_error(v: np.ndarray) -> np.ndarray:
-    n = float(np.sqrt(v @ v))
-    if n < 1e-12:
-        raise ConfigError("observation vectors must be nonzero")
-    return v / n
-
-
-def _load_observations(path: str):
+def _load_observations(path: str) -> ObservationSet:
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = [ln.strip() for ln in f if ln.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read observations file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"observations file is not UTF-8 text: {exc}") from exc
     if not lines:
         raise ConfigError("observations file is empty")
     header = [h.strip() for h in lines[0].split(",")]
@@ -93,7 +88,7 @@ def _load_observations(path: str):
     has_weight = len(header) == 7 and header[6] == "weight"
     if len(header) > 6 and not has_weight:
         raise ConfigError("seventh observations column, if present, must be 'weight'")
-    obs = []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) not in (6, 7):
@@ -102,11 +97,17 @@ def _load_observations(path: str):
             vals = [float(p) for p in parts]
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        weight = vals[6] if len(vals) == 7 else 1.0
-        b = _unit_or_config_error(np.array(vals[0:3]))
-        r = _unit_or_config_error(np.array(vals[3:6]))
-        obs.append(StarObservation(b=b, r=r, weight=weight))
-    return obs
+        if not all(np.isfinite(vals)):
+            raise ConfigError(f"{path}:{lineno}: values must be finite numbers")
+        rows.append(vals if len(vals) == 7 else vals + [1.0])
+    table = np.array(rows, dtype=float).reshape(-1, 7)
+    b, r = table[:, 0:3], table[:, 3:6]
+    with np.errstate(over="ignore"):
+        norms = np.concatenate([row_norms(b), row_norms(r)])
+    if not np.all((norms >= 1e-12) & np.isfinite(norms)):
+        raise ConfigError("observation vectors must be nonzero, with a finite norm")
+    m = table.shape[0]
+    return ObservationSet(b=b / norms[:m, None], r=r / norms[m:, None], weights=table[:, 6])
 
 
 def _cmd_run(args) -> int:
@@ -196,12 +197,9 @@ def _selfcheck_cases(tol_scale: float):
         for _ in range(20):
             q_true = random_quat()
             a = quat_to_matrix(q_true)
-            obs = []
-            for _ in range(5):
-                r = np.array([rng.gaussian(1.0) for _ in range(3)])
-                r /= float(np.sqrt(r @ r))
-                obs.append(StarObservation(b=a @ r, r=r))
-            sol = wahba.davenport_solve(obs)
+            r = np.array([rng.gaussian_vec(1.0, 3) for _ in range(5)])
+            r /= row_norms(r)[:, None]
+            sol = wahba.davenport_solve(ObservationSet(b=r @ a.T, r=r))
             worst = max(worst, error_angle(sol.q, q_true))
         return worst, 1e-6 * tol_scale
 

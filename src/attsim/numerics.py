@@ -34,12 +34,16 @@ _JACOBI_MAX_SWEEPS = 100
 _JACOBI_REL_TOL = 1e-12
 _SYM_REL_TOL = 1e-9
 _U64 = (1 << 64) - 1
+_XS_MULT = 0x2545F4914F6CDD1D
+_U53 = 1.0 / (1 << 53)
 
 
 def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise InvalidInput("expected a nonempty matrix, got shape (0, 0)")
     if a.shape[0] > MAX_DIM:
         raise InvalidInput(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
     if not np.isfinite(a).all():
@@ -81,9 +85,9 @@ def jacobi_eigen_sym(m):
     is chosen by the rank of the input; see the module docstring for why
     both are kept.
 
-    Raises InvalidInput for non-symmetric input (any matrix of a stack)
-    and NumericalFailure if the off-diagonal norm has not dropped below
-    1e-12 * ||m||_F after 100 sweeps.
+    Raises InvalidInput for non-symmetric or empty (``n == 0``) input (any
+    matrix of a stack) and NumericalFailure if the off-diagonal norm has
+    not dropped below 1e-12 * ||m||_F after 100 sweeps.
     """
     if np.ndim(m) == 3:
         return _jacobi_eigen_stack(m)
@@ -160,6 +164,8 @@ def _jacobi_eigen_stack(m):
     if a.shape[1] != a.shape[2]:
         raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
     k, n = a.shape[:2]
+    if n == 0:
+        raise InvalidInput(f"expected a stack of nonempty matrices, got shape {a.shape}")
     if n > MAX_DIM:
         raise InvalidInput(f"dimension {n} exceeds supported maximum {MAX_DIM}")
     if not np.isfinite(a).all():
@@ -294,11 +300,11 @@ class RngStream:
         x ^= (x << 25) & _U64
         x ^= x >> 27
         self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _U64
+        return (x * _XS_MULT) & _U64
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        return (self.next_u64() >> 11) * _U53
 
     def gaussian(self, sigma: float) -> float:
         """One sample from N(0, sigma^2)."""
@@ -321,7 +327,47 @@ class RngStream:
         return u * f * sigma
 
     def gaussian_vec(self, sigma: float, n: int = 3) -> np.ndarray:
-        return np.array([self.gaussian(sigma) for _ in range(n)])
+        """``n`` samples from N(0, sigma^2).
+
+        Returns the values, and leaves the state and the spare deviate, that
+        ``n`` calls of :meth:`gaussian` would, bit for bit; the xorshift step
+        and the polar method are written out in one loop because the method
+        calls cost more than the arithmetic.
+        """
+        if sigma < 0.0:
+            raise InvalidInput("sigma must be nonnegative")
+        if sigma == 0.0 or n <= 0:
+            return np.zeros(max(n, 0))
+        out = [0.0] * n
+        i = 0
+        if self._spare is not None:
+            out[0] = self._spare * sigma
+            self._spare = None
+            i = 1
+        x = self._state
+        log, sqrt = math.log, math.sqrt
+        while i < n:
+            while True:
+                x ^= x >> 12
+                x ^= (x << 25) & _U64
+                x ^= x >> 27
+                u = 2.0 * ((((x * _XS_MULT) & _U64) >> 11) * _U53) - 1.0
+                x ^= x >> 12
+                x ^= (x << 25) & _U64
+                x ^= x >> 27
+                v = 2.0 * ((((x * _XS_MULT) & _U64) >> 11) * _U53) - 1.0
+                s = u * u + v * v
+                if 0.0 < s < 1.0:
+                    break
+            f = sqrt(-2.0 * log(s) / s)
+            out[i] = u * f * sigma
+            if i + 1 < n:
+                out[i + 1] = v * f * sigma
+            else:
+                self._spare = v * f
+            i += 2
+        self._state = x
+        return np.array(out)
 
 
 def gaussian(rng: RngStream, sigma: float) -> float:

@@ -10,6 +10,16 @@ per-axis Gaussian noise before renormalizing. Star identification is
 assumed perfect: every body-frame vector is paired with the true catalog
 direction. Stars are pure directions; parallax from the spacecraft
 position is far below sensor noise and is ignored.
+
+An epoch's stars travel as one :class:`ObservationSet`: the body and
+inertial directions as ``(m, 3)`` arrays and the weights as ``(m,)``, one
+row per star. :func:`observe` builds it with array operations, one pass
+per head: one field-of-view mask (:func:`is_visible`), the projection and
+its inversion on the visible rows, the rotation to body, and, for all
+heads together, one draw of ``3 m`` noise values in the order a loop over
+the heads' visible stars would draw them. Rows are normalized with the
+elementwise ``x*x + y*y + z*z``, not a BLAS dot product, whose rounding
+depends on the kernel the BLAS library picks for the CPU.
 """
 
 import math
@@ -74,25 +84,60 @@ class StarCatalog:
         return self.stars.shape[0]
 
 
-@dataclass
-class StarObservation:
-    """A matched direction pair: body frame ``b``, inertial frame ``r``."""
-
-    b: np.ndarray
-    r: np.ndarray
-    weight: float = 1.0
+def _direction_rows(v, name: str) -> np.ndarray:
+    a = np.asarray(v, dtype=float)
+    if a.size == 0:
+        return a.reshape(0, 3)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise InvalidInput(f"{name} must be an (m, 3) array, got shape {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
-class ImagePoint:
-    x: float
-    y: float
+class ObservationSet:
+    """Matched direction pairs, one row per star.
+
+    Args:
+        b: body-frame unit directions, ``(m, 3)``.
+        r: inertial-frame unit directions, ``(m, 3)``, row ``i`` paired with
+            ``b[i]``.
+        weights: ``(m,)`` weights; all 1 when omitted.
+    """
+
+    b: np.ndarray
+    r: np.ndarray
+    weights: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        b = _direction_rows(self.b, "b")
+        r = _direction_rows(self.r, "r")
+        if r.shape != b.shape:
+            raise InvalidInput(f"{b.shape[0]} body directions but {r.shape[0]} inertial ones")
+        if self.weights is None:
+            weights = np.ones(b.shape[0])
+        else:
+            weights = np.asarray(self.weights, dtype=float)
+            if weights.shape != (b.shape[0],):
+                raise InvalidInput(f"expected {b.shape[0]} weights, got shape {weights.shape}")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "weights", weights)
+
+    def __len__(self) -> int:
+        return self.b.shape[0]
+
+
+# largest catalog generate_catalog draws: 240 MB of directions, far more
+# stars than a tracker head's onboard catalog holds
+_MAX_CATALOG_STARS = 10_000_000
 
 
 def generate_catalog(n: int, rng: RngStream) -> StarCatalog:
     """Draw ``n`` directions uniformly on the unit sphere (normalized Gaussian triples)."""
     if n < 2:
         raise InvalidInput("a catalog needs at least 2 stars")
+    if n > _MAX_CATALOG_STARS:
+        raise InvalidInput(f"a catalog holds at most {_MAX_CATALOG_STARS} stars")
     stars = np.empty((n, 3))
     for i in range(n):
         while True:
@@ -113,48 +158,59 @@ def save_catalog(catalog: StarCatalog, path) -> None:
 
 def load_catalog(path) -> StarCatalog:
     """Read a catalog written by :func:`save_catalog`."""
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read catalog file: {exc}") from exc
     rows = []
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise InvalidInput(f"{path}:{lineno}: expected 3 comma-separated values")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise InvalidInput(f"{path}:{lineno}: expected 3 comma-separated values")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
     if len(rows) < 2:
         raise InvalidInput("catalog file holds fewer than 2 stars")
     return StarCatalog(stars=np.array(rows))
 
 
-def is_visible(star_cam, cam: CameraModel) -> bool:
-    """True when a camera-frame unit vector lies strictly inside the field of view.
+def row_norms(v) -> np.ndarray:
+    """Euclidean norm of each row of an ``(..., 3)`` array, as ``sqrt(x*x + y*y + z*z)``."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
 
-    Boundary equality counts as not visible; directions behind the camera
-    never count even for wide fields of view.
+
+def is_visible(star_cam, cam: CameraModel) -> np.ndarray:
+    """Mask of the rows of an ``(n, 3)`` camera-frame stack strictly inside the field of view.
+
+    Boundary equality counts as not visible. Directions behind the camera
+    never count: a head's half angle is below pi/2, so its cosine is positive.
     """
-    z = float(star_cam[2])
-    return z > 0.0 and z > math.cos(cam.fov_half_angle)
+    return np.asarray(star_cam, dtype=float)[..., 2] > math.cos(cam.fov_half_angle)
 
 
-def project(star_cam, cam: CameraModel) -> ImagePoint:
-    """Pinhole projection of a camera-frame direction onto the image plane."""
-    x, y, z = float(star_cam[0]), float(star_cam[1]), float(star_cam[2])
-    if z <= 1e-12:
+def project(star_cam, cam: CameraModel) -> np.ndarray:
+    """Pinhole projection of an ``(m, 3)`` camera-frame stack: ``(m, 2)`` image points."""
+    v = np.asarray(star_cam, dtype=float)
+    z = v[..., 2:3]
+    if np.any(z <= 1e-12):
         raise BehindImagePlane("direction has no positive boresight component")
-    f = cam.focal_length
-    return ImagePoint(x=f * x / z, y=f * y / z)
+    return cam.focal_length * v[..., :2] / z
 
 
-def pixel_to_star_vector(p: ImagePoint, cam: CameraModel) -> np.ndarray:
-    """Unit camera-frame direction recovered from an image point."""
-    f = cam.focal_length
-    v = np.array([p.x, p.y, f])
-    return v / math.sqrt(float(v @ v))
+def pixel_to_star_vector(points, cam: CameraModel) -> np.ndarray:
+    """Unit camera-frame directions, ``(m, 3)``, recovered from ``(m, 2)`` image points."""
+    p = np.asarray(points, dtype=float)
+    v = np.empty(p.shape[:-1] + (3,))
+    v[..., :2] = p
+    v[..., 2] = cam.focal_length
+    return v / row_norms(v)[..., None]
 
 
 def _shortest_arc(a, b) -> np.ndarray:
@@ -195,14 +251,16 @@ def default_camera_rig(n_cameras: int, fov_half_angle: float, focal_length: floa
     return cams
 
 
-def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStream):
+def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStream) -> ObservationSet:
     """Run the full emulation path for every camera at one epoch.
 
     For each head, catalog stars are rotated into the camera frame through
     the mount composed with the true attitude; visible stars travel through
-    projection and image-point inversion, are rotated back to the body
-    frame, perturbed with per-axis Gaussian noise of ``sigma_star``, and
-    renormalized. Returns the matched StarObservation list (weight 1 each).
+    projection and image-point inversion and are rotated back to the body
+    frame. Then every body direction is perturbed with per-axis Gaussian
+    noise of ``sigma_star``, drawn head by head and star by star in catalog
+    order, and renormalized. Returns the matched pairs, weight 1 each, as an
+    :class:`ObservationSet` whose length is the number of visible stars.
     With ``sigma_star == 0`` every pair satisfies ``A(q_true) @ r == b`` to
     1e-10.
     """
@@ -211,21 +269,16 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
     if sigma_star < 0.0:
         raise InvalidInput("sigma_star must be nonnegative")
     a_ib = quat_to_matrix(q_true)
-    out = []
+    bs, rs = [], []
     for cam in cams:
         a_bc = quat_to_matrix(cam.mount)
-        a_ic = a_bc @ a_ib
-        cam_vecs = catalog.stars @ a_ic.T
-        cos_fov = math.cos(cam.fov_half_angle)
-        for idx in range(catalog.stars.shape[0]):
-            v = cam_vecs[idx]
-            if not (v[2] > 0.0 and v[2] > cos_fov):
-                continue
-            point = project(v, cam)
-            recovered = pixel_to_star_vector(point, cam)
-            b = a_bc.T @ recovered
-            if sigma_star > 0.0:
-                b = b + rng.gaussian_vec(sigma_star, 3)
-                b = b / math.sqrt(float(b @ b))
-            out.append(StarObservation(b=b, r=catalog.stars[idx].copy()))
-    return out
+        cam_vecs = catalog.stars @ (a_bc @ a_ib).T
+        visible = is_visible(cam_vecs, cam)
+        recovered = pixel_to_star_vector(project(cam_vecs[visible], cam), cam)
+        bs.append(recovered @ a_bc)
+        rs.append(catalog.stars[visible])
+    b = np.concatenate(bs)
+    if sigma_star > 0.0:
+        b += rng.gaussian_vec(sigma_star, b.size).reshape(b.shape)
+        b /= row_norms(b)[:, None]
+    return ObservationSet(b=b, r=np.concatenate(rs))

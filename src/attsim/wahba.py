@@ -12,6 +12,13 @@ Two solvers for the orthogonal-matrix least-squares problem
 The Davenport matrix here is laid out vector-first to match the package
 quaternion convention: ``K = [[S - tr(B) I, z], [z^T, tr(B)]]`` with
 ``S = B + B^T`` and ``z = sum a_i (b_i x r_i)``.
+
+The q-method functions take one :class:`attsim.startracker.ObservationSet`
+(``b`` and ``r`` as ``(m, 3)`` arrays, ``weights`` as ``(m,)``) and form
+every sum over the stars with array operations: the products of each star
+side by side, then a sum over the star axis, which numpy adds star by star
+in order. No BLAS dot product enters ``B`` or ``z``, so their rounding
+does not depend on the CPU kernel a BLAS library picks.
 """
 
 import math
@@ -83,17 +90,15 @@ def triad(r1, r2, b1, b2) -> np.ndarray:
 
 
 def build_profile(obs) -> AttitudeProfileMatrix:
-    """Accumulate the attitude profile matrix from weighted observations."""
+    """Accumulate the attitude profile matrix from a weighted observation set."""
     if len(obs) == 0:
-        raise InvalidInput("observation list is empty")
-    b = np.zeros((3, 3))
-    total = 0.0
-    for o in obs:
-        if o.weight <= 0.0:
-            raise InvalidInput("observation weights must be positive")
-        b += o.weight * np.outer(o.b, o.r)
-        total += o.weight
-    return AttitudeProfileMatrix(b=b, total_weight=total)
+        raise InvalidInput("observation set is empty")
+    w = obs.weights
+    if not np.all(w > 0.0):
+        raise InvalidInput("observation weights must be positive")
+    outer = obs.b[:, :, None] * obs.r[:, None, :]
+    b = (w[:, None, None] * outer).sum(axis=0)
+    return AttitudeProfileMatrix(b=b, total_weight=float(w.sum()))
 
 
 def davenport_matrix(profile: AttitudeProfileMatrix, obs) -> DavenportMatrix:
@@ -105,9 +110,7 @@ def davenport_matrix(profile: AttitudeProfileMatrix, obs) -> DavenportMatrix:
     """
     b = profile.b
     z_skew = np.array([b[1, 2] - b[2, 1], b[2, 0] - b[0, 2], b[0, 1] - b[1, 0]])
-    z_cross = np.zeros(3)
-    for o in obs:
-        z_cross += o.weight * np.cross(o.b, o.r)
+    z_cross = (obs.weights[:, None] * np.cross(obs.b, obs.r)).sum(axis=0)
     scale = max(1.0, profile.total_weight)
     if float(np.max(np.abs(z_skew - z_cross))) > 1e-12 * scale:
         raise NumericalFailure("z-vector formulas disagree; profile does not match observations")
@@ -124,11 +127,8 @@ def davenport_matrix(profile: AttitudeProfileMatrix, obs) -> DavenportMatrix:
 def wahba_loss(a, obs) -> float:
     """Weighted squared-residual cost sum a_i ||b_i - A r_i||^2."""
     a = np.asarray(a, dtype=float)
-    total = 0.0
-    for o in obs:
-        d = o.b - a @ o.r
-        total += o.weight * float(d @ d)
-    return total
+    d = obs.b - obs.r @ a.T
+    return float((obs.weights * (d * d).sum(axis=1)).sum())
 
 
 def davenport_solve(obs) -> WahbaSolution:

@@ -19,7 +19,7 @@ from attsim.attitude import error_angle, quat_to_matrix
 from attsim.cli import main as cli_main
 from attsim.harness import SimConfig, compute_metrics, run_simulation
 from attsim.numerics import RngStream, condition_number, jacobi_eigen_sym
-from attsim.startracker import StarObservation
+from attsim.startracker import ObservationSet
 from attsim.wahba import davenport_solve, triad, wahba_loss
 
 from conftest import random_symmetric, random_unit_quat, random_unit_vec
@@ -45,10 +45,8 @@ def test_c01_davenport_recovery_and_runtime():
     for _ in range(100):
         q_true = random_unit_quat(rng)
         a = quat_to_matrix(q_true)
-        obs = []
-        for _ in range(5):
-            r = random_unit_vec(rng)
-            obs.append(StarObservation(b=a @ r, r=r))
+        rs = [random_unit_vec(rng) for _ in range(5)]
+        obs = ObservationSet(b=np.array([a @ r for r in rs]), r=np.array(rs))
         sol = davenport_solve(obs)
         worst = max(worst, error_angle(sol.q, q_true))
     elapsed = time.perf_counter() - t0
@@ -65,11 +63,9 @@ def test_c02_trace_identity():
     worst = 0.0
     for _ in range(1000):
         q = random_unit_quat(rng)
-        obs = [
-            StarObservation(b=random_unit_vec(rng), r=random_unit_vec(rng),
-                            weight=rng.uniform() + 0.1)
-            for _ in range(4)
-        ]
+        rows = [(random_unit_vec(rng), random_unit_vec(rng), rng.uniform() + 0.1) for _ in range(4)]
+        b, r, w = (np.array(col) for col in zip(*rows))
+        obs = ObservationSet(b=b, r=r, weights=w)
         prof = build_profile(obs)
         k = davenport_matrix(prof, obs).k
         lhs = float(np.trace(quat_to_matrix(q) @ prof.b.T))
@@ -92,7 +88,7 @@ def test_c03_triad_exactness():
         b1, b2 = a_true @ r1, a_true @ r2
         a = triad(r1, r2, b1, b2)
         worst_first = max(worst_first, float(np.max(np.abs(a @ r1 - b1))))
-        obs = [StarObservation(b=b1, r=r1), StarObservation(b=b2, r=r2)]
+        obs = ObservationSet(b=np.array([b1, b2]), r=np.array([r1, r2]))
         worst_loss = max(worst_loss, wahba_loss(a, obs))
     assert worst_first <= 1e-12, f"worst first-pair residual {worst_first:.3e}"
     assert worst_loss <= 1e-20, f"worst two-vector loss {worst_loss:.3e}"

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from attsim.cli import main
 from attsim.harness import SimConfig
@@ -62,6 +69,11 @@ class TestRunCommand:
             '{"axis": [0.0, "1", 1.0]}',
             '{"axis": 1.0}',
             '{"catalog_path": 5}',
+            # catalogs that cannot be read or drawn
+            '{"catalog_path": "missing-catalog.csv"}',
+            '{"catalog_path": "."}',
+            '{"n_stars": 10000001}',
+            '{"n_stars": 1180591620717411303424}',
         ],
     )
     def test_malformed_value_exits_2_without_traceback(self, tmp_path, capsys, text):
@@ -142,6 +154,116 @@ class TestSolveWahba:
         path = tmp_path / "obs.csv"
         path.write_text("bx,by,bz,rx,ry,rz\n0,0,1,0,0,1\n")
         assert main(["solve-wahba", str(path)]) == 3
+
+
+def run_main_captured(argv):
+    """Exit code and stderr of one ``main`` call; an exception escaping ``main`` fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# CSV fields: numbers in several spellings, the non-finite ones, and text
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["0", "-0", "1", "1e-320", "1e200", "-1e200", "nan", "inf", "-Infinity", "1_0"]),
+)
+_FIELD = st.one_of(_NUMBER_TEXT, _NUMBER_TEXT, st.text(max_size=6))
+_HEADER = st.one_of(
+    st.sampled_from(["bx,by,bz,rx,ry,rz", "bx,by,bz,rx,ry,rz,weight", "bx, by, bz, rx, ry, rz , weight"]),
+    st.lists(st.sampled_from(["bx", "by", "bz", "rx", "ry", "rz", "weight", "w", ""]), max_size=8).map(",".join),
+)
+_CSV_TEXT = st.builds(
+    lambda header, rows: "\n".join([header] + [",".join(r) for r in rows]) + "\n",
+    _HEADER,
+    st.lists(st.lists(_FIELD, min_size=5, max_size=8), max_size=6),
+)
+
+
+# Values of the right type for each field, some out of range. Those that
+# pass intake keep a run short: at most 2 s at 100 Hz. Sizes that pass
+# intake but scale the work (a duration times gyro rate of 1e20 steps) would
+# run for as long as they ask and are left out.
+_TYPED_VALUES = {
+    "duration_s": [0.5, 2.0, 1e-9, 1e308, -1.0],
+    "gyro_rate_hz": [10.0, 100.0, 0.0],
+    "tracker_rate_hz": [1.0, 10.0, 1e-3, 1e3],
+    "n_stars": [2, 3, 60, 1, 10**7 + 1, 2**70],
+    "n_cameras": [1, 3, 6, 0, 7, 2**70],
+    "fov_half_angle_rad": [0.35, 1.5, 1e-3, 1.6],
+    "focal_length": [1.0, 1e-300, 1e300, 0.0],
+    "sigma_gyro": [0.0, 1e-3, 1.0],
+    "sigma_star": [0.0, 1e-3, 0.5, -1e-3],
+    "sigma_meas": [0.0, 1e-3, 1e3],
+    "sigma_bias_walk": [0.0, 1e-5],
+    "seed": [0, 1, 2**64 - 1, 2**64, -1],
+    "axis": [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0]],
+    "run_aekf": [True, False],
+    "run_mekf": [True, False],
+    "aekf_q_flat": [True, False],
+    "aekf_r_scale": [4.0, 0.25, 1e-300, 1e300, 0.0],
+    "record_stride": [0, 1, 7, 2**70, -1],
+    "catalog_path": [None, "missing-catalog.csv", "."],
+}
+# values of every wrong kind, for any field
+_WRONG_VALUES = st.sampled_from(
+    [None, "1", "", True, False, [], {}, [1.0, 2.0], "abc", 10.5, -2.5, math.nan, math.inf, -math.inf]
+)
+# a config that names no duration runs 0.5 s, not the default orbit; most
+# configs carry at most two wrong values, so that intake gets past the first
+_CONFIG = st.one_of(
+    st.builds(
+        lambda typed, wrong: {"duration_s": 0.5, **typed, **wrong},
+        st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in _TYPED_VALUES.items()}),
+        st.dictionaries(st.sampled_from(sorted(_TYPED_VALUES)), _WRONG_VALUES, max_size=2),
+    ),
+    st.dictionaries(st.text(max_size=8), st.integers(), max_size=2),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+class TestFuzz:
+    """Arbitrary input files end in a documented exit code, never a traceback."""
+
+    @FUZZ
+    @given(text=st.one_of(_CSV_TEXT, st.text(max_size=80)))
+    def test_solve_wahba_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "obs.csv"
+            path.write_text(text, encoding="utf-8")
+            rc, err = run_main_captured(["solve-wahba", str(path)])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err
+
+    @FUZZ
+    @given(data=st.binary(max_size=80))
+    def test_solve_wahba_reader_bytes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "obs.csv"
+            path.write_bytes(data)
+            rc, err = run_main_captured(["solve-wahba", str(path)])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err
+
+    @settings(FUZZ, max_examples=100)
+    @given(config=_CONFIG)
+    def test_run_config_intake(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            rc, err = run_main_captured(["run", "--config", str(path), "--out", str(Path(tmp) / "o")])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err
 
 
 class TestTriad:

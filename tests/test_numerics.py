@@ -192,6 +192,11 @@ class TestJacobiStack:
         with pytest.raises(InvalidInput):
             jacobi_eigen_sym(stack)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 0, 0), (3, 0, 0)])
+    def test_rejects_empty_matrices(self, shape):
+        with pytest.raises(InvalidInput, match="nonempty"):
+            jacobi_eigen_sym(np.zeros(shape))
+
     @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 7, 7)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(InvalidInput):
@@ -224,6 +229,10 @@ class TestConditionNumber:
     def test_rejects_a_stack(self):
         with pytest.raises(InvalidInput):
             condition_number(np.array([np.eye(3), 2.0 * np.eye(3)]))
+
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(InvalidInput):
+            condition_number(np.zeros((0, 0)))
 
 
 class TestSolve:
@@ -261,6 +270,8 @@ class TestRngStream:
         rng = RngStream(1)
         with pytest.raises(InvalidInput):
             rng.gaussian(-1.0)
+        with pytest.raises(InvalidInput):
+            rng.gaussian_vec(-1.0, 3)
 
     def test_moments(self):
         # law-of-large-numbers bound: 3 sigma / sqrt(N) < 0.01
@@ -296,3 +307,20 @@ class TestRngStream:
     def test_seed_validation(self):
         with pytest.raises(InvalidInput):
             RngStream(-1)
+
+    def test_gaussian_vec_is_the_per_draw_stream(self):
+        # interleaved with single draws, so each call starts with and
+        # without a spare deviate, and ends with and without leaving one
+        a = RngStream(2024)
+        b = RngStream(2024)
+        sizes = (1, 2, 3, 7, 533, 1, 1, 3, 2, 7, 533, 0, 2, 3)
+        for i, n in enumerate(sizes * 3):
+            sigma = (1.0, 1e-3, 0.0, 2.5)[i % 4]
+            got = a.gaussian_vec(sigma, n)
+            want = np.array([b.gaussian(sigma) for _ in range(n)])
+            assert got.shape == (n,)
+            assert np.array_equal(got, want)
+            assert not np.any(np.signbit(got) != np.signbit(want))
+            assert (a._state, a._spare) == (b._state, b._spare)
+            if i % 3 == 0:
+                assert a.gaussian(1.0) == b.gaussian(1.0)

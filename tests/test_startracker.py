@@ -8,9 +8,8 @@ from attsim.errors import BehindImagePlane, InvalidInput
 from attsim.numerics import RngStream
 from attsim.startracker import (
     CameraModel,
-    ImagePoint,
+    ObservationSet,
     StarCatalog,
-    StarObservation,
     default_camera_rig,
     generate_catalog,
     is_visible,
@@ -22,6 +21,7 @@ from attsim.startracker import (
 )
 
 from conftest import random_unit_quat
+from oracles import observe_per_star
 
 FOV20 = math.radians(20.0)
 
@@ -69,55 +69,62 @@ class TestCatalog:
 
 class TestVisibility:
     def test_boresight_visible(self):
-        assert is_visible(np.array([0.0, 0.0, 1.0]), _cam())
+        assert is_visible(np.array([[0.0, 0.0, 1.0]]), _cam()).tolist() == [True]
 
     def test_outside_fov(self):
-        v = np.array([math.sin(math.radians(25.0)), 0.0, math.cos(math.radians(25.0))])
-        assert not is_visible(v, _cam())
+        v = np.array([[math.sin(math.radians(25.0)), 0.0, math.cos(math.radians(25.0))]])
+        assert is_visible(v, _cam()).tolist() == [False]
 
     def test_behind_camera(self):
-        assert not is_visible(np.array([0.0, 0.0, -1.0]), _cam())
+        # also for the widest field of view a head accepts
+        widest = _cam(fov=math.nextafter(0.5 * math.pi, 0.0))
+        assert is_visible(np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]), widest).tolist() == [False, False]
 
     def test_boundary_counts_as_not_visible(self):
-        v = np.array([math.sin(FOV20), 0.0, math.cos(FOV20)])
-        assert not is_visible(v, _cam())
+        v = np.array([[math.sin(FOV20), 0.0, math.cos(FOV20)]])
+        assert is_visible(v, _cam()).tolist() == [False]
+
+    def test_mask_over_a_stack(self):
+        inside = [0.0, math.sin(math.radians(10.0)), math.cos(math.radians(10.0))]
+        outside = [math.sin(math.radians(30.0)), 0.0, math.cos(math.radians(30.0))]
+        stack = np.array([inside, outside, [0.0, 0.0, -1.0], inside])
+        assert is_visible(stack, _cam()).tolist() == [True, False, False, True]
+        assert is_visible(np.zeros((0, 3)), _cam()).shape == (0,)
 
 
 class TestProjection:
     def test_boresight_maps_to_origin(self):
-        p = project(np.array([0.0, 0.0, 1.0]), _cam())
-        assert (p.x, p.y) == (0.0, 0.0)
+        p = project(np.array([[0.0, 0.0, 1.0]]), _cam())
+        assert p.tolist() == [[0.0, 0.0]]
 
     def test_45_degrees_in_xz(self):
-        v = np.array([math.sqrt(0.5), 0.0, math.sqrt(0.5)])
+        v = np.array([[math.sqrt(0.5), 0.0, math.sqrt(0.5)]])
         p = project(v, _cam(fov=math.radians(60.0)))
-        assert p.x == pytest.approx(1.0, abs=1e-15)
-        assert p.y == 0.0
+        assert p[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert p[0, 1] == 0.0
 
     def test_behind_plane_raises(self):
+        # one bad row in a stack is enough
         with pytest.raises(BehindImagePlane):
-            project(np.array([0.0, 0.0, -1.0]), _cam())
+            project(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), _cam())
 
     def test_pixel_to_star_values(self):
         cam = _cam()
-        assert np.allclose(pixel_to_star_vector(ImagePoint(0.0, 0.0), cam), [0, 0, 1])
-        want = [math.sqrt(0.5), 0.0, math.sqrt(0.5)]
-        assert np.allclose(pixel_to_star_vector(ImagePoint(1.0, 0.0), cam), want)
+        got = pixel_to_star_vector(np.array([[0.0, 0.0], [1.0, 0.0]]), cam)
+        assert np.allclose(got, [[0, 0, 1], [math.sqrt(0.5), 0.0, math.sqrt(0.5)]])
 
     def test_round_trip_random_in_fov(self):
         rng = RngStream(5)
         cam = _cam(fov=math.radians(30.0), f=2.5)
-        for _ in range(100):
-            # random point inside the field of view
-            ang = rng.uniform() * math.radians(29.0)
-            azi = rng.uniform() * 2 * math.pi
-            v = np.array(
-                [math.sin(ang) * math.cos(azi), math.sin(ang) * math.sin(azi), math.cos(ang)]
-            )
-            p = project(v, cam)
-            assert abs(p.x) <= cam.focal_length * math.tan(cam.fov_half_angle) + 1e-12
-            back = project(pixel_to_star_vector(p, cam), cam)
-            assert abs(back.x - p.x) <= 1e-10 and abs(back.y - p.y) <= 1e-10
+        # random points inside the field of view
+        ang = np.array([rng.uniform() for _ in range(100)]) * math.radians(29.0)
+        azi = np.array([rng.uniform() for _ in range(100)]) * 2 * math.pi
+        v = np.column_stack([np.sin(ang) * np.cos(azi), np.sin(ang) * np.sin(azi), np.cos(ang)])
+        p = project(v, cam)
+        assert p.shape == (100, 2)
+        assert np.all(np.abs(p) <= cam.focal_length * math.tan(cam.fov_half_angle) + 1e-12)
+        back = project(pixel_to_star_vector(p, cam), cam)
+        assert np.max(np.abs(back - p)) <= 1e-10
 
 
 class TestCameraModel:
@@ -151,18 +158,17 @@ class TestObserve:
         obs = observe(q_true, cat, cams, 0.0, rng)
         a = quat_to_matrix(q_true)
         assert len(obs) > 0
-        for o in obs:
-            assert np.max(np.abs(a @ o.r - o.b)) <= 1e-10
-            assert o.weight == 1.0
+        assert np.max(np.abs(obs.r @ a.T - obs.b)) <= 1e-10
+        assert obs.weights.tolist() == [1.0] * len(obs)
 
     def test_unit_norms(self):
         rng = RngStream(12)
         cat = generate_catalog(200, rng)
         cams = default_camera_rig(2, FOV20, 1.0)
         obs = observe(random_unit_quat(rng), cat, cams, 5e-3, rng)
-        for o in obs:
-            assert abs(np.linalg.norm(o.b) - 1.0) <= 1e-9
-            assert abs(np.linalg.norm(o.r) - 1.0) <= 1e-9
+        assert len(obs) > 0
+        assert np.max(np.abs(np.linalg.norm(obs.b, axis=1) - 1.0)) <= 1e-9
+        assert np.max(np.abs(np.linalg.norm(obs.r, axis=1) - 1.0)) <= 1e-9
 
     def test_visible_count_matches_solid_angle(self):
         # expected per camera: n * (1 - cos(fov)) / 2 = about 3 for n=100
@@ -221,9 +227,8 @@ class TestObserve:
         a = quat_to_matrix(q)
         while len(angles) < 10_000:
             obs = observe(q, cat, [cam], sigma, rng)
-            for o in obs:
-                clean = a @ o.r
-                dot = min(1.0, abs(float(clean @ o.b)))
+            for clean, b in zip(obs.r @ a.T, obs.b):
+                dot = min(1.0, abs(float(clean @ b)))
                 angles.append(math.acos(dot))
         rms = math.sqrt(float(np.mean(np.square(angles))))
         assert abs(rms / math.sqrt(2.0) - sigma) <= 0.1 * sigma
@@ -238,7 +243,7 @@ class TestMountGeometry:
         cat = StarCatalog(stars=star)
         cams = default_camera_rig(2, FOV20, 1.0)  # boresights +z, +x
         obs = observe(identity_quat(), cat, cams, 0.0, rng)
-        seen = sorted(tuple(np.round(o.r, 6)) for o in obs)
+        seen = sorted(tuple(np.round(r, 6)) for r in obs.r)
         assert len(obs) == 2
         assert (0.0, 0.0, 1.0) in seen and (1.0, 0.0, 0.0) in seen
 
@@ -252,9 +257,73 @@ class TestMountGeometry:
         assert np.allclose(a @ np.array([1.0, 0, 0]), [0, 0, 1.0], atol=1e-12)
         obs = observe(q, cat, cams, 0.0, rng)
         assert len(obs) == 1
-        assert np.allclose(obs[0].r, [1.0, 0.0, 0.0])
+        assert np.allclose(obs.r, [[1.0, 0.0, 0.0]])
 
 
-def test_star_observation_defaults():
-    o = StarObservation(b=np.array([0.0, 0, 1]), r=np.array([0.0, 0, 1]))
-    assert o.weight == 1.0
+class TestObservationSet:
+    def test_defaults(self):
+        obs = ObservationSet(b=np.array([[0.0, 0, 1], [1.0, 0, 0]]), r=np.array([[0.0, 0, 1], [1.0, 0, 0]]))
+        assert len(obs) == 2
+        assert obs.weights.tolist() == [1.0, 1.0]
+
+    def test_empty(self):
+        obs = ObservationSet(b=[], r=[])
+        assert len(obs) == 0
+        assert obs.b.shape == obs.r.shape == (0, 3)
+        assert obs.weights.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "b, r, weights",
+        [
+            (np.zeros((2, 3)), np.zeros((3, 3)), None),
+            (np.zeros((2, 4)), np.zeros((2, 4)), None),
+            (np.zeros(3), np.zeros(3), None),
+            (np.zeros((2, 3)), np.zeros((2, 3)), np.ones(3)),
+        ],
+    )
+    def test_rejects_mismatched_shapes(self, b, r, weights):
+        with pytest.raises(InvalidInput):
+            ObservationSet(b=b, r=r, weights=weights)
+
+
+class TestObserveAgainstPerStarLoop:
+    """The array path against the per-star loop it replaced (``tests/oracles.py``).
+
+    The same pairs in the same order, ``b`` within 4.5e-16 per component
+    (the loop normalizes with BLAS dot products, the array path with
+    elementwise sums), and the noise stream left in the same state.
+    """
+
+    @pytest.mark.parametrize(
+        "n_cams, n_stars, fov_deg, focal, sigma",
+        [
+            (6, 1000, 20.0, 1.0, 1e-3),  # the star-field benchmark setup
+            (3, 100, 20.0, 1.0, 1e-3),  # the default setup
+            (4, 300, 35.0, 2.5, 5e-3),
+            (2, 300, 20.0, 1.0, 0.0),
+        ],
+    )
+    def test_matches_per_star_loop(self, n_cams, n_stars, fov_deg, focal, sigma):
+        setup = RngStream(n_stars + n_cams)
+        cat = generate_catalog(n_stars, setup)
+        cams = default_camera_rig(n_cams, math.radians(fov_deg), focal)
+        rng, rng_ref = RngStream(77), RngStream(77)
+        for _ in range(15):
+            q = random_unit_quat(setup)
+            obs = observe(q, cat, cams, sigma, rng)
+            ref = observe_per_star(q, cat, cams, sigma, rng_ref)
+            assert len(obs) == len(ref) > 0
+            assert np.array_equal(obs.r, np.array([r for _, r in ref]))
+            assert np.max(np.abs(obs.b - np.array([b for b, _ in ref]))) <= 4.5e-16
+            assert (rng._state, rng._spare) == (rng_ref._state, rng_ref._spare)
+
+    def test_length_is_the_visible_star_count(self):
+        # counted by the angle between each boresight and each star
+        setup = RngStream(19)
+        cat = generate_catalog(1000, setup)
+        cams = default_camera_rig(6, FOV20, 1.0)
+        for _ in range(5):
+            q = random_unit_quat(setup)
+            body = cat.stars @ quat_to_matrix(q).T
+            want = sum(int((body @ cam.boresight_in_body() > math.cos(FOV20)).sum()) for cam in cams)
+            assert len(observe(q, cat, cams, 1e-3, setup)) == want

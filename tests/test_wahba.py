@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from attsim.attitude import error_angle, quat_to_matrix
-from attsim.errors import DegenerateGeometry, InvalidInput, UnderdeterminedAttitude
+from attsim.errors import DegenerateGeometry, InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from attsim.numerics import RngStream
-from attsim.startracker import StarObservation
+from attsim.startracker import ObservationSet, default_camera_rig, generate_catalog, observe
 from attsim.wahba import (
     build_profile,
     davenport_matrix,
@@ -16,16 +16,23 @@ from attsim.wahba import (
 )
 
 from conftest import random_unit_quat, random_unit_vec
+from oracles import davenport_per_star, observe_per_star
 
 
 def _obs_from_attitude(q_true, rng, n, weights=None):
     a = quat_to_matrix(q_true)
-    obs = []
-    for i in range(n):
-        r = random_unit_vec(rng)
-        w = 1.0 if weights is None else weights[i]
-        obs.append(StarObservation(b=a @ r, r=r, weight=w))
-    return obs
+    r = np.array([random_unit_vec(rng) for _ in range(n)])
+    return ObservationSet(b=r @ a.T, r=r, weights=weights)
+
+
+def _random_pairs(rng, n, weighted=True):
+    """``n`` unrelated unit-vector pairs, weights in [0.1, 1.1) or all 1."""
+    rows = [
+        (random_unit_vec(rng), random_unit_vec(rng), rng.uniform() + 0.1 if weighted else 1.0)
+        for _ in range(n)
+    ]
+    b, r, w = zip(*rows)
+    return ObservationSet(b=np.array(b), r=np.array(r), weights=np.array(w))
 
 
 def _matrix_angle(a, b):
@@ -71,45 +78,43 @@ class TestTriad:
 
 class TestBuildProfile:
     def test_single_pair_outer_product(self):
-        z = np.array([0.0, 0.0, 1.0])
-        prof = build_profile([StarObservation(b=z, r=z)])
+        z = np.array([[0.0, 0.0, 1.0]])
+        prof = build_profile(ObservationSet(b=z, r=z))
         assert np.allclose(prof.b, np.diag([0.0, 0.0, 1.0]))
         assert prof.total_weight == 1.0
 
     def test_linear_in_weights(self):
         rng = RngStream(32)
         obs = _obs_from_attitude(random_unit_quat(rng), rng, 4)
-        doubled = [StarObservation(b=o.b, r=o.r, weight=2.0 * o.weight) for o in obs]
+        doubled = ObservationSet(b=obs.b, r=obs.r, weights=2.0 * obs.weights)
         assert np.allclose(build_profile(doubled).b, 2.0 * build_profile(obs).b)
 
     def test_matches_bruteforce_accumulation(self):
         rng = RngStream(33)
-        obs = []
-        for _ in range(6):
-            obs.append(
-                StarObservation(b=random_unit_vec(rng), r=random_unit_vec(rng), weight=rng.uniform() + 0.1)
-            )
+        obs = _random_pairs(rng, 6)
         expect = np.zeros((3, 3))
-        for o in obs:
+        for b, r, w in zip(obs.b, obs.r, obs.weights):
             for i in range(3):
                 for j in range(3):
-                    expect[i, j] += o.weight * o.b[i] * o.r[j]
+                    expect[i, j] += w * b[i] * r[j]
         assert np.allclose(build_profile(obs).b, expect, atol=1e-14)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
-            build_profile([])
+            build_profile(ObservationSet(b=[], r=[]))
 
     def test_nonpositive_weight_rejected(self):
-        z = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(InvalidInput):
-            build_profile([StarObservation(b=z, r=z, weight=0.0)])
+        z = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(InvalidInput):
+                build_profile(ObservationSet(b=z, r=z, weights=[1.0, bad]))
 
 
 class TestDavenportMatrix:
     def test_aligned_pairs_give_identity_top_eigenvector(self):
         rng = RngStream(34)
-        obs = [StarObservation(b=(v := random_unit_vec(rng)), r=v) for _ in range(5)]
+        v = np.array([random_unit_vec(rng) for _ in range(5)])
+        obs = ObservationSet(b=v, r=v)
         k = davenport_matrix(build_profile(obs), obs)
         z = k.k[:3, 3]
         assert np.allclose(z, 0.0, atol=1e-12)
@@ -117,25 +122,29 @@ class TestDavenportMatrix:
         assert error_angle(sol.q, np.array([0.0, 0.0, 0.0, 1.0])) <= 1e-9
 
     def test_single_pair_block_values(self):
-        z = np.array([0.0, 0.0, 1.0])
-        obs = [StarObservation(b=z, r=z)]
+        z = np.array([[0.0, 0.0, 1.0]])
+        obs = ObservationSet(b=z, r=z)
         k = davenport_matrix(build_profile(obs), obs).k
         assert np.allclose(k, np.diag([-1.0, -1.0, 1.0, 1.0]))
 
     def test_z_formulas_agree(self):
         rng = RngStream(35)
-        obs = [
-            StarObservation(b=random_unit_vec(rng), r=random_unit_vec(rng), weight=rng.uniform() + 0.1)
-            for _ in range(8)
-        ]
+        obs = _random_pairs(rng, 8)
         prof = build_profile(obs)
         k = davenport_matrix(prof, obs).k
-        z_cross = sum(o.weight * np.cross(o.b, o.r) for o in obs)
+        z_cross = sum(w * np.cross(b, r) for b, r, w in zip(obs.b, obs.r, obs.weights))
         assert np.max(np.abs(k[:3, 3] - z_cross)) <= 1e-12
+
+    def test_profile_of_other_observations_rejected(self):
+        rng = RngStream(46)
+        obs = _random_pairs(rng, 5)
+        other = _random_pairs(rng, 5)
+        with pytest.raises(NumericalFailure):
+            davenport_matrix(build_profile(other), obs)
 
     def test_symmetric_and_traceless(self):
         rng = RngStream(36)
-        obs = [StarObservation(b=random_unit_vec(rng), r=random_unit_vec(rng)) for _ in range(5)]
+        obs = _random_pairs(rng, 5, weighted=False)
         k = davenport_matrix(build_profile(obs), obs).k
         assert np.max(np.abs(k - k.T)) <= 1e-12
         assert abs(np.trace(k)) <= 1e-9
@@ -163,10 +172,9 @@ class TestDavenportSolve:
             r1, r2 = random_unit_vec(rng), random_unit_vec(rng)
             if np.linalg.norm(np.cross(r1, r2)) < 1e-2:
                 continue
-            obs = [
-                StarObservation(b=a_true @ r1, r=r1, weight=1.0),
-                StarObservation(b=a_true @ r2, r=r2, weight=1e-4),
-            ]
+            obs = ObservationSet(
+                b=np.array([a_true @ r1, a_true @ r2]), r=np.array([r1, r2]), weights=[1.0, 1e-4]
+            )
             a_triad = triad(r1, r2, a_true @ r1, a_true @ r2)
             sol = davenport_solve(obs)
             assert _matrix_angle(quat_to_matrix(sol.q), a_triad) <= 1e-6
@@ -177,22 +185,17 @@ class TestDavenportSolve:
             davenport_solve(_obs_from_attitude(random_unit_quat(rng), rng, 1))
 
     def test_collinear_set_underdetermined(self):
-        z = np.array([0.0, 0.0, 1.0])
-        obs = [StarObservation(b=z, r=z), StarObservation(b=z, r=z)]
+        z = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        obs = ObservationSet(b=z, r=z)
         with pytest.raises(UnderdeterminedAttitude):
             davenport_solve(obs)
 
     def test_lambda_max_loss_identity(self):
         rng = RngStream(41)
         for _ in range(20):
-            obs = [
-                StarObservation(
-                    b=random_unit_vec(rng), r=random_unit_vec(rng), weight=rng.uniform() + 0.1
-                )
-                for _ in range(6)
-            ]
+            obs = _random_pairs(rng, 6)
             sol = davenport_solve(obs)
-            total = sum(o.weight for o in obs)
+            total = float(obs.weights.sum())
             assert sol.loss == pytest.approx(2.0 * total - 2.0 * sol.lambda_max, abs=1e-9)
 
     def test_optimality_against_sampling(self):
@@ -201,17 +204,19 @@ class TestDavenportSolve:
         rng = RngStream(42)
         q_true = random_unit_quat(rng)
         a_true = quat_to_matrix(q_true)
-        obs = []
+        bs, rs = [], []
         for _ in range(6):
             r = random_unit_vec(rng)
             b = a_true @ r + rng.gaussian_vec(5e-3, 3)
-            obs.append(StarObservation(b=b / np.linalg.norm(b), r=r))
+            bs.append(b / np.linalg.norm(b))
+            rs.append(r)
+        obs = ObservationSet(b=np.array(bs), r=np.array(rs))
         sol = davenport_solve(obs)
         best = wahba_loss(quat_to_matrix(sol.q), obs)
         for _ in range(1000):
             a_rand = quat_to_matrix(random_unit_quat(rng))
             assert best <= wahba_loss(a_rand, obs) + 1e-12
-        a_triad = triad(obs[0].r, obs[1].r, obs[0].b, obs[1].b)
+        a_triad = triad(obs.r[0], obs.r[1], obs.b[0], obs.b[1])
         assert best <= wahba_loss(a_triad, obs) + 1e-12
 
 
@@ -223,19 +228,14 @@ class TestWahbaLoss:
         assert wahba_loss(quat_to_matrix(q), obs) <= 1e-20
 
     def test_single_right_angle_pair(self):
-        obs = [StarObservation(b=np.array([0.0, 1.0, 0.0]), r=np.array([1.0, 0.0, 0.0]))]
+        obs = ObservationSet(b=np.array([[0.0, 1.0, 0.0]]), r=np.array([[1.0, 0.0, 0.0]]))
         assert wahba_loss(np.eye(3), obs) == pytest.approx(2.0)
 
     def test_trace_form_identity(self):
         # loss == 2 * sum(a_i) - 2 * tr(A B^T) for any attitude
         rng = RngStream(44)
         for _ in range(20):
-            obs = [
-                StarObservation(
-                    b=random_unit_vec(rng), r=random_unit_vec(rng), weight=rng.uniform() + 0.1
-                )
-                for _ in range(5)
-            ]
+            obs = _random_pairs(rng, 5)
             a = quat_to_matrix(random_unit_quat(rng))
             prof = build_profile(obs)
             expect = 2.0 * prof.total_weight - 2.0 * float(np.trace(a @ prof.b.T))
@@ -248,14 +248,50 @@ class TestTraceIdentity:
         rng = RngStream(45)
         for _ in range(200):
             q = random_unit_quat(rng)
-            obs = [
-                StarObservation(
-                    b=random_unit_vec(rng), r=random_unit_vec(rng), weight=rng.uniform() + 0.1
-                )
-                for _ in range(4)
-            ]
+            obs = _random_pairs(rng, 4)
             prof = build_profile(obs)
             k = davenport_matrix(prof, obs).k
             lhs = float(np.trace(quat_to_matrix(q) @ prof.b.T))
             rhs = float(q @ k @ q)
             assert abs(lhs - rhs) <= 1e-10
+
+
+class TestAgainstPerStarLoop:
+    """The array q-method against the per-pair loop it replaced (``tests/oracles.py``)."""
+
+    def test_same_pairs_same_solution(self):
+        rng = RngStream(47)
+        for n in (2, 3, 5, 40, 200):
+            for _ in range(10):
+                q_true = random_unit_quat(rng)
+                a = quat_to_matrix(q_true)
+                r = np.array([random_unit_vec(rng) for _ in range(n)])
+                b = r @ a.T + np.array([rng.gaussian_vec(1e-2, 3) for _ in range(n)])
+                b /= np.linalg.norm(b, axis=1)[:, None]
+                w = np.array([rng.uniform() + 0.1 for _ in range(n)])
+                sol = davenport_solve(ObservationSet(b=b, r=r, weights=w))
+                q, lam, loss = davenport_per_star(b, r, w)
+                assert np.max(np.abs(sol.q - q)) <= 1e-15
+                assert sol.lambda_max == pytest.approx(lam, rel=1e-15)
+                assert sol.loss == pytest.approx(loss, rel=1e-12, abs=1e-15)
+
+    def test_tracker_epochs_against_per_star_pipeline(self):
+        # the star-field setup: six heads, 1000 stars, about 180 stars per epoch
+        setup = RngStream(48)
+        cat = generate_catalog(1000, setup)
+        cams = default_camera_rig(6, math.radians(20.0), 1.0)
+        rng, rng_ref = RngStream(49), RngStream(49)
+        for _ in range(20):
+            q_true = random_unit_quat(setup)
+            sol = davenport_solve(observe(q_true, cat, cams, 1e-3, rng))
+            pairs = observe_per_star(q_true, cat, cams, 1e-3, rng_ref)
+            q, _, _ = davenport_per_star([b for b, _ in pairs], [r for _, r in pairs], [1.0] * len(pairs))
+            assert np.max(np.abs(sol.q - q)) <= 1e-15
+
+    def test_both_reject_the_same_sets(self):
+        z = np.array([[0.0, 0.0, 1.0]])
+        for b, r in ((z, z), (np.vstack([z, z]), np.vstack([z, z]))):
+            with pytest.raises(UnderdeterminedAttitude):
+                davenport_solve(ObservationSet(b=b, r=r))
+            with pytest.raises(UnderdeterminedAttitude):
+                davenport_per_star(b, r, [1.0] * len(b))
