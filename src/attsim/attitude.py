@@ -40,13 +40,13 @@ def identity_quat() -> np.ndarray:
 
 def axis_angle_quat(axis, angle: float) -> np.ndarray:
     """Unit quaternion for a rotation of ``angle`` radians about ``axis``."""
-    axis = np.asarray(axis, dtype=float)
-    n = math.sqrt(float(axis @ axis))
+    x, y, z = np.asarray(axis, dtype=float).tolist()
+    n = math.sqrt(x * x + y * y + z * z)
     if n < _NORM_EPS:
         raise InvalidInput("rotation axis must be nonzero")
     half = 0.5 * angle
     s = math.sin(half) / n
-    return np.array([axis[0] * s, axis[1] * s, axis[2] * s, math.cos(half)])
+    return np.array([x * s, y * s, z * s, math.cos(half)])
 
 
 def quat_mul(a, b) -> np.ndarray:
@@ -100,9 +100,9 @@ def quat_to_gibbs(q) -> np.ndarray:
 
 def gibbs_to_quat(g) -> np.ndarray:
     """Unit quaternion (g; 1)/sqrt(1 + |g|^2), scalar part positive."""
-    g = np.asarray(g, dtype=float)
-    s = 1.0 / math.sqrt(1.0 + float(g @ g))
-    return np.array([g[0] * s, g[1] * s, g[2] * s, s])
+    x, y, z = np.asarray(g, dtype=float).tolist()
+    s = 1.0 / math.sqrt(1.0 + (x * x + y * y + z * z))
+    return np.array([x * s, y * s, z * s, s])
 
 
 def quat_kinematics(q, omega) -> np.ndarray:

@@ -2,18 +2,31 @@
 
 The simulated trajectory mimics a low-Earth-orbit pass: a single-axis
 angular rate ``omega(t) = -cos(2*pi*t / 5280) * pi/2`` whose period is the
-88-minute orbit time. Truth and the noisy gyro samples are generated step
-by step at the gyro rate, truth with the exact kinematic step. The
-measured rates are buffered, and both filters predict once per block of
-gyro steps from the same samples (see :mod:`attsim.filters`). A block ends
-at the next event: a star-tracker epoch, a record instant, the last step,
-or at most ``_MAX_BLOCK_STEPS`` steps. So every update and every record
-sees the filter states it would see after one predict per step, up to
-rounding. At star-tracker epochs one Davenport solution (from the full
-emulated camera pipeline) is shared by both filters as the quaternion
-measurement. Everything downstream of the seed is deterministic except
-the wall-clock timing fields; a filter's timing is the wall time of its
-block predicts and updates divided by the gyro steps they cover.
+88-minute orbit time, held over each gyro step at its midpoint value.
+
+The run is cut into blocks of gyro steps. A block ends at the next event:
+a star-tracker epoch, a record instant, the last step, or at most
+``_MAX_BLOCK_STEPS`` steps. Blocks are grouped into chunks of at most
+``_EPOCH_CHUNK`` tracker epochs and about ``_CHUNK_STEPS`` steps; a chunk
+always ends on a block boundary. Each chunk gets two passes:
+
+* the scenario pass, which never reads filter state: the true rates of
+  all the chunk's steps in one call, the noisy gyro samples in one noise
+  draw, the truth advanced by one exact block propagation per block
+  (:func:`attsim.attitude.integrate_quat`), one emulated star-tracker
+  observation per epoch, and one Davenport solve for all the chunk's
+  epochs, whose 4x4 eigenproblems are solved as one stack;
+* the estimate pass: both filters predict once per block from the same
+  gyro samples (see :mod:`attsim.filters`), take each epoch's Davenport
+  quaternion as their shared measurement in time order, and are recorded
+  at the record instants.
+
+So every update and every record sees the filter states it would see
+after one predict per step, up to rounding, and the noise streams are the
+ones a step-by-step loop draws. Everything downstream of the seed is
+deterministic except the wall-clock timing fields; a filter's timing is
+the wall time of its block predicts and updates divided by the gyro steps
+they cover.
 
 Default tuning notes (the trade study this harness supports never pins
 sensor grades, so defaults are artifact choices, documented here):
@@ -45,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from . import startracker
-from .attitude import error_angle, integrate_quat
+from .attitude import error_angle, integrate_quat, quat_norm
 from .errors import ConfigError, InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from .filters import (
     NoiseParams,
@@ -69,9 +82,19 @@ _R_FLOOR = 1e-12
 
 _P0_ATTITUDE = 1e-6
 
+# longest run config intake accepts: about 19 default orbits at 100 Hz
+_MAX_GYRO_STEPS = 10_000_000
+
 # longest block of gyro steps handed to one predict when no event ends it
 # sooner; bounds the per-block stacks to well under a megabyte
 _MAX_BLOCK_STEPS = 1000
+
+# a chunk of the run holds whole blocks: at most _EPOCH_CHUNK tracker epochs,
+# whose Davenport matrices one stacked eigensolve takes, and fewer than
+# _CHUNK_STEPS gyro steps plus one block; the chunk's rates, gyro samples
+# and observation sets are all the scenario pass keeps
+_EPOCH_CHUNK = 32
+_CHUNK_STEPS = 4096
 
 # records whose covariance snapshots one stacked eigensolve takes; keeps the
 # pending buffers and the solver's temporaries at a fixed small size however
@@ -80,11 +103,12 @@ _RECORD_CHUNK = 512
 
 
 def _is_finite_number(value) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, (bool, np.bool_))
-        and math.isfinite(value)
-    )
+    if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass
@@ -119,8 +143,10 @@ class SimConfig:
             raise ConfigError("sensor rates must be positive")
         if self.duration_s * self.gyro_rate_hz < 1.0:
             raise ConfigError("duration_s must cover at least one gyro step")
-        if not math.isfinite(self.duration_s * self.gyro_rate_hz):
-            raise ConfigError("duration_s * gyro_rate_hz must be finite")
+        if self.duration_s * self.gyro_rate_hz > _MAX_GYRO_STEPS:
+            raise ConfigError(
+                f"duration_s * gyro_rate_hz must not exceed {_MAX_GYRO_STEPS} gyro steps"
+            )
         if self.gyro_rate_hz < self.tracker_rate_hz:
             raise ConfigError("gyro rate must be at least the tracker rate")
         if self.n_stars < 2:
@@ -136,8 +162,11 @@ class SimConfig:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        ax = np.asarray(self.axis, dtype=float)
-        if ax.shape != (3,) or float(ax @ ax) < 1e-12:
+        x, y, z = (float(v) for v in self.axis)
+        squared_norm = x * x + y * y + z * z
+        if not math.isfinite(squared_norm):
+            raise ConfigError("axis is too long: its squared norm overflows")
+        if squared_norm < 1e-12:
             raise ConfigError("axis must be a nonzero 3-vector")
         if self.aekf_r_scale <= 0.0:
             raise ConfigError("aekf_r_scale must be positive")
@@ -175,8 +204,9 @@ class SimConfig:
             raise ConfigError(f"catalog_path must be a string or null, not {self.catalog_path!r}")
 
     def axis_unit(self) -> np.ndarray:
-        ax = np.asarray(self.axis, dtype=float)
-        return ax / math.sqrt(float(ax @ ax))
+        x, y, z = (float(v) for v in self.axis)
+        norm = math.sqrt(x * x + y * y + z * z)
+        return np.array([x / norm, y / norm, z / norm])
 
     def effective_stride(self) -> int:
         if self.record_stride > 0:
@@ -271,28 +301,40 @@ class MetricsReport:
         return {"aekf": asdict(self.aekf), "mekf": asdict(self.mekf)}
 
 
-def trajectory_omega(t: float, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """Orbit-like angular rate at time ``t`` [s], along ``axis``."""
-    if t < 0.0:
+def trajectory_omega(t, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
+    """Orbit-like angular rate at time ``t`` [s], along ``axis``.
+
+    ``t`` is one time (returns a ``(3,)`` rate) or an array of ``n`` times
+    (returns ``(n, 3)``, one rate per row). The cosine is taken with
+    ``math.cos`` element by element, so a rate does not depend on how many
+    times are passed together.
+    """
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0.0):
         raise InvalidInput("time must be nonnegative")
-    mag = -math.cos(t / ORBIT_PERIOD_S * 2.0 * math.pi) * (0.5 * math.pi)
-    return mag * np.asarray(axis, dtype=float)
+    phase = (times.reshape(-1) / ORBIT_PERIOD_S * 2.0 * math.pi).tolist()
+    mag = -np.array([math.cos(x) for x in phase]) * (0.5 * math.pi)
+    rates = mag[:, None] * np.asarray(axis, dtype=float)
+    return rates[0] if times.ndim == 0 else rates
 
 
 def emulate_gyro(omega_true, sigma_gyro: float, rng: RngStream) -> np.ndarray:
-    """True rate plus per-axis white Gaussian noise."""
+    """True rate plus per-axis white Gaussian noise.
+
+    ``omega_true`` is one rate ``(3,)`` or a block of rates ``(n, 3)``; the
+    noise of the block is one draw of ``3 n`` values, row by row, the same
+    stream n one-rate calls would draw.
+    """
     if sigma_gyro < 0.0:
         raise InvalidInput("sigma_gyro must be nonnegative")
     omega_true = np.asarray(omega_true, dtype=float)
     if sigma_gyro == 0.0:
         return omega_true.copy()
-    return omega_true + rng.gaussian_vec(sigma_gyro, 3)
+    return omega_true + rng.gaussian_vec(sigma_gyro, omega_true.size).reshape(omega_true.shape)
 
 
 def _sign_aligned_diff(qa: np.ndarray, qb: np.ndarray) -> float:
-    d1 = qa - qb
-    d2 = qa + qb
-    return min(math.sqrt(float(d1 @ d1)), math.sqrt(float(d2 @ d2)))
+    return min(quat_norm(qa - qb), quat_norm(qa + qb))
 
 
 def _pnorm_and_cond(p: np.ndarray):
@@ -311,11 +353,27 @@ def _pnorm_and_cond(p: np.ndarray):
     return hi, cond
 
 
+def _first_step_reaching(t: float, dt: float, k: int, n: int) -> int:
+    """First step ``j`` of ``k..n`` whose end time ``j * dt`` reaches ``t``; ``n + 1`` if none.
+
+    ``j * dt`` is compared as a step-by-step loop compares it; the quotient
+    ``t / dt`` only gives the first guess.
+    """
+    guess = t / dt
+    j = k if guess <= k else (n + 1 if guess > n else math.ceil(guess))
+    while j > k and (j - 1) * dt >= t:
+        j -= 1
+    while j <= n and j * dt < t:
+        j += 1
+    return j
+
+
 def run_simulation(cfg: SimConfig) -> RunResult:
-    """Run the closed loop: truth, gyro, tracker epochs, both filters.
+    """Run the simulation: truth, gyro, tracker epochs, both filters, chunk by chunk.
 
     Tracker epochs whose Davenport solve is underdetermined are skipped
-    and logged. A filter NumericalFailure aborts the run; the partial
+    and logged, at their turn in time. A NumericalFailure of a filter or of
+    an epoch's Davenport solve aborts the run at its turn; the partial
     result carries the reason in ``aborted``.
     """
     cfg.validate()
@@ -397,57 +455,80 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         win_time_m = 0.0
         win_steps = 0
 
-    # gyro rates measured since the last event, for one block predict
-    block = np.empty((min(stride, _MAX_BLOCK_STEPS), 3))
-    n_block = 0
+    cap = min(stride, _MAX_BLOCK_STEPS)
+    q_end = q_true  # truth at the end of the last block the scenario pass built
     t_now = 0.0
+    k = 1  # first gyro step no chunk holds yet
     try:
-        for k in range(1, n_steps + 1):
-            t_prev = (k - 1) * dt
-            t_now = k * dt
-            omega_true = trajectory_omega(t_prev + 0.5 * dt, axis)
-            block[n_block] = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
-            n_block += 1
-            q_true = integrate_quat(q_true, omega_true, dt)
+        while k <= n_steps:
+            # plan a chunk of whole blocks, each ended by the first event after
+            # its start and kept as its rows [lo, hi) of the chunk's arrays
+            chunk_start = k
+            blocks = []
+            n_epochs = 0
+            while k <= n_steps and n_epochs < _EPOCH_CHUNK and k - chunk_start < _CHUNK_STEPS:
+                epoch_step = _first_step_reaching(next_tracker - 1e-9, dt, k, n_steps)
+                due_step = -(-k // stride) * stride
+                last = min(epoch_step, due_step, k + cap - 1, n_steps)
+                epoch = last == epoch_step
+                if epoch:
+                    next_tracker += tracker_dt
+                    n_epochs += 1
+                due = last == due_step or last == n_steps
+                blocks.append((k - chunk_start, last - chunk_start + 1, epoch, due))
+                k = last + 1
 
-            epoch = t_now >= next_tracker - 1e-9
-            due = k % stride == 0 or k == n_steps
-            if not (epoch or due or n_block == block.shape[0]):
-                continue
-            rates = block[:n_block]
-            win_steps += n_block
-            n_block = 0
-            if cfg.run_aekf:
-                t0 = time.perf_counter()
-                aekf = aekf_predict(aekf, rates, dt, noise)
-                win_time_a += time.perf_counter() - t0
-            if cfg.run_mekf:
-                t0 = time.perf_counter()
-                mekf = mekf_predict(mekf, rates, dt, noise)
-                win_time_m += time.perf_counter() - t0
+            # scenario pass: the chunk's rates and gyro samples at once, the
+            # truth at each block end, one observation set per epoch and one
+            # stacked Davenport solve for them all
+            omega_true = trajectory_omega(np.arange(chunk_start - 1, k - 1) * dt + 0.5 * dt, axis)
+            gyro = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
+            truth = []
+            observations = []
+            for lo, hi, epoch, _ in blocks:
+                q_end = integrate_quat(q_end, omega_true[lo:hi], dt)
+                truth.append(q_end)
+                if epoch:
+                    observations.append(
+                        startracker.observe(q_end, catalog, cams, cfg.sigma_star, rng_star)
+                    )
+            solutions = iter(davenport_solve(observations) if observations else ())
 
-            if epoch:
-                next_tracker += tracker_dt
-                obs = startracker.observe(q_true, catalog, cams, cfg.sigma_star, rng_star)
-                try:
-                    solution = davenport_solve(obs)
-                except UnderdeterminedAttitude as exc:
-                    skipped += 1
-                    logger.warning("tracker epoch at t=%.3f skipped: %s", t_now, exc)
-                else:
-                    epoch_t.append(t_now)
-                    epoch_q.append(solution.q.copy())
-                    if cfg.run_aekf:
-                        t0 = time.perf_counter()
-                        aekf = aekf_update(aekf, solution.q, r4)
-                        win_time_a += time.perf_counter() - t0
-                    if cfg.run_mekf:
-                        t0 = time.perf_counter()
-                        mekf = mekf_update(mekf, solution.q, r3)
-                        win_time_m += time.perf_counter() - t0
+            # estimate pass: both filters cross the blocks in time order
+            for (lo, hi, epoch, due), q_true in zip(blocks, truth):
+                t_now = (chunk_start + hi - 1) * dt
+                rates = gyro[lo:hi]
+                win_steps += hi - lo
+                if cfg.run_aekf:
+                    t0 = time.perf_counter()
+                    aekf = aekf_predict(aekf, rates, dt, noise)
+                    win_time_a += time.perf_counter() - t0
+                if cfg.run_mekf:
+                    t0 = time.perf_counter()
+                    mekf = mekf_predict(mekf, rates, dt, noise)
+                    win_time_m += time.perf_counter() - t0
 
-            if due:
-                record(t_now)
+                if epoch:
+                    solution = next(solutions)
+                    if isinstance(solution, UnderdeterminedAttitude):
+                        skipped += 1
+                        logger.warning("tracker epoch at t=%.3f skipped: %s", t_now, solution)
+                    elif isinstance(solution, Exception):
+                        raise solution
+                    else:
+                        epoch_t.append(t_now)
+                        epoch_q.append(solution.q.copy())
+                        if cfg.run_aekf:
+                            t0 = time.perf_counter()
+                            aekf = aekf_update(aekf, solution.q, r4)
+                            win_time_a += time.perf_counter() - t0
+                        if cfg.run_mekf:
+                            t0 = time.perf_counter()
+                            mekf = mekf_update(mekf, solution.q, r3)
+                            win_time_m += time.perf_counter() - t0
+
+                if due:
+                    record(t_now)
     except NumericalFailure as exc:
         aborted = str(exc)
         logger.error("run aborted: %s", exc)

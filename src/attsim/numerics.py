@@ -6,15 +6,13 @@ the innovation systems, and a seeded noise stream. Matrices and vectors
 are plain float64 numpy arrays; nothing here calls into ``numpy.linalg``,
 so seeded artifacts reproduce bit for bit across runs.
 
-The eigensolver also takes a stack of matrices, shape ``(k, n, n)``, and
-runs the same cyclic sweep on all of them at once, vectorized over ``k``:
-the same elementwise IEEE operations in the same order as the one-matrix
-path, with a mask that leaves each matrix alone once it has converged.
-Each matrix of a stack therefore gets bit for bit the result the
-one-matrix path gives it. The one-matrix path stays, because on a lone
-small matrix its scalar loop is about twice as fast as the vectorized
-sweep; the harness stacks the covariance snapshots of many records into
-one call, while the Davenport solve makes one call per tracker epoch.
+The eigensolver is one cyclic Jacobi sweep, vectorized over a stack of
+matrices, shape ``(k, n, n)``: each rotation is the same elementwise IEEE
+operations for every member, with a mask that leaves each matrix alone
+once it has converged, so a member's result does not depend on the stack
+around it. A lone ``(n, n)`` matrix is solved as a stack of one. The
+harness stacks the covariance snapshots of many records into one call,
+and the Davenport solve stacks the matrices of many tracker epochs.
 
 The random stream is xorshift64* seeded through one round of splitmix64,
 with Gaussian deviates drawn by the polar (Marsaglia) method. The
@@ -80,68 +78,47 @@ def jacobi_eigen_sym(m):
     eigenvector (a row) paired with ``eigenvalues[i]``.
 
     For a stack ``(k, n, n)``, returns eigenvalues ``(k, n)`` and
-    eigenvector rows ``(k, n, n)``, each matrix's entry equal bit for bit
-    to what the one-matrix call returns for it (``k`` may be 0). The path
-    is chosen by the rank of the input; see the module docstring for why
-    both are kept.
+    eigenvector rows ``(k, n, n)`` (``k`` may be 0). One matrix is solved
+    as a stack of one, so each member of a stack gets bit for bit what the
+    one-matrix call returns for it.
 
     Raises InvalidInput for non-symmetric or empty (``n == 0``) input (any
     matrix of a stack) and NumericalFailure if the off-diagonal norm has
     not dropped below 1e-12 * ||m||_F after 100 sweeps.
     """
-    if np.ndim(m) == 3:
-        return _jacobi_eigen_stack(m)
-    a = check_symmetric(m)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = math.sqrt(float((a * a).sum()))
-    if scale == 0.0:
-        return np.zeros(n), v.copy()
-    tol = _JACOBI_REL_TOL * scale
+    if np.ndim(m) != 3:
+        evals, vecs, failed = _jacobi_sweep(check_symmetric(m)[None])
+        if failed.size:
+            raise NumericalFailure(
+                f"Jacobi sweep limit reached (off-diagonal {float(failed[0]):.3e})"
+            )
+        return evals[0], vecs[0]
+    evals, vecs, failed = _jacobi_sweep(_check_symmetric_stack(m))
+    if failed.size:
+        raise NumericalFailure(
+            f"Jacobi sweep limit reached in {failed.size} matrices "
+            f"(largest off-diagonal {float(failed.max()):.3e})"
+        )
+    return evals, vecs
 
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # squares by multiplication, as in the stacked path: ``x ** 2`` on a
-        # scalar calls libm pow, which is not correctly rounded everywhere
-        off = math.sqrt(2.0 * sum(a[p, q] * a[p, q] for p in range(n - 1) for q in range(p + 1, n)))
-        if off <= tol:
-            converged = True
-            break
-        for p in range(n - 1):  # one cyclic sweep over the strict upper triangle
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if not converged:
-        # the final sweep may still have finished the job
-        off = math.sqrt(2.0 * sum(a[p, q] * a[p, q] for p in range(n - 1) for q in range(p + 1, n)))
-        if off > tol:
-            raise NumericalFailure(f"Jacobi sweep limit reached (off-diagonal {off:.3e})")
 
-    evals = np.diag(a).copy()
-    order = np.argsort(-evals, kind="stable")
-    return evals[order], v[:, order].T.copy()
+def _check_symmetric_stack(m) -> np.ndarray:
+    """A float copy of a stack ``(k, n, n)``, or InvalidInput naming the first bad member."""
+    a = np.array(m, dtype=float)
+    if a.shape[1] != a.shape[2]:
+        raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
+    n = a.shape[1]
+    if n == 0:
+        raise InvalidInput(f"expected a stack of nonempty matrices, got shape {a.shape}")
+    if n > MAX_DIM:
+        raise InvalidInput(f"dimension {n} exceeds supported maximum {MAX_DIM}")
+    if not np.isfinite(a).all():
+        raise InvalidInput("matrix entries must be finite")
+    peak = np.abs(a).max(axis=(1, 2))
+    asym = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > _SYM_REL_TOL * peak
+    if asym.any():
+        raise InvalidInput(f"matrix {int(np.argmax(asym))} of the stack is not symmetric within tolerance")
+    return a
 
 
 def _off_norms(a: np.ndarray, pairs) -> np.ndarray:
@@ -153,34 +130,24 @@ def _off_norms(a: np.ndarray, pairs) -> np.ndarray:
     return np.sqrt(2.0 * acc)
 
 
-def _jacobi_eigen_stack(m):
-    """The cyclic Jacobi sweep of :func:`jacobi_eigen_sym`, vectorized over a stack.
+def _jacobi_sweep(a: np.ndarray):
+    """The cyclic Jacobi sweep, vectorized over a checked stack ``a`` (updated in place).
 
     A rotation touches only the matrices still active (not yet converged)
-    whose pivot is nonzero; the others are left exactly as they are, as
-    the one-matrix path leaves them.
+    whose pivot is nonzero; the others are left exactly as they are. Each
+    step is an elementwise IEEE operation, so a member's result does not
+    depend on the stack around it. Returns the sorted eigenvalues, the
+    eigenvector rows and the off-diagonal norms of the members that had
+    not converged after the last sweep (empty when all did).
     """
-    a = np.array(m, dtype=float)
-    if a.shape[1] != a.shape[2]:
-        raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
     k, n = a.shape[:2]
-    if n == 0:
-        raise InvalidInput(f"expected a stack of nonempty matrices, got shape {a.shape}")
-    if n > MAX_DIM:
-        raise InvalidInput(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    if not np.isfinite(a).all():
-        raise InvalidInput("matrix entries must be finite")
-    peak = np.abs(a).max(axis=(1, 2))
-    asym = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > _SYM_REL_TOL * peak
-    if asym.any():
-        raise InvalidInput(f"matrix {int(np.argmax(asym))} of the stack is not symmetric within tolerance")
-
     v = np.broadcast_to(np.eye(n), a.shape).copy()
     scale = np.sqrt((a * a).reshape(k, n * n).sum(axis=1))
     tol = _JACOBI_REL_TOL * scale
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     # a zero matrix has off = tol = 0 and so converges before the first sweep
     active = np.ones(k, dtype=bool)
+    failed = np.zeros(0)
     for _ in range(_JACOBI_MAX_SWEEPS):
         active &= _off_norms(a, pairs) > tol
         if not active.any():
@@ -212,19 +179,14 @@ def _jacobi_eigen_stack(m):
     else:
         # the final sweep may still have finished the job
         off = _off_norms(a[active], pairs)
-        failed = off > tol[active]
-        if failed.any():
-            raise NumericalFailure(
-                f"Jacobi sweep limit reached in {int(failed.sum())} matrices "
-                f"(largest off-diagonal {float(off.max()):.3e})"
-            )
+        failed = off[off > tol[active]]
 
     evals = np.diagonal(a, axis1=1, axis2=2).copy()
     evals[scale == 0.0] = 0.0
     order = np.argsort(-evals, axis=1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=1)
     vecs = np.take_along_axis(v, order[:, None, :], axis=2).transpose(0, 2, 1).copy()
-    return evals, vecs
+    return evals, vecs, failed
 
 
 def condition_number(m) -> float:
@@ -369,7 +331,3 @@ class RngStream:
         self._state = x
         return np.array(out)
 
-
-def gaussian(rng: RngStream, sigma: float) -> float:
-    """Module-level alias for :meth:`RngStream.gaussian`."""
-    return rng.gaussian(sigma)

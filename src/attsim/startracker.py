@@ -142,7 +142,8 @@ def generate_catalog(n: int, rng: RngStream) -> StarCatalog:
     for i in range(n):
         while True:
             v = rng.gaussian_vec(1.0, 3)
-            norm = math.sqrt(float(v @ v))
+            x, y, z = v.tolist()
+            norm = math.sqrt(x * x + y * y + z * z)
             if norm > 1e-12:
                 break
         stars[i] = v / norm
@@ -217,15 +218,15 @@ def _shortest_arc(a, b) -> np.ndarray:
     """Unit quaternion whose active rotation takes direction ``a`` to ``b``."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d = float(a @ b)
+    d = float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
     c = np.cross(a, b)
     if d < -1.0 + 1e-12:
         # antiparallel: rotate 180 degrees about any perpendicular axis
-        axis = np.cross(a, np.array([1.0, 0.0, 0.0]))
-        if float(axis @ axis) < 1e-12:
-            axis = np.cross(a, np.array([0.0, 1.0, 0.0]))
-        axis = axis / math.sqrt(float(axis @ axis))
-        return np.array([axis[0], axis[1], axis[2], 0.0])
+        x, y, z = np.cross(a, np.array([1.0, 0.0, 0.0])).tolist()
+        if x * x + y * y + z * z < 1e-12:
+            x, y, z = np.cross(a, np.array([0.0, 1.0, 0.0])).tolist()
+        n = math.sqrt(x * x + y * y + z * z)
+        return np.array([x / n, y / n, z / n, 0.0])
     q = np.array([c[0], c[1], c[2], 1.0 + d])
     return quat_normalize(q)
 

@@ -19,16 +19,30 @@ every sum over the stars with array operations: the products of each star
 side by side, then a sum over the star axis, which numpy adds star by star
 in order. No BLAS dot product enters ``B`` or ``z``, so their rounding
 does not depend on the CPU kernel a BLAS library picks.
+
+:func:`davenport_solve` also takes a sequence of sets, one per tracker
+epoch of a chunk of a run. It builds each set's K as for one set and
+eigendecomposes them all in one stacked Jacobi call; the stacked sweep
+gives each member bit for bit what it gives that matrix alone. A set that
+fails (too few stars, a degenerate eigenvalue gap, the z cross-check, the
+sweep limit) yields its exception as its outcome, so that the caller can
+act on it at that epoch's turn.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attitude import quat_to_matrix
-from .errors import DegenerateGeometry, InvalidInput, NumericalFailure, UnderdeterminedAttitude
+from .errors import (
+    AttsimError,
+    DegenerateGeometry,
+    InvalidInput,
+    NumericalFailure,
+    UnderdeterminedAttitude,
+)
 from .numerics import jacobi_eigen_sym
+from .startracker import ObservationSet, row_norms
 
 _COLLINEAR_EPS = 1e-8
 _EIG_GAP_REL = 1e-9
@@ -58,7 +72,9 @@ class WahbaSolution:
 
 def _unit(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    n = math.sqrt(float(v @ v))
+    if v.shape != (3,):
+        raise InvalidInput(f"{name} must be a 3-vector")
+    n = row_norms(v)
     if n < 1e-12:
         raise InvalidInput(f"{name} must be a nonzero vector")
     return v / n
@@ -78,8 +94,8 @@ def triad(r1, r2, b1, b2) -> np.ndarray:
     b2 = _unit(b2, "b2")
     rc = np.cross(r1, r2)
     bc = np.cross(b1, b2)
-    rn = math.sqrt(float(rc @ rc))
-    bn = math.sqrt(float(bc @ bc))
+    rn = row_norms(rc)
+    bn = row_norms(bc)
     if rn <= _COLLINEAR_EPS or bn <= _COLLINEAR_EPS:
         raise DegenerateGeometry("vector pair is collinear")
     v2 = rc / rn
@@ -131,19 +147,78 @@ def wahba_loss(a, obs) -> float:
     return float((obs.weights * (d * d).sum(axis=1)).sum())
 
 
-def davenport_solve(obs) -> WahbaSolution:
-    """Optimal quaternion for a weighted observation set (q-method).
+def davenport_solve(obs):
+    """Optimal quaternion for a weighted observation set (q-method), or for many.
 
     The eigenvector of K with the largest eigenvalue is the attitude
-    estimate; its scalar part is forced nonnegative. Raises
-    UnderdeterminedAttitude for fewer than two observations or when the
-    top eigenvalue is nearly degenerate (collinear geometry).
+    estimate; its scalar part is forced nonnegative. For one
+    :class:`~attsim.startracker.ObservationSet`, returns a
+    :class:`WahbaSolution` and raises UnderdeterminedAttitude for fewer
+    than two observations or when the top eigenvalue is nearly degenerate
+    (collinear geometry).
+
+    For a sequence of sets, returns a list with one outcome per set, in
+    order: the WahbaSolution, or the exception a one-set call would raise
+    for that set (not raised). The Davenport matrices of the sets are
+    eigendecomposed in one stacked call, and each outcome equals the
+    one-set call bit for bit.
     """
-    if len(obs) < 2:
-        raise UnderdeterminedAttitude("at least two observations are required")
-    profile = build_profile(obs)
-    k = davenport_matrix(profile, obs)
-    evals, evecs = jacobi_eigen_sym(k.k)
+    if isinstance(obs, ObservationSet):
+        outcome = _solve_sets([obs])[0]
+        if isinstance(outcome, AttsimError):
+            raise outcome
+        return outcome
+    return _solve_sets(list(obs))
+
+
+def _solve_sets(sets) -> list:
+    """One outcome per observation set: a WahbaSolution or the AttsimError of that set."""
+    outcomes = [None] * len(sets)
+    members, profiles, ks = [], [], []
+    for i, obs in enumerate(sets):
+        try:
+            if len(obs) < 2:
+                raise UnderdeterminedAttitude("at least two observations are required")
+            profile = build_profile(obs)
+            ks.append(davenport_matrix(profile, obs).k)
+        except AttsimError as exc:
+            outcomes[i] = exc
+        else:
+            members.append(i)
+            profiles.append(profile)
+    for i, profile, eigen in zip(members, profiles, _eigen_each(ks)):
+        if isinstance(eigen, AttsimError):
+            outcomes[i] = eigen
+            continue
+        try:
+            outcomes[i] = _top_eigenvector_solution(sets[i], profile, *eigen)
+        except AttsimError as exc:
+            outcomes[i] = exc
+    return outcomes
+
+
+def _eigen_each(ks) -> list:
+    """``jacobi_eigen_sym`` of each 4x4 K, from one stacked call.
+
+    If the stacked call fails, each K is solved alone, so that a failure
+    (the sweep limit) is the outcome of the matrix that caused it only.
+    """
+    if not ks:
+        return []
+    try:
+        evals, evecs = jacobi_eigen_sym(np.array(ks))
+    except AttsimError:
+        out = []
+        for k in ks:
+            try:
+                out.append(jacobi_eigen_sym(k))
+            except AttsimError as exc:
+                out.append(exc)
+        return out
+    return list(zip(evals, evecs))
+
+
+def _top_eigenvector_solution(obs, profile, evals, evecs) -> WahbaSolution:
     if evals[0] - evals[1] < _EIG_GAP_REL * profile.total_weight:
         raise UnderdeterminedAttitude(
             f"degenerate eigenvalue gap {evals[0] - evals[1]:.3e}: geometry underdetermined"

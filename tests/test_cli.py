@@ -69,6 +69,9 @@ class TestRunCommand:
             '{"axis": [0.0, "1", 1.0]}',
             '{"axis": 1.0}',
             '{"catalog_path": 5}',
+            # integers too large for a float
+            pytest.param('{"duration_s": 1' + "0" * 400 + "}", id="duration_s-400-digit-integer"),
+            pytest.param('{"axis": [1' + "0" * 400 + ", 0, 0]}", id="axis-400-digit-integer"),
             # catalogs that cannot be read or drawn
             '{"catalog_path": "missing-catalog.csv"}',
             '{"catalog_path": "."}',
@@ -83,6 +86,34 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert "config error" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("axis", [[1e200, 0.0, 0.0], [0.0, -1e155, 1e155]])
+    def test_overflowing_axis_exits_2(self, tmp_path, capsys, axis):
+        # the squared norm is inf: such an axis used to run at zero rate
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"duration_s": 2.0, "axis": axis}))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and "axis" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_step_count_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        import attsim.harness as hmod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the simulation loop started")
+
+        monkeypatch.setattr(hmod, "trajectory_omega", never)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"duration_s": 1e300, "gyro_rate_hz": 1e-3, "tracker_rate_hz": 1e-3}))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and "gyro steps" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -191,11 +222,10 @@ _CSV_TEXT = st.builds(
 
 
 # Values of the right type for each field, some out of range. Those that
-# pass intake keep a run short: at most 2 s at 100 Hz. Sizes that pass
-# intake but scale the work (a duration times gyro rate of 1e20 steps) would
-# run for as long as they ask and are left out.
+# pass intake keep a run short: at most 2 s at 100 Hz. A duration of 1e300 s
+# asks for more gyro steps than intake accepts.
 _TYPED_VALUES = {
-    "duration_s": [0.5, 2.0, 1e-9, 1e308, -1.0],
+    "duration_s": [0.5, 2.0, 1e-9, 1e300, 1e308, -1.0],
     "gyro_rate_hz": [10.0, 100.0, 0.0],
     "tracker_rate_hz": [1.0, 10.0, 1e-3, 1e3],
     "n_stars": [2, 3, 60, 1, 10**7 + 1, 2**70],

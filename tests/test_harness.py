@@ -126,6 +126,21 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(duration_s=nan))
 
+    def test_step_count_limit(self):
+        import attsim.harness as hmod
+
+        limit = hmod._MAX_GYRO_STEPS
+        SimConfig(duration_s=limit / 100.0, gyro_rate_hz=100.0).validate()
+        with pytest.raises(ConfigError, match="gyro steps"):
+            SimConfig(duration_s=limit / 100.0 + 0.01, gyro_rate_hz=100.0).validate()
+        with pytest.raises(ConfigError, match="gyro steps"):
+            SimConfig.from_dict({"duration_s": 1e300, "gyro_rate_hz": 1e-3, "tracker_rate_hz": 1e-3})
+
+    def test_overflowing_axis_rejected(self):
+        with pytest.raises(ConfigError, match="overflows"):
+            SimConfig.from_dict({"axis": [1e200, 0.0, 0.0]})
+        assert np.array_equal(SimConfig(axis=(1e150, 0.0, 0.0)).axis_unit(), [1.0, 0.0, 0.0])
+
     def test_integers_accepted_for_floats(self):
         cfg = SimConfig.from_dict({"duration_s": 30, "sigma_gyro": 0, "axis": [0, 1, 0]})
         assert cfg.axis == (0, 1, 0)
@@ -294,6 +309,132 @@ class TestRunSimulation:
         assert len(chunked.t) == 70
         for name in ("pnorm_aekf", "pnorm_mekf", "cond_aekf", "cond_mekf"):
             assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+
+
+def _reference_omega(t, axis):
+    """The orbit rate at one time, written out as one scalar expression."""
+    return -math.cos(t / ORBIT_PERIOD_S * 2.0 * math.pi) * (0.5 * math.pi) * np.asarray(axis, dtype=float)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and not np.any(np.signbit(a) != np.signbit(b))
+
+
+class TestScenarioPass:
+    """The chunked scenario pass draws what a step-by-step loop draws."""
+
+    def test_trajectory_on_an_array_equals_scalar_calls(self):
+        axis = SimConfig(axis=(1.0, -2.0, 0.5)).axis_unit()
+        times = np.concatenate([np.arange(4000) * 0.013 + 0.0065, [0.0, ORBIT_PERIOD_S / 4.0, 1e5]])
+        got = trajectory_omega(times, axis)
+        assert got.shape == (len(times), 3)
+        assert _same_bits(got, np.array([trajectory_omega(float(t), axis) for t in times]))
+        assert _same_bits(got, np.array([_reference_omega(float(t), axis) for t in times]))
+        assert trajectory_omega(times[:0], axis).shape == (0, 3)
+        with pytest.raises(InvalidInput):
+            trajectory_omega(np.array([1.0, -1e-9]), axis)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 333])
+    @pytest.mark.parametrize("spare", [False, True])
+    def test_gyro_block_equals_one_step_calls(self, n, spare):
+        a, b = RngStream(77), RngStream(77)
+        if spare:  # start the block with a spare deviate waiting
+            assert a.gaussian(1.0) == b.gaussian(1.0)
+        rates = trajectory_omega(np.arange(n) * 0.01 + 0.005, (0.0, 0.0, 1.0))
+        got = emulate_gyro(rates, 1e-3, a)
+        want = np.array([emulate_gyro(w, 1e-3, b) for w in rates])
+        assert got.shape == (n, 3)
+        assert _same_bits(got, want)
+        assert (a._state, a._spare) == (b._state, b._spare)
+        assert np.array_equal(emulate_gyro(rates, 0.0, a), rates)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(duration_s=12.0, tracker_rate_hz=3.0, record_stride=7, axis=(1.0, 2.0, -0.5)),
+            dict(duration_s=6.0),
+            dict(duration_s=3.0, gyro_rate_hz=10.0, tracker_rate_hz=10.0, record_stride=1),
+            dict(duration_s=50.0, tracker_rate_hz=0.02, record_stride=10**9),
+        ],
+    )
+    def test_chunk_bounds_do_not_change_outputs(self, cfg, monkeypatch, tmp_path):
+        # one epoch and at most 7 steps plus one block per chunk: many more
+        # chunks, the same blocks, byte-identical outputs
+        import attsim.harness as hmod
+
+        calls = []
+        real_omega = hmod.trajectory_omega
+
+        def counted(t, axis):
+            calls.append(np.size(t))
+            return real_omega(t, axis)
+
+        monkeypatch.setattr(hmod, "trajectory_omega", counted)
+        write_outputs(run_simulation(short_cfg(**cfg)), tmp_path / "whole", no_timing=True)
+        whole_calls = len(calls)
+        monkeypatch.setattr(hmod, "_EPOCH_CHUNK", 1)
+        monkeypatch.setattr(hmod, "_CHUNK_STEPS", 7)
+        write_outputs(run_simulation(short_cfg(**cfg)), tmp_path / "small", no_timing=True)
+        assert len(calls) - whole_calls > whole_calls
+        for name in ("metrics.json", "timeseries.csv"):
+            assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "small" / name).read_bytes()
+
+
+def _fail_davenport_at(monkeypatch, epoch, how):
+    """Make the Davenport solve of tracker epoch ``epoch`` (0-based) fail.
+
+    ``how`` is ``"z"`` (the z-vector cross-check of that epoch's matrix) or
+    ``"sweep"`` (the eigensolve of that epoch's matrix, alone or in a stack).
+    """
+    import attsim.wahba as wmod
+    from attsim.errors import NumericalFailure
+
+    seen = []
+    real_matrix, real_eigen = wmod.davenport_matrix, wmod.jacobi_eigen_sym
+
+    def matrix(profile, obs):
+        seen.append(None)
+        k = real_matrix(profile, obs)
+        if len(seen) - 1 == epoch:
+            if how == "z":
+                raise NumericalFailure("z-vector formulas disagree; profile does not match observations")
+            seen[-1] = k.k
+        return k
+
+    def eigen(m):
+        bad = seen[epoch] if len(seen) > epoch else None
+        stack = np.asarray(m).reshape(-1, 4, 4)
+        if bad is not None and any(np.array_equal(x, bad) for x in stack):
+            raise NumericalFailure("Jacobi sweep limit reached (off-diagonal 1.000e+00)")
+        return real_eigen(m)
+
+    monkeypatch.setattr(wmod, "davenport_matrix", matrix)
+    monkeypatch.setattr(wmod, "jacobi_eigen_sym", eigen)
+
+
+class TestDavenportAbort:
+    """A Davenport NumericalFailure aborts at its own epoch, as with one solve per epoch."""
+
+    @pytest.mark.parametrize("epoch", [0, 13, 29])
+    @pytest.mark.parametrize("how", ["z", "sweep"])
+    def test_same_partial_result_as_one_solve_per_epoch(self, epoch, how, monkeypatch):
+        import attsim.harness as hmod
+
+        cfg = dict(duration_s=30.0, record_stride=20)  # 30 epochs in one chunk
+        with monkeypatch.context() as m:
+            _fail_davenport_at(m, epoch, how)
+            stacked = run_simulation(short_cfg(**cfg))
+        with monkeypatch.context() as m:
+            _fail_davenport_at(m, epoch, how)
+            m.setattr(hmod, "_EPOCH_CHUNK", 1)
+            alone = run_simulation(short_cfg(**cfg))
+        assert stacked.aborted is not None and stacked.aborted == alone.aborted
+        assert len(stacked.epoch_t) == epoch
+        assert stacked.t[-1] == pytest.approx(epoch + 1.0)
+        for name in ("t", "q_true", "q_aekf", "q_mekf", "err_aekf", "err_mekf", "pnorm_aekf",
+                     "pnorm_mekf", "cond_aekf", "cond_mekf", "epoch_t", "q_meas"):
+            assert np.array_equal(getattr(stacked, name), getattr(alone, name)), name
+        assert stacked.skipped_epochs == alone.skipped_epochs
 
 
 class TestComputeMetrics:

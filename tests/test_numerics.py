@@ -8,7 +8,6 @@ from attsim.errors import InvalidInput, NumericalFailure
 from attsim.numerics import (
     RngStream,
     condition_number,
-    gaussian,
     inv,
     jacobi_eigen_sym,
     solve,
@@ -16,6 +15,7 @@ from attsim.numerics import (
 )
 
 from conftest import random_symmetric
+from oracles import jacobi_eigen_one
 
 
 def _char_poly_roots_bisect(m: np.ndarray) -> np.ndarray:
@@ -128,12 +128,12 @@ class TestJacobi:
 
 
 def _per_matrix(stack):
-    """Reference: the one-matrix path applied to each member of a stack."""
+    """Reference: the scalar one-matrix sweep applied to each member of a stack."""
     n = stack.shape[1]
     evals = np.zeros((len(stack), n))
     evecs = np.zeros((len(stack), n, n))
     for i, m in enumerate(stack):
-        evals[i], evecs[i] = jacobi_eigen_sym(m)
+        evals[i], evecs[i] = jacobi_eigen_one(m)
     return evals, evecs
 
 
@@ -171,6 +171,19 @@ class TestJacobiStack:
         # the zero member returns +0.0 eigenvalues, as the one-matrix path does
         assert not np.signbit(evals[3]).any()
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_one_matrix_is_a_stack_of_one(self, n):
+        # a lone matrix goes through the stacked sweep and still equals the
+        # scalar sweep bit for bit, zero and diagonal matrices included
+        rng = RngStream(200 + n)
+        mats = [random_symmetric(rng, n) for _ in range(10)]
+        for m in mats + [np.zeros((n, n)), np.diag(np.arange(n, 0.0, -1.0))]:
+            evals, evecs = jacobi_eigen_sym(m)
+            ref_evals, ref_evecs = jacobi_eigen_one(m)
+            assert evals.shape == (n,) and evecs.shape == (n, n)
+            assert np.array_equal(evals, ref_evals) and np.array_equal(evecs, ref_evecs)
+            assert not np.any(np.signbit(evals) != np.signbit(ref_evals))
+
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_empty_stack(self, n):
         evals, evecs = jacobi_eigen_sym(np.zeros((0, n, n)))
@@ -206,8 +219,11 @@ class TestJacobiStack:
         rng = RngStream(43)
         stack = np.array([np.eye(4), random_symmetric(rng, 4)])
         monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure) as alone:
             jacobi_eigen_sym(stack[1])
+        with pytest.raises(NumericalFailure) as oracle:
+            jacobi_eigen_one(stack[1])
+        assert str(alone.value) == str(oracle.value)
         with pytest.raises(NumericalFailure, match="in 1 matrices"):
             jacobi_eigen_sym(stack)
 
@@ -293,11 +309,6 @@ class TestRngStream:
         a = RngStream(1)
         b = RngStream(2)
         assert any(a.uniform() != b.uniform() for _ in range(10))
-
-    def test_module_level_alias(self):
-        a = RngStream(9)
-        b = RngStream(9)
-        assert gaussian(a, 2.0) == b.gaussian(2.0)
 
     def test_uniform_range(self):
         rng = RngStream(77)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from attsim.attitude import error_angle, quat_to_matrix
-from attsim.errors import DegenerateGeometry, InvalidInput, NumericalFailure, UnderdeterminedAttitude
+from attsim.errors import (
+    AttsimError,
+    DegenerateGeometry,
+    InvalidInput,
+    NumericalFailure,
+    UnderdeterminedAttitude,
+)
 from attsim.numerics import RngStream
 from attsim.startracker import ObservationSet, default_camera_rig, generate_catalog, observe
 from attsim.wahba import (
@@ -295,3 +301,73 @@ class TestAgainstPerStarLoop:
                 davenport_solve(ObservationSet(b=b, r=r))
             with pytest.raises(UnderdeterminedAttitude):
                 davenport_per_star(b, r, [1.0] * len(b))
+
+
+class TestDavenportSequence:
+    """``davenport_solve`` on a sequence of sets: one stacked eigensolve, per-set outcomes."""
+
+    @staticmethod
+    def _one_by_one(sets):
+        out = []
+        for obs in sets:
+            try:
+                out.append(davenport_solve(obs))
+            except AttsimError as exc:
+                out.append(exc)
+        return out
+
+    def _mixed_sets(self):
+        rng = RngStream(61)
+        z = np.array([[0.0, 0.0, 1.0]])
+        sets = [_random_pairs(rng, n) for n in (2, 3, 7, 40)]
+        sets.insert(1, ObservationSet(b=z, r=z))  # one star
+        sets.insert(3, ObservationSet(b=np.vstack([z, z]), r=np.vstack([z, z])))  # degenerate gap
+        sets.append(_obs_from_attitude(random_unit_quat(rng), rng, 5))
+        return sets
+
+    def test_equals_one_call_per_set_bitwise(self):
+        sets = self._mixed_sets()
+        got = davenport_solve(sets)
+        want = self._one_by_one(sets)
+        assert len(got) == len(sets)
+        kinds = [type(g).__name__ for g in got]
+        assert kinds.count("UnderdeterminedAttitude") == 2 and kinds.count("WahbaSolution") == 5
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            if isinstance(w, AttsimError):
+                assert str(g) == str(w)
+            else:
+                assert np.array_equal(g.q, w.q)
+                assert not np.any(np.signbit(g.q) != np.signbit(w.q))
+                assert g.lambda_max == w.lambda_max
+                assert g.loss == w.loss
+
+    def test_empty_sequence(self):
+        assert davenport_solve([]) == []
+
+    def test_sweep_limit_belongs_to_its_set(self, monkeypatch):
+        # one matrix of the stack fails the sweep; only its set reports it,
+        # with the message a one-set call gives
+        import attsim.wahba as wmod
+
+        sets = self._mixed_sets()
+        bad = davenport_matrix(build_profile(sets[2]), sets[2]).k
+        real = wmod.jacobi_eigen_sym
+
+        def limited(m):
+            m = np.asarray(m)
+            hit = np.array_equal(m, bad) if m.ndim == 2 else any(np.array_equal(x, bad) for x in m)
+            if hit:
+                raise NumericalFailure("Jacobi sweep limit reached (off-diagonal 1.000e+00)")
+            return real(m)
+
+        monkeypatch.setattr(wmod, "jacobi_eigen_sym", limited)
+        got = davenport_solve(sets)
+        want = self._one_by_one(sets)
+        assert isinstance(got[2], NumericalFailure)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            if isinstance(w, AttsimError):
+                assert str(g) == str(w)
+            else:
+                assert np.array_equal(g.q, w.q)
