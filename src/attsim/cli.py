@@ -224,6 +224,20 @@ def _selfcheck_cases(tol_scale: float):
         same = all(a.gaussian(1.0) == b.gaussian(1.0) for _ in range(100))
         return (0.0 if same else 1.0), 0.0
 
+    def check_rng_block():
+        # each block draw must return, and leave the stream as, that many
+        # gaussian() calls would, bit for bit; counts the calls that differ
+        a = numerics.RngStream(11)
+        b = numerics.RngStream(11)
+        differ = 0
+        for i, n in enumerate((1, 2, 3, 7, 540, 12_288, 3, 540, 1)):
+            sigma = (1.0, 1e-3)[i % 2]
+            got = a.gaussian_vec(sigma, n)
+            want = np.array([b.gaussian(sigma) for _ in range(n)])
+            if got.tobytes() != want.tobytes() or (a._state, a._spare) != (b._state, b._spare):
+                differ += 1
+        return float(differ), 0.0
+
     return [
         ("jacobi_residual", check_jacobi),
         ("jacobi_stack_bitwise", check_jacobi_stack),
@@ -232,6 +246,7 @@ def _selfcheck_cases(tol_scale: float):
         ("triad_exactness", check_triad),
         ("integrate_norm_drift", check_integrate_drift),
         ("rng_reproducibility", check_rng_repeat),
+        ("rng_block_bitwise", check_rng_block),
     ]
 
 

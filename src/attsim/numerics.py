@@ -17,9 +17,28 @@ and the Davenport solve stacks the matrices of many tracker epochs.
 The random stream is xorshift64* seeded through one round of splitmix64,
 with Gaussian deviates drawn by the polar (Marsaglia) method. The
 algorithm is part of the on-disk contract: changing it would invalidate
-golden outputs keyed by seed.
+golden outputs keyed by seed. ``RngStream.gaussian`` is its scalar
+definition. ``RngStream.gaussian_vec(sigma, n)`` draws the same deviates
+in blocks, and returns, and leaves the stream in, exactly what ``n`` calls
+of ``gaussian(sigma)`` would:
+
+- The xorshift step T is linear over GF(2), so a ``(64, 256)`` table of
+  T^1 ... T^256 applied to each basis bit (128 KiB, built on first use)
+  gives the next 256 states as the XOR of the rows of the current state's
+  set bits (Haramoto et al. 2008 jump-ahead). Chaining from the last state
+  of each block gives any number of states.
+- The ``*`` scramble wraps in ``uint64``; the uniforms, ``s = u*u + v*v``
+  and the acceptance test ``0 < s < 1`` are array operations. ``np.sqrt``,
+  ``*`` and ``/`` are correctly rounded, so they match ``math``.
+- ``np.log`` is not: it differed from ``math.log`` on about 0.35 % of
+  inputs on an AVX-512 host. So ``math.log`` is taken on the accepted
+  ``s`` values only.
+- The state left is the state at the last pair consumed, whatever the
+  pass drew beyond it, and when ``n`` leaves half a pair, that pair's
+  ``v*f`` becomes the spare deviate the next draw returns first.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -34,6 +53,14 @@ _SYM_REL_TOL = 1e-9
 _U64 = (1 << 64) - 1
 _XS_MULT = 0x2545F4914F6CDD1D
 _U53 = 1.0 / (1 << 53)
+_XS_MULT_NP = np.uint64(_XS_MULT)
+_ONE = np.uint64(1)
+_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+# states per application of the jump table (a 128 KiB table), and the most
+# candidate pairs one pass of gaussian_vec draws, which bounds its
+# temporaries to a few MB for any n
+_JUMP_LEN = 256
+_PASS_PAIRS = 1 << 14
 
 
 def _as_square(m) -> np.ndarray:
@@ -292,42 +319,102 @@ class RngStream:
         """``n`` samples from N(0, sigma^2).
 
         Returns the values, and leaves the state and the spare deviate, that
-        ``n`` calls of :meth:`gaussian` would, bit for bit; the xorshift step
-        and the polar method are written out in one loop because the method
-        calls cost more than the arithmetic.
+        ``n`` calls of :meth:`gaussian` would, bit for bit. The draw runs in
+        passes of at most ``_PASS_PAIRS`` candidate pairs, each sized from
+        the deviates still needed: the pass's states come from the jump
+        table, the scramble, the uniforms and the acceptance test are array
+        operations, and ``math.log`` is taken on the accepted ``s`` only.
+        A pass that accepts too few pairs is followed by another.
         """
         if sigma < 0.0:
             raise InvalidInput("sigma must be nonnegative")
         if sigma == 0.0 or n <= 0:
             return np.zeros(max(n, 0))
-        out = [0.0] * n
+        out = np.empty(n)
         i = 0
         if self._spare is not None:
             out[0] = self._spare * sigma
             self._spare = None
             i = 1
-        x = self._state
-        log, sqrt = math.log, math.sqrt
         while i < n:
-            while True:
-                x ^= x >> 12
-                x ^= (x << 25) & _U64
-                x ^= x >> 27
-                u = 2.0 * ((((x * _XS_MULT) & _U64) >> 11) * _U53) - 1.0
-                x ^= x >> 12
-                x ^= (x << 25) & _U64
-                x ^= x >> 27
-                v = 2.0 * ((((x * _XS_MULT) & _U64) >> 11) * _U53) - 1.0
-                s = u * u + v * v
-                if 0.0 < s < 1.0:
-                    break
-            f = sqrt(-2.0 * log(s) / s)
-            out[i] = u * f * sigma
-            if i + 1 < n:
-                out[i + 1] = v * f * sigma
-            else:
-                self._spare = v * f
-            i += 2
-        self._state = x
-        return np.array(out)
+            need = (n - i + 1) // 2
+            # pi/4 of the candidate pairs are accepted on average
+            pairs = min(_PASS_PAIRS, need * 4 // 3 + 32)
+            x = _xorshift_states(self._state, -(-2 * pairs // _JUMP_LEN))
+            w = 2.0 * (((x * _XS_MULT_NP) >> np.uint64(11)).astype(float) * _U53) - 1.0
+            u, v = w[0::2], w[1::2]
+            s = u * u + v * v
+            idx = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
+            # the stream stops at the last pair consumed: the pass's last
+            # pair when it fell short, else the last accepted pair used
+            self._state = int(x[-1] if idx.size < need else x[2 * idx[-1] + 1])
+            s = s[idx]
+            log_s = np.array([math.log(t) for t in s.tolist()], dtype=float)
+            f = np.sqrt(-2.0 * log_s / s)
+            pair_out = np.empty((idx.size, 2))
+            pair_out[:, 0] = u[idx] * f
+            pair_out[:, 1] = v[idx] * f
+            m = min(2 * idx.size, n - i)
+            if m < 2 * idx.size:
+                self._spare = float(pair_out[-1, 1])
+            out[i:i + m] = pair_out.ravel()[:m] * sigma
+            i += m
+        return out
 
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """``(64, _JUMP_LEN)`` table whose column ``k`` is T^(k+1) applied to each basis bit.
+
+    T is the xorshift step, linear over GF(2), so T^k x is the XOR of
+    column ``k - 1`` over the set bits of ``x``. The columns are built in
+    groups of 32 that step together: group ``g`` starts from T^(32 g) of
+    each basis bit, T^32 applied to the start of group ``g - 1``, and T^32
+    comes from squaring T five times. Built once, read-only.
+    """
+    steps = 32
+    groups = _JUMP_LEN // steps
+    basis = _ONE << _BIT_SHIFTS
+    jump = basis.copy()
+    _xorshift_step(jump)
+    for _ in range(5):
+        jump = _apply_gf2(jump, jump)
+    x = np.empty((64, groups), dtype=np.uint64)
+    x[:, 0] = basis
+    for g in range(1, groups):
+        x[:, g] = _apply_gf2(jump, x[:, g - 1])
+    table = np.empty((64, groups, steps), dtype=np.uint64)
+    for k in range(steps):
+        _xorshift_step(x)
+        table[:, :, k] = x
+    table = table.reshape(64, _JUMP_LEN)
+    table.setflags(write=False)
+    return table
+
+
+def _xorshift_step(x: np.ndarray) -> None:
+    """One xorshift step of every state in the ``uint64`` array ``x``, in place."""
+    x ^= x >> np.uint64(12)
+    x ^= x << np.uint64(25)
+    x ^= x >> np.uint64(27)
+
+
+def _apply_gf2(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A GF(2)-linear map applied to each state of ``x``, given its images ``m`` of the 64 basis bits."""
+    bits = ((x[:, None] >> _BIT_SHIFTS) & _ONE) != 0
+    return np.bitwise_xor.reduce(np.where(bits, m, np.uint64(0)), axis=1)
+
+
+def _xorshift_states(x: int, n_blocks: int) -> np.ndarray:
+    """The ``n_blocks * _JUMP_LEN`` xorshift states that follow state ``x``, in order.
+
+    Each block is one masked XOR-reduce of the jump table from the last
+    state of the block before it.
+    """
+    table = _jump_table()
+    states = np.empty((n_blocks + 1, _JUMP_LEN), dtype=np.uint64)
+    states[0, -1] = x
+    for b in range(n_blocks):
+        bits = ((states[b, -1] >> _BIT_SHIFTS) & _ONE) != 0
+        np.bitwise_xor.reduce(table[bits], axis=0, out=states[b + 1])
+    return states[1:].ravel()

@@ -133,20 +133,27 @@ _MAX_CATALOG_STARS = 10_000_000
 
 
 def generate_catalog(n: int, rng: RngStream) -> StarCatalog:
-    """Draw ``n`` directions uniformly on the unit sphere (normalized Gaussian triples)."""
+    """Draw ``n`` directions uniformly on the unit sphere (normalized Gaussian triples).
+
+    The triples come from one draw of ``3 n`` deviates. A triple whose norm
+    is at most 1e-12 is dropped and the shortfall drawn after the rest, so
+    star ``i`` is the ``i``-th usable triple of the stream, as it would be
+    if each star drew its own triples.
+    """
     if n < 2:
         raise InvalidInput("a catalog needs at least 2 stars")
     if n > _MAX_CATALOG_STARS:
         raise InvalidInput(f"a catalog holds at most {_MAX_CATALOG_STARS} stars")
     stars = np.empty((n, 3))
-    for i in range(n):
-        while True:
-            v = rng.gaussian_vec(1.0, 3)
-            x, y, z = v.tolist()
-            norm = math.sqrt(x * x + y * y + z * z)
-            if norm > 1e-12:
-                break
-        stars[i] = v / norm
+    k = 0
+    while k < n:
+        v = rng.gaussian_vec(1.0, 3 * (n - k)).reshape(-1, 3)
+        norm = row_norms(v)
+        keep = norm > 1e-12
+        if not keep.all():
+            v, norm = v[keep], norm[keep]
+        np.divide(v, norm[:, None], out=stars[k:k + v.shape[0]])
+        k += v.shape[0]
     return StarCatalog(stars=stars, seed=rng.seed)
 
 

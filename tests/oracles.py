@@ -11,6 +11,14 @@ from the array path in the last bits.
 stack of matrices. :func:`jacobi_eigen_one` is the same sweep written for
 one matrix with scalar arithmetic, the reference each member of a stack
 must equal bit for bit.
+
+``attsim.numerics.RngStream.gaussian_vec`` draws its deviates in blocks
+from a jump table, and ``attsim.startracker.generate_catalog`` draws all
+its triples at once. :func:`gaussian_vec_per_draw` is the xorshift step and
+the polar method written out one draw at a time, and
+:func:`generate_catalog_per_star` draws one triple per star; each is the
+reference its block counterpart must equal bit for bit, in values, state
+and spare deviate.
 """
 
 import math
@@ -21,6 +29,7 @@ import attsim.numerics as numerics
 from attsim.attitude import quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from attsim.numerics import check_symmetric, jacobi_eigen_sym
+from attsim.startracker import StarCatalog
 
 
 def observe_per_star(q_true, catalog, cams, sigma_star, rng):
@@ -148,3 +157,66 @@ def jacobi_eigen_one(m):
     evals = np.diag(a).copy()
     order = np.argsort(-evals, kind="stable")
     return evals[order], v[:, order].T.copy()
+
+
+_U64 = (1 << 64) - 1
+
+
+def gaussian_vec_per_draw(rng, sigma, n):
+    """``n`` samples from N(0, sigma^2) off ``rng``, one xorshift step and one polar pair at a time.
+
+    Reads and leaves ``rng._state`` and ``rng._spare`` as ``n`` calls of
+    ``rng.gaussian(sigma)`` would.
+    """
+    if sigma < 0.0:
+        raise InvalidInput("sigma must be nonnegative")
+    if sigma == 0.0 or n <= 0:
+        return np.zeros(max(n, 0))
+    out = [0.0] * n
+    i = 0
+    if rng._spare is not None:
+        out[0] = rng._spare * sigma
+        rng._spare = None
+        i = 1
+    x = rng._state
+    mult, u53 = numerics._XS_MULT, numerics._U53
+    log, sqrt = math.log, math.sqrt
+    while i < n:
+        while True:
+            x ^= x >> 12
+            x ^= (x << 25) & _U64
+            x ^= x >> 27
+            u = 2.0 * ((((x * mult) & _U64) >> 11) * u53) - 1.0
+            x ^= x >> 12
+            x ^= (x << 25) & _U64
+            x ^= x >> 27
+            v = 2.0 * ((((x * mult) & _U64) >> 11) * u53) - 1.0
+            s = u * u + v * v
+            if 0.0 < s < 1.0:
+                break
+        f = sqrt(-2.0 * log(s) / s)
+        out[i] = u * f * sigma
+        if i + 1 < n:
+            out[i + 1] = v * f * sigma
+        else:
+            rng._spare = v * f
+        i += 2
+    rng._state = x
+    return np.array(out)
+
+
+def generate_catalog_per_star(n, rng):
+    """``n`` unit directions, one ``rng.gaussian_vec(1.0, 3)`` triple per star.
+
+    A triple whose norm is at most 1e-12 is drawn again.
+    """
+    stars = np.empty((n, 3))
+    for i in range(n):
+        while True:
+            v = rng.gaussian_vec(1.0, 3)
+            x, y, z = v.tolist()
+            norm = math.sqrt(x * x + y * y + z * z)
+            if norm > 1e-12:
+                break
+        stars[i] = v / norm
+    return StarCatalog(stars=stars, seed=rng.seed)

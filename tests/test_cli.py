@@ -345,6 +345,7 @@ class TestSelfcheck:
         assert rc == 0
         assert "ok: davenport_recovery" in out
         assert "ok: jacobi_stack_bitwise" in out
+        assert "ok: rng_block_bitwise (measured 0.000e+00, tolerance 0.000e+00)" in out
         assert "FAIL" not in out
 
     def test_strict_profile(self, capsys):

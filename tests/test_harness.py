@@ -67,8 +67,8 @@ class TestEmulateGyro:
 
     def test_noise_statistics(self):
         rng = RngStream(2)
-        w = np.zeros(3)
-        samples = np.array([emulate_gyro(w, 0.01, rng) for _ in range(100_000)])
+        # one (n, 3) block draws what n one-step calls would (TestScenarioPass)
+        samples = emulate_gyro(np.zeros((100_000, 3)), 0.01, rng)
         for axis in range(3):
             assert abs(samples[:, axis].std() - 0.01) <= 0.01 * 0.05
 

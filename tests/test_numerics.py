@@ -15,7 +15,7 @@ from attsim.numerics import (
 )
 
 from conftest import random_symmetric
-from oracles import jacobi_eigen_one
+from oracles import gaussian_vec_per_draw, jacobi_eigen_one
 
 
 def _char_poly_roots_bisect(m: np.ndarray) -> np.ndarray:
@@ -321,17 +321,37 @@ class TestRngStream:
 
     def test_gaussian_vec_is_the_per_draw_stream(self):
         # interleaved with single draws, so each call starts with and
-        # without a spare deviate, and ends with and without leaving one
-        a = RngStream(2024)
-        b = RngStream(2024)
+        # without a spare deviate, and ends with and without leaving one;
+        # the per-draw oracle is checked against gaussian() here and the
+        # block generator against both
+        a, b, c = RngStream(2024), RngStream(2024), RngStream(2024)
         sizes = (1, 2, 3, 7, 533, 1, 1, 3, 2, 7, 533, 0, 2, 3)
         for i, n in enumerate(sizes * 3):
             sigma = (1.0, 1e-3, 0.0, 2.5)[i % 4]
             got = a.gaussian_vec(sigma, n)
+            oracle = gaussian_vec_per_draw(c, sigma, n)
             want = np.array([b.gaussian(sigma) for _ in range(n)])
             assert got.shape == (n,)
-            assert np.array_equal(got, want)
-            assert not np.any(np.signbit(got) != np.signbit(want))
-            assert (a._state, a._spare) == (b._state, b._spare)
+            assert got.tobytes() == want.tobytes() == oracle.tobytes()
+            assert (a._state, a._spare) == (b._state, b._spare) == (c._state, c._spare)
             if i % 3 == 0:
+                assert a.gaussian(1.0) == b.gaussian(1.0) == c.gaussian(1.0)
+
+        # over 1e7 draws against the oracle: sizes around what one 256-state
+        # jump yields (about 200 deviates) and what one pass capped at
+        # 16,384 candidate pairs yields (about 25,700), odd sizes, and
+        # draws that take many passes
+        a, b = RngStream(7), RngStream(7)
+        sizes = (0, 1, 2, 3, 7, 199, 200, 201, 255, 256, 257, 511, 540, 12_288,
+                 25_735, 25_736, 25_737, 32_767, 32_768, 32_769, 65_537, 1_000_001, 2_000_003)
+        drawn = 0
+        for i, n in enumerate(sizes * 5):
+            sigma = (1.0, 1e-3, 0.0)[i % 3]
+            got = a.gaussian_vec(sigma, n)
+            want = gaussian_vec_per_draw(b, sigma, n)
+            assert got.tobytes() == want.tobytes(), (i, n, sigma)
+            assert (a._state, a._spare) == (b._state, b._spare), (i, n, sigma)
+            if i % 4 == 0:
                 assert a.gaussian(1.0) == b.gaussian(1.0)
+            drawn += n if sigma else 0
+        assert drawn >= 10_000_000

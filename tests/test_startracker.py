@@ -21,7 +21,7 @@ from attsim.startracker import (
 )
 
 from conftest import random_unit_quat
-from oracles import observe_per_star
+from oracles import generate_catalog_per_star, observe_per_star
 
 FOV20 = math.radians(20.0)
 
@@ -30,6 +30,23 @@ def _cam(fov=FOV20, f=1.0, mount=None):
     if mount is None:
         mount = identity_quat()
     return CameraModel(focal_length=f, fov_half_angle=fov, mount=mount)
+
+
+class _PatchedStream(RngStream):
+    """A stream whose deviates at the given positions of the stream read as given."""
+
+    def __init__(self, seed, patched):
+        super().__init__(seed)
+        self.patched = patched
+        self.drawn = 0
+
+    def gaussian_vec(self, sigma, n=3):
+        v = super().gaussian_vec(sigma, n)
+        for pos, value in self.patched.items():
+            if self.drawn <= pos < self.drawn + n:
+                v[pos - self.drawn] = value
+        self.drawn += n
+        return v
 
 
 class TestCatalog:
@@ -43,6 +60,27 @@ class TestCatalog:
     def test_too_few_rejected(self):
         with pytest.raises(InvalidInput):
             generate_catalog(1, RngStream(1))
+
+    @pytest.mark.parametrize("n, spare_in", [(2, False), (3, True), (100, False), (1001, True)])
+    def test_one_draw_is_the_per_star_loop(self, n, spare_in):
+        a, b = RngStream(n), RngStream(n)
+        if spare_in:
+            assert a.gaussian(1.0) == b.gaussian(1.0)
+        got = generate_catalog(n, a)
+        want = generate_catalog_per_star(n, b)
+        assert got.stars.tobytes() == want.stars.tobytes()
+        assert (a._state, a._spare) == (b._state, b._spare)
+
+    def test_short_triples_are_drawn_again(self):
+        # a zero first triple and a 1e-13 one further on are skipped, and
+        # the shortfall comes from the triples after the first draw
+        zeroed = {0: 0.0, 1: 0.0, 2: 0.0, 15: 1e-13, 16: 0.0, 17: 0.0}
+        a, b = _PatchedStream(8, zeroed), _PatchedStream(8, zeroed)
+        got = generate_catalog(10, a)
+        want = generate_catalog_per_star(10, b)
+        assert got.stars.tobytes() == want.stars.tobytes()
+        assert (a._state, a._spare) == (b._state, b._spare)
+        assert a.drawn == b.drawn == 36
 
     def test_uniformity(self):
         # mean of n uniform sphere points is within ~3/sqrt(n) of zero
