@@ -98,19 +98,6 @@ def quat_to_gibbs(q) -> np.ndarray:
     return q[:3] / w
 
 
-def gibbs_to_quat(g) -> np.ndarray:
-    """Unit quaternion (g; 1)/sqrt(1 + |g|^2), scalar part positive."""
-    x, y, z = np.asarray(g, dtype=float).tolist()
-    s = 1.0 / math.sqrt(1.0 + (x * x + y * y + z * z))
-    return np.array([x * s, y * s, z * s, s])
-
-
-def quat_kinematics(q, omega) -> np.ndarray:
-    """Quaternion rate 0.5 * (omega; 0) * q for body rate ``omega`` [rad/s]."""
-    wx, wy, wz = omega
-    return 0.5 * quat_mul(np.array([wx, wy, wz, 0.0]), q)
-
-
 def integrate_quat(q, omega, dt: float) -> np.ndarray:
     """Exact attitude propagation for piecewise-constant rates over steps of ``dt``.
 
@@ -124,7 +111,9 @@ def integrate_quat(q, omega, dt: float) -> np.ndarray:
     """
     w = np.asarray(omega, dtype=float)
     if w.ndim == 2:
-        return integrate_quat_path(q, w, dt)[-1]
+        if w.shape[0] > 1:
+            return integrate_quat_path(q, w, dt)[-1]
+        w = w[0]
     wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
     wnorm = math.sqrt(wx * wx + wy * wy + wz * wz)
     if wnorm == 0.0:
@@ -228,19 +217,6 @@ def omega_matrix(omega) -> np.ndarray:
     )
 
 
-def xi_matrix(q) -> np.ndarray:
-    """4x3 matrix Xi(q) with Xi(q) @ omega == (omega; 0) * q."""
-    x, y, z, w = q
-    return np.array(
-        [
-            [w, z, -y],
-            [-z, w, x],
-            [y, -x, w],
-            [-x, -y, -z],
-        ]
-    )
-
-
 def cross_matrix(v) -> np.ndarray:
     """Skew-symmetric matrix [v x] with [v x] @ u == v x u."""
     vx, vy, vz = v
@@ -251,20 +227,3 @@ def cross_matrix(v) -> np.ndarray:
             [-vy, vx, 0.0],
         ]
     )
-
-
-def quat_to_euler(q):
-    """Intrinsic Z-Y-X (yaw, pitch, roll) angles of A(q), for reporting.
-
-    Returns ``(roll, pitch, yaw)`` in radians with pitch in [-pi/2, pi/2].
-    """
-    a = quat_to_matrix(q)
-    sp = -float(a[0, 2])
-    if sp > 1.0:
-        sp = 1.0
-    elif sp < -1.0:
-        sp = -1.0
-    pitch = math.asin(sp)
-    yaw = math.atan2(float(a[0, 1]), float(a[0, 0]))
-    roll = math.atan2(float(a[1, 2]), float(a[2, 2]))
-    return roll, pitch, yaw

@@ -11,14 +11,15 @@ Additive EKF (AEKF)
 
 Multiplicative EKF (MEKF)
     The reference quaternion is propagated exactly and is always unit; the
-    filter estimates a 6-component error state (Rodrigues-parameter
-    attitude error stacked with gyro bias error) with a 6x6 covariance.
-    The attitude error coordinate is ``a = 2 * q_vec / q_scalar`` of the
-    error quaternion, so the reset quaternion ``(a; 2) / sqrt(4 + |a|^2)``
-    inverts it exactly and a near-perfect measurement pulls the reference
-    all the way onto the measured attitude. Bias states are carried so the
-    covariance has the standard 6x6 shape, but the bias estimate is frozen
-    at zero and never fed back.
+    filter estimates a 3-component attitude error with a 3x3 covariance
+    (Markley 2003, "Attitude error representations for Kalman filtering").
+    The error coordinate is twice the Gibbs vector of the error quaternion,
+    ``a = 2 * q_vec / q_scalar``, so the reset quaternion
+    ``(a; 2) / sqrt(4 + |a|^2)`` inverts it exactly and a near-perfect
+    measurement pulls the reference all the way onto the measured attitude.
+    The error is folded into the reference at every update, so the state
+    holds no error estimate between updates. The truth gyro has no bias and
+    the filter estimates none.
 
 Block predict
     Each filter has one predict, and it crosses a whole block of gyro
@@ -34,14 +35,14 @@ Block predict
     predicts up to rounding; the caller decides where a block ends (the
     harness ends one at every tracker epoch and every record instant).
 
-Both updates sign-align the measured quaternion against the current
-estimate before forming a residual, which makes the filters insensitive
-to the q/-q double cover. Covariances are re-symmetrized after every
+The AEKF update sign-aligns the measured quaternion against the current
+estimate before forming a residual, and the MEKF's Gibbs innovation does
+not depend on the sign, which makes both filters insensitive to the q/-q
+double cover. Covariances are re-symmetrized after every
 predict and update.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,11 +54,13 @@ from .attitude import (
     quat_conjugate,
     quat_mul,
     quat_normalize,
+    quat_to_gibbs,
 )
-from .errors import GibbsSingularity, InvalidInput
+from .errors import InvalidInput
 from .numerics import solve, symmetrize
 
 _I3 = np.eye(3)
+_I3_FLAT = _I3.ravel()
 _I4 = np.eye(4)
 _I4_FLAT = _I4.ravel()
 
@@ -68,9 +71,7 @@ class NoiseParams:
 
     Args:
         sigma_v: gyro rate white-noise density [rad/s/sqrt(Hz)]; the
-            attitude covariance grows by sigma_v^2 * dt per step.
-        sigma_u: gyro bias random-walk density [rad/s^(3/2)]; zero freezes
-            the bias blocks entirely.
+            MEKF attitude-error covariance grows by sigma_v^2 * dt per step.
         aekf_q_flat: when True the AEKF process noise is the flat diagonal
             sigma_v^2 * dt * I4 (tuning-parity fallback); when False it is
             mapped through the kinematics operator,
@@ -78,12 +79,11 @@ class NoiseParams:
     """
 
     sigma_v: float = 0.0
-    sigma_u: float = 0.0
     aekf_q_flat: bool = False
 
     def __post_init__(self):
-        if self.sigma_v < 0.0 or self.sigma_u < 0.0:
-            raise InvalidInput("noise densities must be nonnegative")
+        if self.sigma_v < 0.0:
+            raise InvalidInput("noise density must be nonnegative")
 
 
 @dataclass
@@ -96,11 +96,10 @@ class AekfState:
 
 @dataclass
 class MekfState:
-    """Unit reference quaternion, 6-vector error state (zero after resets), 6x6 covariance."""
+    """Unit reference quaternion and 3x3 covariance of the attitude error."""
 
     q_ref: np.ndarray
-    dx: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    p: np.ndarray = field(default_factory=lambda: np.zeros((6, 6)))
+    p: np.ndarray
 
 
 def aekf_init(q0, p0) -> AekfState:
@@ -108,18 +107,7 @@ def aekf_init(q0, p0) -> AekfState:
 
 
 def mekf_init(q0, p0) -> MekfState:
-    return MekfState(
-        q_ref=np.asarray(q0, dtype=float).copy(),
-        dx=np.zeros(6),
-        p=np.asarray(p0, dtype=float).copy(),
-    )
-
-
-@lru_cache(maxsize=64)
-def _aekf_flat_q(sigma_v: float, dt: float) -> np.ndarray:
-    q = (sigma_v * sigma_v * dt) * np.eye(4)
-    q.setflags(write=False)
-    return q
+    return MekfState(q_ref=np.asarray(q0, dtype=float).copy(), p=np.asarray(p0, dtype=float).copy())
 
 
 # F = I + 0.5 * dt * Omega(omega) is linear in omega: row j of the table is
@@ -180,7 +168,7 @@ def aekf_predict(s: AekfState, omegas, dt: float, noise: NoiseParams) -> AekfSta
     f = (_I4_FLAT + (0.5 * dt) * w @ _AEKF_OMEGA_TABLE).reshape(-1, 4, 4)
     path = integrate_quat_path(s.q, w, dt)
     if noise.aekf_q_flat:
-        qmat = _aekf_flat_q(noise.sigma_v, dt)[None].repeat(w.shape[0], axis=0)
+        qmat = ((noise.sigma_v * noise.sigma_v * dt) * _I4)[None].repeat(w.shape[0], axis=0)
     else:
         prior = np.concatenate((s.q[None, :], path[:-1]))
         qmat = (0.25 * noise.sigma_v * noise.sigma_v * dt) * (
@@ -210,39 +198,9 @@ def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
     return AekfState(q=q_new, p=p_new)
 
 
-@lru_cache(maxsize=64)
-def _mekf_gqg(sigma_v: float, sigma_u: float, dt: float) -> np.ndarray:
-    """G Q G^T for one step; constant given the noise densities and dt."""
-    sv2 = sigma_v * sigma_v
-    su2 = sigma_u * sigma_u
-    out = np.zeros((6, 6))
-    out[:3, :3] = (sv2 * dt + su2 * dt**3 / 3.0) * _I3
-    out[:3, 3:] = (0.5 * su2 * dt * dt) * _I3
-    out[3:, :3] = (0.5 * su2 * dt * dt) * _I3
-    out[3:, 3:] = (su2 * dt) * _I3
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _mekf_phi_const(dt: float) -> np.ndarray:
-    """The rate-independent part of Phi, flattened: I plus the -I dt bias coupling."""
-    out = np.eye(6)
-    out[:3, 3:] = -dt * _I3
-    out.setflags(write=False)
-    return out.ravel()
-
-
-def _mekf_omega_table() -> np.ndarray:
-    """The rate-dependent part of Phi is -[omega x] dt in the attitude block,
-    linear in omega: row j is that 6x6 matrix for omega = e_j, flattened."""
-    table = np.zeros((3, 6, 6))
-    for j in range(3):
-        table[j, :3, :3] = -cross_matrix(_I3[j])
-    return table.reshape(3, 36)
-
-
-_MEKF_OMEGA_TABLE = _mekf_omega_table()
+# Phi = I - [omega x] dt is linear in omega: row j of the table is
+# -[e_j x] flattened, so the stack of n transitions is one matrix product
+_MEKF_OMEGA_TABLE = np.array([-cross_matrix(e).ravel() for e in _I3])
 
 
 def mekf_predict(s: MekfState, omegas, dt: float, noise: NoiseParams) -> MekfState:
@@ -251,46 +209,33 @@ def mekf_predict(s: MekfState, omegas, dt: float, noise: NoiseParams) -> MekfSta
     ``omegas`` holds one gyro rate per step, shape ``(n, 3)``; a single
     ``(3,)`` rate is one step. The reference advances by the exact kinematic
     steps (:func:`integrate_quat`). The covariance transition of each step
-    is the first-order discretization ``Phi_k = I + F_k dt`` of the
-    continuous error dynamics, with F_k coupling the attitude error to
-    itself through -[omega_k x] and to the bias error through -I; the
-    process noise G Q G^T carries the standard white-noise/random-walk
-    discretization and is the same every step. The pairs are composed over
-    the block by :func:`compose_transitions` and applied to P once.
+    is the first-order discretization ``Phi_k = I - [omega_k x] dt`` of the
+    attitude-error dynamics, and the process noise ``Q_k = sigma_v^2 * dt *
+    I`` is the same every step. The pairs are composed over the block by
+    :func:`compose_transitions` and applied to P once.
     """
     w = _rate_block(omegas, dt)
-    phi = (_mekf_phi_const(dt) + dt * w @ _MEKF_OMEGA_TABLE).reshape(-1, 6, 6)
-    gqg = _mekf_gqg(noise.sigma_v, noise.sigma_u, dt)[None].repeat(w.shape[0], axis=0)
-    phi, qsum = compose_transitions(phi, gqg)
-    return MekfState(
-        q_ref=integrate_quat(s.q_ref, w, dt),
-        dx=s.dx.copy(),
-        p=symmetrize(phi @ s.p @ phi.T + qsum),
-    )
+    phi = (_I3_FLAT + dt * w @ _MEKF_OMEGA_TABLE).reshape(-1, 3, 3)
+    qmat = ((noise.sigma_v * noise.sigma_v * dt) * _I3)[None].repeat(w.shape[0], axis=0)
+    phi, qsum = compose_transitions(phi, qmat)
+    return MekfState(q_ref=integrate_quat(s.q_ref, w, dt), p=symmetrize(phi @ s.p @ phi.T + qsum))
 
 
 def mekf_update(s: MekfState, q_meas, r3) -> MekfState:
     """Fuse a measured quaternion multiplicatively, then reset.
 
-    The innovation is the Rodrigues-parameter coordinate of the error
-    quaternion ``q_meas * q_ref^-1`` (sign-aligned so the scalar part is
-    positive). The a-posteriori error state folds into the reference via
-    ``normalize((dx_att; 2)) * q_ref`` and the error state resets to zero.
+    The innovation is twice the Gibbs vector of the error quaternion
+    ``q_meas * q_ref^-1`` (:func:`attsim.attitude.quat_to_gibbs`), and
+    H = I, so the gain is ``K = P (P + R)^-1``. The a-posteriori attitude
+    error ``a`` folds into the reference via ``normalize((a; 2)) * q_ref``.
     Raises GibbsSingularity for a 180-degree innovation and
     NumericalFailure when the innovation covariance is singular.
     """
-    q_meas = np.asarray(q_meas, dtype=float)
-    q_err = quat_mul(q_meas, quat_conjugate(s.q_ref))
-    if q_err[3] < 0.0:
-        q_err = -q_err
-    if q_err[3] <= 1e-9:
-        raise GibbsSingularity("innovation rotation is at 180 degrees")
-    a_g = 2.0 * q_err[:3] / q_err[3]
-    innov = s.p[:3, :3] + np.asarray(r3, dtype=float)
-    # K = P H^T S^-1 is 6x3; H = [I 0] picks the attitude columns of P
-    k = solve(innov, s.p[:3, :]).T
-    dx = k @ a_g
-    dq = quat_normalize(np.array([dx[0], dx[1], dx[2], 2.0]))
+    q_err = quat_mul(np.asarray(q_meas, dtype=float), quat_conjugate(s.q_ref))
+    a_g = 2.0 * quat_to_gibbs(q_err)
+    # K = P S^-1; with S symmetric this is solve(S, P)^T
+    k = solve(s.p + np.asarray(r3, dtype=float), s.p).T
+    a = k @ a_g
+    dq = quat_normalize(np.array([a[0], a[1], a[2], 2.0]))
     q_ref = quat_normalize(quat_mul(dq, s.q_ref))
-    p_new = symmetrize(s.p - k @ s.p[:3, :])
-    return MekfState(q_ref=q_ref, dx=np.zeros(6), p=p_new)
+    return MekfState(q_ref=q_ref, p=symmetrize(s.p - k @ s.p))

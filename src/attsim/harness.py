@@ -125,7 +125,6 @@ class SimConfig:
     sigma_gyro: float = 1e-3
     sigma_star: float = 1e-3
     sigma_meas: float = 1e-3
-    sigma_bias_walk: float = 0.0
     seed: int = 1
     axis: tuple = (0.0, 0.0, 1.0)
     run_aekf: bool = True
@@ -157,7 +156,7 @@ class SimConfig:
             raise ConfigError("fov_half_angle_rad must be in (0, pi/2)")
         if self.focal_length <= 0.0:
             raise ConfigError("focal_length must be positive")
-        for name in ("sigma_gyro", "sigma_star", "sigma_meas", "sigma_bias_walk"):
+        for name in ("sigma_gyro", "sigma_star", "sigma_meas"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.seed < 0:
@@ -253,12 +252,12 @@ class RunResult:
     All per-record arrays share one length and strictly increasing
     timestamps. ``step_time_*`` hold the mean wall-clock seconds spent in
     that filter per gyro step over the record window. Covariance norms and
-    condition numbers are spectral; for the MEKF they are taken over the
-    3x3 attitude block (the bias block is frozen at zero, so the full 6x6
-    would be singular by construction). A record keeps a snapshot of each
-    filter's covariance, and the norms and condition numbers come from one
-    stacked eigensolve per chunk of up to ``_RECORD_CHUNK`` snapshots; they
-    equal bit for bit what one eigensolve per record gives.
+    condition numbers are spectral, of the AEKF's 4x4 quaternion covariance
+    and of the MEKF's 3x3 attitude-error covariance. A record keeps a
+    snapshot of each filter's covariance, and the norms and condition
+    numbers come from one stacked eigensolve per chunk of up to
+    ``_RECORD_CHUNK`` snapshots; they equal bit for bit what one eigensolve
+    per record gives.
     """
 
     config: SimConfig
@@ -399,17 +398,11 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     r_meas = max(cfg.sigma_meas * cfg.sigma_meas, _R_FLOOR)
     r3 = r_meas * np.eye(3)
     r4 = (cfg.aekf_r_scale * r_meas) * np.eye(4)
-    noise = NoiseParams(
-        sigma_v=cfg.sigma_gyro * math.sqrt(dt),
-        sigma_u=cfg.sigma_bias_walk,
-        aekf_q_flat=cfg.aekf_q_flat,
-    )
+    noise = NoiseParams(sigma_v=cfg.sigma_gyro * math.sqrt(dt), aekf_q_flat=cfg.aekf_q_flat)
 
     q_true = np.array([0.0, 0.0, 0.0, 1.0])
     aekf = aekf_init(q_true, _P0_ATTITUDE * np.eye(4))
-    p0_mekf = np.zeros((6, 6))
-    p0_mekf[:3, :3] = _P0_ATTITUDE * np.eye(3)
-    mekf = mekf_init(q_true, p0_mekf)
+    mekf = mekf_init(q_true, _P0_ATTITUDE * np.eye(3))
 
     rec_t, rec_qt, rec_qa, rec_qm = [], [], [], []
     rec_ea, rec_em, rec_pa, rec_pm, rec_ca, rec_cm = [], [], [], [], [], []
@@ -444,7 +437,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         rec_ea.append(error_angle(q_true, aekf.q))
         rec_em.append(error_angle(q_true, mekf.q_ref))
         pending_a[n_pending] = aekf.p
-        pending_m[n_pending] = mekf.p[:3, :3]
+        pending_m[n_pending] = mekf.p
         n_pending += 1
         if n_pending == _RECORD_CHUNK:
             flush()

@@ -255,12 +255,6 @@ def solve(a, b) -> np.ndarray:
     return x[:, 0].copy() if vector else x.copy()
 
 
-def inv(a) -> np.ndarray:
-    """Matrix inverse via :func:`solve` against the identity."""
-    a = _as_square(a)
-    return solve(a, np.eye(a.shape[0]))
-
-
 class RngStream:
     """Deterministic scalar random stream (xorshift64* core).
 

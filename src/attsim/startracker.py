@@ -59,10 +59,6 @@ class CameraModel:
             raise InvalidInput("mount quaternion must be unit norm")
         object.__setattr__(self, "mount", mount)
 
-    def boresight_in_body(self) -> np.ndarray:
-        """Body-frame direction of the camera +z axis."""
-        return quat_to_matrix(self.mount).T @ np.array([0.0, 0.0, 1.0])
-
 
 @dataclass(frozen=True)
 class StarCatalog:

@@ -19,6 +19,11 @@ the polar method written out one draw at a time, and
 :func:`generate_catalog_per_star` draws one triple per star; each is the
 reference its block counterpart must equal bit for bit, in values, state
 and spare deviate.
+
+:func:`quat_kinematics` is the right-hand side of the kinematic equation,
+which the RK4 reference for ``attsim.attitude.integrate_quat`` integrates,
+and :func:`gibbs_to_quat` is the inverse ``attsim.attitude.quat_to_gibbs``
+must round-trip through.
 """
 
 import math
@@ -26,7 +31,7 @@ import math
 import numpy as np
 
 import attsim.numerics as numerics
-from attsim.attitude import quat_to_matrix
+from attsim.attitude import quat_mul, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from attsim.numerics import check_symmetric, jacobi_eigen_sym
 from attsim.startracker import StarCatalog
@@ -220,3 +225,16 @@ def generate_catalog_per_star(n, rng):
                 break
         stars[i] = v / norm
     return StarCatalog(stars=stars, seed=rng.seed)
+
+
+def quat_kinematics(q, omega):
+    """Quaternion rate 0.5 * (omega; 0) * q for body rate ``omega`` [rad/s]."""
+    wx, wy, wz = omega
+    return 0.5 * quat_mul(np.array([wx, wy, wz, 0.0]), q)
+
+
+def gibbs_to_quat(g):
+    """Unit quaternion (g; 1) / sqrt(1 + |g|^2), scalar part positive."""
+    x, y, z = np.asarray(g, dtype=float).tolist()
+    s = 1.0 / math.sqrt(1.0 + (x * x + y * y + z * z))
+    return np.array([x * s, y * s, z * s, s])

@@ -12,7 +12,6 @@ from attsim.attitude import (
     integrate_quat_path,
     quat_mul,
     quat_normalize,
-    xi_matrix,
 )
 from attsim.errors import GibbsSingularity, InvalidInput, NumericalFailure
 from attsim.filters import (
@@ -35,7 +34,7 @@ DT = 0.01
 
 
 def _quiet():
-    return NoiseParams(sigma_v=0.0, sigma_u=0.0)
+    return NoiseParams(sigma_v=0.0)
 
 
 def _psd(rng, n, scale=1.0):
@@ -44,30 +43,16 @@ def _psd(rng, n, scale=1.0):
 
 
 def mekf_build_matrices(noise: NoiseParams, omega, dt: float):
-    """Continuous-time MEKF error-state matrices (F, G, Q, H) for one step.
+    """Continuous-time MEKF attitude-error matrices (F, Q, H) for one step.
 
-    The textbook oracle of ``mekf_predict``: F couples the attitude error to
-    itself through the angular-rate cross matrix and to the bias error
-    through -I; the bias error is a random walk. Q carries the standard
-    white-noise/random-walk discretization; H observes the attitude error
-    only. ``mekf_predict`` must equal ``Phi = I + F dt`` and ``G Q G^T``.
+    The textbook oracle of ``mekf_predict``: F = -[omega x] couples the
+    attitude error to itself through the angular-rate cross matrix, the
+    gyro white noise gives Q = sigma_v^2 dt I, and H = I observes the whole
+    error. ``mekf_predict`` must equal ``Phi = I + F dt`` and Q.
     """
-    sv2 = noise.sigma_v * noise.sigma_v
-    su2 = noise.sigma_u * noise.sigma_u
-    f = np.zeros((6, 6))
-    f[:3, :3] = -cross_matrix(omega)
-    f[:3, 3:] = -np.eye(3)
-    g = np.zeros((6, 6))
-    g[:3, :3] = -np.eye(3)
-    g[3:, 3:] = np.eye(3)
-    q = np.zeros((6, 6))
-    q[:3, :3] = (sv2 * dt + su2 * dt**3 / 3.0) * np.eye(3)
-    q[:3, 3:] = -(0.5 * su2 * dt * dt) * np.eye(3)
-    q[3:, :3] = -(0.5 * su2 * dt * dt) * np.eye(3)
-    q[3:, 3:] = (su2 * dt) * np.eye(3)
-    h = np.zeros((3, 6))
-    h[:, :3] = np.eye(3)
-    return f, g, q, h
+    f = -cross_matrix(omega)
+    q = (noise.sigma_v * noise.sigma_v * dt) * np.eye(3)
+    return f, q, np.eye(3)
 
 
 class TestAekfPredict:
@@ -167,81 +152,58 @@ class TestAekfUpdate:
 
 class TestMekfMatrices:
     def test_q_with_zero_bias_walk(self):
-        noise = NoiseParams(sigma_v=2e-3, sigma_u=0.0)
-        _, _, q, _ = mekf_build_matrices(noise, np.zeros(3), DT)
-        expect = np.zeros((6, 6))
-        expect[:3, :3] = (noise.sigma_v**2 * DT) * np.eye(3)
-        assert np.allclose(q, expect)
+        # the gyro has no bias, so Q is the white-noise term alone
+        noise = NoiseParams(sigma_v=2e-3)
+        _, q, _ = mekf_build_matrices(noise, np.zeros(3), DT)
+        assert np.allclose(q, (noise.sigma_v**2 * DT) * np.eye(3))
 
     def test_q_vanishes_with_dt(self):
-        noise = NoiseParams(sigma_v=1e-3, sigma_u=1e-4)
-        _, _, q, _ = mekf_build_matrices(noise, np.zeros(3), 1e-12)
+        noise = NoiseParams(sigma_v=1e-3)
+        _, q, _ = mekf_build_matrices(noise, np.zeros(3), 1e-12)
         assert np.max(np.abs(q)) <= 1e-14
 
-    def test_q_blocks_full_form(self):
-        sv, su, dt = 3e-4, 2e-5, 0.5
-        _, _, q, _ = mekf_build_matrices(NoiseParams(sigma_v=sv, sigma_u=su), np.zeros(3), dt)
-        assert np.allclose(q[:3, :3], (sv**2 * dt + su**2 * dt**3 / 3.0) * np.eye(3))
-        assert np.allclose(q[:3, 3:], -(0.5 * su**2 * dt**2) * np.eye(3))
-        assert np.allclose(q[3:, 3:], (su**2 * dt) * np.eye(3))
-        evals = np.linalg.eigvalsh(q)
-        assert evals.min() >= -1e-18
-
     def test_f_cross_block(self):
-        f, g, _, h = mekf_build_matrices(_quiet(), np.array([0.0, 0.0, 1.0]), DT)
-        assert np.allclose(f[:3, :3], [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        assert np.allclose(f[:3, 3:], -np.eye(3))
-        assert np.allclose(f[3:, :], 0.0)
-        assert np.allclose(g, np.block([[-np.eye(3), np.zeros((3, 3))], [np.zeros((3, 3)), np.eye(3)]]))
-        assert np.allclose(h, np.hstack([np.eye(3), np.zeros((3, 3))]))
+        f, _, h = mekf_build_matrices(_quiet(), np.array([0.0, 0.0, 1.0]), DT)
+        assert np.allclose(f, [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert np.allclose(h, np.eye(3))
 
 
 class TestMekfPredict:
     def test_quiet_zero_bias_cov_is_noop(self):
         rng = RngStream(60)
-        p0 = np.zeros((6, 6))
-        p0[:3, :3] = _psd(rng, 3)
-        s = mekf_init(random_unit_quat(rng), p0)
+        s = mekf_init(random_unit_quat(rng), _psd(rng, 3))
         s2 = mekf_predict(s, np.zeros(3), DT, _quiet())
         assert np.allclose(s2.q_ref, s.q_ref)
         assert np.allclose(s2.p, s.p)
-        assert np.all(s2.dx == 0.0)
-
-    def test_bias_cov_couples_into_attitude(self):
-        p0 = np.zeros((6, 6))
-        p0[3:, 3:] = 1e-6 * np.eye(3)
-        s = mekf_init(identity_quat(), p0)
-        s2 = mekf_predict(s, np.zeros(3), DT, _quiet())
-        assert np.trace(s2.p[:3, :3]) > 0.0
 
     def test_process_noise_grows_attitude_trace(self):
         rng = RngStream(61)
-        s = mekf_init(random_unit_quat(rng), np.zeros((6, 6)))
+        s = mekf_init(random_unit_quat(rng), np.zeros((3, 3)))
         s2 = mekf_predict(s, random_unit_vec(rng), DT, NoiseParams(sigma_v=1e-3))
-        assert np.trace(s2.p[:3, :3]) > 0.0
+        assert np.trace(s2.p) > 0.0
 
     def test_phi_matches_matrix_exponential(self):
         # series oracle: sum F^k dt^k / k!
         noise = _quiet()
         w = np.array([0.7, -1.1, 0.4])
         dt = 1e-3
-        f, _, _, _ = mekf_build_matrices(noise, w, dt)
-        expm = np.zeros((6, 6))
-        term = np.eye(6)
+        f, _, _ = mekf_build_matrices(noise, w, dt)
+        expm = np.zeros((3, 3))
+        term = np.eye(3)
         for k in range(1, 20):
             expm += term
             term = term @ (f * dt) / k
-        phi = np.eye(6) + dt * f
+        phi = np.eye(3) + dt * f
         assert np.max(np.abs(phi - expm)) <= 1e-5
 
     def test_predict_equals_explicit_matrix_route(self):
         rng = RngStream(62)
-        noise = NoiseParams(sigma_v=2e-4, sigma_u=1e-5)
-        s = mekf_init(random_unit_quat(rng), _psd(rng, 6, 1e-4))
+        noise = NoiseParams(sigma_v=2e-4)
+        s = mekf_init(random_unit_quat(rng), _psd(rng, 3, 1e-4))
         w = 1.3 * random_unit_vec(rng)
-        f, g, q, _ = mekf_build_matrices(noise, w, DT)
-        phi = np.eye(6) + DT * f
-        p_explicit = phi @ s.p @ phi.T + g @ q @ g.T
+        f, q, _ = mekf_build_matrices(noise, w, DT)
+        phi = np.eye(3) + DT * f
+        p_explicit = phi @ s.p @ phi.T + q
         p_explicit = 0.5 * (p_explicit + p_explicit.T)
         # a single rate and a block of one step are the same predict
         for rates in (w, w[None, :]):
@@ -249,7 +211,7 @@ class TestMekfPredict:
             assert np.max(np.abs(s2.p - p_explicit)) <= 1e-18
 
     def test_rejects_bad_dt(self):
-        s = mekf_init(identity_quat(), np.zeros((6, 6)))
+        s = mekf_init(identity_quat(), np.zeros((3, 3)))
         with pytest.raises(InvalidInput):
             mekf_predict(s, np.zeros(3), -1.0, _quiet())
 
@@ -258,21 +220,18 @@ class TestMekfUpdate:
     def test_zero_innovation(self):
         rng = RngStream(63)
         q = random_unit_quat(rng)
-        p0 = np.zeros((6, 6))
-        p0[:3, :3] = _psd(rng, 3)
-        s = MekfState(q_ref=q, dx=np.zeros(6), p=p0)
+        s = MekfState(q_ref=q, p=_psd(rng, 3))
         s2 = mekf_update(s, q.copy(), 1e-4 * np.eye(3))
         assert error_angle(s2.q_ref, q) <= 1e-12
-        assert np.trace(s2.p[:3, :3]) < np.trace(s.p[:3, :3])
-        assert np.all(s2.dx == 0.0)
+        assert np.trace(s2.p) < np.trace(s.p)
 
     def test_double_cover(self):
         rng = RngStream(64)
         q = random_unit_quat(rng)
         meas = quat_mul(axis_angle_quat([0.0, 0, 1.0], 0.05), q)
-        p0 = _psd(rng, 6, 1e-2)
-        plus = mekf_update(MekfState(q_ref=q.copy(), dx=np.zeros(6), p=p0.copy()), meas, 1e-6 * np.eye(3))
-        minus = mekf_update(MekfState(q_ref=q.copy(), dx=np.zeros(6), p=p0.copy()), -meas, 1e-6 * np.eye(3))
+        p0 = _psd(rng, 3, 1e-2)
+        plus = mekf_update(MekfState(q_ref=q.copy(), p=p0.copy()), meas, 1e-6 * np.eye(3))
+        minus = mekf_update(MekfState(q_ref=q.copy(), p=p0.copy()), -meas, 1e-6 * np.eye(3))
         assert np.array_equal(plus.q_ref, minus.q_ref)
         assert np.array_equal(plus.p, minus.p)
 
@@ -280,7 +239,7 @@ class TestMekfUpdate:
         rng = RngStream(65)
         q = random_unit_quat(rng)
         meas = quat_mul(axis_angle_quat([1.0, 0.0, 0.0], 0.01), q)
-        s = MekfState(q_ref=q, dx=np.zeros(6), p=np.eye(6))
+        s = MekfState(q_ref=q, p=np.eye(3))
         s2 = mekf_update(s, meas, 1e-12 * np.eye(3))
         assert error_angle(s2.q_ref, meas) <= 1e-4
 
@@ -291,20 +250,21 @@ class TestMekfUpdate:
             meas = random_unit_quat(rng)
             if error_angle(q, meas) > math.radians(170.0):
                 continue
-            s = MekfState(q_ref=q, dx=np.zeros(6), p=np.eye(6) * 1e-2)
+            s = MekfState(q_ref=q, p=np.eye(3) * 1e-2)
             s2 = mekf_update(s, meas, 1e-4 * np.eye(3))
             assert abs(np.linalg.norm(s2.q_ref) - 1.0) <= 1e-12
 
     def test_180_degree_innovation(self):
         q = identity_quat()
         meas = np.array([1.0, 0.0, 0.0, 0.0])
-        s = MekfState(q_ref=q, dx=np.zeros(6), p=np.eye(6))
+        s = MekfState(q_ref=q, p=np.eye(3))
         with pytest.raises(GibbsSingularity):
             mekf_update(s, meas, 1e-4 * np.eye(3))
 
     def test_reset_mapping_first_order_agreement(self):
         # the exact reset normalize((a; 2) * q) agrees with its first-order
-        # expansion q + 0.5 * Xi(q) a to O(|a|^2): halving a quarters the gap
+        # expansion q + 0.5 * Xi(q) a, Xi(q) a = (a; 0) * q, to O(|a|^2):
+        # halving a quarters the gap
         rng = RngStream(67)
         q = random_unit_quat(rng)
         direction = random_unit_vec(rng)
@@ -314,7 +274,7 @@ class TestMekfUpdate:
             a = scale * direction
             dq = quat_normalize(np.array([a[0], a[1], a[2], 2.0]))
             exact = quat_normalize(quat_mul(dq, q))
-            linear = q + 0.5 * (xi_matrix(q) @ a)
+            linear = q + 0.5 * quat_mul(np.append(a, 0.0), q)
             gaps.append(float(np.max(np.abs(exact - linear))))
         orders = [math.log2(gaps[i] / gaps[i + 1]) for i in range(len(gaps) - 1)]
         assert min(orders) >= 1.9
@@ -351,8 +311,8 @@ class TestBlockPredict:
                 b = aekf_predict(b, w, DT, noise)
             assert error_angle(a.q, b.q) <= 1e-14
             assert np.max(np.abs(a.p - b.p)) <= 1e-14 * np.max(np.abs(b.p))
-        noise = NoiseParams(sigma_v=1e-3, sigma_u=1e-4)
-        a = b = mekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(6))
+        noise = NoiseParams(sigma_v=1e-3)
+        a = b = mekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(3))
         a = mekf_predict(a, rates, DT, noise)
         for w in rates:
             b = mekf_predict(b, w, DT, noise)
@@ -364,7 +324,7 @@ class TestBlockPredict:
         with pytest.raises(InvalidInput):
             aekf_predict(aekf_init(identity_quat(), np.eye(4)), np.zeros(shape), DT, _quiet())
         with pytest.raises(InvalidInput):
-            mekf_predict(mekf_init(identity_quat(), np.eye(6)), np.zeros(shape), DT, _quiet())
+            mekf_predict(mekf_init(identity_quat(), np.eye(3)), np.zeros(shape), DT, _quiet())
 
     def test_integrate_block_equals_steps(self):
         rng = np.random.default_rng(7)
@@ -383,9 +343,9 @@ class TestBlockPredict:
         [
             ("aekf", NoiseParams(sigma_v=1e-3 * math.sqrt(DT), aekf_q_flat=True)),
             ("aekf", NoiseParams(sigma_v=1e-3 * math.sqrt(DT), aekf_q_flat=False)),
-            ("mekf", NoiseParams(sigma_v=1e-3 * math.sqrt(DT), sigma_u=1e-5)),
+            ("mekf", NoiseParams(sigma_v=1e-3 * math.sqrt(DT))),
         ],
-        ids=["aekf-flat-q", "aekf-kinematic-q", "mekf-bias-walk"],
+        ids=["aekf-flat-q", "aekf-kinematic-q", "mekf"],
     )
     def test_block_predict_tracks_step_predict_over_an_orbit(self, name, noise):
         # path A predicts once per 100-step block, path B once per step, with
@@ -396,7 +356,7 @@ class TestBlockPredict:
             a = b = aekf_init(q_true, 1e-6 * np.eye(4))
         else:
             predict, update, r = mekf_predict, mekf_update, 1e-6 * np.eye(3)
-            a = b = mekf_init(q_true, np.diag([1e-6, 1e-6, 1e-6, 1e-8, 1e-8, 1e-8]))
+            a = b = mekf_init(q_true, 1e-6 * np.eye(3))
         true, meas = _orbit_rates(3)
         rng = np.random.default_rng(4)
         q_gap = p_gap = 0.0
@@ -421,12 +381,12 @@ class TestFilterInvariants:
         # symmetric within 1e-10 and min eigenvalue >= -1e-9 after 1e5
         # randomized predict/update cycles, both filters
         rng = RngStream(68)
-        noise = NoiseParams(sigma_v=1e-3, sigma_u=1e-5)
+        noise = NoiseParams(sigma_v=1e-3)
         r4 = 1e-5 * np.eye(4)
         r3 = 1e-5 * np.eye(3)
         q = identity_quat()
         aekf = aekf_init(q, 1e-4 * np.eye(4))
-        mekf = mekf_init(q, 1e-4 * np.eye(6))
+        mekf = mekf_init(q, 1e-4 * np.eye(3))
         n_cycles = 100_000
         update_every = 20
         for k in range(n_cycles):
@@ -454,8 +414,8 @@ class TestFilterInvariants:
         q_true = identity_quat()
         sa1 = aekf_init(q_true, 1e-4 * np.eye(4))
         sa2 = aekf_init(q_true, 1e-4 * np.eye(4))
-        sm1 = mekf_init(q_true, 1e-4 * np.eye(6))
-        sm2 = mekf_init(q_true, 1e-4 * np.eye(6))
+        sm1 = mekf_init(q_true, 1e-4 * np.eye(3))
+        sm2 = mekf_init(q_true, 1e-4 * np.eye(3))
         for k in range(200):
             w = trajectory_omega(k * DT, (0.0, 0.0, 1.0))
             q_true = integrate_quat(q_true, w, DT)
@@ -481,7 +441,7 @@ class TestFilterInvariants:
         r4 = 1e-12 * np.eye(4)
         r3 = 1e-12 * np.eye(3)
         aekf = aekf_init(start, 1e-2 * np.eye(4))
-        mekf = mekf_init(start, 1e-2 * np.eye(6))
+        mekf = mekf_init(start, 1e-2 * np.eye(3))
         for k in range(300):
             w = trajectory_omega(k * DT, (0.0, 0.0, 1.0))
             q_true = integrate_quat(q_true, w, DT)

@@ -8,7 +8,6 @@ from attsim.errors import InvalidInput, NumericalFailure
 from attsim.numerics import (
     RngStream,
     condition_number,
-    inv,
     jacobi_eigen_sym,
     solve,
     symmetrize,
@@ -259,9 +258,10 @@ class TestSolve:
         assert np.allclose(solve(a, a @ x), x, atol=1e-12)
 
     def test_inverse(self):
+        # a matrix of right-hand sides, as the filter gains use
         rng = RngStream(22)
         a = random_symmetric(rng, 3) + 4.0 * np.eye(3)
-        assert np.allclose(a @ inv(a), np.eye(3), atol=1e-12)
+        assert np.allclose(a @ solve(a, np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_singular_raises(self):
         from attsim.errors import NumericalFailure
