@@ -11,12 +11,15 @@ Conventions used everywhere in this package:
   ``A(q) @ v == vec(conj(q) * (v; 0) * q)``.
 * The kinematic rate is ``q_dot = 0.5 * (omega; 0) * q`` and the exact
   one-step integrator composes the axis-angle increment on the left.
-  ``integrate_quat`` also takes a block of rates, shape ``(n, 3)``: the n
-  increments are built in one vectorized step and multiplied by a tree (a
-  Hillis-Steele prefix scan) instead of n sequential products, which is how
-  the filters cross a block of gyro steps. A single ``(3,)`` rate, or a
-  block of one, takes the scalar one-step path, so step-by-step propagation
-  (the truth, and the filters on one-step blocks) is unchanged bit for bit.
+  ``integrate_quat`` also takes a block of rates, shape ``(n, 3)``, and a
+  stack of consecutive blocks, shape ``(B, L, 3)``: the increments are
+  built in one vectorized step and each block's product is reduced by a
+  pairwise tree (:func:`block_increments`) instead of n sequential
+  products. A stack's short blocks are padded with zero rates, whose
+  increment is the identity, and the attitude then crosses the blocks one
+  product each, so a block of one step advances the attitude exactly as
+  the scalar one-step path does. The filters take the same block products
+  of the gyro rates (see :mod:`attsim.filters`).
 
 File formats that print quaternions for humans emit the scalar first;
 only the in-memory layout is vector-first.
@@ -101,19 +104,25 @@ def quat_to_gibbs(q) -> np.ndarray:
 def integrate_quat(q, omega, dt: float) -> np.ndarray:
     """Exact attitude propagation for piecewise-constant rates over steps of ``dt``.
 
-    ``omega`` is one rate (shape ``(3,)``, one step) or a block of rates
-    (shape ``(n, 3)``, n steps, row k held over step k). Each step composes
-    the axis-angle increment exp(0.5 * (omega*dt; 0)) on the left, which is
-    the closed-form solution of the kinematic equation; a block composes its
-    n increments by a tree product (a prefix scan) and returns the attitude
-    after the last step. The map is linear in ``q`` and preserves unit norm
-    to machine precision, so no renormalization is applied.
+    ``omega`` is one rate (shape ``(3,)``, one step), a block of rates
+    (shape ``(n, 3)``, n steps, row k held over step k), or a stack of
+    consecutive blocks (shape ``(B, L, 3)``) whose short blocks are padded
+    with zero rows. Each step composes the axis-angle increment
+    exp(0.5 * (omega*dt; 0)) on the left, which is the closed-form solution
+    of the kinematic equation. A block returns the attitude after its last
+    step; a stack returns the attitude after each block, shape ``(B, 4)``,
+    with each block's increments reduced by :func:`block_increments` and
+    applied by one product. The map is linear in ``q`` and preserves unit
+    norm to machine precision, so no renormalization is applied.
     """
     w = np.asarray(omega, dtype=float)
+    if w.ndim == 3:
+        out = np.empty((w.shape[0], 4))
+        for b, m in enumerate(block_increments(w, dt).tolist()):
+            q = out[b] = quat_mul(m, q)
+        return out
     if w.ndim == 2:
-        if w.shape[0] > 1:
-            return integrate_quat_path(q, w, dt)[-1]
-        w = w[0]
+        return integrate_quat(q, w[None], dt)[0]
     wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
     wnorm = math.sqrt(wx * wx + wy * wy + wz * wz)
     if wnorm == 0.0:
@@ -124,57 +133,82 @@ def integrate_quat(q, omega, dt: float) -> np.ndarray:
     return quat_mul(dq, q)
 
 
-def integrate_quat_path(q, omegas, dt: float) -> np.ndarray:
-    """Attitudes after each step of a block of rates ``omegas`` (shape ``(n, 3)``).
+def block_increments(omegas, dt: float) -> np.ndarray:
+    """Product of each block's step increments, for a stack of blocks of rates.
 
-    Row k is :func:`integrate_quat` of ``q`` over the first k + 1 rows, taken
-    from one prefix product of the step increments instead of k + 1 calls.
-    A block of one step takes the scalar one-step path.
+    ``omegas`` has shape ``(B, L, 3)``, one block per row; a block shorter
+    than ``L`` is padded with zero rates. Returns ``(B, 4)``: row b is
+    ``dq[L-1] * ... * dq[1] * dq[0]`` of block b, so that
+    ``quat_mul(row, q)`` carries ``q`` across the block. The product is a
+    pairwise tree of ceil(log2 L) batched levels: each level multiplies
+    neighbours, the later on the left, and an odd last element passes to
+    the next level unchanged. The increment of a zero rate is exactly the
+    identity, and a pair at level l joins the elements with the same
+    ``i // 2**l`` whatever ``L`` is, so a block's product does not depend on
+    how far it is padded.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    if omegas.shape[0] == 1:
-        return integrate_quat(q, omegas[0], dt)[None, :]
-    prefix = _quat_prefix_products(_quat_increments(omegas, dt))
-    return _quat_mul_rows(prefix, np.asarray(q, dtype=float))
+    dq = _quat_increments(np.asarray(omegas, dtype=float), dt)
+    while dq.shape[1] > 1:
+        even = dq.shape[1] // 2 * 2
+        prod = _quat_mul_rows(dq[:, 1:even:2], dq[:, 0:even:2])
+        if even < dq.shape[1]:
+            prod = np.concatenate((prod, dq[:, even:]), axis=1)
+        dq = prod
+    return dq[:, 0]
+
+
+def integrate_quat_path(q, omegas, dt: float) -> np.ndarray:
+    """Attitudes after each step of blocks of rates.
+
+    ``omegas`` has shape ``(..., n, 3)`` and ``q`` shape ``(..., 4)``, one
+    start attitude per block; row k of the result, shape ``(..., n, 4)``, is
+    :func:`integrate_quat` of ``q`` over the first k + 1 rows of its block,
+    taken from one prefix product of the step increments instead of k + 1
+    calls. The AEKF's kinematic process noise needs every attitude along a
+    block; a block end alone takes :func:`block_increments`.
+    """
+    prefix = _quat_prefix_products(_quat_increments(np.asarray(omegas, dtype=float), dt))
+    return _quat_mul_rows(prefix, np.asarray(q, dtype=float)[..., None, :])
 
 
 def _quat_increments(omegas: np.ndarray, dt: float) -> np.ndarray:
-    """Step increments exp(0.5 * (omega*dt; 0)), one row per row of ``omegas``.
+    """Step increments exp(0.5 * (omega*dt; 0)), one row per rate of ``omegas`` (..., 3).
 
     ``np.sin`` and ``np.cos`` matched ``math.sin`` and ``math.cos`` bit for
     bit on 1e6 inputs (numpy 2.4, an AVX-512 x86-64 host), but numpy does
     not promise it; ``np.log`` did not match ``math.log`` there, which is
     why ``numerics.RngStream.gaussian_vec`` takes ``math.log``.
     """
-    wnorm = np.sqrt((omegas * omegas).sum(axis=1))
+    wnorm = np.sqrt((omegas * omegas).sum(axis=-1))
     half = (0.5 * dt) * wnorm
     # a zero rate gives sin(0) / tiny = 0, the identity increment
     s = np.sin(half) / np.maximum(wnorm, _TINY)
-    dq = np.empty((omegas.shape[0], 4))
-    dq[:, :3] = omegas * s[:, None]
-    dq[:, 3] = np.cos(half)
+    dq = np.empty(omegas.shape[:-1] + (4,))
+    dq[..., :3] = omegas * s[..., None]
+    dq[..., 3] = np.cos(half)
     return dq
 
 
 def _quat_prefix_products(dq: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products ``dq[k] * ... * dq[1] * dq[0]`` of a stack of quaternions.
+    """Inclusive prefix products ``dq[k] * ... * dq[1] * dq[0]`` along axis -2 of a stack.
 
     A Hillis-Steele scan: ceil(log2 n) levels, each one batched product, in
     place of n - 1 sequential products.
     """
     out = dq
     span = 1
-    while span < out.shape[0]:
-        out = np.concatenate((out[:span], _quat_mul_rows(out[span:], out[:-span])))
+    while span < out.shape[-2]:
+        later = _quat_mul_rows(out[..., span:, :], out[..., :-span, :])
+        out = np.concatenate((out[..., :span, :], later), axis=-2)
         span *= 2
     return out
 
 
 def _quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Hamilton products ``a[k] * b[k]`` of an (n, 4) stack ``a`` and
-    an (n, 4) stack or a single quaternion ``b``."""
-    left = (a @ _QUAT_LEFT_TABLE).reshape(-1, 4, 4)
-    return (left @ b[..., None])[:, :, 0]
+    """Row-wise Hamilton products ``a[..., k, :] * b[..., k, :]`` of a stack
+    ``a`` of shape ``(..., 4)`` and a stack ``b`` that broadcasts against it."""
+    left = (a @ _QUAT_LEFT_TABLE).reshape(a.shape[:-1] + (4, 4))
+    return (left @ b[..., None])[..., 0]
 
 
 def quat_to_matrix(q) -> np.ndarray:

@@ -23,17 +23,23 @@ Multiplicative EKF (MEKF)
 
 Block predict
     Each filter has one predict, and it crosses a whole block of gyro
-    steps: ``predict(state, omegas, dt, noise)`` with ``omegas`` of shape
-    ``(n, 3)``, one rate per step; a ``(3,)`` rate is a block of one step.
-    Between two measurements the covariance recursion
+    steps by applying a prebuilt block transition:
+    ``predict(state, m, phi, q)``. ``m`` is the product of the block's
+    exact quaternion step increments
+    (:func:`attsim.attitude.block_increments`), the same for both filters
+    since both read the same gyro rates. ``(phi, q)`` is the filter's
+    composed covariance transition: between two measurements the recursion
     ``P <- Phi P Phi^T + Q`` is linear, and its per-step pairs compose
-    associatively (:func:`compose_transitions`), so the n transitions are
-    built in one vectorized step (Phi is linear in the rate), reduced by a
-    tree of batched matrix products, and applied to P once. The attitude
-    advances by a tree product of the exact per-step increments
-    (:func:`attsim.attitude.integrate_quat`). The result equals n one-step
-    predicts up to rounding; the caller decides where a block ends (the
-    harness ends one at every tracker epoch and every record instant).
+    associatively (:func:`compose_transitions`). :func:`aekf_transitions`
+    and :func:`mekf_transitions` build the pairs of every block of a
+    zero-padded ``(B, L, 3)`` stack of gyro rates in one vectorized step
+    (Phi is linear in the rate) and reduce them by one batched tree, so a
+    caller can build a whole chunk of blocks before it runs the filter. The
+    result equals n one-step predicts up to rounding; the caller decides
+    where a block ends (the harness ends one at every tracker epoch and
+    every record instant). The one exception is the AEKF's kinematic
+    process noise, which is taken at the filter's own attitude and so is
+    built block by block from the attitude at the block start.
 
 The AEKF update sign-aligns the measured quaternion against the current
 estimate before forming a residual, and the MEKF's Gibbs innovation does
@@ -48,7 +54,6 @@ import numpy as np
 
 from .attitude import (
     cross_matrix,
-    integrate_quat,
     integrate_quat_path,
     omega_matrix,
     quat_conjugate,
@@ -115,68 +120,94 @@ def mekf_init(q0, p0) -> MekfState:
 _AEKF_OMEGA_TABLE = np.array([omega_matrix(e).ravel() for e in _I3])
 
 
-def _rate_block(omegas, dt: float) -> np.ndarray:
-    """Gyro rates as an (n, 3) block; a single (3,) rate is a block of one step."""
+def _rate_blocks(omegas, steps, dt: float):
+    """Validated ``(B, L, 3)`` stack of gyro rates and its ``(B, L)`` mask of real steps.
+
+    Block b holds ``steps[b]`` rates followed by zero rows up to ``L``.
+    """
     if dt <= 0.0:
         raise InvalidInput("dt must be positive")
     w = np.asarray(omegas, dtype=float)
-    if w.shape == (3,):
-        w = w[None, :]
-    if w.ndim != 2 or w.shape[0] == 0 or w.shape[1] != 3:
-        raise InvalidInput("gyro rates must be a (3,) rate or a nonempty (n, 3) block")
-    return w
+    if w.ndim != 3 or 0 in w.shape or w.shape[2] != 3:
+        raise InvalidInput("gyro rates must be a nonempty (blocks, steps, 3) stack")
+    steps = np.asarray(steps)
+    if steps.shape != w.shape[:1] or steps.min() < 1 or steps.max() > w.shape[1]:
+        raise InvalidInput("each block must hold between 1 and L steps")
+    return w, np.arange(w.shape[1]) < steps[:, None]
 
 
 def compose_transitions(phi: np.ndarray, q: np.ndarray):
-    """Compose per-step pairs (Phi_k, Q_k), stacked in time order, into one pair.
+    """Compose per-step pairs (Phi_k, Q_k) into one pair per block.
 
-    The covariance recursion P <- Phi P Phi^T + Q composes associatively,
-    ``(Phi2, Q2) o (Phi1, Q1) = (Phi2 Phi1, Phi2 Q1 Phi2^T + Q2)``, so a
-    block of n steps reduces by a tree of ceil(log2 n) batched levels:
-    each level composes neighbours pairwise, and an odd last element passes
-    to the next level unchanged. Applying the result to P once equals n
-    sequential steps up to rounding. A single step is returned as it is.
+    ``phi`` and ``q`` have shape ``(B, L, n, n)``: B blocks, each with its
+    L pairs stacked in time order; one block is a stack of one. Returns two
+    ``(B, n, n)`` stacks. The covariance recursion P <- Phi P Phi^T + Q
+    composes associatively,
+    ``(Phi2, Q2) o (Phi1, Q1) = (Phi2 Phi1, Phi2 Q1 Phi2^T + Q2)``, so each
+    block reduces by a tree of ceil(log2 L) batched levels: each level
+    composes neighbours pairwise, and an odd last element passes to the
+    next level unchanged. Applying a block's result to P once equals its L
+    sequential steps up to rounding. A pair at level l joins the elements
+    with the same ``i // 2**l`` whatever ``L`` is, so a block padded with
+    (I, 0) pairs composes bit for bit as it does alone.
     """
-    while phi.shape[0] > 1:
-        even = phi.shape[0] // 2 * 2
-        later = phi[1:even:2]
-        q_new = later @ q[0:even:2] @ later.transpose(0, 2, 1) + q[1:even:2]
-        phi_new = later @ phi[0:even:2]
-        if even < phi.shape[0]:
-            q_new = np.concatenate((q_new, q[even:]))
-            phi_new = np.concatenate((phi_new, phi[even:]))
+    while phi.shape[1] > 1:
+        even = phi.shape[1] // 2 * 2
+        later = phi[:, 1:even:2]
+        q_new = later @ q[:, 0:even:2] @ later.swapaxes(-1, -2) + q[:, 1:even:2]
+        phi_new = later @ phi[:, 0:even:2]
+        if even < phi.shape[1]:
+            q_new = np.concatenate((q_new, q[:, even:]), axis=1)
+            phi_new = np.concatenate((phi_new, phi[:, even:]), axis=1)
         phi, q = phi_new, q_new
-    return phi[0], q[0]
+    return phi[:, 0], q[:, 0]
 
 
-def aekf_predict(s: AekfState, omegas, dt: float, noise: NoiseParams) -> AekfState:
-    """Propagate the AEKF across a block of gyro intervals.
+def aekf_transitions(omegas, steps, dt: float, noise: NoiseParams, q0=None):
+    """Composed AEKF covariance transition of each block of a stack of gyro rates.
 
-    ``omegas`` holds one gyro rate per step, shape ``(n, 3)``; a single
-    ``(3,)`` rate is one step. The quaternion advances by the exact
-    kinematic steps (:func:`integrate_quat`) and is renormalized once per
-    block, since the exact steps preserve the norm to about 1e-16. The
-    covariance advances through the first-order transitions
-    ``F_k = I + 0.5 * Omega(omega_k) * dt`` of the kinematic equation plus
-    gyro process noise ``Q_k``, composed over the block by
-    :func:`compose_transitions` and applied to P once. The non-flat
-    ``Q_k = 0.25 * sigma_v^2 * dt * Xi(q) Xi(q)^T = 0.25 * sigma_v^2 * dt *
-    (|q|^2 I - q q^T)`` is taken at the attitude q before step k, which a
-    prefix product over the block supplies.
+    ``omegas`` is a ``(B, L, 3)`` stack of blocks, block b holding
+    ``steps[b]`` rates followed by zero rows. Each step's transition is the
+    first-order ``F_k = I + 0.5 * Omega(omega_k) * dt`` of the kinematic
+    equation (the identity on a zero row) and its process noise ``Q_k`` is
+    zero on the padding rows. The flat ``Q_k = sigma_v^2 * dt * I`` depends
+    on the rates alone. The kinematic ``Q_k = 0.25 * sigma_v^2 * dt *
+    Xi(q) Xi(q)^T = 0.25 * sigma_v^2 * dt * (|q|^2 I - q q^T)`` is taken at
+    the attitude q before step k, which a prefix product from ``q0``, shape
+    ``(B, 4)``, the filter's attitude at each block start, supplies; the
+    flat Q ignores ``q0``. The pairs are composed by
+    :func:`compose_transitions`; returns two ``(B, 4, 4)`` stacks.
     """
-    w = _rate_block(omegas, dt)
-    f = (_I4_FLAT + (0.5 * dt) * w @ _AEKF_OMEGA_TABLE).reshape(-1, 4, 4)
-    path = integrate_quat_path(s.q, w, dt)
+    w, live = _rate_blocks(omegas, steps, dt)
+    f = (_I4_FLAT + (0.5 * dt) * w @ _AEKF_OMEGA_TABLE).reshape(w.shape[:2] + (4, 4))
+    scale = noise.sigma_v * noise.sigma_v * dt * live
     if noise.aekf_q_flat:
-        qmat = ((noise.sigma_v * noise.sigma_v * dt) * _I4)[None].repeat(w.shape[0], axis=0)
+        qmat = scale[:, :, None, None] * _I4
     else:
-        prior = np.concatenate((s.q[None, :], path[:-1]))
-        qmat = (0.25 * noise.sigma_v * noise.sigma_v * dt) * (
-            (prior * prior).sum(axis=1)[:, None, None] * _I4
-            - prior[:, :, None] * prior[:, None, :]
+        if q0 is None or np.shape(q0) != (w.shape[0], 4):
+            raise InvalidInput("the kinematic Q needs the attitude at each block start, (B, 4)")
+        q0 = np.asarray(q0, dtype=float)
+        prior = q0[:, None, :]
+        if w.shape[1] > 1:
+            prior = np.concatenate((prior, integrate_quat_path(q0, w[:, :-1], dt)), axis=1)
+        qmat = (0.25 * scale)[:, :, None, None] * (
+            (prior * prior).sum(axis=2)[:, :, None, None] * _I4
+            - prior[:, :, :, None] * prior[:, :, None, :]
         )
-    phi, qsum = compose_transitions(f, qmat)
-    return AekfState(q=quat_normalize(path[-1]), p=symmetrize(phi @ s.p @ phi.T + qsum))
+    return compose_transitions(f, qmat)
+
+
+def aekf_predict(s: AekfState, m, phi, q) -> AekfState:
+    """Propagate the AEKF across one block of gyro intervals.
+
+    ``m`` is the product of the block's quaternion step increments
+    (:func:`attsim.attitude.block_increments`) and ``(phi, q)`` the block's
+    composed covariance transition (:func:`aekf_transitions`). The
+    quaternion advances by ``m`` and is renormalized once per block, since
+    the exact steps preserve the norm to about 1e-16; the covariance
+    becomes ``Phi P Phi^T + Q``.
+    """
+    return AekfState(q=quat_normalize(quat_mul(m, s.q)), p=symmetrize(phi @ s.p @ phi.T + q))
 
 
 def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
@@ -203,22 +234,31 @@ def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
 _MEKF_OMEGA_TABLE = np.array([-cross_matrix(e).ravel() for e in _I3])
 
 
-def mekf_predict(s: MekfState, omegas, dt: float, noise: NoiseParams) -> MekfState:
-    """Propagate the MEKF reference and error covariance across a block of gyro intervals.
+def mekf_transitions(omegas, steps, dt: float, noise: NoiseParams):
+    """Composed MEKF covariance transition of each block of a stack of gyro rates.
 
-    ``omegas`` holds one gyro rate per step, shape ``(n, 3)``; a single
-    ``(3,)`` rate is one step. The reference advances by the exact kinematic
-    steps (:func:`integrate_quat`). The covariance transition of each step
-    is the first-order discretization ``Phi_k = I - [omega_k x] dt`` of the
-    attitude-error dynamics, and the process noise ``Q_k = sigma_v^2 * dt *
-    I`` is the same every step. The pairs are composed over the block by
-    :func:`compose_transitions` and applied to P once.
+    ``omegas`` and ``steps`` are as for :func:`aekf_transitions`. The
+    transition of each step is the first-order discretization
+    ``Phi_k = I - [omega_k x] dt`` of the attitude-error dynamics, and the
+    process noise ``Q_k = sigma_v^2 * dt * I`` is the same every real step
+    and zero on the padding rows. The pairs are composed by
+    :func:`compose_transitions`; returns two ``(B, 3, 3)`` stacks.
     """
-    w = _rate_block(omegas, dt)
-    phi = (_I3_FLAT + dt * w @ _MEKF_OMEGA_TABLE).reshape(-1, 3, 3)
-    qmat = ((noise.sigma_v * noise.sigma_v * dt) * _I3)[None].repeat(w.shape[0], axis=0)
-    phi, qsum = compose_transitions(phi, qmat)
-    return MekfState(q_ref=integrate_quat(s.q_ref, w, dt), p=symmetrize(phi @ s.p @ phi.T + qsum))
+    w, live = _rate_blocks(omegas, steps, dt)
+    phi = (_I3_FLAT + dt * w @ _MEKF_OMEGA_TABLE).reshape(w.shape[:2] + (3, 3))
+    qmat = (noise.sigma_v * noise.sigma_v * dt * live)[:, :, None, None] * _I3
+    return compose_transitions(phi, qmat)
+
+
+def mekf_predict(s: MekfState, m, phi, q) -> MekfState:
+    """Propagate the MEKF reference and error covariance across one block of gyro intervals.
+
+    ``m`` is the product of the block's quaternion step increments
+    (:func:`attsim.attitude.block_increments`), which carries the reference
+    exactly, and ``(phi, q)`` the block's composed covariance transition
+    (:func:`mekf_transitions`), which takes P to ``Phi P Phi^T + Q``.
+    """
+    return MekfState(q_ref=quat_mul(m, s.q_ref), p=symmetrize(phi @ s.p @ phi.T + q))
 
 
 def mekf_update(s: MekfState, q_meas, r3) -> MekfState:

@@ -12,21 +12,30 @@ always ends on a block boundary. Each chunk gets two passes:
 
 * the scenario pass, which never reads filter state: the true rates of
   all the chunk's steps in one call, the noisy gyro samples in one noise
-  draw, the truth advanced by one exact block propagation per block
-  (:func:`attsim.attitude.integrate_quat`), one emulated star-tracker
-  observation per epoch, and one Davenport solve for all the chunk's
-  epochs, whose 4x4 eigenproblems are solved as one stack;
-* the estimate pass: both filters predict once per block from the same
-  gyro samples (see :mod:`attsim.filters`), take each epoch's Davenport
-  quaternion as their shared measurement in time order, and are recorded
-  at the record instants.
+  draw, both laid out as one ``(blocks, longest block, 3)`` stack padded
+  with zero rates; the truth at every block end from one call of
+  :func:`attsim.attitude.integrate_quat` on the stack; one emulated
+  star-tracker observation per epoch, and one Davenport solve for all the
+  chunk's epochs, whose 4x4 eigenproblems are solved as one stack; and the
+  block transitions of the filters that run: the product of each block's
+  gyro increments (:func:`attsim.attitude.block_increments`), which both
+  filters share, and each filter's composed (Phi, Q) pair per block, from
+  one batched tree over the chunk (see :mod:`attsim.filters`);
+* the estimate pass: per block, each filter applies its block transition
+  (q <- M q, P <- Phi P Phi^T + Q), takes each epoch's Davenport quaternion
+  as their shared measurement in time order, and is recorded at the record
+  instants. The AEKF's kinematic process noise (``aekf_q_flat = false``)
+  depends on the filter's attitude, so that option alone builds the AEKF's
+  (Phi, Q) here, block by block.
 
 So every update and every record sees the filter states it would see
 after one predict per step, up to rounding, and the noise streams are the
 ones a step-by-step loop draws. Everything downstream of the seed is
-deterministic except the wall-clock timing fields; a filter's timing is
-the wall time of its block predicts and updates divided by the gyro steps
-they cover.
+deterministic except the wall-clock timing fields. A filter's timing is
+the wall time it costs divided by the gyro steps it covers: its block
+predicts and updates, its share of the chunk's transition build, and the
+shared increment products, which each filter would need alone; the
+chunk's build times are spread over its steps.
 
 Default tuning notes (the trade study this harness supports never pins
 sensor grades, so defaults are artifact choices, documented here):
@@ -58,15 +67,17 @@ from typing import Optional
 import numpy as np
 
 from . import startracker
-from .attitude import error_angle, integrate_quat, quat_norm
+from .attitude import block_increments, error_angle, integrate_quat, quat_norm
 from .errors import ConfigError, InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from .filters import (
     NoiseParams,
     aekf_init,
     aekf_predict,
+    aekf_transitions,
     aekf_update,
     mekf_init,
     mekf_predict,
+    mekf_transitions,
     mekf_update,
 )
 from .numerics import RngStream, jacobi_eigen_sym
@@ -86,7 +97,10 @@ _P0_ATTITUDE = 1e-6
 _MAX_GYRO_STEPS = 10_000_000
 
 # longest block of gyro steps handed to one predict when no event ends it
-# sooner; bounds the per-block stacks to well under a megabyte
+# sooner. A block is at most as long as the spacing of the events that end
+# blocks, so a chunk's padded (blocks, longest block) stacks hold at most
+# three times its steps plus three longest blocks: the default configuration
+# has 32 blocks of 100 steps, 0.4 MB of 4x4 pairs
 _MAX_BLOCK_STEPS = 1000
 
 # a chunk of the run holds whole blocks: at most _EPOCH_CHUNK tracker epochs,
@@ -367,6 +381,23 @@ def _first_step_reaching(t: float, dt: float, k: int, n: int) -> int:
     return j
 
 
+def _padded_rows(blocks, steps: np.ndarray) -> np.ndarray:
+    """Row indices that lay a chunk's blocks out as a ``(blocks, longest block)`` stack.
+
+    Block b's entries index its rows ``lo..hi-1`` of the chunk's arrays;
+    the entries past its end index one row after the chunk's last, which
+    :func:`_pad` fills with zeros.
+    """
+    cols = np.arange(steps.max())
+    starts = np.array([lo for lo, _, _, _ in blocks])
+    return np.where(cols < steps[:, None], starts[:, None] + cols, blocks[-1][1])
+
+
+def _pad(rates: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A chunk's ``(n, 3)`` rates as a zero-padded ``(blocks, longest block, 3)`` stack."""
+    return np.concatenate((rates, np.zeros((1, 3))))[rows]
+
+
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Run the simulation: truth, gyro, tracker epochs, both filters, chunk by chunk.
 
@@ -471,35 +502,58 @@ def run_simulation(cfg: SimConfig) -> RunResult:
                 blocks.append((k - chunk_start, last - chunk_start + 1, epoch, due))
                 k = last + 1
 
-            # scenario pass: the chunk's rates and gyro samples at once, the
-            # truth at each block end, one observation set per epoch and one
-            # stacked Davenport solve for them all
+            # scenario pass: the chunk's rates and gyro samples at once, padded
+            # into one (blocks, longest block, 3) stack each; the truth at each
+            # block end; one observation set per epoch and one stacked
+            # Davenport solve; then the block transitions of the running filters
             omega_true = trajectory_omega(np.arange(chunk_start - 1, k - 1) * dt + 0.5 * dt, axis)
             gyro = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
-            truth = []
-            observations = []
-            for lo, hi, epoch, _ in blocks:
-                q_end = integrate_quat(q_end, omega_true[lo:hi], dt)
-                truth.append(q_end)
-                if epoch:
-                    observations.append(
-                        startracker.observe(q_end, catalog, cams, cfg.sigma_star, rng_star)
-                    )
+            steps = np.array([hi - lo for lo, hi, _, _ in blocks])
+            rows = _padded_rows(blocks, steps)
+            truth = integrate_quat(q_end, _pad(omega_true, rows), dt)
+            q_end = truth[-1]
+            observations = [
+                startracker.observe(q, catalog, cams, cfg.sigma_star, rng_star)
+                for q, (_, _, epoch, _) in zip(truth, blocks)
+                if epoch
+            ]
             solutions = iter(davenport_solve(observations) if observations else ())
 
+            # each filter is charged its own transition build and the shared
+            # increment products, spread over the chunk's steps
+            t0 = time.perf_counter()
+            rates = _pad(gyro, rows)
+            if cfg.run_aekf or cfg.run_mekf:
+                increments = block_increments(rates, dt).tolist()
+            t1 = time.perf_counter()
+            if cfg.run_aekf and noise.aekf_q_flat:
+                phi_a, q_a = aekf_transitions(rates, steps, dt, noise)
+            t2 = time.perf_counter()
+            if cfg.run_mekf:
+                phi_m, q_m = mekf_transitions(rates, steps, dt, noise)
+            t3 = time.perf_counter()
+            chunk_steps = k - chunk_start
+            cost_a = (t2 - t0) / chunk_steps
+            cost_m = (t3 - t2 + t1 - t0) / chunk_steps
+
             # estimate pass: both filters cross the blocks in time order
-            for (lo, hi, epoch, due), q_true in zip(blocks, truth):
+            for i, ((lo, hi, epoch, due), q_true) in enumerate(zip(blocks, truth)):
                 t_now = (chunk_start + hi - 1) * dt
-                rates = gyro[lo:hi]
                 win_steps += hi - lo
                 if cfg.run_aekf:
                     t0 = time.perf_counter()
-                    aekf = aekf_predict(aekf, rates, dt, noise)
-                    win_time_a += time.perf_counter() - t0
+                    if noise.aekf_q_flat:
+                        phi, q_noise = phi_a[i], q_a[i]
+                    else:  # the kinematic Q is taken at the AEKF's own attitude
+                        (phi,), (q_noise,) = aekf_transitions(
+                            rates[i:i + 1, :hi - lo], steps[i:i + 1], dt, noise, aekf.q[None]
+                        )
+                    aekf = aekf_predict(aekf, increments[i], phi, q_noise)
+                    win_time_a += time.perf_counter() - t0 + cost_a * (hi - lo)
                 if cfg.run_mekf:
                     t0 = time.perf_counter()
-                    mekf = mekf_predict(mekf, rates, dt, noise)
-                    win_time_m += time.perf_counter() - t0
+                    mekf = mekf_predict(mekf, increments[i], phi_m[i], q_m[i])
+                    win_time_m += time.perf_counter() - t0 + cost_m * (hi - lo)
 
                 if epoch:
                     solution = next(solutions)

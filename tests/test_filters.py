@@ -5,6 +5,7 @@ import pytest
 
 from attsim.attitude import (
     axis_angle_quat,
+    block_increments,
     cross_matrix,
     error_angle,
     identity_quat,
@@ -20,9 +21,12 @@ from attsim.filters import (
     NoiseParams,
     aekf_init,
     aekf_predict,
+    aekf_transitions,
     aekf_update,
+    compose_transitions,
     mekf_init,
     mekf_predict,
+    mekf_transitions,
     mekf_update,
 )
 from attsim.harness import ORBIT_PERIOD_S, trajectory_omega
@@ -42,6 +46,52 @@ def _psd(rng, n, scale=1.0):
     return scale * (m @ m.T) / n + 1e-9 * np.eye(n)
 
 
+def _block(omegas):
+    """A rate ``(3,)`` or a block of rates ``(n, 3)`` as a stack of one block, and its step count."""
+    w = np.asarray(omegas, dtype=float).reshape(1, -1, 3)
+    return w, [w.shape[1]]
+
+
+def aekf_predict_rates(s, omegas, dt, noise):
+    """One AEKF predict across ``omegas``, with the block transition built as the harness builds it."""
+    w, steps = _block(omegas)
+    phi, q = aekf_transitions(w, steps, dt, noise, s.q[None])
+    return aekf_predict(s, block_increments(w, dt)[0], phi[0], q[0])
+
+
+def mekf_predict_rates(s, omegas, dt, noise):
+    """One MEKF predict across ``omegas``, with the block transition built as the harness builds it."""
+    w, steps = _block(omegas)
+    phi, q = mekf_transitions(w, steps, dt, noise)
+    return mekf_predict(s, block_increments(w, dt)[0], phi[0], q[0])
+
+
+def predict_each_step(s, rates, dt, noise):
+    """One predict per row of ``rates``, as the harness runs blocks of one step.
+
+    The increments, and the one-step transitions of the MEKF and of the
+    flat-Q AEKF, depend on the rates alone, so they are built as one stack
+    of one-step blocks; the kinematic AEKF Q is taken at the attitude before
+    each step, so it is built step by step.
+    """
+    one_step = rates[:, None, :]
+    steps = np.ones(len(rates), dtype=int)
+    increments = block_increments(one_step, dt).tolist()
+    if isinstance(s, MekfState):
+        phi, q = mekf_transitions(one_step, steps, dt, noise)
+        for m, phi_k, q_k in zip(increments, phi, q):
+            s = mekf_predict(s, m, phi_k, q_k)
+    elif noise.aekf_q_flat:
+        phi, q = aekf_transitions(one_step, steps, dt, noise)
+        for m, phi_k, q_k in zip(increments, phi, q):
+            s = aekf_predict(s, m, phi_k, q_k)
+    else:
+        for k, m in enumerate(increments):
+            phi, q = aekf_transitions(one_step[k:k + 1], steps[k:k + 1], dt, noise, s.q[None])
+            s = aekf_predict(s, m, phi[0], q[0])
+    return s
+
+
 def mekf_build_matrices(noise: NoiseParams, omega, dt: float):
     """Continuous-time MEKF attitude-error matrices (F, Q, H) for one step.
 
@@ -59,7 +109,7 @@ class TestAekfPredict:
     def test_quiet_is_noop(self):
         rng = RngStream(50)
         s = aekf_init(random_unit_quat(rng), _psd(rng, 4))
-        s2 = aekf_predict(s, np.zeros(3), DT, _quiet())
+        s2 = aekf_predict_rates(s, np.zeros(3), DT, _quiet())
         assert np.allclose(s2.q, s.q)
         assert np.allclose(s2.p, s.p)
 
@@ -68,7 +118,7 @@ class TestAekfPredict:
         rng = RngStream(51)
         s = aekf_init(random_unit_quat(rng), _psd(rng, 4))
         noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=flat)
-        s2 = aekf_predict(s, np.zeros(3), DT, noise)
+        s2 = aekf_predict_rates(s, np.zeros(3), DT, noise)
         assert np.trace(s2.p) > np.trace(s.p)
 
     def test_transition_matches_numerical_jacobian(self):
@@ -97,15 +147,13 @@ class TestAekfPredict:
         q = random_unit_quat(rng)
         s = aekf_init(q, np.zeros((4, 4)))
         noise = NoiseParams(sigma_v=2e-2, aekf_q_flat=False)
-        s2 = aekf_predict(s, np.zeros(3), DT, noise)
+        s2 = aekf_predict_rates(s, np.zeros(3), DT, noise)
         expect = (0.25 * noise.sigma_v**2 * DT) * (np.eye(4) - np.outer(q, q))
         assert np.allclose(s2.p, expect, atol=1e-18)
 
     def test_rejects_bad_dt(self):
-        rng = RngStream(54)
-        s = aekf_init(random_unit_quat(rng), np.eye(4))
         with pytest.raises(InvalidInput):
-            aekf_predict(s, np.zeros(3), 0.0, _quiet())
+            aekf_transitions(np.zeros((1, 1, 3)), [1], 0.0, _quiet())
 
 
 class TestAekfUpdate:
@@ -172,14 +220,14 @@ class TestMekfPredict:
     def test_quiet_zero_bias_cov_is_noop(self):
         rng = RngStream(60)
         s = mekf_init(random_unit_quat(rng), _psd(rng, 3))
-        s2 = mekf_predict(s, np.zeros(3), DT, _quiet())
+        s2 = mekf_predict_rates(s, np.zeros(3), DT, _quiet())
         assert np.allclose(s2.q_ref, s.q_ref)
         assert np.allclose(s2.p, s.p)
 
     def test_process_noise_grows_attitude_trace(self):
         rng = RngStream(61)
         s = mekf_init(random_unit_quat(rng), np.zeros((3, 3)))
-        s2 = mekf_predict(s, random_unit_vec(rng), DT, NoiseParams(sigma_v=1e-3))
+        s2 = mekf_predict_rates(s, random_unit_vec(rng), DT, NoiseParams(sigma_v=1e-3))
         assert np.trace(s2.p) > 0.0
 
     def test_phi_matches_matrix_exponential(self):
@@ -207,13 +255,12 @@ class TestMekfPredict:
         p_explicit = 0.5 * (p_explicit + p_explicit.T)
         # a single rate and a block of one step are the same predict
         for rates in (w, w[None, :]):
-            s2 = mekf_predict(s, rates, DT, noise)
+            s2 = mekf_predict_rates(s, rates, DT, noise)
             assert np.max(np.abs(s2.p - p_explicit)) <= 1e-18
 
     def test_rejects_bad_dt(self):
-        s = mekf_init(identity_quat(), np.zeros((3, 3)))
         with pytest.raises(InvalidInput):
-            mekf_predict(s, np.zeros(3), -1.0, _quiet())
+            mekf_transitions(np.zeros((1, 1, 3)), [1], -1.0, _quiet())
 
 
 class TestMekfUpdate:
@@ -305,26 +352,60 @@ class TestBlockPredict:
         rates = rng.standard_normal((n, 3))
         for flat in (True, False):
             noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=flat)
-            a = b = aekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(4))
-            a = aekf_predict(a, rates, DT, noise)
+            a = b = start = aekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(4))
+            a = aekf_predict_rates(a, rates, DT, noise)
             for w in rates:
-                b = aekf_predict(b, w, DT, noise)
+                b = aekf_predict_rates(b, w, DT, noise)
             assert error_angle(a.q, b.q) <= 1e-14
             assert np.max(np.abs(a.p - b.p)) <= 1e-14 * np.max(np.abs(b.p))
+            # a stack of one-step blocks is one-step predicts, bit for bit
+            c = predict_each_step(start, rates, DT, noise)
+            assert np.array_equal(c.q, b.q) and np.array_equal(c.p, b.p)
         noise = NoiseParams(sigma_v=1e-3)
-        a = b = mekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(3))
-        a = mekf_predict(a, rates, DT, noise)
+        a = b = start = mekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(3))
+        a = mekf_predict_rates(a, rates, DT, noise)
         for w in rates:
-            b = mekf_predict(b, w, DT, noise)
+            b = mekf_predict_rates(b, w, DT, noise)
         assert error_angle(a.q_ref, b.q_ref) <= 1e-14
+        c = predict_each_step(start, rates, DT, noise)
+        assert np.array_equal(c.q_ref, b.q_ref) and np.array_equal(c.p, b.p)
         assert np.max(np.abs(a.p - b.p)) <= 1e-14 * np.max(np.abs(b.p))
 
-    @pytest.mark.parametrize("shape", [(0, 3), (4,), (2, 4), (2, 3, 1)])
+    @pytest.mark.parametrize("shape", [(0, 1, 3), (1, 0, 3), (2, 3), (2, 3, 1)])
     def test_rejects_malformed_rate_blocks(self, shape):
-        with pytest.raises(InvalidInput):
-            aekf_predict(aekf_init(identity_quat(), np.eye(4)), np.zeros(shape), DT, _quiet())
-        with pytest.raises(InvalidInput):
-            mekf_predict(mekf_init(identity_quat(), np.eye(3)), np.zeros(shape), DT, _quiet())
+        steps = np.ones(shape[0], dtype=int)
+        q0 = np.tile(identity_quat(), (shape[0], 1))
+        kinematic = NoiseParams(sigma_v=1e-3, aekf_q_flat=False)
+        for build, args in ((aekf_transitions, (_quiet(),)), (aekf_transitions, (kinematic, q0)),
+                            (mekf_transitions, (_quiet(),))):
+            with pytest.raises(InvalidInput):
+                build(np.zeros(shape), steps, DT, *args)
+
+    @pytest.mark.parametrize("steps", [[0, 2], [1, 3], [2], [1, 1, 1]])
+    def test_rejects_step_counts_outside_the_stack(self, steps):
+        # two blocks of at most two steps each
+        for build in (aekf_transitions, mekf_transitions):
+            with pytest.raises(InvalidInput):
+                build(np.zeros((2, 2, 3)), steps, DT, _quiet())
+
+    def test_kinematic_q_needs_the_block_start_attitudes(self):
+        kinematic = NoiseParams(sigma_v=1e-3, aekf_q_flat=False)
+        for q0 in (None, identity_quat(), np.tile(identity_quat(), (3, 1))):
+            with pytest.raises(InvalidInput):
+                aekf_transitions(np.zeros((2, 2, 3)), [2, 1], DT, kinematic, q0)
+
+    def test_one_block_is_a_stack_of_one(self):
+        rng = np.random.default_rng(11)
+        phi = np.eye(3) + 1e-2 * rng.standard_normal((5, 3, 3))
+        q = 1e-6 * np.eye(3) * rng.uniform(size=(5, 1, 1))
+        phi_c, q_c = compose_transitions(phi[None], q[None])
+        assert phi_c.shape == q_c.shape == (1, 3, 3)
+        want_phi, want_q = phi[0], q[0]
+        for k in range(1, 5):
+            want_q = phi[k] @ want_q @ phi[k].T + q[k]
+            want_phi = phi[k] @ want_phi
+        assert np.max(np.abs(phi_c[0] - want_phi)) <= 1e-15
+        assert np.max(np.abs(q_c[0] - want_q)) <= 1e-15 * np.max(np.abs(want_q))
 
     def test_integrate_block_equals_steps(self):
         rng = np.random.default_rng(7)
@@ -352,18 +433,17 @@ class TestBlockPredict:
         # the same update after every block; rounding may differ, nothing else
         q_true = identity_quat()
         if name == "aekf":
-            predict, update, r = aekf_predict, aekf_update, 1e-6 * np.eye(4)
+            predict, update, r = aekf_predict_rates, aekf_update, 1e-6 * np.eye(4)
             a = b = aekf_init(q_true, 1e-6 * np.eye(4))
         else:
-            predict, update, r = mekf_predict, mekf_update, 1e-6 * np.eye(3)
+            predict, update, r = mekf_predict_rates, mekf_update, 1e-6 * np.eye(3)
             a = b = mekf_init(q_true, 1e-6 * np.eye(3))
         true, meas = _orbit_rates(3)
         rng = np.random.default_rng(4)
         q_gap = p_gap = 0.0
         for k in range(ORBIT_BLOCKS):
             a = predict(a, meas[k], DT, noise)
-            for w in meas[k]:
-                b = predict(b, w, DT, noise)
+            b = predict_each_step(b, meas[k], DT, noise)
             q_true = integrate_quat(q_true, true[k], DT)
             tilt = 5e-4 * rng.standard_normal(3)
             z = quat_normalize(quat_mul(np.append(tilt, 1.0), q_true))
@@ -391,8 +471,8 @@ class TestFilterInvariants:
         update_every = 20
         for k in range(n_cycles):
             w = np.array([rng.gaussian(0.5) for _ in range(3)])
-            aekf = aekf_predict(aekf, w, DT, noise)
-            mekf = mekf_predict(mekf, w, DT, noise)
+            aekf = aekf_predict_rates(aekf, w, DT, noise)
+            mekf = mekf_predict_rates(mekf, w, DT, noise)
             if k % update_every == 0:
                 meas = random_unit_quat(rng)
                 aekf = aekf_update(aekf, meas, r4)
@@ -419,10 +499,10 @@ class TestFilterInvariants:
         for k in range(200):
             w = trajectory_omega(k * DT, (0.0, 0.0, 1.0))
             q_true = integrate_quat(q_true, w, DT)
-            sa1 = aekf_predict(sa1, w, DT, noise)
-            sa2 = aekf_predict(sa2, w, DT, noise)
-            sm1 = mekf_predict(sm1, w, DT, noise)
-            sm2 = mekf_predict(sm2, w, DT, noise)
+            sa1 = aekf_predict_rates(sa1, w, DT, noise)
+            sa2 = aekf_predict_rates(sa2, w, DT, noise)
+            sm1 = mekf_predict_rates(sm1, w, DT, noise)
+            sm2 = mekf_predict_rates(sm2, w, DT, noise)
             if k % 10 == 0:
                 meas = quat_mul(axis_angle_quat(random_unit_vec(rng), 1e-3), q_true)
                 sa1 = aekf_update(sa1, meas, r4)
@@ -445,8 +525,8 @@ class TestFilterInvariants:
         for k in range(300):
             w = trajectory_omega(k * DT, (0.0, 0.0, 1.0))
             q_true = integrate_quat(q_true, w, DT)
-            aekf = aekf_predict(aekf, w, DT, noise)
-            mekf = mekf_predict(mekf, w, DT, noise)
+            aekf = aekf_predict_rates(aekf, w, DT, noise)
+            mekf = mekf_predict_rates(mekf, w, DT, noise)
             aekf = aekf_update(aekf, q_true, r4)
             mekf = mekf_update(mekf, q_true, r3)
         assert error_angle(aekf.q, q_true) <= 1e-6

@@ -242,40 +242,60 @@ class TestRunSimulation:
     def test_blocks_end_at_records_and_epochs(self, monkeypatch):
         # 50 Hz gyro, an epoch every 50 steps, a record every 20: each predict
         # covers the steps up to the next event and no further
-        import attsim.harness as hmod
-
-        sizes = {"aekf": [], "mekf": []}
-        real_a, real_m = hmod.aekf_predict, hmod.mekf_predict
-
-        def aekf_spy(s, omegas, dt, noise):
-            sizes["aekf"].append(len(omegas))
-            return real_a(s, omegas, dt, noise)
-
-        def mekf_spy(s, omegas, dt, noise):
-            sizes["mekf"].append(len(omegas))
-            return real_m(s, omegas, dt, noise)
-
-        monkeypatch.setattr(hmod, "aekf_predict", aekf_spy)
-        monkeypatch.setattr(hmod, "mekf_predict", mekf_spy)
+        sizes = {name: _spy_block_sizes(monkeypatch, name) for name in ("aekf", "mekf")}
         res = run_simulation(short_cfg(duration_s=3.0, record_stride=20))
-        assert sizes["aekf"] == [20, 20, 10, 10, 20, 20, 20, 20, 10]
-        assert sizes["mekf"] == sizes["aekf"]
+        assert sizes["aekf"]() == [20, 20, 10, 10, 20, 20, 20, 20, 10]
+        assert sizes["mekf"]() == sizes["aekf"]()
         assert len(res.t) == 8
         assert np.allclose(res.t, [0.4, 0.8, 1.2, 1.6, 2.0, 2.4, 2.8, 3.0])
 
     def test_long_blocks_are_capped(self, monkeypatch):
         import attsim.harness as hmod
 
-        sizes = []
-        real = hmod.mekf_predict
-
-        def spy(s, omegas, dt, noise):
-            sizes.append(len(omegas))
-            return real(s, omegas, dt, noise)
-
-        monkeypatch.setattr(hmod, "mekf_predict", spy)
+        sizes = _spy_block_sizes(monkeypatch, "mekf")
         run_simulation(short_cfg(duration_s=50.0, tracker_rate_hz=0.02, record_stride=10**9))
-        assert sizes == [hmod._MAX_BLOCK_STEPS, hmod._MAX_BLOCK_STEPS, 500]
+        assert sizes() == [hmod._MAX_BLOCK_STEPS, hmod._MAX_BLOCK_STEPS, 500]
+
+    @pytest.mark.parametrize("off", ["aekf", "mekf"])
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_disabled_filter_builds_no_transitions(self, off, flat, monkeypatch):
+        import attsim.harness as hmod
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{off} is disabled but its transitions were built or applied")
+
+        for name in (f"{off}_transitions", f"{off}_predict", f"{off}_update"):
+            monkeypatch.setattr(hmod, name, never)
+        cfg = short_cfg(duration_s=5.0, aekf_q_flat=flat, **{f"run_{off}": False})
+        res = run_simulation(cfg)
+        assert res.aborted is None
+        assert np.all(getattr(res, f"step_time_{off}") == 0.0)
+        other = "mekf" if off == "aekf" else "aekf"
+        assert np.all(getattr(res, f"step_time_{other}") > 0.0)
+
+    @pytest.mark.parametrize("slow", ["aekf_transitions", "mekf_transitions", "block_increments"])
+    def test_transition_builds_are_charged_to_their_filters(self, slow, monkeypatch):
+        # a build that takes 50 ms more shows in the step time of each filter
+        # that needs it, and only there; 250 steps in one chunk
+        import time
+
+        import attsim.harness as hmod
+
+        real = getattr(hmod, slow)
+
+        def slowed(*args):
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(hmod, slow, slowed)
+        res = run_simulation(short_cfg(duration_s=5.0))
+        extra = 0.05 / 250
+        for name in ("aekf", "mekf"):
+            mean = float(np.mean(getattr(res, f"step_time_{name}")))
+            if slow == "block_increments" or slow.startswith(name):
+                assert mean >= extra
+            else:
+                assert mean < 0.2 * extra
 
     def test_numerical_failure_aborts_with_partial_result(self, monkeypatch):
         import attsim.harness as hmod
@@ -309,6 +329,39 @@ class TestRunSimulation:
         assert len(chunked.t) == 70
         for name in ("pnorm_aekf", "pnorm_mekf", "cond_aekf", "cond_mekf"):
             assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+
+
+def _spy_block_sizes(monkeypatch, name):
+    """Spy on filter ``name``'s transition builds and predicts in the harness.
+
+    Returns a function that gives the gyro steps of every block the filter
+    predicted across, in order, after checking that each predict applied
+    the transition built for its block, once.
+    """
+    import attsim.harness as hmod
+
+    build, predict = getattr(hmod, f"{name}_transitions"), getattr(hmod, f"{name}_predict")
+    built, applied = [], []
+
+    def build_spy(omegas, steps, *args):
+        phi, q = build(omegas, steps, *args)
+        built.extend(zip(np.asarray(steps).tolist(), phi.copy(), q.copy()))
+        return phi, q
+
+    def predict_spy(s, m, phi, q):
+        applied.append((phi.copy(), q.copy()))
+        return predict(s, m, phi, q)
+
+    monkeypatch.setattr(hmod, f"{name}_transitions", build_spy)
+    monkeypatch.setattr(hmod, f"{name}_predict", predict_spy)
+
+    def sizes():
+        assert len(applied) == len(built)
+        for (_, phi_b, q_b), (phi_a, q_a) in zip(built, applied):
+            assert np.array_equal(phi_a, phi_b) and np.array_equal(q_a, q_b)
+        return [n for n, _, _ in built]
+
+    return sizes
 
 
 def _reference_omega(t, axis):
@@ -355,6 +408,7 @@ class TestScenarioPass:
             dict(duration_s=6.0),
             dict(duration_s=3.0, gyro_rate_hz=10.0, tracker_rate_hz=10.0, record_stride=1),
             dict(duration_s=50.0, tracker_rate_hz=0.02, record_stride=10**9),
+            dict(duration_s=12.0, tracker_rate_hz=3.0, record_stride=7, aekf_q_flat=False),
         ],
     )
     def test_chunk_bounds_do_not_change_outputs(self, cfg, monkeypatch, tmp_path):
@@ -378,6 +432,59 @@ class TestScenarioPass:
         assert len(calls) - whole_calls > whole_calls
         for name in ("metrics.json", "timeseries.csv"):
             assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "small" / name).read_bytes()
+
+
+class TestBlockTransitions:
+    """The scenario pass's batched block transitions are each block's own, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg, sizes",
+        [
+            # mixed lengths: 10-step blocks padded to the chunk's 20
+            (dict(duration_s=3.0, record_stride=20), [20, 20, 10, 10, 20, 20, 20, 20, 10]),
+            # one-step blocks
+            (dict(duration_s=0.5, record_stride=1), [1] * 25),
+            # two blocks of the cap and a short last block padded to it
+            (dict(duration_s=50.0, tracker_rate_hz=0.02, record_stride=10**9), [1000, 1000, 500]),
+        ],
+        ids=["mixed", "one-step", "capped"],
+    )
+    def test_each_block_equals_its_transition_alone(self, cfg, sizes, monkeypatch):
+        import attsim.harness as hmod
+        from attsim.attitude import identity_quat, integrate_quat
+        from attsim.filters import NoiseParams
+
+        calls = []
+        for name in ("block_increments", "aekf_transitions", "mekf_transitions", "integrate_quat"):
+            real = getattr(hmod, name)
+
+            def spy(*args, real=real, name=name):
+                out = real(*args)
+                calls.append((name, args, out))
+                return out
+
+            monkeypatch.setattr(hmod, name, spy)
+        run_simulation(short_cfg(**cfg))
+        (_, (truth_start, true_rates, dt), truth), = [c for c in calls if c[0] == "integrate_quat"]
+        (_, (rates, _), increments), = [c for c in calls if c[0] == "block_increments"]
+        (_, (_, steps, _, noise), (phi_a, q_a)), = [c for c in calls if c[0] == "aekf_transitions"]
+        (_, _, (phi_m, q_m)), = [c for c in calls if c[0] == "mekf_transitions"]
+        assert steps.tolist() == sizes
+        assert rates.shape == (len(sizes), max(sizes), 3)
+        assert noise == NoiseParams(sigma_v=1e-3 * math.sqrt(dt), aekf_q_flat=True)
+        q_prev = truth_start
+        for b, n in enumerate(sizes):
+            assert not np.any(rates[b, n:]) and not np.any(true_rates[b, n:])
+            alone = rates[b:b + 1, :n]
+            for (phi, q), build in (((phi_a, q_a), hmod.aekf_transitions),
+                                    ((phi_m, q_m), hmod.mekf_transitions)):
+                want_phi, want_q = build(alone, [n], dt, noise)
+                assert _same_bits(phi[b], want_phi[0]) and _same_bits(q[b], want_q[0])
+            m = integrate_quat(identity_quat(), alone[0], dt)
+            assert np.max(np.abs(increments[b] - m)) <= 1e-15
+            # the truth crosses each block as one block-alone propagation would
+            q_prev = integrate_quat(q_prev, true_rates[b, :n], dt)
+            assert _same_bits(truth[b], q_prev)
 
 
 def _fail_davenport_at(monkeypatch, epoch, how):
