@@ -78,6 +78,16 @@ def quat_norm(q) -> float:
     return math.sqrt(x * x + y * y + z * z + w * w)
 
 
+def quat_norms(q) -> np.ndarray:
+    """Norm of each row of a ``(k, 4)`` stack, as ``sqrt(x*x + y*y + z*z + w*w)``.
+
+    The same expression as :func:`quat_norm`, elementwise; a ``(4,)``
+    quaternion gives a 0-d result.
+    """
+    x, y, z, w = np.asarray(q, dtype=float).T
+    return np.sqrt(x * x + y * y + z * z + w * w)
+
+
 def quat_normalize(q) -> np.ndarray:
     """Unit quaternion with the same direction. Never flips sign."""
     q = np.asarray(q, dtype=float)
@@ -212,18 +222,24 @@ def _quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    """Passive rotation matrix A(q): inertial coordinates -> body coordinates."""
+    """Passive rotation matrix A(q): inertial coordinates -> body coordinates.
+
+    ``q`` is one quaternion ``(4,)`` (returns ``(3, 3)``) or a stack
+    ``(k, 4)`` (returns a C-contiguous ``(k, 3, 3)``); every entry is the
+    same elementwise expression either way.
+    """
     q = np.asarray(q, dtype=float)
-    if abs(quat_norm(q) - 1.0) > _UNIT_TOL:
+    if np.any(np.abs(quat_norms(q) - 1.0) > _UNIT_TOL):
         raise InvalidInput("quaternion must be unit norm")
-    x, y, z, w = q
-    return np.array(
+    x, y, z, w = q.T
+    a = np.array(
         [
-            [w * w + x * x - y * y - z * z, 2.0 * (x * y + w * z), 2.0 * (x * z - w * y)],
-            [2.0 * (x * y - w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z + w * x)],
-            [2.0 * (x * z + w * y), 2.0 * (y * z - w * x), w * w - x * x - y * y + z * z],
+            w * w + x * x - y * y - z * z, 2.0 * (x * y + w * z), 2.0 * (x * z - w * y),
+            2.0 * (x * y - w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z + w * x),
+            2.0 * (x * z + w * y), 2.0 * (y * z - w * x), w * w - x * x - y * y + z * z,
         ]
     )
+    return a.T.reshape(q.shape[:-1] + (3, 3))
 
 
 def error_angle(a, b) -> float:

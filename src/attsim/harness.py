@@ -14,9 +14,9 @@ always ends on a block boundary. Each chunk gets two passes:
   all the chunk's steps in one call, the noisy gyro samples in one noise
   draw, both laid out as one ``(blocks, longest block, 3)`` stack padded
   with zero rates; the truth at every block end from one call of
-  :func:`attsim.attitude.integrate_quat` on the stack; one emulated
-  star-tracker observation per epoch, and one Davenport solve for all the
-  chunk's epochs, whose 4x4 eigenproblems are solved as one stack; and the
+  :func:`attsim.attitude.integrate_quat` on the stack; one star-tracker
+  observation pass over all the chunk's epochs, whose star noise is one
+  draw, and one Davenport solve of their sets as one padded stack; and the
   block transitions of the filters that run: the product of each block's
   gyro increments (:func:`attsim.attitude.block_increments`), which both
   filters share, and each filter's composed (Phi, Q) pair per block, from
@@ -67,7 +67,7 @@ from typing import Optional
 import numpy as np
 
 from . import startracker
-from .attitude import block_increments, error_angle, integrate_quat, quat_norm
+from .attitude import block_increments, error_angle, integrate_quat, quat_norms
 from .errors import ConfigError, InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from .filters import (
     NoiseParams,
@@ -80,7 +80,7 @@ from .filters import (
     mekf_transitions,
     mekf_update,
 )
-from .numerics import RngStream, jacobi_eigen_sym
+from .numerics import RngStream, jacobi_eigen_sym, padded_rows
 from .wahba import davenport_solve
 
 logger = logging.getLogger(__name__)
@@ -346,10 +346,6 @@ def emulate_gyro(omega_true, sigma_gyro: float, rng: RngStream) -> np.ndarray:
     return omega_true + rng.gaussian_vec(sigma_gyro, omega_true.size).reshape(omega_true.shape)
 
 
-def _sign_aligned_diff(qa: np.ndarray, qb: np.ndarray) -> float:
-    return min(quat_norm(qa - qb), quat_norm(qa + qb))
-
-
 def _pnorm_and_cond(p: np.ndarray):
     """Spectral 2-norms and condition numbers of a stack of covariances, ``(k, n, n)``.
 
@@ -381,20 +377,11 @@ def _first_step_reaching(t: float, dt: float, k: int, n: int) -> int:
     return j
 
 
-def _padded_rows(blocks, steps: np.ndarray) -> np.ndarray:
-    """Row indices that lay a chunk's blocks out as a ``(blocks, longest block)`` stack.
-
-    Block b's entries index its rows ``lo..hi-1`` of the chunk's arrays;
-    the entries past its end index one row after the chunk's last, which
-    :func:`_pad` fills with zeros.
-    """
-    cols = np.arange(steps.max())
-    starts = np.array([lo for lo, _, _, _ in blocks])
-    return np.where(cols < steps[:, None], starts[:, None] + cols, blocks[-1][1])
-
-
 def _pad(rates: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A chunk's ``(n, 3)`` rates as a zero-padded ``(blocks, longest block, 3)`` stack."""
+    """A chunk's ``(n, 3)`` rates as a zero-padded ``(blocks, longest block, 3)`` stack.
+
+    ``rows`` is :func:`attsim.numerics.padded_rows` of the block lengths.
+    """
     return np.concatenate((rates, np.zeros((1, 3))))[rows]
 
 
@@ -504,20 +491,22 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 
             # scenario pass: the chunk's rates and gyro samples at once, padded
             # into one (blocks, longest block, 3) stack each; the truth at each
-            # block end; one observation set per epoch and one stacked
-            # Davenport solve; then the block transitions of the running filters
+            # block end; one observation pass over the chunk's epochs and one
+            # stacked Davenport solve; then the block transitions of the
+            # running filters
             omega_true = trajectory_omega(np.arange(chunk_start - 1, k - 1) * dt + 0.5 * dt, axis)
             gyro = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
             steps = np.array([hi - lo for lo, hi, _, _ in blocks])
-            rows = _padded_rows(blocks, steps)
+            rows = padded_rows(steps)
             truth = integrate_quat(q_end, _pad(omega_true, rows), dt)
             q_end = truth[-1]
-            observations = [
-                startracker.observe(q, catalog, cams, cfg.sigma_star, rng_star)
-                for q, (_, _, epoch, _) in zip(truth, blocks)
-                if epoch
-            ]
-            solutions = iter(davenport_solve(observations) if observations else ())
+            solutions = iter(())
+            if n_epochs:
+                at_epoch = [epoch for _, _, epoch, _ in blocks]
+                observations = startracker.observe(
+                    truth[at_epoch], catalog, cams, cfg.sigma_star, rng_star
+                )
+                solutions = iter(davenport_solve(observations))
 
             # each filter is charged its own transition build and the shared
             # increment products, spread over the chunk's steps
@@ -620,9 +609,8 @@ def compute_metrics(result: RunResult) -> MetricsReport:
 
     def one(q_est: np.ndarray, err: np.ndarray, pnorm: np.ndarray, cond: np.ndarray,
             step_time: np.ndarray) -> FilterMetrics:
-        qdiff = [
-            _sign_aligned_diff(result.q_true[i], q_est[i]) for i in range(n)
-        ]
+        # sign-aligned difference: min(|q_true - q|, |q_true + q|) per record
+        qdiff = np.minimum(quat_norms(result.q_true - q_est), quat_norms(result.q_true + q_est))
         return FilterMetrics(
             mean_error_angle_rad=float(np.mean(err)),
             max_error_angle_rad=float(np.max(err)),
@@ -658,30 +646,28 @@ _CSV_HEADER = (
 )
 
 
-def _csv_quat(q: np.ndarray) -> str:
-    # columns print the scalar first for readability; storage is vector-first
-    return f"{float(q[3])!r},{float(q[0])!r},{float(q[1])!r},{float(q[2])!r}"
+# columns print the scalar first for readability; storage is vector-first
+_CSV_QUAT = [3, 0, 1, 2]
 
 
 def write_timeseries_csv(result: RunResult, path) -> None:
+    table = np.column_stack(
+        (
+            result.t,
+            result.q_true[:, _CSV_QUAT],
+            result.q_aekf[:, _CSV_QUAT],
+            result.q_mekf[:, _CSV_QUAT],
+            result.err_aekf,
+            result.err_mekf,
+            result.pnorm_aekf,
+            result.pnorm_mekf,
+            result.cond_aekf,
+            result.cond_mekf,
+        )
+    )
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(_CSV_HEADER + "\n")
-        for i in range(result.t.shape[0]):
-            row = ",".join(
-                [
-                    repr(float(result.t[i])),
-                    _csv_quat(result.q_true[i]),
-                    _csv_quat(result.q_aekf[i]),
-                    _csv_quat(result.q_mekf[i]),
-                    repr(float(result.err_aekf[i])),
-                    repr(float(result.err_mekf[i])),
-                    repr(float(result.pnorm_aekf[i])),
-                    repr(float(result.pnorm_mekf[i])),
-                    repr(float(result.cond_aekf[i])),
-                    repr(float(result.cond_mekf[i])),
-                ]
-            )
-            f.write(row + "\n")
+        f.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
 
 
 def write_metrics_json(metrics: MetricsReport, path) -> None:

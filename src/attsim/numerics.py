@@ -40,6 +40,7 @@ of ``gaussian(sigma)`` would:
 
 import functools
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,6 +62,19 @@ _BIT_SHIFTS = np.arange(64, dtype=np.uint64)
 # temporaries to a few MB for any n
 _JUMP_LEN = 256
 _PASS_PAIRS = 1 << 14
+
+
+def padded_rows(counts) -> np.ndarray:
+    """Row indices that lay runs of consecutive rows out as a ``(runs, longest run)`` stack.
+
+    Run i is the ``counts[i]`` rows that follow run i - 1, from row 0 on.
+    Entry ``[i, j]`` indexes row j of run i; the entries past a run's end
+    index the row after the last run, where the caller appends its fill.
+    """
+    counts = np.asarray(counts)
+    bounds = [0, *accumulate(counts.tolist())]
+    cols = np.arange(counts.max())
+    return np.where(cols < counts[:, None], np.array(bounds[:-1])[:, None] + cols, bounds[-1])
 
 
 def _as_square(m) -> np.ndarray:

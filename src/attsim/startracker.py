@@ -13,17 +13,23 @@ position is far below sensor noise and is ignored.
 
 An epoch's stars travel as one :class:`ObservationSet`: the body and
 inertial directions as ``(m, 3)`` arrays and the weights as ``(m,)``, one
-row per star. :func:`observe` builds it with array operations, one pass
-per head: one field-of-view mask (:func:`is_visible`), the projection and
-its inversion on the visible rows, the rotation to body, and, for all
-heads together, one draw of ``3 m`` noise values in the order a loop over
-the heads' visible stars would draw them. Rows are normalized with the
-elementwise ``x*x + y*y + z*z``, not a BLAS dot product, whose rounding
-depends on the kernel the BLAS library picks for the CPU.
+row per star. :func:`observe` takes a stack of ``E`` epoch attitudes (a
+chunk of a run's tracker epochs) and builds all their sets in one array
+pass: per head, one product rotates the catalog for every epoch, one
+``(n, E)`` field-of-view mask (:func:`is_visible`) picks the visible rows
+of all epochs, which go through the projection, its inversion and the
+rotation to body together; then the rows are put in epoch, head and
+catalog order and take their noise from one draw, in the order a loop over
+the epochs, heads and visible stars would draw it. Each epoch's set is a
+view of these packed rows, and equals bit for bit what observing that
+epoch alone gives. Rows are normalized with the elementwise
+``x*x + y*y + z*z``, not a BLAS dot product, whose rounding depends on the
+kernel the BLAS library picks for the CPU.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -255,34 +261,68 @@ def default_camera_rig(n_cameras: int, fov_half_angle: float, focal_length: floa
     return cams
 
 
-def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStream) -> ObservationSet:
-    """Run the full emulation path for every camera at one epoch.
+# most rotated catalog rows observe holds per head at once (768 KiB): the
+# epochs of a stack are rotated in groups of at most this many rows
+_ROTATED_ROWS = 1 << 15
 
-    For each head, catalog stars are rotated into the camera frame through
-    the mount composed with the true attitude; visible stars travel through
-    projection and image-point inversion and are rotated back to the body
-    frame. Then every body direction is perturbed with per-axis Gaussian
-    noise of ``sigma_star``, drawn head by head and star by star in catalog
-    order, and renormalized. Returns the matched pairs, weight 1 each, as an
-    :class:`ObservationSet` whose length is the number of visible stars.
-    With ``sigma_star == 0`` every pair satisfies ``A(q_true) @ r == b`` to
-    1e-10.
+
+def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStream):
+    """Run the full emulation path for every camera at a stack of epochs, in one array pass.
+
+    ``q_true`` is a stack of true attitudes ``(E, 4)``, one per epoch, or
+    one attitude ``(4,)``, observed as a stack of one. For each head, the
+    catalog is rotated into the camera frame through the mount composed
+    with every epoch's attitude at once; the visible stars of all epochs
+    travel through projection and image-point inversion and are rotated
+    back to the body frame. The rows are then ordered by epoch, head and
+    catalog star, every body direction is perturbed with per-axis Gaussian
+    noise of ``sigma_star`` from one draw, in that order, and renormalized:
+    the values and the stream state that one call per epoch would give.
+
+    Returns one :class:`ObservationSet` per epoch, in order (views of the
+    packed rows), whose length is the number of stars visible at that
+    epoch and whose weights are 1; a ``(4,)`` attitude returns its set
+    alone. With ``sigma_star == 0`` every pair satisfies
+    ``A(q_true) @ r == b`` to 1e-10.
     """
     if len(cams) == 0:
         raise InvalidInput("at least one camera is required")
     if sigma_star < 0.0:
         raise InvalidInput("sigma_star must be nonnegative")
-    a_ib = quat_to_matrix(q_true)
-    bs, rs = [], []
+    q = np.asarray(q_true, dtype=float)
+    a_ib = quat_to_matrix(q.reshape(-1, 4))
+    n_epochs, n_stars = a_ib.shape[0], len(catalog)
+    group = max(1, _ROTATED_ROWS // n_stars)
+    counts = np.zeros(n_epochs, dtype=int)
+    bs, rs, epochs = [], [], []
     for cam in cams:
         a_bc = quat_to_matrix(cam.mount)
-        cam_vecs = catalog.stars @ (a_bc @ a_ib).T
-        visible = is_visible(cam_vecs, cam)
-        recovered = pixel_to_star_vector(project(cam_vecs[visible], cam), cam)
-        bs.append(recovered @ a_bc)
-        rs.append(catalog.stars[visible])
-    b = np.concatenate(bs)
+        # column block e of (3, 3 E) is epoch e's inertial-to-camera matrix,
+        # transposed, so one product rotates the catalog for every epoch
+        a_ci = (a_bc @ a_ib).transpose(2, 0, 1)
+        for lo in range(0, n_epochs, group):
+            hi = min(lo + group, n_epochs)
+            cam_vecs = (catalog.stars @ a_ci[:, lo:hi].reshape(3, -1)).reshape(n_stars, hi - lo, 3)
+            visible = is_visible(cam_vecs, cam)
+            rows = np.flatnonzero(visible.T)  # epoch-major, catalog order within an epoch
+            epoch, star = rows // n_stars, rows % n_stars
+            recovered = pixel_to_star_vector(project(cam_vecs[star, epoch], cam), cam)
+            bs.append(recovered @ a_bc)
+            rs.append(catalog.stars[star])
+            epochs.append(epoch + lo)
+            counts[lo:hi] += visible.sum(axis=0)
+    # heads were visited in turn, so a stable sort by epoch leaves each
+    # epoch's rows head by head, in catalog order within a head
+    order = np.argsort(np.concatenate(epochs), kind="stable")
+    b = np.concatenate(bs)[order]
+    r = np.concatenate(rs)[order]
     if sigma_star > 0.0:
         b += rng.gaussian_vec(sigma_star, b.size).reshape(b.shape)
         b /= row_norms(b)[:, None]
-    return ObservationSet(b=b, r=np.concatenate(rs))
+    weights = np.ones(b.shape[0])
+    bounds = [0, *accumulate(counts.tolist())]
+    sets = [
+        ObservationSet(b=b[lo:hi], r=r[lo:hi], weights=weights[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return sets if q.ndim > 1 else sets[0]

@@ -17,16 +17,25 @@ The q-method functions take one :class:`attsim.startracker.ObservationSet`
 (``b`` and ``r`` as ``(m, 3)`` arrays, ``weights`` as ``(m,)``) and form
 every sum over the stars with array operations: the products of each star
 side by side, then a sum over the star axis, which numpy adds star by star
-in order. No BLAS dot product enters ``B`` or ``z``, so their rounding
-does not depend on the CPU kernel a BLAS library picks.
+in order. No BLAS product enters ``B``, ``z`` or the loss, so their
+rounding does not depend on the CPU kernel a BLAS library picks.
 
 :func:`davenport_solve` also takes a sequence of sets, one per tracker
-epoch of a chunk of a run. It builds each set's K as for one set and
-eigendecomposes them all in one stacked Jacobi call; the stacked sweep
-gives each member bit for bit what it gives that matrix alone. A set that
-fails (too few stars, a degenerate eigenvalue gap, the z cross-check, the
-sweep limit) yields its exception as its outcome, so that the caller can
-act on it at that epoch's turn.
+epoch of a chunk of a run, and solves them together: the sets are laid
+out as zero-padded ``(E, L, 3)`` stacks (``L`` the largest set, padding
+rows of weight -0.0, which add -0.0 to every sum and so change none), and
+every B, z, total weight, K, z cross-check, eigenvalue gap, quaternion and
+loss is formed for all sets at once; the 4x4 eigenproblems are one stacked
+Jacobi call, which gives each member bit for bit what it gives that matrix
+alone. So each set's outcome equals a one-set call bit for bit. A set that
+fails (too few stars, a non-positive weight, the z cross-check, a
+degenerate eigenvalue gap, the sweep limit) yields its exception as its
+outcome, so that the caller can act on it at that epoch's turn.
+
+The loss sums each axis's weighted squared residuals over the star axis,
+then adds the three axes; the total weight is a sum over the star axis
+too. numpy adds a 1-D array of 8 or more terms pairwise, which would make
+a set's loss depend on how far it is padded.
 """
 
 from dataclasses import dataclass
@@ -41,11 +50,12 @@ from .errors import (
     NumericalFailure,
     UnderdeterminedAttitude,
 )
-from .numerics import jacobi_eigen_sym
+from .numerics import jacobi_eigen_sym, padded_rows
 from .startracker import ObservationSet, row_norms
 
 _COLLINEAR_EPS = 1e-8
 _EIG_GAP_REL = 1e-9
+_Z_DISAGREE = "z-vector formulas disagree; profile does not match observations"
 
 
 @dataclass(frozen=True)
@@ -112,9 +122,8 @@ def build_profile(obs) -> AttitudeProfileMatrix:
     w = obs.weights
     if not np.all(w > 0.0):
         raise InvalidInput("observation weights must be positive")
-    outer = obs.b[:, :, None] * obs.r[:, None, :]
-    b = (w[:, None, None] * outer).sum(axis=0)
-    return AttitudeProfileMatrix(b=b, total_weight=float(w.sum()))
+    prof, _, total = _star_sums(obs.b[None], obs.r[None], w[None])
+    return AttitudeProfileMatrix(b=prof[0], total_weight=float(total[0]))
 
 
 def davenport_matrix(profile: AttitudeProfileMatrix, obs) -> DavenportMatrix:
@@ -124,27 +133,68 @@ def davenport_matrix(profile: AttitudeProfileMatrix, obs) -> DavenportMatrix:
     of cross products; the two must agree to 1e-12 (relative to the total
     weight) or the profile does not belong to these observations.
     """
-    b = profile.b
-    z_skew = np.array([b[1, 2] - b[2, 1], b[2, 0] - b[0, 2], b[0, 1] - b[1, 0]])
-    z_cross = (obs.weights[:, None] * np.cross(obs.b, obs.r)).sum(axis=0)
-    scale = max(1.0, profile.total_weight)
-    if float(np.max(np.abs(z_skew - z_cross))) > 1e-12 * scale:
-        raise NumericalFailure("z-vector formulas disagree; profile does not match observations")
-    tr = float(np.trace(b))
-    s = b + b.T
-    k = np.empty((4, 4))
-    k[:3, :3] = s - tr * np.eye(3)
-    k[:3, 3] = z_skew
-    k[3, :3] = z_skew
-    k[3, 3] = tr
-    return DavenportMatrix(k=k)
+    _, z_cross, _ = _star_sums(obs.b[None], obs.r[None], obs.weights[None])
+    k, z_failed = davenport_matrices(profile.b[None], z_cross, np.array([profile.total_weight]))
+    if z_failed[0]:
+        raise NumericalFailure(_Z_DISAGREE)
+    return DavenportMatrix(k=k[0])
+
+
+def davenport_matrices(prof, z_cross, total):
+    """The K of each profile matrix of a stack, and which fail the z cross-check.
+
+    ``prof`` is ``(E, 3, 3)``, ``z_cross`` the ``(E, 3)`` weighted sums of
+    cross products and ``total`` the ``(E,)`` total weights. Returns K as
+    ``(E, 4, 4)`` and a boolean ``(E,)`` that is True where the skew part
+    of B and ``z_cross`` differ by more than 1e-12 * max(1, total).
+    """
+    k = np.empty((prof.shape[0], 4, 4))
+    tr = np.trace(prof, axis1=1, axis2=2)
+    k[:, :3, :3] = prof + prof.transpose(0, 2, 1) - tr[:, None, None] * np.eye(3)
+    z = k[:, :3, 3]
+    z[:, 0] = prof[:, 1, 2] - prof[:, 2, 1]
+    z[:, 1] = prof[:, 2, 0] - prof[:, 0, 2]
+    z[:, 2] = prof[:, 0, 1] - prof[:, 1, 0]
+    k[:, 3, :3] = z
+    k[:, 3, 3] = tr
+    z_failed = np.abs(z - z_cross).max(axis=1) > 1e-12 * np.maximum(1.0, total)
+    return k, z_failed
 
 
 def wahba_loss(a, obs) -> float:
     """Weighted squared-residual cost sum a_i ||b_i - A r_i||^2."""
     a = np.asarray(a, dtype=float)
-    d = obs.b - obs.r @ a.T
-    return float((obs.weights * (d * d).sum(axis=1)).sum())
+    return float(_losses(a[None], obs.b[None], obs.r[None], obs.weights[None])[0])
+
+
+def _star_sums(b, r, w):
+    """B, the weighted sum of cross products and the total weight of each set of a stack.
+
+    ``b`` and ``r`` are ``(E, L, 3)`` and ``w`` is ``(E, L)``; rows past a
+    set's end hold zero directions and weight -0.0, so every product they
+    add is -0.0, which leaves any sum as it is. One sum over the star axis
+    adds the rows one after the other, as for that set alone. Returns
+    ``(E, 3, 3)``, ``(E, 3)`` and ``(E,)``.
+    """
+    n, length = w.shape
+    terms = np.empty((n, length, 13))
+    terms[..., :9] = (b[..., :, None] * r[..., None, :]).reshape(n, length, 9)
+    terms[..., 9:12] = np.cross(b, r)
+    terms[..., 12] = 1.0
+    sums = (w[..., None] * terms).sum(axis=1)
+    return sums[:, :9].reshape(n, 3, 3), sums[:, 9:12], sums[:, 12]
+
+
+def _losses(a, b, r, w) -> np.ndarray:
+    """Weighted squared residuals of each set of a stack under its ``(3, 3)`` matrix ``a``.
+
+    Laid out as for :func:`_star_sums`; the squares of each axis are summed
+    over the star axis, then the three axes are added, so a set's loss does
+    not depend on the stack around it.
+    """
+    d = b - (r[:, :, None, :] * a[:, None, :, :]).sum(axis=3)
+    s = (w[..., None] * (d * d)).sum(axis=1)
+    return s[:, 0] + s[:, 1] + s[:, 2]
 
 
 def davenport_solve(obs):
@@ -159,9 +209,9 @@ def davenport_solve(obs):
 
     For a sequence of sets, returns a list with one outcome per set, in
     order: the WahbaSolution, or the exception a one-set call would raise
-    for that set (not raised). The Davenport matrices of the sets are
-    eigendecomposed in one stacked call, and each outcome equals the
-    one-set call bit for bit.
+    for that set (not raised). The sets are solved together, as one
+    zero-padded stack, and each outcome equals the one-set call bit for
+    bit.
     """
     if isinstance(obs, ObservationSet):
         outcome = _solve_sets([obs])[0]
@@ -174,57 +224,79 @@ def davenport_solve(obs):
 def _solve_sets(sets) -> list:
     """One outcome per observation set: a WahbaSolution or the AttsimError of that set."""
     outcomes = [None] * len(sets)
-    members, profiles, ks = [], [], []
-    for i, obs in enumerate(sets):
-        try:
-            if len(obs) < 2:
-                raise UnderdeterminedAttitude("at least two observations are required")
-            profile = build_profile(obs)
-            ks.append(davenport_matrix(profile, obs).k)
-        except AttsimError as exc:
-            outcomes[i] = exc
+    if not sets:
+        return outcomes
+    counts = [len(obs) for obs in sets]
+    b, r, w, valid = _padded_stack(sets, counts)
+    positive = np.all((w > 0.0) | ~valid, axis=1).tolist()
+    for i, (m, ok) in enumerate(zip(counts, positive)):
+        if m < 2:
+            outcomes[i] = UnderdeterminedAttitude("at least two observations are required")
+        elif not ok:
+            outcomes[i] = InvalidInput("observation weights must be positive")
+    members = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if not members:
+        return outcomes
+    if len(members) < len(sets):
+        b, r, w = b[members], r[members], w[members]
+    prof, z_cross, total = _star_sums(b, r, w)
+    k, z_failed = davenport_matrices(prof, z_cross, total)
+    for i, failed in zip(members, z_failed.tolist()):
+        if failed:
+            outcomes[i] = NumericalFailure(_Z_DISAGREE)
+    keep = np.flatnonzero(~z_failed)
+    evals, evecs, failures = _eigen_stack(k[keep])
+    gap = evals[:, 0] - evals[:, 1]
+    underdetermined = (gap < _EIG_GAP_REL * total[keep]).tolist()
+    q = evecs[:, 0]
+    q = np.where(q[:, 3:] < 0.0, -q, q)
+    loss = _losses(quat_to_matrix(q), b[keep], r[keep], w[keep]).tolist()
+    lambda_max = evals[:, 0].tolist()
+    for j, i in enumerate(members[m] for m in keep.tolist()):
+        if j in failures:
+            outcomes[i] = failures[j]
+        elif underdetermined[j]:
+            outcomes[i] = UnderdeterminedAttitude(
+                f"degenerate eigenvalue gap {gap[j]:.3e}: geometry underdetermined"
+            )
         else:
-            members.append(i)
-            profiles.append(profile)
-    for i, profile, eigen in zip(members, profiles, _eigen_each(ks)):
-        if isinstance(eigen, AttsimError):
-            outcomes[i] = eigen
-            continue
-        try:
-            outcomes[i] = _top_eigenvector_solution(sets[i], profile, *eigen)
-        except AttsimError as exc:
-            outcomes[i] = exc
+            outcomes[i] = WahbaSolution(q=q[j], lambda_max=lambda_max[j], loss=loss[j])
     return outcomes
 
 
-def _eigen_each(ks) -> list:
-    """``jacobi_eigen_sym`` of each 4x4 K, from one stacked call.
+def _padded_stack(sets, counts):
+    """The sets' rows as zero-padded ``(E, L, 3)`` stacks ``b`` and ``r``, weights ``(E, L)``.
+
+    ``L`` is the largest set; rows past a set's end hold zero directions
+    and weight -0.0. Also returns the ``(E, L)`` mask of the real rows.
+    """
+    rows = padded_rows(counts)
+    valid = rows < sum(counts)
+    pad = np.zeros((1, 3))
+    b = np.concatenate([*(obs.b for obs in sets), pad])[rows]
+    r = np.concatenate([*(obs.r for obs in sets), pad])[rows]
+    w = np.concatenate([*(obs.weights for obs in sets), [-0.0]])[rows]
+    return b, r, w, valid
+
+
+def _eigen_stack(ks):
+    """``jacobi_eigen_sym`` of a stack of 4x4 K, and the failure of each K that fails.
 
     If the stacked call fails, each K is solved alone, so that a failure
-    (the sweep limit) is the outcome of the matrix that caused it only.
+    (the sweep limit) is the outcome of the matrix that caused it only;
+    ``failures`` maps its index to the exception, and its eigenvalues and
+    vectors are placeholders (zeros and the identity).
     """
-    if not ks:
-        return []
     try:
-        evals, evecs = jacobi_eigen_sym(np.array(ks))
+        evals, evecs = jacobi_eigen_sym(ks)
+        return evals, evecs, {}
     except AttsimError:
-        out = []
-        for k in ks:
+        evals = np.zeros((ks.shape[0], 4))
+        evecs = np.broadcast_to(np.eye(4), ks.shape).copy()
+        failures = {}
+        for i, k in enumerate(ks):
             try:
-                out.append(jacobi_eigen_sym(k))
+                evals[i], evecs[i] = jacobi_eigen_sym(k)
             except AttsimError as exc:
-                out.append(exc)
-        return out
-    return list(zip(evals, evecs))
-
-
-def _top_eigenvector_solution(obs, profile, evals, evecs) -> WahbaSolution:
-    if evals[0] - evals[1] < _EIG_GAP_REL * profile.total_weight:
-        raise UnderdeterminedAttitude(
-            f"degenerate eigenvalue gap {evals[0] - evals[1]:.3e}: geometry underdetermined"
-        )
-    q = evecs[0].copy()
-    if q[3] < 0.0:
-        q = -q
-    loss = wahba_loss(quat_to_matrix(q), obs)
-    return WahbaSolution(q=q, lambda_max=float(evals[0]), loss=loss)
+                failures[i] = exc
+        return evals, evecs, failures

@@ -7,6 +7,10 @@ bounded against. They normalize with 1-D ``v @ v`` dot products and rotate
 with matrix-vector products, as the loops did, so they round differently
 from the array path in the last bits.
 
+``observe`` takes a whole stack of epochs in one pass.
+:func:`observe_one_epoch` is the one-epoch array pass it replaced, the
+reference each epoch of a stack must equal bit for bit.
+
 ``attsim.numerics.jacobi_eigen_sym`` runs its cyclic Jacobi sweep on a
 stack of matrices. :func:`jacobi_eigen_one` is the same sweep written for
 one matrix with scalar arithmetic, the reference each member of a stack
@@ -34,7 +38,14 @@ import attsim.numerics as numerics
 from attsim.attitude import quat_mul, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from attsim.numerics import check_symmetric, jacobi_eigen_sym
-from attsim.startracker import StarCatalog
+from attsim.startracker import (
+    ObservationSet,
+    StarCatalog,
+    is_visible,
+    pixel_to_star_vector,
+    project,
+    row_norms,
+)
 
 
 def observe_per_star(q_true, catalog, cams, sigma_star, rng):
@@ -64,6 +75,29 @@ def observe_per_star(q_true, catalog, cams, sigma_star, rng):
                 b = b / math.sqrt(float(b @ b))
             out.append((b, catalog.stars[idx].copy()))
     return out
+
+
+def observe_one_epoch(q_true, catalog, cams, sigma_star, rng):
+    """One epoch's ``ObservationSet`` from one pass per head and one noise draw for the epoch.
+
+    The array path ``attsim.startracker.observe`` had for one attitude
+    before it took a stack of epochs; the stacked path must equal it bit
+    for bit, epoch after epoch, in rows, order, stream state and spare.
+    """
+    a_ib = quat_to_matrix(q_true)
+    bs, rs = [], []
+    for cam in cams:
+        a_bc = quat_to_matrix(cam.mount)
+        cam_vecs = catalog.stars @ (a_bc @ a_ib).T
+        visible = is_visible(cam_vecs, cam)
+        recovered = pixel_to_star_vector(project(cam_vecs[visible], cam), cam)
+        bs.append(recovered @ a_bc)
+        rs.append(catalog.stars[visible])
+    b = np.concatenate(bs)
+    if sigma_star > 0.0:
+        b += rng.gaussian_vec(sigma_star, b.size).reshape(b.shape)
+        b /= row_norms(b)[:, None]
+    return ObservationSet(b=b, r=np.concatenate(rs))
 
 
 def davenport_per_star(b_rows, r_rows, weights):

@@ -492,21 +492,25 @@ def _fail_davenport_at(monkeypatch, epoch, how):
 
     ``how`` is ``"z"`` (the z-vector cross-check of that epoch's matrix) or
     ``"sweep"`` (the eigensolve of that epoch's matrix, alone or in a stack).
+    The epochs are counted over the stacks of K that reach
+    ``wahba.davenport_matrices``, in order.
     """
     import attsim.wahba as wmod
     from attsim.errors import NumericalFailure
 
     seen = []
-    real_matrix, real_eigen = wmod.davenport_matrix, wmod.jacobi_eigen_sym
+    real_matrices, real_eigen = wmod.davenport_matrices, wmod.jacobi_eigen_sym
 
-    def matrix(profile, obs):
-        seen.append(None)
-        k = real_matrix(profile, obs)
-        if len(seen) - 1 == epoch:
+    def matrices(prof, z_cross, total):
+        k, z_failed = real_matrices(prof, z_cross, total)
+        i = epoch - len(seen)
+        seen.extend([None] * len(k))
+        if 0 <= i < len(k):
             if how == "z":
-                raise NumericalFailure("z-vector formulas disagree; profile does not match observations")
-            seen[-1] = k.k
-        return k
+                z_failed[i] = True
+            else:
+                seen[epoch] = k[i]
+        return k, z_failed
 
     def eigen(m):
         bad = seen[epoch] if len(seen) > epoch else None
@@ -515,7 +519,7 @@ def _fail_davenport_at(monkeypatch, epoch, how):
             raise NumericalFailure("Jacobi sweep limit reached (off-diagonal 1.000e+00)")
         return real_eigen(m)
 
-    monkeypatch.setattr(wmod, "davenport_matrix", matrix)
+    monkeypatch.setattr(wmod, "davenport_matrices", matrices)
     monkeypatch.setattr(wmod, "jacobi_eigen_sym", eigen)
 
 

@@ -21,7 +21,7 @@ from attsim.startracker import (
 )
 
 from conftest import random_unit_quat
-from oracles import generate_catalog_per_star, observe_per_star
+from oracles import generate_catalog_per_star, observe_one_epoch, observe_per_star
 
 FOV20 = math.radians(20.0)
 
@@ -370,3 +370,94 @@ class TestObserveAgainstPerStarLoop:
             body = cat.stars @ quat_to_matrix(q).T
             want = sum(int((body @ _boresight_in_body(cam) > math.cos(FOV20)).sum()) for cam in cams)
             assert len(observe(q, cat, cams, 1e-3, setup)) == want
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _rig(n_cams, n_stars, fov_deg, seed=5):
+    return generate_catalog(n_stars, RngStream(seed)), default_camera_rig(n_cams, math.radians(fov_deg), 1.0)
+
+
+class TestObserveStack:
+    """``observe`` on a stack of epochs against one epoch at a time (``tests/oracles.py``).
+
+    Every epoch's rows, in order, bit for bit, and the noise stream left in
+    the same state with the same spare deviate.
+    """
+
+    @staticmethod
+    def _assert_matches_epoch_by_epoch(qs, cat, cams, sigma, rng, rng_ref):
+        sets = observe(qs, cat, cams, sigma, rng)
+        assert isinstance(sets, list) and len(sets) == len(qs)
+        for obs, q in zip(sets, qs):
+            ref = observe_one_epoch(q, cat, cams, sigma, rng_ref)
+            assert _same_bits(obs.b, ref.b) and _same_bits(obs.r, ref.r)
+            assert _same_bits(obs.weights, ref.weights)
+        assert (rng._state, rng._spare) == (rng_ref._state, rng_ref._spare)
+        return sets
+
+    @pytest.mark.parametrize(
+        "n_cams, n_stars, fov_deg, sigma",
+        [
+            (3, 100, 20.0, 1e-3),  # the orbit benchmark rig
+            (6, 1000, 20.0, 1e-3),  # the star-field benchmark rig
+            (3, 100, 20.0, 0.0),  # noiseless
+            (4, 300, 35.0, 5e-3),
+        ],
+    )
+    def test_rigs(self, n_cams, n_stars, fov_deg, sigma):
+        cat, cams = _rig(n_cams, n_stars, fov_deg)
+        setup = RngStream(n_stars + n_cams)
+        rng, rng_ref = RngStream(77), RngStream(77)
+        for n_epochs in (1, 2, 7, 32):
+            qs = np.array([random_unit_quat(setup) for _ in range(n_epochs)])
+            self._assert_matches_epoch_by_epoch(qs, cat, cams, sigma, rng, rng_ref)
+
+    def test_epochs_with_zero_and_one_visible_star(self):
+        cat, cams = _rig(1, 40, 12.0)
+        setup = RngStream(3)
+        qs = np.array([random_unit_quat(setup) for _ in range(60)])
+        sets = self._assert_matches_epoch_by_epoch(qs, cat, cams, 1e-3, RngStream(8), RngStream(8))
+        counts = [len(obs) for obs in sets]
+        assert 0 in counts and 1 in counts and max(counts) >= 2
+
+    def test_spare_carried_across_two_chunks(self):
+        cat, cams = _rig(3, 100, 20.0)
+        setup = RngStream(21)
+        rng, rng_ref = RngStream(4), RngStream(4)
+        # an odd number of stars in the first chunk leaves half a pair
+        while True:
+            first = np.array([random_unit_quat(setup) for _ in range(5)])
+            if sum(len(observe_one_epoch(q, cat, cams, 0.0, None)) for q in first) % 2:
+                break
+        self._assert_matches_epoch_by_epoch(first, cat, cams, 1e-3, rng, rng_ref)
+        assert rng._spare is not None
+        second = np.array([random_unit_quat(setup) for _ in range(6)])
+        self._assert_matches_epoch_by_epoch(second, cat, cams, 1e-3, rng, rng_ref)
+
+    def test_epochs_rotated_in_groups(self, monkeypatch):
+        # a catalog too large for one rotated stack takes the epochs in groups
+        import attsim.startracker as smod
+
+        monkeypatch.setattr(smod, "_ROTATED_ROWS", 250)  # groups of 2 epochs
+        cat, cams = _rig(3, 100, 20.0)
+        setup = RngStream(9)
+        qs = np.array([random_unit_quat(setup) for _ in range(7)])
+        self._assert_matches_epoch_by_epoch(qs, cat, cams, 1e-3, RngStream(2), RngStream(2))
+
+    def test_one_attitude_returns_its_set(self):
+        cat, cams = _rig(3, 100, 20.0)
+        q = random_unit_quat(RngStream(1))
+        one = observe(q, cat, cams, 1e-3, RngStream(6))
+        stack = observe(q[None], cat, cams, 1e-3, RngStream(6))
+        assert isinstance(one, ObservationSet) and len(stack) == 1
+        assert _same_bits(one.b, stack[0].b) and _same_bits(one.r, stack[0].r)
+
+    def test_non_unit_attitude_rejected(self):
+        cat, cams = _rig(1, 10, 20.0)
+        qs = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 2.0]])
+        with pytest.raises(InvalidInput):
+            observe(qs, cat, cams, 0.0, RngStream(1))

@@ -14,6 +14,7 @@ from attsim.errors import (
 from attsim.numerics import RngStream
 from attsim.startracker import ObservationSet, default_camera_rig, generate_catalog, observe
 from attsim.wahba import (
+    WahbaSolution,
     build_profile,
     davenport_matrix,
     davenport_solve,
@@ -344,6 +345,50 @@ class TestDavenportSequence:
 
     def test_empty_sequence(self):
         assert davenport_solve([]) == []
+
+    @staticmethod
+    def _assert_same_outcomes(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            if isinstance(w, AttsimError):
+                assert str(g) == str(w)
+            else:
+                assert g.q.tobytes() == w.q.tobytes()
+                assert g.lambda_max == w.lambda_max
+                assert g.loss == w.loss
+
+    def test_weighted_sets_of_2_to_200_stars(self):
+        # padding every set to the largest changes no bit of any outcome,
+        # the loss included, whatever the order of the stack
+        rng = RngStream(62)
+        sizes = (2, 3, 7, 8, 9, 16, 31, 64, 127, 128, 129, 200)
+        sets = [_random_pairs(rng, n) for n in sizes]
+        weights = [np.array([rng.uniform() + 0.1 for _ in range(n)]) for n in sizes]
+        for n, w in zip(sizes, weights):
+            obs = _obs_from_attitude(random_unit_quat(rng), rng, n, weights=w)
+            noisy = obs.b + 1e-3 * np.array([random_unit_vec(rng) for _ in range(n)])
+            sets.append(ObservationSet(b=noisy, r=obs.r, weights=w))
+        want = self._one_by_one(sets)
+        assert all(isinstance(w, WahbaSolution) for w in want)
+        self._assert_same_outcomes(davenport_solve(sets), want)
+        self._assert_same_outcomes(davenport_solve(sets[::-1]), want[::-1])
+        for obs, w in zip(sets, want):
+            assert w.loss == wahba_loss(quat_to_matrix(w.q), obs)
+
+    def test_z_cross_check_failure_mid_sequence(self):
+        # directions of magnitude 1e6 make the two z formulas differ by far
+        # more than 1e-12 of the total weight; only that set reports it
+        rng = RngStream(63)
+        big = _random_pairs(rng, 12)
+        big = ObservationSet(b=1e6 * big.b, r=1e6 * big.r, weights=big.weights)
+        sets = [_random_pairs(rng, n) for n in (5, 40, 3)]
+        sets.insert(2, big)
+        want = self._one_by_one(sets)
+        assert isinstance(want[2], NumericalFailure) and "z-vector" in str(want[2])
+        got = davenport_solve(sets)
+        self._assert_same_outcomes(got, want)
+        assert [type(g).__name__ for g in got].count("WahbaSolution") == 3
 
     def test_sweep_limit_belongs_to_its_set(self, monkeypatch):
         # one matrix of the stack fails the sweep; only its set reports it,
