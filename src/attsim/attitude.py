@@ -82,7 +82,7 @@ def quat_norms(q) -> np.ndarray:
     """Norm of each row of a ``(k, 4)`` stack, as ``sqrt(x*x + y*y + z*z + w*w)``.
 
     The same expression as :func:`quat_norm`, elementwise; a ``(4,)``
-    quaternion gives a 0-d result.
+    quaternion gives its one norm.
     """
     x, y, z, w = np.asarray(q, dtype=float).T
     return np.sqrt(x * x + y * y + z * z + w * w)

@@ -2,7 +2,9 @@
 
 This module owns the linear algebra the estimators depend on: a cyclic
 Jacobi eigensolver for symmetric matrices up to 6x6, a dense solver for
-the innovation systems, and a seeded noise stream. Matrices and vectors
+the innovation systems, a seeded noise stream, and the row layout that
+pads runs of rows into one stack (:func:`padded_rows`: the harness's gyro
+blocks, the Davenport solve's observation sets). Matrices and vectors
 are plain float64 numpy arrays; nothing here calls into ``numpy.linalg``,
 so seeded artifacts reproduce bit for bit across runs.
 
