@@ -21,6 +21,18 @@ Conventions used everywhere in this package:
   the scalar one-step path does. The filters take the same block products
   of the gyro rates (see :mod:`attsim.filters`).
 
+The kernels the sequential estimate loop calls per block or per update
+(``quat_mul``, ``quat_norm``, ``quat_normalize``, ``quat_conjugate``,
+``quat_to_gibbs``, ``error_angle`` and the block-by-block crossing of
+``integrate_quat``) read an ``ndarray`` operand as Python floats
+(``tolist()``) and return arrays. Indexing an array yields numpy float64
+scalars, whose arithmetic costs about ten times as much per operation;
+both are IEEE double operations, correctly rounded, so the same expressions
+in the same order give the same bits. ``error_angle`` also takes ``(k, 4)``
+stacks: the relative quaternions and norms are the same expressions
+elementwise, and ``math.atan2`` is taken row by row (numpy does not promise
+that ``np.arctan2`` matches it), so each row equals the pair alone.
+
 File formats that print quaternions for humans emit the scalar first;
 only the in-memory layout is vector-first.
 """
@@ -54,15 +66,29 @@ def axis_angle_quat(axis, angle: float) -> np.ndarray:
 
 def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a * b (works on non-unit quaternions)."""
-    ax, ay, az, aw = a
-    bx, by, bz, bw = b
-    return np.array(
-        [
-            aw * bx + bw * ax + ay * bz - az * by,
-            aw * by + bw * ay + az * bx - ax * bz,
-            aw * bz + bw * az + ax * by - ay * bx,
-            aw * bw - ax * bx - ay * by - az * bz,
-        ]
+    return np.array(_hamilton(*_components(a), *_components(b)))
+
+
+def _components(q):
+    """The four components of ``q``, as Python floats if ``q`` is an ``ndarray``.
+
+    Unpacking an array gives numpy float64 scalars, whose arithmetic rounds
+    the same but costs about ten times as much.
+    """
+    return q.tolist() if isinstance(q, np.ndarray) else q
+
+
+def _hamilton(ax, ay, az, aw, bx, by, bz, bw):
+    """Components of the Hamilton product of (ax, ay, az, aw) and (bx, by, bz, bw).
+
+    The same expressions on floats or elementwise on arrays, so a stack of
+    products rounds as the products one at a time do.
+    """
+    return (
+        aw * bx + bw * ax + ay * bz - az * by,
+        aw * by + bw * ay + az * bx - ax * bz,
+        aw * bz + bw * az + ax * by - ay * bx,
+        aw * bw - ax * bx - ay * by - az * bz,
     )
 
 
@@ -74,7 +100,7 @@ _QUAT_LEFT_TABLE = np.array(
 
 
 def quat_norm(q) -> float:
-    x, y, z, w = q
+    x, y, z, w = _components(q)
     return math.sqrt(x * x + y * y + z * z + w * w)
 
 
@@ -90,25 +116,25 @@ def quat_norms(q) -> np.ndarray:
 
 def quat_normalize(q) -> np.ndarray:
     """Unit quaternion with the same direction. Never flips sign."""
-    q = np.asarray(q, dtype=float)
-    n = quat_norm(q)
+    x, y, z, w = _components(q)
+    n = math.sqrt(x * x + y * y + z * z + w * w)
     if n <= _NORM_EPS:
         raise DegenerateQuaternion(f"cannot normalize quaternion with norm {n:.3e}")
-    return q / n
+    return np.array([x / n, y / n, z / n, w / n])
 
 
 def quat_conjugate(q) -> np.ndarray:
     """Conjugate (inverse, for unit quaternions)."""
-    return np.array([-q[0], -q[1], -q[2], q[3]])
+    x, y, z, w = _components(q)
+    return np.array([-x, -y, -z, w])
 
 
 def quat_to_gibbs(q) -> np.ndarray:
     """Gibbs vector g = q_vec / q_scalar; undefined at 180 degrees."""
-    q = np.asarray(q, dtype=float)
-    w = float(q[3])
+    x, y, z, w = _components(q)
     if abs(w) <= _GIBBS_EPS:
         raise GibbsSingularity("scalar part is zero: rotation is at 180 degrees")
-    return q[:3] / w
+    return np.array([x / w, y / w, z / w])
 
 
 def integrate_quat(q, omega, dt: float) -> np.ndarray:
@@ -127,20 +153,21 @@ def integrate_quat(q, omega, dt: float) -> np.ndarray:
     """
     w = np.asarray(omega, dtype=float)
     if w.ndim == 3:
-        out = np.empty((w.shape[0], 4))
-        for b, m in enumerate(block_increments(w, dt).tolist()):
-            q = out[b] = quat_mul(m, q)
-        return out
+        out = []
+        q = _components(q)
+        for m in block_increments(w, dt).tolist():
+            q = _hamilton(*m, *q)
+            out.append(q)
+        return np.array(out).reshape(-1, 4)
     if w.ndim == 2:
         return integrate_quat(q, w[None], dt)[0]
-    wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
+    wx, wy, wz = w.tolist()
     wnorm = math.sqrt(wx * wx + wy * wy + wz * wz)
     if wnorm == 0.0:
         return np.asarray(q, dtype=float).copy()
     half = 0.5 * wnorm * dt
     s = math.sin(half) / wnorm
-    dq = np.array([wx * s, wy * s, wz * s, math.cos(half)])
-    return quat_mul(dq, q)
+    return quat_mul((wx * s, wy * s, wz * s, math.cos(half)), q)
 
 
 def block_increments(omegas, dt: float) -> np.ndarray:
@@ -242,16 +269,28 @@ def quat_to_matrix(q) -> np.ndarray:
     return a.T.reshape(q.shape[:-1] + (3, 3))
 
 
-def error_angle(a, b) -> float:
+def error_angle(a, b):
     """Rotation angle in [0, pi] between two unit quaternions, sign-insensitive.
 
     Equals 2*acos(|<a, b>|) but is computed through the relative quaternion
     with atan2, which stays accurate near zero where acos loses half the
     significant digits.
+
+    ``a`` and ``b`` are two quaternions (returns a float) or two ``(k, 4)``
+    stacks (returns the ``(k,)`` angles of their rows). A stack takes the
+    relative quaternions and their vector norms elementwise, in the order
+    of the one-pair expressions, and ``math.atan2`` row by row, so each
+    angle is bit for bit the one the pair alone gives.
     """
-    qe = quat_mul(a, quat_conjugate(b))
-    vec = math.sqrt(float(qe[0] * qe[0] + qe[1] * qe[1] + qe[2] * qe[2]))
-    return 2.0 * math.atan2(vec, abs(float(qe[3])))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    one = a.ndim == 1 and b.ndim == 1
+    bx, by, bz, bw = b.tolist() if one else b.T
+    ex, ey, ez, ew = _hamilton(*(a.tolist() if one else a.T), -bx, -by, -bz, bw)
+    if one:
+        return 2.0 * math.atan2(math.sqrt(ex * ex + ey * ey + ez * ez), abs(ew))
+    vec = np.sqrt(ex * ex + ey * ey + ez * ez)
+    return 2.0 * np.fromiter(map(math.atan2, vec.tolist(), np.abs(ew).tolist()), float, vec.size)
 
 
 def omega_matrix(omega) -> np.ndarray:

@@ -214,11 +214,18 @@ def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
     """Fuse a measured quaternion with H = I and renormalize the result.
 
     The measurement is sign-aligned to the current estimate first, so q
-    and -q measurements produce identical updates. Raises NumericalFailure
-    (from the innovation solve) when S = P + R is singular.
+    and -q measurements produce identical updates. It is negated when its
+    dot product with the estimate, summed as ``x*x' + y*y' + z*z' + w*w'``
+    (not by BLAS, whose rounding depends on the CPU), is negative; when the
+    product is zero, when its first nonzero component in the order w, z,
+    y, x is negative. Raises NumericalFailure (from the innovation solve)
+    when S = P + R is singular.
     """
     q_meas = np.asarray(q_meas, dtype=float)
-    if float(np.dot(q_meas, s.q)) < 0.0:
+    mx, my, mz, mw = q_meas.tolist()
+    ex, ey, ez, ew = s.q.tolist()
+    dot = mx * ex + my * ey + mz * ez + mw * ew
+    if dot < 0.0 or (dot == 0.0 and (mw, mz, my, mx) < (0.0, 0.0, 0.0, 0.0)):
         q_meas = -q_meas
     y = q_meas - s.q
     innov = s.p + np.asarray(r4, dtype=float)
@@ -276,6 +283,6 @@ def mekf_update(s: MekfState, q_meas, r3) -> MekfState:
     # K = P S^-1; with S symmetric this is solve(S, P)^T
     k = solve(s.p + np.asarray(r3, dtype=float), s.p).T
     a = k @ a_g
-    dq = quat_normalize(np.array([a[0], a[1], a[2], 2.0]))
+    dq = quat_normalize([*a.tolist(), 2.0])
     q_ref = quat_normalize(quat_mul(dq, s.q_ref))
     return MekfState(q_ref=q_ref, p=symmetrize(s.p - k @ s.p))

@@ -326,7 +326,7 @@ def trajectory_omega(t, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
     if np.any(times < 0.0):
         raise InvalidInput("time must be nonnegative")
     phase = (times.reshape(-1) / ORBIT_PERIOD_S * 2.0 * math.pi).tolist()
-    mag = -np.array([math.cos(x) for x in phase]) * (0.5 * math.pi)
+    mag = -np.fromiter(map(math.cos, phase), float, len(phase)) * (0.5 * math.pi)
     rates = mag[:, None] * np.asarray(axis, dtype=float)
     return rates[0] if times.ndim == 0 else rates
 
@@ -422,8 +422,8 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     aekf = aekf_init(q_true, _P0_ATTITUDE * np.eye(4))
     mekf = mekf_init(q_true, _P0_ATTITUDE * np.eye(3))
 
-    rec_t, rec_qt, rec_qa, rec_qm = [], [], [], []
-    rec_ea, rec_em, rec_pa, rec_pm, rec_ca, rec_cm = [], [], [], [], [], []
+    rec_t, rec_q, rec_ea, rec_em = [], [], [], []
+    rec_pa, rec_pm, rec_ca, rec_cm = [], [], [], []
     rec_ta, rec_tm = [], []
     epoch_t, epoch_q = [], []
     skipped = 0
@@ -433,13 +433,21 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     win_time_m = 0.0
     win_steps = 0
 
-    # covariance snapshots of the records not yet solved
+    # attitude and covariance snapshots of the records not yet solved: the
+    # truth, the AEKF and the MEKF quaternions, then each filter's covariance
+    pending_q = np.empty((3, _RECORD_CHUNK, 4))
     pending_a = np.empty((_RECORD_CHUNK, 4, 4))
     pending_m = np.empty((_RECORD_CHUNK, 3, 3))
     n_pending = 0
 
     def flush() -> None:
         nonlocal n_pending
+        q = pending_q[:, :n_pending].copy()
+        rec_q.append(q)
+        # both error columns, truth against AEKF then truth against MEKF
+        err = error_angle(np.concatenate((q[0], q[0])), np.concatenate((q[1], q[2])))
+        rec_ea.extend(err[:n_pending].tolist())
+        rec_em.extend(err[n_pending:].tolist())
         for pending, norms, conds in ((pending_a, rec_pa, rec_ca), (pending_m, rec_pm, rec_cm)):
             pnorm, cond = _pnorm_and_cond(pending[:n_pending])
             norms.extend(pnorm.tolist())
@@ -449,11 +457,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     def record(t_now: float) -> None:
         nonlocal win_time_a, win_time_m, win_steps, n_pending
         rec_t.append(t_now)
-        rec_qt.append(q_true.copy())
-        rec_qa.append(aekf.q.copy())
-        rec_qm.append(mekf.q_ref.copy())
-        rec_ea.append(error_angle(q_true, aekf.q))
-        rec_em.append(error_angle(q_true, mekf.q_ref))
+        pending_q[:, n_pending] = q_true, aekf.q, mekf.q_ref
         pending_a[n_pending] = aekf.p
         pending_m[n_pending] = mekf.p
         n_pending += 1
@@ -572,6 +576,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         if t_now > 0.0 and (not rec_t or t_now > rec_t[-1]):
             record(t_now)
     flush()
+    quats = np.concatenate(rec_q, axis=1)
 
     def arr(rows, width=None):
         if width is None:
@@ -583,9 +588,9 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     return RunResult(
         config=cfg,
         t=arr(rec_t),
-        q_true=arr(rec_qt, 4),
-        q_aekf=arr(rec_qa, 4),
-        q_mekf=arr(rec_qm, 4),
+        q_true=quats[0],
+        q_aekf=quats[1],
+        q_mekf=quats[2],
         err_aekf=arr(rec_ea),
         err_mekf=arr(rec_em),
         pnorm_aekf=arr(rec_pa),

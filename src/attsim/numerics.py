@@ -5,8 +5,11 @@ Jacobi eigensolver for symmetric matrices up to 6x6, a dense solver for
 the innovation systems, a seeded noise stream, and the row layout that
 pads runs of rows into one stack (:func:`padded_rows`: the harness's gyro
 blocks, the Davenport solve's observation sets). Matrices and vectors
-are plain float64 numpy arrays; nothing here calls into ``numpy.linalg``,
-so seeded artifacts reproduce bit for bit across runs.
+are plain float64 numpy arrays at the interface; nothing here calls into
+``numpy.linalg``, so seeded artifacts reproduce bit for bit across runs.
+Inside, :func:`solve` eliminates on lists of Python floats: its 3x3 and
+4x4 systems are too small to pay numpy's per-call cost, and a Python float
+rounds each operation as a numpy element does.
 
 The eigensolver is one cyclic Jacobi sweep, vectorized over a stack of
 matrices, shape ``(k, n, n)``: each rotation is the same elementwise IEEE
@@ -247,6 +250,14 @@ def solve(a, b) -> np.ndarray:
 
     ``b`` may be a vector or a matrix of right-hand sides. Raises
     NumericalFailure when a pivot collapses to zero.
+
+    The elimination runs on lists of Python floats, one list per row of
+    ``[a | b]``. The pivot is the first largest magnitude of its column (a
+    NaN counts as largest, as ``np.argmax`` has it); its row is divided by
+    it, and every other row with a nonzero entry in the column takes
+    ``x - f * y`` elementwise. Each of these is one correctly rounded IEEE
+    operation, so the result is bit for bit that of the same steps on
+    numpy rows.
     """
     a = _as_square(a)
     rhs = np.asarray(b, dtype=float)
@@ -254,21 +265,27 @@ def solve(a, b) -> np.ndarray:
     if vector:
         rhs = rhs.reshape(-1, 1)
     n = a.shape[0]
-    if rhs.shape[0] != n:
+    if rhs.ndim != 2 or rhs.shape[0] != n:
         raise InvalidInput("right-hand side has incompatible shape")
-    aug = np.hstack([a.copy(), rhs.copy()])
+    rows = [ra + rb for ra, rb in zip(a.tolist(), rhs.tolist())]
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) < 1e-300:
+        piv, big = col, abs(rows[col][col])
+        for i in range(col + 1, n):
+            mag = abs(rows[i][col])
+            if mag > big or (mag != mag and big == big):
+                piv, big = i, mag
+        if big < 1e-300:
             raise NumericalFailure("matrix is singular to working precision")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] -= aug[row, col] * aug[col]
-    x = aug[:, n:]
-    return x[:, 0].copy() if vector else x.copy()
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        prow = rows[col] = [v / p for v in rows[col]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != col and f != 0.0:
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+    if vector:
+        return np.array([row[n] for row in rows])
+    return np.array([row[n:] for row in rows])
 
 
 class RngStream:
@@ -359,7 +376,7 @@ class RngStream:
             # pair when it fell short, else the last accepted pair used
             self._state = int(x[-1] if idx.size < need else x[2 * idx[-1] + 1])
             s = s[idx]
-            log_s = np.array([math.log(t) for t in s.tolist()], dtype=float)
+            log_s = np.fromiter(map(math.log, s.tolist()), float, s.size)
             f = np.sqrt(-2.0 * log_s / s)
             pair_out = np.empty((idx.size, 2))
             pair_out[:, 0] = u[idx] * f

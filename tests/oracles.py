@@ -24,6 +24,11 @@ the polar method written out one draw at a time, and
 reference its block counterpart must equal bit for bit, in values, state
 and spare deviate.
 
+``attsim.attitude`` and ``attsim.numerics.solve`` read their operands as
+Python floats. :func:`quat_mul_numpy`, :func:`error_angle_numpy` and
+:func:`solve_numpy_rows` are the forms they replaced, on numpy scalars and
+numpy rows; the float kernels must equal them bit for bit.
+
 :func:`quat_kinematics` is the right-hand side of the kinematic equation,
 which the RK4 reference for ``attsim.attitude.integrate_quat`` integrates,
 and :func:`gibbs_to_quat` is the inverse ``attsim.attitude.quat_to_gibbs``
@@ -272,3 +277,48 @@ def gibbs_to_quat(g):
     x, y, z = np.asarray(g, dtype=float).tolist()
     s = 1.0 / math.sqrt(1.0 + (x * x + y * y + z * z))
     return np.array([x * s, y * s, z * s, s])
+
+
+def quat_mul_numpy(a, b):
+    """Hamilton product a * b on the numpy scalars of ``a`` and ``b``."""
+    ax, ay, az, aw = np.asarray(a, dtype=float)
+    bx, by, bz, bw = np.asarray(b, dtype=float)
+    return np.array(
+        [
+            aw * bx + bw * ax + ay * bz - az * by,
+            aw * by + bw * ay + az * bx - ax * bz,
+            aw * bz + bw * az + ax * by - ay * bx,
+            aw * bw - ax * bx - ay * by - az * bz,
+        ]
+    )
+
+
+def error_angle_numpy(a, b):
+    """Rotation angle between two quaternions, through the relative quaternion on numpy scalars."""
+    b = np.asarray(b, dtype=float)
+    qe = quat_mul_numpy(a, np.array([-b[0], -b[1], -b[2], b[3]]))
+    vec = math.sqrt(float(qe[0] * qe[0] + qe[1] * qe[1] + qe[2] * qe[2]))
+    return 2.0 * math.atan2(vec, abs(float(qe[3])))
+
+
+def solve_numpy_rows(a, b):
+    """Gauss-Jordan elimination with partial pivoting on the numpy rows of ``[a | b]``."""
+    a = np.asarray(a, dtype=float)
+    rhs = np.asarray(b, dtype=float)
+    vector = rhs.ndim == 1
+    if vector:
+        rhs = rhs.reshape(-1, 1)
+    n = a.shape[0]
+    aug = np.hstack([a.copy(), rhs.copy()])
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[piv, col]) < 1e-300:
+            raise NumericalFailure("matrix is singular to working precision")
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        aug[col] /= aug[col, col]
+        for row in range(n):
+            if row != col and aug[row, col] != 0.0:
+                aug[row] -= aug[row, col] * aug[col]
+    x = aug[:, n:]
+    return x[:, 0].copy() if vector else x.copy()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from attsim.attitude import (
     axis_angle_quat,
+    block_increments,
     cross_matrix,
     error_angle,
     identity_quat,
@@ -22,9 +23,16 @@ from attsim.errors import DegenerateQuaternion, GibbsSingularity, InvalidInput
 from attsim.numerics import RngStream
 
 from conftest import random_unit_quat, random_unit_vec
-from oracles import gibbs_to_quat, quat_kinematics
+from oracles import error_angle_numpy, gibbs_to_quat, quat_kinematics, quat_mul_numpy
 
 HALF_SQRT2 = math.sqrt(0.5)
+
+# derandomized: the bit-equality checks below must see the same cases every run
+BITWISE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
 
 
 def quats(min_norm=1e-3):
@@ -54,6 +62,37 @@ class TestQuatMul:
     @given(unit_quats(), unit_quats())
     def test_norm_multiplicative(self, a, b):
         assert abs(np.linalg.norm(quat_mul(a, b)) - 1.0) <= 1e-12
+
+
+class TestFloatKernels:
+    """The kernels read ndarray operands as Python floats and round as numpy scalars do."""
+
+    @BITWISE
+    @given(quats(0.0), quats(0.0))
+    def test_quat_mul_same_bits_on_every_operand_type(self, a, b):
+        want = bits(quat_mul_numpy(a, b))
+        la, lb = a.tolist(), b.tolist()
+        for x, y in ((a, b), (la, lb), (tuple(la), tuple(lb)), (a, tuple(lb)), (la, b)):
+            assert bits(quat_mul(x, y)) == want
+
+    @BITWISE
+    @given(quats())
+    def test_normalize_conjugate_gibbs_match_numpy_scalars(self, q):
+        x, y, z, w = q  # numpy scalars
+        assert bits(quat_normalize(q)) == bits(q / math.sqrt(float(x * x + y * y + z * z + w * w)))
+        assert bits(quat_conjugate(q)) == bits([-x, -y, -z, w])
+        if abs(w) > 1e-9:
+            assert bits(quat_to_gibbs(q)) == bits(q[:3] / float(w))
+
+    def test_integrate_stack_matches_one_product_per_block(self):
+        rng = RngStream(15)
+        rates = np.array([[random_unit_vec(rng) * (k + 1) for k in range(5)] for _ in range(6)])
+        rates[2, 3:] = 0.0  # a padded block
+        q = random_unit_quat(rng)
+        out = integrate_quat(q, rates, 0.01)
+        for b in range(rates.shape[0]):
+            q = quat_mul_numpy(block_increments(rates[b:b + 1], 0.01)[0], q)
+            assert bits(out[b]) == bits(q)
 
 
 class TestNormalizeConjugate:
@@ -272,6 +311,60 @@ class TestErrorAngle:
     def test_right_angle(self):
         q = np.array([0.0, 0.0, HALF_SQRT2, HALF_SQRT2])
         assert abs(error_angle(identity_quat(), q) - math.pi / 2) <= 1e-12
+
+
+class TestErrorAngleStack:
+    """A ``(k, 4)`` stack gives each row bit for bit the angle of the pair alone."""
+
+    @staticmethod
+    def check(a, b):
+        got = error_angle(a, b)
+        assert got.shape == (a.shape[0],)
+        for i in range(a.shape[0]):
+            one = error_angle(a[i], b[i])
+            assert isinstance(one, float)
+            assert bits(got[i]) == bits(one) == bits(error_angle_numpy(a[i], b[i]))
+        return got
+
+    @staticmethod
+    def random_stack(seed, k):
+        rng = RngStream(seed)
+        return np.array([random_unit_quat(rng) for _ in range(k)])
+
+    def test_random_rows(self):
+        a = self.random_stack(20, 300)
+        b = self.random_stack(21, 300)
+        self.check(a, b)
+        # near pairs, where atan2 of a small vector part matters
+        rng = RngStream(22)
+        near = np.array([quat_mul(axis_angle_quat(random_unit_vec(rng), 1e-7 * (i + 1)), q)
+                         for i, q in enumerate(a)])
+        self.check(a, near)
+
+    def test_identical_rows_and_double_cover_are_zero(self):
+        a = self.random_stack(23, 50)
+        assert not self.check(a, a.copy()).any()
+        assert not self.check(a, -a).any()
+
+    def test_half_turn_rows(self):
+        a = self.random_stack(24, 40)
+        axes = np.eye(4)[[0, 1, 2, 0] * 10]
+        got = self.check(a, np.array([quat_mul(q, e) for q, e in zip(a, axes)]))
+        assert np.all(np.abs(got - math.pi) <= 1e-12)
+        assert self.check(np.array([identity_quat()]), np.array([[1.0, 0.0, 0.0, 0.0]]))[0] == math.pi
+
+    def test_non_unit_rows(self):
+        a = self.random_stack(25, 60) * np.repeat([1e-3, 0.5, 2.5, 1e3], 15)[:, None]
+        b = self.random_stack(26, 60) * np.tile([3.0, 1e-2, 7e2], 20)[:, None]
+        self.check(a, b)
+
+    @BITWISE
+    @given(st.lists(st.tuples(quats(), quats()), min_size=1, max_size=12))
+    def test_random_pairs(self, pairs):
+        self.check(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+
+    def test_empty_stack(self):
+        assert error_angle(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0,)
 
 
 class TestUnitNormClosure:

@@ -176,6 +176,22 @@ class TestAekfUpdate:
         assert np.array_equal(plus.q, minus.q)
         assert np.array_equal(plus.p, minus.p)
 
+    def test_double_cover_exactly_orthogonal(self):
+        # (-y, x, -w, z) is exactly orthogonal to (x, y, z, w): its dot
+        # product sums to 0.0, so the sign test alone cannot tell q from -q
+        rng = RngStream(60)
+        r4 = 1e-4 * np.eye(4)
+        for k in range(20):
+            q = identity_quat() if k == 0 else random_unit_quat(rng)
+            x, y, z, w = q.tolist()
+            meas = np.array([-y, x, -w, z])
+            assert -y * x + x * y + -w * z + z * w == 0.0
+            p0 = _psd(rng, 4)
+            plus = aekf_update(AekfState(q=q.copy(), p=p0.copy()), meas, r4)
+            minus = aekf_update(AekfState(q=q.copy(), p=p0.copy()), -meas, r4)
+            assert plus.q.tobytes() == minus.q.tobytes()
+            assert plus.p.tobytes() == minus.p.tobytes()
+
     def test_no_trust_limit(self):
         rng = RngStream(57)
         q = random_unit_quat(rng)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from attsim.attitude import error_angle
 from attsim.errors import ConfigError, InvalidInput
 from attsim.harness import (
     ORBIT_PERIOD_S,
@@ -318,6 +319,8 @@ class TestRunSimulation:
         for series in (res.pnorm_aekf, res.pnorm_mekf, res.cond_aekf, res.cond_mekf):
             assert len(series) == len(res.t)
             assert np.all(np.isfinite(series)) and np.all(series > 0.0)
+        for series in (res.q_true, res.q_aekf, res.q_mekf, res.err_aekf, res.err_mekf):
+            assert len(series) == len(res.t)
 
     def test_record_chunk_size_does_not_change_outputs(self, monkeypatch):
         import attsim.harness as hmod
@@ -327,8 +330,18 @@ class TestRunSimulation:
         monkeypatch.setattr(hmod, "_RECORD_CHUNK", 7)  # ten full chunks, then an empty one
         chunked = run_simulation(cfg)
         assert len(chunked.t) == 70
-        for name in ("pnorm_aekf", "pnorm_mekf", "cond_aekf", "cond_mekf"):
-            assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+        for name in ("q_true", "q_aekf", "q_mekf", "err_aekf", "err_mekf",
+                     "pnorm_aekf", "pnorm_mekf", "cond_aekf", "cond_mekf"):
+            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
+
+    def test_error_columns_are_the_angles_of_each_record(self, monkeypatch):
+        import attsim.harness as hmod
+
+        monkeypatch.setattr(hmod, "_RECORD_CHUNK", 16)
+        res = run_simulation(short_cfg(duration_s=1.0, record_stride=1))
+        assert len(res.t) == 50
+        for q_est, err in ((res.q_aekf, res.err_aekf), (res.q_mekf, res.err_mekf)):
+            assert err.tobytes() == np.array([error_angle(a, b) for a, b in zip(res.q_true, q_est)]).tobytes()
 
 
 def _spy_block_sizes(monkeypatch, name):
@@ -671,3 +684,25 @@ class TestOutputs:
         fm = FilterMetrics(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
         rep = MetricsReport(aekf=fm, mekf=fm)
         assert rep.to_dict()["mekf"]["max_error_angle_rad"] == 2.0
+
+
+class TestTracedNames:
+    """The benchmark's tracer wraps names it looks up on the package's modules.
+
+    A name that disappears (say, a call inlined away) is no longer traced and
+    a traced benchmark run reports ``correct`` false; this catches it here.
+    """
+
+    def test_every_wrapped_name_exists(self):
+        import importlib
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_spans.py"
+        spec = importlib.util.spec_from_file_location("trace_spans_under_test", path)
+        trace_spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace_spans)
+        assert trace_spans.WRAPPED
+        for module, attr, *_ in trace_spans.WRAPPED:
+            mod = importlib.import_module(f"attsim.{module}")
+            assert callable(getattr(mod, attr, None)), f"attsim.{module}.{attr} is gone"

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import attsim.numerics as numerics
 from attsim.errors import InvalidInput, NumericalFailure
@@ -14,7 +17,7 @@ from attsim.numerics import (
 )
 
 from conftest import random_symmetric
-from oracles import gaussian_vec_per_draw, jacobi_eigen_one
+from oracles import gaussian_vec_per_draw, jacobi_eigen_one, solve_numpy_rows
 
 
 def _char_poly_roots_bisect(m: np.ndarray) -> np.ndarray:
@@ -264,10 +267,116 @@ class TestSolve:
         assert np.allclose(a @ solve(a, np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_singular_raises(self):
-        from attsim.errors import NumericalFailure
-
         with pytest.raises(NumericalFailure):
             solve(np.zeros((3, 3)), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.zeros((4, 4)),
+            [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]],  # an exact multiple of a row
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        ],
+    )
+    def test_singular_raises_as_the_numpy_row_form_does(self, a):
+        for fn in (solve, solve_numpy_rows):
+            with pytest.raises(NumericalFailure):
+                fn(a, np.ones(len(a)))
+
+
+def _same_bits(x, y) -> bool:
+    """Equal shapes and bits; NaNs of any payload count as equal."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (
+        x.shape == y.shape
+        and np.array_equal(np.isnan(x), np.isnan(y))
+        and np.where(np.isnan(x), 0.0, x).tobytes() == np.where(np.isnan(y), 0.0, y).tobytes()
+    )
+
+
+def _outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except NumericalFailure:
+        return "singular"
+
+
+def _assert_solve_matches_numpy_rows(a, b):
+    with np.errstate(all="ignore"):  # near-singular systems may overflow
+        got, want = _outcome(solve, a, b), _outcome(solve_numpy_rows, a, b)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _same_bits(got, want)
+
+
+_ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+_BITWISE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _systems(draw, near_singular=False):
+    """A 3x3 or 4x4 matrix and a vector or matrix of right-hand sides."""
+    n = draw(st.sampled_from([3, 4]))
+    a = draw(arrays(float, (n, n), elements=_ENTRIES))
+    if near_singular:
+        # a rank-one matrix plus a small perturbation
+        u = draw(arrays(float, n, elements=_ENTRIES))
+        v = draw(arrays(float, n, elements=_ENTRIES))
+        scale = draw(st.sampled_from([1e-6, 1e-10, 1e-14, 1e-17, 0.0]))
+        a = np.outer(u, v) + scale * a
+    cols = draw(st.sampled_from([None, 1, n, 2 * n]))
+    shape = (n,) if cols is None else (n, cols)
+    return a, draw(arrays(float, shape, elements=_ENTRIES))
+
+
+class TestSolveBitwise:
+    """The float-row elimination equals Gauss-Jordan on numpy rows bit for bit."""
+
+    @_BITWISE
+    @given(_systems())
+    def test_random_systems(self, system):
+        _assert_solve_matches_numpy_rows(*system)
+
+    @_BITWISE
+    @given(_systems(near_singular=True))
+    def test_near_singular_systems(self, system):
+        _assert_solve_matches_numpy_rows(*system)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            # zero diagonal: every column needs a row swap
+            [[0.0, 2.0, 1.0], [1.0, 0.0, 3.0], [4.0, 1.0, 0.0]],
+            [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, 0.0], [4.0, 0.0, 0.0, 0.0]],
+            # equal magnitudes: the first is the pivot, as np.argmax picks it
+            [[1.0, 2.0, 3.0], [-1.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
+            [[-2.0, 1.0, 0.0, 1.0], [2.0, 3.0, 1.0, 0.0], [2.0, 0.0, 5.0, 1.0], [-2.0, 1.0, 1.0, 7.0]],
+            # an innovation covariance of the filters' size
+            1e-6 * np.eye(4) + 1e-7 * np.ones((4, 4)),
+        ],
+    )
+    def test_row_swaps_and_ties(self, a):
+        a = np.asarray(a)
+        n = a.shape[0]
+        rhs = np.arange(1.0, n * n + 1.0).reshape(n, n) / 7.0
+        _assert_solve_matches_numpy_rows(a, rhs)
+        _assert_solve_matches_numpy_rows(a, rhs[:, 0])
+
+    def test_overflow_takes_a_nan_pivot_as_np_argmax_does(self):
+        # the elimination overflows: the third column's candidates are inf,
+        # then NaN; np.argmax takes the NaN, and taking the inf instead
+        # leaves one entry of the solution at 0
+        a = np.array(
+            [
+                [-1e308, -1e300, 1e308, 1.0],
+                [1e308, 0.0, 1e308, -1e308],
+                [-1e300, 1.0, 1e-300, -1.0],
+                [1e308, 1e-300, 1e308, -1.0],
+            ]
+        )
+        assert np.isnan(solve(a, np.ones(4))).all()
+        _assert_solve_matches_numpy_rows(a, np.ones(4))
 
 
 class TestSymmetrize:
