@@ -53,17 +53,6 @@ def identity_quat() -> np.ndarray:
     return np.array([0.0, 0.0, 0.0, 1.0])
 
 
-def axis_angle_quat(axis, angle: float) -> np.ndarray:
-    """Unit quaternion for a rotation of ``angle`` radians about ``axis``."""
-    x, y, z = np.asarray(axis, dtype=float).tolist()
-    n = math.sqrt(x * x + y * y + z * z)
-    if n < _NORM_EPS:
-        raise InvalidInput("rotation axis must be nonzero")
-    half = 0.5 * angle
-    s = math.sin(half) / n
-    return np.array([x * s, y * s, z * s, math.cos(half)])
-
-
 def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a * b (works on non-unit quaternions)."""
     return np.array(_hamilton(*_components(a), *_components(b)))

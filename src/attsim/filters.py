@@ -103,7 +103,7 @@ class AekfState:
 class MekfState:
     """Unit reference quaternion and 3x3 covariance of the attitude error."""
 
-    q_ref: np.ndarray
+    q: np.ndarray
     p: np.ndarray
 
 
@@ -112,7 +112,7 @@ def aekf_init(q0, p0) -> AekfState:
 
 
 def mekf_init(q0, p0) -> MekfState:
-    return MekfState(q_ref=np.asarray(q0, dtype=float).copy(), p=np.asarray(p0, dtype=float).copy())
+    return MekfState(q=np.asarray(q0, dtype=float).copy(), p=np.asarray(p0, dtype=float).copy())
 
 
 # F = I + 0.5 * dt * Omega(omega) is linear in omega: row j of the table is
@@ -265,24 +265,24 @@ def mekf_predict(s: MekfState, m, phi, q) -> MekfState:
     exactly, and ``(phi, q)`` the block's composed covariance transition
     (:func:`mekf_transitions`), which takes P to ``Phi P Phi^T + Q``.
     """
-    return MekfState(q_ref=quat_mul(m, s.q_ref), p=symmetrize(phi @ s.p @ phi.T + q))
+    return MekfState(q=quat_mul(m, s.q), p=symmetrize(phi @ s.p @ phi.T + q))
 
 
 def mekf_update(s: MekfState, q_meas, r3) -> MekfState:
     """Fuse a measured quaternion multiplicatively, then reset.
 
     The innovation is twice the Gibbs vector of the error quaternion
-    ``q_meas * q_ref^-1`` (:func:`attsim.attitude.quat_to_gibbs`), and
+    ``q_meas * q^-1`` (:func:`attsim.attitude.quat_to_gibbs`), and
     H = I, so the gain is ``K = P (P + R)^-1``. The a-posteriori attitude
-    error ``a`` folds into the reference via ``normalize((a; 2)) * q_ref``.
+    error ``a`` folds into the reference via ``normalize((a; 2)) * q``.
     Raises GibbsSingularity for a 180-degree innovation and
     NumericalFailure when the innovation covariance is singular.
     """
-    q_err = quat_mul(np.asarray(q_meas, dtype=float), quat_conjugate(s.q_ref))
+    q_err = quat_mul(np.asarray(q_meas, dtype=float), quat_conjugate(s.q))
     a_g = 2.0 * quat_to_gibbs(q_err)
     # K = P S^-1; with S symmetric this is solve(S, P)^T
     k = solve(s.p + np.asarray(r3, dtype=float), s.p).T
     a = k @ a_g
     dq = quat_normalize([*a.tolist(), 2.0])
-    q_ref = quat_normalize(quat_mul(dq, s.q_ref))
-    return MekfState(q_ref=q_ref, p=symmetrize(s.p - k @ s.p))
+    q = quat_normalize(quat_mul(dq, s.q))
+    return MekfState(q=q, p=symmetrize(s.p - k @ s.p))

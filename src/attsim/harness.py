@@ -8,7 +8,8 @@ The run is cut into blocks of gyro steps. A block ends at the next event:
 a star-tracker epoch, a record instant, the last step, or at most
 ``_MAX_BLOCK_STEPS`` steps. Blocks are grouped into chunks of at most
 ``_EPOCH_CHUNK`` tracker epochs and about ``_CHUNK_STEPS`` steps; a chunk
-always ends on a block boundary. Each chunk gets two passes:
+always ends on a block boundary. Each chunk gets a scenario pass, then one
+estimate pass per filter:
 
 * the scenario pass, which never reads filter state: the true rates of
   all the chunk's steps in one call, the noisy gyro samples in one noise
@@ -16,26 +17,23 @@ always ends on a block boundary. Each chunk gets two passes:
   with zero rates; the truth at every block end from one call of
   :func:`attsim.attitude.integrate_quat` on the stack; one star-tracker
   observation pass over all the chunk's epochs, whose star noise is one
-  draw, and one Davenport solve of their sets as one padded stack; and the
-  block transitions of the filters that run: the product of each block's
-  gyro increments (:func:`attsim.attitude.block_increments`), which both
-  filters share, and each filter's composed (Phi, Q) pair per block, from
-  one batched tree over the chunk (see :mod:`attsim.filters`);
-* the estimate pass: per block, each filter applies its block transition
-  (q <- M q, P <- Phi P Phi^T + Q), takes each epoch's Davenport quaternion
-  as their shared measurement in time order, and is recorded at the record
-  instants. The AEKF's kinematic process noise (``aekf_q_flat = false``)
-  depends on the filter's attitude, so that option alone builds the AEKF's
-  (Phi, Q) here, block by block.
+  draw, and one Davenport solve of their sets as one padded stack; and
+  the product of each block's gyro increments, which both filters share;
+* the estimate passes (:func:`_estimate`), the AEKF's and then the
+  MEKF's: each builds its filter's composed (Phi, Q) pair per block, from
+  one batched tree over the chunk (see :mod:`attsim.filters`), then per
+  block applies it (q <- M q, P <- Phi P Phi^T + Q), takes the epoch's
+  Davenport quaternion, and snapshots the filter at the record instants.
+  The AEKF's kinematic process noise (``aekf_q_flat = false``) depends on
+  the filter's attitude, so that option builds its (Phi, Q) block by block.
 
 So every update and every record sees the filter states it would see
 after one predict per step, up to rounding, and the noise streams are the
 ones a step-by-step loop draws. Everything downstream of the seed is
-deterministic except the wall-clock timing fields. A filter's timing is
-the wall time it costs divided by the gyro steps it covers: its block
-predicts and updates, its share of the chunk's transition build, and the
-shared increment products, which each filter would need alone; the
-chunk's build times are spread over its steps.
+deterministic except the wall-clock timing: each estimate pass is timed
+as a whole, and a filter's step time is the time of its passes plus the
+shared increment products, which each filter would need alone, divided by
+the gyro steps it crossed.
 
 Default tuning notes (the trade study this harness supports never pins
 sensor grades, so defaults are artifact choices, documented here):
@@ -60,7 +58,7 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -80,8 +78,8 @@ from .filters import (
     mekf_transitions,
     mekf_update,
 )
-from .numerics import RngStream, jacobi_eigen_sym, padded_rows
-from .wahba import davenport_solve
+from .numerics import RngStream, jacobi_eigen_sym, norms_and_conditions, padded_rows
+from .wahba import WahbaSolution, davenport_solve
 
 logger = logging.getLogger(__name__)
 
@@ -141,8 +139,6 @@ class SimConfig:
     sigma_meas: float = 1e-3
     seed: int = 1
     axis: tuple = (0.0, 0.0, 1.0)
-    run_aekf: bool = True
-    run_mekf: bool = True
     aekf_q_flat: bool = True
     aekf_r_scale: float = 4.0
     record_stride: int = 0
@@ -264,14 +260,15 @@ class RunResult:
     """Recorded time series plus epoch bookkeeping for one simulation run.
 
     All per-record arrays share one length and strictly increasing
-    timestamps. ``step_time_*`` hold the mean wall-clock seconds spent in
-    that filter per gyro step over the record window. Covariance norms and
-    condition numbers are spectral, of the AEKF's 4x4 quaternion covariance
-    and of the MEKF's 3x3 attitude-error covariance. A record keeps a
-    snapshot of each filter's covariance, and the norms and condition
-    numbers come from one stacked eigensolve per chunk of up to
+    timestamps. ``step_time_*`` is each filter's mean wall-clock seconds
+    per gyro step over the run (see the module docstring). Covariance norms
+    and condition numbers are spectral, of the AEKF's 4x4 quaternion
+    covariance and of the MEKF's 3x3 attitude-error covariance. A record
+    keeps a snapshot of each filter's covariance, and the norms and
+    condition numbers come from one stacked eigensolve per chunk of up to
     ``_RECORD_CHUNK`` snapshots; they equal bit for bit what one eigensolve
-    per record gives.
+    per record gives. ``epoch_t`` and ``q_meas`` list every tracker epoch
+    solved, after an abort one whose update failed included.
     """
 
     config: SimConfig
@@ -285,8 +282,8 @@ class RunResult:
     pnorm_mekf: np.ndarray
     cond_aekf: np.ndarray
     cond_mekf: np.ndarray
-    step_time_aekf: np.ndarray
-    step_time_mekf: np.ndarray
+    step_time_aekf: float
+    step_time_mekf: float
     epoch_t: np.ndarray
     q_meas: np.ndarray
     skipped_epochs: int = 0
@@ -346,22 +343,6 @@ def emulate_gyro(omega_true, sigma_gyro: float, rng: RngStream) -> np.ndarray:
     return omega_true + rng.gaussian_vec(sigma_gyro, omega_true.size).reshape(omega_true.shape)
 
 
-def _pnorm_and_cond(p: np.ndarray):
-    """Spectral 2-norms and condition numbers of a stack of covariances, ``(k, n, n)``.
-
-    One stacked eigendecomposition; returns two arrays of length ``k``. A
-    condition number is +inf where the smallest eigenvalue magnitude is
-    below 1e-300.
-    """
-    evals, _ = jacobi_eigen_sym(p)
-    mags = np.abs(evals)
-    hi = mags.max(axis=1)
-    lo = mags.min(axis=1)
-    singular = lo < 1e-300
-    cond = np.where(singular, math.inf, hi / np.where(singular, 1.0, lo))
-    return hi, cond
-
-
 def _first_step_reaching(t: float, dt: float, k: int, n: int) -> int:
     """First step ``j`` of ``k..n`` whose end time ``j * dt`` reaches ``t``; ``n + 1`` if none.
 
@@ -385,13 +366,50 @@ def _pad(rates: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.concatenate((rates, np.zeros((1, 3))))[rows]
 
 
+def _prebuilt(phi: np.ndarray, q: np.ndarray):
+    """The ``transition(i, state)`` of :func:`_estimate` for transitions built ahead, ``(B, n, n)``."""
+    return lambda i, state: (phi[i], q[i])
+
+
+def _estimate(state, predict, update, r, transition, increments, measured, keep):
+    """One filter's estimate pass over the first ``len(measured)`` blocks of a chunk.
+
+    Block ``i`` is crossed by ``predict(state, increments[i], *transition(i,
+    state))``, then updated with the quaternion ``measured[i]`` (with
+    covariance ``r``) unless it is None, and the filter is snapshotted if
+    ``keep[i]``. Returns the state after the last block, the snapshots'
+    quaternions ``(n_keep, 4)`` and covariances ``(n_keep, n, n)``, and
+    None; if an update raises NumericalFailure, the pass stops at that
+    block and the last item is ``(i, exception)``.
+    """
+    q_kept = np.empty((sum(keep), 4))
+    p_kept = np.empty(q_kept.shape[:1] + state.p.shape)
+    j = 0
+    for i, q_meas in enumerate(measured):
+        state = predict(state, increments[i], *transition(i, state))
+        if q_meas is not None:
+            try:
+                state = update(state, q_meas, r)
+            except NumericalFailure as exc:
+                return state, q_kept, p_kept, (i, exc)
+        if keep[i]:
+            q_kept[j] = state.q
+            p_kept[j] = state.p
+            j += 1
+    return state, q_kept, p_kept, None
+
+
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Run the simulation: truth, gyro, tracker epochs, both filters, chunk by chunk.
 
     Tracker epochs whose Davenport solve is underdetermined are skipped
-    and logged, at their turn in time. A NumericalFailure of a filter or of
-    an epoch's Davenport solve aborts the run at its turn; the partial
-    result carries the reason in ``aborted``.
+    and logged. A NumericalFailure of an epoch's Davenport solve or of a
+    filter update at block j aborts the run there: the partial result keeps
+    the records of the blocks before j and ends with one record at block j
+    that holds both filters after that block's predict, without its update;
+    ``aborted`` carries the reason. After a failed update both passes run
+    the chunk again from its start, with no update at j; the filters are
+    deterministic, so the second run cannot fail earlier.
     """
     cfg.validate()
     # independent derived sub-streams keep the gyro noise sequence identical
@@ -418,20 +436,17 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     r4 = (cfg.aekf_r_scale * r_meas) * np.eye(4)
     noise = NoiseParams(sigma_v=cfg.sigma_gyro * math.sqrt(dt), aekf_q_flat=cfg.aekf_q_flat)
 
-    q_true = np.array([0.0, 0.0, 0.0, 1.0])
-    aekf = aekf_init(q_true, _P0_ATTITUDE * np.eye(4))
-    mekf = mekf_init(q_true, _P0_ATTITUDE * np.eye(3))
+    q_end = np.array([0.0, 0.0, 0.0, 1.0])  # truth at the end of the last block built
+    aekf = aekf_init(q_end, _P0_ATTITUDE * np.eye(4))
+    mekf = mekf_init(q_end, _P0_ATTITUDE * np.eye(3))
 
     rec_t, rec_q, rec_ea, rec_em = [], [], [], []
     rec_pa, rec_pm, rec_ca, rec_cm = [], [], [], []
-    rec_ta, rec_tm = [], []
     epoch_t, epoch_q = [], []
     skipped = 0
     aborted = None
-
-    win_time_a = 0.0
-    win_time_m = 0.0
-    win_steps = 0
+    aekf_s = mekf_s = 0.0  # each filter's wall time
+    steps_done = 0  # gyro steps both filters crossed
 
     # attitude and covariance snapshots of the records not yet solved: the
     # truth, the AEKF and the MEKF quaternions, then each filter's covariance
@@ -449,158 +464,149 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         rec_ea.extend(err[:n_pending].tolist())
         rec_em.extend(err[n_pending:].tolist())
         for pending, norms, conds in ((pending_a, rec_pa, rec_ca), (pending_m, rec_pm, rec_cm)):
-            pnorm, cond = _pnorm_and_cond(pending[:n_pending])
+            evals, _ = jacobi_eigen_sym(pending[:n_pending])
+            pnorm, cond = norms_and_conditions(evals)
             norms.extend(pnorm.tolist())
             conds.extend(cond.tolist())
         n_pending = 0
 
-    def record(t_now: float) -> None:
-        nonlocal win_time_a, win_time_m, win_steps, n_pending
-        rec_t.append(t_now)
-        pending_q[:, n_pending] = q_true, aekf.q, mekf.q_ref
-        pending_a[n_pending] = aekf.p
-        pending_m[n_pending] = mekf.p
-        n_pending += 1
-        if n_pending == _RECORD_CHUNK:
-            flush()
-        steps = max(1, win_steps)
-        rec_ta.append(win_time_a / steps)
-        rec_tm.append(win_time_m / steps)
-        win_time_a = 0.0
-        win_time_m = 0.0
-        win_steps = 0
+    def keep_records(times, q_true, aekf_kept, mekf_kept) -> None:
+        """Queue a chunk's records, solving the snapshots each time the buffers fill."""
+        nonlocal n_pending
+        rec_t.extend(times)
+        done = 0
+        while done < len(times):
+            take = min(len(times) - done, _RECORD_CHUNK - n_pending)
+            src, dst = slice(done, done + take), slice(n_pending, n_pending + take)
+            pending_q[:, dst] = q_true[src], aekf_kept[0][src], mekf_kept[0][src]
+            pending_a[dst] = aekf_kept[1][src]
+            pending_m[dst] = mekf_kept[1][src]
+            n_pending += take
+            done += take
+            if n_pending == _RECORD_CHUNK:
+                flush()
+
+    def aekf_transition(rates, steps):
+        """The AEKF's ``transition(i, state)`` over a chunk's stack of block rates."""
+        if noise.aekf_q_flat:
+            return _prebuilt(*aekf_transitions(rates, steps, dt, noise))
+
+        def kinematic(i, state):  # Q is taken at the AEKF's own attitude, block by block
+            phi, q = aekf_transitions(rates[i:i + 1, :steps[i]], steps[i:i + 1], dt, noise, state.q[None])
+            return phi[0], q[0]
+
+        return kinematic
 
     cap = min(stride, _MAX_BLOCK_STEPS)
-    q_end = q_true  # truth at the end of the last block the scenario pass built
-    t_now = 0.0
     k = 1  # first gyro step no chunk holds yet
-    try:
-        while k <= n_steps:
-            # plan a chunk of whole blocks, each ended by the first event after
-            # its start and kept as its rows [lo, hi) of the chunk's arrays
-            chunk_start = k
-            blocks = []
-            n_epochs = 0
-            while k <= n_steps and n_epochs < _EPOCH_CHUNK and k - chunk_start < _CHUNK_STEPS:
-                epoch_step = _first_step_reaching(next_tracker - 1e-9, dt, k, n_steps)
-                due_step = -(-k // stride) * stride
-                last = min(epoch_step, due_step, k + cap - 1, n_steps)
-                epoch = last == epoch_step
-                if epoch:
-                    next_tracker += tracker_dt
-                    n_epochs += 1
-                due = last == due_step or last == n_steps
-                blocks.append((k - chunk_start, last - chunk_start + 1, epoch, due))
-                k = last + 1
+    while k <= n_steps:
+        # plan a chunk of whole blocks, each ended by the first event after
+        # its start and kept as its rows [lo, hi) of the chunk's arrays
+        chunk_start = k
+        blocks = []
+        n_epochs = 0
+        while k <= n_steps and n_epochs < _EPOCH_CHUNK and k - chunk_start < _CHUNK_STEPS:
+            epoch_step = _first_step_reaching(next_tracker - 1e-9, dt, k, n_steps)
+            due_step = -(-k // stride) * stride
+            last = min(epoch_step, due_step, k + cap - 1, n_steps)
+            epoch = last == epoch_step
+            if epoch:
+                next_tracker += tracker_dt
+                n_epochs += 1
+            due = last == due_step or last == n_steps
+            blocks.append((k - chunk_start, last - chunk_start + 1, epoch, due))
+            k = last + 1
 
-            # scenario pass: the chunk's rates and gyro samples at once, padded
-            # into one (blocks, longest block, 3) stack each; the truth at each
-            # block end; one observation pass over the chunk's epochs and one
-            # stacked Davenport solve; then the block transitions of the
-            # running filters
-            omega_true = trajectory_omega(np.arange(chunk_start - 1, k - 1) * dt + 0.5 * dt, axis)
-            gyro = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
-            steps = np.array([hi - lo for lo, hi, _, _ in blocks])
-            rows = padded_rows(steps)
-            truth = integrate_quat(q_end, _pad(omega_true, rows), dt)
-            q_end = truth[-1]
-            solutions = iter(())
-            if n_epochs:
-                at_epoch = [epoch for _, _, epoch, _ in blocks]
-                observations = startracker.observe(
-                    truth[at_epoch], catalog, cams, cfg.sigma_star, rng_star
-                )
-                solutions = iter(davenport_solve(observations))
+        # scenario pass: the chunk's rates and gyro samples at once, padded
+        # into one (blocks, longest block, 3) stack each; the truth at each
+        # block end; one observation pass over the chunk's epochs and one
+        # stacked Davenport solve
+        omega_true = trajectory_omega(np.arange(chunk_start - 1, k - 1) * dt + 0.5 * dt, axis)
+        gyro = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
+        steps = np.array([hi - lo for lo, hi, _, _ in blocks])
+        rows = padded_rows(steps)
+        truth = integrate_quat(q_end, _pad(omega_true, rows), dt)
+        q_end = truth[-1]
+        solutions = iter(())
+        if n_epochs:
+            at_epoch = [epoch for _, _, epoch, _ in blocks]
+            observations = startracker.observe(
+                truth[at_epoch], catalog, cams, cfg.sigma_star, rng_star
+            )
+            solutions = iter(davenport_solve(observations))
+        outcomes = [next(solutions) if epoch else None for _, _, epoch, _ in blocks]
+        measured = [o.q if isinstance(o, WahbaSolution) else None for o in outcomes]
+        keep = [due for _, _, _, due in blocks]
+        failed = [i for i, o in enumerate(outcomes)
+                  if isinstance(o, Exception) and not isinstance(o, UnderdeterminedAttitude)]
+        failure = (failed[0], outcomes[failed[0]]) if failed else None  # (block, exception)
 
-            # each filter is charged its own transition build and the shared
-            # increment products, spread over the chunk's steps
+        # estimate passes: the gyro increment products of the blocks, which
+        # both filters share, then each filter across the blocks in turn,
+        # timed as a whole with its own transition build. A failure at
+        # block j ends the chunk there: both passes run again from the
+        # chunk's start, without the update at j and with a record there
+        t0 = time.perf_counter()
+        rates = _pad(gyro, rows)
+        increments = block_increments(rates, dt).tolist()
+        shared_s = time.perf_counter() - t0
+        while True:
+            if failure is not None:
+                stop = failure[0]
+                measured, keep = measured[:stop] + [None], keep[:stop] + [True]
+            # each pass's (Phi, Q) stacks are dropped when it returns
             t0 = time.perf_counter()
-            rates = _pad(gyro, rows)
-            if cfg.run_aekf or cfg.run_mekf:
-                increments = block_increments(rates, dt).tolist()
+            aekf_out = _estimate(aekf, aekf_predict, aekf_update, r4, aekf_transition(rates, steps),
+                                 increments, measured, keep)
             t1 = time.perf_counter()
-            if cfg.run_aekf and noise.aekf_q_flat:
-                phi_a, q_a = aekf_transitions(rates, steps, dt, noise)
+            mekf_out = _estimate(mekf, mekf_predict, mekf_update, r3,
+                                 _prebuilt(*mekf_transitions(rates, steps, dt, noise)),
+                                 increments, measured, keep)
             t2 = time.perf_counter()
-            if cfg.run_mekf:
-                phi_m, q_m = mekf_transitions(rates, steps, dt, noise)
-            t3 = time.perf_counter()
-            chunk_steps = k - chunk_start
-            cost_a = (t2 - t0) / chunk_steps
-            cost_m = (t3 - t2 + t1 - t0) / chunk_steps
+            failures = [out[3] for out in (aekf_out, mekf_out) if out[3] is not None]
+            if not failures:
+                break
+            failure = min(failures, key=lambda f: f[0])
+        aekf, mekf = aekf_out[0], mekf_out[0]
+        aekf_s += t1 - t0 + shared_s
+        mekf_s += t2 - t1 + shared_s
+        steps_done = chunk_start - 1 + blocks[len(measured) - 1][1]
 
-            # estimate pass: both filters cross the blocks in time order
-            for i, ((lo, hi, epoch, due), q_true) in enumerate(zip(blocks, truth)):
-                t_now = (chunk_start + hi - 1) * dt
-                win_steps += hi - lo
-                if cfg.run_aekf:
-                    t0 = time.perf_counter()
-                    if noise.aekf_q_flat:
-                        phi, q_noise = phi_a[i], q_a[i]
-                    else:  # the kinematic Q is taken at the AEKF's own attitude
-                        (phi,), (q_noise,) = aekf_transitions(
-                            rates[i:i + 1, :hi - lo], steps[i:i + 1], dt, noise, aekf.q[None]
-                        )
-                    aekf = aekf_predict(aekf, increments[i], phi, q_noise)
-                    win_time_a += time.perf_counter() - t0 + cost_a * (hi - lo)
-                if cfg.run_mekf:
-                    t0 = time.perf_counter()
-                    mekf = mekf_predict(mekf, increments[i], phi_m[i], q_m[i])
-                    win_time_m += time.perf_counter() - t0 + cost_m * (hi - lo)
-
-                if epoch:
-                    solution = next(solutions)
-                    if isinstance(solution, UnderdeterminedAttitude):
-                        skipped += 1
-                        logger.warning("tracker epoch at t=%.3f skipped: %s", t_now, solution)
-                    elif isinstance(solution, Exception):
-                        raise solution
-                    else:
-                        epoch_t.append(t_now)
-                        epoch_q.append(solution.q.copy())
-                        if cfg.run_aekf:
-                            t0 = time.perf_counter()
-                            aekf = aekf_update(aekf, solution.q, r4)
-                            win_time_a += time.perf_counter() - t0
-                        if cfg.run_mekf:
-                            t0 = time.perf_counter()
-                            mekf = mekf_update(mekf, solution.q, r3)
-                            win_time_m += time.perf_counter() - t0
-
-                if due:
-                    record(t_now)
-    except NumericalFailure as exc:
-        aborted = str(exc)
-        logger.error("run aborted: %s", exc)
-        # keep the partial result well-formed: snapshot the pre-failure state
-        if t_now > 0.0 and (not rec_t or t_now > rec_t[-1]):
-            record(t_now)
+        ends = [(chunk_start + hi - 1) * dt for _, hi, _, _ in blocks[:len(measured)]]
+        kept = np.flatnonzero(keep)
+        keep_records([ends[i] for i in kept], truth[kept], aekf_out[1:3], mekf_out[1:3])
+        for t_end, outcome in zip(ends, outcomes):
+            if isinstance(outcome, UnderdeterminedAttitude):
+                skipped += 1
+                logger.warning("tracker epoch at t=%.3f skipped: %s", t_end, outcome)
+            elif isinstance(outcome, WahbaSolution):
+                epoch_t.append(t_end)
+                epoch_q.append(outcome.q.copy())
+        if failure is not None:
+            if not isinstance(failure[1], NumericalFailure):
+                raise failure[1]
+            aborted = str(failure[1])
+            logger.error("run aborted: %s", failure[1])
+            break
     flush()
     quats = np.concatenate(rec_q, axis=1)
 
-    def arr(rows, width=None):
-        if width is None:
-            return np.array(rows, dtype=float)
-        if not rows:
-            return np.zeros((0, width))
-        return np.array(rows, dtype=float)
-
     return RunResult(
         config=cfg,
-        t=arr(rec_t),
+        t=np.array(rec_t),
         q_true=quats[0],
         q_aekf=quats[1],
         q_mekf=quats[2],
-        err_aekf=arr(rec_ea),
-        err_mekf=arr(rec_em),
-        pnorm_aekf=arr(rec_pa),
-        pnorm_mekf=arr(rec_pm),
-        cond_aekf=arr(rec_ca),
-        cond_mekf=arr(rec_cm),
-        step_time_aekf=arr(rec_ta),
-        step_time_mekf=arr(rec_tm),
-        epoch_t=arr(epoch_t),
-        q_meas=arr(epoch_q, 4),
+        err_aekf=np.array(rec_ea),
+        err_mekf=np.array(rec_em),
+        pnorm_aekf=np.array(rec_pa),
+        pnorm_mekf=np.array(rec_pm),
+        cond_aekf=np.array(rec_ca),
+        cond_mekf=np.array(rec_cm),
+        step_time_aekf=aekf_s / steps_done,
+        step_time_mekf=mekf_s / steps_done,
+        epoch_t=np.array(epoch_t, dtype=float),
+        q_meas=np.array(epoch_q, dtype=float).reshape(-1, 4),
         skipped_epochs=skipped,
         aborted=aborted,
     )
@@ -613,7 +619,7 @@ def compute_metrics(result: RunResult) -> MetricsReport:
         raise InvalidInput("run result holds no records")
 
     def one(q_est: np.ndarray, err: np.ndarray, pnorm: np.ndarray, cond: np.ndarray,
-            step_time: np.ndarray) -> FilterMetrics:
+            step_time: float) -> FilterMetrics:
         # sign-aligned difference: min(|q_true - q|, |q_true + q|) per record
         qdiff = np.minimum(quat_norms(result.q_true - q_est), quat_norms(result.q_true + q_est))
         return FilterMetrics(
@@ -622,7 +628,7 @@ def compute_metrics(result: RunResult) -> MetricsReport:
             mean_quat_error_norm=float(np.mean(qdiff)),
             final_covariance_norm=float(pnorm[-1]),
             mean_condition_number=float(np.mean(cond)),
-            mean_step_time_s=float(np.mean(step_time)),
+            mean_step_time_s=float(step_time),
         )
 
     return MetricsReport(
@@ -631,15 +637,6 @@ def compute_metrics(result: RunResult) -> MetricsReport:
         mekf=one(result.q_mekf, result.err_mekf, result.pnorm_mekf, result.cond_mekf,
                  result.step_time_mekf),
     )
-
-
-def _zero_timing(metrics: MetricsReport) -> MetricsReport:
-    def strip(m: FilterMetrics) -> FilterMetrics:
-        d = asdict(m)
-        d["mean_step_time_s"] = 0.0
-        return FilterMetrics(**d)
-
-    return MetricsReport(aekf=strip(metrics.aekf), mekf=strip(metrics.mekf))
 
 
 _CSV_HEADER = (
@@ -687,7 +684,10 @@ def write_outputs(result: RunResult, out_dir, no_timing: bool = False) -> Metric
     out.mkdir(parents=True, exist_ok=True)
     metrics = compute_metrics(result)
     if no_timing:
-        metrics = _zero_timing(metrics)
+        metrics = MetricsReport(
+            aekf=replace(metrics.aekf, mean_step_time_s=0.0),
+            mekf=replace(metrics.mekf, mean_step_time_s=0.0),
+        )
     write_metrics_json(metrics, out / "metrics.json")
     write_timeseries_csv(result, out / "timeseries.csv")
     return metrics

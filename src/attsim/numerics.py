@@ -235,14 +235,23 @@ def _jacobi_sweep(a: np.ndarray):
     return evals, vecs, failed
 
 
-def condition_number(m) -> float:
-    """|lambda|_max / |lambda|_min of a symmetric matrix, +inf when rank deficient."""
-    evals, _ = jacobi_eigen_sym(_as_square(m))
+def norms_and_conditions(evals):
+    """Spectral norms ``|lambda|_max`` and condition numbers ``|lambda|_max / |lambda|_min``.
+
+    ``evals`` is a ``(k, n)`` stack, one row of eigenvalues per symmetric
+    matrix. A condition number is +inf where ``|lambda|_min`` < 1e-300.
+    """
     mags = np.abs(evals)
-    lo = float(mags.min())
-    if lo < 1e-300:
-        return math.inf
-    return float(mags.max()) / lo
+    hi = mags.max(axis=1)
+    lo = mags.min(axis=1)
+    singular = lo < 1e-300
+    return hi, np.where(singular, math.inf, hi / np.where(singular, 1.0, lo))
+
+
+def condition_number(m) -> float:
+    """|lambda|_max / |lambda|_min of one symmetric matrix, +inf when rank deficient."""
+    evals, _ = jacobi_eigen_sym(_as_square(m))
+    return float(norms_and_conditions(evals[None])[1][0])
 
 
 def solve(a, b) -> np.ndarray:

@@ -32,7 +32,8 @@ numpy rows; the float kernels must equal them bit for bit.
 :func:`quat_kinematics` is the right-hand side of the kinematic equation,
 which the RK4 reference for ``attsim.attitude.integrate_quat`` integrates,
 and :func:`gibbs_to_quat` is the inverse ``attsim.attitude.quat_to_gibbs``
-must round-trip through.
+must round-trip through. :func:`axis_angle_quat` builds the rotations the
+tests feed to the package.
 """
 
 import math
@@ -270,6 +271,17 @@ def quat_kinematics(q, omega):
     """Quaternion rate 0.5 * (omega; 0) * q for body rate ``omega`` [rad/s]."""
     wx, wy, wz = omega
     return 0.5 * quat_mul(np.array([wx, wy, wz, 0.0]), q)
+
+
+def axis_angle_quat(axis, angle: float) -> np.ndarray:
+    """Unit quaternion for a rotation of ``angle`` radians about ``axis``."""
+    x, y, z = np.asarray(axis, dtype=float).tolist()
+    n = math.sqrt(x * x + y * y + z * z)
+    if n < 1e-12:
+        raise InvalidInput("rotation axis must be nonzero")
+    half = 0.5 * angle
+    s = math.sin(half) / n
+    return np.array([x * s, y * s, z * s, math.cos(half)])
 
 
 def gibbs_to_quat(g):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attsim.attitude import (
-    axis_angle_quat,
     block_increments,
     cross_matrix,
     error_angle,
@@ -23,7 +22,7 @@ from attsim.errors import DegenerateQuaternion, GibbsSingularity, InvalidInput
 from attsim.numerics import RngStream
 
 from conftest import random_unit_quat, random_unit_vec
-from oracles import error_angle_numpy, gibbs_to_quat, quat_kinematics, quat_mul_numpy
+from oracles import axis_angle_quat, error_angle_numpy, gibbs_to_quat, quat_kinematics, quat_mul_numpy
 
 HALF_SQRT2 = math.sqrt(0.5)
 

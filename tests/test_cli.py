@@ -60,7 +60,6 @@ class TestRunCommand:
             '{"record_stride": 0.5}',
             '{"n_stars": true}',
             # flags that are not booleans
-            '{"run_aekf": "yes"}',
             '{"aekf_q_flat": 1}',
             # axes that are not three finite numbers
             '{"axis": "abc"}',
@@ -69,8 +68,12 @@ class TestRunCommand:
             '{"axis": [0.0, "1", 1.0]}',
             '{"axis": 1.0}',
             '{"catalog_path": 5}',
-            # not a config key: the MEKF estimates no gyro bias
+            # not config keys: the MEKF estimates no gyro bias, and both
+            # filters always run
             '{"sigma_bias_walk": 0.0}',
+            '{"run_aekf": "yes"}',
+            '{"run_aekf": true}',
+            '{"run_mekf": false}',
             # integers too large for a float
             pytest.param('{"duration_s": 1' + "0" * 400 + "}", id="duration_s-400-digit-integer"),
             pytest.param('{"axis": [1' + "0" * 400 + ", 0, 0]}", id="axis-400-digit-integer"),
@@ -239,8 +242,6 @@ _TYPED_VALUES = {
     "sigma_meas": [0.0, 1e-3, 1e3],
     "seed": [0, 1, 2**64 - 1, 2**64, -1],
     "axis": [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0]],
-    "run_aekf": [True, False],
-    "run_mekf": [True, False],
     "aekf_q_flat": [True, False],
     "aekf_r_scale": [4.0, 0.25, 1e-300, 1e300, 0.0],
     "record_stride": [0, 1, 7, 2**70, -1],

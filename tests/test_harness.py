@@ -115,7 +115,7 @@ class TestSimConfig:
             {"n_cameras": 3.0},
             {"record_stride": 0.5},
             {"seed": True},
-            {"run_mekf": 1},
+            {"aekf_q_flat": 1},
             {"aekf_q_flat": None},
             {"axis": [1.0, nan, 0.0]},
             {"axis": [1.0, 0.0]},
@@ -163,6 +163,27 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig.from_json(path)
 
+    def test_readme_default_config_matches(self):
+        # README's default-config block names every field, with its default
+        import re
+        from dataclasses import fields
+        from pathlib import Path
+
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = [b for b in re.findall(r"```json\n(\{.*?\})\n```", text, re.S) if '"duration_s"' in b]
+        assert len(blocks) == 1
+        documented = json.loads(blocks[0])
+        assert set(documented) == {f.name for f in fields(SimConfig)}
+        defaults = SimConfig()
+        for name, value in documented.items():
+            want = getattr(defaults, name)
+            if name == "fov_half_angle_rad":
+                assert value == pytest.approx(want, abs=1e-3)
+            elif name == "axis":
+                assert value == list(want)
+            else:
+                assert value == want and type(value) is type(want), name
+
     def test_effective_stride(self):
         assert SimConfig().effective_stride() == 100
         assert short_cfg(record_stride=7).effective_stride() == 7
@@ -207,15 +228,14 @@ class TestRunSimulation:
         assert float(res.err_mekf.max()) <= 1e-6
 
     def test_measurement_stream_independent_of_filters(self):
-        # both filters consume the identical measurement sequence
-        cfg = short_cfg(duration_s=10.0)
-        both = run_simulation(cfg)
-        only_aekf = run_simulation(short_cfg(duration_s=10.0, run_mekf=False))
-        assert np.array_equal(both.q_meas, only_aekf.q_meas)
-
-    def test_disabled_filter_stays_at_init(self):
-        res = run_simulation(short_cfg(duration_s=5.0, run_aekf=False))
-        assert np.array_equal(res.q_aekf, np.tile([0.0, 0.0, 0.0, 1.0], (len(res.t), 1)))
+        # the measurement sequence does not depend on how the filters are tuned
+        base = run_simulation(short_cfg(duration_s=10.0))
+        assert len(base.q_meas) == 10
+        for tuning in ({"aekf_r_scale": 0.25}, {"aekf_q_flat": False}):
+            tuned = run_simulation(short_cfg(duration_s=10.0, **tuning))
+            assert not np.array_equal(tuned.q_aekf, base.q_aekf)
+            assert tuned.q_meas.tobytes() == base.q_meas.tobytes()
+            assert tuned.epoch_t.tobytes() == base.epoch_t.tobytes()
 
     def test_error_monotonic_in_star_noise(self):
         # more star-vector noise never helps either filter (5 seeds);
@@ -257,23 +277,6 @@ class TestRunSimulation:
         run_simulation(short_cfg(duration_s=50.0, tracker_rate_hz=0.02, record_stride=10**9))
         assert sizes() == [hmod._MAX_BLOCK_STEPS, hmod._MAX_BLOCK_STEPS, 500]
 
-    @pytest.mark.parametrize("off", ["aekf", "mekf"])
-    @pytest.mark.parametrize("flat", [True, False])
-    def test_disabled_filter_builds_no_transitions(self, off, flat, monkeypatch):
-        import attsim.harness as hmod
-
-        def never(*args, **kwargs):
-            raise AssertionError(f"{off} is disabled but its transitions were built or applied")
-
-        for name in (f"{off}_transitions", f"{off}_predict", f"{off}_update"):
-            monkeypatch.setattr(hmod, name, never)
-        cfg = short_cfg(duration_s=5.0, aekf_q_flat=flat, **{f"run_{off}": False})
-        res = run_simulation(cfg)
-        assert res.aborted is None
-        assert np.all(getattr(res, f"step_time_{off}") == 0.0)
-        other = "mekf" if off == "aekf" else "aekf"
-        assert np.all(getattr(res, f"step_time_{other}") > 0.0)
-
     @pytest.mark.parametrize("slow", ["aekf_transitions", "mekf_transitions", "block_increments"])
     def test_transition_builds_are_charged_to_their_filters(self, slow, monkeypatch):
         # a build that takes 50 ms more shows in the step time of each filter
@@ -292,27 +295,16 @@ class TestRunSimulation:
         res = run_simulation(short_cfg(duration_s=5.0))
         extra = 0.05 / 250
         for name in ("aekf", "mekf"):
-            mean = float(np.mean(getattr(res, f"step_time_{name}")))
+            mean = getattr(res, f"step_time_{name}")
             if slow == "block_increments" or slow.startswith(name):
                 assert mean >= extra
             else:
                 assert mean < 0.2 * extra
 
     def test_numerical_failure_aborts_with_partial_result(self, monkeypatch):
-        import attsim.harness as hmod
-        from attsim.errors import NumericalFailure
-
-        calls = {"n": 0}
-        real = hmod.aekf_update
-
-        def explode(s, q_meas, r4):
-            calls["n"] += 1
-            if calls["n"] >= 3:
-                raise NumericalFailure("synthetic failure")
-            return real(s, q_meas, r4)
-
-        monkeypatch.setattr(hmod, "aekf_update", explode)
-        res = run_simulation(short_cfg(duration_s=10.0, record_stride=1))
+        cfg = short_cfg(duration_s=10.0, record_stride=1)
+        _fail_update_at(monkeypatch, "aekf", run_simulation(cfg).q_meas[2], "synthetic failure")
+        res = run_simulation(cfg)
         assert res.aborted == "synthetic failure"
         assert 0 < len(res.t) < 10.0 * 50.0
         # the pending covariance snapshots are solved on the abort path too
@@ -342,6 +334,21 @@ class TestRunSimulation:
         assert len(res.t) == 50
         for q_est, err in ((res.q_aekf, res.err_aekf), (res.q_mekf, res.err_mekf)):
             assert err.tobytes() == np.array([error_angle(a, b) for a, b in zip(res.q_true, q_est)]).tobytes()
+
+
+def _fail_update_at(monkeypatch, name, q_bad, reason):
+    """Make filter ``name``'s update raise NumericalFailure(reason) on the measurement ``q_bad``."""
+    import attsim.harness as hmod
+    from attsim.errors import NumericalFailure
+
+    real = getattr(hmod, f"{name}_update")
+
+    def update(s, q_meas, r):
+        if np.array_equal(q_meas, q_bad):
+            raise NumericalFailure(reason)
+        return real(s, q_meas, r)
+
+    monkeypatch.setattr(hmod, f"{name}_update", update)
 
 
 def _spy_block_sizes(monkeypatch, name):
@@ -500,6 +507,10 @@ class TestBlockTransitions:
             assert _same_bits(truth[b], q_prev)
 
 
+_RECORD_FIELDS = ("t", "q_true", "q_aekf", "q_mekf", "err_aekf", "err_mekf",
+                  "pnorm_aekf", "pnorm_mekf", "cond_aekf", "cond_mekf")
+
+
 def _fail_davenport_at(monkeypatch, epoch, how):
     """Make the Davenport solve of tracker epoch ``epoch`` (0-based) fail.
 
@@ -555,10 +566,55 @@ class TestDavenportAbort:
         assert stacked.aborted is not None and stacked.aborted == alone.aborted
         assert len(stacked.epoch_t) == epoch
         assert stacked.t[-1] == pytest.approx(epoch + 1.0)
-        for name in ("t", "q_true", "q_aekf", "q_mekf", "err_aekf", "err_mekf", "pnorm_aekf",
-                     "pnorm_mekf", "cond_aekf", "cond_mekf", "epoch_t", "q_meas"):
+        for name in (*_RECORD_FIELDS, "epoch_t", "q_meas"):
             assert np.array_equal(getattr(stacked, name), getattr(alone, name)), name
         assert stacked.skipped_epochs == alone.skipped_epochs
+
+
+class TestUpdateAbort:
+    """A filter update's NumericalFailure at block j keeps the records before j
+    and ends with one record at j holding both filters after j's predict."""
+
+    @pytest.mark.parametrize("epoch", [0, 13, 35])  # 40 epochs in two chunks
+    @pytest.mark.parametrize("name", ["aekf", "mekf"])
+    def test_partial_result(self, name, epoch, monkeypatch):
+        import attsim.harness as hmod
+
+        cfg = dict(duration_s=40.0, record_stride=10)  # the epoch blocks are record instants
+        full = run_simulation(short_cfg(**cfg))
+        t_fail = full.epoch_t[epoch]
+        before = int(np.searchsorted(full.t, t_fail))
+        assert full.t[before] == t_fail
+        with monkeypatch.context() as m:
+            predicted = {"aekf": [], "mekf": []}
+            for f in predicted:
+                def spy(*args, real=getattr(hmod, f"{f}_predict"), out=predicted[f]):
+                    out.append(real(*args))
+                    return out[-1]
+
+                m.setattr(hmod, f"{f}_predict", spy)
+            _fail_update_at(m, name, full.q_meas[epoch], f"synthetic {name} failure")
+            res = run_simulation(short_cfg(**cfg))
+        assert res.aborted == f"synthetic {name} failure"
+        assert len(res.t) == before + 1 and res.t[-1] == t_fail
+        for field in _RECORD_FIELDS:
+            assert getattr(res, field)[:before].tobytes() == getattr(full, field)[:before].tobytes()
+        # the last predict each filter made is the failing block's, and the
+        # last record holds it; neither filter's update at that block shows
+        assert res.q_aekf[-1].tobytes() == predicted["aekf"][-1].q.tobytes()
+        assert res.q_mekf[-1].tobytes() == predicted["mekf"][-1].q.tobytes()
+        assert res.q_true[-1].tobytes() == full.q_true[before].tobytes()
+        assert not np.array_equal(res.q_aekf[-1], full.q_aekf[before])
+        assert not np.array_equal(res.q_mekf[-1], full.q_mekf[before])
+        # the measurement was solved, so it is listed
+        assert res.epoch_t.tobytes() == full.epoch_t[:epoch + 1].tobytes()
+        assert res.q_meas.tobytes() == full.q_meas[:epoch + 1].tobytes()
+        # the same records as a Davenport failure at that epoch
+        with monkeypatch.context() as m:
+            _fail_davenport_at(m, epoch, "z")
+            davenport = run_simulation(short_cfg(**cfg))
+        for field in _RECORD_FIELDS:
+            assert getattr(res, field).tobytes() == getattr(davenport, field).tobytes(), field
 
 
 class TestComputeMetrics:
@@ -576,8 +632,8 @@ class TestComputeMetrics:
             pnorm_mekf=np.zeros(0),
             cond_aekf=np.zeros(0),
             cond_mekf=np.zeros(0),
-            step_time_aekf=np.zeros(0),
-            step_time_mekf=np.zeros(0),
+            step_time_aekf=0.0,
+            step_time_mekf=0.0,
             epoch_t=np.zeros(0),
             q_meas=np.zeros((0, 4)),
         )
@@ -611,8 +667,8 @@ class TestComputeMetrics:
             pnorm_mekf=np.array([0.3, 0.2, 0.1]),
             cond_aekf=np.array([1.0, 2.0, 3.0]),
             cond_mekf=np.ones(3),
-            step_time_aekf=np.array([1e-6, 2e-6, 3e-6]),
-            step_time_mekf=np.array([1e-6, 1e-6, 1e-6]),
+            step_time_aekf=2e-6,
+            step_time_mekf=1e-6,
             epoch_t=np.zeros(0),
             q_meas=np.zeros((0, 4)),
         )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from attsim.attitude import axis_angle_quat, identity_quat, quat_mul, quat_conjugate, quat_to_matrix
+from attsim.attitude import identity_quat, quat_mul, quat_conjugate, quat_to_matrix
 from attsim.errors import BehindImagePlane, InvalidInput
 from attsim.numerics import RngStream
 from attsim.startracker import (
@@ -21,7 +21,7 @@ from attsim.startracker import (
 )
 
 from conftest import random_unit_quat
-from oracles import generate_catalog_per_star, observe_one_epoch, observe_per_star
+from oracles import axis_angle_quat, generate_catalog_per_star, observe_one_epoch, observe_per_star
 
 FOV20 = math.radians(20.0)
 
