@@ -22,10 +22,11 @@ Conventions used everywhere in this package:
   of the gyro rates (see :mod:`attsim.filters`).
 
 The kernels the sequential estimate loop calls per block or per update
-(``quat_mul``, ``quat_norm``, ``quat_normalize``, ``quat_conjugate``,
-``quat_to_gibbs``, ``error_angle`` and the block-by-block crossing of
-``integrate_quat``) read an ``ndarray`` operand as Python floats
-(``tolist()``) and return arrays. Indexing an array yields numpy float64
+(``quat_path``, ``quat_mul``, ``quat_norm``, ``quat_normalize``,
+``quat_conjugate``, ``quat_to_gibbs``, ``error_angle`` and the
+block-by-block crossing of ``integrate_quat``, which is a ``quat_path``)
+read an ``ndarray`` operand as Python floats (``tolist()``) and return
+arrays. Indexing an array yields numpy float64
 scalars, whose arithmetic costs about ten times as much per operation;
 both are IEEE double operations, correctly rounded, so the same expressions
 in the same order give the same bits. ``error_angle`` also takes ``(k, 4)``
@@ -105,11 +106,34 @@ def quat_norms(q) -> np.ndarray:
 
 def quat_normalize(q) -> np.ndarray:
     """Unit quaternion with the same direction. Never flips sign."""
-    x, y, z, w = _components(q)
+    return np.array(_unit(*_components(q)))
+
+
+def _unit(x, y, z, w):
+    """Components of the unit quaternion along (x, y, z, w), on floats."""
     n = math.sqrt(x * x + y * y + z * z + w * w)
     if n <= _NORM_EPS:
         raise DegenerateQuaternion(f"cannot normalize quaternion with norm {n:.3e}")
-    return np.array([x / n, y / n, z / n, w / n])
+    return x / n, y / n, z / n, w / n
+
+
+def quat_path(q, increments, normalize: bool = False) -> np.ndarray:
+    """Attitudes after each of a sequence of left products ``q <- m * q``.
+
+    ``increments`` is a sequence of k >= 1 quaternions (4-float sequences
+    or arrays), applied in order; with ``normalize`` each product is
+    renormalized. Returns ``(k, 4)``. The recursion runs on Python floats
+    with the expressions of :func:`quat_mul` and :func:`quat_normalize`, so
+    row i is bit for bit what i + 1 calls of those give.
+    """
+    out = []
+    q = _components(q)
+    for m in increments:
+        q = _hamilton(*m, *q)
+        if normalize:
+            q = _unit(*q)
+        out.append(q)
+    return np.array(out)
 
 
 def quat_conjugate(q) -> np.ndarray:
@@ -142,12 +166,7 @@ def integrate_quat(q, omega, dt: float) -> np.ndarray:
     """
     w = np.asarray(omega, dtype=float)
     if w.ndim == 3:
-        out = []
-        q = _components(q)
-        for m in block_increments(w, dt).tolist():
-            q = _hamilton(*m, *q)
-            out.append(q)
-        return np.array(out).reshape(-1, 4)
+        return quat_path(q, block_increments(w, dt).tolist()).reshape(-1, 4)
     if w.ndim == 2:
         return integrate_quat(q, w[None], dt)[0]
     wx, wy, wz = w.tolist()

@@ -133,7 +133,8 @@ def _cmd_solve_wahba(args) -> int:
     solution = wahba.davenport_solve(obs)
     q = solution.q
     print(f"{float(q[3])!r} {float(q[0])!r} {float(q[1])!r} {float(q[2])!r}")
-    print(f"loss={solution.loss!r} lambda_max={solution.lambda_max!r}", file=sys.stderr)
+    loss = wahba.wahba_loss(quat_to_matrix(q), obs)
+    print(f"loss={loss!r} lambda_max={solution.lambda_max!r}", file=sys.stderr)
     return 0
 
 

@@ -21,31 +21,39 @@ Multiplicative EKF (MEKF)
     holds no error estimate between updates. The truth gyro has no bias and
     the filter estimates none.
 
-Block predict
-    Each filter has one predict, and it crosses a whole block of gyro
-    steps by applying a prebuilt block transition:
-    ``predict(state, m, phi, q)``. ``m`` is the product of the block's
-    exact quaternion step increments
+Segment predict
+    Each filter has one predict, and it crosses an update segment: the k
+    consecutive blocks of gyro steps between two measurements,
+    ``predict(state, m, transition)``. ``m`` lists the product of each
+    block's exact quaternion step increments
     (:func:`attsim.attitude.block_increments`), the same for both filters
-    since both read the same gyro rates. ``(phi, q)`` is the filter's
-    composed covariance transition: between two measurements the recursion
-    ``P <- Phi P Phi^T + Q`` is linear, and its per-step pairs compose
-    associatively (:func:`compose_transitions`). :func:`aekf_transitions`
-    and :func:`mekf_transitions` build the pairs of every block of a
-    zero-padded ``(B, L, 3)`` stack of gyro rates in one vectorized step
-    (Phi is linear in the rate) and reduce them by one batched tree, so a
-    caller can build a whole chunk of blocks before it runs the filter. The
-    result equals n one-step predicts up to rounding; the caller decides
-    where a block ends (the harness ends one at every tracker epoch and
-    every record instant). The one exception is the AEKF's kinematic
-    process noise, which is taken at the filter's own attitude and so is
-    built block by block from the attitude at the block start.
+    since both read the same gyro rates. ``transition`` gives the filter's
+    composed covariance transition of each block: between two measurements
+    the recursion ``P <- Phi P Phi^T + Q`` is linear, and its per-step
+    pairs compose associatively (:func:`compose_transitions`).
+    :func:`aekf_transitions` and :func:`mekf_transitions` build the pairs
+    of every block of a zero-padded ``(B, L, 3)`` stack of gyro rates in
+    one vectorized step (Phi is linear in the rate) and reduce them by one
+    batched tree, so a caller can build a whole chunk of blocks before it
+    runs the filter. The predict advances the quaternion block by block on
+    Python floats, then composes every prefix of the segment's block pairs
+    by log-depth doubling (:func:`compose_prefixes`) and applies them all
+    to the covariance at the segment start at once; it returns the state
+    after every block, so a caller can snapshot the filter inside the
+    segment. The result equals n one-step predicts up to rounding, and a
+    segment of one block is exactly that block's ``symmetrize(Phi P Phi^T +
+    Q)``; the caller decides where blocks and segments end (the harness
+    ends a block at every tracker epoch and record instant, and a segment
+    at every update or after a fixed number of blocks). The one exception
+    is the AEKF's kinematic process noise, which is taken at the filter's
+    own attitude and so is built for each segment from the attitudes at
+    its block starts, which the predict hands to ``transition``.
 
 The AEKF update sign-aligns the measured quaternion against the current
 estimate before forming a residual, and the MEKF's Gibbs innovation does
 not depend on the sign, which makes both filters insensitive to the q/-q
 double cover. Covariances are re-symmetrized after every
-predict and update.
+predict (each block's) and update.
 """
 
 from dataclasses import dataclass
@@ -59,6 +67,7 @@ from .attitude import (
     quat_conjugate,
     quat_mul,
     quat_normalize,
+    quat_path,
     quat_to_gibbs,
 )
 from .errors import InvalidInput
@@ -136,14 +145,18 @@ def _rate_blocks(omegas, steps, dt: float):
     return w, np.arange(w.shape[1]) < steps[:, None]
 
 
+def _compose(phi2, q2, phi1, q1):
+    """``(Phi2, Q2) o (Phi1, Q1) = (Phi2 Phi1, Phi2 Q1 Phi2^T + Q2)``, pair by pair over stacks."""
+    return phi2 @ phi1, phi2 @ q1 @ phi2.swapaxes(-1, -2) + q2
+
+
 def compose_transitions(phi: np.ndarray, q: np.ndarray):
     """Compose per-step pairs (Phi_k, Q_k) into one pair per block.
 
     ``phi`` and ``q`` have shape ``(B, L, n, n)``: B blocks, each with its
     L pairs stacked in time order; one block is a stack of one. Returns two
     ``(B, n, n)`` stacks. The covariance recursion P <- Phi P Phi^T + Q
-    composes associatively,
-    ``(Phi2, Q2) o (Phi1, Q1) = (Phi2 Phi1, Phi2 Q1 Phi2^T + Q2)``, so each
+    composes associatively (:func:`_compose`), so each
     block reduces by a tree of ceil(log2 L) batched levels: each level
     composes neighbours pairwise, and an odd last element passes to the
     next level unchanged. Applying a block's result to P once equals its L
@@ -153,14 +166,43 @@ def compose_transitions(phi: np.ndarray, q: np.ndarray):
     """
     while phi.shape[1] > 1:
         even = phi.shape[1] // 2 * 2
-        later = phi[:, 1:even:2]
-        q_new = later @ q[:, 0:even:2] @ later.swapaxes(-1, -2) + q[:, 1:even:2]
-        phi_new = later @ phi[:, 0:even:2]
+        phi_new, q_new = _compose(phi[:, 1:even:2], q[:, 1:even:2], phi[:, 0:even:2], q[:, 0:even:2])
         if even < phi.shape[1]:
             q_new = np.concatenate((q_new, q[:, even:]), axis=1)
             phi_new = np.concatenate((phi_new, phi[:, even:]), axis=1)
         phi, q = phi_new, q_new
     return phi[:, 0], q[:, 0]
+
+
+def compose_prefixes(phi: np.ndarray, q: np.ndarray):
+    """Every prefix composition of a sequence of pairs (Phi_j, Q_j).
+
+    ``phi`` and ``q`` have shape ``(k, n, n)``, the pairs in time order.
+    Returns two ``(k, n, n)`` stacks whose row j is pair j composed after
+    pairs j - 1, ..., 0 by the rule of :func:`compose_transitions`, so that
+    applying row j to P equals the first j + 1 pairs applied one after the
+    other, up to rounding. A Hillis-Steele scan: ceil(log2 k) levels, each
+    composing every row with the row ``2**l`` before it in one batched
+    step. One pair is its own prefix.
+    """
+    shift = 1
+    while shift < phi.shape[0]:
+        phi_new, q_new = _compose(phi[shift:], q[shift:], phi[:-shift], q[:-shift])
+        phi = np.concatenate((phi[:shift], phi_new))
+        q = np.concatenate((q[:shift], q_new))
+        shift *= 2
+    return phi, q
+
+
+def _predict_covariances(p: np.ndarray, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The covariance after each of k block pairs ``(k, n, n)`` applied to ``p`` in turn.
+
+    Every prefix of the pairs (:func:`compose_prefixes`) is applied to ``p``
+    in one batched ``Phi P Phi^T + Q`` and symmetrized once. One pair gives
+    ``symmetrize(Phi P Phi^T + Q)``, as applying it alone does.
+    """
+    phi, q = compose_prefixes(phi, q)
+    return symmetrize(phi @ p @ phi.swapaxes(-1, -2) + q)
 
 
 def aekf_transitions(omegas, steps, dt: float, noise: NoiseParams, q0=None):
@@ -197,17 +239,21 @@ def aekf_transitions(omegas, steps, dt: float, noise: NoiseParams, q0=None):
     return compose_transitions(f, qmat)
 
 
-def aekf_predict(s: AekfState, m, phi, q) -> AekfState:
-    """Propagate the AEKF across one block of gyro intervals.
+def aekf_predict(s: AekfState, m, transition):
+    """Propagate the AEKF across one update segment of k blocks of gyro intervals.
 
-    ``m`` is the product of the block's quaternion step increments
-    (:func:`attsim.attitude.block_increments`) and ``(phi, q)`` the block's
-    composed covariance transition (:func:`aekf_transitions`). The
-    quaternion advances by ``m`` and is renormalized once per block, since
-    the exact steps preserve the norm to about 1e-16; the covariance
-    becomes ``Phi P Phi^T + Q``.
+    ``m`` lists the product of each block's quaternion step increments
+    (:func:`attsim.attitude.block_increments`). The quaternion advances by
+    each in turn and is renormalized once per block, since the exact steps
+    preserve the norm to about 1e-16. ``transition(q0, path)`` gives the
+    blocks' composed covariance transitions (:func:`aekf_transitions`) as
+    two ``(k, 4, 4)`` stacks, from the attitude at the segment start and
+    the ``(k, 4)`` attitudes after each block; only the kinematic Q reads
+    them. Returns the attitude ``(k, 4)`` and the covariance ``(k, 4, 4)``
+    after each block (see :func:`_predict_covariances`).
     """
-    return AekfState(q=quat_normalize(quat_mul(m, s.q)), p=symmetrize(phi @ s.p @ phi.T + q))
+    path = quat_path(s.q, m, normalize=True)
+    return path, _predict_covariances(s.p, *transition(s.q, path))
 
 
 def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
@@ -257,15 +303,19 @@ def mekf_transitions(omegas, steps, dt: float, noise: NoiseParams):
     return compose_transitions(phi, qmat)
 
 
-def mekf_predict(s: MekfState, m, phi, q) -> MekfState:
-    """Propagate the MEKF reference and error covariance across one block of gyro intervals.
+def mekf_predict(s: MekfState, m, transition):
+    """Propagate the MEKF reference and error covariance across one update segment of k blocks.
 
-    ``m`` is the product of the block's quaternion step increments
-    (:func:`attsim.attitude.block_increments`), which carries the reference
-    exactly, and ``(phi, q)`` the block's composed covariance transition
-    (:func:`mekf_transitions`), which takes P to ``Phi P Phi^T + Q``.
+    ``m`` lists the product of each block's quaternion step increments
+    (:func:`attsim.attitude.block_increments`), which carry the reference
+    exactly, and ``transition(q0, path)`` gives the blocks' composed
+    covariance transitions (:func:`mekf_transitions`) as two ``(k, 3, 3)``
+    stacks; it is called as for :func:`aekf_predict` and the MEKF's do not
+    read the attitudes. Returns the reference ``(k, 4)`` and the covariance
+    ``(k, 3, 3)`` after each block.
     """
-    return MekfState(q=quat_mul(m, s.q), p=symmetrize(phi @ s.p @ phi.T + q))
+    path = quat_path(s.q, m)
+    return path, _predict_covariances(s.p, *transition(s.q, path))
 
 
 def mekf_update(s: MekfState, q_meas, r3) -> MekfState:

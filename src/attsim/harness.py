@@ -21,11 +21,22 @@ estimate pass per filter:
   the product of each block's gyro increments, which both filters share;
 * the estimate passes (:func:`_estimate`), the AEKF's and then the
   MEKF's: each builds its filter's composed (Phi, Q) pair per block, from
-  one batched tree over the chunk (see :mod:`attsim.filters`), then per
-  block applies it (q <- M q, P <- Phi P Phi^T + Q), takes the epoch's
-  Davenport quaternion, and snapshots the filter at the record instants.
-  The AEKF's kinematic process noise (``aekf_q_flat = false``) depends on
-  the filter's attitude, so that option builds its (Phi, Q) block by block.
+  one batched tree over the chunk (see :mod:`attsim.filters`), then
+  crosses the blocks one update segment at a time, the blocks after one
+  update up to and including the block of the next (or at most
+  ``_MAX_SEGMENT_BLOCKS`` blocks). One predict per segment advances the
+  quaternion block by block (q <- M q) and applies every prefix of the
+  segment's pairs to the covariance at its start in one batched step;
+  the last block takes the epoch's Davenport quaternion, and the filter
+  is snapshotted at the segment's record instants. A segment of one
+  block gets bit for bit what one predict per block gets. A segment
+  still open at the chunk's end is carried into the next chunk, with its
+  start state and its blocks' increments and pairs, and crossed again
+  from its start there, so the outputs do not depend on where chunks
+  end. The AEKF's kinematic process noise (``aekf_q_flat = false``)
+  depends on the filter's attitude, so that option builds its (Phi, Q)
+  per segment, from the attitudes the segment's predict has just
+  propagated.
 
 So every update and every record sees the filter states it would see
 after one predict per step, up to rounding, and the noise streams are the
@@ -107,6 +118,12 @@ _MAX_BLOCK_STEPS = 1000
 # and observation sets are all the scenario pass keeps
 _EPOCH_CHUNK = 32
 _CHUNK_STEPS = 4096
+
+# longest update segment, in blocks: a segment with no update for this many
+# blocks ends there, without one. A segment still open at a chunk end is
+# carried into the next chunk and crossed again from its start, so this
+# bounds what a chunk carries over and crosses twice
+_MAX_SEGMENT_BLOCKS = 512
 
 # records whose covariance snapshots one stacked eigensolve takes; keeps the
 # pending buffers and the solver's temporaries at a fixed small size however
@@ -367,36 +384,82 @@ def _pad(rates: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _prebuilt(phi: np.ndarray, q: np.ndarray):
-    """The ``transition(i, state)`` of :func:`_estimate` for transitions built ahead, ``(B, n, n)``."""
-    return lambda i, state: (phi[i], q[i])
+    """The ``transition`` of :func:`_estimate` for block pairs built ahead, ``(B, n, n)`` stacks."""
+    return lambda lo, hi, q0, path: (phi[lo:hi], q[lo:hi])
 
 
-def _estimate(state, predict, update, r, transition, increments, measured, keep):
+def _carry(state):
+    """The carry of :func:`_estimate` for a filter with no update segment open."""
+    return state, [], None
+
+
+def _estimate(carry, predict, update, r, transition, increments, measured, keep):
     """One filter's estimate pass over the first ``len(measured)`` blocks of a chunk.
 
-    Block ``i`` is crossed by ``predict(state, increments[i], *transition(i,
-    state))``, then updated with the quaternion ``measured[i]`` (with
-    covariance ``r``) unless it is None, and the filter is snapshotted if
-    ``keep[i]``. Returns the state after the last block, the snapshots'
+    The blocks are crossed one update segment at a time. A segment runs
+    from one update to the next: it ends at the block of the next update,
+    at the ``_MAX_SEGMENT_BLOCKS``-th block since the last update, or
+    otherwise at the chunk's last block, where it stays open. ``carry`` is
+    ``(start, m, pairs)``: the filter at the start of the segment open when
+    the chunk starts, the increments of its blocks in earlier chunks, and
+    their (Phi, Q) pairs as two ``(c, n, n)`` stacks, or None if there are
+    none (:func:`_carry`). Segment ``[lo, hi)`` is crossed from its start by
+    one ``predict(start, m + increments[lo:hi], pairs)``, where
+    ``pairs(q0, path)`` gives the carried pairs followed by
+    ``transition(lo, hi, q0, path)`` (see
+    :func:`attsim.filters.aekf_predict`). So a segment that spans chunk ends
+    is crossed again from its start in each chunk, and each block gets the
+    bits it gets when one chunk holds the whole segment. The predict gives
+    the filter after each block; the last is then updated with the
+    quaternion ``measured[hi - 1]`` (with covariance ``r``) unless it is
+    None. Block ``i`` is snapshotted if ``keep[i]``, after its update if it
+    has one. Returns the carry into the next chunk, the snapshots'
     quaternions ``(n_keep, 4)`` and covariances ``(n_keep, n, n)``, and
     None; if an update raises NumericalFailure, the pass stops at that
     block and the last item is ``(i, exception)``.
     """
+    start, m_open, pairs_open = carry
     q_kept = np.empty((sum(keep), 4))
-    p_kept = np.empty(q_kept.shape[:1] + state.p.shape)
+    p_kept = np.empty(q_kept.shape[:1] + start.p.shape)
     j = 0
-    for i, q_meas in enumerate(measured):
-        state = predict(state, increments[i], *transition(i, state))
+    n = len(measured)
+    lo = 0
+    while lo < n:
+        c = len(m_open)  # blocks of the segment that earlier chunks hold
+        hi = lo + 1
+        while hi < n and measured[hi - 1] is None and c + hi - lo < _MAX_SEGMENT_BLOCKS:
+            hi += 1
+
+        def pairs(q0, path):
+            nonlocal pairs_open
+            phi, q = transition(lo, hi, q0, path)
+            if pairs_open is not None:
+                phi, q = np.concatenate((pairs_open[0], phi)), np.concatenate((pairs_open[1], q))
+            pairs_open = phi, q
+            return phi, q
+
+        m_open = m_open + increments[lo:hi]
+        quats, covs = predict(start, m_open, pairs)
+        state = type(start)(quats[-1], covs[-1])
+        q_meas = measured[hi - 1]
         if q_meas is not None:
             try:
                 state = update(state, q_meas, r)
             except NumericalFailure as exc:
-                return state, q_kept, p_kept, (i, exc)
-        if keep[i]:
+                return _carry(state), q_kept, p_kept, (hi - 1, exc)
+        inner = [c + i - lo for i in range(lo, hi - 1) if keep[i]]
+        if inner:
+            q_kept[j:j + len(inner)] = quats[inner]
+            p_kept[j:j + len(inner)] = covs[inner]
+            j += len(inner)
+        if keep[hi - 1]:
             q_kept[j] = state.q
             p_kept[j] = state.p
             j += 1
-    return state, q_kept, p_kept, None
+        if q_meas is not None or len(m_open) == _MAX_SEGMENT_BLOCKS:
+            start, m_open, pairs_open = _carry(state)
+        lo = hi
+    return (start, m_open, pairs_open), q_kept, p_kept, None
 
 
 def run_simulation(cfg: SimConfig) -> RunResult:
@@ -437,8 +500,8 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     noise = NoiseParams(sigma_v=cfg.sigma_gyro * math.sqrt(dt), aekf_q_flat=cfg.aekf_q_flat)
 
     q_end = np.array([0.0, 0.0, 0.0, 1.0])  # truth at the end of the last block built
-    aekf = aekf_init(q_end, _P0_ATTITUDE * np.eye(4))
-    mekf = mekf_init(q_end, _P0_ATTITUDE * np.eye(3))
+    aekf = _carry(aekf_init(q_end, _P0_ATTITUDE * np.eye(4)))
+    mekf = _carry(mekf_init(q_end, _P0_ATTITUDE * np.eye(3)))
 
     rec_t, rec_q, rec_ea, rec_em = [], [], [], []
     rec_pa, rec_pm, rec_ca, rec_cm = [], [], [], []
@@ -487,13 +550,13 @@ def run_simulation(cfg: SimConfig) -> RunResult:
                 flush()
 
     def aekf_transition(rates, steps):
-        """The AEKF's ``transition(i, state)`` over a chunk's stack of block rates."""
+        """The AEKF's ``transition(lo, hi, q0, path)`` over a chunk's stack of block rates."""
         if noise.aekf_q_flat:
             return _prebuilt(*aekf_transitions(rates, steps, dt, noise))
 
-        def kinematic(i, state):  # Q is taken at the AEKF's own attitude, block by block
-            phi, q = aekf_transitions(rates[i:i + 1, :steps[i]], steps[i:i + 1], dt, noise, state.q[None])
-            return phi[0], q[0]
+        def kinematic(lo, hi, q0, path):  # Q is taken at the AEKF's own attitude at each block start
+            starts = np.concatenate((q0[None], path[:-1]))[lo - hi:]
+            return aekf_transitions(rates[lo:hi, :steps[lo:hi].max()], steps[lo:hi], dt, noise, starts)
 
         return kinematic
 

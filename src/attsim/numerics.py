@@ -111,9 +111,9 @@ def check_symmetric(m) -> np.ndarray:
 
 
 def symmetrize(m) -> np.ndarray:
-    """Average a matrix with its transpose; used after covariance updates."""
+    """Average a matrix, or each matrix of a stack, with its transpose; used after covariance updates."""
     a = np.asarray(m, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def jacobi_eigen_sym(m):

@@ -24,25 +24,24 @@ rounding does not depend on the CPU kernel a BLAS library picks.
 epoch of a chunk of a run, and solves them together: the sets are laid
 out as zero-padded ``(E, L, 3)`` stacks (``L`` the largest set, padding
 rows of weight -0.0, which add -0.0 to every sum and so change none), and
-every B, z, total weight, K, z cross-check, eigenvalue gap, quaternion and
-loss is formed for all sets at once; the 4x4 eigenproblems are one stacked
+every B, z, total weight, K, z cross-check, eigenvalue gap and quaternion
+is formed for all sets at once; the 4x4 eigenproblems are one stacked
 Jacobi call, which gives each member bit for bit what it gives that matrix
 alone. So each set's outcome equals a one-set call bit for bit. A set that
 fails (too few stars, a non-positive weight, the z cross-check, a
 degenerate eigenvalue gap, the sweep limit) yields its exception as its
 outcome, so that the caller can act on it at that epoch's turn.
 
-The loss sums each axis's weighted squared residuals over the star axis,
-then adds the three axes; the total weight is a sum over the star axis
-too. numpy adds a 1-D array of 8 or more terms pairwise, which would make
-a set's loss depend on how far it is padded.
+The total weight is a sum over the star axis, like every other sum over
+the stars: numpy adds a 1-D array of 8 or more terms pairwise, which would
+make a set's total depend on how far it is padded. The solver does not
+form the loss; :func:`wahba_loss` gives it for one set and attitude.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import quat_to_matrix
 from .errors import (
     AttsimError,
     DegenerateGeometry,
@@ -77,7 +76,6 @@ class DavenportMatrix:
 class WahbaSolution:
     q: np.ndarray
     lambda_max: float
-    loss: float
 
 
 def _unit(v, name: str) -> np.ndarray:
@@ -162,9 +160,15 @@ def davenport_matrices(prof, z_cross, total):
 
 
 def wahba_loss(a, obs) -> float:
-    """Weighted squared-residual cost sum a_i ||b_i - A r_i||^2."""
+    """Weighted squared-residual cost sum a_i ||b_i - A r_i||^2.
+
+    ``A r_i`` is formed with elementwise products, and the squares of each
+    axis are summed over the stars before the three axes are added.
+    """
     a = np.asarray(a, dtype=float)
-    return float(_losses(a[None], obs.b[None], obs.r[None], obs.weights[None])[0])
+    d = obs.b - (obs.r[:, None, :] * a[None, :, :]).sum(axis=2)
+    s = (obs.weights[:, None] * (d * d)).sum(axis=0)
+    return float(s[0] + s[1] + s[2])
 
 
 def _star_sums(b, r, w):
@@ -183,18 +187,6 @@ def _star_sums(b, r, w):
     terms[..., 12] = 1.0
     sums = (w[..., None] * terms).sum(axis=1)
     return sums[:, :9].reshape(n, 3, 3), sums[:, 9:12], sums[:, 12]
-
-
-def _losses(a, b, r, w) -> np.ndarray:
-    """Weighted squared residuals of each set of a stack under its ``(3, 3)`` matrix ``a``.
-
-    Laid out as for :func:`_star_sums`; the squares of each axis are summed
-    over the star axis, then the three axes are added, so a set's loss does
-    not depend on the stack around it.
-    """
-    d = b - (r[:, :, None, :] * a[:, None, :, :]).sum(axis=3)
-    s = (w[..., None] * (d * d)).sum(axis=1)
-    return s[:, 0] + s[:, 1] + s[:, 2]
 
 
 def davenport_solve(obs):
@@ -250,7 +242,6 @@ def _solve_sets(sets) -> list:
     underdetermined = (gap < _EIG_GAP_REL * total[keep]).tolist()
     q = evecs[:, 0]
     q = np.where(q[:, 3:] < 0.0, -q, q)
-    loss = _losses(quat_to_matrix(q), b[keep], r[keep], w[keep]).tolist()
     lambda_max = evals[:, 0].tolist()
     for j, i in enumerate(members[m] for m in keep.tolist()):
         if j in failures:
@@ -260,7 +251,7 @@ def _solve_sets(sets) -> list:
                 f"degenerate eigenvalue gap {gap[j]:.3e}: geometry underdetermined"
             )
         else:
-            outcomes[i] = WahbaSolution(q=q[j], lambda_max=lambda_max[j], loss=loss[j])
+            outcomes[i] = WahbaSolution(q=q[j], lambda_max=lambda_max[j])
     return outcomes
 
 

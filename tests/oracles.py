@@ -24,6 +24,13 @@ the polar method written out one draw at a time, and
 reference its block counterpart must equal bit for bit, in values, state
 and spare deviate.
 
+``attsim.harness`` crosses a chunk's blocks one update segment at a time,
+with one predict per segment that applies every prefix of the segment's
+block transitions at once. :func:`estimate_per_block` is the per-block
+recursion it replaced, one ``symmetrize(Phi P Phi^T + Q)`` and one
+quaternion product per block, the reference the segment pass is bounded
+against (and equals bit for bit when every segment is one block).
+
 ``attsim.attitude`` and ``attsim.numerics.solve`` read their operands as
 Python floats. :func:`quat_mul_numpy`, :func:`error_angle_numpy` and
 :func:`solve_numpy_rows` are the forms they replaced, on numpy scalars and
@@ -41,9 +48,10 @@ import math
 import numpy as np
 
 import attsim.numerics as numerics
-from attsim.attitude import quat_mul, quat_to_matrix
+from attsim.attitude import quat_mul, quat_normalize, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
-from attsim.numerics import check_symmetric, jacobi_eigen_sym
+from attsim.filters import AekfState
+from attsim.numerics import check_symmetric, jacobi_eigen_sym, symmetrize
 from attsim.startracker import (
     ObservationSet,
     StarCatalog,
@@ -334,3 +342,39 @@ def solve_numpy_rows(a, b):
                 aug[row] -= aug[row, col] * aug[col]
     x = aug[:, n:]
     return x[:, 0].copy() if vector else x.copy()
+
+
+def estimate_per_block(carry, predict, update, r, transition, increments, measured, keep):
+    """``attsim.harness._estimate`` with one predict per block, written out.
+
+    Takes the arguments of ``_estimate`` and returns what it returns; no
+    segment is ever left open, so the carry in and out is ``(state, [],
+    None)``. Block
+    ``i`` takes its pair from ``transition(i, i + 1, q, path)``, ``q`` the
+    filter's attitude at the block start and ``path`` its attitude after the
+    block, as a segment of that one block gives them. The quaternion
+    advances by ``M q`` (renormalized for the AEKF) and the covariance by
+    ``symmetrize(Phi P Phi^T + Q)``; then the block's update and snapshot
+    follow. ``predict`` is not called.
+    """
+    state, m_open, _ = carry
+    assert not m_open
+    q_kept = np.empty((sum(keep), 4))
+    p_kept = np.empty(q_kept.shape[:1] + state.p.shape)
+    j = 0
+    for i, q_meas in enumerate(measured):
+        q = quat_mul(increments[i], state.q)
+        if isinstance(state, AekfState):
+            q = quat_normalize(q)
+        phi, qn = transition(i, i + 1, state.q, q[None])
+        state = type(state)(q, symmetrize(phi[0] @ state.p @ phi[0].T + qn[0]))
+        if q_meas is not None:
+            try:
+                state = update(state, q_meas, r)
+            except NumericalFailure as exc:
+                return (state, [], None), q_kept, p_kept, (i, exc)
+        if keep[i]:
+            q_kept[j] = state.q
+            p_kept[j] = state.p
+            j += 1
+    return (state, [], None), q_kept, p_kept, None

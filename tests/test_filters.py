@@ -22,6 +22,7 @@ from attsim.filters import (
     aekf_predict,
     aekf_transitions,
     aekf_update,
+    compose_prefixes,
     compose_transitions,
     mekf_init,
     mekf_predict,
@@ -52,22 +53,33 @@ def _block(omegas):
     return w, [w.shape[1]]
 
 
-def aekf_predict_rates(s, omegas, dt, noise):
-    """One AEKF predict across ``omegas``, with the block transition built as the harness builds it."""
-    w, steps = _block(omegas)
-    phi, q = aekf_transitions(w, steps, dt, noise, s.q[None])
-    return aekf_predict(s, block_increments(w, dt)[0], phi[0], q[0])
+def _segment_transition(w, steps, dt, noise, name):
+    """The ``transition(q0, path)`` of a predict across the blocks of ``w``, built as the harness builds it."""
+    if name == "mekf":
+        return lambda q0, path: mekf_transitions(w, steps, dt, noise)
+    # the kinematic Q reads the attitude at each block start; the flat Q ignores it
+    return lambda q0, path: aekf_transitions(w, steps, dt, noise, np.concatenate((q0[None], path[:-1])))
 
 
-def mekf_predict_rates(s, omegas, dt, noise):
-    """One MEKF predict across ``omegas``, with the block transition built as the harness builds it."""
-    w, steps = _block(omegas)
-    phi, q = mekf_transitions(w, steps, dt, noise)
-    return mekf_predict(s, block_increments(w, dt)[0], phi[0], q[0])
+def _predict(s, increments, transition):
+    """The filter's predict across a segment; the state after its last block."""
+    quats, covs = (mekf_predict if isinstance(s, MekfState) else aekf_predict)(s, increments, transition)
+    return type(s)(quats[-1], covs[-1])
+
+
+def predict_segment(s, w, steps, dt, noise):
+    """One predict across a segment of blocks of rates ``(k, L, 3)``; the state after its last block."""
+    name = "mekf" if isinstance(s, MekfState) else "aekf"
+    return _predict(s, block_increments(w, dt).tolist(), _segment_transition(w, steps, dt, noise, name))
+
+
+def predict_rates(s, omegas, dt, noise):
+    """One predict across ``omegas`` as one block."""
+    return predict_segment(s, *_block(omegas), dt, noise)
 
 
 def predict_each_step(s, rates, dt, noise):
-    """One predict per row of ``rates``, as the harness runs blocks of one step.
+    """One predict per row of ``rates``, each a segment of one one-step block.
 
     The increments, and the one-step transitions of the MEKF and of the
     flat-Q AEKF, depend on the rates alone, so they are built as one stack
@@ -77,19 +89,21 @@ def predict_each_step(s, rates, dt, noise):
     one_step = rates[:, None, :]
     steps = np.ones(len(rates), dtype=int)
     increments = block_increments(one_step, dt).tolist()
-    if isinstance(s, MekfState):
-        phi, q = mekf_transitions(one_step, steps, dt, noise)
-        for m, phi_k, q_k in zip(increments, phi, q):
-            s = mekf_predict(s, m, phi_k, q_k)
-    elif noise.aekf_q_flat:
-        phi, q = aekf_transitions(one_step, steps, dt, noise)
-        for m, phi_k, q_k in zip(increments, phi, q):
-            s = aekf_predict(s, m, phi_k, q_k)
-    else:
-        for k, m in enumerate(increments):
-            phi, q = aekf_transitions(one_step[k:k + 1], steps[k:k + 1], dt, noise, s.q[None])
-            s = aekf_predict(s, m, phi[0], q[0])
+    kinematic = isinstance(s, AekfState) and not noise.aekf_q_flat
+    if not kinematic:
+        phi, q = (aekf_transitions if isinstance(s, AekfState) else mekf_transitions)(one_step, steps, dt, noise)
+    for k, m in enumerate(increments):
+        if kinematic:
+            transition = _segment_transition(one_step[k:k + 1], steps[k:k + 1], dt, noise, "aekf")
+        else:
+            transition = lambda q0, path, k=k: (phi[k:k + 1], q[k:k + 1])
+        s = _predict(s, [m], transition)
     return s
+
+
+def predict_one_step_blocks(s, rates, dt, noise):
+    """One predict across a segment of one-step blocks, one per row of ``rates``, as the harness runs it."""
+    return predict_segment(s, rates[:, None, :], np.ones(len(rates), dtype=int), dt, noise)
 
 
 def mekf_build_matrices(noise: NoiseParams, omega, dt: float):
@@ -109,7 +123,7 @@ class TestAekfPredict:
     def test_quiet_is_noop(self):
         rng = RngStream(50)
         s = aekf_init(random_unit_quat(rng), _psd(rng, 4))
-        s2 = aekf_predict_rates(s, np.zeros(3), DT, _quiet())
+        s2 = predict_rates(s, np.zeros(3), DT, _quiet())
         assert np.allclose(s2.q, s.q)
         assert np.allclose(s2.p, s.p)
 
@@ -118,7 +132,7 @@ class TestAekfPredict:
         rng = RngStream(51)
         s = aekf_init(random_unit_quat(rng), _psd(rng, 4))
         noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=flat)
-        s2 = aekf_predict_rates(s, np.zeros(3), DT, noise)
+        s2 = predict_rates(s, np.zeros(3), DT, noise)
         assert np.trace(s2.p) > np.trace(s.p)
 
     def test_transition_matches_numerical_jacobian(self):
@@ -147,7 +161,7 @@ class TestAekfPredict:
         q = random_unit_quat(rng)
         s = aekf_init(q, np.zeros((4, 4)))
         noise = NoiseParams(sigma_v=2e-2, aekf_q_flat=False)
-        s2 = aekf_predict_rates(s, np.zeros(3), DT, noise)
+        s2 = predict_rates(s, np.zeros(3), DT, noise)
         expect = (0.25 * noise.sigma_v**2 * DT) * (np.eye(4) - np.outer(q, q))
         assert np.allclose(s2.p, expect, atol=1e-18)
 
@@ -236,14 +250,14 @@ class TestMekfPredict:
     def test_quiet_zero_bias_cov_is_noop(self):
         rng = RngStream(60)
         s = mekf_init(random_unit_quat(rng), _psd(rng, 3))
-        s2 = mekf_predict_rates(s, np.zeros(3), DT, _quiet())
+        s2 = predict_rates(s, np.zeros(3), DT, _quiet())
         assert np.allclose(s2.q, s.q)
         assert np.allclose(s2.p, s.p)
 
     def test_process_noise_grows_attitude_trace(self):
         rng = RngStream(61)
         s = mekf_init(random_unit_quat(rng), np.zeros((3, 3)))
-        s2 = mekf_predict_rates(s, random_unit_vec(rng), DT, NoiseParams(sigma_v=1e-3))
+        s2 = predict_rates(s, random_unit_vec(rng), DT, NoiseParams(sigma_v=1e-3))
         assert np.trace(s2.p) > 0.0
 
     def test_phi_matches_matrix_exponential(self):
@@ -271,7 +285,7 @@ class TestMekfPredict:
         p_explicit = 0.5 * (p_explicit + p_explicit.T)
         # a single rate and a block of one step are the same predict
         for rates in (w, w[None, :]):
-            s2 = mekf_predict_rates(s, rates, DT, noise)
+            s2 = predict_rates(s, rates, DT, noise)
             assert np.max(np.abs(s2.p - p_explicit)) <= 1e-18
 
     def test_rejects_bad_dt(self):
@@ -369,9 +383,9 @@ class TestBlockPredict:
         for flat in (True, False):
             noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=flat)
             a = b = start = aekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(4))
-            a = aekf_predict_rates(a, rates, DT, noise)
+            a = predict_rates(a, rates, DT, noise)
             for w in rates:
-                b = aekf_predict_rates(b, w, DT, noise)
+                b = predict_rates(b, w, DT, noise)
             assert error_angle(a.q, b.q) <= 1e-14
             assert np.max(np.abs(a.p - b.p)) <= 1e-14 * np.max(np.abs(b.p))
             # a stack of one-step blocks is one-step predicts, bit for bit
@@ -379,13 +393,60 @@ class TestBlockPredict:
             assert np.array_equal(c.q, b.q) and np.array_equal(c.p, b.p)
         noise = NoiseParams(sigma_v=1e-3)
         a = b = start = mekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(3))
-        a = mekf_predict_rates(a, rates, DT, noise)
+        a = predict_rates(a, rates, DT, noise)
         for w in rates:
-            b = mekf_predict_rates(b, w, DT, noise)
+            b = predict_rates(b, w, DT, noise)
         assert error_angle(a.q, b.q) <= 1e-14
         c = predict_each_step(start, rates, DT, noise)
         assert np.array_equal(c.q, b.q) and np.array_equal(c.p, b.p)
         assert np.max(np.abs(a.p - b.p)) <= 1e-14 * np.max(np.abs(b.p))
+
+    @pytest.mark.parametrize("sizes", [[1], [4], [1] * 9, [3, 1, 7, 2, 5], [1, 1, 20, 1, 1, 1]])
+    def test_segment_equals_one_predict_per_block(self, sizes):
+        # one predict across a segment of blocks gives every block's state:
+        # the quaternions of one predict per block bit for bit, and their
+        # covariances up to rounding; a segment of one block is that block's
+        # predict, bit for bit
+        rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
+        w = np.zeros((len(sizes), max(sizes), 3))
+        for b, n in enumerate(sizes):
+            w[b, :n] = rng.standard_normal((n, 3))
+        q0 = quat_normalize(rng.standard_normal(4))
+        cases = [
+            (aekf_init(q0, 1e-4 * np.eye(4)), aekf_predict, "aekf", NoiseParams(sigma_v=1e-3, aekf_q_flat=True)),
+            (aekf_init(q0, 1e-4 * np.eye(4)), aekf_predict, "aekf", NoiseParams(sigma_v=1e-3, aekf_q_flat=False)),
+            (mekf_init(q0, 1e-4 * np.eye(3)), mekf_predict, "mekf", NoiseParams(sigma_v=1e-3)),
+        ]
+        for start, predict, name, noise in cases:
+            transition = _segment_transition(w, sizes, DT, noise, name)
+            quats, covs = predict(start, block_increments(w, DT).tolist(), transition)
+            assert quats.shape == (len(sizes), 4) and covs.shape == (len(sizes),) + start.p.shape
+            s = start
+            for b, n in enumerate(sizes):
+                s = predict_segment(s, w[b:b + 1, :n], [n], DT, noise)
+                assert quats[b].tobytes() == s.q.tobytes()
+                assert np.array_equal(covs[b], covs[b].T)
+                assert np.max(np.abs(covs[b] - s.p)) <= 1e-12 * np.max(np.abs(s.p))
+                if len(sizes) == 1:
+                    assert covs[b].tobytes() == s.p.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 33])
+    def test_prefixes_are_the_sequential_compositions(self, k):
+        rng = np.random.default_rng(k)
+        phi = np.eye(4) + 1e-2 * rng.standard_normal((k, 4, 4))
+        q = 1e-6 * np.eye(4) * rng.uniform(size=(k, 1, 1))
+        phi_p, q_p = compose_prefixes(phi, q)
+        assert phi_p.shape == q_p.shape == (k, 4, 4)
+        assert phi_p[0].tobytes() == phi[0].tobytes() and q_p[0].tobytes() == q[0].tobytes()
+        want_phi, want_q = phi[0], q[0]
+        for j in range(1, k):
+            want_q = phi[j] @ want_q @ phi[j].T + q[j]
+            want_phi = phi[j] @ want_phi
+            assert np.max(np.abs(phi_p[j] - want_phi)) <= 1e-15 * k
+            assert np.max(np.abs(q_p[j] - want_q)) <= 1e-15 * k * np.max(np.abs(want_q))
+        # the last prefix is the whole sequence, as compose_transitions reduces it
+        phi_c, q_c = compose_transitions(phi[None], q[None])
+        assert np.max(np.abs(phi_p[-1] - phi_c[0])) <= 1e-15 * k
 
     @pytest.mark.parametrize("shape", [(0, 1, 3), (1, 0, 3), (2, 3), (2, 3, 1)])
     def test_rejects_malformed_rate_blocks(self, shape):
@@ -445,29 +506,31 @@ class TestBlockPredict:
         ids=["aekf-flat-q", "aekf-kinematic-q", "mekf"],
     )
     def test_block_predict_tracks_step_predict_over_an_orbit(self, name, noise):
-        # path A predicts once per 100-step block, path B once per step, with
-        # the same update after every block; rounding may differ, nothing else
+        # path A predicts once per 100-step block, path B once per step, and
+        # path C once per segment of 100 one-step blocks, as the harness runs
+        # a record at every step, with the same update after every block;
+        # rounding may differ, nothing else
         q_true = identity_quat()
         if name == "aekf":
-            predict, update, r = aekf_predict_rates, aekf_update, 1e-6 * np.eye(4)
-            a = b = aekf_init(q_true, 1e-6 * np.eye(4))
+            update, r = aekf_update, 1e-6 * np.eye(4)
+            a = b = c = aekf_init(q_true, 1e-6 * np.eye(4))
         else:
-            predict, update, r = mekf_predict_rates, mekf_update, 1e-6 * np.eye(3)
-            a = b = mekf_init(q_true, 1e-6 * np.eye(3))
+            update, r = mekf_update, 1e-6 * np.eye(3)
+            a = b = c = mekf_init(q_true, 1e-6 * np.eye(3))
         true, meas = _orbit_rates(3)
         rng = np.random.default_rng(4)
         q_gap = p_gap = 0.0
         for k in range(ORBIT_BLOCKS):
-            a = predict(a, meas[k], DT, noise)
+            a = predict_rates(a, meas[k], DT, noise)
             b = predict_each_step(b, meas[k], DT, noise)
+            c = predict_one_step_blocks(c, meas[k], DT, noise)
             q_true = integrate_quat(q_true, true[k], DT)
             tilt = 5e-4 * rng.standard_normal(3)
             z = quat_normalize(quat_mul(np.append(tilt, 1.0), q_true))
-            a = update(a, z, r)
-            b = update(b, z, r)
-            qa, qb = (a.q, b.q) if name == "aekf" else (a.q, b.q)
-            q_gap = max(q_gap, error_angle(qa, qb))
-            p_gap = max(p_gap, float(np.max(np.abs(a.p - b.p)) / np.max(np.abs(b.p))))
+            a, b, c = update(a, z, r), update(b, z, r), update(c, z, r)
+            for x in (a, c):
+                q_gap = max(q_gap, error_angle(x.q, b.q))
+                p_gap = max(p_gap, float(np.max(np.abs(x.p - b.p)) / np.max(np.abs(b.p))))
         assert q_gap <= 1e-12, f"quaternion gap {q_gap:.3e} rad"
         assert p_gap <= 1e-10, f"relative covariance gap {p_gap:.3e}"
 
@@ -487,8 +550,8 @@ class TestFilterInvariants:
         update_every = 20
         for k in range(n_cycles):
             w = np.array([rng.gaussian(0.5) for _ in range(3)])
-            aekf = aekf_predict_rates(aekf, w, DT, noise)
-            mekf = mekf_predict_rates(mekf, w, DT, noise)
+            aekf = predict_rates(aekf, w, DT, noise)
+            mekf = predict_rates(mekf, w, DT, noise)
             if k % update_every == 0:
                 meas = random_unit_quat(rng)
                 aekf = aekf_update(aekf, meas, r4)
@@ -515,10 +578,10 @@ class TestFilterInvariants:
         for k in range(200):
             w = trajectory_omega(k * DT, (0.0, 0.0, 1.0))
             q_true = integrate_quat(q_true, w, DT)
-            sa1 = aekf_predict_rates(sa1, w, DT, noise)
-            sa2 = aekf_predict_rates(sa2, w, DT, noise)
-            sm1 = mekf_predict_rates(sm1, w, DT, noise)
-            sm2 = mekf_predict_rates(sm2, w, DT, noise)
+            sa1 = predict_rates(sa1, w, DT, noise)
+            sa2 = predict_rates(sa2, w, DT, noise)
+            sm1 = predict_rates(sm1, w, DT, noise)
+            sm2 = predict_rates(sm2, w, DT, noise)
             if k % 10 == 0:
                 meas = quat_mul(axis_angle_quat(random_unit_vec(rng), 1e-3), q_true)
                 sa1 = aekf_update(sa1, meas, r4)
@@ -541,8 +604,8 @@ class TestFilterInvariants:
         for k in range(300):
             w = trajectory_omega(k * DT, (0.0, 0.0, 1.0))
             q_true = integrate_quat(q_true, w, DT)
-            aekf = aekf_predict_rates(aekf, w, DT, noise)
-            mekf = mekf_predict_rates(mekf, w, DT, noise)
+            aekf = predict_rates(aekf, w, DT, noise)
+            mekf = predict_rates(mekf, w, DT, noise)
             aekf = aekf_update(aekf, q_true, r4)
             mekf = mekf_update(mekf, q_true, r3)
         assert error_angle(aekf.q, q_true) <= 1e-6

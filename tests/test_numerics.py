@@ -385,6 +385,15 @@ class TestSymmetrize:
         s = symmetrize(m)
         assert np.array_equal(s, s.T)
 
+    def test_stack_is_each_matrix_alone(self):
+        # a (k, n, n) stack transposes each matrix, not the whole array
+        m = np.random.default_rng(3).standard_normal((5, 4, 4))
+        s = symmetrize(m)
+        assert s.shape == m.shape
+        for a, b in zip(s, m):
+            assert a.tobytes() == symmetrize(b).tobytes()
+            assert np.array_equal(a, a.T)
+
 
 class TestRngStream:
     def test_sigma_zero_is_exact_zero(self):
