@@ -21,10 +21,6 @@ class GibbsSingularity(AttsimError):
     """Gibbs vector undefined: rotation is at (or numerically near) 180 degrees."""
 
 
-class BehindImagePlane(AttsimError):
-    """Projection requested for a direction with no positive boresight component."""
-
-
 class DegenerateGeometry(AttsimError):
     """Vector pair too close to collinear to span a triad."""
 

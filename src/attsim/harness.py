@@ -150,7 +150,6 @@ class SimConfig:
     n_stars: int = 100
     n_cameras: int = 3
     fov_half_angle_rad: float = math.radians(20.0)
-    focal_length: float = 1.0
     sigma_gyro: float = 1e-3
     sigma_star: float = 1e-3
     sigma_meas: float = 1e-3
@@ -181,8 +180,6 @@ class SimConfig:
             raise ConfigError("n_cameras must be between 1 and 6")
         if not 0.0 < self.fov_half_angle_rad < 0.5 * math.pi:
             raise ConfigError("fov_half_angle_rad must be in (0, pi/2)")
-        if self.focal_length <= 0.0:
-            raise ConfigError("focal_length must be positive")
         for name in ("sigma_gyro", "sigma_star", "sigma_meas"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be nonnegative")
@@ -485,7 +482,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         catalog = startracker.load_catalog(cfg.catalog_path)
     else:
         catalog = startracker.generate_catalog(cfg.n_stars, rng_catalog)
-    cams = startracker.default_camera_rig(cfg.n_cameras, cfg.fov_half_angle_rad, cfg.focal_length)
+    cams = startracker.default_camera_rig(cfg.n_cameras, cfg.fov_half_angle_rad)
 
     dt = 1.0 / cfg.gyro_rate_hz
     n_steps = int(math.floor(cfg.duration_s * cfg.gyro_rate_hz + 1e-9))

@@ -310,7 +310,6 @@ class RngStream:
         seed = int(seed)
         if seed < 0 or seed > _U64:
             raise InvalidInput("seed must fit in an unsigned 64-bit integer")
-        self.seed = seed
         # splitmix64 round decorrelates small consecutive seeds
         z = (seed + 0x9E3779B97F4A7C15) & _U64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64

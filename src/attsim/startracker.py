@@ -1,84 +1,78 @@
-"""Emulated star catalog and pinhole star-tracker heads.
+"""Emulated star catalog and cone-shaped star-tracker heads.
 
-A tracker head is an ideal pinhole camera described by a focal length, a
-half-angle field of view, and a mount quaternion taking body coordinates
-to camera coordinates (camera boresight is +z in the camera frame). The
-observation pipeline projects each catalog star that falls inside the
-field of view onto the image plane, recovers the unit direction from the
-image point, rotates it back into the body frame, and perturbs it with
-per-axis Gaussian noise before renormalizing. Star identification is
-assumed perfect: every body-frame vector is paired with the true catalog
-direction. Stars are pure directions; parallax from the spacecraft
-position is far below sensor noise and is ignored.
+A tracker head is a cone: a unit boresight in the body frame and a
+half-angle field of view. A catalog star is visible to a head when its
+body-frame direction lies strictly inside the cone. The emulation has no
+image plane: no pixel grid, no centroid noise and no distortion. Each
+visible star's body-frame direction is perturbed with per-axis Gaussian
+noise and renormalized. Star identification is assumed perfect: every
+body-frame vector is paired with the true catalog direction. Stars are
+pure directions; parallax from the spacecraft position is far below
+sensor noise and is ignored.
 
 An epoch's stars travel as one :class:`ObservationSet`: the body and
 inertial directions as ``(m, 3)`` arrays and the weights as ``(m,)``, one
 row per star. :func:`observe` takes a stack of ``E`` epoch attitudes (a
 chunk of a run's tracker epochs) and builds all their sets in one array
-pass: per head, one product rotates the catalog for every epoch, one
-``(n, E)`` field-of-view mask (:func:`is_visible`) picks the visible rows
-of all epochs, which go through the projection, its inversion and the
-rotation to body together; then the rows are put in epoch, head and
+pass: one product rotates the catalog into the body frame for every
+epoch, one ``(E, n)`` field-of-view mask per head (:func:`is_visible`)
+picks the visible rows of all epochs, the rows are put in epoch, head and
 catalog order and take their noise from one draw, in the order a loop over
 the epochs, heads and visible stars would draw it. Each epoch's set is a
 view of these packed rows, and equals bit for bit what observing that
-epoch alone gives. Rows are normalized with the elementwise
-``x*x + y*y + z*z``, not a BLAS dot product, whose rounding depends on the
-kernel the BLAS library picks for the CPU.
+epoch alone gives. Rows are normalized, and tested against a boresight,
+with elementwise products such as ``x*x + y*y + z*z``, not a BLAS dot
+product, whose rounding depends on the kernel the BLAS library picks for
+the CPU.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
-from .attitude import quat_norm, quat_normalize, quat_to_matrix
-from .errors import BehindImagePlane, InvalidInput
+from .attitude import quat_to_matrix
+from .errors import InvalidInput
 from .numerics import RngStream
 
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole tracker head.
+    """Tracker head: a cone of directions about a boresight.
 
     Args:
-        focal_length: image-plane distance, in the same units as image
-            point coordinates.
+        boresight: unit 3-vector in the body frame, the axis of the cone.
         fov_half_angle: half-angle of the circular field of view [rad],
             strictly between 0 and pi/2.
-        mount: unit quaternion taking body coordinates to camera coordinates.
     """
 
-    focal_length: float
+    boresight: np.ndarray
     fov_half_angle: float
-    mount: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        if self.focal_length <= 0.0:
-            raise InvalidInput("focal length must be positive")
         if not 0.0 < self.fov_half_angle < 0.5 * math.pi:
             raise InvalidInput("field-of-view half angle must be in (0, pi/2)")
-        mount = np.asarray(self.mount, dtype=float)
-        if abs(quat_norm(mount) - 1.0) > 1e-6:
-            raise InvalidInput("mount quaternion must be unit norm")
-        object.__setattr__(self, "mount", mount)
+        boresight = np.asarray(self.boresight, dtype=float)
+        if boresight.shape != (3,):
+            raise InvalidInput(f"boresight must be a 3-vector, got shape {boresight.shape}")
+        if not abs(row_norms(boresight) - 1.0) <= 1e-6:
+            raise InvalidInput("boresight must be a unit vector")
+        object.__setattr__(self, "boresight", boresight)
 
 
 @dataclass(frozen=True)
 class StarCatalog:
-    """Unit direction vectors in the inertial frame, plus the generating seed."""
+    """Unit direction vectors in the inertial frame, one row per star."""
 
     stars: np.ndarray
-    seed: Optional[int] = None
 
     def __post_init__(self):
         stars = np.asarray(self.stars, dtype=float)
         if stars.ndim != 2 or stars.shape[1] != 3:
             raise InvalidInput("catalog must be an (n, 3) array")
-        norms = np.sqrt((stars * stars).sum(axis=1))
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if np.any(np.abs(row_norms(stars) - 1.0) > 1e-9):
             raise InvalidInput("catalog vectors must be unit norm")
         object.__setattr__(self, "stars", stars)
 
@@ -156,7 +150,7 @@ def generate_catalog(n: int, rng: RngStream) -> StarCatalog:
             v, norm = v[keep], norm[keep]
         np.divide(v, norm[:, None], out=stars[k:k + v.shape[0]])
         k += v.shape[0]
-    return StarCatalog(stars=stars, seed=rng.seed)
+    return StarCatalog(stars=stars)
 
 
 def save_catalog(catalog: StarCatalog, path) -> None:
@@ -196,48 +190,18 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z)
 
 
-def is_visible(star_cam, cam: CameraModel) -> np.ndarray:
-    """Mask of the rows of an ``(n, 3)`` camera-frame stack strictly inside the field of view.
+def is_visible(body, cam: CameraModel) -> np.ndarray:
+    """Mask of the rows of an ``(..., 3)`` body-frame stack strictly inside the head's cone.
 
-    Boundary equality counts as not visible. Directions behind the camera
-    never count: a head's half angle is below pi/2, so its cosine is positive.
+    A row is visible when its dot product with the boresight, taken
+    elementwise as ``x*bx + y*by + z*bz``, exceeds the cosine of the half
+    angle. Boundary equality counts as not visible. Directions behind the
+    head never count: its half angle is below pi/2, so the cosine is
+    positive.
     """
-    return np.asarray(star_cam, dtype=float)[..., 2] > math.cos(cam.fov_half_angle)
-
-
-def project(star_cam, cam: CameraModel) -> np.ndarray:
-    """Pinhole projection of an ``(m, 3)`` camera-frame stack: ``(m, 2)`` image points."""
-    v = np.asarray(star_cam, dtype=float)
-    z = v[..., 2:3]
-    if np.any(z <= 1e-12):
-        raise BehindImagePlane("direction has no positive boresight component")
-    return cam.focal_length * v[..., :2] / z
-
-
-def pixel_to_star_vector(points, cam: CameraModel) -> np.ndarray:
-    """Unit camera-frame directions, ``(m, 3)``, recovered from ``(m, 2)`` image points."""
-    p = np.asarray(points, dtype=float)
-    v = np.empty(p.shape[:-1] + (3,))
-    v[..., :2] = p
-    v[..., 2] = cam.focal_length
-    return v / row_norms(v)[..., None]
-
-
-def _shortest_arc(a, b) -> np.ndarray:
-    """Unit quaternion whose active rotation takes direction ``a`` to ``b``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-    c = np.cross(a, b)
-    if d < -1.0 + 1e-12:
-        # antiparallel: rotate 180 degrees about any perpendicular axis
-        x, y, z = np.cross(a, np.array([1.0, 0.0, 0.0])).tolist()
-        if x * x + y * y + z * z < 1e-12:
-            x, y, z = np.cross(a, np.array([0.0, 1.0, 0.0])).tolist()
-        n = math.sqrt(x * x + y * y + z * z)
-        return np.array([x / n, y / n, z / n, 0.0])
-    q = np.array([c[0], c[1], c[2], 1.0 + d])
-    return quat_normalize(q)
+    v = np.asarray(body, dtype=float)
+    bx, by, bz = cam.boresight.tolist()
+    return v[..., 0] * bx + v[..., 1] * by + v[..., 2] * bz > math.cos(cam.fov_half_angle)
 
 
 _RIG_BORESIGHTS = (
@@ -250,19 +214,15 @@ _RIG_BORESIGHTS = (
 )
 
 
-def default_camera_rig(n_cameras: int, fov_half_angle: float, focal_length: float):
+def default_camera_rig(n_cameras: int, fov_half_angle: float):
     """Build 1..6 heads with mutually orthogonal boresights (+z, +x, +y, then negatives)."""
     if not 1 <= n_cameras <= 6:
         raise InvalidInput("camera count must be between 1 and 6")
-    cams = []
-    for target in _RIG_BORESIGHTS[:n_cameras]:
-        mount = _shortest_arc(np.array([0.0, 0.0, 1.0]), np.array(target))
-        cams.append(CameraModel(focal_length=focal_length, fov_half_angle=fov_half_angle, mount=mount))
-    return cams
+    return [CameraModel(boresight=b, fov_half_angle=fov_half_angle) for b in _RIG_BORESIGHTS[:n_cameras]]
 
 
-# most rotated catalog rows observe holds per head at once (768 KiB): the
-# epochs of a stack are rotated in groups of at most this many rows
+# most body-frame catalog rows observe holds at once (768 KiB): the epochs
+# of a stack are rotated in groups of at most this many rows
 _ROTATED_ROWS = 1 << 15
 
 
@@ -270,11 +230,9 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
     """Run the full emulation path for every camera at a stack of epochs, in one array pass.
 
     ``q_true`` is a stack of true attitudes ``(E, 4)``, one per epoch, or
-    one attitude ``(4,)``, observed as a stack of one. For each head, the
-    catalog is rotated into the camera frame through the mount composed
-    with every epoch's attitude at once; the visible stars of all epochs
-    travel through projection and image-point inversion and are rotated
-    back to the body frame. The rows are then ordered by epoch, head and
+    one attitude ``(4,)``, observed as a stack of one. The catalog is
+    rotated into the body frame for every epoch at once, and each head's
+    cone picks its visible rows. The rows are ordered by epoch, head and
     catalog star, every body direction is perturbed with per-axis Gaussian
     noise of ``sigma_star`` from one draw, in that order, and renormalized:
     the values and the stream state that one call per epoch would give.
@@ -292,35 +250,31 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
     q = np.asarray(q_true, dtype=float)
     a_ib = quat_to_matrix(q.reshape(-1, 4))
     n_epochs, n_stars = a_ib.shape[0], len(catalog)
+    # column block e of (3, 3 E) is epoch e's inertial-to-body matrix,
+    # transposed, so one product rotates the catalog for every epoch
+    a_bi = a_ib.transpose(2, 0, 1)
     group = max(1, _ROTATED_ROWS // n_stars)
-    counts = np.zeros(n_epochs, dtype=int)
-    bs, rs, epochs = [], [], []
-    for cam in cams:
-        a_bc = quat_to_matrix(cam.mount)
-        # column block e of (3, 3 E) is epoch e's inertial-to-camera matrix,
-        # transposed, so one product rotates the catalog for every epoch
-        a_ci = (a_bc @ a_ib).transpose(2, 0, 1)
-        for lo in range(0, n_epochs, group):
-            hi = min(lo + group, n_epochs)
-            cam_vecs = (catalog.stars @ a_ci[:, lo:hi].reshape(3, -1)).reshape(n_stars, hi - lo, 3)
-            visible = is_visible(cam_vecs, cam)
-            rows = np.flatnonzero(visible.T)  # epoch-major, catalog order within an epoch
-            epoch, star = rows // n_stars, rows % n_stars
-            recovered = pixel_to_star_vector(project(cam_vecs[star, epoch], cam), cam)
-            bs.append(recovered @ a_bc)
-            rs.append(catalog.stars[star])
-            epochs.append(epoch + lo)
-            counts[lo:hi] += visible.sum(axis=0)
-    # heads were visited in turn, so a stable sort by epoch leaves each
-    # epoch's rows head by head, in catalog order within a head
-    order = np.argsort(np.concatenate(epochs), kind="stable")
-    b = np.concatenate(bs)[order]
-    r = np.concatenate(rs)[order]
+    bs, rs, counts = [], [], []
+    for lo in range(0, n_epochs, group):
+        hi = min(lo + group, n_epochs)
+        rotated = catalog.stars @ a_bi[:, lo:hi].reshape(3, -1)
+        body = rotated.reshape(n_stars, hi - lo, 3).transpose(1, 0, 2)  # (epoch, star, 3)
+        # one mask per epoch and head, in catalog order: the order of the rows
+        visible = np.empty((hi - lo, len(cams), n_stars), dtype=bool)
+        for h, cam in enumerate(cams):
+            visible[:, h] = is_visible(body, cam)
+        rows = np.flatnonzero(visible)
+        epoch, star = rows // (len(cams) * n_stars), rows % n_stars
+        bs.append(body[epoch, star])
+        rs.append(catalog.stars[star])
+        counts.extend(visible.reshape(hi - lo, -1).sum(axis=1).tolist())
+    b = np.concatenate(bs)
+    r = np.concatenate(rs)
     if sigma_star > 0.0:
         b += rng.gaussian_vec(sigma_star, b.size).reshape(b.shape)
         b /= row_norms(b)[:, None]
     weights = np.ones(b.shape[0])
-    bounds = [0, *accumulate(counts.tolist())]
+    bounds = [0, *accumulate(counts)]
     sets = [
         ObservationSet(b=b[lo:hi], r=r[lo:hi], weights=weights[lo:hi])
         for lo, hi in zip(bounds, bounds[1:])

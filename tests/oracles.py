@@ -52,60 +52,44 @@ from attsim.attitude import quat_mul, quat_normalize, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from attsim.filters import AekfState
 from attsim.numerics import check_symmetric, jacobi_eigen_sym, symmetrize
-from attsim.startracker import (
-    ObservationSet,
-    StarCatalog,
-    is_visible,
-    pixel_to_star_vector,
-    project,
-    row_norms,
-)
+from attsim.startracker import ObservationSet, StarCatalog, is_visible, row_norms
 
 
 def observe_per_star(q_true, catalog, cams, sigma_star, rng):
     """Matched ``(b, r)`` pairs of one epoch, visiting every catalog star of every head.
 
-    Noise is drawn with one ``rng.gaussian`` call per component, three per
-    visible star, head by head and star by star in catalog order.
+    A star is visible to a head when ``b = A(q) r`` has a dot product with
+    the boresight above the cosine of the half angle. Noise is drawn with
+    one ``rng.gaussian`` call per component, three per visible star, head
+    by head and star by star in catalog order.
     """
     a_ib = quat_to_matrix(q_true)
     out = []
     for cam in cams:
-        a_bc = quat_to_matrix(cam.mount)
-        a_ic = a_bc @ a_ib
-        cam_vecs = catalog.stars @ a_ic.T
         cos_fov = math.cos(cam.fov_half_angle)
-        f = cam.focal_length
-        for idx in range(catalog.stars.shape[0]):
-            v = cam_vecs[idx]
-            if not (v[2] > 0.0 and v[2] > cos_fov):
+        for r in catalog.stars:
+            b = a_ib @ r
+            if not float(b @ cam.boresight) > cos_fov:
                 continue
-            x, y, z = float(v[0]), float(v[1]), float(v[2])
-            point = np.array([f * x / z, f * y / z, f])
-            recovered = point / math.sqrt(float(point @ point))
-            b = a_bc.T @ recovered
             if sigma_star > 0.0:
                 b = b + np.array([rng.gaussian(sigma_star) for _ in range(3)])
                 b = b / math.sqrt(float(b @ b))
-            out.append((b, catalog.stars[idx].copy()))
+            out.append((b, r.copy()))
     return out
 
 
 def observe_one_epoch(q_true, catalog, cams, sigma_star, rng):
-    """One epoch's ``ObservationSet`` from one pass per head and one noise draw for the epoch.
+    """One epoch's ``ObservationSet`` from one cone test per head and one noise draw for the epoch.
 
     The array path ``attsim.startracker.observe`` had for one attitude
     before it took a stack of epochs; the stacked path must equal it bit
     for bit, epoch after epoch, in rows, order, stream state and spare.
     """
-    a_ib = quat_to_matrix(q_true)
+    body = catalog.stars @ quat_to_matrix(q_true).T
     bs, rs = [], []
     for cam in cams:
-        a_bc = quat_to_matrix(cam.mount)
-        cam_vecs = catalog.stars @ (a_bc @ a_ib).T
-        visible = is_visible(cam_vecs, cam)
-        recovered = pixel_to_star_vector(project(cam_vecs[visible], cam), cam)
-        bs.append(recovered @ a_bc)
+        visible = is_visible(body, cam)
+        bs.append(body[visible])
         rs.append(catalog.stars[visible])
     b = np.concatenate(bs)
     if sigma_star > 0.0:
@@ -272,7 +256,7 @@ def generate_catalog_per_star(n, rng):
             if norm > 1e-12:
                 break
         stars[i] = v / norm
-    return StarCatalog(stars=stars, seed=rng.seed)
+    return StarCatalog(stars=stars)
 
 
 def quat_kinematics(q, omega):

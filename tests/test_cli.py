@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,18 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_focal_length_key_exits_2(self, tmp_path, capsys):
+        # a tracker head is a cone, a boresight and a half angle: earlier
+        # versions had a pinhole focal length that reached no output
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"duration_s": 2.0, "focal_length": 1.0}))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and "focal_length" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("axis", [[1e200, 0.0, 0.0], [0.0, -1e155, 1e155]])
     def test_overflowing_axis_exits_2(self, tmp_path, capsys, axis):
         # the squared norm is inf: such an axis used to run at zero rate
@@ -149,6 +162,68 @@ class TestRunCommand:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert (tmp_path / "out" / "metrics.json").exists()
+
+
+# one alternative value per SimConfig field, each far enough from the
+# default to move an output of a 10 s run; catalog_path names a catalog
+# that gen-catalog writes with another seed
+_KNOB_ALTERNATIVES = {
+    "duration_s": 12.0,
+    "gyro_rate_hz": 50.0,
+    "tracker_rate_hz": 2.0,
+    "n_stars": 150,
+    "n_cameras": 2,
+    "fov_half_angle_rad": 0.3,
+    "sigma_gyro": 2e-3,
+    "sigma_star": 2e-3,
+    "sigma_meas": 2e-3,
+    "seed": 2,
+    "axis": [0.0, 1.0, 0.0],
+    "aekf_q_flat": False,
+    "aekf_r_scale": 0.25,
+    "record_stride": 7,
+    "catalog_path": "catalog.csv",
+}
+_KNOB_BASE = {"duration_s": 10.0}
+
+
+def run_outputs(tmp_path, name, config):
+    """Metrics other than step times, and the record count, of one ``--no-timing`` run."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / name
+    assert main(["run", "--config", str(path), "--out", str(out), "--no-timing"]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    figures = {
+        (flt, key): value
+        for flt, row in metrics.items()
+        for key, value in row.items()
+        if key != "mean_step_time_s"
+    }
+    records = len((out / "timeseries.csv").read_text().splitlines()) - 1
+    return figures, records
+
+
+class TestEveryKnobMovesAnOutput:
+    """Each config field, changed alone on a 10 s default run, moves an output."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        return run_outputs(tmp_path_factory.mktemp("base"), "base", _KNOB_BASE)
+
+    def test_table_covers_every_field(self):
+        assert set(_KNOB_ALTERNATIVES) == {f.name for f in fields(SimConfig)}
+
+    @pytest.mark.parametrize("name", sorted(_KNOB_ALTERNATIVES))
+    def test_knob_moves_an_output(self, tmp_path, base, name):
+        value = _KNOB_ALTERNATIVES[name]
+        if name == "catalog_path":
+            value = str(tmp_path / value)
+            assert main(["gen-catalog", "--n", "100", "--seed", "2", "--out", value]) == 0
+        figures, records = run_outputs(tmp_path, name, {**_KNOB_BASE, name: value})
+        base_figures, base_records = base
+        moved = {k: v for k, v in figures.items() if abs(v - base_figures[k]) > 1e-9 * abs(base_figures[k])}
+        assert records != base_records or moved, f"{name} = {value!r} moved no output"
 
 
 class TestSolveWahba:
@@ -236,7 +311,6 @@ _TYPED_VALUES = {
     "n_stars": [2, 3, 60, 1, 10**7 + 1, 2**70],
     "n_cameras": [1, 3, 6, 0, 7, 2**70],
     "fov_half_angle_rad": [0.35, 1.5, 1e-3, 1.6],
-    "focal_length": [1.0, 1e-300, 1e300, 0.0],
     "sigma_gyro": [0.0, 1e-3, 1.0],
     "sigma_star": [0.0, 1e-3, 0.5, -1e-3],
     "sigma_meas": [0.0, 1e-3, 1e3],

@@ -110,7 +110,7 @@ class TestSimConfig:
             {"duration_s": inf},
             {"tracker_rate_hz": nan},
             {"sigma_meas": -inf},
-            {"focal_length": "1.0"},
+            {"sigma_star": "1.0"},
             {"n_stars": 10.5},
             {"n_cameras": 3.0},
             {"record_stride": 0.5},

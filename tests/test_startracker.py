@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attsim.attitude import identity_quat, quat_mul, quat_conjugate, quat_to_matrix
-from attsim.errors import BehindImagePlane, InvalidInput
+from attsim.errors import InvalidInput
 from attsim.numerics import RngStream
 from attsim.startracker import (
     CameraModel,
@@ -15,8 +15,6 @@ from attsim.startracker import (
     is_visible,
     load_catalog,
     observe,
-    pixel_to_star_vector,
-    project,
     save_catalog,
 )
 
@@ -26,15 +24,8 @@ from oracles import axis_angle_quat, generate_catalog_per_star, observe_one_epoc
 FOV20 = math.radians(20.0)
 
 
-def _cam(fov=FOV20, f=1.0, mount=None):
-    if mount is None:
-        mount = identity_quat()
-    return CameraModel(focal_length=f, fov_half_angle=fov, mount=mount)
-
-
-def _boresight_in_body(cam):
-    """Body-frame direction of the camera +z axis."""
-    return quat_to_matrix(cam.mount).T @ np.array([0.0, 0.0, 1.0])
+def _cam(fov=FOV20, boresight=(0.0, 0.0, 1.0)):
+    return CameraModel(boresight=boresight, fov_half_angle=fov)
 
 
 class _PatchedStream(RngStream):
@@ -135,68 +126,35 @@ class TestVisibility:
         assert is_visible(np.zeros((0, 3)), _cam()).shape == (0,)
 
 
-class TestProjection:
-    def test_boresight_maps_to_origin(self):
-        p = project(np.array([[0.0, 0.0, 1.0]]), _cam())
-        assert p.tolist() == [[0.0, 0.0]]
-
-    def test_45_degrees_in_xz(self):
-        v = np.array([[math.sqrt(0.5), 0.0, math.sqrt(0.5)]])
-        p = project(v, _cam(fov=math.radians(60.0)))
-        assert p[0, 0] == pytest.approx(1.0, abs=1e-15)
-        assert p[0, 1] == 0.0
-
-    def test_behind_plane_raises(self):
-        # one bad row in a stack is enough
-        with pytest.raises(BehindImagePlane):
-            project(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), _cam())
-
-    def test_pixel_to_star_values(self):
-        cam = _cam()
-        got = pixel_to_star_vector(np.array([[0.0, 0.0], [1.0, 0.0]]), cam)
-        assert np.allclose(got, [[0, 0, 1], [math.sqrt(0.5), 0.0, math.sqrt(0.5)]])
-
-    def test_round_trip_random_in_fov(self):
-        rng = RngStream(5)
-        cam = _cam(fov=math.radians(30.0), f=2.5)
-        # random points inside the field of view
-        ang = np.array([rng.uniform() for _ in range(100)]) * math.radians(29.0)
-        azi = np.array([rng.uniform() for _ in range(100)]) * 2 * math.pi
-        v = np.column_stack([np.sin(ang) * np.cos(azi), np.sin(ang) * np.sin(azi), np.cos(ang)])
-        p = project(v, cam)
-        assert p.shape == (100, 2)
-        assert np.all(np.abs(p) <= cam.focal_length * math.tan(cam.fov_half_angle) + 1e-12)
-        back = project(pixel_to_star_vector(p, cam), cam)
-        assert np.max(np.abs(back - p)) <= 1e-10
-
-
 class TestCameraModel:
     def test_validation(self):
         with pytest.raises(InvalidInput):
-            CameraModel(focal_length=0.0, fov_half_angle=FOV20)
+            CameraModel(boresight=(0.0, 0.0, 1.0), fov_half_angle=2.0)
         with pytest.raises(InvalidInput):
-            CameraModel(focal_length=1.0, fov_half_angle=2.0)
-        with pytest.raises(InvalidInput):
-            CameraModel(focal_length=1.0, fov_half_angle=FOV20, mount=np.array([0.0, 0, 0, 2.0]))
+            CameraModel(boresight=(0.0, 0.0, 1.0), fov_half_angle=0.0)
+        not_unit = [(0.0, 0.0, 2.0), (0.0, 0.0, 0.0), (math.nan, 0.0, 1.0)]
+        for bad in not_unit + [(0.0, 0.0, 0.0, 1.0), [[0.0, 0.0, 1.0]]]:
+            with pytest.raises(InvalidInput):
+                CameraModel(boresight=bad, fov_half_angle=FOV20)
 
     def test_default_rig_boresights(self):
-        cams = default_camera_rig(6, FOV20, 1.0)
+        cams = default_camera_rig(6, FOV20)
         want = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, -1), (-1, 0, 0), (0, -1, 0)]
-        for cam, target in zip(cams, want):
-            assert np.allclose(_boresight_in_body(cam), target, atol=1e-12)
+        assert [tuple(cam.boresight.tolist()) for cam in cams] == want
+        assert all(cam.fov_half_angle == FOV20 for cam in cams)
 
     def test_rig_count_validation(self):
         with pytest.raises(InvalidInput):
-            default_camera_rig(0, FOV20, 1.0)
+            default_camera_rig(0, FOV20)
         with pytest.raises(InvalidInput):
-            default_camera_rig(7, FOV20, 1.0)
+            default_camera_rig(7, FOV20)
 
 
 class TestObserve:
     def test_noiseless_oracle(self):
         rng = RngStream(11)
         cat = generate_catalog(100, rng)
-        cams = default_camera_rig(3, FOV20, 1.0)
+        cams = default_camera_rig(3, FOV20)
         q_true = random_unit_quat(rng)
         obs = observe(q_true, cat, cams, 0.0, rng)
         a = quat_to_matrix(q_true)
@@ -207,7 +165,7 @@ class TestObserve:
     def test_unit_norms(self):
         rng = RngStream(12)
         cat = generate_catalog(200, rng)
-        cams = default_camera_rig(2, FOV20, 1.0)
+        cams = default_camera_rig(2, FOV20)
         obs = observe(random_unit_quat(rng), cat, cams, 5e-3, rng)
         assert len(obs) > 0
         assert np.max(np.abs(np.linalg.norm(obs.b, axis=1) - 1.0)) <= 1e-9
@@ -227,8 +185,8 @@ class TestObserve:
         rng = RngStream(13)
         cat = generate_catalog(100, rng)
         q = random_unit_quat(rng)
-        one = observe(q, cat, default_camera_rig(1, FOV20, 1.0), 0.0, rng)
-        six = observe(q, cat, default_camera_rig(6, FOV20, 1.0), 0.0, rng)
+        one = observe(q, cat, default_camera_rig(1, FOV20), 0.0, rng)
+        six = observe(q, cat, default_camera_rig(6, FOV20), 0.0, rng)
         assert len(six) >= len(one)
 
     def test_empty_camera_list_rejected(self):
@@ -248,7 +206,7 @@ class TestObserve:
         # visible set size
         rng = RngStream(15)
         cat = generate_catalog(150, rng)
-        cams = default_camera_rig(3, FOV20, 1.0)
+        cams = default_camera_rig(3, FOV20)
         q = random_unit_quat(rng)
         n_before = len(observe(q, cat, cams, 0.0, rng))
         delta = random_unit_quat(rng)
@@ -263,7 +221,7 @@ class TestObserve:
         # the two tangential axes is sigma * sqrt(2)
         rng = RngStream(16)
         cat = generate_catalog(2000, rng)
-        cam = CameraModel(focal_length=1.0, fov_half_angle=math.radians(60.0), mount=identity_quat())
+        cam = _cam(fov=math.radians(60.0))
         sigma = 5e-3
         angles = []
         q = identity_quat()
@@ -278,13 +236,15 @@ class TestObserve:
 
 
 class TestMountGeometry:
+    """Where a head points is its boresight in the body frame, and nothing else."""
+
     def test_offset_camera_sees_offset_stars(self):
         # a camera looking along +x must see a star at body +x when the
         # attitude is identity
         rng = RngStream(17)
         star = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         cat = StarCatalog(stars=star)
-        cams = default_camera_rig(2, FOV20, 1.0)  # boresights +z, +x
+        cams = default_camera_rig(2, FOV20)  # boresights +z, +x
         obs = observe(identity_quat(), cat, cams, 0.0, rng)
         seen = sorted(tuple(np.round(r, 6)) for r in obs.r)
         assert len(obs) == 2
@@ -293,7 +253,7 @@ class TestMountGeometry:
     def test_attitude_moves_stars_between_cameras(self):
         rng = RngStream(18)
         cat = StarCatalog(stars=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        cams = default_camera_rig(1, FOV20, 1.0)  # boresight +z only
+        cams = default_camera_rig(1, FOV20)  # boresight +z only
         # rotate the body so inertial +x lands on body +z
         q = axis_angle_quat([0.0, 1.0, 0.0], math.pi / 2)
         a = quat_to_matrix(q)
@@ -301,6 +261,17 @@ class TestMountGeometry:
         obs = observe(q, cat, cams, 0.0, rng)
         assert len(obs) == 1
         assert np.allclose(obs.r, [[1.0, 0.0, 0.0]])
+
+    def test_oblique_boresight(self):
+        # a head looking along (1, 1, 1) sees the stars within 20 degrees
+        # of that diagonal, and none of the axis stars 54.7 degrees off it
+        s = math.sqrt(1.0 / 3.0)
+        diagonal = (s, s, s)
+        near = axis_angle_quat([1.0, -1.0, 0.0], math.radians(15.0))
+        tilted = quat_to_matrix(near).T @ np.array(diagonal)
+        cat = StarCatalog(stars=np.array([diagonal, tilted, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        obs = observe(identity_quat(), cat, [_cam(boresight=diagonal)], 0.0, RngStream(19))
+        assert np.array_equal(obs.r, cat.stars[:2])
 
 
 class TestObservationSet:
@@ -338,18 +309,18 @@ class TestObserveAgainstPerStarLoop:
     """
 
     @pytest.mark.parametrize(
-        "n_cams, n_stars, fov_deg, focal, sigma",
+        "n_cams, n_stars, fov_deg, sigma",
         [
-            (6, 1000, 20.0, 1.0, 1e-3),  # the star-field benchmark setup
-            (3, 100, 20.0, 1.0, 1e-3),  # the default setup
-            (4, 300, 35.0, 2.5, 5e-3),
-            (2, 300, 20.0, 1.0, 0.0),
+            (6, 1000, 20.0, 1e-3),  # the star-field benchmark setup
+            (3, 100, 20.0, 1e-3),  # the default setup
+            (4, 300, 35.0, 5e-3),
+            (2, 300, 20.0, 0.0),
         ],
     )
-    def test_matches_per_star_loop(self, n_cams, n_stars, fov_deg, focal, sigma):
+    def test_matches_per_star_loop(self, n_cams, n_stars, fov_deg, sigma):
         setup = RngStream(n_stars + n_cams)
         cat = generate_catalog(n_stars, setup)
-        cams = default_camera_rig(n_cams, math.radians(fov_deg), focal)
+        cams = default_camera_rig(n_cams, math.radians(fov_deg))
         rng, rng_ref = RngStream(77), RngStream(77)
         for _ in range(15):
             q = random_unit_quat(setup)
@@ -364,11 +335,11 @@ class TestObserveAgainstPerStarLoop:
         # counted by the angle between each boresight and each star
         setup = RngStream(19)
         cat = generate_catalog(1000, setup)
-        cams = default_camera_rig(6, FOV20, 1.0)
+        cams = default_camera_rig(6, FOV20)
         for _ in range(5):
             q = random_unit_quat(setup)
             body = cat.stars @ quat_to_matrix(q).T
-            want = sum(int((body @ _boresight_in_body(cam) > math.cos(FOV20)).sum()) for cam in cams)
+            want = sum(int((body @ cam.boresight > math.cos(FOV20)).sum()) for cam in cams)
             assert len(observe(q, cat, cams, 1e-3, setup)) == want
 
 
@@ -378,7 +349,7 @@ def _same_bits(a, b):
 
 
 def _rig(n_cams, n_stars, fov_deg, seed=5):
-    return generate_catalog(n_stars, RngStream(seed)), default_camera_rig(n_cams, math.radians(fov_deg), 1.0)
+    return generate_catalog(n_stars, RngStream(seed)), default_camera_rig(n_cams, math.radians(fov_deg))
 
 
 class TestObserveStack:

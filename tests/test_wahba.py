@@ -288,7 +288,7 @@ class TestAgainstPerStarLoop:
         # the star-field setup: six heads, 1000 stars, about 180 stars per epoch
         setup = RngStream(48)
         cat = generate_catalog(1000, setup)
-        cams = default_camera_rig(6, math.radians(20.0), 1.0)
+        cams = default_camera_rig(6, math.radians(20.0))
         rng, rng_ref = RngStream(49), RngStream(49)
         for _ in range(20):
             q_true = random_unit_quat(setup)
