@@ -8,8 +8,8 @@ The run is cut into blocks of gyro steps. A block ends at the next event:
 a star-tracker epoch, a record instant, the last step, or at most
 ``_MAX_BLOCK_STEPS`` steps. Blocks are grouped into chunks of at most
 ``_EPOCH_CHUNK`` tracker epochs and about ``_CHUNK_STEPS`` steps; a chunk
-always ends on a block boundary. Each chunk gets a scenario pass, then one
-estimate pass per filter:
+always ends on a block boundary (:func:`_plan_chunks`). Each chunk gets a
+scenario pass, then one estimate pass per filter:
 
 * the scenario pass, which never reads filter state: the true rates of
   all the chunk's steps in one call, the noisy gyro samples in one noise
@@ -126,9 +126,10 @@ _CHUNK_STEPS = 4096
 _MAX_SEGMENT_BLOCKS = 512
 
 # records whose covariance snapshots one stacked eigensolve takes; keeps the
-# pending buffers and the solver's temporaries at a fixed small size however
-# many records a run writes
-_RECORD_CHUNK = 512
+# pending buffers and the solver's temporaries at a fixed size however many
+# records a run writes. The buffers are allocated empty, so capacity a run
+# does not fill is never touched and costs no resident memory
+_RECORD_CHUNK = 2048
 
 
 def _is_finite_number(value) -> bool:
@@ -372,6 +373,51 @@ def _first_step_reaching(t: float, dt: float, k: int, n: int) -> int:
     return j
 
 
+def _plan_chunks(cfg: SimConfig):
+    """The run's blocks of gyro steps, chunk by chunk.
+
+    A block starts at the step after the one before it (the first at step
+    1) and ends at the first event from its start on: a tracker epoch, the
+    first step whose end time reaches the epoch's time; a record instant, a
+    multiple of the record stride; the last step; or the block's
+    ``_MAX_BLOCK_STEPS``-th step. A chunk ends after
+    ``_EPOCH_CHUNK`` epochs, or after the block that reaches its
+    ``_CHUNK_STEPS``-th step, or at the last step.
+
+    Yields one ``(ends, at_epoch, keep)`` per chunk: each block's last step,
+    as an integer array, and whether the block ends at a tracker epoch and
+    whether it is recorded (it ends at a record instant or the last step),
+    as lists of bools. The first step reaching the next epoch is the same
+    for every block start up to it, so it is found once per epoch.
+    """
+    dt = 1.0 / cfg.gyro_rate_hz
+    n_steps = int(math.floor(cfg.duration_s * cfg.gyro_rate_hz + 1e-9))
+    tracker_dt = 1.0 / cfg.tracker_rate_hz
+    next_tracker = tracker_dt
+    stride = cfg.effective_stride()
+    epoch_step = None  # first step reaching next_tracker, until that epoch
+    k = 1  # first step of the next block
+    while k <= n_steps:
+        chunk_start = k
+        ends, at_epoch, keep = [], [], []
+        n_epochs = 0
+        while k <= n_steps and n_epochs < _EPOCH_CHUNK and k - chunk_start < _CHUNK_STEPS:
+            if epoch_step is None:
+                epoch_step = _first_step_reaching(next_tracker - 1e-9, dt, k, n_steps)
+            due_step = -(-k // stride) * stride
+            last = min(epoch_step, due_step, k + _MAX_BLOCK_STEPS - 1, n_steps)
+            epoch = last == epoch_step
+            if epoch:
+                next_tracker += tracker_dt
+                n_epochs += 1
+                epoch_step = None
+            ends.append(last)
+            at_epoch.append(epoch)
+            keep.append(last == due_step or last == n_steps)
+            k = last + 1
+        yield np.array(ends), at_epoch, keep
+
+
 def _pad(rates: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """A chunk's ``(n, 3)`` rates as a zero-padded ``(blocks, longest block, 3)`` stack.
 
@@ -444,11 +490,15 @@ def _estimate(carry, predict, update, r, transition, increments, measured, keep)
                 state = update(state, q_meas, r)
             except NumericalFailure as exc:
                 return _carry(state), q_kept, p_kept, (hi - 1, exc)
-        inner = [c + i - lo for i in range(lo, hi - 1) if keep[i]]
-        if inner:
-            q_kept[j:j + len(inner)] = quats[inner]
-            p_kept[j:j + len(inner)] = covs[inner]
-            j += len(inner)
+        # the snapshots inside the segment, rows c.. of its predict: a slice
+        # when every inner block is kept
+        inner = keep[lo:hi - 1]
+        n_in = sum(inner)
+        if n_in:
+            rows = slice(c, c + n_in) if n_in == len(inner) else [c + i for i, kept in enumerate(inner) if kept]
+            q_kept[j:j + n_in] = quats[rows]
+            p_kept[j:j + n_in] = covs[rows]
+            j += n_in
         if keep[hi - 1]:
             q_kept[j] = state.q
             p_kept[j] = state.p
@@ -485,11 +535,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     cams = startracker.default_camera_rig(cfg.n_cameras, cfg.fov_half_angle_rad)
 
     dt = 1.0 / cfg.gyro_rate_hz
-    n_steps = int(math.floor(cfg.duration_s * cfg.gyro_rate_hz + 1e-9))
-    tracker_dt = 1.0 / cfg.tracker_rate_hz
-    next_tracker = tracker_dt
     axis = cfg.axis_unit()
-    stride = cfg.effective_stride()
 
     r_meas = max(cfg.sigma_meas * cfg.sigma_meas, _R_FLOOR)
     r3 = r_meas * np.eye(3)
@@ -506,7 +552,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     skipped = 0
     aborted = None
     aekf_s = mekf_s = 0.0  # each filter's wall time
-    steps_done = 0  # gyro steps both filters crossed
+    steps_done = 0  # gyro steps both filters crossed: the last step of the chunk before
 
     # attitude and covariance snapshots of the records not yet solved: the
     # truth, the AEKF and the MEKF quaternions, then each filter's covariance
@@ -521,19 +567,19 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         rec_q.append(q)
         # both error columns, truth against AEKF then truth against MEKF
         err = error_angle(np.concatenate((q[0], q[0])), np.concatenate((q[1], q[2])))
-        rec_ea.extend(err[:n_pending].tolist())
-        rec_em.extend(err[n_pending:].tolist())
+        rec_ea.append(err[:n_pending])
+        rec_em.append(err[n_pending:])
         for pending, norms, conds in ((pending_a, rec_pa, rec_ca), (pending_m, rec_pm, rec_cm)):
-            evals, _ = jacobi_eigen_sym(pending[:n_pending])
+            evals = jacobi_eigen_sym(pending[:n_pending], vectors=False)
             pnorm, cond = norms_and_conditions(evals)
-            norms.extend(pnorm.tolist())
-            conds.extend(cond.tolist())
+            norms.append(pnorm)
+            conds.append(cond)
         n_pending = 0
 
     def keep_records(times, q_true, aekf_kept, mekf_kept) -> None:
         """Queue a chunk's records, solving the snapshots each time the buffers fill."""
         nonlocal n_pending
-        rec_t.extend(times)
+        rec_t.append(times)
         done = 0
         while done < len(times):
             take = min(len(times) - done, _RECORD_CHUNK - n_pending)
@@ -557,49 +603,30 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 
         return kinematic
 
-    cap = min(stride, _MAX_BLOCK_STEPS)
-    k = 1  # first gyro step no chunk holds yet
-    while k <= n_steps:
-        # plan a chunk of whole blocks, each ended by the first event after
-        # its start and kept as its rows [lo, hi) of the chunk's arrays
-        chunk_start = k
-        blocks = []
-        n_epochs = 0
-        while k <= n_steps and n_epochs < _EPOCH_CHUNK and k - chunk_start < _CHUNK_STEPS:
-            epoch_step = _first_step_reaching(next_tracker - 1e-9, dt, k, n_steps)
-            due_step = -(-k // stride) * stride
-            last = min(epoch_step, due_step, k + cap - 1, n_steps)
-            epoch = last == epoch_step
-            if epoch:
-                next_tracker += tracker_dt
-                n_epochs += 1
-            due = last == due_step or last == n_steps
-            blocks.append((k - chunk_start, last - chunk_start + 1, epoch, due))
-            k = last + 1
+    for ends, at_epoch, keep in _plan_chunks(cfg):
+        steps = np.diff(ends, prepend=steps_done)
 
         # scenario pass: the chunk's rates and gyro samples at once, padded
         # into one (blocks, longest block, 3) stack each; the truth at each
         # block end; one observation pass over the chunk's epochs and one
-        # stacked Davenport solve
-        omega_true = trajectory_omega(np.arange(chunk_start - 1, k - 1) * dt + 0.5 * dt, axis)
+        # stacked Davenport solve, whose outcomes give each epoch block its
+        # measured quaternion, or None
+        omega_true = trajectory_omega(np.arange(steps_done, ends[-1]) * dt + 0.5 * dt, axis)
         gyro = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
-        steps = np.array([hi - lo for lo, hi, _, _ in blocks])
         rows = padded_rows(steps)
         truth = integrate_quat(q_end, _pad(omega_true, rows), dt)
         q_end = truth[-1]
-        solutions = iter(())
-        if n_epochs:
-            at_epoch = [epoch for _, _, epoch, _ in blocks]
-            observations = startracker.observe(
-                truth[at_epoch], catalog, cams, cfg.sigma_star, rng_star
-            )
-            solutions = iter(davenport_solve(observations))
-        outcomes = [next(solutions) if epoch else None for _, _, epoch, _ in blocks]
-        measured = [o.q if isinstance(o, WahbaSolution) else None for o in outcomes]
-        keep = [due for _, _, _, due in blocks]
-        failed = [i for i, o in enumerate(outcomes)
-                  if isinstance(o, Exception) and not isinstance(o, UnderdeterminedAttitude)]
-        failure = (failed[0], outcomes[failed[0]]) if failed else None  # (block, exception)
+        epoch_blocks = np.flatnonzero(at_epoch).tolist()
+        outcomes = davenport_solve(
+            startracker.observe(truth[epoch_blocks], catalog, cams, cfg.sigma_star, rng_star)
+        )
+        measured = [None] * len(ends)
+        failure = None  # (block, exception)
+        for i, outcome in zip(epoch_blocks, outcomes):
+            if isinstance(outcome, WahbaSolution):
+                measured[i] = outcome.q
+            elif failure is None and not isinstance(outcome, UnderdeterminedAttitude):
+                failure = (i, outcome)
 
         # estimate passes: the gyro increment products of the blocks, which
         # both filters share, then each filter across the blocks in turn,
@@ -630,17 +657,20 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         aekf, mekf = aekf_out[0], mekf_out[0]
         aekf_s += t1 - t0 + shared_s
         mekf_s += t2 - t1 + shared_s
-        steps_done = chunk_start - 1 + blocks[len(measured) - 1][1]
+        n_done = len(measured)
+        steps_done = int(ends[n_done - 1])
 
-        ends = [(chunk_start + hi - 1) * dt for _, hi, _, _ in blocks[:len(measured)]]
+        ends_t = ends * dt
         kept = np.flatnonzero(keep)
-        keep_records([ends[i] for i in kept], truth[kept], aekf_out[1:3], mekf_out[1:3])
-        for t_end, outcome in zip(ends, outcomes):
+        keep_records(ends_t[kept], truth[kept], aekf_out[1:3], mekf_out[1:3])
+        for i, outcome in zip(epoch_blocks, outcomes):
+            if i >= n_done:
+                break
             if isinstance(outcome, UnderdeterminedAttitude):
                 skipped += 1
-                logger.warning("tracker epoch at t=%.3f skipped: %s", t_end, outcome)
+                logger.warning("tracker epoch at t=%.3f skipped: %s", ends_t[i], outcome)
             elif isinstance(outcome, WahbaSolution):
-                epoch_t.append(t_end)
+                epoch_t.append(ends_t[i])
                 epoch_q.append(outcome.q.copy())
         if failure is not None:
             if not isinstance(failure[1], NumericalFailure):
@@ -653,16 +683,16 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 
     return RunResult(
         config=cfg,
-        t=np.array(rec_t),
+        t=np.concatenate(rec_t),
         q_true=quats[0],
         q_aekf=quats[1],
         q_mekf=quats[2],
-        err_aekf=np.array(rec_ea),
-        err_mekf=np.array(rec_em),
-        pnorm_aekf=np.array(rec_pa),
-        pnorm_mekf=np.array(rec_pm),
-        cond_aekf=np.array(rec_ca),
-        cond_mekf=np.array(rec_cm),
+        err_aekf=np.concatenate(rec_ea),
+        err_mekf=np.concatenate(rec_em),
+        pnorm_aekf=np.concatenate(rec_pa),
+        pnorm_mekf=np.concatenate(rec_pm),
+        cond_aekf=np.concatenate(rec_ca),
+        cond_mekf=np.concatenate(rec_cm),
         step_time_aekf=aekf_s / steps_done,
         step_time_mekf=mekf_s / steps_done,
         epoch_t=np.array(epoch_t, dtype=float),

@@ -13,11 +13,16 @@ rounds each operation as a numpy element does.
 
 The eigensolver is one cyclic Jacobi sweep, vectorized over a stack of
 matrices, shape ``(k, n, n)``: each rotation is the same elementwise IEEE
-operations for every member, with a mask that leaves each matrix alone
-once it has converged, so a member's result does not depend on the stack
-around it. A lone ``(n, n)`` matrix is solved as a stack of one. The
-harness stacks the covariance snapshots of many records into one call,
-and the Davenport solve stacks the matrices of many tracker epochs.
+operations for every member. Each sweep first sets aside the members that
+have converged, and a rotation leaves alone every member whose pivot is
+zero, so a member's result does not depend on the stack around it. A
+lone ``(n, n)`` matrix is solved as a stack of one. The Davenport solve
+stacks the matrices of many tracker epochs and reads the eigenvectors;
+the harness stacks the covariance snapshots of many records and asks for
+the eigenvalues alone (``vectors=False``), which gives the same eigenvalue
+bits. A member whose eigenvectors are wanted carries their columns below
+its matrix, so that one column rotation turns both; without them, the
+rotations touch the matrix alone.
 
 The random stream is xorshift64* seeded through one round of splitmix64,
 with Gaussian deviates drawn by the polar (Marsaglia) method. The
@@ -116,7 +121,7 @@ def symmetrize(m) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def jacobi_eigen_sym(m):
+def jacobi_eigen_sym(m, vectors: bool = True):
     """Eigendecompose a symmetric matrix, or a stack of them, with cyclic Jacobi rotations.
 
     For one ``(n, n)`` matrix, returns ``(eigenvalues, eigenvectors)`` with
@@ -128,24 +133,29 @@ def jacobi_eigen_sym(m):
     as a stack of one, so each member of a stack gets bit for bit what the
     one-matrix call returns for it.
 
+    With ``vectors=False`` only the eigenvalues are returned, ``(n,)`` or
+    ``(k, n)``, and no eigenvector is rotated. The eigenvalues come from
+    the same operations either way, so they are bit for bit those of the
+    full call.
+
     Raises InvalidInput for non-symmetric or empty (``n == 0``) input (any
     matrix of a stack) and NumericalFailure if the off-diagonal norm has
     not dropped below 1e-12 * ||m||_F after 100 sweeps.
     """
     if np.ndim(m) != 3:
-        evals, vecs, failed = _jacobi_sweep(check_symmetric(m)[None])
+        evals, vecs, failed = _jacobi_sweep(check_symmetric(m)[None], vectors)
         if failed.size:
             raise NumericalFailure(
                 f"Jacobi sweep limit reached (off-diagonal {float(failed[0]):.3e})"
             )
-        return evals[0], vecs[0]
-    evals, vecs, failed = _jacobi_sweep(_check_symmetric_stack(m))
+        return (evals[0], vecs[0]) if vectors else evals[0]
+    evals, vecs, failed = _jacobi_sweep(_check_symmetric_stack(m), vectors)
     if failed.size:
         raise NumericalFailure(
             f"Jacobi sweep limit reached in {failed.size} matrices "
             f"(largest off-diagonal {float(failed.max()):.3e})"
         )
-    return evals, vecs
+    return (evals, vecs) if vectors else evals
 
 
 def _check_symmetric_stack(m) -> np.ndarray:
@@ -176,63 +186,86 @@ def _off_norms(a: np.ndarray, pairs) -> np.ndarray:
     return np.sqrt(2.0 * acc)
 
 
-def _jacobi_sweep(a: np.ndarray):
-    """The cyclic Jacobi sweep, vectorized over a checked stack ``a`` (updated in place).
+def _jacobi_sweep(a: np.ndarray, vectors: bool):
+    """The cyclic Jacobi sweep, vectorized over a checked stack ``a``.
 
-    A rotation touches only the matrices still active (not yet converged)
-    whose pivot is nonzero; the others are left exactly as they are. Each
-    step is an elementwise IEEE operation, so a member's result does not
-    depend on the stack around it. Returns the sorted eigenvalues, the
-    eigenvector rows and the off-diagonal norms of the members that had
-    not converged after the last sweep (empty when all did).
+    With ``vectors``, each member works on its matrix with the eigenvector
+    columns stacked below it, ``(2n, n)``, so that the rotation of the
+    matrix's columns rotates the eigenvector columns in the same step;
+    otherwise on the matrix alone (``a`` itself, updated in place). Each
+    sweep starts by setting aside the members that have converged and
+    works on the others; a rotation touches only the members whose pivot is
+    nonzero and leaves the others exactly as they are. Each step is an
+    elementwise IEEE operation, so a member's result does not depend on the
+    stack around it. Returns the sorted eigenvalues, the eigenvector rows
+    (None unless ``vectors``) and the off-diagonal norms of the members
+    that had not converged after the last sweep (empty when all did).
     """
     k, n = a.shape[:2]
-    v = np.broadcast_to(np.eye(n), a.shape).copy()
     scale = np.sqrt((a * a).reshape(k, n * n).sum(axis=1))
     tol = _JACOBI_REL_TOL * scale
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    w = np.concatenate((a, np.broadcast_to(np.eye(n), a.shape)), axis=1) if vectors else a
+    # the members still active, in stack order, and their working stack;
     # a zero matrix has off = tol = 0 and so converges before the first sweep
-    active = np.ones(k, dtype=bool)
+    idx = np.arange(k)
+    wi = w
     failed = np.zeros(0)
     for _ in range(_JACOBI_MAX_SWEEPS):
-        active &= _off_norms(a, pairs) > tol
-        if not active.any():
+        active = _off_norms(wi, pairs) > tol[idx]
+        if not active.all():
+            if wi is not w:  # the converged members keep their values
+                w[idx[~active]] = wi[~active]
+            idx, wi = idx[active], wi[active]
+        if idx.size == 0:
             break
         for p, q in pairs:  # one cyclic sweep over the strict upper triangle
-            idx = np.flatnonzero(active & (a[:, p, q] != 0.0))
-            if idx.size == 0:
-                continue
-            ai = a[idx]
-            vi = v[idx]
-            theta = (ai[:, q, q] - ai[:, p, p]) / (2.0 * ai[:, p, q])
-            t = np.where(
-                theta == 0.0,
-                1.0,
-                np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
-            )
-            c = (1.0 / np.sqrt(t * t + 1.0))[:, None]
-            s = t[:, None] * c
-            colp, colq = ai[:, :, p], ai[:, :, q]
-            ai[:, :, p], ai[:, :, q] = c * colp - s * colq, s * colp + c * colq
-            rowp, rowq = ai[:, p, :], ai[:, q, :]
-            ai[:, p, :], ai[:, q, :] = c * rowp - s * rowq, s * rowp + c * rowq
-            ai[:, p, q] = 0.0
-            ai[:, q, p] = 0.0
-            vp, vq = vi[:, :, p], vi[:, :, q]
-            vi[:, :, p], vi[:, :, q] = c * vp - s * vq, s * vp + c * vq
-            a[idx] = ai
-            v[idx] = vi
+            live = wi[:, p, q] != 0.0
+            if live.all():
+                _rotate(wi, p, q)
+            elif live.any():
+                sub = np.flatnonzero(live)
+                ws = wi[sub]
+                _rotate(ws, p, q)
+                wi[sub] = ws
     else:
         # the final sweep may still have finished the job
-        off = _off_norms(a[active], pairs)
-        failed = off[off > tol[active]]
+        off = _off_norms(wi, pairs)
+        failed = off[off > tol[idx]]
+    if wi is not w:
+        w[idx] = wi
 
-    evals = np.diagonal(a, axis1=1, axis2=2).copy()
+    evals = np.diagonal(w[:, :n], axis1=1, axis2=2).copy()
     evals[scale == 0.0] = 0.0
     order = np.argsort(-evals, axis=1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=1)
-    vecs = np.take_along_axis(v, order[:, None, :], axis=2).transpose(0, 2, 1).copy()
+    if not vectors:
+        return evals, None, failed
+    vecs = np.take_along_axis(w[:, n:], order[:, None, :], axis=2).transpose(0, 2, 1).copy()
     return evals, vecs, failed
+
+
+def _rotate(w: np.ndarray, p: int, q: int) -> None:
+    """One Jacobi rotation in the ``(p, q)`` plane of every member of ``w``, in place.
+
+    A member is an ``(n, n)`` matrix, possibly with rows below it that
+    take the column rotation only (the eigenvector columns). Every member's
+    pivot ``w[:, p, q]`` must be nonzero.
+    """
+    theta = (w[:, q, q] - w[:, p, p]) / (2.0 * w[:, p, q])
+    t = np.where(
+        theta == 0.0,
+        1.0,
+        np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
+    )
+    c = (1.0 / np.sqrt(t * t + 1.0))[:, None]
+    s = t[:, None] * c
+    colp, colq = w[:, :, p], w[:, :, q]
+    w[:, :, p], w[:, :, q] = c * colp - s * colq, s * colp + c * colq
+    rowp, rowq = w[:, p, :], w[:, q, :]
+    w[:, p, :], w[:, q, :] = c * rowp - s * rowq, s * rowp + c * rowq
+    w[:, p, q] = 0.0
+    w[:, q, p] = 0.0
 
 
 def norms_and_conditions(evals):
@@ -250,7 +283,7 @@ def norms_and_conditions(evals):
 
 def condition_number(m) -> float:
     """|lambda|_max / |lambda|_min of one symmetric matrix, +inf when rank deficient."""
-    evals, _ = jacobi_eigen_sym(_as_square(m))
+    evals = jacobi_eigen_sym(_as_square(m), vectors=False)
     return float(norms_and_conditions(evals[None])[1][0])
 
 

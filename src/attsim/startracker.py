@@ -240,7 +240,7 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
     Returns one :class:`ObservationSet` per epoch, in order (views of the
     packed rows), whose length is the number of stars visible at that
     epoch and whose weights are 1; a ``(4,)`` attitude returns its set
-    alone. With ``sigma_star == 0`` every pair satisfies
+    alone, and an empty stack ``(0, 4)`` an empty list, drawing nothing. With ``sigma_star == 0`` every pair satisfies
     ``A(q_true) @ r == b`` to 1e-10.
     """
     if len(cams) == 0:
@@ -250,6 +250,8 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
     q = np.asarray(q_true, dtype=float)
     a_ib = quat_to_matrix(q.reshape(-1, 4))
     n_epochs, n_stars = a_ib.shape[0], len(catalog)
+    if n_epochs == 0:
+        return []
     # column block e of (3, 3 E) is epoch e's inertial-to-body matrix,
     # transposed, so one product rotates the catalog for every epoch
     a_bi = a_ib.transpose(2, 0, 1)

@@ -31,6 +31,12 @@ recursion it replaced, one ``symmetrize(Phi P Phi^T + Q)`` and one
 quaternion product per block, the reference the segment pass is bounded
 against (and equals bit for bit when every segment is one block).
 
+``attsim.harness._plan_chunks`` finds the first step reaching the next
+tracker epoch once per epoch and builds each chunk's block facts as lists.
+:func:`plan_chunks_per_block` is the per-block planning loop it replaced,
+with that step found anew for every block by a linear scan, the reference
+the planner must equal block for block and chunk for chunk.
+
 ``attsim.attitude`` and ``attsim.numerics.solve`` read their operands as
 Python floats. :func:`quat_mul_numpy`, :func:`error_angle_numpy` and
 :func:`solve_numpy_rows` are the forms they replaced, on numpy scalars and
@@ -47,6 +53,7 @@ import math
 
 import numpy as np
 
+import attsim.harness as harness
 import attsim.numerics as numerics
 from attsim.attitude import quat_mul, quat_normalize, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
@@ -362,3 +369,43 @@ def estimate_per_block(carry, predict, update, r, transition, increments, measur
             p_kept[j] = state.p
             j += 1
     return (state, [], None), q_kept, p_kept, None
+
+
+def plan_chunks_per_block(cfg):
+    """The blocks and chunks of a run of ``cfg``, planned one block at a time.
+
+    Returns one list per chunk of blocks ``(first step, last step, epoch,
+    recorded)``. A block ends at the first of: the first step ``j`` from its
+    start on whose end time ``j * dt`` reaches the next tracker epoch's time
+    (less 1e-9), found by stepping ``j`` up from the block start; the next
+    multiple of the record stride; the block's ``min(stride,
+    _MAX_BLOCK_STEPS)``-th step; the last step. Reads ``_MAX_BLOCK_STEPS``,
+    ``_EPOCH_CHUNK`` and ``_CHUNK_STEPS`` from ``attsim.harness`` at call
+    time.
+    """
+    dt = 1.0 / cfg.gyro_rate_hz
+    n_steps = int(math.floor(cfg.duration_s * cfg.gyro_rate_hz + 1e-9))
+    tracker_dt = 1.0 / cfg.tracker_rate_hz
+    next_tracker = tracker_dt
+    stride = cfg.effective_stride()
+    cap = min(stride, harness._MAX_BLOCK_STEPS)
+    chunks = []
+    k = 1
+    while k <= n_steps:
+        chunk_start = k
+        blocks = []
+        n_epochs = 0
+        while k <= n_steps and n_epochs < harness._EPOCH_CHUNK and k - chunk_start < harness._CHUNK_STEPS:
+            epoch_step = k
+            while epoch_step <= n_steps and epoch_step * dt < next_tracker - 1e-9:
+                epoch_step += 1
+            due_step = -(-k // stride) * stride
+            last = min(epoch_step, due_step, k + cap - 1, n_steps)
+            epoch = last == epoch_step
+            if epoch:
+                next_tracker += tracker_dt
+                n_epochs += 1
+            blocks.append((k, last, epoch, last == due_step or last == n_steps))
+            k = last + 1
+        chunks.append(blocks)
+    return chunks

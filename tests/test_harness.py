@@ -315,16 +315,21 @@ class TestRunSimulation:
             assert len(series) == len(res.t)
 
     def test_record_chunk_size_does_not_change_outputs(self, monkeypatch):
+        # one eigensolve per record against chunks of 7 and the default size,
+        # which fills once mid-run and is solved again at the end
         import attsim.harness as hmod
 
-        cfg = short_cfg(duration_s=1.4, record_stride=1)  # 70 records
-        whole = run_simulation(cfg)
-        monkeypatch.setattr(hmod, "_RECORD_CHUNK", 7)  # ten full chunks, then an empty one
-        chunked = run_simulation(cfg)
-        assert len(chunked.t) == 70
-        for name in ("q_true", "q_aekf", "q_mekf", "err_aekf", "err_mekf",
-                     "pnorm_aekf", "pnorm_mekf", "cond_aekf", "cond_mekf"):
-            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
+        default = hmod._RECORD_CHUNK
+        cfg = short_cfg(duration_s=(default + 52) / 50.0, record_stride=1)
+        monkeypatch.setattr(hmod, "_RECORD_CHUNK", 1)
+        each = run_simulation(cfg)
+        assert len(each.t) == default + 52
+        for chunk in (7, default):
+            monkeypatch.setattr(hmod, "_RECORD_CHUNK", chunk)
+            chunked = run_simulation(cfg)
+            for name in ("t", "q_true", "q_aekf", "q_mekf", "err_aekf", "err_mekf",
+                         "pnorm_aekf", "pnorm_mekf", "cond_aekf", "cond_mekf"):
+                assert getattr(chunked, name).tobytes() == getattr(each, name).tobytes(), (chunk, name)
 
     def test_error_columns_are_the_angles_of_each_record(self, monkeypatch):
         import attsim.harness as hmod
@@ -476,6 +481,58 @@ class TestScenarioPass:
         assert len(calls) - whole_calls > whole_calls
         for name in ("metrics.json", "timeseries.csv"):
             assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "small" / name).read_bytes()
+
+
+def _plan_configs(stride, n):
+    """``n`` configs with record stride ``stride``, drawn from a fixed seed.
+
+    Tracker rates from the gyro rate down to 1/137 of it, mostly at ratios
+    that are not whole numbers, durations that are not a multiple of the
+    gyro step, and chunk and block bounds from one step up to the defaults.
+    """
+    import random
+
+    rng = random.Random(1000 + stride % 10007)
+    out = []
+    for _ in range(n):
+        gyro = rng.choice([50.0, 37.0, 100.0, 13.0, 7.3])
+        cfg = short_cfg(
+            duration_s=round(rng.uniform(0.3, 40.0), 4) + 1.0 / (3.0 * gyro),
+            gyro_rate_hz=gyro,
+            tracker_rate_hz=gyro / rng.choice([1.0, 2.9, 7.0, 13.7, 50.0, 137.0]),
+            record_stride=stride,
+        )
+        bounds = dict(
+            _EPOCH_CHUNK=rng.choice([1, 2, 3, 32]),
+            _CHUNK_STEPS=rng.choice([1, 5, 64, 4096]),
+            _MAX_BLOCK_STEPS=rng.choice([17, 1000]),
+        )
+        out.append((cfg, bounds))
+    return out
+
+
+class TestPlanChunks:
+    """The planner's blocks and chunks are those of one plan per block (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("stride", [0, 1, 3, 7, 999, 1000, 1001, 10**9])
+    def test_blocks_and_chunks_equal_the_per_block_loop(self, stride, monkeypatch):
+        import attsim.harness as hmod
+        from oracles import plan_chunks_per_block
+
+        for cfg, bounds in _plan_configs(stride, 25):
+            with monkeypatch.context() as m:
+                for name, value in bounds.items():
+                    m.setattr(hmod, name, value)
+                got = []
+                first = 1
+                for ends, at_epoch, keep in hmod._plan_chunks(cfg):
+                    assert len(ends) == len(at_epoch) == len(keep)
+                    starts = [first] + (ends[:-1] + 1).tolist()
+                    got.append(list(zip(starts, ends.tolist(), at_epoch, keep)))
+                    first = int(ends[-1]) + 1
+                want = plan_chunks_per_block(cfg)
+            assert got == want, (cfg, bounds)
+            assert want[-1][-1][1] == int(math.floor(cfg.duration_s * cfg.gyro_rate_hz + 1e-9))
 
 
 class TestBlockTransitions:

@@ -230,6 +230,109 @@ class TestJacobiStack:
             jacobi_eigen_sym(stack)
 
 
+def _pivot_stack(rng, n):
+    """Members of every kind the stacked sweep treats apart, ``(k, n, n)``.
+
+    Random SPD and random symmetric members (several sweeps), diagonal and
+    zero members (none), and members whose pivots are exactly zero in some
+    planes but not in others, so that within one rotation some active
+    members rotate and some are left alone.
+    """
+    mats = []
+    for _ in range(6):
+        b = random_symmetric(rng, n)
+        mats.append(b @ b.T + 1e-3 * np.eye(n))
+        mats.append(random_symmetric(rng, n))
+    mats += [np.diag(np.arange(n, 0.0, -1.0)), np.zeros((n, n)), -2.5 * np.eye(n)]
+    if n >= 2:
+        # a 2x2 block in the last plane beside a diagonal: the earlier
+        # pivots are 0 while other members rotate in their planes
+        m = np.diag(np.arange(1.0, n + 1.0))
+        m[n - 2, n - 1] = m[n - 1, n - 2] = 0.75
+        mats.append(m)
+        # a negative zero pivot counts as zero
+        m = np.diag(np.arange(1.0, n + 1.0))
+        m[0, 1] = m[1, 0] = 0.5
+        m[0, n - 1] = m[n - 1, 0] = -0.0
+        mats.append(m)
+    if n >= 3:
+        # a zero pivot between equal diagonal entries, which a rotation
+        # would divide 0 by 0 for
+        m = np.eye(n)
+        m[0, n - 1] = m[n - 1, 0] = 0.3
+        mats.append(m)
+    mats.append(random_symmetric(rng, n) * 1e-9)
+    mats.append(random_symmetric(rng, n) * 1e7)
+    return np.array(mats)
+
+
+class TestJacobiValuesOnly:
+    """``vectors=False`` returns the full call's eigenvalues, byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_stack_equals_full_call_and_oracle(self, n):
+        stack = _pivot_stack(RngStream(300 + n), n)
+        evals, evecs = jacobi_eigen_sym(stack)
+        ref_evals, ref_evecs = _per_matrix(stack)
+        assert evals.tobytes() == ref_evals.tobytes()
+        assert evecs.tobytes() == ref_evecs.tobytes()
+        values = jacobi_eigen_sym(stack, vectors=False)
+        assert values.shape == (len(stack), n)
+        assert values.tobytes() == evals.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stack_equals_its_parts(self, n):
+        # the record stacks: one large stack gives each member what smaller
+        # stacks of it give
+        rng = RngStream(400 + n)
+        stack = np.concatenate([_pivot_stack(rng, n) for _ in range(5)])
+        parts = [jacobi_eigen_sym(stack[lo:lo + 7], vectors=False) for lo in range(0, len(stack), 7)]
+        assert jacobi_eigen_sym(stack, vectors=False).tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 6])
+    def test_lone_matrix(self, n):
+        for m in _pivot_stack(RngStream(500 + n), n):
+            values = jacobi_eigen_sym(m, vectors=False)
+            assert values.shape == (n,)
+            assert values.tobytes() == jacobi_eigen_sym(m)[0].tobytes()
+            assert values.tobytes() == jacobi_eigen_one(m)[0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_empty_stack(self, n):
+        assert jacobi_eigen_sym(np.zeros((0, n, n)), vectors=False).shape == (0, n)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[1.0, 2.0], [0.0, 1.0]]),
+            np.zeros((0, 0)),
+            np.zeros((3, 0, 0)),
+            np.zeros((2, 3, 4)),
+            np.zeros((7, 7)),
+            np.array([[1.0, math.nan], [math.nan, 1.0]]),
+            np.array([np.eye(3), np.eye(3) + np.triu(np.ones((3, 3)), 1)]),
+        ],
+        ids=["asymmetric", "empty", "empty-stack", "not-square", "too-large", "nan", "asymmetric-member"],
+    )
+    def test_same_invalid_input(self, m):
+        with pytest.raises(InvalidInput) as full:
+            jacobi_eigen_sym(m)
+        with pytest.raises(InvalidInput) as values:
+            jacobi_eigen_sym(m, vectors=False)
+        assert str(values.value) == str(full.value)
+
+    def test_same_sweep_limit(self, monkeypatch):
+        rng = RngStream(43)
+        stack = np.array([np.eye(4), random_symmetric(rng, 4), random_symmetric(rng, 4)])
+        monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
+        for m in (stack, stack[1]):
+            with pytest.raises(NumericalFailure) as full:
+                jacobi_eigen_sym(m)
+            with pytest.raises(NumericalFailure) as values:
+                jacobi_eigen_sym(m, vectors=False)
+            assert str(values.value) == str(full.value)
+
+
 class TestConditionNumber:
     def test_identity_is_exactly_one(self):
         assert condition_number(np.eye(4)) == 1.0

@@ -17,6 +17,7 @@ from attsim.startracker import (
     observe,
     save_catalog,
 )
+from attsim.wahba import davenport_solve
 
 from conftest import random_unit_quat
 from oracles import axis_angle_quat, generate_catalog_per_star, observe_one_epoch, observe_per_star
@@ -432,3 +433,13 @@ class TestObserveStack:
         qs = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 2.0]])
         with pytest.raises(InvalidInput):
             observe(qs, cat, cams, 0.0, RngStream(1))
+
+    def test_empty_stack_returns_no_sets(self):
+        # as davenport_solve([]) takes an empty list, and nothing is drawn
+        cat, cams = _rig(3, 100, 20.0)
+        rng = RngStream(5)
+        rng.gaussian(1.0)  # a spare deviate waiting
+        state = (rng._state, rng._spare)
+        assert observe(np.zeros((0, 4)), cat, cams, 1e-3, rng) == []
+        assert (rng._state, rng._spare) == state
+        assert davenport_solve(observe(np.zeros((0, 4)), cat, cams, 0.0, rng)) == []
