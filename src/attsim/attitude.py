@@ -19,7 +19,11 @@ Conventions used everywhere in this package:
   increment is the identity, and the attitude then crosses the blocks one
   product each, so a block of one step advances the attitude exactly as
   the scalar one-step path does. The filters take the same block products
-  of the gyro rates (see :mod:`attsim.filters`).
+  of the gyro rates (see :mod:`attsim.filters`), and their covariance
+  transitions are the matrices of those rotations: :func:`quat_left_matrix`
+  for the AEKF and the transpose of :func:`quat_to_matrix` for the MEKF,
+  of a block's product or of the product of a run of blocks, which
+  :func:`quat_path` from the identity gives.
 
 The kernels the sequential estimate loop calls per block or per update
 (``quat_path``, ``quat_mul``, ``quat_norm``, ``quat_normalize``,
@@ -87,6 +91,18 @@ def _hamilton(ax, ay, az, aw, bx, by, bz, bw):
 _QUAT_LEFT_TABLE = np.array(
     [np.array([quat_mul(e, f) for f in np.eye(4)]).T.ravel() for e in np.eye(4)]
 )
+
+
+def quat_left_matrix(a) -> np.ndarray:
+    """The matrix L(a) with ``L(a) @ b == quat_mul(a, b)``.
+
+    ``a`` is one quaternion ``(4,)`` (returns ``(4, 4)``) or a stack
+    ``(..., 4)`` (returns ``(..., 4, 4)``). Each entry is one component of
+    ``a`` or its negative: each output of the table product sums one term
+    with a +-1 coefficient and zeros, so it is exact whatever the BLAS kernel.
+    """
+    a = np.asarray(a, dtype=float)
+    return (a @ _QUAT_LEFT_TABLE).reshape(a.shape[:-1] + (4, 4))
 
 
 def quat_norm(q) -> float:
@@ -192,7 +208,10 @@ def block_increments(omegas, dt: float) -> np.ndarray:
     ``i // 2**l`` whatever ``L`` is, so a block's product does not depend on
     how far it is padded.
     """
-    dq = _quat_increments(np.asarray(omegas, dtype=float), dt)
+    w = np.asarray(omegas, dtype=float)
+    if w.ndim != 3 or 0 in w.shape or w.shape[2] != 3:
+        raise InvalidInput("gyro rates must be a nonempty (blocks, steps, 3) stack")
+    dq = _quat_increments(w, dt)
     while dq.shape[1] > 1:
         even = dq.shape[1] // 2 * 2
         prod = _quat_mul_rows(dq[:, 1:even:2], dq[:, 0:even:2])
@@ -200,20 +219,6 @@ def block_increments(omegas, dt: float) -> np.ndarray:
             prod = np.concatenate((prod, dq[:, even:]), axis=1)
         dq = prod
     return dq[:, 0]
-
-
-def integrate_quat_path(q, omegas, dt: float) -> np.ndarray:
-    """Attitudes after each step of blocks of rates.
-
-    ``omegas`` has shape ``(..., n, 3)`` and ``q`` shape ``(..., 4)``, one
-    start attitude per block; row k of the result, shape ``(..., n, 4)``, is
-    :func:`integrate_quat` of ``q`` over the first k + 1 rows of its block,
-    taken from one prefix product of the step increments instead of k + 1
-    calls. The AEKF's kinematic process noise needs every attitude along a
-    block; a block end alone takes :func:`block_increments`.
-    """
-    prefix = _quat_prefix_products(_quat_increments(np.asarray(omegas, dtype=float), dt))
-    return _quat_mul_rows(prefix, np.asarray(q, dtype=float)[..., None, :])
 
 
 def _quat_increments(omegas: np.ndarray, dt: float) -> np.ndarray:
@@ -234,26 +239,10 @@ def _quat_increments(omegas: np.ndarray, dt: float) -> np.ndarray:
     return dq
 
 
-def _quat_prefix_products(dq: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products ``dq[k] * ... * dq[1] * dq[0]`` along axis -2 of a stack.
-
-    A Hillis-Steele scan: ceil(log2 n) levels, each one batched product, in
-    place of n - 1 sequential products.
-    """
-    out = dq
-    span = 1
-    while span < out.shape[-2]:
-        later = _quat_mul_rows(out[..., span:, :], out[..., :-span, :])
-        out = np.concatenate((out[..., :span, :], later), axis=-2)
-        span *= 2
-    return out
-
-
 def _quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Hamilton products ``a[..., k, :] * b[..., k, :]`` of a stack
     ``a`` of shape ``(..., 4)`` and a stack ``b`` that broadcasts against it."""
-    left = (a @ _QUAT_LEFT_TABLE).reshape(a.shape[:-1] + (4, 4))
-    return (left @ b[..., None])[..., 0]
+    return (quat_left_matrix(a) @ b[..., None])[..., 0]
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -264,14 +253,18 @@ def quat_to_matrix(q) -> np.ndarray:
     same elementwise expression either way.
     """
     q = np.asarray(q, dtype=float)
-    if np.any(np.abs(quat_norms(q) - 1.0) > _UNIT_TOL):
-        raise InvalidInput("quaternion must be unit norm")
     x, y, z, w = q.T
+    # each product is taken once; the sums are those of quat_norms and of
+    # the entries written out, in the same order
+    xx, yy, zz, ww = x * x, y * y, z * z, w * w
+    if np.any(np.abs(np.sqrt(xx + yy + zz + ww) - 1.0) > _UNIT_TOL):
+        raise InvalidInput("quaternion must be unit norm")
+    xy, xz, yz, wx, wy, wz = x * y, x * z, y * z, w * x, w * y, w * z
     a = np.array(
         [
-            w * w + x * x - y * y - z * z, 2.0 * (x * y + w * z), 2.0 * (x * z - w * y),
-            2.0 * (x * y - w * z), w * w - x * x + y * y - z * z, 2.0 * (y * z + w * x),
-            2.0 * (x * z + w * y), 2.0 * (y * z - w * x), w * w - x * x - y * y + z * z,
+            ww + xx - yy - zz, 2.0 * (xy + wz), 2.0 * (xz - wy),
+            2.0 * (xy - wz), ww - xx + yy - zz, 2.0 * (yz + wx),
+            2.0 * (xz + wy), 2.0 * (yz - wx), ww - xx - yy + zz,
         ]
     )
     return a.T.reshape(q.shape[:-1] + (3, 3))
@@ -299,28 +292,3 @@ def error_angle(a, b):
         return 2.0 * math.atan2(math.sqrt(ex * ex + ey * ey + ez * ez), abs(ew))
     vec = np.sqrt(ex * ex + ey * ey + ez * ez)
     return 2.0 * np.fromiter(map(math.atan2, vec.tolist(), np.abs(ew).tolist()), float, vec.size)
-
-
-def omega_matrix(omega) -> np.ndarray:
-    """4x4 matrix Omega with Omega @ q == (omega; 0) * q."""
-    wx, wy, wz = omega
-    return np.array(
-        [
-            [0.0, -wz, wy, wx],
-            [wz, 0.0, -wx, wy],
-            [-wy, wx, 0.0, wz],
-            [-wx, -wy, -wz, 0.0],
-        ]
-    )
-
-
-def cross_matrix(v) -> np.ndarray:
-    """Skew-symmetric matrix [v x] with [v x] @ u == v x u."""
-    vx, vy, vz = v
-    return np.array(
-        [
-            [0.0, -vz, vy],
-            [vz, 0.0, -vx],
-            [-vy, vx, 0.0],
-        ]
-    )

@@ -20,28 +20,25 @@ scenario pass, then one estimate pass per filter:
   draw, and one Davenport solve of their sets as one padded stack; and
   the product of each block's gyro increments, which both filters share;
 * the estimate passes (:func:`_estimate`), the AEKF's and then the
-  MEKF's: each builds its filter's composed (Phi, Q) pair per block, from
-  one batched tree over the chunk (see :mod:`attsim.filters`), then
-  crosses the blocks one update segment at a time, the blocks after one
-  update up to and including the block of the next (or at most
-  ``_MAX_SEGMENT_BLOCKS`` blocks). One predict per segment advances the
-  quaternion block by block (q <- M q) and applies every prefix of the
-  segment's pairs to the covariance at its start in one batched step;
-  the last block takes the epoch's Davenport quaternion, and the filter
-  is snapshotted at the segment's record instants. A segment of one
-  block gets bit for bit what one predict per block gets. A segment
-  still open at the chunk's end is carried into the next chunk, with its
-  start state and its blocks' increments and pairs, and crossed again
-  from its start there, so the outputs do not depend on where chunks
-  end. The AEKF's kinematic process noise (``aekf_q_flat = false``)
-  depends on the filter's attitude, so that option builds its (Phi, Q)
-  per segment, from the attitudes the segment's predict has just
-  propagated.
+  MEKF's: each builds its filter's exact covariance transition of every
+  block from the block increments, in one call over the chunk (see
+  :mod:`attsim.filters`), then crosses the blocks one update segment at a
+  time, the blocks after one update up to and including the block of the
+  next (or at most ``_MAX_SEGMENT_BLOCKS`` blocks). One predict per
+  segment advances the quaternion block by block (q <- M q) and takes the
+  covariance after every block in closed form from the product of the
+  segment's increments up to it; a segment of one block takes its block's
+  transition from the chunk's build. The last block takes the epoch's
+  Davenport quaternion, and the filter is snapshotted at the segment's
+  record instants. A segment still open at the chunk's end is carried into
+  the next chunk, with its start state and its blocks' increments and step
+  counts, and crossed again from its start there, so the outputs do not
+  depend on where chunks end.
 
 So every update and every record sees the filter states it would see
-after one predict per step, up to rounding, and the noise streams are the
-ones a step-by-step loop draws. Everything downstream of the seed is
-deterministic except the wall-clock timing: each estimate pass is timed
+after one exact predict per step, up to rounding, and the noise streams
+are the ones a step-by-step loop draws. Everything downstream of the seed
+is deterministic except the wall-clock timing: each estimate pass is timed
 as a whole, and a filter's step time is the time of its passes plus the
 shared increment products, which each filter would need alone, divided by
 the gyro steps it crossed.
@@ -108,8 +105,8 @@ _MAX_GYRO_STEPS = 10_000_000
 # longest block of gyro steps handed to one predict when no event ends it
 # sooner. A block is at most as long as the spacing of the events that end
 # blocks, so a chunk's padded (blocks, longest block) stacks hold at most
-# three times its steps plus three longest blocks: the default configuration
-# has 32 blocks of 100 steps, 0.4 MB of 4x4 pairs
+# three times its steps plus three longest blocks of rates: the default
+# configuration has 32 blocks of 100 steps
 _MAX_BLOCK_STEPS = 1000
 
 # a chunk of the run holds whole blocks: at most _EPOCH_CHUNK tracker epochs,
@@ -426,42 +423,38 @@ def _pad(rates: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.concatenate((rates, np.zeros((1, 3))))[rows]
 
 
-def _prebuilt(phi: np.ndarray, q: np.ndarray):
-    """The ``transition`` of :func:`_estimate` for block pairs built ahead, ``(B, n, n)`` stacks."""
-    return lambda lo, hi, q0, path: (phi[lo:hi], q[lo:hi])
-
-
 def _carry(state):
     """The carry of :func:`_estimate` for a filter with no update segment open."""
-    return state, [], None
+    return state, [], []
 
 
-def _estimate(carry, predict, update, r, transition, increments, measured, keep):
+def _estimate(carry, predict, update, r, dt, noise, phi, increments, steps, measured, keep):
     """One filter's estimate pass over the first ``len(measured)`` blocks of a chunk.
 
     The blocks are crossed one update segment at a time. A segment runs
     from one update to the next: it ends at the block of the next update,
     at the ``_MAX_SEGMENT_BLOCKS``-th block since the last update, or
     otherwise at the chunk's last block, where it stays open. ``carry`` is
-    ``(start, m, pairs)``: the filter at the start of the segment open when
-    the chunk starts, the increments of its blocks in earlier chunks, and
-    their (Phi, Q) pairs as two ``(c, n, n)`` stacks, or None if there are
-    none (:func:`_carry`). Segment ``[lo, hi)`` is crossed from its start by
-    one ``predict(start, m + increments[lo:hi], pairs)``, where
-    ``pairs(q0, path)`` gives the carried pairs followed by
-    ``transition(lo, hi, q0, path)`` (see
-    :func:`attsim.filters.aekf_predict`). So a segment that spans chunk ends
+    ``(start, m, n)``: the filter at the start of the segment open when the
+    chunk starts, and the increments and gyro steps of its blocks in earlier
+    chunks, as lists (:func:`_carry`). Segment ``[lo, hi)`` is crossed from
+    its start by one ``predict(start, m + increments[lo:hi], n +
+    steps[lo:hi], dt, noise, phi)`` (see
+    :func:`attsim.filters.aekf_predict`), so a segment that spans chunk ends
     is crossed again from its start in each chunk, and each block gets the
-    bits it gets when one chunk holds the whole segment. The predict gives
-    the filter after each block; the last is then updated with the
-    quaternion ``measured[hi - 1]`` (with covariance ``r``) unless it is
-    None. Block ``i`` is snapshotted if ``keep[i]``, after its update if it
-    has one. Returns the carry into the next chunk, the snapshots'
-    quaternions ``(n_keep, 4)`` and covariances ``(n_keep, n, n)``, and
-    None; if an update raises NumericalFailure, the pass stops at that
-    block and the last item is ``(i, exception)``.
+    bits it gets when one chunk holds the whole segment. ``phi`` holds the
+    filter's transition of each block of the chunk, built from
+    ``increments`` in one call: a segment of one block takes its row, which
+    is the transition the predict would build, and a longer one builds its
+    own. The predict gives the filter after each
+    block; the last is then updated with the quaternion ``measured[hi - 1]``
+    (with covariance ``r``) unless it is None. Block ``i`` is snapshotted if
+    ``keep[i]``, after its update if it has one. Returns the carry into the
+    next chunk, the snapshots' quaternions ``(n_keep, 4)`` and covariances
+    ``(n_keep, n, n)``, and None; if an update raises NumericalFailure, the
+    pass stops at that block and the last item is ``(i, exception)``.
     """
-    start, m_open, pairs_open = carry
+    start, m_open, n_open = carry
     q_kept = np.empty((sum(keep), 4))
     p_kept = np.empty(q_kept.shape[:1] + start.p.shape)
     j = 0
@@ -472,17 +465,9 @@ def _estimate(carry, predict, update, r, transition, increments, measured, keep)
         hi = lo + 1
         while hi < n and measured[hi - 1] is None and c + hi - lo < _MAX_SEGMENT_BLOCKS:
             hi += 1
-
-        def pairs(q0, path):
-            nonlocal pairs_open
-            phi, q = transition(lo, hi, q0, path)
-            if pairs_open is not None:
-                phi, q = np.concatenate((pairs_open[0], phi)), np.concatenate((pairs_open[1], q))
-            pairs_open = phi, q
-            return phi, q
-
         m_open = m_open + increments[lo:hi]
-        quats, covs = predict(start, m_open, pairs)
+        n_open = n_open + steps[lo:hi]
+        quats, covs = predict(start, m_open, n_open, dt, noise, phi[lo:hi] if len(m_open) == 1 else None)
         state = type(start)(quats[-1], covs[-1])
         q_meas = measured[hi - 1]
         if q_meas is not None:
@@ -504,9 +489,9 @@ def _estimate(carry, predict, update, r, transition, increments, measured, keep)
             p_kept[j] = state.p
             j += 1
         if q_meas is not None or len(m_open) == _MAX_SEGMENT_BLOCKS:
-            start, m_open, pairs_open = _carry(state)
+            start, m_open, n_open = _carry(state)
         lo = hi
-    return (start, m_open, pairs_open), q_kept, p_kept, None
+    return (start, m_open, n_open), q_kept, p_kept, None
 
 
 def run_simulation(cfg: SimConfig) -> RunResult:
@@ -592,17 +577,6 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             if n_pending == _RECORD_CHUNK:
                 flush()
 
-    def aekf_transition(rates, steps):
-        """The AEKF's ``transition(lo, hi, q0, path)`` over a chunk's stack of block rates."""
-        if noise.aekf_q_flat:
-            return _prebuilt(*aekf_transitions(rates, steps, dt, noise))
-
-        def kinematic(lo, hi, q0, path):  # Q is taken at the AEKF's own attitude at each block start
-            starts = np.concatenate((q0[None], path[:-1]))[lo - hi:]
-            return aekf_transitions(rates[lo:hi, :steps[lo:hi].max()], steps[lo:hi], dt, noise, starts)
-
-        return kinematic
-
     for ends, at_epoch, keep in _plan_chunks(cfg):
         steps = np.diff(ends, prepend=steps_done)
 
@@ -630,25 +604,25 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 
         # estimate passes: the gyro increment products of the blocks, which
         # both filters share, then each filter across the blocks in turn,
-        # timed as a whole with its own transition build. A failure at
-        # block j ends the chunk there: both passes run again from the
-        # chunk's start, without the update at j and with a record there
+        # timed as a whole with its own build of the blocks' transitions. A
+        # failure at block j ends the chunk there: both passes run again
+        # from the chunk's start, without the update at j and with a record
+        # there
         t0 = time.perf_counter()
-        rates = _pad(gyro, rows)
-        increments = block_increments(rates, dt).tolist()
+        increments = block_increments(_pad(gyro, rows), dt)
+        m_list = increments.tolist()
         shared_s = time.perf_counter() - t0
+        steps_list = steps.tolist()
         while True:
             if failure is not None:
                 stop = failure[0]
                 measured, keep = measured[:stop] + [None], keep[:stop] + [True]
-            # each pass's (Phi, Q) stacks are dropped when it returns
             t0 = time.perf_counter()
-            aekf_out = _estimate(aekf, aekf_predict, aekf_update, r4, aekf_transition(rates, steps),
-                                 increments, measured, keep)
+            aekf_out = _estimate(aekf, aekf_predict, aekf_update, r4, dt, noise, aekf_transitions(increments),
+                                 m_list, steps_list, measured, keep)
             t1 = time.perf_counter()
-            mekf_out = _estimate(mekf, mekf_predict, mekf_update, r3,
-                                 _prebuilt(*mekf_transitions(rates, steps, dt, noise)),
-                                 increments, measured, keep)
+            mekf_out = _estimate(mekf, mekf_predict, mekf_update, r3, dt, noise, mekf_transitions(increments),
+                                 m_list, steps_list, measured, keep)
             t2 = time.perf_counter()
             failures = [out[3] for out in (aekf_out, mekf_out) if out[3] is not None]
             if not failures:

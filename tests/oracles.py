@@ -24,12 +24,17 @@ the polar method written out one draw at a time, and
 reference its block counterpart must equal bit for bit, in values, state
 and spare deviate.
 
-``attsim.harness`` crosses a chunk's blocks one update segment at a time,
-with one predict per segment that applies every prefix of the segment's
-block transitions at once. :func:`estimate_per_block` is the per-block
-recursion it replaced, one ``symmetrize(Phi P Phi^T + Q)`` and one
-quaternion product per block, the reference the segment pass is bounded
-against (and equals bit for bit when every segment is one block).
+``attsim.filters`` propagates each filter's covariance across a block, or
+an update segment of blocks, in closed form: the exact transition of the
+rotation from the segment start, built from the block increments, and the
+process noise of all the steps crossed. :func:`predict_per_step` is the
+recursion that closed form sums, one gyro step at a time: the exact
+one-step transition built from the rate by Rodrigues' formula
+(:func:`step_transitions`), with :func:`omega_matrix` and
+:func:`cross_matrix`, and the one-step process noise, the AEKF's kinematic
+noise taken at the attitude after the step. :func:`estimate_per_step` runs
+``attsim.harness._estimate``'s pass with it, step by step; they are the
+references the block and segment forms are bounded against.
 
 ``attsim.harness._plan_chunks`` finds the first step reaching the next
 tracker epoch once per epoch and builds each chunk's block facts as lists.
@@ -55,7 +60,7 @@ import numpy as np
 
 import attsim.harness as harness
 import attsim.numerics as numerics
-from attsim.attitude import quat_mul, quat_normalize, quat_to_matrix
+from attsim.attitude import integrate_quat, quat_mul, quat_normalize, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from attsim.filters import AekfState
 from attsim.numerics import check_symmetric, jacobi_eigen_sym, symmetrize
@@ -335,18 +340,89 @@ def solve_numpy_rows(a, b):
     return x[:, 0].copy() if vector else x.copy()
 
 
-def estimate_per_block(carry, predict, update, r, transition, increments, measured, keep):
-    """``attsim.harness._estimate`` with one predict per block, written out.
+def omega_matrix(omega) -> np.ndarray:
+    """4x4 matrix Omega with Omega @ q == (omega; 0) * q."""
+    wx, wy, wz = omega
+    return np.array(
+        [
+            [0.0, -wz, wy, wx],
+            [wz, 0.0, -wx, wy],
+            [-wy, wx, 0.0, wz],
+            [-wx, -wy, -wz, 0.0],
+        ]
+    )
 
-    Takes the arguments of ``_estimate`` and returns what it returns; no
-    segment is ever left open, so the carry in and out is ``(state, [],
-    None)``. Block
-    ``i`` takes its pair from ``transition(i, i + 1, q, path)``, ``q`` the
-    filter's attitude at the block start and ``path`` its attitude after the
-    block, as a segment of that one block gives them. The quaternion
-    advances by ``M q`` (renormalized for the AEKF) and the covariance by
-    ``symmetrize(Phi P Phi^T + Q)``; then the block's update and snapshot
-    follow. ``predict`` is not called.
+
+def cross_matrix(v) -> np.ndarray:
+    """Skew-symmetric matrix [v x] with [v x] @ u == v x u."""
+    vx, vy, vz = v
+    return np.array(
+        [
+            [0.0, -vz, vy],
+            [vz, 0.0, -vx],
+            [-vy, vx, 0.0],
+        ]
+    )
+
+
+def step_transitions(rates, dt: float, aekf: bool) -> np.ndarray:
+    """Exact covariance transition of each gyro step of ``rates`` ``(n, 3)``, from the rates alone.
+
+    The AEKF's is the matrix of the step's quaternion map, ``exp(0.5 *
+    Omega(omega) * dt) = cos(h) I + sin(h) / |omega| * Omega(omega)`` with
+    ``h = 0.5 * |omega| * dt``. The MEKF's is the rotation of the attitude
+    error about ``omega`` by ``theta = |omega| * dt``, Rodrigues' ``I +
+    sin(theta) K + (1 - cos(theta)) K^2`` with ``K = [omega x] / |omega|``,
+    which is ``I + [omega x] dt`` to first order. A zero rate gives I.
+    Returns ``(n, 4, 4)`` or ``(n, 3, 3)``.
+    """
+    w = np.asarray(rates, dtype=float).reshape(-1, 3)
+    wnorm = np.sqrt((w * w).sum(axis=1))
+    safe = np.where(wnorm > 0.0, wnorm, 1.0)[:, None, None]
+    if aekf:
+        half = (0.5 * dt * wnorm)[:, None, None]
+        omega = np.array([omega_matrix(row) for row in w])
+        return np.cos(half) * np.eye(4) + np.sin(half) / safe * omega
+    theta = (dt * wnorm)[:, None, None]
+    k = np.array([cross_matrix(row) for row in w]) / safe
+    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+
+
+def predict_per_step(state, rates, dt: float, noise):
+    """Propagate a filter state across ``rates`` ``(n, 3)``, one exact gyro step per row.
+
+    Each step advances the quaternion by the exact one-step integrator
+    (renormalized for the AEKF) and the covariance by ``symmetrize(Phi P
+    Phi^T + Q)``, with Phi from :func:`step_transitions` and the one-step
+    noise ``sigma_v^2 dt I``, or for the AEKF with ``aekf_q_flat`` false
+    ``0.25 sigma_v^2 dt (I - q q^T)`` at the attitude q after the step.
+    """
+    aekf = isinstance(state, AekfState)
+    kinematic = aekf and not noise.aekf_q_flat
+    rates = np.asarray(rates, dtype=float).reshape(-1, 3)
+    per_step = noise.sigma_v * noise.sigma_v * dt
+    q, p = state.q, state.p
+    qn = per_step * np.eye(p.shape[0])
+    for w, phi in zip(rates, step_transitions(rates, dt, aekf)):
+        q = integrate_quat(q, w, dt)
+        if aekf:
+            q = quat_normalize(q)
+        if kinematic:
+            qn = 0.25 * per_step * (np.eye(4) - np.outer(q, q))
+        p = symmetrize(phi @ p @ phi.T + qn)
+    return type(state)(q, p)
+
+
+def estimate_per_step(rates, carry, predict, update, r, dt, noise, phi, increments, steps, measured, keep):
+    """``attsim.harness._estimate`` with one predict per gyro step, written out.
+
+    ``rates`` is the chunk's zero-padded ``(blocks, longest block, 3)``
+    stack of gyro rates; the other arguments are those of ``_estimate``, and
+    the return is what it returns. No segment is ever left open, so the
+    carry in and out is ``(state, [], [])``. Block ``i`` crosses its
+    ``steps[i]`` rates by :func:`predict_per_step`; then the block's update
+    and snapshot follow. ``predict``, ``phi`` and ``increments`` are not
+    used.
     """
     state, m_open, _ = carry
     assert not m_open
@@ -354,21 +430,17 @@ def estimate_per_block(carry, predict, update, r, transition, increments, measur
     p_kept = np.empty(q_kept.shape[:1] + state.p.shape)
     j = 0
     for i, q_meas in enumerate(measured):
-        q = quat_mul(increments[i], state.q)
-        if isinstance(state, AekfState):
-            q = quat_normalize(q)
-        phi, qn = transition(i, i + 1, state.q, q[None])
-        state = type(state)(q, symmetrize(phi[0] @ state.p @ phi[0].T + qn[0]))
+        state = predict_per_step(state, rates[i, :steps[i]], dt, noise)
         if q_meas is not None:
             try:
                 state = update(state, q_meas, r)
             except NumericalFailure as exc:
-                return (state, [], None), q_kept, p_kept, (i, exc)
+                return (state, [], []), q_kept, p_kept, (i, exc)
         if keep[i]:
             q_kept[j] = state.q
             p_kept[j] = state.p
             j += 1
-    return (state, [], None), q_kept, p_kept, None
+    return (state, [], []), q_kept, p_kept, None
 
 
 def plan_chunks_per_block(cfg):

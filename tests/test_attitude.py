@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from attsim.attitude import (
     block_increments,
-    cross_matrix,
     error_angle,
     identity_quat,
     integrate_quat,
-    omega_matrix,
     quat_conjugate,
+    quat_left_matrix,
     quat_mul,
     quat_normalize,
     quat_to_gibbs,
@@ -22,7 +21,15 @@ from attsim.errors import DegenerateQuaternion, GibbsSingularity, InvalidInput
 from attsim.numerics import RngStream
 
 from conftest import random_unit_quat, random_unit_vec
-from oracles import axis_angle_quat, error_angle_numpy, gibbs_to_quat, quat_kinematics, quat_mul_numpy
+from oracles import (
+    axis_angle_quat,
+    cross_matrix,
+    error_angle_numpy,
+    gibbs_to_quat,
+    omega_matrix,
+    quat_kinematics,
+    quat_mul_numpy,
+)
 
 HALF_SQRT2 = math.sqrt(0.5)
 
@@ -188,6 +195,20 @@ class TestKinematics:
         w = 2.0 * random_unit_vec(rng)
         direct = quat_mul(np.append(w, 0.0), q)
         assert np.allclose(omega_matrix(w) @ q, direct, atol=1e-14)
+
+    def test_left_matrix_is_the_hamilton_product(self):
+        # each entry of L(a) is a component of a or its negative, exactly,
+        # and a stack gives each row's matrix
+        rng = RngStream(7)
+        a = np.array([random_unit_quat(rng) for _ in range(5)])
+        b = random_unit_quat(rng)
+        left = quat_left_matrix(a)
+        assert left.shape == (5, 4, 4)
+        for row, mat in zip(a, left):
+            assert mat.tobytes() == quat_left_matrix(row).tobytes()
+            assert set(np.abs(mat).ravel().tolist()) <= set(np.abs(row).tolist())
+            assert np.allclose(mat @ b, quat_mul(row, b), atol=1e-15)
+        assert np.array_equal(quat_left_matrix(identity_quat()), np.eye(4))
 
 
 def _rk4_kinematics(q, omega, dt, n_sub):

@@ -5,13 +5,14 @@ import pytest
 
 from attsim.attitude import (
     block_increments,
-    cross_matrix,
     error_angle,
     identity_quat,
     integrate_quat,
-    integrate_quat_path,
+    quat_conjugate,
     quat_mul,
     quat_normalize,
+    quat_path,
+    quat_to_gibbs,
 )
 from attsim.errors import GibbsSingularity, InvalidInput, NumericalFailure
 from attsim.filters import (
@@ -22,8 +23,6 @@ from attsim.filters import (
     aekf_predict,
     aekf_transitions,
     aekf_update,
-    compose_prefixes,
-    compose_transitions,
     mekf_init,
     mekf_predict,
     mekf_transitions,
@@ -33,7 +32,7 @@ from attsim.harness import ORBIT_PERIOD_S, trajectory_omega
 from attsim.numerics import RngStream
 
 from conftest import random_unit_quat, random_unit_vec
-from oracles import axis_angle_quat
+from oracles import axis_angle_quat, cross_matrix, gibbs_to_quat, predict_per_step
 
 DT = 0.01
 
@@ -47,57 +46,38 @@ def _psd(rng, n, scale=1.0):
     return scale * (m @ m.T) / n + 1e-9 * np.eye(n)
 
 
-def _block(omegas):
-    """A rate ``(3,)`` or a block of rates ``(n, 3)`` as a stack of one block, and its step count."""
-    w = np.asarray(omegas, dtype=float).reshape(1, -1, 3)
-    return w, [w.shape[1]]
+def _predict_fn(s):
+    return mekf_predict if isinstance(s, MekfState) else aekf_predict
 
 
-def _segment_transition(w, steps, dt, noise, name):
-    """The ``transition(q0, path)`` of a predict across the blocks of ``w``, built as the harness builds it."""
-    if name == "mekf":
-        return lambda q0, path: mekf_transitions(w, steps, dt, noise)
-    # the kinematic Q reads the attitude at each block start; the flat Q ignores it
-    return lambda q0, path: aekf_transitions(w, steps, dt, noise, np.concatenate((q0[None], path[:-1])))
-
-
-def _predict(s, increments, transition):
-    """The filter's predict across a segment; the state after its last block."""
-    quats, covs = (mekf_predict if isinstance(s, MekfState) else aekf_predict)(s, increments, transition)
-    return type(s)(quats[-1], covs[-1])
+def _transitions_fn(s):
+    return mekf_transitions if isinstance(s, MekfState) else aekf_transitions
 
 
 def predict_segment(s, w, steps, dt, noise):
     """One predict across a segment of blocks of rates ``(k, L, 3)``; the state after its last block."""
-    name = "mekf" if isinstance(s, MekfState) else "aekf"
-    return _predict(s, block_increments(w, dt).tolist(), _segment_transition(w, steps, dt, noise, name))
+    quats, covs = _predict_fn(s)(s, block_increments(w, dt).tolist(), list(steps), dt, noise)
+    return type(s)(quats[-1], covs[-1])
 
 
 def predict_rates(s, omegas, dt, noise):
-    """One predict across ``omegas`` as one block."""
-    return predict_segment(s, *_block(omegas), dt, noise)
+    """One predict across ``omegas``, a rate ``(3,)`` or a block of rates ``(n, 3)``, as one block."""
+    w = np.asarray(omegas, dtype=float).reshape(1, -1, 3)
+    return predict_segment(s, w, [w.shape[1]], dt, noise)
 
 
-def predict_each_step(s, rates, dt, noise):
-    """One predict per row of ``rates``, each a segment of one one-step block.
+def predict_blocks_prebuilt(s, w, steps, dt, noise):
+    """One predict per block of ``w`` ``(k, L, 3)``, each a segment of one, as the harness runs it.
 
-    The increments, and the one-step transitions of the MEKF and of the
-    flat-Q AEKF, depend on the rates alone, so they are built as one stack
-    of one-step blocks; the kinematic AEKF Q is taken at the attitude before
-    each step, so it is built step by step.
+    The transitions of all the blocks are built in one call from their
+    increments, and each predict takes its block's row.
     """
-    one_step = rates[:, None, :]
-    steps = np.ones(len(rates), dtype=int)
-    increments = block_increments(one_step, dt).tolist()
-    kinematic = isinstance(s, AekfState) and not noise.aekf_q_flat
-    if not kinematic:
-        phi, q = (aekf_transitions if isinstance(s, AekfState) else mekf_transitions)(one_step, steps, dt, noise)
-    for k, m in enumerate(increments):
-        if kinematic:
-            transition = _segment_transition(one_step[k:k + 1], steps[k:k + 1], dt, noise, "aekf")
-        else:
-            transition = lambda q0, path, k=k: (phi[k:k + 1], q[k:k + 1])
-        s = _predict(s, [m], transition)
+    increments = block_increments(w, dt)
+    phi = _transitions_fn(s)(increments)
+    predict = _predict_fn(s)
+    for b, m in enumerate(increments.tolist()):
+        quats, covs = predict(s, [m], [steps[b]], dt, noise, phi[b:b + 1])
+        s = type(s)(quats[-1], covs[-1])
     return s
 
 
@@ -109,14 +89,30 @@ def predict_one_step_blocks(s, rates, dt, noise):
 def mekf_build_matrices(noise: NoiseParams, omega, dt: float):
     """Continuous-time MEKF attitude-error matrices (F, Q, H) for one step.
 
-    The textbook oracle of ``mekf_predict``: F = -[omega x] couples the
-    attitude error to itself through the angular-rate cross matrix, the
-    gyro white noise gives Q = sigma_v^2 dt I, and H = I observes the whole
-    error. ``mekf_predict`` must equal ``Phi = I + F dt`` and Q.
+    The error is ``q_err = q_true * q^-1``, and truth and reference both
+    cross each step's increment on the left, so the error's vector part
+    turns with the body rate: F = +[omega x]. The gyro white noise gives
+    Q = sigma_v^2 dt I, and H = I observes the whole error. The exact
+    transition of a step is exp(F dt).
     """
-    f = -cross_matrix(omega)
+    f = cross_matrix(omega)
     q = (noise.sigma_v * noise.sigma_v * dt) * np.eye(3)
     return f, q, np.eye(3)
+
+
+def _identity_starts():
+    """An AEKF and an MEKF at the identity attitude with covariance 1e-4 I."""
+    return aekf_init(identity_quat(), 1e-4 * np.eye(4)), mekf_init(identity_quat(), 1e-4 * np.eye(3))
+
+
+def _expm(a, terms=25):
+    """exp(a) by its power series, for matrices of small norm."""
+    out = np.zeros_like(a)
+    term = np.eye(a.shape[0])
+    for k in range(1, terms):
+        out += term
+        term = term @ a / k
+    return out
 
 
 class TestAekfPredict:
@@ -137,7 +133,7 @@ class TestAekfPredict:
 
     def test_transition_matches_numerical_jacobian(self):
         # integrate_quat is linear in q, so central differences recover its
-        # matrix exactly; F = I + 0.5*Omega*dt matches to O(dt^2)
+        # matrix up to rounding; the block's transition L(M) is that matrix
         rng = RngStream(52)
         q = random_unit_quat(rng)
         w = 1.5 * random_unit_vec(rng)
@@ -148,26 +144,35 @@ class TestAekfPredict:
             dq = np.zeros(4)
             dq[j] = eps
             jac[:, j] = (integrate_quat(q + dq, w, dt) - integrate_quat(q - dq, w, dt)) / (2 * eps)
+        phi = aekf_transitions(block_increments(w.reshape(1, 1, 3), dt))[0]
+        assert np.max(np.abs(phi - jac)) <= 1e-9
+        # the first-order F = I + 0.5*Omega*dt is within O(dt^2) of it
         h = 0.5 * dt
         f = np.eye(4)
         f[0, 1], f[0, 2], f[0, 3] = -h * w[2], h * w[1], h * w[0]
         f[1, 0], f[1, 2], f[1, 3] = h * w[2], -h * w[0], h * w[1]
         f[2, 0], f[2, 1], f[2, 3] = -h * w[1], h * w[0], h * w[2]
         f[3, 0], f[3, 1], f[3, 2] = -h * w[0], -h * w[1], -h * w[2]
-        assert np.max(np.abs(f - jac)) <= 1e-4
+        assert np.max(np.abs(f - phi)) <= 1e-6
 
     def test_kinematic_q_is_tangent_projector(self):
+        # from P = 0, one block leaves the noise of its steps, taken at the
+        # attitude after the block and zero along it
         rng = RngStream(53)
         q = random_unit_quat(rng)
         s = aekf_init(q, np.zeros((4, 4)))
         noise = NoiseParams(sigma_v=2e-2, aekf_q_flat=False)
-        s2 = predict_rates(s, np.zeros(3), DT, noise)
-        expect = (0.25 * noise.sigma_v**2 * DT) * (np.eye(4) - np.outer(q, q))
-        assert np.allclose(s2.p, expect, atol=1e-18)
+        rates = 0.8 * np.array([random_unit_vec(rng) for _ in range(7)])
+        s2 = predict_rates(s, rates, DT, noise)
+        expect = (0.25 * noise.sigma_v**2 * DT * 7) * (np.eye(4) - np.outer(s2.q, s2.q))
+        assert np.allclose(s2.p, expect, rtol=0.0, atol=1e-19)
+        assert np.max(np.abs(s2.p @ s2.q)) <= 1e-19
 
     def test_rejects_bad_dt(self):
-        with pytest.raises(InvalidInput):
-            aekf_transitions(np.zeros((1, 1, 3)), [1], 0.0, _quiet())
+        s = aekf_init(identity_quat(), np.eye(4))
+        for dt in (0.0, -1.0):
+            with pytest.raises(InvalidInput):
+                aekf_predict(s, [identity_quat()], [1], dt, _quiet())
 
 
 class TestAekfUpdate:
@@ -230,10 +235,13 @@ class TestAekfUpdate:
 
 class TestMekfMatrices:
     def test_q_with_zero_bias_walk(self):
-        # the gyro has no bias, so Q is the white-noise term alone
+        # the gyro has no bias, so Q is the white-noise term alone, and a
+        # predict from P = 0 leaves it
         noise = NoiseParams(sigma_v=2e-3)
         _, q, _ = mekf_build_matrices(noise, np.zeros(3), DT)
         assert np.allclose(q, (noise.sigma_v**2 * DT) * np.eye(3))
+        s = predict_rates(mekf_init(identity_quat(), np.zeros((3, 3))), np.array([0.3, -0.2, 0.9]), DT, noise)
+        assert np.allclose(s.p, q, rtol=1e-14, atol=0.0)
 
     def test_q_vanishes_with_dt(self):
         noise = NoiseParams(sigma_v=1e-3)
@@ -241,9 +249,14 @@ class TestMekfMatrices:
         assert np.max(np.abs(q)) <= 1e-14
 
     def test_f_cross_block(self):
-        f, _, h = mekf_build_matrices(_quiet(), np.array([0.0, 0.0, 1.0]), DT)
-        assert np.allclose(f, [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        # F is the derivative at dt = 0 of the package's exact transition
+        w = np.array([0.0, 0.0, 1.0])
+        f, _, h = mekf_build_matrices(_quiet(), w, DT)
+        assert np.allclose(f, [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         assert np.allclose(h, np.eye(3))
+        eps = 1e-6
+        ahead, back = (mekf_transitions(block_increments(w.reshape(1, 1, 3), d))[0] for d in (eps, -eps))
+        assert np.max(np.abs((ahead - back) / (2 * eps) - f)) <= 1e-9
 
 
 class TestMekfPredict:
@@ -261,18 +274,12 @@ class TestMekfPredict:
         assert np.trace(s2.p) > 0.0
 
     def test_phi_matches_matrix_exponential(self):
-        # series oracle: sum F^k dt^k / k!
-        noise = _quiet()
+        # series oracle: the exact transition of a step is exp(F dt)
         w = np.array([0.7, -1.1, 0.4])
-        dt = 1e-3
-        f, _, _ = mekf_build_matrices(noise, w, dt)
-        expm = np.zeros((3, 3))
-        term = np.eye(3)
-        for k in range(1, 20):
-            expm += term
-            term = term @ (f * dt) / k
-        phi = np.eye(3) + dt * f
-        assert np.max(np.abs(phi - expm)) <= 1e-5
+        for dt in (1e-3, 0.5):
+            f, _, _ = mekf_build_matrices(_quiet(), w, dt)
+            phi = mekf_transitions(block_increments(w.reshape(1, 1, 3), dt))[0]
+            assert np.max(np.abs(phi - _expm(f * dt))) <= 1e-15
 
     def test_predict_equals_explicit_matrix_route(self):
         rng = RngStream(62)
@@ -280,7 +287,7 @@ class TestMekfPredict:
         s = mekf_init(random_unit_quat(rng), _psd(rng, 3, 1e-4))
         w = 1.3 * random_unit_vec(rng)
         f, q, _ = mekf_build_matrices(noise, w, DT)
-        phi = np.eye(3) + DT * f
+        phi = _expm(f * DT)
         p_explicit = phi @ s.p @ phi.T + q
         p_explicit = 0.5 * (p_explicit + p_explicit.T)
         # a single rate and a block of one step are the same predict
@@ -288,9 +295,30 @@ class TestMekfPredict:
             s2 = predict_rates(s, rates, DT, noise)
             assert np.max(np.abs(s2.p - p_explicit)) <= 1e-18
 
+    def test_gibbs_error_follows_the_transition(self):
+        # truth and reference cross the same increments; the attitude error
+        # a = 2 g(q_true * q^-1) after them is Phi a. With P = a a^T, a
+        # rank-one covariance that points along the error, the predicted P
+        # must be a' a'^T; the first-order I - [omega x] dt misses it by
+        # tens of percent at this step size
+        w = np.array([0.3, -0.5, 1.2])
+        dt = 0.5
+        a = np.array([1.0, -2.0, 3.0]) * 1e-4
+        q_ref = quat_normalize(np.array([0.2, -0.4, 0.1, 0.9]))
+        q_true = quat_mul(gibbs_to_quat(0.5 * a), q_ref)
+        for rates in (w[None, :], np.array([w, -0.5 * w, [0.4, 0.0, -0.2]])):
+            m = block_increments(rates[None], dt).tolist()
+            moved = quat_mul(m[0], q_true)
+            s = predict_rates(mekf_init(q_ref, np.outer(a, a)), rates, dt, _quiet())
+            a_after = 2.0 * quat_to_gibbs(quat_mul(moved, quat_conjugate(s.q)))
+            assert np.max(np.abs(s.p - np.outer(a_after, a_after))) <= 1e-12 * float(a @ a)
+            assert np.max(np.abs(mekf_transitions(m)[0] @ a - a_after)) <= 1e-14
+
     def test_rejects_bad_dt(self):
-        with pytest.raises(InvalidInput):
-            mekf_transitions(np.zeros((1, 1, 3)), [1], -1.0, _quiet())
+        s = mekf_init(identity_quat(), np.eye(3))
+        for dt in (0.0, -1.0):
+            with pytest.raises(InvalidInput):
+                mekf_predict(s, [identity_quat()], [1], dt, _quiet())
 
 
 class TestMekfUpdate:
@@ -380,26 +408,24 @@ class TestBlockPredict:
     def test_block_equals_sequential_steps(self, n):
         rng = np.random.default_rng(n)
         rates = rng.standard_normal((n, 3))
-        for flat in (True, False):
-            noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=flat)
-            a = b = start = aekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(4))
-            a = predict_rates(a, rates, DT, noise)
+        starts = [aekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(4)) for _ in range(2)]
+        starts.append(mekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(3)))
+        noises = [NoiseParams(sigma_v=1e-3, aekf_q_flat=flat) for flat in (True, False, True)]
+        for start, noise in zip(starts, noises):
+            a = predict_rates(start, rates, DT, noise)
+            b = start
             for w in rates:
                 b = predict_rates(b, w, DT, noise)
             assert error_angle(a.q, b.q) <= 1e-14
             assert np.max(np.abs(a.p - b.p)) <= 1e-14 * np.max(np.abs(b.p))
-            # a stack of one-step blocks is one-step predicts, bit for bit
-            c = predict_each_step(start, rates, DT, noise)
+            # a stack of one-step blocks, each taking its row of one build,
+            # is one-step predicts, bit for bit
+            c = predict_blocks_prebuilt(start, rates[:, None, :], [1] * n, DT, noise)
             assert np.array_equal(c.q, b.q) and np.array_equal(c.p, b.p)
-        noise = NoiseParams(sigma_v=1e-3)
-        a = b = start = mekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(3))
-        a = predict_rates(a, rates, DT, noise)
-        for w in rates:
-            b = predict_rates(b, w, DT, noise)
-        assert error_angle(a.q, b.q) <= 1e-14
-        c = predict_each_step(start, rates, DT, noise)
-        assert np.array_equal(c.q, b.q) and np.array_equal(c.p, b.p)
-        assert np.max(np.abs(a.p - b.p)) <= 1e-14 * np.max(np.abs(b.p))
+            # and the exact recursion step by step agrees with both
+            d = predict_per_step(start, rates, DT, noise)
+            assert error_angle(d.q, b.q) <= 1e-14
+            assert np.max(np.abs(d.p - b.p)) <= 1e-14 * np.max(np.abs(b.p))
 
     @pytest.mark.parametrize("sizes", [[1], [4], [1] * 9, [3, 1, 7, 2, 5], [1, 1, 20, 1, 1, 1]])
     def test_segment_equals_one_predict_per_block(self, sizes):
@@ -413,17 +439,16 @@ class TestBlockPredict:
             w[b, :n] = rng.standard_normal((n, 3))
         q0 = quat_normalize(rng.standard_normal(4))
         cases = [
-            (aekf_init(q0, 1e-4 * np.eye(4)), aekf_predict, "aekf", NoiseParams(sigma_v=1e-3, aekf_q_flat=True)),
-            (aekf_init(q0, 1e-4 * np.eye(4)), aekf_predict, "aekf", NoiseParams(sigma_v=1e-3, aekf_q_flat=False)),
-            (mekf_init(q0, 1e-4 * np.eye(3)), mekf_predict, "mekf", NoiseParams(sigma_v=1e-3)),
+            (aekf_init(q0, 1e-4 * np.eye(4)), NoiseParams(sigma_v=1e-3, aekf_q_flat=True)),
+            (aekf_init(q0, 1e-4 * np.eye(4)), NoiseParams(sigma_v=1e-3, aekf_q_flat=False)),
+            (mekf_init(q0, 1e-4 * np.eye(3)), NoiseParams(sigma_v=1e-3)),
         ]
-        for start, predict, name, noise in cases:
-            transition = _segment_transition(w, sizes, DT, noise, name)
-            quats, covs = predict(start, block_increments(w, DT).tolist(), transition)
+        for start, noise in cases:
+            quats, covs = _predict_fn(start)(start, block_increments(w, DT).tolist(), sizes, DT, noise)
             assert quats.shape == (len(sizes), 4) and covs.shape == (len(sizes),) + start.p.shape
             s = start
             for b, n in enumerate(sizes):
-                s = predict_segment(s, w[b:b + 1, :n], [n], DT, noise)
+                s = predict_blocks_prebuilt(s, w[b:b + 1, :n], [n], DT, noise)
                 assert quats[b].tobytes() == s.q.tobytes()
                 assert np.array_equal(covs[b], covs[b].T)
                 assert np.max(np.abs(covs[b] - s.p)) <= 1e-12 * np.max(np.abs(s.p))
@@ -432,68 +457,86 @@ class TestBlockPredict:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 33])
     def test_prefixes_are_the_sequential_compositions(self, k):
+        # the transition from the segment start to each block end, built
+        # from the product of the increments, is the blocks' transitions
+        # composed one after the other, and the covariance after each block
+        # is the blocks' pairs (Phi, n_j sigma_v^2 dt I) applied in turn
         rng = np.random.default_rng(k)
-        phi = np.eye(4) + 1e-2 * rng.standard_normal((k, 4, 4))
-        q = 1e-6 * np.eye(4) * rng.uniform(size=(k, 1, 1))
-        phi_p, q_p = compose_prefixes(phi, q)
-        assert phi_p.shape == q_p.shape == (k, 4, 4)
-        assert phi_p[0].tobytes() == phi[0].tobytes() and q_p[0].tobytes() == q[0].tobytes()
-        want_phi, want_q = phi[0], q[0]
-        for j in range(1, k):
-            want_q = phi[j] @ want_q @ phi[j].T + q[j]
-            want_phi = phi[j] @ want_phi
-            assert np.max(np.abs(phi_p[j] - want_phi)) <= 1e-15 * k
-            assert np.max(np.abs(q_p[j] - want_q)) <= 1e-15 * k * np.max(np.abs(want_q))
-        # the last prefix is the whole sequence, as compose_transitions reduces it
-        phi_c, q_c = compose_transitions(phi[None], q[None])
-        assert np.max(np.abs(phi_p[-1] - phi_c[0])) <= 1e-15 * k
+        m = [quat_normalize(rng.standard_normal(4)).tolist() for _ in range(k)]
+        steps = rng.integers(1, 50, size=k).tolist()
+        noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=True)
+        for start in _identity_starts():
+            transitions = _transitions_fn(start)
+            block = transitions(m)
+            prefix = transitions(quat_path(identity_quat(), m))
+            assert prefix[0].tobytes() == block[0].tobytes()
+            _, covs = _predict_fn(start)(start, m, steps, DT, noise)
+            want_phi, want_p = np.eye(len(start.p)), start.p
+            for j in range(k):
+                want_phi = block[j] @ want_phi
+                noise_j = (steps[j] * noise.sigma_v**2 * DT) * np.eye(len(start.p))
+                want_p = block[j] @ want_p @ block[j].T + noise_j
+                assert np.max(np.abs(prefix[j] - want_phi)) <= 1e-15 * (j + 1)
+                assert np.max(np.abs(covs[j] - want_p)) <= 1e-15 * (j + 1) * np.max(np.abs(want_p))
 
     @pytest.mark.parametrize("shape", [(0, 1, 3), (1, 0, 3), (2, 3), (2, 3, 1)])
     def test_rejects_malformed_rate_blocks(self, shape):
-        steps = np.ones(shape[0], dtype=int)
-        q0 = np.tile(identity_quat(), (shape[0], 1))
-        kinematic = NoiseParams(sigma_v=1e-3, aekf_q_flat=False)
-        for build, args in ((aekf_transitions, (_quiet(),)), (aekf_transitions, (kinematic, q0)),
-                            (mekf_transitions, (_quiet(),))):
-            with pytest.raises(InvalidInput):
-                build(np.zeros(shape), steps, DT, *args)
+        with pytest.raises(InvalidInput):
+            block_increments(np.zeros(shape), DT)
 
-    @pytest.mark.parametrize("steps", [[0, 2], [1, 3], [2], [1, 1, 1]])
+    @pytest.mark.parametrize("steps", [[0, 2], [2, -1], [2], [1, 1, 1]])
     def test_rejects_step_counts_outside_the_stack(self, steps):
-        # two blocks of at most two steps each
-        for build in (aekf_transitions, mekf_transitions):
+        # a segment of two blocks: one step count per block, each at least one
+        m = [identity_quat().tolist()] * 2
+        for start in (aekf_init(identity_quat(), np.eye(4)), mekf_init(identity_quat(), np.eye(3))):
             with pytest.raises(InvalidInput):
-                build(np.zeros((2, 2, 3)), steps, DT, _quiet())
+                _predict_fn(start)(start, m, steps, DT, _quiet())
 
-    def test_kinematic_q_needs_the_block_start_attitudes(self):
-        kinematic = NoiseParams(sigma_v=1e-3, aekf_q_flat=False)
-        for q0 in (None, identity_quat(), np.tile(identity_quat(), (3, 1))):
-            with pytest.raises(InvalidInput):
-                aekf_transitions(np.zeros((2, 2, 3)), [2, 1], DT, kinematic, q0)
+    def test_kinematic_q_is_taken_at_each_block_end(self):
+        # from P = 0 and across a segment, the kinematic Q after block j is
+        # the noise of the steps up to there at the attitude after block j
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((3, 4, 3))
+        steps = [4, 2, 3]
+        for b, n in enumerate(steps):
+            w[b, n:] = 0.0
+        noise = NoiseParams(sigma_v=1e-2, aekf_q_flat=False)
+        start = aekf_init(quat_normalize(rng.standard_normal(4)), np.zeros((4, 4)))
+        quats, covs = aekf_predict(start, block_increments(w, DT).tolist(), steps, DT, noise)
+        for j, n in enumerate(np.cumsum(steps)):
+            expect = (0.25 * noise.sigma_v**2 * DT * n) * (np.eye(4) - np.outer(quats[j], quats[j]))
+            assert np.max(np.abs(covs[j] - expect)) <= 1e-15 * np.max(np.abs(expect))
 
     def test_one_block_is_a_stack_of_one(self):
+        # each row of a build over a stack of rotations is that rotation's
+        # own, and a one-block predict that takes the row gets what it gets
+        # when it builds its own, bit for bit
         rng = np.random.default_rng(11)
-        phi = np.eye(3) + 1e-2 * rng.standard_normal((5, 3, 3))
-        q = 1e-6 * np.eye(3) * rng.uniform(size=(5, 1, 1))
-        phi_c, q_c = compose_transitions(phi[None], q[None])
-        assert phi_c.shape == q_c.shape == (1, 3, 3)
-        want_phi, want_q = phi[0], q[0]
-        for k in range(1, 5):
-            want_q = phi[k] @ want_q @ phi[k].T + q[k]
-            want_phi = phi[k] @ want_phi
-        assert np.max(np.abs(phi_c[0] - want_phi)) <= 1e-15
-        assert np.max(np.abs(q_c[0] - want_q)) <= 1e-15 * np.max(np.abs(want_q))
+        m = [quat_normalize(rng.standard_normal(4)).tolist() for _ in range(5)]
+        noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=True)
+        for start in _identity_starts():
+            stack = _transitions_fn(start)(m)
+            assert stack.shape == (5,) + start.p.shape
+            for b in range(5):
+                assert stack[b].tobytes() == _transitions_fn(start)(m[b:b + 1])[0].tobytes()
+                built = _predict_fn(start)(start, m[b:b + 1], [3], DT, noise)
+                taken = _predict_fn(start)(start, m[b:b + 1], [3], DT, noise, stack[b:b + 1])
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(built, taken))
+            for shape in ((0, 4), (4,), (2, 3), (2, 4, 1)):
+                with pytest.raises(InvalidInput):
+                    _transitions_fn(start)(np.zeros(shape))
+            with pytest.raises(InvalidInput):
+                _predict_fn(start)(start, m[:2], [3, 3], DT, noise, stack[:1])
 
     def test_integrate_block_equals_steps(self):
         rng = np.random.default_rng(7)
         q = quat_normalize(rng.standard_normal(4))
         rates = rng.standard_normal((37, 3))
         rates[4] = 0.0
-        path = integrate_quat_path(q, rates, DT)
         step = q
         for k, w in enumerate(rates):
             step = integrate_quat(step, w, DT)
-            assert np.max(np.abs(path[k] - step)) <= 1e-14
+            assert np.max(np.abs(integrate_quat(q, rates[:k + 1], DT) - step)) <= 1e-14
         assert np.max(np.abs(integrate_quat(q, rates, DT) - step)) <= 1e-14
 
     @pytest.mark.parametrize(
@@ -506,10 +549,11 @@ class TestBlockPredict:
         ids=["aekf-flat-q", "aekf-kinematic-q", "mekf"],
     )
     def test_block_predict_tracks_step_predict_over_an_orbit(self, name, noise):
-        # path A predicts once per 100-step block, path B once per step, and
-        # path C once per segment of 100 one-step blocks, as the harness runs
-        # a record at every step, with the same update after every block;
-        # rounding may differ, nothing else
+        # path A predicts once per 100-step block, path B runs the exact
+        # recursion once per step, and path C predicts once per segment of
+        # 100 one-step blocks, as the harness runs a record at every step,
+        # with the same update after every block; rounding may differ,
+        # nothing else
         q_true = identity_quat()
         if name == "aekf":
             update, r = aekf_update, 1e-6 * np.eye(4)
@@ -522,7 +566,7 @@ class TestBlockPredict:
         q_gap = p_gap = 0.0
         for k in range(ORBIT_BLOCKS):
             a = predict_rates(a, meas[k], DT, noise)
-            b = predict_each_step(b, meas[k], DT, noise)
+            b = predict_per_step(b, meas[k], DT, noise)
             c = predict_one_step_blocks(c, meas[k], DT, noise)
             q_true = integrate_quat(q_true, true[k], DT)
             tilt = 5e-4 * rng.standard_normal(3)

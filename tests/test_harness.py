@@ -359,37 +359,57 @@ def _fail_update_at(monkeypatch, name, q_bad, reason):
 def _spy_block_sizes(monkeypatch, name):
     """Spy on filter ``name``'s transition builds and predicts in the harness.
 
-    Returns a function that gives the gyro steps of every block whose
-    transition the filter built, in order, after checking that its
-    predicts applied each built block transition once, in order.
+    Returns a function that gives the gyro steps of every block the filter
+    crossed, in order, after checking that the predicts after each build
+    crossed the built blocks once each, in order, a segment carried from the
+    chunk before first; that each took the increments the build was given;
+    and that each segment of one block took its row of the build, and a
+    longer segment none. A segment carried into a chunk holds the blocks of
+    the last predict before, which are crossed again.
     """
     import attsim.harness as hmod
 
     build, predict = getattr(hmod, f"{name}_transitions"), getattr(hmod, f"{name}_predict")
-    built, applied = [], []
+    events = []
 
-    def build_spy(omegas, steps, *args):
-        phi, q = build(omegas, steps, *args)
-        built.extend(zip(np.asarray(steps).tolist(), phi.copy(), q.copy()))
-        return phi, q
+    def build_spy(m):
+        phi = build(m)
+        events.append(("build", np.array(m), phi.copy()))
+        return phi
 
-    def predict_spy(s, m, transition):
-        def applied_transition(q0, path):
-            phi, q = transition(q0, path)
-            assert len(phi) == len(q) == len(m)
-            applied.extend(zip(phi.copy(), q.copy()))
-            return phi, q
-
-        return predict(s, m, applied_transition)
+    def predict_spy(s, m, steps, dt, noise, phi=None):
+        events.append(("predict", np.array(m), list(steps), None if phi is None else phi.copy()))
+        return predict(s, m, steps, dt, noise, phi)
 
     monkeypatch.setattr(hmod, f"{name}_transitions", build_spy)
     monkeypatch.setattr(hmod, f"{name}_predict", predict_spy)
 
     def sizes():
-        assert len(applied) == len(built)
-        for (_, phi_b, q_b), (phi_a, q_a) in zip(built, applied):
-            assert np.array_equal(phi_a, phi_b) and np.array_equal(q_a, q_b)
-        return [n for n, _, _ in built]
+        out = []
+        last = None  # the last predict before the current build
+        i = 0
+        while i < len(events):
+            _, m_built, phi_built = events[i]
+            calls = []
+            i += 1
+            while i < len(events) and events[i][0] == "predict":
+                calls.append(events[i][1:])
+                i += 1
+            carried = sum(len(m) for m, _, _ in calls) - len(m_built)
+            assert carried >= 0 and (carried == 0 or np.array_equal(calls[0][0][:carried], last[0]))
+            row = 0
+            for j, (m, steps, phi) in enumerate(calls):
+                c = carried if j == 0 else 0
+                assert np.array_equal(m[c:], m_built[row:row + len(m) - c])
+                if len(m) == 1:
+                    assert np.array_equal(phi, phi_built[row:row + 1])
+                else:
+                    assert phi is None
+                out.extend(steps[c:])
+                row += len(m) - c
+            assert row == len(m_built)
+            last = calls[-1]
+        return out
 
     return sizes
 
@@ -536,7 +556,8 @@ class TestPlanChunks:
 
 
 class TestBlockTransitions:
-    """The scenario pass's batched block transitions are each block's own, bit for bit."""
+    """The scenario pass's batched block increments and each filter's batched
+    block transitions are each block's own, bit for bit."""
 
     @pytest.mark.parametrize(
         "cfg, sizes",
@@ -556,7 +577,8 @@ class TestBlockTransitions:
         from attsim.filters import NoiseParams
 
         calls = []
-        for name in ("block_increments", "aekf_transitions", "mekf_transitions", "integrate_quat"):
+        spied = ("block_increments", "aekf_transitions", "mekf_transitions", "integrate_quat", "_estimate")
+        for name in spied:
             real = getattr(hmod, name)
 
             def spy(*args, real=real, name=name):
@@ -568,19 +590,23 @@ class TestBlockTransitions:
         run_simulation(short_cfg(**cfg))
         (_, (truth_start, true_rates, dt), truth), = [c for c in calls if c[0] == "integrate_quat"]
         (_, (rates, _), increments), = [c for c in calls if c[0] == "block_increments"]
-        (_, (_, steps, _, noise), (phi_a, q_a)), = [c for c in calls if c[0] == "aekf_transitions"]
-        (_, _, (phi_m, q_m)), = [c for c in calls if c[0] == "mekf_transitions"]
-        assert steps.tolist() == sizes
+        (_, (m_a,), phi_a), = [c for c in calls if c[0] == "aekf_transitions"]
+        (_, (m_m,), phi_m), = [c for c in calls if c[0] == "mekf_transitions"]
+        passes = [c[1] for c in calls if c[0] == "_estimate"]
+        assert len(passes) == 2 and m_a is increments and m_m is increments
+        for args in passes:
+            _, _, _, _, pass_dt, noise, _, m, steps, _, _ = args
+            assert pass_dt == dt and steps == sizes and m == increments.tolist()
+            assert noise == NoiseParams(sigma_v=1e-3 * math.sqrt(dt), aekf_q_flat=True)
         assert rates.shape == (len(sizes), max(sizes), 3)
-        assert noise == NoiseParams(sigma_v=1e-3 * math.sqrt(dt), aekf_q_flat=True)
         q_prev = truth_start
         for b, n in enumerate(sizes):
             assert not np.any(rates[b, n:]) and not np.any(true_rates[b, n:])
             alone = rates[b:b + 1, :n]
-            for (phi, q), build in (((phi_a, q_a), hmod.aekf_transitions),
-                                    ((phi_m, q_m), hmod.mekf_transitions)):
-                want_phi, want_q = build(alone, [n], dt, noise)
-                assert _same_bits(phi[b], want_phi[0]) and _same_bits(q[b], want_q[0])
+            m_alone = hmod.block_increments(alone, dt)
+            assert _same_bits(increments[b], m_alone[0])
+            for phi, build in ((phi_a, hmod.aekf_transitions), (phi_m, hmod.mekf_transitions)):
+                assert _same_bits(phi[b], build(m_alone)[0])
             m = integrate_quat(identity_quat(), alone[0], dt)
             assert np.max(np.abs(increments[b] - m)) <= 1e-15
             # the truth crosses each block as one block-alone propagation would
@@ -615,40 +641,57 @@ def _segment_configs(n):
     return out
 
 
-def _passes(monkeypatch, estimate, cfg, fail=None):
-    """Run ``cfg`` with ``estimate`` as the harness's estimate pass; the result and every pass's return.
+def _passes(monkeypatch, cfg, fail=None, per_step=False, own_transitions=False):
+    """Run ``cfg``; the result and every estimate pass's return.
 
     ``fail`` is ``(filter name, epoch)``: that filter's update fails on that
-    epoch's measurement, as found by a run without the failure.
+    epoch's measurement, as found by a run without the failure. With
+    ``per_step`` the pass is ``oracles.estimate_per_step`` on the chunk's
+    gyro rates; with ``own_transitions`` every predict builds its own
+    transitions, where the harness hands a segment of one block its row of
+    the chunk's build.
     """
     import attsim.harness as hmod
+    from oracles import estimate_per_step
 
     returns = []
+    rates = []
+    estimate, block_increments = hmod._estimate, hmod.block_increments
 
     def spy(*args):
-        returns.append(estimate(*args))
+        returns.append(estimate_per_step(rates[-1], *args) if per_step else estimate(*args))
         return returns[-1]
+
+    def increments(omegas, dt):
+        rates.append(omegas)
+        return block_increments(omegas, dt)
 
     with monkeypatch.context() as m:
         if fail is not None:
             name, epoch = fail
-            _fail_update_at(m, name, run_simulation(short_cfg(**cfg)).q_meas[epoch], f"synthetic {name} failure")
+            q_bad = run_simulation(short_cfg(**cfg)).q_meas[epoch]
+            _fail_update_at(m, name, q_bad, f"synthetic {name} failure")
+        m.setattr(hmod, "block_increments", increments)
         m.setattr(hmod, "_estimate", spy)
+        if own_transitions:
+            for name in ("aekf", "mekf"):
+                predict = getattr(hmod, f"{name}_predict")
+                m.setattr(hmod, f"{name}_predict",
+                          lambda s, m_, n, dt, noise, phi=None, predict=predict: predict(s, m_, n, dt, noise))
         return run_simulation(short_cfg(**cfg)), returns
 
 
 class TestSegmentPass:
     """Each filter crosses a chunk one update segment at a time, with one predict
-    per segment; the per-block recursion it replaced (``oracles.estimate_per_block``)
-    is the reference, equal bit for bit where every segment is one block."""
+    per segment; the exact recursion step by step (``oracles.estimate_per_step``)
+    is the reference, and where every segment is one block the predicts that
+    take their rows of the chunk's transitions equal those that build their own,
+    bit for bit."""
 
     @staticmethod
     def _compare(monkeypatch, cfg, fail=None):
-        import attsim.harness as hmod
-        from oracles import estimate_per_block
-
-        got, got_passes = _passes(monkeypatch, hmod._estimate, cfg, fail)
-        want, want_passes = _passes(monkeypatch, estimate_per_block, cfg, fail)
+        got, got_passes = _passes(monkeypatch, cfg, fail)
+        want, want_passes = _passes(monkeypatch, cfg, fail, per_step=True)
         _assert_same_scenario_close_filters(got, want)
         assert len(got_passes) == len(want_passes)
         for (_, q_got, p_got, f_got), (_, q_want, p_want, f_want) in zip(got_passes, want_passes):
@@ -696,7 +739,8 @@ class TestSegmentPass:
         assert whole.skipped_epochs > 0
         lengths = []
         predict = hmod.mekf_predict
-        monkeypatch.setattr(hmod, "mekf_predict", lambda s, m, t: lengths.append(len(m)) or predict(s, m, t))
+        monkeypatch.setattr(hmod, "mekf_predict",
+                            lambda s, m, *rest: lengths.append(len(m)) or predict(s, m, *rest))
         monkeypatch.setattr(hmod, "_EPOCH_CHUNK", 1)
         monkeypatch.setattr(hmod, "_CHUNK_STEPS", 7)
         small = run_simulation(short_cfg(**cfg))
@@ -717,13 +761,12 @@ class TestSegmentPass:
         ids=["default", "matched-tuning", "tracker-at-gyro-rate", "record-every-other-epoch"],
     )
     def test_one_block_segments_are_bit_identical(self, cfg, monkeypatch, tmp_path):
-        import attsim.harness as hmod
-        from oracles import estimate_per_block
-
-        sizes = _spy_block_sizes(monkeypatch, "mekf")
-        got, _ = _passes(monkeypatch, hmod._estimate, cfg)
-        assert len(sizes()) == len(got.epoch_t)  # every block ends at an update
-        want, _ = _passes(monkeypatch, estimate_per_block, cfg)
+        with monkeypatch.context() as m:
+            sizes = _spy_block_sizes(m, "mekf")
+            got, _ = _passes(m, cfg)
+            assert len(sizes()) == len(got.epoch_t)  # every block ends at an update
+        self._compare(monkeypatch, cfg)
+        want, _ = _passes(monkeypatch, cfg, own_transitions=True)
         write_outputs(got, tmp_path / "segments", no_timing=True)
         write_outputs(want, tmp_path / "blocks", no_timing=True)
         for name in ("metrics.json", "timeseries.csv"):
@@ -768,6 +811,33 @@ def _fail_davenport_at(monkeypatch, epoch, how):
 
     monkeypatch.setattr(wmod, "davenport_matrices", matrices)
     monkeypatch.setattr(wmod, "jacobi_eigen_sym", eigen)
+
+
+class TestSteadyState:
+    """With exact transitions the default covariances are one scalar Riccati recursion each."""
+
+    def test_post_update_covariance_reaches_the_riccati_steady_state(self):
+        # default tuning: P0, Q and R are isotropic and the transitions
+        # orthogonal, so each filter's covariance stays c I; per tracker
+        # epoch c <- (c + Qe) R / (c + Qe + R) with Qe = 100 sigma_v^2 dt =
+        # 1e-8, whose fixed point is x = (-Qe + sqrt(Qe^2 + 4 Qe R)) / 2,
+        # whatever the rates. The error of c shrinks by about 0.82 (MEKF)
+        # and 0.90 (AEKF) per epoch, below 1e-9 relative after 250 epochs
+        cfg = SimConfig(duration_s=300.0)
+        res = run_simulation(cfg)
+        dt = 1.0 / cfg.gyro_rate_hz
+        q_epoch = 100 * (cfg.sigma_gyro * math.sqrt(dt)) ** 2 * dt
+        assert q_epoch == pytest.approx(1e-8, rel=1e-12)
+        late = res.t >= 250.0
+        assert late.sum() == 51
+        for pnorm, cond, r, target in (
+            (res.pnorm_mekf, res.cond_mekf, cfg.sigma_meas**2, 9.5125e-8),
+            (res.pnorm_aekf, res.cond_aekf, cfg.aekf_r_scale * cfg.sigma_meas**2, 1.9506e-7),
+        ):
+            x = 0.5 * (-q_epoch + math.sqrt(q_epoch * q_epoch + 4.0 * q_epoch * r))
+            assert x == pytest.approx(target, rel=5e-5)
+            assert np.max(np.abs(pnorm[late] - x)) <= 1e-9 * x
+            assert np.max(np.abs(cond - 1.0)) <= 1e-12
 
 
 class TestDavenportAbort:
