@@ -16,13 +16,13 @@ matrices, shape ``(k, n, n)``: each rotation is the same elementwise IEEE
 operations for every member. Each sweep first sets aside the members that
 have converged, and a rotation leaves alone every member whose pivot is
 zero, so a member's result does not depend on the stack around it. A
-lone ``(n, n)`` matrix is solved as a stack of one. The Davenport solve
-stacks the matrices of many tracker epochs and reads the eigenvectors;
-the harness stacks the covariance snapshots of many records and asks for
-the eigenvalues alone (``vectors=False``), which gives the same eigenvalue
-bits. A member whose eigenvectors are wanted carries their columns below
-its matrix, so that one column rotation turns both; without them, the
-rotations touch the matrix alone.
+lone ``(n, n)`` matrix is checked and solved as a stack of one. The
+Davenport solve stacks the matrices of many tracker epochs and reads the
+eigenvectors; the harness stacks the covariance snapshots of many records
+and asks for the eigenvalues alone (``vectors=False``), which gives the
+same eigenvalue bits. A member whose eigenvectors are wanted carries their
+columns below its matrix, so that one column rotation turns both; without
+them, the rotations touch the matrix alone.
 
 The random stream is xorshift64* seeded through one round of splitmix64,
 with Gaussian deviates drawn by the polar (Marsaglia) method. The
@@ -100,21 +100,6 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def is_symmetric(m) -> bool:
-    """True if max|M - M^T| <= 1e-9 * max|M| (exact zero for the zero matrix)."""
-    a = _as_square(m)
-    scale = float(np.max(np.abs(a)))
-    return float(np.max(np.abs(a - a.T))) <= _SYM_REL_TOL * scale
-
-
-def check_symmetric(m) -> np.ndarray:
-    """Return a float copy of ``m`` or raise InvalidInput if it is not symmetric."""
-    a = _as_square(m)
-    if not is_symmetric(a):
-        raise InvalidInput("matrix is not symmetric within tolerance")
-    return a.copy()
-
-
 def symmetrize(m) -> np.ndarray:
     """Average a matrix, or each matrix of a stack, with its transpose; used after covariance updates."""
     a = np.asarray(m, dtype=float)
@@ -138,18 +123,20 @@ def jacobi_eigen_sym(m, vectors: bool = True):
     the same operations either way, so they are bit for bit those of the
     full call.
 
-    Raises InvalidInput for non-symmetric or empty (``n == 0``) input (any
-    matrix of a stack) and NumericalFailure if the off-diagonal norm has
+    Raises InvalidInput for input that is neither ``(n, n)`` nor
+    ``(k, n, n)``, or that is non-symmetric or empty (``n == 0``) in any
+    matrix of a stack, and NumericalFailure if the off-diagonal norm has
     not dropped below 1e-12 * ||m||_F after 100 sweeps.
     """
-    if np.ndim(m) != 3:
-        evals, vecs, failed = _jacobi_sweep(check_symmetric(m)[None], vectors)
+    lone = np.ndim(m) != 3
+    a = _symmetric_stack(np.asarray(m)[None] if lone else m)
+    evals, vecs, failed = _jacobi_sweep(a, vectors)
+    if lone:
         if failed.size:
             raise NumericalFailure(
                 f"Jacobi sweep limit reached (off-diagonal {float(failed[0]):.3e})"
             )
         return (evals[0], vecs[0]) if vectors else evals[0]
-    evals, vecs, failed = _jacobi_sweep(_check_symmetric_stack(m), vectors)
     if failed.size:
         raise NumericalFailure(
             f"Jacobi sweep limit reached in {failed.size} matrices "
@@ -158,10 +145,14 @@ def jacobi_eigen_sym(m, vectors: bool = True):
     return (evals, vecs) if vectors else evals
 
 
-def _check_symmetric_stack(m) -> np.ndarray:
-    """A float copy of a stack ``(k, n, n)``, or InvalidInput naming the first bad member."""
+def _symmetric_stack(m) -> np.ndarray:
+    """A float copy of a stack ``(k, n, n)``, or InvalidInput naming the first bad member.
+
+    A member is symmetric when max|M - M^T| <= 1e-9 * max|M| (exactly, for
+    the zero matrix).
+    """
     a = np.array(m, dtype=float)
-    if a.shape[1] != a.shape[2]:
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
     n = a.shape[1]
     if n == 0:

@@ -72,7 +72,7 @@ class StarCatalog:
         stars = np.asarray(self.stars, dtype=float)
         if stars.ndim != 2 or stars.shape[1] != 3:
             raise InvalidInput("catalog must be an (n, 3) array")
-        if np.any(np.abs(row_norms(stars) - 1.0) > 1e-9):
+        if not np.all(np.abs(row_norms(stars) - 1.0) <= 1e-9):
             raise InvalidInput("catalog vectors must be unit norm")
         object.__setattr__(self, "stars", stars)
 

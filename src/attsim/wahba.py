@@ -11,26 +11,28 @@ Two solvers for the orthogonal-matrix least-squares problem
 
 The Davenport matrix here is laid out vector-first to match the package
 quaternion convention: ``K = [[S - tr(B) I, z], [z^T, tr(B)]]`` with
-``S = B + B^T`` and ``z = sum a_i (b_i x r_i)``.
+``S = B + B^T`` and ``z = sum a_i (b_i x r_i)``, which the solver reads off
+the skew part of ``B`` (``z_x = B_yz - B_zy`` and cyclically). Directions
+are used as given; the tracker and ``attsim solve-wahba`` pass unit rows.
 
 The q-method functions take one :class:`attsim.startracker.ObservationSet`
 (``b`` and ``r`` as ``(m, 3)`` arrays, ``weights`` as ``(m,)``) and form
 every sum over the stars with array operations: the products of each star
 side by side, then a sum over the star axis, which numpy adds star by star
-in order. No BLAS product enters ``B``, ``z`` or the loss, so their
-rounding does not depend on the CPU kernel a BLAS library picks.
+in order. No BLAS product enters ``B`` or the loss, so their rounding
+does not depend on the CPU kernel a BLAS library picks.
 
 :func:`davenport_solve` also takes a sequence of sets, one per tracker
 epoch of a chunk of a run, and solves them together: the sets are laid
 out as zero-padded ``(E, L, 3)`` stacks (``L`` the largest set, padding
 rows of weight -0.0, which add -0.0 to every sum and so change none), and
-every B, z, total weight, K, z cross-check, eigenvalue gap and quaternion
-is formed for all sets at once; the 4x4 eigenproblems are one stacked
-Jacobi call, which gives each member bit for bit what it gives that matrix
-alone. So each set's outcome equals a one-set call bit for bit. A set that
-fails (too few stars, a non-positive weight, the z cross-check, a
-degenerate eigenvalue gap, the sweep limit) yields its exception as its
-outcome, so that the caller can act on it at that epoch's turn.
+every B, total weight, K, eigenvalue gap and quaternion is formed for
+all sets at once; the 4x4 eigenproblems are one stacked Jacobi call, which
+gives each member bit for bit what it gives that matrix alone. So each
+set's outcome equals a one-set call bit for bit. A set that fails (too few
+stars, a non-positive weight, a degenerate eigenvalue gap, the sweep
+limit) yields its exception as its outcome, so that the caller can act on
+it at that epoch's turn.
 
 The total weight is a sum over the star axis, like every other sum over
 the stars: numpy adds a 1-D array of 8 or more terms pairwise, which would
@@ -46,7 +48,6 @@ from .errors import (
     AttsimError,
     DegenerateGeometry,
     InvalidInput,
-    NumericalFailure,
     UnderdeterminedAttitude,
 )
 from .numerics import jacobi_eigen_sym, padded_rows
@@ -54,22 +55,6 @@ from .startracker import ObservationSet, row_norms
 
 _COLLINEAR_EPS = 1e-8
 _EIG_GAP_REL = 1e-9
-_Z_DISAGREE = "z-vector formulas disagree; profile does not match observations"
-
-
-@dataclass(frozen=True)
-class AttitudeProfileMatrix:
-    """B = sum a_i b_i r_i^T plus the total weight that built it."""
-
-    b: np.ndarray
-    total_weight: float
-
-
-@dataclass(frozen=True)
-class DavenportMatrix:
-    """Symmetric 4x4 K whose top eigenvector is the optimal quaternion."""
-
-    k: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,38 +98,11 @@ def triad(r1, r2, b1, b2) -> np.ndarray:
     return w @ v.T
 
 
-def build_profile(obs) -> AttitudeProfileMatrix:
-    """Accumulate the attitude profile matrix from a weighted observation set."""
-    if len(obs) == 0:
-        raise InvalidInput("observation set is empty")
-    w = obs.weights
-    if not np.all(w > 0.0):
-        raise InvalidInput("observation weights must be positive")
-    prof, _, total = _star_sums(obs.b[None], obs.r[None], w[None])
-    return AttitudeProfileMatrix(b=prof[0], total_weight=float(total[0]))
+def davenport_matrices(prof):
+    """The K of each profile matrix of a stack.
 
-
-def davenport_matrix(profile: AttitudeProfileMatrix, obs) -> DavenportMatrix:
-    """Assemble K from the profile matrix, cross-checking the z vector.
-
-    ``z`` is computed both from the skew part of B and as the weighted sum
-    of cross products; the two must agree to 1e-12 (relative to the total
-    weight) or the profile does not belong to these observations.
-    """
-    _, z_cross, _ = _star_sums(obs.b[None], obs.r[None], obs.weights[None])
-    k, z_failed = davenport_matrices(profile.b[None], z_cross, np.array([profile.total_weight]))
-    if z_failed[0]:
-        raise NumericalFailure(_Z_DISAGREE)
-    return DavenportMatrix(k=k[0])
-
-
-def davenport_matrices(prof, z_cross, total):
-    """The K of each profile matrix of a stack, and which fail the z cross-check.
-
-    ``prof`` is ``(E, 3, 3)``, ``z_cross`` the ``(E, 3)`` weighted sums of
-    cross products and ``total`` the ``(E,)`` total weights. Returns K as
-    ``(E, 4, 4)`` and a boolean ``(E,)`` that is True where the skew part
-    of B and ``z_cross`` differ by more than 1e-12 * max(1, total).
+    ``prof`` is ``(E, 3, 3)``; returns ``(E, 4, 4)``. ``z`` is the skew
+    part of B, which equals ``sum a_i (b_i x r_i)``.
     """
     k = np.empty((prof.shape[0], 4, 4))
     tr = np.trace(prof, axis1=1, axis2=2)
@@ -155,8 +113,7 @@ def davenport_matrices(prof, z_cross, total):
     z[:, 2] = prof[:, 0, 1] - prof[:, 1, 0]
     k[:, 3, :3] = z
     k[:, 3, 3] = tr
-    z_failed = np.abs(z - z_cross).max(axis=1) > 1e-12 * np.maximum(1.0, total)
-    return k, z_failed
+    return k
 
 
 def wahba_loss(a, obs) -> float:
@@ -172,21 +129,20 @@ def wahba_loss(a, obs) -> float:
 
 
 def _star_sums(b, r, w):
-    """B, the weighted sum of cross products and the total weight of each set of a stack.
+    """B and the total weight of each set of a stack.
 
     ``b`` and ``r`` are ``(E, L, 3)`` and ``w`` is ``(E, L)``; rows past a
     set's end hold zero directions and weight -0.0, so every product they
     add is -0.0, which leaves any sum as it is. One sum over the star axis
     adds the rows one after the other, as for that set alone. Returns
-    ``(E, 3, 3)``, ``(E, 3)`` and ``(E,)``.
+    ``(E, 3, 3)`` and ``(E,)``.
     """
     n, length = w.shape
-    terms = np.empty((n, length, 13))
+    terms = np.empty((n, length, 10))
     terms[..., :9] = (b[..., :, None] * r[..., None, :]).reshape(n, length, 9)
-    terms[..., 9:12] = np.cross(b, r)
-    terms[..., 12] = 1.0
+    terms[..., 9] = 1.0
     sums = (w[..., None] * terms).sum(axis=1)
-    return sums[:, :9].reshape(n, 3, 3), sums[:, 9:12], sums[:, 12]
+    return sums[:, :9].reshape(n, 3, 3), sums[:, 9]
 
 
 def davenport_solve(obs):
@@ -231,19 +187,14 @@ def _solve_sets(sets) -> list:
         return outcomes
     if len(members) < len(sets):
         b, r, w = b[members], r[members], w[members]
-    prof, z_cross, total = _star_sums(b, r, w)
-    k, z_failed = davenport_matrices(prof, z_cross, total)
-    for i, failed in zip(members, z_failed.tolist()):
-        if failed:
-            outcomes[i] = NumericalFailure(_Z_DISAGREE)
-    keep = np.flatnonzero(~z_failed)
-    evals, evecs, failures = _eigen_stack(k[keep])
+    prof, total = _star_sums(b, r, w)
+    evals, evecs, failures = _eigen_stack(davenport_matrices(prof))
     gap = evals[:, 0] - evals[:, 1]
-    underdetermined = (gap < _EIG_GAP_REL * total[keep]).tolist()
+    underdetermined = (gap < _EIG_GAP_REL * total).tolist()
     q = evecs[:, 0]
     q = np.where(q[:, 3:] < 0.0, -q, q)
     lambda_max = evals[:, 0].tolist()
-    for j, i in enumerate(members[m] for m in keep.tolist()):
+    for j, i in enumerate(members):
         if j in failures:
             outcomes[i] = failures[j]
         elif underdetermined[j]:

@@ -11,6 +11,10 @@ from the array path in the last bits.
 :func:`observe_one_epoch` is the one-epoch array pass it replaced, the
 reference each epoch of a stack must equal bit for bit.
 
+:func:`profile_and_k` is not a reference: it takes one set's attitude
+profile matrix B, total weight and Davenport matrix K from the solver's
+own stacked route, for the tests that check B and K themselves.
+
 ``attsim.numerics.jacobi_eigen_sym`` runs its cyclic Jacobi sweep on a
 stack of matrices. :func:`jacobi_eigen_one` is the same sweep written for
 one matrix with scalar arithmetic, the reference each member of a stack
@@ -60,10 +64,11 @@ import numpy as np
 
 import attsim.harness as harness
 import attsim.numerics as numerics
+import attsim.wahba as wahba
 from attsim.attitude import integrate_quat, quat_mul, quat_normalize, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from attsim.filters import AekfState
-from attsim.numerics import check_symmetric, jacobi_eigen_sym, symmetrize
+from attsim.numerics import jacobi_eigen_sym, symmetrize
 from attsim.startracker import ObservationSet, StarCatalog, is_visible, row_norms
 
 
@@ -127,11 +132,6 @@ def davenport_per_star(b_rows, r_rows, weights):
         prof += w * np.outer(b, r)
         total += w
     z_skew = np.array([prof[1, 2] - prof[2, 1], prof[2, 0] - prof[0, 2], prof[0, 1] - prof[1, 0]])
-    z_cross = np.zeros(3)
-    for b, r, w in pairs:
-        z_cross += w * np.cross(b, r)
-    if float(np.max(np.abs(z_skew - z_cross))) > 1e-12 * max(1.0, total):
-        raise NumericalFailure("z-vector formulas disagree")
     tr = float(np.trace(prof))
     k = np.empty((4, 4))
     k[:3, :3] = prof + prof.T - tr * np.eye(3)
@@ -152,6 +152,12 @@ def davenport_per_star(b_rows, r_rows, weights):
     return q, float(evals[0]), loss
 
 
+def profile_and_k(obs):
+    """``(B, total weight, K)`` of one ``ObservationSet``, as ``attsim.wahba.davenport_solve`` forms them."""
+    prof, total = wahba._star_sums(obs.b[None], obs.r[None], obs.weights[None])
+    return prof[0], float(total[0]), wahba.davenport_matrices(prof)[0]
+
+
 def jacobi_eigen_one(m):
     """Cyclic Jacobi eigensolver for one symmetric matrix, one rotation at a time.
 
@@ -159,7 +165,7 @@ def jacobi_eigen_one(m):
     descending order and the eigenvectors as rows. Reads the sweep limit
     from ``attsim.numerics`` at call time.
     """
-    a = check_symmetric(m)
+    a = numerics._symmetric_stack(np.asarray(m)[None])[0]
     n = a.shape[0]
     v = np.eye(n)
     scale = math.sqrt(float((a * a).sum()))

@@ -57,22 +57,29 @@ def test_c01_davenport_recovery_and_runtime():
 
 
 def test_c02_trace_identity():
-    from attsim.wahba import build_profile, davenport_matrix
+    # B and K as the solver forms them; K's z, read off the skew part of B,
+    # must also equal sum a_i (b_i x r_i) to 1e-12 of the total weight
+    from attsim.wahba import _star_sums, davenport_matrices
 
     rng = RngStream(102)
     worst = 0.0
+    worst_z = 0.0
     for _ in range(1000):
         q = random_unit_quat(rng)
         rows = [(random_unit_vec(rng), random_unit_vec(rng), rng.uniform() + 0.1) for _ in range(4)]
         b, r, w = (np.array(col) for col in zip(*rows))
-        obs = ObservationSet(b=b, r=r, weights=w)
-        prof = build_profile(obs)
-        k = davenport_matrix(prof, obs).k
-        lhs = float(np.trace(quat_to_matrix(q) @ prof.b.T))
+        prof, total = _star_sums(b[None], r[None], w[None])
+        k = davenport_matrices(prof)[0]
+        prof, total = prof[0], float(total[0])
+        lhs = float(np.trace(quat_to_matrix(q) @ prof.T))
         rhs = float(q @ k @ q)
         worst = max(worst, abs(lhs - rhs))
+        z_cross = (w[:, None] * np.cross(b, r)).sum(axis=0)
+        worst_z = max(worst_z, float(np.max(np.abs(k[:3, 3] - z_cross))) / max(1.0, total))
     assert worst <= 1e-10, f"worst trace-identity gap {worst:.3e}"
-    print(f"\nACCEPTANCE 2 PASS: tr(A(q) B^T) == q^T K q within {worst:.2e} on 1000 cases")
+    assert worst_z <= 1e-12, f"worst z gap {worst_z:.3e} of the total weight"
+    print(f"\nACCEPTANCE 2 PASS: tr(A(q) B^T) == q^T K q within {worst:.2e} on 1000 cases, "
+          f"z within {worst_z:.2e} of the total weight")
 
 
 def test_c03_triad_exactness():

@@ -119,6 +119,19 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_nan_star_in_catalog_exits_2(self, tmp_path, capsys):
+        # a NaN star would never be visible, so the run would go on without it
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("0,0,1\n1,0,0\nnan,nan,nan\n0,1,0\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"duration_s": 2.0, "catalog_path": str(catalog)}))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and "unit norm" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_huge_step_count_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
         import attsim.harness as hmod
 

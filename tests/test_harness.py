@@ -777,13 +777,12 @@ _RECORD_FIELDS = ("t", "q_true", "q_aekf", "q_mekf", "err_aekf", "err_mekf",
                   "pnorm_aekf", "pnorm_mekf", "cond_aekf", "cond_mekf")
 
 
-def _fail_davenport_at(monkeypatch, epoch, how):
+def _fail_davenport_at(monkeypatch, epoch):
     """Make the Davenport solve of tracker epoch ``epoch`` (0-based) fail.
 
-    ``how`` is ``"z"`` (the z-vector cross-check of that epoch's matrix) or
-    ``"sweep"`` (the eigensolve of that epoch's matrix, alone or in a stack).
-    The epochs are counted over the stacks of K that reach
-    ``wahba.davenport_matrices``, in order.
+    The eigensolve of that epoch's matrix, alone or in a stack, hits the
+    sweep limit. The epochs are counted over the stacks of K that
+    ``wahba.davenport_matrices`` builds, in order.
     """
     import attsim.wahba as wmod
     from attsim.errors import NumericalFailure
@@ -791,16 +790,13 @@ def _fail_davenport_at(monkeypatch, epoch, how):
     seen = []
     real_matrices, real_eigen = wmod.davenport_matrices, wmod.jacobi_eigen_sym
 
-    def matrices(prof, z_cross, total):
-        k, z_failed = real_matrices(prof, z_cross, total)
+    def matrices(prof):
+        k = real_matrices(prof)
         i = epoch - len(seen)
         seen.extend([None] * len(k))
         if 0 <= i < len(k):
-            if how == "z":
-                z_failed[i] = True
-            else:
-                seen[epoch] = k[i]
-        return k, z_failed
+            seen[epoch] = k[i]
+        return k
 
     def eigen(m):
         bad = seen[epoch] if len(seen) > epoch else None
@@ -844,19 +840,20 @@ class TestDavenportAbort:
     """A Davenport NumericalFailure aborts at its own epoch, as with one solve per epoch."""
 
     @pytest.mark.parametrize("epoch", [0, 13, 29])
-    @pytest.mark.parametrize("how", ["z", "sweep"])
+    @pytest.mark.parametrize("how", ["sweep"])
     def test_same_partial_result_as_one_solve_per_epoch(self, epoch, how, monkeypatch):
         import attsim.harness as hmod
 
         cfg = dict(duration_s=30.0, record_stride=20)  # 30 epochs in one chunk
         with monkeypatch.context() as m:
-            _fail_davenport_at(m, epoch, how)
+            _fail_davenport_at(m, epoch)
             stacked = run_simulation(short_cfg(**cfg))
         with monkeypatch.context() as m:
-            _fail_davenport_at(m, epoch, how)
+            _fail_davenport_at(m, epoch)
             m.setattr(hmod, "_EPOCH_CHUNK", 1)
             alone = run_simulation(short_cfg(**cfg))
         assert stacked.aborted is not None and stacked.aborted == alone.aborted
+        assert how in stacked.aborted  # the injected failure is the abort reason
         assert len(stacked.epoch_t) == epoch
         assert stacked.t[-1] == pytest.approx(epoch + 1.0)
         for name in (*_RECORD_FIELDS, "epoch_t", "q_meas"):
@@ -904,7 +901,7 @@ class TestUpdateAbort:
         assert res.q_meas.tobytes() == full.q_meas[:epoch + 1].tobytes()
         # the same records as a Davenport failure at that epoch
         with monkeypatch.context() as m:
-            _fail_davenport_at(m, epoch, "z")
+            _fail_davenport_at(m, epoch)
             davenport = run_simulation(short_cfg(**cfg))
         for field in _RECORD_FIELDS:
             assert getattr(res, field).tobytes() == getattr(davenport, field).tobytes(), field

@@ -311,8 +311,11 @@ class TestJacobiValuesOnly:
             np.zeros((7, 7)),
             np.array([[1.0, math.nan], [math.nan, 1.0]]),
             np.array([np.eye(3), np.eye(3) + np.triu(np.ones((3, 3)), 1)]),
+            np.zeros(3),
+            np.zeros((1, 1, 3, 3)),
         ],
-        ids=["asymmetric", "empty", "empty-stack", "not-square", "too-large", "nan", "asymmetric-member"],
+        ids=["asymmetric", "empty", "empty-stack", "not-square", "too-large", "nan", "asymmetric-member",
+             "one-dim", "four-dim"],
     )
     def test_same_invalid_input(self, m):
         with pytest.raises(InvalidInput) as full:

@@ -101,6 +101,14 @@ class TestCatalog:
         with pytest.raises(InvalidInput):
             StarCatalog(stars=np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_star_rejected(self, bad):
+        # a NaN row has no norm to compare, so it must fail the unit test,
+        # not slip past it
+        stars = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [bad, bad, bad], [0.0, 1.0, 0.0]])
+        with pytest.raises(InvalidInput, match="unit norm"):
+            StarCatalog(stars=stars)
+
 
 class TestVisibility:
     def test_boresight_visible(self):
