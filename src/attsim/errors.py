@@ -13,11 +13,11 @@ class NumericalFailure(AttsimError):
     """An iterative or linear-algebra routine could not produce a result."""
 
 
-class DegenerateQuaternion(AttsimError):
+class DegenerateQuaternion(NumericalFailure):
     """Quaternion norm too small to normalize."""
 
 
-class GibbsSingularity(AttsimError):
+class GibbsSingularity(NumericalFailure):
     """Gibbs vector undefined: rotation is at (or numerically near) 180 degrees."""
 
 

@@ -233,7 +233,9 @@ def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
     (not by BLAS, whose rounding depends on the CPU), is negative; when the
     product is zero, when its first nonzero component in the order w, z,
     y, x is negative. Raises NumericalFailure (from the innovation solve)
-    when S = P + R is singular.
+    when S = P + R is singular, and DegenerateQuaternion, a
+    NumericalFailure, when the updated quaternion is too short to
+    renormalize.
     """
     q_meas = np.asarray(q_meas, dtype=float)
     mx, my, mz, mw = q_meas.tolist()
@@ -271,8 +273,9 @@ def mekf_update(s: MekfState, q_meas, r3) -> MekfState:
     ``q_meas * q^-1`` (:func:`attsim.attitude.quat_to_gibbs`), and
     H = I, so the gain is ``K = P (P + R)^-1``. The a-posteriori attitude
     error ``a`` folds into the reference via ``normalize((a; 2)) * q``.
-    Raises GibbsSingularity for a 180-degree innovation and
-    NumericalFailure when the innovation covariance is singular.
+    Raises GibbsSingularity, a NumericalFailure, for a 180-degree
+    innovation, and NumericalFailure when the innovation covariance is
+    singular.
     """
     q_err = quat_mul(np.asarray(q_meas, dtype=float), quat_conjugate(s.q))
     a_g = 2.0 * quat_to_gibbs(q_err)

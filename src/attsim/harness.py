@@ -7,18 +7,23 @@ angular rate ``omega(t) = -cos(2*pi*t / 5280) * pi/2`` whose period is the
 The run is cut into blocks of gyro steps. A block ends at the next event:
 a star-tracker epoch, a record instant, the last step, or at most
 ``_MAX_BLOCK_STEPS`` steps. Blocks are grouped into chunks of at most
-``_EPOCH_CHUNK`` tracker epochs and about ``_CHUNK_STEPS`` steps; a chunk
-always ends on a block boundary (:func:`_plan_chunks`). Each chunk gets a
-scenario pass, then one estimate pass per filter:
+``_CHUNK_BLOCKS`` blocks and at most as many tracker epochs as
+:func:`attsim.startracker.observe` rotates the catalog for at once (327 for
+100 stars, 32 for 1000); a chunk always ends on a block boundary
+(:func:`_plan_chunks`). Each chunk gets a scenario pass, then one estimate
+pass per filter:
 
-* the scenario pass, which never reads filter state: the true rates of
-  all the chunk's steps in one call, the noisy gyro samples in one noise
-  draw, both laid out as one ``(blocks, longest block, 3)`` stack padded
-  with zero rates; the truth at every block end from one call of
-  :func:`attsim.attitude.integrate_quat` on the stack; one star-tracker
-  observation pass over all the chunk's epochs, whose star noise is one
-  draw, and one Davenport solve of their sets as one padded stack; and
-  the product of each block's gyro increments, which both filters share;
+* the scenario pass, which never reads filter state. It crosses the
+  chunk's blocks in windows of at most ``_WINDOW_STEPS`` steps: for each
+  window, the true rates of its steps in one call and the noisy gyro
+  samples in one noise draw, both laid out as one ``(blocks, longest
+  block, 3)`` stack padded with zero rates; the truth at every block end
+  from one call of :func:`attsim.attitude.integrate_quat` on the stack;
+  and the product of each block's gyro increments, which both filters
+  share. Only those two per-block results are kept across windows. Then
+  one star-tracker observation pass over all the chunk's epochs, whose
+  star noise is one draw, and one Davenport solve of their sets as one
+  padded stack;
 * the estimate passes (:func:`_estimate`), the AEKF's and then the
   MEKF's: each builds its filter's exact covariance transition of every
   block from the block increments, in one call over the chunk (see
@@ -104,17 +109,19 @@ _MAX_GYRO_STEPS = 10_000_000
 
 # longest block of gyro steps handed to one predict when no event ends it
 # sooner. A block is at most as long as the spacing of the events that end
-# blocks, so a chunk's padded (blocks, longest block) stacks hold at most
+# blocks, so a window's padded (blocks, longest block) stacks hold at most
 # three times its steps plus three longest blocks of rates: the default
-# configuration has 32 blocks of 100 steps
+# configuration has windows of 40 blocks of 100 steps
 _MAX_BLOCK_STEPS = 1000
 
-# a chunk of the run holds whole blocks: at most _EPOCH_CHUNK tracker epochs,
-# whose Davenport matrices one stacked eigensolve takes, and fewer than
-# _CHUNK_STEPS gyro steps plus one block; the chunk's rates, gyro samples
-# and observation sets are all the scenario pass keeps
-_EPOCH_CHUNK = 32
-_CHUNK_STEPS = 4096
+# a chunk of the run holds whole blocks: at most as many tracker epochs as
+# observe rotates the catalog for at once (startracker._ROTATED_ROWS rows),
+# whose sets one Davenport solve takes, and at most _CHUNK_BLOCKS blocks. The
+# scenario pass makes the chunk's per-step arrays in windows of whole blocks
+# of at most _WINDOW_STEPS steps (a longer block alone), so the rates, gyro
+# samples and padded stacks it holds at once do not grow with the chunk
+_CHUNK_BLOCKS = 4096
+_WINDOW_STEPS = 4096
 
 # longest update segment, in blocks: a segment with no update for this many
 # blocks ends there, without one. A segment still open at a chunk end is
@@ -370,35 +377,41 @@ def _first_step_reaching(t: float, dt: float, k: int, n: int) -> int:
     return j
 
 
-def _plan_chunks(cfg: SimConfig):
-    """The run's blocks of gyro steps, chunk by chunk.
+def _plan_chunks(cfg: SimConfig, n_stars: int):
+    """The run's blocks of gyro steps, chunk by chunk, and each chunk's windows.
 
     A block starts at the step after the one before it (the first at step
     1) and ends at the first event from its start on: a tracker epoch, the
     first step whose end time reaches the epoch's time; a record instant, a
     multiple of the record stride; the last step; or the block's
-    ``_MAX_BLOCK_STEPS``-th step. A chunk ends after
-    ``_EPOCH_CHUNK`` epochs, or after the block that reaches its
-    ``_CHUNK_STEPS``-th step, or at the last step.
+    ``_MAX_BLOCK_STEPS``-th step. A chunk ends after its ``max(1,
+    startracker._ROTATED_ROWS // n_stars)``-th epoch, the most that
+    :func:`attsim.startracker.observe` rotates a catalog of ``n_stars`` for
+    at once, or after its ``_CHUNK_BLOCKS``-th block, or at the last step.
+    A window of a chunk is a run of its blocks: a block starts a new window
+    when the window would otherwise hold more than ``_WINDOW_STEPS`` steps.
 
-    Yields one ``(ends, at_epoch, keep)`` per chunk: each block's last step,
-    as an integer array, and whether the block ends at a tracker epoch and
-    whether it is recorded (it ends at a record instant or the last step),
-    as lists of bools. The first step reaching the next epoch is the same
-    for every block start up to it, so it is found once per epoch.
+    Yields one ``(ends, at_epoch, keep, windows)`` per chunk: each block's
+    last step, as an integer array; whether the block ends at a tracker
+    epoch and whether it is recorded (it ends at a record instant or the
+    last step), as lists of bools; and the index of each window's first
+    block, then the chunk's block count. The first step reaching the next
+    epoch is the same for every block start up to it, so it is found once
+    per epoch.
     """
     dt = 1.0 / cfg.gyro_rate_hz
     n_steps = int(math.floor(cfg.duration_s * cfg.gyro_rate_hz + 1e-9))
     tracker_dt = 1.0 / cfg.tracker_rate_hz
     next_tracker = tracker_dt
     stride = cfg.effective_stride()
+    max_epochs = max(1, startracker._ROTATED_ROWS // n_stars)
     epoch_step = None  # first step reaching next_tracker, until that epoch
     k = 1  # first step of the next block
     while k <= n_steps:
-        chunk_start = k
-        ends, at_epoch, keep = [], [], []
+        ends, at_epoch, keep, windows = [], [], [], [0]
+        window_start = k
         n_epochs = 0
-        while k <= n_steps and n_epochs < _EPOCH_CHUNK and k - chunk_start < _CHUNK_STEPS:
+        while k <= n_steps and n_epochs < max_epochs and len(ends) < _CHUNK_BLOCKS:
             if epoch_step is None:
                 epoch_step = _first_step_reaching(next_tracker - 1e-9, dt, k, n_steps)
             due_step = -(-k // stride) * stride
@@ -408,11 +421,15 @@ def _plan_chunks(cfg: SimConfig):
                 next_tracker += tracker_dt
                 n_epochs += 1
                 epoch_step = None
+            if last - window_start >= _WINDOW_STEPS and k > window_start:
+                windows.append(len(ends))
+                window_start = k
             ends.append(last)
             at_epoch.append(epoch)
             keep.append(last == due_step or last == n_steps)
             k = last + 1
-        yield np.array(ends), at_epoch, keep
+        windows.append(len(ends))
+        yield np.array(ends), at_epoch, keep, windows
 
 
 def _pad(rates: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -499,12 +516,15 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 
     Tracker epochs whose Davenport solve is underdetermined are skipped
     and logged. A NumericalFailure of an epoch's Davenport solve or of a
-    filter update at block j aborts the run there: the partial result keeps
-    the records of the blocks before j and ends with one record at block j
-    that holds both filters after that block's predict, without its update;
-    ``aborted`` carries the reason. After a failed update both passes run
-    the chunk again from its start, with no update at j; the filters are
-    deterministic, so the second run cannot fail earlier.
+    filter update at block j (a 180-degree MEKF innovation,
+    GibbsSingularity, and an AEKF estimate too short to renormalize,
+    DegenerateQuaternion, are NumericalFailures) aborts the run there: the
+    partial result keeps the records of the blocks before j and ends with
+    one record at block j that holds both filters after that block's
+    predict, without its update; ``aborted`` carries the reason. After a
+    failed update both passes run the chunk again from its start, with no
+    update at j; the filters are deterministic, so the second run cannot
+    fail earlier.
     """
     cfg.validate()
     # independent derived sub-streams keep the gyro noise sequence identical
@@ -577,19 +597,34 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             if n_pending == _RECORD_CHUNK:
                 flush()
 
-    for ends, at_epoch, keep in _plan_chunks(cfg):
+    for ends, at_epoch, keep, windows in _plan_chunks(cfg, len(catalog)):
         steps = np.diff(ends, prepend=steps_done)
 
-        # scenario pass: the chunk's rates and gyro samples at once, padded
-        # into one (blocks, longest block, 3) stack each; the truth at each
-        # block end; one observation pass over the chunk's epochs and one
-        # stacked Davenport solve, whose outcomes give each epoch block its
-        # measured quaternion, or None
-        omega_true = trajectory_omega(np.arange(steps_done, ends[-1]) * dt + 0.5 * dt, axis)
-        gyro = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
-        rows = padded_rows(steps)
-        truth = integrate_quat(q_end, _pad(omega_true, rows), dt)
-        q_end = truth[-1]
+        # scenario pass, window by window: the window's rates and gyro
+        # samples at once, padded into one (blocks, longest block, 3) stack
+        # each; the truth at each block end and the gyro increment product
+        # of each block, which both filters share. Then one observation pass
+        # over the chunk's epochs and one stacked Davenport solve, whose
+        # outcomes give each epoch block its measured quaternion, or None
+        truth, increments = [], []
+        shared_s = 0.0
+        first = steps_done
+        for lo, hi in zip(windows, windows[1:]):
+            last = int(ends[hi - 1])
+            omega_true = trajectory_omega(np.arange(first, last) * dt + 0.5 * dt, axis)
+            gyro = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
+            rows = padded_rows(steps[lo:hi])
+            truth.append(integrate_quat(q_end, _pad(omega_true, rows), dt))
+            q_end = truth[-1][-1]
+            t0 = time.perf_counter()
+            increments.append(block_increments(_pad(gyro, rows), dt))
+            shared_s += time.perf_counter() - t0
+            first = last
+        truth = np.concatenate(truth)
+        t0 = time.perf_counter()
+        increments = np.concatenate(increments)
+        m_list = increments.tolist()
+        shared_s += time.perf_counter() - t0
         epoch_blocks = np.flatnonzero(at_epoch).tolist()
         outcomes = davenport_solve(
             startracker.observe(truth[epoch_blocks], catalog, cams, cfg.sigma_star, rng_star)
@@ -602,16 +637,11 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             elif failure is None and not isinstance(outcome, UnderdeterminedAttitude):
                 failure = (i, outcome)
 
-        # estimate passes: the gyro increment products of the blocks, which
-        # both filters share, then each filter across the blocks in turn,
-        # timed as a whole with its own build of the blocks' transitions. A
-        # failure at block j ends the chunk there: both passes run again
-        # from the chunk's start, without the update at j and with a record
-        # there
-        t0 = time.perf_counter()
-        increments = block_increments(_pad(gyro, rows), dt)
-        m_list = increments.tolist()
-        shared_s = time.perf_counter() - t0
+        # estimate passes: each filter across the blocks in turn, timed as a
+        # whole with its own build of the blocks' transitions, and charged
+        # the shared increment products too. A failure at block j ends the
+        # chunk there: both passes run again from the chunk's start, without
+        # the update at j and with a record there
         steps_list = steps.tolist()
         while True:
             if failure is not None:

@@ -13,8 +13,8 @@ sensor noise and is ignored.
 An epoch's stars travel as one :class:`ObservationSet`: the body and
 inertial directions as ``(m, 3)`` arrays and the weights as ``(m,)``, one
 row per star. :func:`observe` takes a stack of ``E`` epoch attitudes (a
-chunk of a run's tracker epochs) and builds all their sets in one array
-pass: one product rotates the catalog into the body frame for every
+chunk of a run's tracker epochs, as many as it rotates the catalog for at
+once) and builds all their sets in one array pass: one product rotates the catalog into the body frame for every
 epoch, one ``(E, n)`` field-of-view mask per head (:func:`is_visible`)
 picks the visible rows of all epochs, the rows are put in epoch, head and
 catalog order and take their noise from one draw, in the order a loop over
@@ -222,7 +222,8 @@ def default_camera_rig(n_cameras: int, fov_half_angle: float):
 
 
 # most body-frame catalog rows observe holds at once (768 KiB): the epochs
-# of a stack are rotated in groups of at most this many rows
+# of a stack are rotated in groups of at most this many rows. The harness
+# hands observe at most one group of epochs per chunk of a run
 _ROTATED_ROWS = 1 << 15
 
 
@@ -230,9 +231,11 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
     """Run the full emulation path for every camera at a stack of epochs, in one array pass.
 
     ``q_true`` is a stack of true attitudes ``(E, 4)``, one per epoch, or
-    one attitude ``(4,)``, observed as a stack of one. The catalog is
-    rotated into the body frame for every epoch at once, and each head's
-    cone picks its visible rows. The rows are ordered by epoch, head and
+    one attitude ``(4,)``, observed as a stack of one; a run hands it the
+    tracker epochs of one chunk, ``max(1, _ROTATED_ROWS // len(catalog))``
+    of them or fewer. The catalog is rotated into the body frame for every
+    epoch of a group of at most ``_ROTATED_ROWS`` rows at once, and each
+    head's cone picks its visible rows. The rows are ordered by epoch, head and
     catalog star, every body direction is perturbed with per-axis Gaussian
     noise of ``sigma_star`` from one draw, in that order, and renormalized:
     the values and the stream state that one call per epoch would give.

@@ -41,10 +41,11 @@ noise taken at the attitude after the step. :func:`estimate_per_step` runs
 references the block and segment forms are bounded against.
 
 ``attsim.harness._plan_chunks`` finds the first step reaching the next
-tracker epoch once per epoch and builds each chunk's block facts as lists.
-:func:`plan_chunks_per_block` is the per-block planning loop it replaced,
-with that step found anew for every block by a linear scan, the reference
-the planner must equal block for block and chunk for chunk.
+tracker epoch once per epoch and builds each chunk's block facts and its
+windows as lists. :func:`plan_chunks_per_block` is the per-block planning
+loop it replaced, with that step found anew for every block by a linear
+scan and the windows cut after the chunk is planned, the reference the
+planner must equal block for block, chunk for chunk and window for window.
 
 ``attsim.attitude`` and ``attsim.numerics.solve`` read their operands as
 Python floats. :func:`quat_mul_numpy`, :func:`error_angle_numpy` and
@@ -64,6 +65,7 @@ import numpy as np
 
 import attsim.harness as harness
 import attsim.numerics as numerics
+import attsim.startracker as startracker
 import attsim.wahba as wahba
 from attsim.attitude import integrate_quat, quat_mul, quat_normalize, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
@@ -449,17 +451,23 @@ def estimate_per_step(rates, carry, predict, update, r, dt, noise, phi, incremen
     return (state, [], []), q_kept, p_kept, None
 
 
-def plan_chunks_per_block(cfg):
-    """The blocks and chunks of a run of ``cfg``, planned one block at a time.
+def plan_chunks_per_block(cfg, n_stars):
+    """The blocks, chunks and windows of a run of ``cfg``, planned one block at a time.
 
-    Returns one list per chunk of blocks ``(first step, last step, epoch,
-    recorded)``. A block ends at the first of: the first step ``j`` from its
-    start on whose end time ``j * dt`` reaches the next tracker epoch's time
-    (less 1e-9), found by stepping ``j`` up from the block start; the next
-    multiple of the record stride; the block's ``min(stride,
-    _MAX_BLOCK_STEPS)``-th step; the last step. Reads ``_MAX_BLOCK_STEPS``,
-    ``_EPOCH_CHUNK`` and ``_CHUNK_STEPS`` from ``attsim.harness`` at call
-    time.
+    Returns one ``(blocks, windows)`` per chunk: the list of its blocks
+    ``(first step, last step, epoch, recorded)``, and the index of each
+    window's first block followed by the block count. A block ends at the
+    first of: the first step ``j`` from its start on whose end time ``j *
+    dt`` reaches the next tracker epoch's time (less 1e-9), found by
+    stepping ``j`` up from the block start; the next multiple of the record
+    stride; the block's ``min(stride, _MAX_BLOCK_STEPS)``-th step; the last
+    step. A chunk ends after ``_CHUNK_BLOCKS`` blocks or after ``max(1,
+    _ROTATED_ROWS // n_stars)`` epochs, counted as a loop over the epoch
+    budget. The windows split the chunk's blocks afterwards: a window takes
+    blocks while their steps sum to at most ``_WINDOW_STEPS``, and at least
+    one. Reads ``_MAX_BLOCK_STEPS``, ``_CHUNK_BLOCKS`` and ``_WINDOW_STEPS``
+    from ``attsim.harness`` and ``_ROTATED_ROWS`` from
+    ``attsim.startracker`` at call time.
     """
     dt = 1.0 / cfg.gyro_rate_hz
     n_steps = int(math.floor(cfg.duration_s * cfg.gyro_rate_hz + 1e-9))
@@ -467,13 +475,15 @@ def plan_chunks_per_block(cfg):
     next_tracker = tracker_dt
     stride = cfg.effective_stride()
     cap = min(stride, harness._MAX_BLOCK_STEPS)
+    budget = 1
+    while (budget + 1) * n_stars <= startracker._ROTATED_ROWS:
+        budget += 1
     chunks = []
     k = 1
     while k <= n_steps:
-        chunk_start = k
         blocks = []
         n_epochs = 0
-        while k <= n_steps and n_epochs < harness._EPOCH_CHUNK and k - chunk_start < harness._CHUNK_STEPS:
+        while k <= n_steps and n_epochs < budget and len(blocks) < harness._CHUNK_BLOCKS:
             epoch_step = k
             while epoch_step <= n_steps and epoch_step * dt < next_tracker - 1e-9:
                 epoch_step += 1
@@ -485,5 +495,13 @@ def plan_chunks_per_block(cfg):
                 n_epochs += 1
             blocks.append((k, last, epoch, last == due_step or last == n_steps))
             k = last + 1
-        chunks.append(blocks)
+        windows = [0]
+        held = 0
+        for i, (first, last, _, _) in enumerate(blocks):
+            if i > windows[-1] and held + last - first + 1 > harness._WINDOW_STEPS:
+                windows.append(i)
+                held = 0
+            held += last - first + 1
+        windows.append(len(blocks))
+        chunks.append((blocks, windows))
     return chunks

@@ -481,24 +481,33 @@ class TestScenarioPass:
         ],
     )
     def test_chunk_bounds_do_not_change_outputs(self, cfg, monkeypatch, tmp_path):
-        # one epoch and at most 7 steps plus one block per chunk: many more
-        # chunks, the same blocks, byte-identical outputs
+        # one epoch and at most 2 blocks per chunk, windows of at most 7
+        # steps: many more chunks and windows, the same blocks,
+        # byte-identical outputs
         import attsim.harness as hmod
+        import attsim.startracker as smod
 
-        calls = []
-        real_omega = hmod.trajectory_omega
+        windows, chunks = [], []
+        real_omega, real_observe = hmod.trajectory_omega, smod.observe
 
-        def counted(t, axis):
-            calls.append(np.size(t))
+        def counted_omega(t, axis):
+            windows.append(np.size(t))
             return real_omega(t, axis)
 
-        monkeypatch.setattr(hmod, "trajectory_omega", counted)
+        def counted_observe(q, *rest):
+            chunks.append(len(q))
+            return real_observe(q, *rest)
+
+        monkeypatch.setattr(hmod, "trajectory_omega", counted_omega)
+        monkeypatch.setattr(smod, "observe", counted_observe)
         write_outputs(run_simulation(short_cfg(**cfg)), tmp_path / "whole", no_timing=True)
-        whole_calls = len(calls)
-        monkeypatch.setattr(hmod, "_EPOCH_CHUNK", 1)
-        monkeypatch.setattr(hmod, "_CHUNK_STEPS", 7)
+        whole_windows, whole_chunks = len(windows), len(chunks)
+        monkeypatch.setattr(smod, "_ROTATED_ROWS", 1)
+        monkeypatch.setattr(hmod, "_CHUNK_BLOCKS", 2)
+        monkeypatch.setattr(hmod, "_WINDOW_STEPS", 7)
         write_outputs(run_simulation(short_cfg(**cfg)), tmp_path / "small", no_timing=True)
-        assert len(calls) - whole_calls > whole_calls
+        assert len(windows) - whole_windows > whole_windows
+        assert len(chunks) - whole_chunks > whole_chunks
         for name in ("metrics.json", "timeseries.csv"):
             assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "small" / name).read_bytes()
 
@@ -508,7 +517,9 @@ def _plan_configs(stride, n):
 
     Tracker rates from the gyro rate down to 1/137 of it, mostly at ratios
     that are not whole numbers, durations that are not a multiple of the
-    gyro step, and chunk and block bounds from one step up to the defaults.
+    gyro step, catalogs of 2, 100 and 1000 stars, and star-row budgets
+    (from one epoch a chunk up to the default), block, window and chunk
+    bounds from one step or block up to the defaults.
     """
     import random
 
@@ -521,10 +532,12 @@ def _plan_configs(stride, n):
             gyro_rate_hz=gyro,
             tracker_rate_hz=gyro / rng.choice([1.0, 2.9, 7.0, 13.7, 50.0, 137.0]),
             record_stride=stride,
+            n_stars=rng.choice([2, 100, 1000]),
         )
         bounds = dict(
-            _EPOCH_CHUNK=rng.choice([1, 2, 3, 32]),
-            _CHUNK_STEPS=rng.choice([1, 5, 64, 4096]),
+            _ROTATED_ROWS=rng.choice([1, 300, 3200, 1 << 15]),
+            _CHUNK_BLOCKS=rng.choice([1, 5, 64, 4096]),
+            _WINDOW_STEPS=rng.choice([1, 5, 64, 4096]),
             _MAX_BLOCK_STEPS=rng.choice([17, 1000]),
         )
         out.append((cfg, bounds))
@@ -532,27 +545,45 @@ def _plan_configs(stride, n):
 
 
 class TestPlanChunks:
-    """The planner's blocks and chunks are those of one plan per block (``tests/oracles.py``)."""
+    """The planner's blocks, chunks and windows are those of one plan per
+    block (``tests/oracles.py``)."""
 
     @pytest.mark.parametrize("stride", [0, 1, 3, 7, 999, 1000, 1001, 10**9])
     def test_blocks_and_chunks_equal_the_per_block_loop(self, stride, monkeypatch):
         import attsim.harness as hmod
+        import attsim.startracker as smod
         from oracles import plan_chunks_per_block
 
         for cfg, bounds in _plan_configs(stride, 25):
             with monkeypatch.context() as m:
                 for name, value in bounds.items():
-                    m.setattr(hmod, name, value)
+                    m.setattr(smod if name == "_ROTATED_ROWS" else hmod, name, value)
                 got = []
                 first = 1
-                for ends, at_epoch, keep in hmod._plan_chunks(cfg):
+                for ends, at_epoch, keep, windows in hmod._plan_chunks(cfg, cfg.n_stars):
                     assert len(ends) == len(at_epoch) == len(keep)
                     starts = [first] + (ends[:-1] + 1).tolist()
-                    got.append(list(zip(starts, ends.tolist(), at_epoch, keep)))
+                    got.append((list(zip(starts, ends.tolist(), at_epoch, keep)), windows))
                     first = int(ends[-1]) + 1
-                want = plan_chunks_per_block(cfg)
+                want = plan_chunks_per_block(cfg, cfg.n_stars)
             assert got == want, (cfg, bounds)
-            assert want[-1][-1][1] == int(math.floor(cfg.duration_s * cfg.gyro_rate_hz + 1e-9))
+            assert want[-1][0][-1][1] == int(math.floor(cfg.duration_s * cfg.gyro_rate_hz + 1e-9))
+
+    @pytest.mark.parametrize("n_stars, in_file, sizes", [(100, 1000, [32, 8]), (1000, 100, [40])])
+    def test_catalog_file_sets_the_epoch_budget(self, n_stars, in_file, sizes, monkeypatch, tmp_path):
+        # a catalog file overrides n_stars, so its star count, not n_stars,
+        # bounds a chunk's epochs: 32 for 1000 stars, 327 for 100
+        import attsim.startracker as smod
+
+        path = tmp_path / "catalog.csv"
+        smod.save_catalog(smod.generate_catalog(in_file, RngStream(5)), path)
+        cfg = short_cfg(duration_s=40.0, n_stars=n_stars, catalog_path=str(path))
+        real = smod.observe
+        calls = []
+        monkeypatch.setattr(smod, "observe", lambda q, *rest: calls.append(len(q)) or real(q, *rest))
+        res = run_simulation(cfg)
+        assert calls == sizes
+        assert len(res.epoch_t) + res.skipped_epochs == 40
 
 
 class TestBlockTransitions:
@@ -560,22 +591,27 @@ class TestBlockTransitions:
     block transitions are each block's own, bit for bit."""
 
     @pytest.mark.parametrize(
-        "cfg, sizes",
+        "cfg, windows",
         [
-            # mixed lengths: 10-step blocks padded to the chunk's 20
-            (dict(duration_s=3.0, record_stride=20), [20, 20, 10, 10, 20, 20, 20, 20, 10]),
+            # mixed lengths: 10-step blocks padded to the window's 20
+            (dict(duration_s=3.0, record_stride=20), [[20, 20, 10, 10, 20, 20, 20, 20, 10]]),
             # one-step blocks
-            (dict(duration_s=0.5, record_stride=1), [1] * 25),
+            (dict(duration_s=0.5, record_stride=1), [[1] * 25]),
             # two blocks of the cap and a short last block padded to it
-            (dict(duration_s=50.0, tracker_rate_hz=0.02, record_stride=10**9), [1000, 1000, 500]),
+            (dict(duration_s=50.0, tracker_rate_hz=0.02, record_stride=10**9), [[1000, 1000, 500]]),
+            # the mixed blocks in windows of at most 45 steps, each padded to
+            # its own longest block
+            (dict(duration_s=3.0, record_stride=20, window=45), [[20, 20], [10, 10, 20], [20, 20], [20, 10]]),
         ],
-        ids=["mixed", "one-step", "capped"],
+        ids=["mixed", "one-step", "capped", "windows"],
     )
-    def test_each_block_equals_its_transition_alone(self, cfg, sizes, monkeypatch):
+    def test_each_block_equals_its_transition_alone(self, cfg, windows, monkeypatch):
         import attsim.harness as hmod
         from attsim.attitude import identity_quat, integrate_quat
         from attsim.filters import NoiseParams
 
+        cfg = dict(cfg)
+        monkeypatch.setattr(hmod, "_WINDOW_STEPS", cfg.pop("window", hmod._WINDOW_STEPS))
         calls = []
         spied = ("block_increments", "aekf_transitions", "mekf_transitions", "integrate_quat", "_estimate")
         for name in spied:
@@ -588,21 +624,31 @@ class TestBlockTransitions:
 
             monkeypatch.setattr(hmod, name, spy)
         run_simulation(short_cfg(**cfg))
-        (_, (truth_start, true_rates, dt), truth), = [c for c in calls if c[0] == "integrate_quat"]
-        (_, (rates, _), increments), = [c for c in calls if c[0] == "block_increments"]
+        # one truth propagation and one increment build per window, in turn,
+        # each on its window's blocks padded to its longest
+        truths = [c for c in calls if c[0] == "integrate_quat"]
+        builds = [c for c in calls if c[0] == "block_increments"]
+        truth_start, dt = truths[0][1][0], truths[0][1][2]
+        true_rates = [row for c in truths for row in c[1][1]]
+        rates = [row for c in builds for row in c[1][0]]
+        truth = np.concatenate([c[2] for c in truths])
+        increments = np.concatenate([c[2] for c in builds])
+        assert len(builds) == len(truths) == len(windows)
+        for (_, (window_rates, _), _), (_, (_, window_true, _), _), held in zip(builds, truths, windows):
+            assert window_rates.shape == window_true.shape == (len(held), max(held), 3)
+        sizes = [n for held in windows for n in held]
         (_, (m_a,), phi_a), = [c for c in calls if c[0] == "aekf_transitions"]
         (_, (m_m,), phi_m), = [c for c in calls if c[0] == "mekf_transitions"]
         passes = [c[1] for c in calls if c[0] == "_estimate"]
-        assert len(passes) == 2 and m_a is increments and m_m is increments
+        assert len(passes) == 2 and m_a is m_m and _same_bits(m_a, increments)
         for args in passes:
             _, _, _, _, pass_dt, noise, _, m, steps, _, _ = args
             assert pass_dt == dt and steps == sizes and m == increments.tolist()
             assert noise == NoiseParams(sigma_v=1e-3 * math.sqrt(dt), aekf_q_flat=True)
-        assert rates.shape == (len(sizes), max(sizes), 3)
         q_prev = truth_start
         for b, n in enumerate(sizes):
-            assert not np.any(rates[b, n:]) and not np.any(true_rates[b, n:])
-            alone = rates[b:b + 1, :n]
+            assert not np.any(rates[b][n:]) and not np.any(true_rates[b][n:])
+            alone = rates[b][None, :n]
             m_alone = hmod.block_increments(alone, dt)
             assert _same_bits(increments[b], m_alone[0])
             for phi, build in ((phi_a, hmod.aekf_transitions), (phi_m, hmod.mekf_transitions)):
@@ -610,7 +656,7 @@ class TestBlockTransitions:
             m = integrate_quat(identity_quat(), alone[0], dt)
             assert np.max(np.abs(increments[b] - m)) <= 1e-15
             # the truth crosses each block as one block-alone propagation would
-            q_prev = integrate_quat(q_prev, true_rates[b, :n], dt)
+            q_prev = integrate_quat(q_prev, true_rates[b][:n], dt)
             assert _same_bits(truth[b], q_prev)
 
 
@@ -727,10 +773,12 @@ class TestSegmentPass:
     @pytest.mark.parametrize("cap", [3, 512])
     def test_segments_span_chunk_ends(self, cap, monkeypatch, tmp_path):
         # skipped epochs and records every 7 steps make segments of many
-        # blocks, which chunks of one epoch and 7 steps cut: a segment open
-        # at a chunk end is carried and crossed again from its start, so no
-        # output moves; a segment ends after ``cap`` blocks without an update
+        # blocks, which chunks of one epoch and two blocks cut: a segment
+        # open at a chunk end is carried and crossed again from its start,
+        # so no output moves; a segment ends after ``cap`` blocks without an
+        # update
         import attsim.harness as hmod
+        import attsim.startracker as smod
 
         cfg = dict(duration_s=6.0, tracker_rate_hz=3.0, record_stride=7, fov_half_angle_rad=0.2,
                    n_cameras=2, aekf_r_scale=0.25, aekf_q_flat=False, seed=1)
@@ -741,8 +789,9 @@ class TestSegmentPass:
         predict = hmod.mekf_predict
         monkeypatch.setattr(hmod, "mekf_predict",
                             lambda s, m, *rest: lengths.append(len(m)) or predict(s, m, *rest))
-        monkeypatch.setattr(hmod, "_EPOCH_CHUNK", 1)
-        monkeypatch.setattr(hmod, "_CHUNK_STEPS", 7)
+        monkeypatch.setattr(smod, "_ROTATED_ROWS", 1)
+        monkeypatch.setattr(hmod, "_CHUNK_BLOCKS", 2)
+        monkeypatch.setattr(hmod, "_WINDOW_STEPS", 7)
         small = run_simulation(short_cfg(**cfg))
         assert max(lengths) == min(cap, max(lengths)) and max(lengths) >= 3  # crossed from chunks before
         write_outputs(whole, tmp_path / "whole", no_timing=True)
@@ -842,7 +891,7 @@ class TestDavenportAbort:
     @pytest.mark.parametrize("epoch", [0, 13, 29])
     @pytest.mark.parametrize("how", ["sweep"])
     def test_same_partial_result_as_one_solve_per_epoch(self, epoch, how, monkeypatch):
-        import attsim.harness as hmod
+        import attsim.startracker as smod
 
         cfg = dict(duration_s=30.0, record_stride=20)  # 30 epochs in one chunk
         with monkeypatch.context() as m:
@@ -850,7 +899,7 @@ class TestDavenportAbort:
             stacked = run_simulation(short_cfg(**cfg))
         with monkeypatch.context() as m:
             _fail_davenport_at(m, epoch)
-            m.setattr(hmod, "_EPOCH_CHUNK", 1)
+            m.setattr(smod, "_ROTATED_ROWS", 1)  # one epoch a chunk
             alone = run_simulation(short_cfg(**cfg))
         assert stacked.aborted is not None and stacked.aborted == alone.aborted
         assert how in stacked.aborted  # the injected failure is the abort reason
@@ -869,7 +918,9 @@ class TestUpdateAbort:
     @pytest.mark.parametrize("name", ["aekf", "mekf"])
     def test_partial_result(self, name, epoch, monkeypatch):
         import attsim.harness as hmod
+        import attsim.startracker as smod
 
+        monkeypatch.setattr(smod, "_ROTATED_ROWS", 3200)  # 32 epochs a chunk of 100 stars
         cfg = dict(duration_s=40.0, record_stride=10)  # the epoch blocks are record instants
         full = run_simulation(short_cfg(**cfg))
         t_fail = full.epoch_t[epoch]
@@ -905,6 +956,51 @@ class TestUpdateAbort:
             davenport = run_simulation(short_cfg(**cfg))
         for field in _RECORD_FIELDS:
             assert getattr(res, field).tobytes() == getattr(davenport, field).tobytes(), field
+
+
+class TestUpdateExceptionAbort:
+    """A 180-degree MEKF innovation (GibbsSingularity) and an AEKF estimate too
+    short to renormalize (DegenerateQuaternion) abort the run as a filter
+    update's NumericalFailure does, with a partial result written."""
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("mekf", "rotation is at 180 degrees"), ("aekf", "cannot normalize quaternion")],
+    )
+    def test_same_partial_result_as_a_numerical_failure(self, name, reason, monkeypatch, tmp_path, capsys):
+        import attsim.harness as hmod
+        from attsim.attitude import quat_mul
+        from attsim.cli import main
+
+        cfg = SimConfig(duration_s=5.0)
+        q_bad = run_simulation(cfg).q_meas[2]  # the measurement of the third update
+        real = getattr(hmod, f"{name}_update")
+
+        def update(s, q_meas, r):
+            if not np.array_equal(q_meas, q_bad):
+                return real(s, q_meas, r)
+            if name == "mekf":  # a measurement 180 degrees from the estimate
+                return real(s, quat_mul(np.array([1.0, 0.0, 0.0, 0.0]), s.q), r)
+            return real(s, np.zeros(4), np.zeros((4, 4)))  # a noiseless zero measurement
+
+        with monkeypatch.context() as m:
+            _fail_update_at(m, name, q_bad, "synthetic failure")
+            want = run_simulation(cfg)
+        path = tmp_path / "cfg.json"
+        cfg.to_json(path)
+        with monkeypatch.context() as m:
+            m.setattr(hmod, f"{name}_update", update)
+            got = run_simulation(cfg)
+            rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--no-timing"])
+        assert reason in got.aborted
+        assert len(got.epoch_t) == 3 and got.t[-1] == 3.0
+        for field in (*_RECORD_FIELDS, "epoch_t", "q_meas"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert rc == 3
+        assert reason in capsys.readouterr().err
+        write_outputs(got, tmp_path / "direct", no_timing=True)
+        for out in ("metrics.json", "timeseries.csv"):
+            assert (tmp_path / "out" / out).read_bytes() == (tmp_path / "direct" / out).read_bytes()
 
 
 class TestComputeMetrics:
