@@ -3,9 +3,11 @@
 Rerun equality only shows that a run repeats; these pins show that the
 outputs stay what they were. Two kinds are kept:
 
-* the SHA-256 of ``metrics.json`` and ``timeseries.csv`` of three short
+* the SHA-256 of ``metrics.json`` and ``timeseries.csv`` of four short
   runs, in ``tests/golden/digests.json``: any change of one ulp in any
-  output column fails the test;
+  output column fails the test. ``long-segments`` records every step
+  between tracker epochs 400 steps apart, so its update segments hold 400
+  blocks and its first chunk ends inside one;
 * the ``repr`` of every metric of a 528 s run of the default config (528
   records, 528 tracker epochs), in ``tests/golden/orbit-528s-metrics.json``:
   a failure names the metric that moved and shows both values.
@@ -31,7 +33,7 @@ from attsim.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
 OUTPUTS = ("metrics.json", "timeseries.csv")
-CONFIGS = ("default-30s", "record-every-step", "noiseless")
+CONFIGS = ("default-30s", "record-every-step", "noiseless", "long-segments")
 METRICS_CONFIG = "orbit-528s"
 METRIC_REPRS = GOLDEN / f"{METRICS_CONFIG}-metrics.json"
 
