@@ -5,9 +5,9 @@ Davenport solve from an observations CSV), ``triad`` (two-pair attitude
 matrix), ``gen-catalog`` (seeded star catalog CSV), and ``selfcheck``
 (built-in verification suite).
 
-Exit codes: 0 success, 1 usage error, 2 configuration/input-file error,
-3 numerical failure. Diagnostics go to stderr; results go to files or
-stdout. Quaternions print scalar-first.
+Exit codes: 0 success, 1 usage error, 2 configuration, input-file or
+output-path error, 3 numerical failure. Diagnostics go to stderr; results
+go to files or stdout. Quaternions print scalar-first.
 """
 
 import argparse
@@ -85,14 +85,14 @@ def _load_observations(path: str) -> ObservationSet:
     header = [h.strip() for h in lines[0].split(",")]
     if header[:6] != ["bx", "by", "bz", "rx", "ry", "rz"]:
         raise ConfigError("observations header must start with bx,by,bz,rx,ry,rz")
-    has_weight = len(header) == 7 and header[6] == "weight"
-    if len(header) > 6 and not has_weight:
+    if len(header) > 6 and header[6:] != ["weight"]:
         raise ConfigError("seventh observations column, if present, must be 'weight'")
+    widths = range(6, len(header) + 1)  # a row without a weight gets weight 1
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) not in (6, 7):
-            raise ConfigError(f"{path}:{lineno}: expected 6 or 7 fields")
+        if len(parts) not in widths:
+            raise ConfigError(f"{path}:{lineno}: expected {' or '.join(map(str, widths))} fields")
         try:
             vals = [float(p) for p in parts]
         except ValueError as exc:
@@ -116,9 +116,17 @@ def _cmd_run(args) -> int:
         if args.seed < 0:
             raise ConfigError("seed must be nonnegative")
         cfg.seed = args.seed
-    result = harness.run_simulation(cfg)
-    harness.write_outputs(result, args.out, no_timing=args.no_timing)
+    # a bad output path fails before the run; a run that raises leaves no directory
     out = Path(args.out)
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        result = harness.run_simulation(cfg)
+    except BaseException:
+        for p in made:
+            p.rmdir()
+        raise
+    harness.write_outputs(result, out, no_timing=args.no_timing)
     print(f"wrote {out / 'metrics.json'} and {out / 'timeseries.csv'}", file=sys.stderr)
     if result.skipped_epochs:
         print(f"skipped {result.skipped_epochs} underdetermined tracker epochs", file=sys.stderr)
@@ -282,7 +290,7 @@ def main(argv=None) -> int:
             return _cmd_gen_catalog(args)
         if args.command == "selfcheck":
             return _cmd_selfcheck(args)
-    except (ConfigError, InvalidInput) as exc:
+    except (ConfigError, InvalidInput, OSError) as exc:  # OSError: an output path
         print(f"attsim: config error: {exc}", file=sys.stderr)
         return 2
     except AttsimError as exc:

@@ -28,35 +28,33 @@ Multiplicative EKF (MEKF)
     updates. The truth gyro has no bias and the filter estimates none.
 
 Segment predict
-    Each filter has one predict, and it crosses an update segment: the k
-    consecutive blocks of gyro steps between two measurements,
-    ``predict(state, m, steps, dt, noise)``. ``m`` lists the product of
-    each block's exact quaternion step increments
-    (:func:`attsim.attitude.block_increments`), the same for both filters
-    since both read the same gyro rates, and ``steps`` the gyro steps of
-    each block. Both transitions are exact and orthogonal, so the segment
-    has a closed form. The rotation from the segment start to the end of
-    block j is the product ``R_j = M_j ... M_1`` (:func:`attsim.attitude.
-    quat_path` from the identity), its transition is the transition of the
-    product, and the covariance after block j is ``Phi(R_j) P Phi(R_j)^T +
-    Q_j``. The per-step process noise ``sigma_v^2 dt I`` is isotropic, so an
-    orthogonal transition leaves it as it is and ``Q_j = N_j sigma_v^2 dt I``
-    for the N_j gyro steps crossed. The AEKF's kinematic noise ``0.25
-    sigma_v^2 dt (I - q q^T)`` is taken at the attitude after each step, and
-    ``L`` carries ``I - q q^T`` at one attitude to ``I - q' q'^T`` at the
-    next, so ``Q_j = 0.25 N_j sigma_v^2 dt (I - q_j q_j^T)`` at the
-    filter's attitude after block j. Each equals the per-step recursion up
-    to rounding. The first-order transitions ``I - [omega x] dt`` and
-    ``I + 0.5 Omega(omega) dt`` this replaces are not orthogonal: they
-    inflated the covariance by up to 2.5 % per tracker epoch, process noise
-    that no tuning chose. A caller that built the transitions of many
-    blocks at once from their increments may hand a one-block segment its
-    block's row; it is the transition the predict would build, bit for bit.
+    Each filter has one predict, and it crosses blocks of gyro steps of an
+    update segment, the blocks between two measurements: ``predict(state,
+    m, phi, n, dt, noise)``. ``m`` lists the product of each block's exact
+    quaternion step increments (:func:`attsim.attitude.block_increments`),
+    the same for both filters since both read the same gyro rates. Both
+    transitions are exact and orthogonal, so the segment has a closed form.
+    With ``R_j = M_j ... M_1`` the rotation from the segment start to the
+    end of block j, the covariance after block j is ``Phi(R_j) P
+    Phi(R_j)^T + Q_j``, with P the covariance at the segment start; ``phi``
+    holds the ``Phi(R_j)`` (:func:`aekf_transitions`,
+    :func:`mekf_transitions` of the ``R_j``) and ``n`` the gyro steps
+    ``N_j`` from the segment start to the end of each block. The per-step
+    process noise ``sigma_v^2 dt I`` is isotropic, so an orthogonal
+    transition leaves it as it is and ``Q_j = N_j sigma_v^2 dt I``. The
+    AEKF's kinematic noise ``0.25 sigma_v^2 dt (I - q q^T)`` is taken at
+    the attitude after each step, and ``L`` carries ``I - q q^T`` at one
+    attitude to ``I - q' q'^T`` at the next, so ``Q_j = 0.25 N_j sigma_v^2
+    dt (I - q_j q_j^T)`` at the filter's attitude after block j. Each
+    equals the per-step recursion up to rounding. The first-order
+    transitions ``I - [omega x] dt`` and ``I + 0.5 Omega(omega) dt`` this
+    replaces are not orthogonal: they inflated the covariance by up to 2.5 %
+    per tracker epoch, process noise that no tuning chose. The caller plans
+    the segments and their rotations (the harness once for both filters);
+    a segment may be crossed in parts, each predict starting from the
+    attitude the part before left and the covariance at the segment start.
     The predict returns the state after every block, so a caller can
-    snapshot the filter inside the segment; the caller decides where blocks
-    and segments end (the harness ends a block at every tracker epoch and
-    record instant, and a segment at every update or after a fixed number
-    of blocks).
+    snapshot the filter inside the segment.
 
 The AEKF update sign-aligns the measured quaternion against the current
 estimate before forming a residual, and the MEKF's Gibbs innovation does
@@ -83,7 +81,6 @@ from .numerics import solve, symmetrize
 
 _I3 = np.eye(3)
 _I4 = np.eye(4)
-_IDENTITY = (0.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -162,28 +159,23 @@ def mekf_transitions(m) -> np.ndarray:
     return quat_to_matrix(_rotations(m)).swapaxes(-1, -2)
 
 
-def _segment(m, steps, dt: float, noise: NoiseParams, phi, transitions):
-    """The validated transitions and process-noise variances ``sigma_v^2 dt N_j`` of a segment.
+def _segment(m, phi, n, dt: float, noise: NoiseParams):
+    """The validated transitions and process-noise variances ``sigma_v^2 dt N_j`` of k blocks.
 
-    ``phi`` is used if given, and otherwise built by ``transitions`` from the
-    rotations from the segment start to each block end. A segment of one
-    block gets its ``(n, n)`` transition and a float, whose products cost
-    less than those of a stack of one; a longer one gets the ``(k, n, n)``
-    stack and a ``(k, 1, 1)`` array.
+    One block gets its 2-D transition and a float, whose products cost less
+    than a stack of one's; more get the stack and a ``(k, 1, 1)`` array.
     """
     k = len(m)
     if dt <= 0.0:
         raise InvalidInput("dt must be positive")
-    if len(steps) != k or min(steps) < 1:
+    if k == 0 or len(phi) != k or len(n) != k:
+        raise InvalidInput("one transition and one step count per block are needed")
+    if n[0] < 1 or (k > 1 and not all(a < b for a, b in zip(n, n[1:]))):
         raise InvalidInput("each block must cross at least one gyro step")
     per_step = noise.sigma_v * noise.sigma_v * dt
-    if phi is None:
-        phi = transitions(quat_path(_IDENTITY, m))
-    elif len(phi) != k:
-        raise InvalidInput("one transition per block is needed")
     if k == 1:
-        return phi[0], steps[0] * per_step
-    return phi, per_step * np.cumsum(steps)[:, None, None]
+        return phi[0], n[0] * per_step
+    return phi, per_step * np.asarray(n)[:, None, None]
 
 
 def _propagate(p: np.ndarray, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -198,25 +190,22 @@ def _propagate(p: np.ndarray, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
     return x if x.ndim == 3 else x[None]
 
 
-def aekf_predict(s: AekfState, m, steps, dt: float, noise: NoiseParams, phi=None):
-    """Propagate the AEKF across one update segment of k blocks of gyro steps.
+def aekf_predict(s: AekfState, m, phi, n, dt: float, noise: NoiseParams):
+    """Propagate the AEKF across k blocks of gyro steps of one update segment.
 
-    ``m`` lists the product of each block's quaternion step increments
-    (:func:`attsim.attitude.block_increments`) and ``steps`` the gyro steps
-    of each block. The quaternion advances by each increment in turn and is
-    renormalized once per block, since the exact steps preserve the norm to
-    about 1e-16. The covariance after block j is ``L(R_j) P L(R_j)^T +
-    Q_j``, with ``R_j`` the product of the first j increments and ``Q_j``
-    the process noise of the ``N_j`` steps up to there: ``sigma_v^2 dt N_j
+    ``s.q`` is the attitude before the blocks and ``s.p`` the covariance at
+    the segment start. ``m``, ``phi`` (here :func:`aekf_transitions` of the
+    ``R_j``, ``(k, 4, 4)``) and ``n`` (the ``N_j``, strictly increasing from
+    1 or more) are as in the module docstring. The quaternion advances by
+    each increment in turn and is renormalized once per block, since the
+    exact steps preserve the norm to about 1e-16. The covariance after
+    block j is ``L(R_j) P L(R_j)^T + Q_j``, with ``Q_j = sigma_v^2 dt N_j
     I`` (flat), or ``0.25 sigma_v^2 dt N_j (I - q_j q_j^T)`` at the
-    attitude ``q_j`` after the block (kinematic); see the module docstring.
-    ``phi``, if given, is ``aekf_transitions`` of the ``R_j``, ``(k, 4,
-    4)``; a one-block segment may take its block's row of a stack built
-    ahead. Returns the attitude ``(k, 4)`` and the covariance ``(k, 4, 4)``
-    after each block.
+    attitude ``q_j`` after the block (kinematic). Returns the attitude
+    ``(k, 4)`` and the covariance ``(k, 4, 4)`` after each block.
     """
+    phi, var = _segment(m, phi, n, dt, noise)
     path = quat_path(s.q, m, normalize=True)
-    phi, var = _segment(m, steps, dt, noise, phi, aekf_transitions)
     if noise.aekf_q_flat:
         q = var * _I4
     else:
@@ -252,18 +241,17 @@ def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
     return AekfState(q=q_new, p=p_new)
 
 
-def mekf_predict(s: MekfState, m, steps, dt: float, noise: NoiseParams, phi=None):
-    """Propagate the MEKF reference and error covariance across one update segment of k blocks.
+def mekf_predict(s: MekfState, m, phi, n, dt: float, noise: NoiseParams):
+    """Propagate the MEKF reference and error covariance across k blocks of one update segment.
 
-    ``m``, ``steps`` and ``phi`` are as for :func:`aekf_predict`, with
+    ``s``, ``m``, ``phi`` and ``n`` are as for :func:`aekf_predict`, with
     ``phi`` from :func:`mekf_transitions`, ``(k, 3, 3)``. The increments
     carry the reference exactly, and the covariance after block j is
     ``A(R_j)^T P A(R_j) + sigma_v^2 dt N_j I``. Returns the reference
     ``(k, 4)`` and the covariance ``(k, 3, 3)`` after each block.
     """
-    path = quat_path(s.q, m)
-    phi, var = _segment(m, steps, dt, noise, phi, mekf_transitions)
-    return path, _propagate(s.p, phi, var * _I3)
+    phi, var = _segment(m, phi, n, dt, noise)
+    return quat_path(s.q, m), _propagate(s.p, phi, var * _I3)
 
 
 def mekf_update(s: MekfState, q_meas, r3) -> MekfState:

@@ -24,29 +24,28 @@ pass per filter:
   one star-tracker observation pass over all the chunk's epochs, whose
   star noise is one draw, and one Davenport solve of their sets as one
   padded stack;
+* the segment plan (:func:`_segments`), shared by both filters: the
+  chunk's update segments, each the blocks after one update up to and
+  including the block of the next, and each block's rotation R_j and gyro
+  steps N_j since its segment's start. A segment open at the chunk's end
+  carries its last R_j and N_j into the next chunk's plan;
 * the estimate passes (:func:`_estimate`), the AEKF's and then the
-  MEKF's: each builds its filter's exact covariance transition of every
-  block from the block increments, in one call over the chunk (see
-  :mod:`attsim.filters`), then crosses the blocks one update segment at a
-  time, the blocks after one update up to and including the block of the
-  next (or at most ``_MAX_SEGMENT_BLOCKS`` blocks). One predict per
-  segment advances the quaternion block by block (q <- M q) and takes the
-  covariance after every block in closed form from the product of the
-  segment's increments up to it; a segment of one block takes its block's
-  transition from the chunk's build. The last block takes the epoch's
-  Davenport quaternion, and the filter is snapshotted at the segment's
-  record instants. A segment still open at the chunk's end is carried into
-  the next chunk, with its start state and its blocks' increments and step
-  counts, and crossed again from its start there, so the outputs do not
-  depend on where chunks end.
+  MEKF's: each builds its filter's transition of every R_j in one call
+  (see :mod:`attsim.filters`), then takes one predict per segment, which
+  advances the quaternion block by block (q <- M q) and the covariance in
+  closed form, the last block's update with the epoch's Davenport
+  quaternion, and the snapshots at the segment's record instants. A filter
+  whose segment is open at the chunk's end is carried with the attitude
+  after its last block and the covariance at the segment start, so each
+  block is crossed once and the outputs do not depend on where chunks end.
 
 So every update and every record sees the filter states it would see
 after one exact predict per step, up to rounding, and the noise streams
 are the ones a step-by-step loop draws. Everything downstream of the seed
 is deterministic except the wall-clock timing: each estimate pass is timed
 as a whole, and a filter's step time is the time of its passes plus the
-shared increment products, which each filter would need alone, divided by
-the gyro steps it crossed.
+shared increment products and segment plans, which each filter would need
+alone, divided by the gyro steps it crossed.
 
 Default tuning notes (the trade study this harness supports never pins
 sensor grades, so defaults are artifact choices, documented here):
@@ -78,7 +77,7 @@ from typing import Optional
 import numpy as np
 
 from . import startracker
-from .attitude import block_increments, error_angle, integrate_quat, quat_norms
+from .attitude import _hamilton, block_increments, error_angle, integrate_quat, quat_norms
 from .errors import ConfigError, InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from .filters import (
     NoiseParams,
@@ -123,11 +122,8 @@ _MAX_BLOCK_STEPS = 1000
 _CHUNK_BLOCKS = 4096
 _WINDOW_STEPS = 4096
 
-# longest update segment, in blocks: a segment with no update for this many
-# blocks ends there, without one. A segment still open at a chunk end is
-# carried into the next chunk and crossed again from its start, so this
-# bounds what a chunk carries over and crosses twice
-_MAX_SEGMENT_BLOCKS = 512
+# the rotation and gyro steps of an update segment before its first block
+_NO_SEGMENT = ((0.0, 0.0, 0.0, 1.0), 0)
 
 # records whose covariance snapshots one stacked eigensolve takes; keeps the
 # pending buffers and the solver's temporaries at a fixed size however many
@@ -440,75 +436,79 @@ def _pad(rates: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.concatenate((rates, np.zeros((1, 3))))[rows]
 
 
-def _carry(state):
-    """The carry of :func:`_estimate` for a filter with no update segment open."""
-    return state, [], []
+def _segments(increments, steps, measured, open_segment):
+    """The update segments of the first ``len(measured)`` blocks of a chunk, for both filters.
+
+    A segment ends at the block of the next update (``measured[i]`` not
+    None), or stays open at the last block. ``open_segment`` is ``(r, n)``
+    of the segment open at the chunk start, ``_NO_SEGMENT`` if none: the
+    rotation from its start to its last block's end, as four floats, and
+    its gyro steps. Returns each segment's ``(lo, hi)`` block range; each
+    block's rotation R_j = M_j R_(j-1) from its segment's start, the
+    products of :func:`attsim.attitude.quat_path`, as ``(blocks, 4)``; its
+    gyro steps N_j from that start, as a list; and the ``(r, n)`` to carry.
+    """
+    bounds, counts = [], []
+    rotations = np.empty((len(measured), 4))
+    r, n = open_segment
+    lo = 0
+    for i, (m, k, q_meas) in enumerate(zip(increments, steps, measured)):
+        r = _hamilton(*m, *r)
+        n += k
+        rotations[i] = r
+        counts.append(n)
+        if q_meas is not None:
+            bounds.append((lo, i + 1))
+            lo = i + 1
+            r, n = _NO_SEGMENT
+    if lo < len(measured):
+        bounds.append((lo, len(measured)))
+    return bounds, rotations, counts, (r, n)
 
 
-def _estimate(carry, predict, update, r, dt, noise, phi, increments, steps, measured, keep):
+def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, segments, measured, keep):
     """One filter's estimate pass over the first ``len(measured)`` blocks of a chunk.
 
-    The blocks are crossed one update segment at a time. A segment runs
-    from one update to the next: it ends at the block of the next update,
-    at the ``_MAX_SEGMENT_BLOCKS``-th block since the last update, or
-    otherwise at the chunk's last block, where it stays open. ``carry`` is
-    ``(start, m, n)``: the filter at the start of the segment open when the
-    chunk starts, and the increments and gyro steps of its blocks in earlier
-    chunks, as lists (:func:`_carry`). Segment ``[lo, hi)`` is crossed from
-    its start by one ``predict(start, m + increments[lo:hi], n +
-    steps[lo:hi], dt, noise, phi)`` (see
-    :func:`attsim.filters.aekf_predict`), so a segment that spans chunk ends
-    is crossed again from its start in each chunk, and each block gets the
-    bits it gets when one chunk holds the whole segment. ``phi`` holds the
-    filter's transition of each block of the chunk, built from
-    ``increments`` in one call: a segment of one block takes its row, which
-    is the transition the predict would build, and a longer one builds its
-    own. The predict gives the filter after each
-    block; the last is then updated with the quaternion ``measured[hi - 1]``
-    (with covariance ``r``) unless it is None. Block ``i`` is snapshotted if
-    ``keep[i]``, after its update if it has one. Returns the carry into the
-    next chunk, the snapshots' quaternions ``(n_keep, 4)`` and covariances
-    ``(n_keep, n, n)``, and None; if an update raises NumericalFailure, the
+    ``segments`` and ``counts`` come from :func:`_segments`, and ``phi``
+    holds the filter's transition of each block's R_j. ``state`` is the
+    filter at the chunk start; if a segment is open then, its covariance is
+    the one at the segment start. Segment ``[lo, hi)`` is crossed by one
+    ``predict(state, increments[lo:hi], phi[lo:hi], counts[lo:hi], dt,
+    noise)`` (see :func:`attsim.filters.aekf_predict`), which gives the
+    filter after each block; the last is then updated with the quaternion
+    ``measured[hi - 1]`` (with covariance ``r``) unless it is None. Block
+    ``i`` is snapshotted if ``keep[i]``, after its update if it has one.
+    Returns the filter to carry into the next chunk, in the form of
+    ``state``; the snapshots' quaternions ``(n_keep, 4)`` and covariances
+    ``(n_keep, d, d)``; and None. If an update raises NumericalFailure, the
     pass stops at that block and the last item is ``(i, exception)``.
     """
-    start, m_open, n_open = carry
     q_kept = np.empty((sum(keep), 4))
-    p_kept = np.empty(q_kept.shape[:1] + start.p.shape)
+    p_kept = np.empty(q_kept.shape[:1] + state.p.shape)
     j = 0
-    n = len(measured)
-    lo = 0
-    while lo < n:
-        c = len(m_open)  # blocks of the segment that earlier chunks hold
-        hi = lo + 1
-        while hi < n and measured[hi - 1] is None and c + hi - lo < _MAX_SEGMENT_BLOCKS:
-            hi += 1
-        m_open = m_open + increments[lo:hi]
-        n_open = n_open + steps[lo:hi]
-        quats, covs = predict(start, m_open, n_open, dt, noise, phi[lo:hi] if len(m_open) == 1 else None)
-        state = type(start)(quats[-1], covs[-1])
+    for lo, hi in segments:
+        quats, covs = predict(state, increments[lo:hi], phi[lo:hi], counts[lo:hi], dt, noise)
+        after = type(state)(quats[-1], covs[-1])
         q_meas = measured[hi - 1]
         if q_meas is not None:
             try:
-                state = update(state, q_meas, r)
+                after = update(after, q_meas, r)
             except NumericalFailure as exc:
-                return _carry(state), q_kept, p_kept, (hi - 1, exc)
-        # the snapshots inside the segment, rows c.. of its predict: a slice
-        # when every inner block is kept
+                return state, q_kept, p_kept, (hi - 1, exc)
+        # the snapshots inside the segment: a slice when every inner block is kept
         inner = keep[lo:hi - 1]
         n_in = sum(inner)
         if n_in:
-            rows = slice(c, c + n_in) if n_in == len(inner) else [c + i for i, kept in enumerate(inner) if kept]
+            rows = slice(n_in) if n_in == len(inner) else [i for i, kept in enumerate(inner) if kept]
             q_kept[j:j + n_in] = quats[rows]
             p_kept[j:j + n_in] = covs[rows]
             j += n_in
         if keep[hi - 1]:
-            q_kept[j] = state.q
-            p_kept[j] = state.p
+            q_kept[j] = after.q
+            p_kept[j] = after.p
             j += 1
-        if q_meas is not None or len(m_open) == _MAX_SEGMENT_BLOCKS:
-            start, m_open, n_open = _carry(state)
-        lo = hi
-    return (start, m_open, n_open), q_kept, p_kept, None
+        state = after if q_meas is not None else type(state)(after.q, state.p)
+    return state, q_kept, p_kept, None
 
 
 def run_simulation(cfg: SimConfig) -> RunResult:
@@ -548,8 +548,9 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     noise = NoiseParams(sigma_v=cfg.sigma_gyro * math.sqrt(dt), aekf_q_flat=cfg.aekf_q_flat)
 
     q_end = np.array([0.0, 0.0, 0.0, 1.0])  # truth at the end of the last block built
-    aekf = _carry(aekf_init(q_end, _P0_ATTITUDE * np.eye(4)))
-    mekf = _carry(mekf_init(q_end, _P0_ATTITUDE * np.eye(3)))
+    aekf = aekf_init(q_end, _P0_ATTITUDE * np.eye(4))
+    mekf = mekf_init(q_end, _P0_ATTITUDE * np.eye(3))
+    open_segment = _NO_SEGMENT
 
     rec_t, rec_q, rec_ea, rec_em = [], [], [], []
     rec_pa, rec_pm, rec_ca, rec_cm = [], [], [], []
@@ -637,30 +638,33 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             elif failure is None and not isinstance(outcome, UnderdeterminedAttitude):
                 failure = (i, outcome)
 
-        # estimate passes: each filter across the blocks in turn, timed as a
-        # whole with its own build of the blocks' transitions, and charged
-        # the shared increment products too. A failure at block j ends the
-        # chunk there: both passes run again from the chunk's start, without
-        # the update at j and with a record there
+        # the segment plan, then each filter's estimate pass, timed as a
+        # whole with its own transition build and charged the shared
+        # increments and plan. A failure at block j ends the chunk there:
+        # all run again from its start, without the update at j and with a
+        # record there
         steps_list = steps.tolist()
         while True:
             if failure is not None:
                 stop = failure[0]
                 measured, keep = measured[:stop] + [None], keep[:stop] + [True]
             t0 = time.perf_counter()
-            aekf_out = _estimate(aekf, aekf_predict, aekf_update, r4, dt, noise, aekf_transitions(increments),
-                                 m_list, steps_list, measured, keep)
+            segments, rotations, counts, segment_out = _segments(m_list, steps_list, measured, open_segment)
             t1 = time.perf_counter()
-            mekf_out = _estimate(mekf, mekf_predict, mekf_update, r3, dt, noise, mekf_transitions(increments),
-                                 m_list, steps_list, measured, keep)
+            aekf_out = _estimate(aekf, aekf_predict, aekf_update, r4, dt, noise, aekf_transitions(rotations),
+                                 m_list, counts, segments, measured, keep)
             t2 = time.perf_counter()
+            mekf_out = _estimate(mekf, mekf_predict, mekf_update, r3, dt, noise, mekf_transitions(rotations),
+                                 m_list, counts, segments, measured, keep)
+            t3 = time.perf_counter()
             failures = [out[3] for out in (aekf_out, mekf_out) if out[3] is not None]
             if not failures:
                 break
             failure = min(failures, key=lambda f: f[0])
-        aekf, mekf = aekf_out[0], mekf_out[0]
-        aekf_s += t1 - t0 + shared_s
-        mekf_s += t2 - t1 + shared_s
+        aekf, mekf, open_segment = aekf_out[0], mekf_out[0], segment_out
+        shared_s += t1 - t0
+        aekf_s += t2 - t1 + shared_s
+        mekf_s += t3 - t2 + shared_s
         n_done = len(measured)
         steps_done = int(ends[n_done - 1])
 

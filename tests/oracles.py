@@ -37,8 +37,9 @@ one-step transition built from the rate by Rodrigues' formula
 (:func:`step_transitions`), with :func:`omega_matrix` and
 :func:`cross_matrix`, and the one-step process noise, the AEKF's kinematic
 noise taken at the attitude after the step. :func:`estimate_per_step` runs
-``attsim.harness._estimate``'s pass with it, step by step; they are the
-references the block and segment forms are bounded against.
+``attsim.harness._estimate``'s pass with it, step by step, on the segment
+plan of ``attsim.harness._segments``; they are the references the block
+and segment forms are bounded against.
 
 ``attsim.harness._plan_chunks`` finds the first step reaching the next
 tracker epoch once per epoch and builds each chunk's block facts and its
@@ -421,19 +422,19 @@ def predict_per_step(state, rates, dt: float, noise):
     return type(state)(q, p)
 
 
-def estimate_per_step(rates, carry, predict, update, r, dt, noise, phi, increments, steps, measured, keep):
+def estimate_per_step(rates, state, predict, update, r, dt, noise, phi, increments, counts, segments, measured,
+                      keep):
     """``attsim.harness._estimate`` with one predict per gyro step, written out.
 
     ``rates`` is the chunk's zero-padded ``(blocks, longest block, 3)``
     stack of gyro rates; the other arguments are those of ``_estimate``, and
-    the return is what it returns. No segment is ever left open, so the
-    carry in and out is ``(state, [], [])``. Block ``i`` crosses its
-    ``steps[i]`` rates by :func:`predict_per_step`; then the block's update
-    and snapshot follow. ``predict``, ``phi`` and ``increments`` are not
-    used.
+    the return is what it returns. No segment may be open when the chunk
+    starts, so the gyro steps of each block are the differences of
+    ``counts`` within its segment. Block ``i`` crosses its steps' rates by
+    :func:`predict_per_step`; then the block's update and snapshot follow.
+    ``predict``, ``phi`` and ``increments`` are not used.
     """
-    state, m_open, _ = carry
-    assert not m_open
+    steps = [int(x) for lo, hi in segments for x in np.diff(counts[lo:hi], prepend=0)]
     q_kept = np.empty((sum(keep), 4))
     p_kept = np.empty(q_kept.shape[:1] + state.p.shape)
     j = 0
@@ -443,12 +444,12 @@ def estimate_per_step(rates, carry, predict, update, r, dt, noise, phi, incremen
             try:
                 state = update(state, q_meas, r)
             except NumericalFailure as exc:
-                return (state, [], []), q_kept, p_kept, (i, exc)
+                return state, q_kept, p_kept, (i, exc)
         if keep[i]:
             q_kept[j] = state.q
             p_kept[j] = state.p
             j += 1
-    return (state, [], []), q_kept, p_kept, None
+    return state, q_kept, p_kept, None
 
 
 def plan_chunks_per_block(cfg, n_stars):

@@ -148,6 +148,32 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_output_path_blocked_by_a_file_exits_2_before_running(self, tmp_path, capsys, monkeypatch, under):
+        import attsim.harness as hmod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the simulation loop started")
+
+        monkeypatch.setattr(hmod, "trajectory_omega", never)
+        blocker = tmp_path / "results"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if under else blocker
+        rc = main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("attsim: config error: ") and err.count("\n") == 1
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        # the directory exists, but one output name is taken by a directory
+        out = tmp_path / "results"
+        (out / "timeseries.csv").mkdir(parents=True)
+        rc = main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("attsim: config error: ") and err.count("\n") == 1
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "a"), "--no-timing"])
@@ -268,6 +294,18 @@ class TestSolveWahba:
         assert (qx, qy) == pytest.approx((0.0, 0.0), abs=1e-9)
         assert abs(qz) == pytest.approx(s, abs=1e-9)
         assert qw == pytest.approx(s, abs=1e-9)
+
+    def test_row_length_must_match_the_header(self, tmp_path, capsys):
+        # a weight field under a header without the weight column is a row
+        # of the wrong length; a row without a weight under a weighted
+        # header gets weight 1
+        path = tmp_path / "obs.csv"
+        path.write_text("bx,by,bz,rx,ry,rz\n1,0,0,1,0,0,5\n0,1,0,0,1,0\n")
+        assert main(["solve-wahba", str(path)]) == 2
+        assert "obs.csv:2: expected 6 fields" in capsys.readouterr().err
+        path.write_text("bx,by,bz,rx,ry,rz,weight\n1,0,0,1,0,0\n0,1,0,0,1,0,2.5\n")
+        assert main(["solve-wahba", str(path)]) == 0
+        assert "lambda_max=3.5" in capsys.readouterr().err
 
     def test_bad_header_exits_2(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -421,6 +459,12 @@ class TestGenCatalog:
         main(["gen-catalog", "--n", "10", "--seed", "4", "--out", str(a)])
         main(["gen-catalog", "--n", "10", "--seed", "4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_directory_as_output_exits_2(self, tmp_path, capsys):
+        rc = main(["gen-catalog", "--n", "10", "--seed", "4", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("attsim: config error: ") and err.count("\n") == 1
 
     def test_bad_n_exits_2(self, tmp_path):
         rc = main(["gen-catalog", "--n", "1", "--seed", "4", "--out", str(tmp_path / "c.csv")])

@@ -54,9 +54,20 @@ def _transitions_fn(s):
     return mekf_transitions if isinstance(s, MekfState) else aekf_transitions
 
 
+def predict_from_start(s, m, steps, dt, noise):
+    """One predict across blocks of increments ``m`` and gyro steps ``steps``, a whole segment.
+
+    It takes the transitions of the rotations from the segment start, the
+    products of ``quat_path`` from the identity, and the steps summed from
+    the segment start, as the harness plans them.
+    """
+    phi = _transitions_fn(s)(quat_path(identity_quat(), m))
+    return _predict_fn(s)(s, m, phi, np.cumsum(steps).tolist(), dt, noise)
+
+
 def predict_segment(s, w, steps, dt, noise):
     """One predict across a segment of blocks of rates ``(k, L, 3)``; the state after its last block."""
-    quats, covs = _predict_fn(s)(s, block_increments(w, dt).tolist(), list(steps), dt, noise)
+    quats, covs = predict_from_start(s, block_increments(w, dt).tolist(), steps, dt, noise)
     return type(s)(quats[-1], covs[-1])
 
 
@@ -69,14 +80,14 @@ def predict_rates(s, omegas, dt, noise):
 def predict_blocks_prebuilt(s, w, steps, dt, noise):
     """One predict per block of ``w`` ``(k, L, 3)``, each a segment of one, as the harness runs it.
 
-    The transitions of all the blocks are built in one call from their
-    increments, and each predict takes its block's row.
+    The transitions of all the blocks' rotations, each from the identity,
+    are built in one call, and each predict takes its block's row.
     """
-    increments = block_increments(w, dt)
-    phi = _transitions_fn(s)(increments)
+    increments = block_increments(w, dt).tolist()
+    phi = _transitions_fn(s)([quat_path(identity_quat(), [m])[0] for m in increments])
     predict = _predict_fn(s)
-    for b, m in enumerate(increments.tolist()):
-        quats, covs = predict(s, [m], [steps[b]], dt, noise, phi[b:b + 1])
+    for b, m in enumerate(increments):
+        quats, covs = predict(s, [m], phi[b:b + 1], [steps[b]], dt, noise)
         s = type(s)(quats[-1], covs[-1])
     return s
 
@@ -172,7 +183,7 @@ class TestAekfPredict:
         s = aekf_init(identity_quat(), np.eye(4))
         for dt in (0.0, -1.0):
             with pytest.raises(InvalidInput):
-                aekf_predict(s, [identity_quat()], [1], dt, _quiet())
+                aekf_predict(s, [identity_quat()], aekf_transitions([identity_quat()]), [1], dt, _quiet())
 
 
 class TestAekfUpdate:
@@ -318,7 +329,7 @@ class TestMekfPredict:
         s = mekf_init(identity_quat(), np.eye(3))
         for dt in (0.0, -1.0):
             with pytest.raises(InvalidInput):
-                mekf_predict(s, [identity_quat()], [1], dt, _quiet())
+                mekf_predict(s, [identity_quat()], mekf_transitions([identity_quat()]), [1], dt, _quiet())
 
 
 class TestMekfUpdate:
@@ -444,7 +455,7 @@ class TestBlockPredict:
             (mekf_init(q0, 1e-4 * np.eye(3)), NoiseParams(sigma_v=1e-3)),
         ]
         for start, noise in cases:
-            quats, covs = _predict_fn(start)(start, block_increments(w, DT).tolist(), sizes, DT, noise)
+            quats, covs = predict_from_start(start, block_increments(w, DT).tolist(), sizes, DT, noise)
             assert quats.shape == (len(sizes), 4) and covs.shape == (len(sizes),) + start.p.shape
             s = start
             for b, n in enumerate(sizes):
@@ -470,7 +481,7 @@ class TestBlockPredict:
             block = transitions(m)
             prefix = transitions(quat_path(identity_quat(), m))
             assert prefix[0].tobytes() == block[0].tobytes()
-            _, covs = _predict_fn(start)(start, m, steps, DT, noise)
+            _, covs = _predict_fn(start)(start, m, prefix, np.cumsum(steps).tolist(), DT, noise)
             want_phi, want_p = np.eye(len(start.p)), start.p
             for j in range(k):
                 want_phi = block[j] @ want_phi
@@ -484,13 +495,26 @@ class TestBlockPredict:
         with pytest.raises(InvalidInput):
             block_increments(np.zeros(shape), DT)
 
-    @pytest.mark.parametrize("steps", [[0, 2], [2, -1], [2], [1, 1, 1]])
+    @pytest.mark.parametrize("steps", [[0, 2], [2, 2], [3, 1], [2]])
     def test_rejects_step_counts_outside_the_stack(self, steps):
-        # a segment of two blocks: one step count per block, each at least one
+        # a segment of two blocks: one count of the steps from the segment
+        # start per block, strictly increasing from at least one
         m = [identity_quat().tolist()] * 2
         for start in (aekf_init(identity_quat(), np.eye(4)), mekf_init(identity_quat(), np.eye(3))):
+            phi = _transitions_fn(start)(m)
             with pytest.raises(InvalidInput):
-                _predict_fn(start)(start, m, steps, DT, _quiet())
+                _predict_fn(start)(start, m, phi, steps, DT, _quiet())
+
+    @pytest.mark.parametrize("lengths", [(2, 1, 2), (1, 2, 2), (2, 2, 1), (2, 2, 3), (0, 0, 0)])
+    def test_rejects_inputs_of_other_lengths(self, lengths):
+        # one increment, one transition and one step count per block, and
+        # at least one block
+        k_m, k_phi, k_n = lengths
+        for start in _identity_starts():
+            m = [identity_quat().tolist()] * k_m
+            phi = _transitions_fn(start)([identity_quat()] * max(k_phi, 1))[:k_phi]
+            with pytest.raises(InvalidInput):
+                _predict_fn(start)(start, m, phi, list(range(1, k_n + 1)), DT, _quiet())
 
     def test_kinematic_q_is_taken_at_each_block_end(self):
         # from P = 0 and across a segment, the kinematic Q after block j is
@@ -502,7 +526,7 @@ class TestBlockPredict:
             w[b, n:] = 0.0
         noise = NoiseParams(sigma_v=1e-2, aekf_q_flat=False)
         start = aekf_init(quat_normalize(rng.standard_normal(4)), np.zeros((4, 4)))
-        quats, covs = aekf_predict(start, block_increments(w, DT).tolist(), steps, DT, noise)
+        quats, covs = predict_from_start(start, block_increments(w, DT).tolist(), steps, DT, noise)
         for j, n in enumerate(np.cumsum(steps)):
             expect = (0.25 * noise.sigma_v**2 * DT * n) * (np.eye(4) - np.outer(quats[j], quats[j]))
             assert np.max(np.abs(covs[j] - expect)) <= 1e-15 * np.max(np.abs(expect))
@@ -510,7 +534,7 @@ class TestBlockPredict:
     def test_one_block_is_a_stack_of_one(self):
         # each row of a build over a stack of rotations is that rotation's
         # own, and a one-block predict that takes the row gets what it gets
-        # when it builds its own, bit for bit
+        # from a build of its rotation alone, bit for bit
         rng = np.random.default_rng(11)
         m = [quat_normalize(rng.standard_normal(4)).tolist() for _ in range(5)]
         noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=True)
@@ -518,15 +542,16 @@ class TestBlockPredict:
             stack = _transitions_fn(start)(m)
             assert stack.shape == (5,) + start.p.shape
             for b in range(5):
-                assert stack[b].tobytes() == _transitions_fn(start)(m[b:b + 1])[0].tobytes()
-                built = _predict_fn(start)(start, m[b:b + 1], [3], DT, noise)
-                taken = _predict_fn(start)(start, m[b:b + 1], [3], DT, noise, stack[b:b + 1])
+                alone = _transitions_fn(start)(m[b:b + 1])
+                assert stack[b].tobytes() == alone[0].tobytes()
+                taken = _predict_fn(start)(start, m[b:b + 1], stack[b:b + 1], [3], DT, noise)
+                built = _predict_fn(start)(start, m[b:b + 1], alone, [3], DT, noise)
                 assert all(x.tobytes() == y.tobytes() for x, y in zip(built, taken))
             for shape in ((0, 4), (4,), (2, 3), (2, 4, 1)):
                 with pytest.raises(InvalidInput):
                     _transitions_fn(start)(np.zeros(shape))
             with pytest.raises(InvalidInput):
-                _predict_fn(start)(start, m[:2], [3, 3], DT, noise, stack[:1])
+                _predict_fn(start)(start, m[:2], stack[:1], [3, 6], DT, noise)
 
     def test_integrate_block_equals_steps(self):
         rng = np.random.default_rng(7)

@@ -277,10 +277,11 @@ class TestRunSimulation:
         run_simulation(short_cfg(duration_s=50.0, tracker_rate_hz=0.02, record_stride=10**9))
         assert sizes() == [hmod._MAX_BLOCK_STEPS, hmod._MAX_BLOCK_STEPS, 500]
 
-    @pytest.mark.parametrize("slow", ["aekf_transitions", "mekf_transitions", "block_increments"])
+    @pytest.mark.parametrize("slow", ["aekf_transitions", "mekf_transitions", "block_increments", "_segments"])
     def test_transition_builds_are_charged_to_their_filters(self, slow, monkeypatch):
         # a build that takes 50 ms more shows in the step time of each filter
-        # that needs it, and only there; 250 steps in one chunk
+        # that needs it, and only there; the increments and the segment plan
+        # serve both; 250 steps in one chunk
         import time
 
         import attsim.harness as hmod
@@ -296,7 +297,7 @@ class TestRunSimulation:
         extra = 0.05 / 250
         for name in ("aekf", "mekf"):
             mean = getattr(res, f"step_time_{name}")
-            if slow == "block_increments" or slow.startswith(name):
+            if slow in ("block_increments", "_segments") or slow.startswith(name):
                 assert mean >= extra
             else:
                 assert mean < 0.2 * extra
@@ -357,58 +358,58 @@ def _fail_update_at(monkeypatch, name, q_bad, reason):
 
 
 def _spy_block_sizes(monkeypatch, name):
-    """Spy on filter ``name``'s transition builds and predicts in the harness.
+    """Spy on filter ``name``'s transition builds, predicts and updates in the harness.
 
     Returns a function that gives the gyro steps of every block the filter
     crossed, in order, after checking that the predicts after each build
-    crossed the built blocks once each, in order, a segment carried from the
-    chunk before first; that each took the increments the build was given;
-    and that each segment of one block took its row of the build, and a
-    longer segment none. A segment carried into a chunk holds the blocks of
-    the last predict before, which are crossed again.
+    crossed the built rotations once each, in order, each taking its rows
+    of the build; and that each block's rotation is its increment times the
+    rotation before, and its step count its steps plus the count before,
+    both from scratch after an update. A segment open at a chunk end so
+    continues in the next chunk, and no block is crossed twice.
     """
     import attsim.harness as hmod
+    from attsim.attitude import identity_quat, quat_path
 
-    build, predict = getattr(hmod, f"{name}_transitions"), getattr(hmod, f"{name}_predict")
+    build, predict, update = (getattr(hmod, f"{name}_{f}") for f in ("transitions", "predict", "update"))
     events = []
 
-    def build_spy(m):
-        phi = build(m)
-        events.append(("build", np.array(m), phi.copy()))
+    def build_spy(rotations):
+        phi = build(rotations)
+        events.append(("build", np.array(rotations), phi.copy()))
         return phi
 
-    def predict_spy(s, m, steps, dt, noise, phi=None):
-        events.append(("predict", np.array(m), list(steps), None if phi is None else phi.copy()))
-        return predict(s, m, steps, dt, noise, phi)
+    def predict_spy(s, m, phi, n, dt, noise):
+        events.append(("predict", np.array(m), phi.copy(), list(n)))
+        return predict(s, m, phi, n, dt, noise)
+
+    def update_spy(s, q_meas, r):
+        events.append(("update",))
+        return update(s, q_meas, r)
 
     monkeypatch.setattr(hmod, f"{name}_transitions", build_spy)
     monkeypatch.setattr(hmod, f"{name}_predict", predict_spy)
+    monkeypatch.setattr(hmod, f"{name}_update", update_spy)
 
     def sizes():
         out = []
-        last = None  # the last predict before the current build
-        i = 0
-        while i < len(events):
-            _, m_built, phi_built = events[i]
-            calls = []
-            i += 1
-            while i < len(events) and events[i][0] == "predict":
-                calls.append(events[i][1:])
-                i += 1
-            carried = sum(len(m) for m, _, _ in calls) - len(m_built)
-            assert carried >= 0 and (carried == 0 or np.array_equal(calls[0][0][:carried], last[0]))
-            row = 0
-            for j, (m, steps, phi) in enumerate(calls):
-                c = carried if j == 0 else 0
-                assert np.array_equal(m[c:], m_built[row:row + len(m) - c])
-                if len(m) == 1:
-                    assert np.array_equal(phi, phi_built[row:row + 1])
-                else:
-                    assert phi is None
-                out.extend(steps[c:])
-                row += len(m) - c
-            assert row == len(m_built)
-            last = calls[-1]
+        r, count = identity_quat(), 0  # of the segment open before the next predict
+        rotations, row = np.zeros((0, 4)), 0
+        for event in events:
+            if event[0] == "build":
+                assert row == len(rotations)
+                _, rotations, phi_built = event
+                row = 0
+            elif event[0] == "predict":
+                _, m, phi, n = event
+                k = len(m)
+                assert _same_bits(phi, phi_built[row:row + k])
+                assert _same_bits(quat_path(r, m), rotations[row:row + k])
+                out.extend(np.diff(n, prepend=count).tolist())
+                r, count, row = rotations[row + k - 1], n[-1], row + k
+            else:
+                r, count = identity_quat(), 0
+        assert row == len(rotations)
         return out
 
     return sizes
@@ -607,7 +608,7 @@ class TestBlockTransitions:
     )
     def test_each_block_equals_its_transition_alone(self, cfg, windows, monkeypatch):
         import attsim.harness as hmod
-        from attsim.attitude import identity_quat, integrate_quat
+        from attsim.attitude import identity_quat, integrate_quat, quat_path
         from attsim.filters import NoiseParams
 
         cfg = dict(cfg)
@@ -637,14 +638,20 @@ class TestBlockTransitions:
         for (_, (window_rates, _), _), (_, (_, window_true, _), _), held in zip(builds, truths, windows):
             assert window_rates.shape == window_true.shape == (len(held), max(held), 3)
         sizes = [n for held in windows for n in held]
-        (_, (m_a,), phi_a), = [c for c in calls if c[0] == "aekf_transitions"]
-        (_, (m_m,), phi_m), = [c for c in calls if c[0] == "mekf_transitions"]
+        # both builds take the same rotations: each block's is the product
+        # of its segment's increments up to it, from the identity
+        (_, (rot_a,), phi_a), = [c for c in calls if c[0] == "aekf_transitions"]
+        (_, (rot_m,), phi_m), = [c for c in calls if c[0] == "mekf_transitions"]
         passes = [c[1] for c in calls if c[0] == "_estimate"]
-        assert len(passes) == 2 and m_a is m_m and _same_bits(m_a, increments)
+        assert len(passes) == 2 and rot_a is rot_m
+        assert passes[0][6] is phi_a and passes[1][6] is phi_m
         for args in passes:
-            _, _, _, _, pass_dt, noise, _, m, steps, _, _ = args
-            assert pass_dt == dt and steps == sizes and m == increments.tolist()
+            _, _, _, _, pass_dt, noise, _, m, counts, segments, _, _ = args
+            assert pass_dt == dt and m == increments.tolist()
+            assert [n for lo, hi in segments for n in np.diff(counts[lo:hi], prepend=0)] == sizes
             assert noise == NoiseParams(sigma_v=1e-3 * math.sqrt(dt), aekf_q_flat=True)
+        for lo, hi in segments:
+            assert _same_bits(rot_a[lo:hi], quat_path(identity_quat(), increments[lo:hi]))
         q_prev = truth_start
         for b, n in enumerate(sizes):
             assert not np.any(rates[b][n:]) and not np.any(true_rates[b][n:])
@@ -652,7 +659,7 @@ class TestBlockTransitions:
             m_alone = hmod.block_increments(alone, dt)
             assert _same_bits(increments[b], m_alone[0])
             for phi, build in ((phi_a, hmod.aekf_transitions), (phi_m, hmod.mekf_transitions)):
-                assert _same_bits(phi[b], build(m_alone)[0])
+                assert _same_bits(phi[b], build(rot_a[b:b + 1])[0])
             m = integrate_quat(identity_quat(), alone[0], dt)
             assert np.max(np.abs(increments[b] - m)) <= 1e-15
             # the truth crosses each block as one block-alone propagation would
@@ -693,20 +700,29 @@ def _passes(monkeypatch, cfg, fail=None, per_step=False, own_transitions=False):
     ``fail`` is ``(filter name, epoch)``: that filter's update fails on that
     epoch's measurement, as found by a run without the failure. With
     ``per_step`` the pass is ``oracles.estimate_per_step`` on the chunk's
-    gyro rates; with ``own_transitions`` every predict builds its own
-    transitions, where the harness hands a segment of one block its row of
+    gyro rates, and no segment may span a chunk end; with
+    ``own_transitions`` every predict takes the transitions of its
+    segment's rotations built alone, where the harness hands it its rows of
     the chunk's build.
     """
     import attsim.harness as hmod
+    from attsim.attitude import identity_quat, quat_path
     from oracles import estimate_per_step
 
     returns = []
     rates = []
-    estimate, block_increments = hmod._estimate, hmod.block_increments
+    opened = []  # the segment open at each plan's chunk start
+    estimate, block_increments, plan = hmod._estimate, hmod.block_increments, hmod._segments
 
     def spy(*args):
+        if per_step:
+            assert opened[-1] == hmod._NO_SEGMENT
         returns.append(estimate_per_step(rates[-1], *args) if per_step else estimate(*args))
         return returns[-1]
+
+    def segments(*args):
+        opened.append(args[-1])
+        return plan(*args)
 
     def increments(omegas, dt):
         rates.append(omegas)
@@ -719,20 +735,29 @@ def _passes(monkeypatch, cfg, fail=None, per_step=False, own_transitions=False):
             _fail_update_at(m, name, q_bad, f"synthetic {name} failure")
         m.setattr(hmod, "block_increments", increments)
         m.setattr(hmod, "_estimate", spy)
+        m.setattr(hmod, "_segments", segments)
         if own_transitions:
             for name in ("aekf", "mekf"):
-                predict = getattr(hmod, f"{name}_predict")
+                predict, build = getattr(hmod, f"{name}_predict"), getattr(hmod, f"{name}_transitions")
                 m.setattr(hmod, f"{name}_predict",
-                          lambda s, m_, n, dt, noise, phi=None, predict=predict: predict(s, m_, n, dt, noise))
+                          lambda s, m_, phi, *rest, predict=predict, build=build:
+                          predict(s, m_, build(quat_path(identity_quat(), m_)), *rest))
         return run_simulation(short_cfg(**cfg)), returns
+
+
+# a config whose update segments hold many blocks: skipped epochs, and a
+# record every 7 steps
+_LONG_SEGMENTS = dict(duration_s=6.0, tracker_rate_hz=3.0, record_stride=7, fov_half_angle_rad=0.2,
+                      n_cameras=2, aekf_r_scale=0.25, aekf_q_flat=False, seed=1)
 
 
 class TestSegmentPass:
     """Each filter crosses a chunk one update segment at a time, with one predict
     per segment; the exact recursion step by step (``oracles.estimate_per_step``)
-    is the reference, and where every segment is one block the predicts that
-    take their rows of the chunk's transitions equal those that build their own,
-    bit for bit."""
+    is the reference; where every segment is one block the predicts that
+    take their rows of the chunk's transitions equal those that take a build
+    of their own rotations, bit for bit; and a segment that spans chunk ends
+    is carried, its blocks crossed once."""
 
     @staticmethod
     def _compare(monkeypatch, cfg, fail=None):
@@ -770,34 +795,56 @@ class TestSegmentPass:
         assert res.aborted == f"synthetic {name} failure"
         assert res.t[-1] == pytest.approx(3.0)
 
-    @pytest.mark.parametrize("cap", [3, 512])
-    def test_segments_span_chunk_ends(self, cap, monkeypatch, tmp_path):
-        # skipped epochs and records every 7 steps make segments of many
-        # blocks, which chunks of one epoch and two blocks cut: a segment
-        # open at a chunk end is carried and crossed again from its start,
-        # so no output moves; a segment ends after ``cap`` blocks without an
-        # update
+    @staticmethod
+    def _cut_into_small_chunks(monkeypatch):
+        # chunks of one epoch and two blocks, windows of 7 steps
         import attsim.harness as hmod
         import attsim.startracker as smod
 
-        cfg = dict(duration_s=6.0, tracker_rate_hz=3.0, record_stride=7, fov_half_angle_rad=0.2,
-                   n_cameras=2, aekf_r_scale=0.25, aekf_q_flat=False, seed=1)
-        monkeypatch.setattr(hmod, "_MAX_SEGMENT_BLOCKS", cap)
-        whole = self._compare(monkeypatch, cfg)
-        assert whole.skipped_epochs > 0
-        lengths = []
-        predict = hmod.mekf_predict
-        monkeypatch.setattr(hmod, "mekf_predict",
-                            lambda s, m, *rest: lengths.append(len(m)) or predict(s, m, *rest))
         monkeypatch.setattr(smod, "_ROTATED_ROWS", 1)
         monkeypatch.setattr(hmod, "_CHUNK_BLOCKS", 2)
         monkeypatch.setattr(hmod, "_WINDOW_STEPS", 7)
-        small = run_simulation(short_cfg(**cfg))
-        assert max(lengths) == min(cap, max(lengths)) and max(lengths) >= 3  # crossed from chunks before
+
+    def test_segments_span_chunk_ends(self, monkeypatch, tmp_path):
+        # skipped epochs and records every 7 steps make segments of many
+        # blocks, which small chunks cut: a segment open at a chunk end is
+        # carried as the filter and its plan, so no output moves
+        whole = self._compare(monkeypatch, _LONG_SEGMENTS)
+        assert whole.skipped_epochs > 0
+        self._cut_into_small_chunks(monkeypatch)
+        small = run_simulation(short_cfg(**_LONG_SEGMENTS))
         write_outputs(whole, tmp_path / "whole", no_timing=True)
         write_outputs(small, tmp_path / "small", no_timing=True)
         for name in ("metrics.json", "timeseries.csv"):
             assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "small" / name).read_bytes()
+
+    def test_chunk_cuts_cross_each_block_once(self, monkeypatch):
+        # under small chunks each filter's predicts cross every block of the
+        # run once, in order; more predicts, since segments are cut at chunk
+        # ends, but no more blocks
+        import attsim.harness as hmod
+
+        def crossed():
+            lengths = {"aekf": [], "mekf": []}
+            with monkeypatch.context() as m:
+                for name, out in lengths.items():
+                    real = getattr(hmod, f"{name}_predict")
+                    m.setattr(hmod, f"{name}_predict",
+                              lambda s, inc, *rest, real=real, out=out: out.append(len(inc)) or real(s, inc, *rest))
+                run_simulation(short_cfg(**_LONG_SEGMENTS))
+            return lengths
+
+        whole = crossed()
+        self._cut_into_small_chunks(monkeypatch)
+        ends = np.concatenate([plan[0] for plan in hmod._plan_chunks(short_cfg(**_LONG_SEGMENTS), 100)])
+        planned = np.diff(ends, prepend=0).tolist()
+        cut = crossed()
+        for name in ("aekf", "mekf"):
+            assert sum(cut[name]) == sum(whole[name]) == len(planned)
+            assert len(cut[name]) > len(whole[name]) and max(whole[name]) > 2
+        sizes = {name: _spy_block_sizes(monkeypatch, name) for name in ("aekf", "mekf")}
+        run_simulation(short_cfg(**_LONG_SEGMENTS))
+        assert sizes["aekf"]() == sizes["mekf"]() == planned
 
     @pytest.mark.parametrize(
         "cfg",
