@@ -7,11 +7,11 @@ angular rate ``omega(t) = -cos(2*pi*t / 5280) * pi/2`` whose period is the
 The run is cut into blocks of gyro steps. A block ends at the next event:
 a star-tracker epoch, a record instant, the last step, or at most
 ``_MAX_BLOCK_STEPS`` steps. Blocks are grouped into chunks of at most
-``_CHUNK_BLOCKS`` blocks and at most as many tracker epochs as
-:func:`attsim.startracker.observe` rotates the catalog for at once (327 for
-100 stars, 32 for 1000); a chunk always ends on a block boundary
-(:func:`_plan_chunks`). Each chunk gets a scenario pass, then one estimate
-pass per filter:
+``_CHUNK_BLOCKS`` blocks and at most as many tracker epochs as rotate the
+catalog into ``_STAR_ROWS`` body-frame rows (327 for 100 stars, 32 for
+1000); a chunk always ends on a block boundary (:func:`_plan_chunks`). The
+chunk is the run's one unit of batching. Each chunk gets a scenario pass,
+then one estimate pass per filter, then its records:
 
 * the scenario pass, which never reads filter state. It crosses the
   chunk's blocks in windows of at most ``_WINDOW_STEPS`` steps: for each
@@ -37,7 +37,11 @@ pass per filter:
   quaternion, and the snapshots at the segment's record instants. A filter
   whose segment is open at the chunk's end is carried with the attitude
   after its last block and the covariance at the segment start, so each
-  block is crossed once and the outputs do not depend on where chunks end.
+  block is crossed once and the outputs do not depend on where chunks end;
+* the records: both filters' error angles from one call, and each
+  filter's covariance norms and condition numbers from one eigensolve of
+  the chunk's snapshots. A stacked call gives each member the bits it gets
+  alone, so these too do not depend on where chunks end.
 
 So every update and every record sees the filter states it would see
 after one exact predict per step, up to rounding, and the noise streams
@@ -113,23 +117,19 @@ _MAX_GYRO_STEPS = 10_000_000
 # configuration has windows of 40 blocks of 100 steps
 _MAX_BLOCK_STEPS = 1000
 
-# a chunk of the run holds whole blocks: at most as many tracker epochs as
-# observe rotates the catalog for at once (startracker._ROTATED_ROWS rows),
-# whose sets one Davenport solve takes, and at most _CHUNK_BLOCKS blocks. The
-# scenario pass makes the chunk's per-step arrays in windows of whole blocks
-# of at most _WINDOW_STEPS steps (a longer block alone), so the rates, gyro
-# samples and padded stacks it holds at once do not grow with the chunk
+# a chunk of the run holds whole blocks: at most _CHUNK_BLOCKS blocks, so at
+# most that many records, and at most as many tracker epochs as rotate the
+# catalog into _STAR_ROWS body-frame rows (768 KiB), which one observe call
+# and one Davenport solve take. The scenario pass makes the chunk's per-step
+# arrays in windows of whole blocks of at most _WINDOW_STEPS steps (a longer
+# block alone), so the rates, gyro samples and padded stacks it holds at
+# once do not grow with the chunk
 _CHUNK_BLOCKS = 4096
+_STAR_ROWS = 1 << 15
 _WINDOW_STEPS = 4096
 
 # the rotation and gyro steps of an update segment before its first block
 _NO_SEGMENT = ((0.0, 0.0, 0.0, 1.0), 0)
-
-# records whose covariance snapshots one stacked eigensolve takes; keeps the
-# pending buffers and the solver's temporaries at a fixed size however many
-# records a run writes. The buffers are allocated empty, so capacity a run
-# does not fill is never touched and costs no resident memory
-_RECORD_CHUNK = 2048
 
 
 def _is_finite_number(value) -> bool:
@@ -181,9 +181,13 @@ class SimConfig:
             raise ConfigError("n_cameras must be between 1 and 6")
         if not 0.0 < self.fov_half_angle_rad < 0.5 * math.pi:
             raise ConfigError("fov_half_angle_rad must be in (0, pi/2)")
+        # each sigma enters the run squared
         for name in ("sigma_gyro", "sigma_star", "sigma_meas"):
-            if getattr(self, name) < 0.0:
+            sigma = float(getattr(self, name))
+            if sigma < 0.0:
                 raise ConfigError(f"{name} must be nonnegative")
+            if not math.isfinite(sigma * sigma):
+                raise ConfigError(f"{name} is too large: its square overflows")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         x, y, z = (float(v) for v in self.axis)
@@ -194,6 +198,8 @@ class SimConfig:
             raise ConfigError("axis must be a nonzero 3-vector")
         if self.aekf_r_scale <= 0.0:
             raise ConfigError("aekf_r_scale must be positive")
+        if not math.isfinite(float(self.aekf_r_scale) * float(self.sigma_meas) ** 2):
+            raise ConfigError("aekf_r_scale * sigma_meas**2 overflows")
         if self.record_stride < 0:
             raise ConfigError("record_stride must be nonnegative")
 
@@ -280,10 +286,10 @@ class RunResult:
     and condition numbers are spectral, of the AEKF's 4x4 quaternion
     covariance and of the MEKF's 3x3 attitude-error covariance. A record
     keeps a snapshot of each filter's covariance, and the norms and
-    condition numbers come from one stacked eigensolve per chunk of up to
-    ``_RECORD_CHUNK`` snapshots; they equal bit for bit what one eigensolve
-    per record gives. ``epoch_t`` and ``q_meas`` list every tracker epoch
-    solved, after an abort one whose update failed included.
+    condition numbers come from one stacked eigensolve of a chunk's
+    snapshots; they equal bit for bit what one eigensolve per record gives.
+    ``epoch_t`` and ``q_meas`` list every tracker epoch solved, after an
+    abort one whose update failed included.
     """
 
     config: SimConfig
@@ -381,9 +387,11 @@ def _plan_chunks(cfg: SimConfig, n_stars: int):
     first step whose end time reaches the epoch's time; a record instant, a
     multiple of the record stride; the last step; or the block's
     ``_MAX_BLOCK_STEPS``-th step. A chunk ends after its ``max(1,
-    startracker._ROTATED_ROWS // n_stars)``-th epoch, the most that
-    :func:`attsim.startracker.observe` rotates a catalog of ``n_stars`` for
-    at once, or after its ``_CHUNK_BLOCKS``-th block, or at the last step.
+    _STAR_ROWS // n_stars)``-th epoch, so that one
+    :func:`attsim.startracker.observe` call rotates a catalog of ``n_stars``
+    into at most ``_STAR_ROWS`` rows for its epochs (or into ``n_stars``
+    rows for one epoch), or after its ``_CHUNK_BLOCKS``-th block, which
+    bounds its records, or at the last step.
     A window of a chunk is a run of its blocks: a block starts a new window
     when the window would otherwise hold more than ``_WINDOW_STEPS`` steps.
 
@@ -400,7 +408,7 @@ def _plan_chunks(cfg: SimConfig, n_stars: int):
     tracker_dt = 1.0 / cfg.tracker_rate_hz
     next_tracker = tracker_dt
     stride = cfg.effective_stride()
-    max_epochs = max(1, startracker._ROTATED_ROWS // n_stars)
+    max_epochs = max(1, _STAR_ROWS // n_stars)
     epoch_step = None  # first step reaching next_tracker, until that epoch
     k = 1  # first step of the next block
     while k <= n_steps:
@@ -533,7 +541,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     rng_catalog = RngStream(root.next_u64())
     rng_gyro = RngStream(root.next_u64())
     rng_star = RngStream(root.next_u64())
-    if cfg.catalog_path:
+    if cfg.catalog_path is not None:
         catalog = startracker.load_catalog(cfg.catalog_path)
     else:
         catalog = startracker.generate_catalog(cfg.n_stars, rng_catalog)
@@ -552,51 +560,12 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     mekf = mekf_init(q_end, _P0_ATTITUDE * np.eye(3))
     open_segment = _NO_SEGMENT
 
-    rec_t, rec_q, rec_ea, rec_em = [], [], [], []
-    rec_pa, rec_pm, rec_ca, rec_cm = [], [], [], []
+    records = []  # per chunk, a tuple of RunResult's record columns in field order
     epoch_t, epoch_q = [], []
     skipped = 0
     aborted = None
     aekf_s = mekf_s = 0.0  # each filter's wall time
     steps_done = 0  # gyro steps both filters crossed: the last step of the chunk before
-
-    # attitude and covariance snapshots of the records not yet solved: the
-    # truth, the AEKF and the MEKF quaternions, then each filter's covariance
-    pending_q = np.empty((3, _RECORD_CHUNK, 4))
-    pending_a = np.empty((_RECORD_CHUNK, 4, 4))
-    pending_m = np.empty((_RECORD_CHUNK, 3, 3))
-    n_pending = 0
-
-    def flush() -> None:
-        nonlocal n_pending
-        q = pending_q[:, :n_pending].copy()
-        rec_q.append(q)
-        # both error columns, truth against AEKF then truth against MEKF
-        err = error_angle(np.concatenate((q[0], q[0])), np.concatenate((q[1], q[2])))
-        rec_ea.append(err[:n_pending])
-        rec_em.append(err[n_pending:])
-        for pending, norms, conds in ((pending_a, rec_pa, rec_ca), (pending_m, rec_pm, rec_cm)):
-            evals = jacobi_eigen_sym(pending[:n_pending], vectors=False)
-            pnorm, cond = norms_and_conditions(evals)
-            norms.append(pnorm)
-            conds.append(cond)
-        n_pending = 0
-
-    def keep_records(times, q_true, aekf_kept, mekf_kept) -> None:
-        """Queue a chunk's records, solving the snapshots each time the buffers fill."""
-        nonlocal n_pending
-        rec_t.append(times)
-        done = 0
-        while done < len(times):
-            take = min(len(times) - done, _RECORD_CHUNK - n_pending)
-            src, dst = slice(done, done + take), slice(n_pending, n_pending + take)
-            pending_q[:, dst] = q_true[src], aekf_kept[0][src], mekf_kept[0][src]
-            pending_a[dst] = aekf_kept[1][src]
-            pending_m[dst] = mekf_kept[1][src]
-            n_pending += take
-            done += take
-            if n_pending == _RECORD_CHUNK:
-                flush()
 
     for ends, at_epoch, keep, windows in _plan_chunks(cfg, len(catalog)):
         steps = np.diff(ends, prepend=steps_done)
@@ -668,9 +637,18 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         n_done = len(measured)
         steps_done = int(ends[n_done - 1])
 
+        # the chunk's records: both error columns, truth against the AEKF
+        # then against the MEKF, from one call, and each filter's covariance
+        # norms and condition numbers from one eigensolve of its snapshots
         ends_t = ends * dt
         kept = np.flatnonzero(keep)
-        keep_records(ends_t[kept], truth[kept], aekf_out[1:3], mekf_out[1:3])
+        (q_aekf, p_aekf), (q_mekf, p_mekf) = aekf_out[1:3], mekf_out[1:3]
+        q_true = truth[kept]
+        err = error_angle(np.concatenate((q_true, q_true)), np.concatenate((q_aekf, q_mekf)))
+        pnorm_aekf, cond_aekf = norms_and_conditions(jacobi_eigen_sym(p_aekf, vectors=False))
+        pnorm_mekf, cond_mekf = norms_and_conditions(jacobi_eigen_sym(p_mekf, vectors=False))
+        records.append((ends_t[kept], q_true, q_aekf, q_mekf, err[:len(kept)], err[len(kept):],
+                        pnorm_aekf, pnorm_mekf, cond_aekf, cond_mekf))
         for i, outcome in zip(epoch_blocks, outcomes):
             if i >= n_done:
                 break
@@ -686,21 +664,9 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             aborted = str(failure[1])
             logger.error("run aborted: %s", failure[1])
             break
-    flush()
-    quats = np.concatenate(rec_q, axis=1)
-
     return RunResult(
-        config=cfg,
-        t=np.concatenate(rec_t),
-        q_true=quats[0],
-        q_aekf=quats[1],
-        q_mekf=quats[2],
-        err_aekf=np.concatenate(rec_ea),
-        err_mekf=np.concatenate(rec_em),
-        pnorm_aekf=np.concatenate(rec_pa),
-        pnorm_mekf=np.concatenate(rec_pm),
-        cond_aekf=np.concatenate(rec_ca),
-        cond_mekf=np.concatenate(rec_cm),
+        cfg,
+        *(np.concatenate(column) for column in zip(*records)),
         step_time_aekf=aekf_s / steps_done,
         step_time_mekf=mekf_s / steps_done,
         epoch_t=np.array(epoch_t, dtype=float),

@@ -13,8 +13,8 @@ sensor noise and is ignored.
 An epoch's stars travel as one :class:`ObservationSet`: the body and
 inertial directions as ``(m, 3)`` arrays and the weights as ``(m,)``, one
 row per star. :func:`observe` takes a stack of ``E`` epoch attitudes (a
-chunk of a run's tracker epochs, as many as it rotates the catalog for at
-once) and builds all their sets in one array pass: one product rotates the catalog into the body frame for every
+chunk of a run's tracker epochs) and builds all their sets in one array
+pass: one product rotates the catalog into the body frame for every
 epoch, one ``(E, n)`` field-of-view mask per head (:func:`is_visible`)
 picks the visible rows of all epochs, the rows are put in epoch, head and
 catalog order and take their noise from one draw, in the order a loop over
@@ -221,21 +221,15 @@ def default_camera_rig(n_cameras: int, fov_half_angle: float):
     return [CameraModel(boresight=b, fov_half_angle=fov_half_angle) for b in _RIG_BORESIGHTS[:n_cameras]]
 
 
-# most body-frame catalog rows observe holds at once (768 KiB): the epochs
-# of a stack are rotated in groups of at most this many rows. The harness
-# hands observe at most one group of epochs per chunk of a run
-_ROTATED_ROWS = 1 << 15
-
-
 def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStream):
     """Run the full emulation path for every camera at a stack of epochs, in one array pass.
 
     ``q_true`` is a stack of true attitudes ``(E, 4)``, one per epoch, or
-    one attitude ``(4,)``, observed as a stack of one; a run hands it the
-    tracker epochs of one chunk, ``max(1, _ROTATED_ROWS // len(catalog))``
-    of them or fewer. The catalog is rotated into the body frame for every
-    epoch of a group of at most ``_ROTATED_ROWS`` rows at once, and each
-    head's cone picks its visible rows. The rows are ordered by epoch, head and
+    one attitude ``(4,)``, observed as a stack of one. The catalog is
+    rotated into the body frame for every epoch in one product, which holds
+    ``E * len(catalog)`` rows, so the caller bounds that count (a run hands
+    it one chunk's tracker epochs; see :mod:`attsim.harness`). Each head's
+    cone picks its visible rows. The rows are ordered by epoch, head and
     catalog star, every body direction is perturbed with per-axis Gaussian
     noise of ``sigma_star`` from one draw, in that order, and renormalized:
     the values and the stream state that one call per epoch would give.
@@ -243,8 +237,9 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
     Returns one :class:`ObservationSet` per epoch, in order (views of the
     packed rows), whose length is the number of stars visible at that
     epoch and whose weights are 1; a ``(4,)`` attitude returns its set
-    alone, and an empty stack ``(0, 4)`` an empty list, drawing nothing. With ``sigma_star == 0`` every pair satisfies
-    ``A(q_true) @ r == b`` to 1e-10.
+    alone, and an empty stack ``(0, 4)`` an empty list, drawing nothing.
+    With ``sigma_star == 0`` every pair satisfies ``A(q_true) @ r == b`` to
+    1e-10.
     """
     if len(cams) == 0:
         raise InvalidInput("at least one camera is required")
@@ -257,29 +252,21 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
         return []
     # column block e of (3, 3 E) is epoch e's inertial-to-body matrix,
     # transposed, so one product rotates the catalog for every epoch
-    a_bi = a_ib.transpose(2, 0, 1)
-    group = max(1, _ROTATED_ROWS // n_stars)
-    bs, rs, counts = [], [], []
-    for lo in range(0, n_epochs, group):
-        hi = min(lo + group, n_epochs)
-        rotated = catalog.stars @ a_bi[:, lo:hi].reshape(3, -1)
-        body = rotated.reshape(n_stars, hi - lo, 3).transpose(1, 0, 2)  # (epoch, star, 3)
-        # one mask per epoch and head, in catalog order: the order of the rows
-        visible = np.empty((hi - lo, len(cams), n_stars), dtype=bool)
-        for h, cam in enumerate(cams):
-            visible[:, h] = is_visible(body, cam)
-        rows = np.flatnonzero(visible)
-        epoch, star = rows // (len(cams) * n_stars), rows % n_stars
-        bs.append(body[epoch, star])
-        rs.append(catalog.stars[star])
-        counts.extend(visible.reshape(hi - lo, -1).sum(axis=1).tolist())
-    b = np.concatenate(bs)
-    r = np.concatenate(rs)
+    rotated = catalog.stars @ a_ib.transpose(2, 0, 1).reshape(3, -1)
+    body = rotated.reshape(n_stars, n_epochs, 3).transpose(1, 0, 2)  # (epoch, star, 3)
+    # one mask per epoch and head, in catalog order: the order of the rows
+    visible = np.empty((n_epochs, len(cams), n_stars), dtype=bool)
+    for h, cam in enumerate(cams):
+        visible[:, h] = is_visible(body, cam)
+    rows = np.flatnonzero(visible)
+    star = rows % n_stars
+    b = body[rows // (len(cams) * n_stars), star]
+    r = catalog.stars[star]
     if sigma_star > 0.0:
         b += rng.gaussian_vec(sigma_star, b.size).reshape(b.shape)
         b /= row_norms(b)[:, None]
     weights = np.ones(b.shape[0])
-    bounds = [0, *accumulate(counts)]
+    bounds = [0, *accumulate(visible.reshape(n_epochs, -1).sum(axis=1).tolist())]
     sets = [
         ObservationSet(b=b[lo:hi], r=r[lo:hi], weights=weights[lo:hi])
         for lo, hi in zip(bounds, bounds[1:])

@@ -67,6 +67,8 @@ def _unit(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise InvalidInput(f"{name} must be a 3-vector")
+    if not np.isfinite(v).all():
+        raise InvalidInput(f"{name} must have finite components")
     n = row_norms(v)
     if n < 1e-12:
         raise InvalidInput(f"{name} must be a nonzero vector")

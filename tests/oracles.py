@@ -66,7 +66,6 @@ import numpy as np
 
 import attsim.harness as harness
 import attsim.numerics as numerics
-import attsim.startracker as startracker
 import attsim.wahba as wahba
 from attsim.attitude import integrate_quat, quat_mul, quat_normalize, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
@@ -463,12 +462,11 @@ def plan_chunks_per_block(cfg, n_stars):
     stepping ``j`` up from the block start; the next multiple of the record
     stride; the block's ``min(stride, _MAX_BLOCK_STEPS)``-th step; the last
     step. A chunk ends after ``_CHUNK_BLOCKS`` blocks or after ``max(1,
-    _ROTATED_ROWS // n_stars)`` epochs, counted as a loop over the epoch
+    _STAR_ROWS // n_stars)`` epochs, counted as a loop over the epoch
     budget. The windows split the chunk's blocks afterwards: a window takes
     blocks while their steps sum to at most ``_WINDOW_STEPS``, and at least
-    one. Reads ``_MAX_BLOCK_STEPS``, ``_CHUNK_BLOCKS`` and ``_WINDOW_STEPS``
-    from ``attsim.harness`` and ``_ROTATED_ROWS`` from
-    ``attsim.startracker`` at call time.
+    one. Reads ``_MAX_BLOCK_STEPS``, ``_CHUNK_BLOCKS``, ``_STAR_ROWS`` and
+    ``_WINDOW_STEPS`` from ``attsim.harness`` at call time.
     """
     dt = 1.0 / cfg.gyro_rate_hz
     n_steps = int(math.floor(cfg.duration_s * cfg.gyro_rate_hz + 1e-9))
@@ -477,7 +475,7 @@ def plan_chunks_per_block(cfg, n_stars):
     stride = cfg.effective_stride()
     cap = min(stride, harness._MAX_BLOCK_STEPS)
     budget = 1
-    while (budget + 1) * n_stars <= startracker._ROTATED_ROWS:
+    while (budget + 1) * n_stars <= harness._STAR_ROWS:
         budget += 1
     chunks = []
     k = 1

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -117,6 +118,40 @@ class TestRunCommand:
         assert rc == 2
         assert "config error" in err and "axis" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config, name",
+        [
+            ({"sigma_gyro": 1e200}, "sigma_gyro"),
+            ({"sigma_star": 1e200}, "sigma_star"),
+            ({"sigma_meas": 1e200}, "sigma_meas"),
+            ({"sigma_meas": 1e152, "aekf_r_scale": 1e10}, "aekf_r_scale"),
+        ],
+    )
+    def test_sigma_whose_square_overflows_exits_2(self, tmp_path, capsys, config, name):
+        # each sigma enters the run squared: such a sigma_star used to skip
+        # every epoch and exit 0, the others to fail deep in the run, after
+        # numpy overflow warnings
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"duration_s": 2.0, **config}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and name in err
+        assert "RuntimeWarning" not in err and not caught
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_catalog_path_exits_2(self, tmp_path, capsys):
+        # an empty path cannot be read; it used to fall through to a seeded catalog
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"duration_s": 2.0, "catalog_path": ""}))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and "catalog file" in err
         assert not (tmp_path / "o").exists()
 
     def test_nan_star_in_catalog_exits_2(self, tmp_path, capsys):
@@ -437,6 +472,17 @@ class TestTriad:
     def test_collinear_exits_3(self, capsys):
         rc = main(["triad"] + "1 0 0 1 0 0 0 1 0 0 0 1".split())
         assert rc == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_component_exits_2(self, capsys, bad):
+        # it used to print a NaN matrix and exit 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["triad"] + f"1 0 0 0 1 0 1 0 0 {bad} 1 0".split())
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.out == "" and not caught
+        assert out.err.splitlines() == ["attsim: config error: b2 must have finite components"]
 
     def test_wrong_arity_exits_1(self, capsys):
         rc = main(["triad", "1", "2", "3"])

@@ -308,7 +308,7 @@ class TestRunSimulation:
         res = run_simulation(cfg)
         assert res.aborted == "synthetic failure"
         assert 0 < len(res.t) < 10.0 * 50.0
-        # the pending covariance snapshots are solved on the abort path too
+        # the last chunk's covariance snapshots are solved on the abort path too
         for series in (res.pnorm_aekf, res.pnorm_mekf, res.cond_aekf, res.cond_mekf):
             assert len(series) == len(res.t)
             assert np.all(np.isfinite(series)) and np.all(series > 0.0)
@@ -316,30 +316,56 @@ class TestRunSimulation:
             assert len(series) == len(res.t)
 
     def test_record_chunk_size_does_not_change_outputs(self, monkeypatch):
-        # one eigensolve per record against chunks of 7 and the default size,
-        # which fills once mid-run and is solved again at the end
+        # chunks of one block, so one record and one eigensolve per chunk,
+        # against the default chunk, which holds all 2,100 records
         import attsim.harness as hmod
 
-        default = hmod._RECORD_CHUNK
-        cfg = short_cfg(duration_s=(default + 52) / 50.0, record_stride=1)
-        monkeypatch.setattr(hmod, "_RECORD_CHUNK", 1)
+        cfg = short_cfg(duration_s=2100 / 50.0, record_stride=1)
+        whole = run_simulation(cfg)
+        monkeypatch.setattr(hmod, "_CHUNK_BLOCKS", 1)
         each = run_simulation(cfg)
-        assert len(each.t) == default + 52
-        for chunk in (7, default):
-            monkeypatch.setattr(hmod, "_RECORD_CHUNK", chunk)
-            chunked = run_simulation(cfg)
-            for name in ("t", "q_true", "q_aekf", "q_mekf", "err_aekf", "err_mekf",
-                         "pnorm_aekf", "pnorm_mekf", "cond_aekf", "cond_mekf"):
-                assert getattr(chunked, name).tobytes() == getattr(each, name).tobytes(), (chunk, name)
+        assert len(each.t) == 2100
+        for name in _RECORD_FIELDS:
+            assert getattr(whole, name).tobytes() == getattr(each, name).tobytes(), name
 
     def test_error_columns_are_the_angles_of_each_record(self, monkeypatch):
         import attsim.harness as hmod
 
-        monkeypatch.setattr(hmod, "_RECORD_CHUNK", 16)
+        monkeypatch.setattr(hmod, "_CHUNK_BLOCKS", 16)
         res = run_simulation(short_cfg(duration_s=1.0, record_stride=1))
         assert len(res.t) == 50
         for q_est, err in ((res.q_aekf, res.err_aekf), (res.q_mekf, res.err_mekf)):
             assert err.tobytes() == np.array([error_angle(a, b) for a, b in zip(res.q_true, q_est)]).tobytes()
+
+    @pytest.mark.parametrize("record_stride, records", [(10**9, 1), (3500, 2)])
+    def test_chunks_without_records(self, record_stride, records, monkeypatch, tmp_path):
+        # 100 epochs of 1000 stars make four chunks of up to 32 epochs, of
+        # which two or three hold no record; the same bytes as one chunk,
+        # from run_simulation and from the CLI's --no-timing run
+        import attsim.harness as hmod
+        import attsim.startracker as smod
+        from attsim.cli import main
+
+        cfg = short_cfg(duration_s=100.0, n_stars=1000, record_stride=record_stride)
+        config = tmp_path / "config.json"
+        cfg.to_json(config)
+        real, calls = smod.observe, []
+        results, outputs = [], []
+        for star_rows in (hmod._STAR_ROWS, 1 << 30):
+            with monkeypatch.context() as m:
+                m.setattr(hmod, "_STAR_ROWS", star_rows)
+                m.setattr(smod, "observe", lambda q, *rest: calls.append(len(q)) or real(q, *rest))
+                results.append(run_simulation(cfg))
+                out = tmp_path / str(star_rows)
+                assert main(["run", "--config", str(config), "--out", str(out), "--no-timing"]) == 0
+                outputs.append(out)
+        assert calls == [32, 32, 32, 4] * 2 + [100, 100]
+        chunked, whole = results
+        assert len(chunked.t) == records and chunked.t[-1] == 100.0
+        for name in (*_RECORD_FIELDS, "epoch_t", "q_meas"):
+            assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), name
+        for name in ("metrics.json", "timeseries.csv"):
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
 
 
 def _fail_update_at(monkeypatch, name, q_bad, reason):
@@ -503,7 +529,7 @@ class TestScenarioPass:
         monkeypatch.setattr(smod, "observe", counted_observe)
         write_outputs(run_simulation(short_cfg(**cfg)), tmp_path / "whole", no_timing=True)
         whole_windows, whole_chunks = len(windows), len(chunks)
-        monkeypatch.setattr(smod, "_ROTATED_ROWS", 1)
+        monkeypatch.setattr(hmod, "_STAR_ROWS", 1)
         monkeypatch.setattr(hmod, "_CHUNK_BLOCKS", 2)
         monkeypatch.setattr(hmod, "_WINDOW_STEPS", 7)
         write_outputs(run_simulation(short_cfg(**cfg)), tmp_path / "small", no_timing=True)
@@ -536,7 +562,7 @@ def _plan_configs(stride, n):
             n_stars=rng.choice([2, 100, 1000]),
         )
         bounds = dict(
-            _ROTATED_ROWS=rng.choice([1, 300, 3200, 1 << 15]),
+            _STAR_ROWS=rng.choice([1, 300, 3200, 1 << 15]),
             _CHUNK_BLOCKS=rng.choice([1, 5, 64, 4096]),
             _WINDOW_STEPS=rng.choice([1, 5, 64, 4096]),
             _MAX_BLOCK_STEPS=rng.choice([17, 1000]),
@@ -552,13 +578,12 @@ class TestPlanChunks:
     @pytest.mark.parametrize("stride", [0, 1, 3, 7, 999, 1000, 1001, 10**9])
     def test_blocks_and_chunks_equal_the_per_block_loop(self, stride, monkeypatch):
         import attsim.harness as hmod
-        import attsim.startracker as smod
         from oracles import plan_chunks_per_block
 
         for cfg, bounds in _plan_configs(stride, 25):
             with monkeypatch.context() as m:
                 for name, value in bounds.items():
-                    m.setattr(smod if name == "_ROTATED_ROWS" else hmod, name, value)
+                    m.setattr(hmod, name, value)
                 got = []
                 first = 1
                 for ends, at_epoch, keep, windows in hmod._plan_chunks(cfg, cfg.n_stars):
@@ -799,9 +824,8 @@ class TestSegmentPass:
     def _cut_into_small_chunks(monkeypatch):
         # chunks of one epoch and two blocks, windows of 7 steps
         import attsim.harness as hmod
-        import attsim.startracker as smod
 
-        monkeypatch.setattr(smod, "_ROTATED_ROWS", 1)
+        monkeypatch.setattr(hmod, "_STAR_ROWS", 1)
         monkeypatch.setattr(hmod, "_CHUNK_BLOCKS", 2)
         monkeypatch.setattr(hmod, "_WINDOW_STEPS", 7)
 
@@ -938,7 +962,7 @@ class TestDavenportAbort:
     @pytest.mark.parametrize("epoch", [0, 13, 29])
     @pytest.mark.parametrize("how", ["sweep"])
     def test_same_partial_result_as_one_solve_per_epoch(self, epoch, how, monkeypatch):
-        import attsim.startracker as smod
+        import attsim.harness as hmod
 
         cfg = dict(duration_s=30.0, record_stride=20)  # 30 epochs in one chunk
         with monkeypatch.context() as m:
@@ -946,7 +970,7 @@ class TestDavenportAbort:
             stacked = run_simulation(short_cfg(**cfg))
         with monkeypatch.context() as m:
             _fail_davenport_at(m, epoch)
-            m.setattr(smod, "_ROTATED_ROWS", 1)  # one epoch a chunk
+            m.setattr(hmod, "_STAR_ROWS", 1)  # one epoch a chunk
             alone = run_simulation(short_cfg(**cfg))
         assert stacked.aborted is not None and stacked.aborted == alone.aborted
         assert how in stacked.aborted  # the injected failure is the abort reason
@@ -965,9 +989,8 @@ class TestUpdateAbort:
     @pytest.mark.parametrize("name", ["aekf", "mekf"])
     def test_partial_result(self, name, epoch, monkeypatch):
         import attsim.harness as hmod
-        import attsim.startracker as smod
 
-        monkeypatch.setattr(smod, "_ROTATED_ROWS", 3200)  # 32 epochs a chunk of 100 stars
+        monkeypatch.setattr(hmod, "_STAR_ROWS", 3200)  # 32 epochs a chunk of 100 stars
         cfg = dict(duration_s=40.0, record_stride=10)  # the epoch blocks are record instants
         full = run_simulation(short_cfg(**cfg))
         t_fail = full.epoch_t[epoch]

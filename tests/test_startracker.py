@@ -418,16 +418,6 @@ class TestObserveStack:
         second = np.array([random_unit_quat(setup) for _ in range(6)])
         self._assert_matches_epoch_by_epoch(second, cat, cams, 1e-3, rng, rng_ref)
 
-    def test_epochs_rotated_in_groups(self, monkeypatch):
-        # a catalog too large for one rotated stack takes the epochs in groups
-        import attsim.startracker as smod
-
-        monkeypatch.setattr(smod, "_ROTATED_ROWS", 250)  # groups of 2 epochs
-        cat, cams = _rig(3, 100, 20.0)
-        setup = RngStream(9)
-        qs = np.array([random_unit_quat(setup) for _ in range(7)])
-        self._assert_matches_epoch_by_epoch(qs, cat, cams, 1e-3, RngStream(2), RngStream(2))
-
     def test_one_attitude_returns_its_set(self):
         cat, cams = _rig(3, 100, 20.0)
         q = random_unit_quat(RngStream(1))

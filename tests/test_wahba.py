@@ -62,6 +62,15 @@ class TestTriad:
         with pytest.raises(DegenerateGeometry):
             triad(r1, r1, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which, name", enumerate(["r1", "r2", "b1", "b2"]))
+    def test_non_finite_component_rejected(self, which, name, bad):
+        # NaN passes the zero-length test, so it once gave a NaN matrix
+        vecs = [np.array(v) for v in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) * 2]
+        vecs[which][1] = bad
+        with pytest.raises(InvalidInput, match=f"{name} must have finite components"):
+            triad(*vecs)
+
     def test_exact_on_first_pair_and_proper(self):
         rng = RngStream(31)
         for _ in range(50):
