@@ -12,6 +12,7 @@ go to files or stdout. Quaternions print scalar-first.
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -100,6 +101,9 @@ def _load_observations(path: str) -> ObservationSet:
         if not all(np.isfinite(vals)):
             raise ConfigError(f"{path}:{lineno}: values must be finite numbers")
         rows.append(vals if len(vals) == 7 else vals + [1.0])
+    # the q-method's eigenvalue gap reaches twice the total weight, the loss four times it
+    if not math.isfinite(4.0 * sum(row[6] for row in rows)):
+        raise ConfigError("observation weights are too large: four times their sum overflows")
     table = np.array(rows, dtype=float).reshape(-1, 7)
     b, r = table[:, 0:3], table[:, 3:6]
     with np.errstate(over="ignore"):

@@ -22,8 +22,9 @@ then one estimate pass per filter, then its records:
   and the product of each block's gyro increments, which both filters
   share. Only those two per-block results are kept across windows. Then
   one star-tracker observation pass over all the chunk's epochs, whose
-  star noise is one draw, and one Davenport solve of their sets as one
-  padded stack;
+  star noise is one draw and whose stars come back as one packed
+  observation set with each epoch's star count, and one Davenport solve of
+  that set, its epochs laid out as one padded stack;
 * the segment plan (:func:`_segments`), shared by both filters: the
   chunk's update segments, each the blocks after one update up to and
   including the block of the next, and each block's rotation R_j and gyro

@@ -4,7 +4,7 @@ This module owns the linear algebra the estimators depend on: a cyclic
 Jacobi eigensolver for symmetric matrices up to 6x6, a dense solver for
 the innovation systems, a seeded noise stream, and the row layout that
 pads runs of rows into one stack (:func:`padded_rows`: the harness's gyro
-blocks, the Davenport solve's observation sets). Matrices and vectors
+blocks, the Davenport solve's epochs). Matrices and vectors
 are plain float64 numpy arrays at the interface; nothing here calls into
 ``numpy.linalg``, so seeded artifacts reproduce bit for bit across runs.
 Inside, :func:`solve` eliminates on lists of Python floats: its 3x3 and
@@ -16,13 +16,17 @@ matrices, shape ``(k, n, n)``: each rotation is the same elementwise IEEE
 operations for every member. Each sweep first sets aside the members that
 have converged, and a rotation leaves alone every member whose pivot is
 zero, so a member's result does not depend on the stack around it. A
-lone ``(n, n)`` matrix is checked and solved as a stack of one. The
-Davenport solve stacks the matrices of many tracker epochs and reads the
-eigenvectors; the harness stacks the covariance snapshots of many records
-and asks for the eigenvalues alone (``vectors=False``), which gives the
-same eigenvalue bits. A member whose eigenvectors are wanted carries their
-columns below its matrix, so that one column rotation turns both; without
-them, the rotations touch the matrix alone.
+lone ``(n, n)`` matrix is checked and solved as a stack of one. Each
+member is scaled by the power of two that brings its largest entry into
+[0.5, 1), so that no sum of its squares underflows or overflows, and its
+eigenvalues scaled back; both are exact for entries within a factor 2^1021
+of the largest. The Davenport solve stacks the matrices of many tracker
+epochs and reads the eigenvectors; the harness stacks the covariance
+snapshots of many records and asks for the eigenvalues alone
+(``vectors=False``), which gives the same eigenvalue bits. A member whose
+eigenvectors are wanted carries their columns below its matrix, so that
+one column rotation turns both; without them, the rotations touch the
+matrix alone.
 
 The random stream is xorshift64* seeded through one round of splitmix64,
 with Gaussian deviates drawn by the polar (Marsaglia) method. The
@@ -81,10 +85,10 @@ def padded_rows(counts) -> np.ndarray:
     Entry ``[i, j]`` indexes row j of run i; the entries past a run's end
     index the row after the last run, where the caller appends its fill.
     """
-    counts = np.asarray(counts)
+    counts = np.asarray(counts, dtype=int)
     bounds = [0, *accumulate(counts.tolist())]
-    cols = np.arange(counts.max())
-    return np.where(cols < counts[:, None], np.array(bounds[:-1])[:, None] + cols, bounds[-1])
+    cols = np.arange(counts.max(initial=0))
+    return np.where(cols < counts[:, None], np.array(bounds[:-1], dtype=int)[:, None] + cols, bounds[-1])
 
 
 def _as_square(m) -> np.ndarray:
@@ -129,8 +133,8 @@ def jacobi_eigen_sym(m, vectors: bool = True):
     not dropped below 1e-12 * ||m||_F after 100 sweeps.
     """
     lone = np.ndim(m) != 3
-    a = _symmetric_stack(np.asarray(m)[None] if lone else m)
-    evals, vecs, failed = _jacobi_sweep(a, vectors)
+    a, peak = _symmetric_stack(np.asarray(m)[None] if lone else m)
+    evals, vecs, failed = _jacobi_sweep(a, vectors, peak)
     if lone:
         if failed.size:
             raise NumericalFailure(
@@ -145,8 +149,8 @@ def jacobi_eigen_sym(m, vectors: bool = True):
     return (evals, vecs) if vectors else evals
 
 
-def _symmetric_stack(m) -> np.ndarray:
-    """A float copy of a stack ``(k, n, n)``, or InvalidInput naming the first bad member.
+def _symmetric_stack(m):
+    """A float copy of a stack ``(k, n, n)`` and each member's max|M|, or InvalidInput naming the first bad member.
 
     A member is symmetric when max|M - M^T| <= 1e-9 * max|M| (exactly, for
     the zero matrix).
@@ -165,7 +169,7 @@ def _symmetric_stack(m) -> np.ndarray:
     asym = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > _SYM_REL_TOL * peak
     if asym.any():
         raise InvalidInput(f"matrix {int(np.argmax(asym))} of the stack is not symmetric within tolerance")
-    return a
+    return a, peak
 
 
 def _off_norms(a: np.ndarray, pairs) -> np.ndarray:
@@ -177,22 +181,26 @@ def _off_norms(a: np.ndarray, pairs) -> np.ndarray:
     return np.sqrt(2.0 * acc)
 
 
-def _jacobi_sweep(a: np.ndarray, vectors: bool):
-    """The cyclic Jacobi sweep, vectorized over a checked stack ``a``.
+def _jacobi_sweep(a: np.ndarray, vectors: bool, peak: np.ndarray):
+    """The cyclic Jacobi sweep, vectorized over a checked stack ``a`` whose members' max|M| is ``peak``.
 
     With ``vectors``, each member works on its matrix with the eigenvector
     columns stacked below it, ``(2n, n)``, so that the rotation of the
     matrix's columns rotates the eigenvector columns in the same step;
-    otherwise on the matrix alone (``a`` itself, updated in place). Each
-    sweep starts by setting aside the members that have converged and
-    works on the others; a rotation touches only the members whose pivot is
-    nonzero and leaves the others exactly as they are. Each step is an
-    elementwise IEEE operation, so a member's result does not depend on the
-    stack around it. Returns the sorted eigenvalues, the eigenvector rows
-    (None unless ``vectors``) and the off-diagonal norms of the members
-    that had not converged after the last sweep (empty when all did).
+    otherwise on the matrix alone (``a`` itself, updated in place). ``a``
+    is first scaled in place by ``peak``, as the module says. Each sweep
+    starts by setting aside the members that have converged and works on
+    the others; a rotation touches only the members whose pivot is nonzero
+    and leaves the others exactly as they are. Each step is an elementwise
+    IEEE operation, so a member's result does not depend on the stack
+    around it. Returns the sorted eigenvalues, the eigenvector rows (None
+    unless ``vectors``) and the off-diagonal norms of the members that had
+    not converged after the last sweep (empty when all did), all in the
+    caller's units.
     """
     k, n = a.shape[:2]
+    exps = np.frexp(peak)[1]
+    np.ldexp(a, -exps[:, None, None], out=a)
     scale = np.sqrt((a * a).reshape(k, n * n).sum(axis=1))
     tol = _JACOBI_REL_TOL * scale
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
@@ -222,11 +230,11 @@ def _jacobi_sweep(a: np.ndarray, vectors: bool):
     else:
         # the final sweep may still have finished the job
         off = _off_norms(wi, pairs)
-        failed = off[off > tol[idx]]
+        failed = np.ldexp(off, exps[idx])[off > tol[idx]]
     if wi is not w:
         w[idx] = wi
 
-    evals = np.diagonal(w[:, :n], axis1=1, axis2=2).copy()
+    evals = np.ldexp(np.diagonal(w[:, :n], axis1=1, axis2=2), exps[:, None])
     evals[scale == 0.0] = 0.0
     order = np.argsort(-evals, axis=1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=1)

@@ -10,25 +10,25 @@ body-frame vector is paired with the true catalog direction. Stars are
 pure directions; parallax from the spacecraft position is far below
 sensor noise and is ignored.
 
-An epoch's stars travel as one :class:`ObservationSet`: the body and
+A chunk's stars travel as one :class:`ObservationSet`: the body and
 inertial directions as ``(m, 3)`` arrays and the weights as ``(m,)``, one
-row per star. :func:`observe` takes a stack of ``E`` epoch attitudes (a
-chunk of a run's tracker epochs) and builds all their sets in one array
-pass: one product rotates the catalog into the body frame for every
-epoch, one ``(E, n)`` field-of-view mask per head (:func:`is_visible`)
-picks the visible rows of all epochs, the rows are put in epoch, head and
-catalog order and take their noise from one draw, in the order a loop over
-the epochs, heads and visible stars would draw it. Each epoch's set is a
-view of these packed rows, and equals bit for bit what observing that
-epoch alone gives. Rows are normalized, and tested against a boresight,
-with elementwise products such as ``x*x + y*y + z*z``, not a BLAS dot
-product, whose rounding depends on the kernel the BLAS library picks for
-the CPU.
+row per star, the rows of each epoch after those of the epoch before, and
+``counts``, the rows of each epoch in order. :func:`observe` takes a stack
+of ``E`` epoch attitudes (a chunk of a run's tracker epochs) and builds
+that set in one array pass: one product rotates the catalog into the body
+frame for every epoch, one ``(E, n)`` field-of-view mask per head
+(:func:`is_visible`) picks the visible rows of all epochs, the rows are put
+in epoch, head and catalog order and take their noise from one draw, in
+the order a loop over the epochs, heads and visible stars would draw it.
+Each epoch's rows equal bit for bit what observing that epoch alone gives.
+Rows are normalized, and tested against a boresight, with elementwise
+products such as ``x*x + y*y + z*z``, not a BLAS dot product, whose
+rounding depends on the kernel the BLAS library picks for the CPU.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -91,18 +91,21 @@ def _direction_rows(v, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Matched direction pairs, one row per star.
+    """Matched direction pairs, one row per star, of one epoch or of a stack of epochs.
 
     Args:
         b: body-frame unit directions, ``(m, 3)``.
         r: inertial-frame unit directions, ``(m, 3)``, row ``i`` paired with
             ``b[i]``.
         weights: ``(m,)`` weights; all 1 when omitted.
+        counts: the rows of each epoch, in order, nonnegative and summing
+            to ``m`` (kept as a tuple); ``None`` when all rows are one epoch.
     """
 
     b: np.ndarray
     r: np.ndarray
     weights: Optional[np.ndarray] = None
+    counts: Optional[tuple] = None
 
     def __post_init__(self):
         b = _direction_rows(self.b, "b")
@@ -115,6 +118,11 @@ class ObservationSet:
             weights = np.asarray(self.weights, dtype=float)
             if weights.shape != (b.shape[0],):
                 raise InvalidInput(f"expected {b.shape[0]} weights, got shape {weights.shape}")
+        if self.counts is not None:
+            counts = tuple(self.counts)
+            if not all(isinstance(c, Integral) and c >= 0 for c in counts) or sum(counts) != b.shape[0]:
+                raise InvalidInput(f"epoch counts must be nonnegative integers that sum to the {b.shape[0]} rows")
+            object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "weights", weights)
@@ -221,7 +229,7 @@ def default_camera_rig(n_cameras: int, fov_half_angle: float):
     return [CameraModel(boresight=b, fov_half_angle=fov_half_angle) for b in _RIG_BORESIGHTS[:n_cameras]]
 
 
-def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStream):
+def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStream) -> ObservationSet:
     """Run the full emulation path for every camera at a stack of epochs, in one array pass.
 
     ``q_true`` is a stack of true attitudes ``(E, 4)``, one per epoch, or
@@ -234,12 +242,12 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
     noise of ``sigma_star`` from one draw, in that order, and renormalized:
     the values and the stream state that one call per epoch would give.
 
-    Returns one :class:`ObservationSet` per epoch, in order (views of the
-    packed rows), whose length is the number of stars visible at that
-    epoch and whose weights are 1; a ``(4,)`` attitude returns its set
-    alone, and an empty stack ``(0, 4)`` an empty list, drawing nothing.
-    With ``sigma_star == 0`` every pair satisfies ``A(q_true) @ r == b`` to
-    1e-10.
+    Returns one :class:`ObservationSet` of all the visible stars, whose
+    weights are 1 and whose ``counts`` holds the stars visible at each
+    epoch; a ``(4,)`` attitude returns its epoch's set with ``counts``
+    ``None``, and an empty stack ``(0, 4)`` an empty set with ``counts``
+    ``()``, drawing nothing. With ``sigma_star == 0`` every pair satisfies
+    ``A(q_true) @ r == b`` to 1e-10.
     """
     if len(cams) == 0:
         raise InvalidInput("at least one camera is required")
@@ -248,8 +256,6 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
     q = np.asarray(q_true, dtype=float)
     a_ib = quat_to_matrix(q.reshape(-1, 4))
     n_epochs, n_stars = a_ib.shape[0], len(catalog)
-    if n_epochs == 0:
-        return []
     # column block e of (3, 3 E) is epoch e's inertial-to-body matrix,
     # transposed, so one product rotates the catalog for every epoch
     rotated = catalog.stars @ a_ib.transpose(2, 0, 1).reshape(3, -1)
@@ -261,14 +267,8 @@ def observe(q_true, catalog: StarCatalog, cams, sigma_star: float, rng: RngStrea
     rows = np.flatnonzero(visible)
     star = rows % n_stars
     b = body[rows // (len(cams) * n_stars), star]
-    r = catalog.stars[star]
     if sigma_star > 0.0:
         b += rng.gaussian_vec(sigma_star, b.size).reshape(b.shape)
         b /= row_norms(b)[:, None]
-    weights = np.ones(b.shape[0])
-    bounds = [0, *accumulate(visible.reshape(n_epochs, -1).sum(axis=1).tolist())]
-    sets = [
-        ObservationSet(b=b[lo:hi], r=r[lo:hi], weights=weights[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    return sets if q.ndim > 1 else sets[0]
+    counts = visible.sum(axis=(1, 2)).tolist() if q.ndim > 1 else None
+    return ObservationSet(b=b, r=catalog.stars[star], counts=counts)

@@ -22,21 +22,22 @@ side by side, then a sum over the star axis, which numpy adds star by star
 in order. No BLAS product enters ``B`` or the loss, so their rounding
 does not depend on the CPU kernel a BLAS library picks.
 
-:func:`davenport_solve` also takes a sequence of sets, one per tracker
-epoch of a chunk of a run, and solves them together: the sets are laid
-out as zero-padded ``(E, L, 3)`` stacks (``L`` the largest set, padding
+:func:`davenport_solve` solves every epoch of a set at once. A set's
+``counts`` splits its packed rows into epochs (a run hands it one chunk's
+tracker epochs); a set without ``counts`` is one epoch. The rows are laid
+out as zero-padded ``(E, L, 3)`` stacks (``L`` the largest epoch, padding
 rows of weight -0.0, which add -0.0 to every sum and so change none), and
-every B, total weight, K, eigenvalue gap and quaternion is formed for
-all sets at once; the 4x4 eigenproblems are one stacked Jacobi call, which
+every B, total weight, K, eigenvalue gap and quaternion is formed for all
+epochs at once; the 4x4 eigenproblems are one stacked Jacobi call, which
 gives each member bit for bit what it gives that matrix alone. So each
-set's outcome equals a one-set call bit for bit. A set that fails (too few
-stars, a non-positive weight, a degenerate eigenvalue gap, the sweep
-limit) yields its exception as its outcome, so that the caller can act on
-it at that epoch's turn.
+epoch's outcome equals the solve of that epoch's rows alone bit for bit.
+An epoch that fails (too few stars, a non-positive weight, a degenerate
+eigenvalue gap, the sweep limit) yields its exception as its outcome, so
+that the caller can act on it at that epoch's turn.
 
 The total weight is a sum over the star axis, like every other sum over
 the stars: numpy adds a 1-D array of 8 or more terms pairwise, which would
-make a set's total depend on how far it is padded. The solver does not
+make an epoch's total depend on how far it is padded. The solver does not
 form the loss; :func:`wahba_loss` gives it for one set and attitude.
 """
 
@@ -147,47 +148,32 @@ def _star_sums(b, r, w):
     return sums[:, :9].reshape(n, 3, 3), sums[:, 9]
 
 
-def davenport_solve(obs):
-    """Optimal quaternion for a weighted observation set (q-method), or for many.
+def davenport_solve(obs: ObservationSet):
+    """Optimal quaternion of each epoch of a weighted observation set (q-method).
 
     The eigenvector of K with the largest eigenvalue is the attitude
-    estimate; its scalar part is forced nonnegative. For one
-    :class:`~attsim.startracker.ObservationSet`, returns a
-    :class:`WahbaSolution` and raises UnderdeterminedAttitude for fewer
-    than two observations or when the top eigenvalue is nearly degenerate
-    (collinear geometry).
+    estimate; its scalar part is forced nonnegative. For a set without
+    ``counts`` (one epoch), returns a :class:`WahbaSolution` and raises
+    UnderdeterminedAttitude for fewer than two observations or when the
+    top eigenvalue is nearly degenerate (collinear geometry), and
+    InvalidInput for a weight that is not positive.
 
-    For a sequence of sets, returns a list with one outcome per set, in
-    order: the WahbaSolution, or the exception a one-set call would raise
-    for that set (not raised). The sets are solved together, as one
-    zero-padded stack, and each outcome equals the one-set call bit for
-    bit.
+    For a set with ``counts``, returns a list with one outcome per epoch,
+    in order: the WahbaSolution, or the exception that epoch's rows alone
+    would raise (not raised). The epochs are solved together, as one
+    zero-padded stack, and each outcome equals the solve of that epoch
+    alone bit for bit.
     """
-    if isinstance(obs, ObservationSet):
-        outcome = _solve_sets([obs])[0]
-        if isinstance(outcome, AttsimError):
-            raise outcome
-        return outcome
-    return _solve_sets(list(obs))
-
-
-def _solve_sets(sets) -> list:
-    """One outcome per observation set: a WahbaSolution or the AttsimError of that set."""
-    outcomes = [None] * len(sets)
-    if not sets:
-        return outcomes
-    counts = [len(obs) for obs in sets]
-    b, r, w, valid = _padded_stack(sets, counts)
-    positive = np.all((w > 0.0) | ~valid, axis=1).tolist()
-    for i, (m, ok) in enumerate(zip(counts, positive)):
-        if m < 2:
-            outcomes[i] = UnderdeterminedAttitude("at least two observations are required")
-        elif not ok:
-            outcomes[i] = InvalidInput("observation weights must be positive")
+    counts = (len(obs),) if obs.counts is None else obs.counts
+    b, r, w = _padded(obs, counts)
+    positive = (np.count_nonzero(w > 0.0, axis=1) == counts).tolist()
+    outcomes = [
+        UnderdeterminedAttitude("at least two observations are required") if m < 2
+        else None if ok else InvalidInput("observation weights must be positive")
+        for m, ok in zip(counts, positive)
+    ]
     members = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if not members:
-        return outcomes
-    if len(members) < len(sets):
+    if len(members) < len(counts):
         b, r, w = b[members], r[members], w[members]
     prof, total = _star_sums(b, r, w)
     evals, evecs, failures = _eigen_stack(davenport_matrices(prof))
@@ -205,22 +191,22 @@ def _solve_sets(sets) -> list:
             )
         else:
             outcomes[i] = WahbaSolution(q=q[j], lambda_max=lambda_max[j])
-    return outcomes
+    if obs.counts is None and isinstance(outcomes[0], AttsimError):
+        raise outcomes[0]
+    return outcomes if obs.counts is not None else outcomes[0]
 
 
-def _padded_stack(sets, counts):
-    """The sets' rows as zero-padded ``(E, L, 3)`` stacks ``b`` and ``r``, weights ``(E, L)``.
+def _padded(obs: ObservationSet, counts):
+    """Each epoch's rows of ``obs`` as zero-padded ``(E, L, 3)`` stacks ``b`` and ``r``, weights ``(E, L)``.
 
-    ``L`` is the largest set; rows past a set's end hold zero directions
-    and weight -0.0. Also returns the ``(E, L)`` mask of the real rows.
+    ``counts`` gives the rows of each epoch and ``L`` is the largest; rows
+    past an epoch's end hold zero directions and weight -0.0. The row index
+    lives only here, so it is freed before the solve.
     """
     rows = padded_rows(counts)
-    valid = rows < sum(counts)
     pad = np.zeros((1, 3))
-    b = np.concatenate([*(obs.b for obs in sets), pad])[rows]
-    r = np.concatenate([*(obs.r for obs in sets), pad])[rows]
-    w = np.concatenate([*(obs.weights for obs in sets), [-0.0]])[rows]
-    return b, r, w, valid
+    return (np.concatenate((obs.b, pad))[rows], np.concatenate((obs.r, pad))[rows],
+            np.append(obs.weights, -0.0)[rows])
 
 
 def _eigen_stack(ks):

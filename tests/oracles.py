@@ -164,10 +164,13 @@ def jacobi_eigen_one(m):
     """Cyclic Jacobi eigensolver for one symmetric matrix, one rotation at a time.
 
     Returns what ``jacobi_eigen_sym`` returns for one matrix: eigenvalues in
-    descending order and the eigenvectors as rows. Reads the sweep limit
-    from ``attsim.numerics`` at call time.
+    descending order and the eigenvectors as rows. It does not scale the
+    matrix by a power of two first, as ``jacobi_eigen_sym`` does, which
+    changes no bit of the result unless a sum of squares would underflow
+    or overflow. Reads the sweep limit from ``attsim.numerics`` at call
+    time.
     """
-    a = numerics._symmetric_stack(np.asarray(m)[None])[0]
+    a = numerics._symmetric_stack(np.asarray(m)[None])[0][0]
     n = a.shape[0]
     v = np.eye(n)
     scale = math.sqrt(float((a * a).sum()))

@@ -342,6 +342,38 @@ class TestSolveWahba:
         assert main(["solve-wahba", str(path)]) == 0
         assert "lambda_max=3.5" in capsys.readouterr().err
 
+    @staticmethod
+    def _axes_file(tmp_path, weight):
+        # the three axes, each paired with itself: the identity attitude
+        path = tmp_path / "obs.csv"
+        rows = ("1,0,0,1,0,0", "0,1,0,0,1,0", "0,0,1,0,0,1")
+        path.write_text("bx,by,bz,rx,ry,rz,weight\n" + "".join(f"{row},{weight}\n" for row in rows))
+        return path
+
+    @pytest.mark.parametrize("weight", ["1e-300", "1e-320", "1e200"])
+    def test_tiny_and_huge_weights_give_the_identity(self, tmp_path, capsys, weight):
+        # the eigensolver's sum of squares underflowed below about 1e-154
+        # (a degenerate gap, or a 180-degree attitude at 1e-320) and
+        # overflowed above about 1e154 (a RuntimeWarning)
+        path = self._axes_file(tmp_path, weight)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve-wahba", str(path)])
+        assert rc == 0 and not caught
+        assert capsys.readouterr().out == "1.0 0.0 0.0 0.0\n"
+
+    @pytest.mark.parametrize("weight", ["1e308", "5e307"])
+    def test_weights_too_large_exit_2(self, tmp_path, capsys, weight):
+        # 3e308 overflows; 1.5e308 does not, but the eigenvalue gap, up to
+        # twice the total, does
+        path = self._axes_file(tmp_path, weight)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["solve-wahba", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not caught
+        assert err.count("\n") == 1 and "config error" in err and "weights" in err
+
     def test_bad_header_exits_2(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,40 @@ class TestJacobiValuesOnly:
             with pytest.raises(NumericalFailure) as values:
                 jacobi_eigen_sym(m, vectors=False)
             assert str(values.value) == str(full.value)
+
+
+class TestJacobiScaling:
+    """Each member is solved scaled by a power of two, so its magnitude changes no bit of the result."""
+
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_scaled_stack_bitwise(self, e):
+        # at 2^-600 the squares of the 1e-9 members underflowed, at 2^600
+        # those of the 1e7 members overflowed
+        stack = _pivot_stack(RngStream(600), 4)
+        evals, evecs = jacobi_eigen_sym(stack)
+        scaled = np.ldexp(stack, e)
+        got_evals, got_evecs = jacobi_eigen_sym(scaled)
+        assert got_evals.tobytes() == np.ldexp(evals, e).tobytes()
+        assert got_evecs.tobytes() == evecs.tobytes()
+        assert jacobi_eigen_sym(scaled, vectors=False).tobytes() == got_evals.tobytes()
+
+    @pytest.mark.parametrize("factor", [1e-200, 1e-310, 1e200])
+    def test_tiny_and_huge_2x2(self, factor):
+        # 1e-200 used to give (0, 0) and the identity, 1e200 a RuntimeWarning
+        evals, evecs = jacobi_eigen_sym(factor * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert evals.tolist() == pytest.approx([3.0 * factor, factor], rel=1e-15 if factor > 1e-300 else 1e-8)
+        assert np.allclose(np.abs(evecs), math.sqrt(0.5), rtol=0.0, atol=1e-15)
+
+    def test_sweep_limit_in_callers_units(self, monkeypatch):
+        m = random_symmetric(RngStream(43), 4)
+        monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalFailure) as unit:
+            jacobi_eigen_sym(m)
+        with pytest.raises(NumericalFailure) as scaled:
+            jacobi_eigen_sym(np.ldexp(m, 600))
+        unit_off, scaled_off = (float(re.search(r"off-diagonal (\S+)\)", str(exc.value)).group(1))
+                                for exc in (unit, scaled))
+        assert scaled_off == pytest.approx(unit_off * 2.0 ** 600, rel=1e-3)
 
 
 class TestConditionNumber:

@@ -19,7 +19,7 @@ from attsim.startracker import (
 )
 from attsim.wahba import davenport_solve
 
-from conftest import random_unit_quat
+from conftest import pack_sets, random_unit_quat
 from oracles import axis_angle_quat, generate_catalog_per_star, observe_one_epoch, observe_per_star
 
 FOV20 = math.radians(20.0)
@@ -295,6 +295,22 @@ class TestObservationSet:
         assert obs.b.shape == obs.r.shape == (0, 3)
         assert obs.weights.shape == (0,)
 
+    def test_counts(self):
+        z = np.zeros((3, 3))
+        assert ObservationSet(b=z, r=z).counts is None
+        assert ObservationSet(b=z, r=z, counts=np.array([2, 0, 1])).counts == (2, 0, 1)
+        assert ObservationSet(b=[], r=[], counts=[]).counts == ()
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[2, -1, 2], [2, 2], [1, 1], [], [1.5, 1.5]],
+        ids=["negative", "over-sum", "under-sum", "none-for-rows", "not-integers"],
+    )
+    def test_rejects_bad_counts(self, counts):
+        z = np.zeros((3, 3))
+        with pytest.raises(InvalidInput, match="counts"):
+            ObservationSet(b=z, r=z, counts=counts)
+
     @pytest.mark.parametrize(
         "b, r, weights",
         [
@@ -364,20 +380,21 @@ def _rig(n_cams, n_stars, fov_deg, seed=5):
 class TestObserveStack:
     """``observe`` on a stack of epochs against one epoch at a time (``tests/oracles.py``).
 
-    Every epoch's rows, in order, bit for bit, and the noise stream left in
-    the same state with the same spare deviate.
+    The packed set against the one-epoch sets packed in order: every
+    epoch's row count, and every row bit for bit, and the noise stream left
+    in the same state with the same spare deviate.
     """
 
     @staticmethod
     def _assert_matches_epoch_by_epoch(qs, cat, cams, sigma, rng, rng_ref):
-        sets = observe(qs, cat, cams, sigma, rng)
-        assert isinstance(sets, list) and len(sets) == len(qs)
-        for obs, q in zip(sets, qs):
-            ref = observe_one_epoch(q, cat, cams, sigma, rng_ref)
-            assert _same_bits(obs.b, ref.b) and _same_bits(obs.r, ref.r)
-            assert _same_bits(obs.weights, ref.weights)
+        obs = observe(qs, cat, cams, sigma, rng)
+        ref = pack_sets([observe_one_epoch(q, cat, cams, sigma, rng_ref) for q in qs])
+        assert isinstance(obs, ObservationSet) and len(obs.counts) == len(qs)
+        assert obs.counts == ref.counts
+        assert _same_bits(obs.b, ref.b) and _same_bits(obs.r, ref.r)
+        assert _same_bits(obs.weights, ref.weights)
         assert (rng._state, rng._spare) == (rng_ref._state, rng_ref._spare)
-        return sets
+        return obs
 
     @pytest.mark.parametrize(
         "n_cams, n_stars, fov_deg, sigma",
@@ -400,8 +417,7 @@ class TestObserveStack:
         cat, cams = _rig(1, 40, 12.0)
         setup = RngStream(3)
         qs = np.array([random_unit_quat(setup) for _ in range(60)])
-        sets = self._assert_matches_epoch_by_epoch(qs, cat, cams, 1e-3, RngStream(8), RngStream(8))
-        counts = [len(obs) for obs in sets]
+        counts = self._assert_matches_epoch_by_epoch(qs, cat, cams, 1e-3, RngStream(8), RngStream(8)).counts
         assert 0 in counts and 1 in counts and max(counts) >= 2
 
     def test_spare_carried_across_two_chunks(self):
@@ -423,8 +439,8 @@ class TestObserveStack:
         q = random_unit_quat(RngStream(1))
         one = observe(q, cat, cams, 1e-3, RngStream(6))
         stack = observe(q[None], cat, cams, 1e-3, RngStream(6))
-        assert isinstance(one, ObservationSet) and len(stack) == 1
-        assert _same_bits(one.b, stack[0].b) and _same_bits(one.r, stack[0].r)
+        assert one.counts is None and stack.counts == (len(one),)
+        assert _same_bits(one.b, stack.b) and _same_bits(one.r, stack.r)
 
     def test_non_unit_attitude_rejected(self):
         cat, cams = _rig(1, 10, 20.0)
@@ -433,11 +449,12 @@ class TestObserveStack:
             observe(qs, cat, cams, 0.0, RngStream(1))
 
     def test_empty_stack_returns_no_sets(self):
-        # as davenport_solve([]) takes an empty list, and nothing is drawn
+        # a set of no epochs, which davenport_solve takes, and nothing is drawn
         cat, cams = _rig(3, 100, 20.0)
         rng = RngStream(5)
         rng.gaussian(1.0)  # a spare deviate waiting
         state = (rng._state, rng._spare)
-        assert observe(np.zeros((0, 4)), cat, cams, 1e-3, rng) == []
+        obs = observe(np.zeros((0, 4)), cat, cams, 1e-3, rng)
+        assert obs.counts == () and len(obs) == 0
         assert (rng._state, rng._spare) == state
         assert davenport_solve(observe(np.zeros((0, 4)), cat, cams, 0.0, rng)) == []

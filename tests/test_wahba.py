@@ -15,7 +15,7 @@ from attsim.numerics import RngStream
 from attsim.startracker import ObservationSet, default_camera_rig, generate_catalog, observe
 from attsim.wahba import WahbaSolution, davenport_solve, triad, wahba_loss
 
-from conftest import random_unit_quat, random_unit_vec
+from conftest import pack_sets, random_unit_quat, random_unit_vec
 from oracles import davenport_per_star, observe_per_star, profile_and_k
 
 
@@ -116,17 +116,17 @@ class TestBuildProfile:
         empty = ObservationSet(b=[], r=[])
         with pytest.raises(UnderdeterminedAttitude):
             davenport_solve(empty)
-        assert isinstance(davenport_solve([empty])[0], UnderdeterminedAttitude)
+        assert isinstance(davenport_solve(pack_sets([empty]))[0], UnderdeterminedAttitude)
 
     def test_nonpositive_weight_rejected(self):
-        # the set alone raises; in a sequence only that set reports it
+        # the set alone raises; packed with others only its epoch reports it
         z = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         good = ObservationSet(b=z, r=z)
         for bad in (0.0, -1.0, math.nan):
             obs = ObservationSet(b=z, r=z, weights=[1.0, bad])
             with pytest.raises(InvalidInput, match="weights must be positive"):
                 davenport_solve(obs)
-            got = davenport_solve([good, obs, good])
+            got = davenport_solve(pack_sets([good, obs, good]))
             assert isinstance(got[1], InvalidInput) and "weights must be positive" in str(got[1])
             assert isinstance(got[0], WahbaSolution) and isinstance(got[2], WahbaSolution)
 
@@ -317,7 +317,7 @@ class TestAgainstPerStarLoop:
 
 
 class TestDavenportSequence:
-    """``davenport_solve`` on a sequence of sets: one stacked eigensolve, per-set outcomes."""
+    """``davenport_solve`` on a packed set of epochs: one stacked eigensolve, per-epoch outcomes."""
 
     @staticmethod
     def _one_by_one(sets):
@@ -340,7 +340,7 @@ class TestDavenportSequence:
 
     def test_equals_one_call_per_set_bitwise(self):
         sets = self._mixed_sets()
-        got = davenport_solve(sets)
+        got = davenport_solve(pack_sets(sets))
         want = self._one_by_one(sets)
         assert len(got) == len(sets)
         kinds = [type(g).__name__ for g in got]
@@ -355,7 +355,7 @@ class TestDavenportSequence:
                 assert g.lambda_max == w.lambda_max
 
     def test_empty_sequence(self):
-        assert davenport_solve([]) == []
+        assert davenport_solve(pack_sets([])) == []
 
     @staticmethod
     def _assert_same_outcomes(got, want):
@@ -381,8 +381,8 @@ class TestDavenportSequence:
             sets.append(ObservationSet(b=noisy, r=obs.r, weights=w))
         want = self._one_by_one(sets)
         assert all(isinstance(w, WahbaSolution) for w in want)
-        self._assert_same_outcomes(davenport_solve(sets), want)
-        self._assert_same_outcomes(davenport_solve(sets[::-1]), want[::-1])
+        self._assert_same_outcomes(davenport_solve(pack_sets(sets)), want)
+        self._assert_same_outcomes(davenport_solve(pack_sets(sets[::-1])), want[::-1])
 
     def test_scaled_set_mid_sequence(self):
         # directions are used as given: a set whose directions are scaled by
@@ -396,7 +396,7 @@ class TestDavenportSequence:
         want = self._one_by_one(sets)
         assert all(isinstance(w, WahbaSolution) for w in want)
         assert error_angle(want[2].q, davenport_solve(unit).q) <= 1e-12
-        self._assert_same_outcomes(davenport_solve(sets), want)
+        self._assert_same_outcomes(davenport_solve(pack_sets(sets)), want)
 
     def test_sweep_limit_belongs_to_its_set(self, monkeypatch):
         # one matrix of the stack fails the sweep; only its set reports it,
@@ -415,7 +415,7 @@ class TestDavenportSequence:
             return real(m)
 
         monkeypatch.setattr(wmod, "jacobi_eigen_sym", limited)
-        got = davenport_solve(sets)
+        got = davenport_solve(pack_sets(sets))
         want = self._one_by_one(sets)
         assert isinstance(got[2], NumericalFailure)
         for g, w in zip(got, want):
