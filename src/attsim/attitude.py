@@ -10,20 +10,20 @@ Conventions used everywhere in this package:
   observation models read ``b = A(q) @ r``. Numerically
   ``A(q) @ v == vec(conj(q) * (v; 0) * q)``.
 * The kinematic rate is ``q_dot = 0.5 * (omega; 0) * q`` and the exact
-  one-step integrator composes the axis-angle increment on the left.
-  ``integrate_quat`` also takes a block of rates, shape ``(n, 3)``, and a
-  stack of consecutive blocks, shape ``(B, L, 3)``: the increments are
-  built in one vectorized step and each block's product is reduced by a
-  pairwise tree (:func:`block_increments`) instead of n sequential
-  products. A stack's short blocks are padded with zero rates, whose
-  increment is the identity, and the attitude then crosses the blocks one
-  product each, so a block of one step advances the attitude exactly as
-  the scalar one-step path does. The filters take the same block products
-  of the gyro rates (see :mod:`attsim.filters`), and their covariance
-  transitions are the matrices of those rotations: :func:`quat_left_matrix`
-  for the AEKF and the transpose of :func:`quat_to_matrix` for the MEKF,
-  of a block's product or of the product of a run of blocks, which
-  :func:`quat_path` from the identity gives.
+  step integrator composes the axis-angle increment on the left.
+  ``integrate_quat`` takes a stack of consecutive blocks of rates, shape
+  ``(B, L, 3)``: the increments are built in one vectorized step and each
+  block's product is reduced by a pairwise tree (:func:`block_increments`)
+  instead of L sequential products. A stack's short blocks are padded with
+  zero rates, whose increment is the identity, and the attitude then
+  crosses the blocks one product each. The tree multiplies with the
+  expressions of ``quat_mul``, elementwise, so its rounding does not depend
+  on the BLAS kernel. The filters take the same block products of the gyro
+  rates (see :mod:`attsim.filters`), and their covariance transitions are
+  the matrices of those rotations: :func:`quat_left_matrix` for the AEKF
+  and the transpose of :func:`quat_to_matrix` for the MEKF, of a block's
+  product or of the product of a run of blocks, which :func:`quat_path`
+  from the identity gives.
 
 The kernels the sequential estimate loop calls per block or per update
 (``quat_path``, ``quat_mul``, ``quat_norm``, ``quat_normalize``,
@@ -166,32 +166,20 @@ def quat_to_gibbs(q) -> np.ndarray:
     return np.array([x / w, y / w, z / w])
 
 
-def integrate_quat(q, omega, dt: float) -> np.ndarray:
-    """Exact attitude propagation for piecewise-constant rates over steps of ``dt``.
+def integrate_quat(q, omegas, dt: float) -> np.ndarray:
+    """Exact attitude propagation across a stack of blocks of piecewise-constant rates.
 
-    ``omega`` is one rate (shape ``(3,)``, one step), a block of rates
-    (shape ``(n, 3)``, n steps, row k held over step k), or a stack of
-    consecutive blocks (shape ``(B, L, 3)``) whose short blocks are padded
-    with zero rows. Each step composes the axis-angle increment
+    ``omegas`` has shape ``(B, L, 3)``: B consecutive blocks of L steps of
+    ``dt``, row k of a block held over its step k, a short block padded with
+    zero rates. Each step composes the axis-angle increment
     exp(0.5 * (omega*dt; 0)) on the left, which is the closed-form solution
-    of the kinematic equation. A block returns the attitude after its last
-    step; a stack returns the attitude after each block, shape ``(B, 4)``,
-    with each block's increments reduced by :func:`block_increments` and
-    applied by one product. The map is linear in ``q`` and preserves unit
-    norm to machine precision, so no renormalization is applied.
+    of the kinematic equation. Returns the attitude after each block,
+    ``(B, 4)``: each block's increments are reduced by
+    :func:`block_increments` and applied by one product. The map is linear
+    in ``q`` and preserves unit norm to machine precision, so no
+    renormalization is applied.
     """
-    w = np.asarray(omega, dtype=float)
-    if w.ndim == 3:
-        return quat_path(q, block_increments(w, dt).tolist()).reshape(-1, 4)
-    if w.ndim == 2:
-        return integrate_quat(q, w[None], dt)[0]
-    wx, wy, wz = w.tolist()
-    wnorm = math.sqrt(wx * wx + wy * wy + wz * wz)
-    if wnorm == 0.0:
-        return np.asarray(q, dtype=float).copy()
-    half = 0.5 * wnorm * dt
-    s = math.sin(half) / wnorm
-    return quat_mul((wx * s, wy * s, wz * s, math.cos(half)), q)
+    return quat_path(q, block_increments(omegas, dt).tolist())
 
 
 def block_increments(omegas, dt: float) -> np.ndarray:
@@ -202,47 +190,36 @@ def block_increments(omegas, dt: float) -> np.ndarray:
     ``dq[L-1] * ... * dq[1] * dq[0]`` of block b, so that
     ``quat_mul(row, q)`` carries ``q`` across the block. The product is a
     pairwise tree of ceil(log2 L) batched levels: each level multiplies
-    neighbours, the later on the left, and an odd last element passes to
-    the next level unchanged. The increment of a zero rate is exactly the
-    identity, and a pair at level l joins the elements with the same
-    ``i // 2**l`` whatever ``L`` is, so a block's product does not depend on
-    how far it is padded.
+    neighbours, the later on the left, with the :func:`quat_mul`
+    expressions on ``(B, n)`` component arrays, and an odd last element
+    passes to the next level unchanged. The increment of a zero rate is
+    exactly the identity, and a pair at level l joins the elements with the
+    same ``i // 2**l`` whatever ``L`` is, so a block's product does not
+    depend on how far it is padded.
     """
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 3 or 0 in w.shape or w.shape[2] != 3:
         raise InvalidInput("gyro rates must be a nonempty (blocks, steps, 3) stack")
     dq = _quat_increments(w, dt)
-    while dq.shape[1] > 1:
-        even = dq.shape[1] // 2 * 2
-        prod = _quat_mul_rows(dq[:, 1:even:2], dq[:, 0:even:2])
-        if even < dq.shape[1]:
-            prod = np.concatenate((prod, dq[:, even:]), axis=1)
+    while (n := dq[0].shape[1]) > 1:
+        even = n // 2 * 2
+        prod = _hamilton(*(c[:, 1:even:2] for c in dq), *(c[:, 0:even:2] for c in dq))
+        if even < n:
+            prod = [np.concatenate((p, c[:, even:]), axis=1) for p, c in zip(prod, dq)]
         dq = prod
-    return dq[:, 0]
+    return np.stack([c[:, 0] for c in dq], axis=-1)
 
 
-def _quat_increments(omegas: np.ndarray, dt: float) -> np.ndarray:
-    """Step increments exp(0.5 * (omega*dt; 0)), one row per rate of ``omegas`` (..., 3).
+def _quat_increments(omegas: np.ndarray, dt: float):
+    """Components (x, y, z, w) of the step increments exp(0.5 * (omega*dt; 0)) of ``omegas`` (..., 3).
 
-    ``np.sin`` and ``np.cos`` matched ``math.sin`` and ``math.cos`` bit for
-    bit on 1e6 inputs (numpy 2.4, an AVX-512 x86-64 host), but numpy does
-    not promise it; ``np.log`` did not match ``math.log`` there, which is
-    why ``numerics.RngStream.gaussian_vec`` takes ``math.log``.
+    Each component has the shape of ``omegas`` without its last axis.
     """
     wnorm = np.sqrt((omegas * omegas).sum(axis=-1))
     half = (0.5 * dt) * wnorm
     # a zero rate gives sin(0) / tiny = 0, the identity increment
     s = np.sin(half) / np.maximum(wnorm, _TINY)
-    dq = np.empty(omegas.shape[:-1] + (4,))
-    dq[..., :3] = omegas * s[..., None]
-    dq[..., 3] = np.cos(half)
-    return dq
-
-
-def _quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Hamilton products ``a[..., k, :] * b[..., k, :]`` of a stack
-    ``a`` of shape ``(..., 4)`` and a stack ``b`` that broadcasts against it."""
-    return (quat_left_matrix(a) @ b[..., None])[..., 0]
+    return omegas[..., 0] * s, omegas[..., 1] * s, omegas[..., 2] * s, np.cos(half)
 
 
 def quat_to_matrix(q) -> np.ndarray:

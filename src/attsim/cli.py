@@ -225,10 +225,9 @@ def _selfcheck_cases(tol_scale: float):
         return float(np.max(np.abs(a_hat @ r1 - a @ r1))), 1e-12 * tol_scale
 
     def check_integrate_drift():
-        q = identity_quat()
-        for _ in range(1000):
-            w = np.array([rng.gaussian(0.5) for _ in range(3)])
-            q = integrate_quat(q, w, 0.01)
+        # 1000 steps of random rates, as 1000 one-step blocks
+        w = np.array([[[rng.gaussian(0.5) for _ in range(3)]] for _ in range(1000)])
+        q = integrate_quat(identity_quat(), w, 0.01)[-1]
         return abs(quat_norm(q) - 1.0), 1e-12 * tol_scale
 
     def check_rng_repeat():

@@ -438,7 +438,7 @@ def _plan_chunks(cfg: SimConfig, n_stars: int):
 
 
 def _pad(rates: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A chunk's ``(n, 3)`` rates as a zero-padded ``(blocks, longest block, 3)`` stack.
+    """A window's ``(n, 3)`` rates as a zero-padded ``(blocks, longest block, 3)`` stack.
 
     ``rows`` is :func:`attsim.numerics.padded_rows` of the block lengths.
     """

@@ -142,9 +142,11 @@ def _star_sums(b, r, w):
     """
     n, length = w.shape
     terms = np.empty((n, length, 10))
-    terms[..., :9] = (b[..., :, None] * r[..., None, :]).reshape(n, length, 9)
+    # b r^T is written into terms and weighted there: no (E, L, 3, 3) or (E, L, 10) temporary
+    np.multiply(b[..., :, None], r[..., None, :], out=terms[..., :9].reshape(n, length, 3, 3))
     terms[..., 9] = 1.0
-    sums = (w[..., None] * terms).sum(axis=1)
+    terms *= w[..., None]
+    sums = terms.sum(axis=1)
     return sums[:, :9].reshape(n, 3, 3), sums[:, 9]
 
 

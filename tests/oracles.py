@@ -320,6 +320,19 @@ def quat_mul_numpy(a, b):
     )
 
 
+def block_product_tree(increments):
+    """Product of one block's step increments ``(L, 4)`` by a pairwise tree of :func:`quat_mul` calls.
+
+    Each level multiplies neighbours, the later on the left, and an odd
+    last element passes to the next level unchanged.
+    """
+    level = list(increments)
+    while len(level) > 1:
+        pairs = [quat_mul(level[i + 1], level[i]) for i in range(0, len(level) - 1, 2)]
+        level = pairs + level[2 * len(pairs):]
+    return level[0]
+
+
 def error_angle_numpy(a, b):
     """Rotation angle between two quaternions, through the relative quaternion on numpy scalars."""
     b = np.asarray(b, dtype=float)
@@ -415,7 +428,7 @@ def predict_per_step(state, rates, dt: float, noise):
     q, p = state.q, state.p
     qn = per_step * np.eye(p.shape[0])
     for w, phi in zip(rates, step_transitions(rates, dt, aekf)):
-        q = integrate_quat(q, w, dt)
+        q = integrate_quat(q, w[None, None], dt)[0]
         if aekf:
             q = quat_normalize(q)
         if kinematic:

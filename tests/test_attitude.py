@@ -23,6 +23,7 @@ from attsim.numerics import RngStream
 from conftest import random_unit_quat, random_unit_vec
 from oracles import (
     axis_angle_quat,
+    block_product_tree,
     cross_matrix,
     error_angle_numpy,
     gibbs_to_quat,
@@ -99,6 +100,21 @@ class TestFloatKernels:
         for b in range(rates.shape[0]):
             q = quat_mul_numpy(block_increments(rates[b:b + 1], 0.01)[0], q)
             assert bits(out[b]) == bits(q)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_block_increments_is_a_tree_of_quat_mul(self, seed):
+        # each block's product is the pure-Python tree of quat_mul over its
+        # step increments, bit for bit; a stack of one-step blocks gives
+        # those increments, and some blocks are zero-padded short ones
+        rng = np.random.default_rng(seed)
+        blocks, length = int(rng.integers(1, 12)), int(rng.integers(2, 70))
+        rates = rng.standard_normal((blocks, length, 3))
+        for b, n in enumerate(rng.integers(1, length + 1, blocks)):
+            rates[b, n:] = 0.0
+        steps = block_increments(rates.reshape(-1, 1, 3), 0.01).reshape(blocks, length, 4)
+        out = block_increments(rates, 0.01)
+        for b in range(blocks):
+            assert bits(out[b]) == bits(block_product_tree(steps[b]))
 
 
 class TestNormalizeConjugate:
@@ -228,10 +244,10 @@ class TestIntegrate:
     def test_zero_rate_unchanged(self):
         rng = RngStream(7)
         q = random_unit_quat(rng)
-        assert np.array_equal(integrate_quat(q, np.zeros(3), 0.1), q)
+        assert np.array_equal(integrate_quat(q, np.zeros((1, 1, 3)), 0.1)[0], q)
 
     def test_quarter_turn_matches_closed_form_and_rk4(self):
-        q = integrate_quat(identity_quat(), np.array([0.0, 0.0, math.pi / 2]), 1.0)
+        q = integrate_quat(identity_quat(), np.array([[[0.0, 0.0, math.pi / 2]]]), 1.0)[0]
         expect = np.array([0.0, 0.0, math.sin(math.pi / 4), math.cos(math.pi / 4)])
         assert np.allclose(q, expect, atol=1e-14)
         rk4 = _rk4_kinematics(identity_quat(), np.array([0.0, 0.0, math.pi / 2]), 1.0, 100_000)
@@ -242,17 +258,21 @@ class TestIntegrate:
         for _ in range(5):
             q = random_unit_quat(rng)
             w = 2.0 * random_unit_vec(rng)
-            closed = integrate_quat(q, w, 0.37)
+            closed = integrate_quat(q, w[None, None], 0.37)[0]
             rk4 = _rk4_kinematics(q, w, 0.37, 20_000)
             assert error_angle(quat_normalize(closed), rk4) <= 1e-9
 
     def test_norm_drift_1000_steps(self):
         rng = RngStream(9)
-        q = identity_quat()
-        for _ in range(1000):
-            w = np.array([rng.gaussian(1.0) for _ in range(3)])
-            q = integrate_quat(q, w, 0.01)
+        # 1000 one-step blocks, crossed one product each
+        w = np.array([[[rng.gaussian(1.0) for _ in range(3)]] for _ in range(1000)])
+        q = integrate_quat(identity_quat(), w, 0.01)[-1]
         assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (1, 1, 1, 3)])
+    def test_rejects_anything_but_a_stack_of_blocks(self, shape):
+        with pytest.raises(InvalidInput):
+            integrate_quat(identity_quat(), np.zeros(shape), 0.01)
 
     def test_second_order_convergence_on_varying_rate(self):
         # piecewise-constant steps with midpoint-sampled magnitude against
@@ -270,10 +290,8 @@ class TestIntegrate:
         errors = []
         for n in (100, 200, 400, 800):
             dt = duration / n
-            q = identity_quat()
-            for k in range(n):
-                w = omega((k + 0.5) * dt) * axis
-                q = integrate_quat(q, w, dt)
+            rates = np.array([[omega((k + 0.5) * dt) * axis] for k in range(n)])
+            q = integrate_quat(identity_quat(), rates, dt)[-1]
             q_exact = axis_angle_quat(axis, angle_exact(duration))
             errors.append(error_angle(q, q_exact))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
@@ -391,7 +409,7 @@ class TestUnitNormClosure:
     @settings(max_examples=100)
     @given(unit_quats(), st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=3))
     def test_integrate_returns_unit(self, q, w):
-        out = integrate_quat(q, np.array(w), 0.05)
+        out = integrate_quat(q, np.array([[w]]), 0.05)[0]
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
 
     @settings(max_examples=100)

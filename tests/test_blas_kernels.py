@@ -1,0 +1,58 @@
+"""The gyro increment products do not depend on the OpenBLAS kernel.
+
+``attsim.attitude.block_increments`` of one fixed stack is computed in a
+child process per ``OPENBLAS_CORETYPE`` and all must give one SHA-256.
+That variable picks the kernel only when numpy links an OpenBLAS built
+with ``DYNAMIC_ARCH``; otherwise it has no effect and the children agree
+trivially. A core type the CPU cannot run (its instruction set flag is not
+in ``/proc/cpuinfo``) is left out, since forcing it would crash the child.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CPUINFO = Path("/proc/cpuinfo")
+
+# core type -> the /proc/cpuinfo flag its kernels need ("pni" is SSE3)
+_CORETYPES = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
+
+_CHILD = """
+import hashlib
+import numpy as np
+from attsim.attitude import block_increments
+w = np.random.default_rng(22).standard_normal((40, 100, 3))
+w[::3, 57:] = 0.0
+print(hashlib.sha256(block_increments(w, 0.01).tobytes()).hexdigest())
+"""
+
+
+def _runnable_coretypes():
+    if not CPUINFO.exists():
+        return []
+    flags = set()
+    for line in CPUINFO.read_text().splitlines():
+        if line.startswith("flags"):
+            flags.update(line.split(":", 1)[1].split())
+    return [core for core, flag in _CORETYPES.items() if flag in flags]
+
+
+def _digest(coretype):
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env, capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0, (coretype, proc.stderr)
+    return proc.stdout.strip()
+
+
+def test_block_increments_have_one_digest_under_every_kernel():
+    cores = _runnable_coretypes()
+    if len(cores) < 2:
+        pytest.skip("needs /proc/cpuinfo and a CPU that runs at least two of the core types")
+    digests = {core: _digest(core) for core in cores}
+    assert len(set(digests.values())) == 1, digests

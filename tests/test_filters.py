@@ -148,14 +148,15 @@ class TestAekfPredict:
         rng = RngStream(52)
         q = random_unit_quat(rng)
         w = 1.5 * random_unit_vec(rng)
+        step = w.reshape(1, 1, 3)
         dt = 1e-3
         jac = np.zeros((4, 4))
         eps = 1e-6
         for j in range(4):
             dq = np.zeros(4)
             dq[j] = eps
-            jac[:, j] = (integrate_quat(q + dq, w, dt) - integrate_quat(q - dq, w, dt)) / (2 * eps)
-        phi = aekf_transitions(block_increments(w.reshape(1, 1, 3), dt))[0]
+            jac[:, j] = (integrate_quat(q + dq, step, dt) - integrate_quat(q - dq, step, dt))[0] / (2 * eps)
+        phi = aekf_transitions(block_increments(step, dt))[0]
         assert np.max(np.abs(phi - jac)) <= 1e-9
         # the first-order F = I + 0.5*Omega*dt is within O(dt^2) of it
         h = 0.5 * dt
@@ -558,11 +559,11 @@ class TestBlockPredict:
         q = quat_normalize(rng.standard_normal(4))
         rates = rng.standard_normal((37, 3))
         rates[4] = 0.0
-        step = q
-        for k, w in enumerate(rates):
-            step = integrate_quat(step, w, DT)
-            assert np.max(np.abs(integrate_quat(q, rates[:k + 1], DT) - step)) <= 1e-14
-        assert np.max(np.abs(integrate_quat(q, rates, DT) - step)) <= 1e-14
+        # the attitude after each of 37 one-step blocks, against one block
+        # of the first k + 1 steps
+        steps = integrate_quat(q, rates[:, None], DT)
+        for k, step in enumerate(steps):
+            assert np.max(np.abs(integrate_quat(q, rates[None, :k + 1], DT)[0] - step)) <= 1e-14
 
     @pytest.mark.parametrize(
         "name, noise",
@@ -593,7 +594,7 @@ class TestBlockPredict:
             a = predict_rates(a, meas[k], DT, noise)
             b = predict_per_step(b, meas[k], DT, noise)
             c = predict_one_step_blocks(c, meas[k], DT, noise)
-            q_true = integrate_quat(q_true, true[k], DT)
+            q_true = integrate_quat(q_true, true[k:k + 1], DT)[0]
             tilt = 5e-4 * rng.standard_normal(3)
             z = quat_normalize(quat_mul(np.append(tilt, 1.0), q_true))
             a, b, c = update(a, z, r), update(b, z, r), update(c, z, r)
@@ -646,7 +647,7 @@ class TestFilterInvariants:
         sm2 = mekf_init(q_true, 1e-4 * np.eye(3))
         for k in range(200):
             w = trajectory_omega(k * DT, (0.0, 0.0, 1.0))
-            q_true = integrate_quat(q_true, w, DT)
+            q_true = integrate_quat(q_true, w[None, None], DT)[0]
             sa1 = predict_rates(sa1, w, DT, noise)
             sa2 = predict_rates(sa2, w, DT, noise)
             sm1 = predict_rates(sm1, w, DT, noise)
@@ -672,7 +673,7 @@ class TestFilterInvariants:
         mekf = mekf_init(start, 1e-2 * np.eye(3))
         for k in range(300):
             w = trajectory_omega(k * DT, (0.0, 0.0, 1.0))
-            q_true = integrate_quat(q_true, w, DT)
+            q_true = integrate_quat(q_true, w[None, None], DT)[0]
             aekf = predict_rates(aekf, w, DT, noise)
             mekf = predict_rates(mekf, w, DT, noise)
             aekf = aekf_update(aekf, q_true, r4)

@@ -685,10 +685,10 @@ class TestBlockTransitions:
             assert _same_bits(increments[b], m_alone[0])
             for phi, build in ((phi_a, hmod.aekf_transitions), (phi_m, hmod.mekf_transitions)):
                 assert _same_bits(phi[b], build(rot_a[b:b + 1])[0])
-            m = integrate_quat(identity_quat(), alone[0], dt)
+            m = integrate_quat(identity_quat(), alone, dt)[0]
             assert np.max(np.abs(increments[b] - m)) <= 1e-15
             # the truth crosses each block as one block-alone propagation would
-            q_prev = integrate_quat(q_prev, true_rates[b][:n], dt)
+            q_prev = integrate_quat(q_prev, true_rates[b][None, :n], dt)[0]
             assert _same_bits(truth[b], q_prev)
 
 
