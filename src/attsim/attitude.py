@@ -26,11 +26,12 @@ Conventions used everywhere in this package:
   from the identity gives.
 
 The kernels the sequential estimate loop calls per block or per update
-(``quat_path``, ``quat_mul``, ``quat_norm``, ``quat_normalize``,
-``quat_conjugate``, ``quat_to_gibbs``, ``error_angle`` and the
+(``quat_path``, ``quat_mul``, ``quat_norm``, ``error_angle`` and the
 block-by-block crossing of ``integrate_quat``, which is a ``quat_path``)
 read an ``ndarray`` operand as Python floats (``tolist()``) and return
-arrays. Indexing an array yields numpy float64
+arrays; the filter updates call the float expressions behind them
+(``_hamilton``, ``_unit``, ``_gibbs``) directly on their components.
+Indexing an array yields numpy float64
 scalars, whose arithmetic costs about ten times as much per operation;
 both are IEEE double operations, correctly rounded, so the same expressions
 in the same order give the same bits. ``error_angle`` also takes ``(k, 4)``
@@ -120,13 +121,8 @@ def quat_norms(q) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z + w * w)
 
 
-def quat_normalize(q) -> np.ndarray:
-    """Unit quaternion with the same direction. Never flips sign."""
-    return np.array(_unit(*_components(q)))
-
-
 def _unit(x, y, z, w):
-    """Components of the unit quaternion along (x, y, z, w), on floats."""
+    """Components of the unit quaternion along (x, y, z, w), on floats; never flips sign."""
     n = math.sqrt(x * x + y * y + z * z + w * w)
     if n <= _NORM_EPS:
         raise DegenerateQuaternion(f"cannot normalize quaternion with norm {n:.3e}")
@@ -139,8 +135,8 @@ def quat_path(q, increments, normalize: bool = False) -> np.ndarray:
     ``increments`` is a sequence of k >= 1 quaternions (4-float sequences
     or arrays), applied in order; with ``normalize`` each product is
     renormalized. Returns ``(k, 4)``. The recursion runs on Python floats
-    with the expressions of :func:`quat_mul` and :func:`quat_normalize`, so
-    row i is bit for bit what i + 1 calls of those give.
+    with the expressions of :func:`quat_mul` and of the normalization
+    :func:`_unit`, so row i is bit for bit what i + 1 calls of those give.
     """
     out = []
     q = _components(q)
@@ -152,18 +148,11 @@ def quat_path(q, increments, normalize: bool = False) -> np.ndarray:
     return np.array(out)
 
 
-def quat_conjugate(q) -> np.ndarray:
-    """Conjugate (inverse, for unit quaternions)."""
-    x, y, z, w = _components(q)
-    return np.array([-x, -y, -z, w])
-
-
-def quat_to_gibbs(q) -> np.ndarray:
-    """Gibbs vector g = q_vec / q_scalar; undefined at 180 degrees."""
-    x, y, z, w = _components(q)
+def _gibbs(x, y, z, w):
+    """Components of the Gibbs vector q_vec / q_scalar of (x, y, z, w), on floats; undefined at 180 degrees."""
     if abs(w) <= _GIBBS_EPS:
         raise GibbsSingularity("scalar part is zero: rotation is at 180 degrees")
-    return np.array([x / w, y / w, z / w])
+    return x / w, y / w, z / w
 
 
 def integrate_quat(q, omegas, dt: float) -> np.ndarray:

@@ -59,25 +59,23 @@ Segment predict
 The AEKF update sign-aligns the measured quaternion against the current
 estimate before forming a residual, and the MEKF's Gibbs innovation does
 not depend on the sign, which makes both filters insensitive to the q/-q
-double cover. Covariances are re-symmetrized after every
-predict (each block's) and update.
+double cover. Each update takes its gain product K y and its covariance
+(I - K) P from the written-out Cholesky kernel of its size, on Python
+floats (:func:`attsim.numerics.kalman_update4` for the AEKF,
+:func:`attsim.numerics.kalman_update3` for the MEKF), so each filter pays
+for its own dimension. The kernel builds the covariance on the upper
+triangle and mirrors it, so it is exactly symmetric, and no step of an
+update goes through BLAS. Each block's predicted covariance ``Phi P
+Phi^T + Q`` still does, and is averaged with its transpose.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import (
-    quat_conjugate,
-    quat_left_matrix,
-    quat_mul,
-    quat_normalize,
-    quat_path,
-    quat_to_gibbs,
-    quat_to_matrix,
-)
+from .attitude import _components, _gibbs, _hamilton, _unit, quat_left_matrix, quat_path, quat_to_matrix
 from .errors import InvalidInput
-from .numerics import solve, symmetrize
+from .numerics import kalman_update3, kalman_update4
 
 _I3 = np.eye(3)
 _I4 = np.eye(4)
@@ -179,11 +177,11 @@ def _segment(m, phi, n, dt: float, noise: NoiseParams):
 
 
 def _propagate(p: np.ndarray, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``symmetrize(Phi P Phi^T + Q)`` of each block, as a ``(k, n, n)`` stack.
+    """``Phi P Phi^T + Q`` of each block, averaged with its transpose, as a ``(k, n, n)`` stack.
 
-    The expression of :func:`attsim.numerics.symmetrize`, written out: its
-    input conversion and a reshape would cost a one-block segment about a
-    twentieth of its predict.
+    The products go through BLAS, so their rounding depends on the kernel
+    (ROADMAP item 6); the average makes each block's covariance exactly
+    symmetric.
     """
     x = phi @ p @ phi.swapaxes(-1, -2) + q
     x = 0.5 * (x + x.swapaxes(-1, -2))
@@ -218,27 +216,24 @@ def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
 
     The measurement is sign-aligned to the current estimate first, so q
     and -q measurements produce identical updates. It is negated when its
-    dot product with the estimate, summed as ``x*x' + y*y' + z*z' + w*w'``
-    (not by BLAS, whose rounding depends on the CPU), is negative; when the
-    product is zero, when its first nonzero component in the order w, z,
-    y, x is negative. Raises NumericalFailure (from the innovation solve)
-    when S = P + R is singular, and DegenerateQuaternion, a
+    dot product with the estimate, summed as ``x*x' + y*y' + z*z' + w*w'``,
+    is negative; when the product is zero, when its first nonzero component
+    in the order w, z, y, x is negative. The gain product and the
+    covariance come from :func:`attsim.numerics.kalman_update4`, and the
+    quaternion work is on Python floats, so no step of the update depends
+    on the BLAS kernel. Raises InvalidInput when ``s.p`` or ``r4`` is not a
+    finite 4x4 matrix or the residual is not finite, NumericalFailure when
+    S = P + R is not positive definite, and DegenerateQuaternion, a
     NumericalFailure, when the updated quaternion is too short to
     renormalize.
     """
-    q_meas = np.asarray(q_meas, dtype=float)
-    mx, my, mz, mw = q_meas.tolist()
-    ex, ey, ez, ew = s.q.tolist()
+    mx, my, mz, mw = _components(q_meas)
+    ex, ey, ez, ew = _components(s.q)
     dot = mx * ex + my * ey + mz * ez + mw * ew
     if dot < 0.0 or (dot == 0.0 and (mw, mz, my, mx) < (0.0, 0.0, 0.0, 0.0)):
-        q_meas = -q_meas
-    y = q_meas - s.q
-    innov = s.p + np.asarray(r4, dtype=float)
-    # K = P S^-1; with S symmetric this is solve(S, P)^T
-    k = solve(innov, s.p).T
-    q_new = quat_normalize(s.q + k @ y)
-    p_new = symmetrize((_I4 - k) @ s.p)
-    return AekfState(q=q_new, p=p_new)
+        mx, my, mz, mw = -mx, -my, -mz, -mw
+    (kx, ky, kz, kw), p = kalman_update4(s.p, r4, (mx - ex, my - ey, mz - ez, mw - ew))
+    return AekfState(q=np.array(_unit(ex + kx, ey + ky, ez + kz, ew + kw)), p=np.array(p))
 
 
 def mekf_predict(s: MekfState, m, phi, n, dt: float, noise: NoiseParams):
@@ -258,18 +253,17 @@ def mekf_update(s: MekfState, q_meas, r3) -> MekfState:
     """Fuse a measured quaternion multiplicatively, then reset.
 
     The innovation is twice the Gibbs vector of the error quaternion
-    ``q_meas * q^-1`` (:func:`attsim.attitude.quat_to_gibbs`), and
-    H = I, so the gain is ``K = P (P + R)^-1``. The a-posteriori attitude
-    error ``a`` folds into the reference via ``normalize((a; 2)) * q``.
-    Raises GibbsSingularity, a NumericalFailure, for a 180-degree
-    innovation, and NumericalFailure when the innovation covariance is
-    singular.
+    ``q_meas * q^-1``, ``2 q_vec / q_scalar``, and H = I, so the gain is
+    ``K = P (P + R)^-1``; the gain product and the covariance come from
+    :func:`attsim.numerics.kalman_update3`. The a-posteriori attitude error
+    ``a`` folds into the reference via ``normalize((a; 2)) * q``. All of it
+    runs on Python floats. Raises GibbsSingularity, a NumericalFailure, for
+    a 180-degree innovation, InvalidInput when ``s.p`` or ``r3`` is not a
+    finite 3x3 matrix or the innovation is not finite, and NumericalFailure
+    when the innovation covariance is not positive definite.
     """
-    q_err = quat_mul(np.asarray(q_meas, dtype=float), quat_conjugate(s.q))
-    a_g = 2.0 * quat_to_gibbs(q_err)
-    # K = P S^-1; with S symmetric this is solve(S, P)^T
-    k = solve(s.p + np.asarray(r3, dtype=float), s.p).T
-    a = k @ a_g
-    dq = quat_normalize([*a.tolist(), 2.0])
-    q = quat_normalize(quat_mul(dq, s.q))
-    return MekfState(q=q, p=symmetrize(s.p - k @ s.p))
+    rx, ry, rz, rw = _components(s.q)
+    gx, gy, gz = _gibbs(*_hamilton(*_components(q_meas), -rx, -ry, -rz, rw))
+    (ax, ay, az), p = kalman_update3(s.p, r3, (2.0 * gx, 2.0 * gy, 2.0 * gz))
+    dq = _unit(ax, ay, az, 2.0)
+    return MekfState(q=np.array(_unit(*_hamilton(*dq, rx, ry, rz, rw))), p=np.array(p))

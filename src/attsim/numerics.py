@@ -1,15 +1,21 @@
 """Small fixed-size numeric kernels.
 
 This module owns the linear algebra the estimators depend on: a cyclic
-Jacobi eigensolver for symmetric matrices up to 6x6, a dense solver for
-the innovation systems, a seeded noise stream, and the row layout that
-pads runs of rows into one stack (:func:`padded_rows`: the harness's gyro
-blocks, the Davenport solve's epochs). Matrices and vectors
+Jacobi eigensolver for symmetric matrices up to 6x6, the Kalman update
+with H = I of each filter's size, a seeded noise stream, and the row
+layout that pads runs of rows into one stack (:func:`padded_rows`: the
+harness's gyro blocks, the Davenport solve's epochs). Matrices and vectors
 are plain float64 numpy arrays at the interface; nothing here calls into
 ``numpy.linalg``, so seeded artifacts reproduce bit for bit across runs.
-Inside, :func:`solve` eliminates on lists of Python floats: its 3x3 and
-4x4 systems are too small to pay numpy's per-call cost, and a Python float
-rounds each operation as a numpy element does.
+
+The updates (:func:`kalman_update4`, :func:`kalman_update3`) factor the
+innovation covariance S = P + R = L L^T and take the gain product and the
+posterior covariance from L by forward substitution. Each is written out
+for its size on Python floats: the 3x3 and 4x4 systems are too small to
+pay numpy's per-call cost, a loop over the indices measured about six
+times the written-out 4x4 form, a Python float rounds each operation as
+a numpy element does, and no product goes through BLAS, whose rounding
+depends on the CPU kernel it picks.
 
 The eigensolver is one cyclic Jacobi sweep, vectorized over a stack of
 matrices, shape ``(k, n, n)``: each rotation is the same elementwise IEEE
@@ -102,12 +108,6 @@ def _as_square(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise InvalidInput("matrix entries must be finite")
     return a
-
-
-def symmetrize(m) -> np.ndarray:
-    """Average a matrix, or each matrix of a stack, with its transpose; used after covariance updates."""
-    a = np.asarray(m, dtype=float)
-    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def jacobi_eigen_sym(m, vectors: bool = True):
@@ -286,47 +286,168 @@ def condition_number(m) -> float:
     return float(norms_and_conditions(evals[None])[1][0])
 
 
-def solve(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by Gauss-Jordan elimination with partial pivoting.
+def kalman_update4(p, r, y):
+    """Kalman measurement update with H = I of a 4-state filter, on Python floats.
 
-    ``b`` may be a vector or a matrix of right-hand sides. Raises
-    NumericalFailure when a pivot collapses to zero.
+    ``p`` is the prior covariance P and ``r`` the measurement covariance R,
+    both ``(4, 4)``, and ``y`` the innovation, 4 floats. Returns ``(K y,
+    P+)`` for the gain K = P S^-1 of S = P + R: K y as a tuple of 4 floats
+    and P+ = (I - K) P as a list of 4 rows of floats.
 
-    The elimination runs on lists of Python floats, one list per row of
-    ``[a | b]``. The pivot is the first largest magnitude of its column (a
-    NaN counts as largest, as ``np.argmax`` has it); its row is divided by
-    it, and every other row with a nonzero entry in the column takes
-    ``x - f * y`` elementwise. Each of these is one correctly rounded IEEE
-    operation, so the result is bit for bit that of the same steps on
-    numpy rows.
+    S is factored as L L^T (Cholesky, from its lower triangle), and
+    Y = L^-1 P and z = L^-1 y come by forward substitution. Since P is
+    symmetric, K = Y^T L^-1, so K y = Y^T z and K P = Y^T Y. P+ = P - Y^T Y
+    is formed on the upper triangle from P's upper triangle and mirrored,
+    so it is exactly symmetric. Every step is one expression on Python
+    floats, written out for this size, so the rounding does not depend on
+    any BLAS kernel and no numpy call is made past reading ``p`` and ``r``.
+
+    Raises InvalidInput when ``p`` or ``r`` is not ``(4, 4)`` or ``y`` not
+    4 entries long, or an entry of any is not finite, and NumericalFailure
+    when S is not positive definite to working precision: a pivot of the
+    factorization that is not a positive finite number (zero for a singular
+    S, NaN when the factorization overflows).
     """
-    a = _as_square(a)
-    rhs = np.asarray(b, dtype=float)
-    vector = rhs.ndim == 1
-    if vector:
-        rhs = rhs.reshape(-1, 1)
-    n = a.shape[0]
-    if rhs.ndim != 2 or rhs.shape[0] != n:
-        raise InvalidInput("right-hand side has incompatible shape")
-    rows = [ra + rb for ra, rb in zip(a.tolist(), rhs.tolist())]
-    for col in range(n):
-        piv, big = col, abs(rows[col][col])
-        for i in range(col + 1, n):
-            mag = abs(rows[i][col])
-            if mag > big or (mag != mag and big == big):
-                piv, big = i, mag
-        if big < 1e-300:
-            raise NumericalFailure("matrix is singular to working precision")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        p = rows[col][col]
-        prow = rows[col] = [v / p for v in rows[col]]
-        for i in range(n):
-            f = rows[i][col]
-            if i != col and f != 0.0:
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-    if vector:
-        return np.array([row[n] for row in rows])
-    return np.array([row[n:] for row in rows])
+    (p00, p01, p02, p03,
+     p10, p11, p12, p13,
+     p20, p21, p22, p23,
+     p30, p31, p32, p33) = _entries(p, 4, "P")
+    (r00, _, _, _,
+     r10, r11, _, _,
+     r20, r21, r22, _,
+     r30, r31, r32, r33) = _entries(r, 4, "R")
+    y0, y1, y2, y3 = _innovation(y, 4)
+    # S = L L^T
+    l00 = _pivot(p00 + r00)
+    l10 = (p10 + r10) / l00
+    l20 = (p20 + r20) / l00
+    l30 = (p30 + r30) / l00
+    l11 = _pivot(p11 + r11 - l10 * l10)
+    l21 = (p21 + r21 - l20 * l10) / l11
+    l31 = (p31 + r31 - l30 * l10) / l11
+    l22 = _pivot(p22 + r22 - l20 * l20 - l21 * l21)
+    l32 = (p32 + r32 - l30 * l20 - l31 * l21) / l22
+    l33 = _pivot(p33 + r33 - l30 * l30 - l31 * l31 - l32 * l32)
+    # Y = L^-1 P, column j of Y from column j of P; yij is Y[i][j]
+    y00 = p00 / l00
+    y10 = (p10 - l10 * y00) / l11
+    y20 = (p20 - l20 * y00 - l21 * y10) / l22
+    y30 = (p30 - l30 * y00 - l31 * y10 - l32 * y20) / l33
+    y01 = p01 / l00
+    y11 = (p11 - l10 * y01) / l11
+    y21 = (p21 - l20 * y01 - l21 * y11) / l22
+    y31 = (p31 - l30 * y01 - l31 * y11 - l32 * y21) / l33
+    y02 = p02 / l00
+    y12 = (p12 - l10 * y02) / l11
+    y22 = (p22 - l20 * y02 - l21 * y12) / l22
+    y32 = (p32 - l30 * y02 - l31 * y12 - l32 * y22) / l33
+    y03 = p03 / l00
+    y13 = (p13 - l10 * y03) / l11
+    y23 = (p23 - l20 * y03 - l21 * y13) / l22
+    y33 = (p33 - l30 * y03 - l31 * y13 - l32 * y23) / l33
+    # z = L^-1 y
+    z0 = y0 / l00
+    z1 = (y1 - l10 * z0) / l11
+    z2 = (y2 - l20 * z0 - l21 * z1) / l22
+    z3 = (y3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
+    ky = (
+        y00 * z0 + y10 * z1 + y20 * z2 + y30 * z3,
+        y01 * z0 + y11 * z1 + y21 * z2 + y31 * z3,
+        y02 * z0 + y12 * z1 + y22 * z2 + y32 * z3,
+        y03 * z0 + y13 * z1 + y23 * z2 + y33 * z3,
+    )
+    # P+ = P - Y^T Y, entry (i, j) from columns i and j of Y
+    a00 = p00 - (y00 * y00 + y10 * y10 + y20 * y20 + y30 * y30)
+    a01 = p01 - (y00 * y01 + y10 * y11 + y20 * y21 + y30 * y31)
+    a02 = p02 - (y00 * y02 + y10 * y12 + y20 * y22 + y30 * y32)
+    a03 = p03 - (y00 * y03 + y10 * y13 + y20 * y23 + y30 * y33)
+    a11 = p11 - (y01 * y01 + y11 * y11 + y21 * y21 + y31 * y31)
+    a12 = p12 - (y01 * y02 + y11 * y12 + y21 * y22 + y31 * y32)
+    a13 = p13 - (y01 * y03 + y11 * y13 + y21 * y23 + y31 * y33)
+    a22 = p22 - (y02 * y02 + y12 * y12 + y22 * y22 + y32 * y32)
+    a23 = p23 - (y02 * y03 + y12 * y13 + y22 * y23 + y32 * y33)
+    a33 = p33 - (y03 * y03 + y13 * y13 + y23 * y23 + y33 * y33)
+    return ky, [
+        [a00, a01, a02, a03],
+        [a01, a11, a12, a13],
+        [a02, a12, a22, a23],
+        [a03, a13, a23, a33],
+    ]
+
+
+def kalman_update3(p, r, y):
+    """Kalman measurement update with H = I of a 3-state filter, on Python floats.
+
+    :func:`kalman_update4` written out for ``(3, 3)`` covariances and a
+    3-entry innovation: the same steps, checks and exceptions.
+    """
+    (p00, p01, p02,
+     p10, p11, p12,
+     p20, p21, p22) = _entries(p, 3, "P")
+    (r00, _, _,
+     r10, r11, _,
+     r20, r21, r22) = _entries(r, 3, "R")
+    y0, y1, y2 = _innovation(y, 3)
+    l00 = _pivot(p00 + r00)
+    l10 = (p10 + r10) / l00
+    l20 = (p20 + r20) / l00
+    l11 = _pivot(p11 + r11 - l10 * l10)
+    l21 = (p21 + r21 - l20 * l10) / l11
+    l22 = _pivot(p22 + r22 - l20 * l20 - l21 * l21)
+    y00 = p00 / l00
+    y10 = (p10 - l10 * y00) / l11
+    y20 = (p20 - l20 * y00 - l21 * y10) / l22
+    y01 = p01 / l00
+    y11 = (p11 - l10 * y01) / l11
+    y21 = (p21 - l20 * y01 - l21 * y11) / l22
+    y02 = p02 / l00
+    y12 = (p12 - l10 * y02) / l11
+    y22 = (p22 - l20 * y02 - l21 * y12) / l22
+    z0 = y0 / l00
+    z1 = (y1 - l10 * z0) / l11
+    z2 = (y2 - l20 * z0 - l21 * z1) / l22
+    ky = (
+        y00 * z0 + y10 * z1 + y20 * z2,
+        y01 * z0 + y11 * z1 + y21 * z2,
+        y02 * z0 + y12 * z1 + y22 * z2,
+    )
+    a00 = p00 - (y00 * y00 + y10 * y10 + y20 * y20)
+    a01 = p01 - (y00 * y01 + y10 * y11 + y20 * y21)
+    a02 = p02 - (y00 * y02 + y10 * y12 + y20 * y22)
+    a11 = p11 - (y01 * y01 + y11 * y11 + y21 * y21)
+    a12 = p12 - (y01 * y02 + y11 * y12 + y21 * y22)
+    a22 = p22 - (y02 * y02 + y12 * y12 + y22 * y22)
+    return ky, [
+        [a00, a01, a02],
+        [a01, a11, a12],
+        [a02, a12, a22],
+    ]
+
+
+def _entries(m, n: int, name: str) -> list:
+    """The entries of an ``(n, n)`` matrix, row by row, as Python floats; InvalidInput unless all are finite."""
+    if type(m) is not np.ndarray or m.dtype != np.float64:
+        m = np.asarray(m, dtype=float)
+    if m.shape != (n, n):
+        raise InvalidInput(f"{name} must be {n}x{n}, got shape {m.shape}")
+    flat = m.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        raise InvalidInput(f"{name} entries must be finite")
+    return flat
+
+
+def _innovation(y, n: int):
+    """``y`` as n finite numbers, or InvalidInput."""
+    if len(y) != n or not all(map(math.isfinite, y)):
+        raise InvalidInput(f"the innovation must be {n} finite numbers")
+    return y
+
+
+def _pivot(d: float) -> float:
+    """The square root of a Cholesky pivot; NumericalFailure unless it is positive and finite."""
+    if 0.0 < d < math.inf:
+        return math.sqrt(d)
+    raise NumericalFailure(f"innovation covariance P + R is not positive definite (pivot {d:.3e})")
 
 
 class RngStream:

@@ -1,5 +1,6 @@
 import numpy as np
 
+from attsim.attitude import _components, _gibbs, _unit
 from attsim.numerics import RngStream
 from attsim.startracker import ObservationSet
 
@@ -34,3 +35,24 @@ def pack_sets(sets) -> ObservationSet:
         weights=np.concatenate([np.zeros(0), *(obs.weights for obs in sets)]),
         counts=[len(obs) for obs in sets],
     )
+
+
+# Array forms of the float expressions the filter updates take from
+# ``attsim.attitude``, for the tests that check those expressions and for
+# oracles that normalize, conjugate or take a Gibbs vector.
+
+
+def quat_normalize(q) -> np.ndarray:
+    """Unit quaternion with the same direction (``attsim.attitude._unit``). Never flips sign."""
+    return np.array(_unit(*_components(q)))
+
+
+def quat_conjugate(q) -> np.ndarray:
+    """Conjugate (inverse, for unit quaternions)."""
+    x, y, z, w = _components(q)
+    return np.array([-x, -y, -z, w])
+
+
+def quat_to_gibbs(q) -> np.ndarray:
+    """Gibbs vector g = q_vec / q_scalar (``attsim.attitude._gibbs``); undefined at 180 degrees."""
+    return np.array(_gibbs(*_components(q)))

@@ -48,14 +48,22 @@ loop it replaced, with that step found anew for every block by a linear
 scan and the windows cut after the chunk is planned, the reference the
 planner must equal block for block, chunk for chunk and window for window.
 
-``attsim.attitude`` and ``attsim.numerics.solve`` read their operands as
-Python floats. :func:`quat_mul_numpy`, :func:`error_angle_numpy` and
-:func:`solve_numpy_rows` are the forms they replaced, on numpy scalars and
-numpy rows; the float kernels must equal them bit for bit.
+``attsim.attitude`` reads its operands as Python floats.
+:func:`quat_mul_numpy` and :func:`error_angle_numpy` are the forms it
+replaced, on numpy scalars; the float kernels must equal them bit for bit.
+
+``attsim.numerics.kalman_update4`` and ``kalman_update3`` take each filter
+update's gain product and covariance from the Cholesky factor of the
+innovation covariance. :func:`kalman_update_by_solve` is the route they
+replaced, K from :func:`solve`, a Gauss-Jordan elimination with partial
+pivoting on Python floats, then ``K y`` and ``symmetrize((I - K) P)``
+(:func:`symmetrize`); the kernels are bounded against it.
+:func:`solve_numpy_rows` is the same elimination on numpy rows, which
+:func:`solve` must equal bit for bit.
 
 :func:`quat_kinematics` is the right-hand side of the kinematic equation,
 which the RK4 reference for ``attsim.attitude.integrate_quat`` integrates,
-and :func:`gibbs_to_quat` is the inverse ``attsim.attitude.quat_to_gibbs``
+and :func:`gibbs_to_quat` is the inverse ``attsim.attitude._gibbs``
 must round-trip through. :func:`axis_angle_quat` builds the rotations the
 tests feed to the package.
 """
@@ -67,11 +75,13 @@ import numpy as np
 import attsim.harness as harness
 import attsim.numerics as numerics
 import attsim.wahba as wahba
-from attsim.attitude import integrate_quat, quat_mul, quat_normalize, quat_to_matrix
+from attsim.attitude import integrate_quat, quat_mul, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from attsim.filters import AekfState
-from attsim.numerics import jacobi_eigen_sym, symmetrize
+from attsim.numerics import jacobi_eigen_sym
 from attsim.startracker import ObservationSet, StarCatalog, is_visible, row_norms
+
+from conftest import quat_normalize
 
 
 def observe_per_star(q_true, catalog, cams, sigma_star, rng):
@@ -339,6 +349,60 @@ def error_angle_numpy(a, b):
     qe = quat_mul_numpy(a, np.array([-b[0], -b[1], -b[2], b[3]]))
     vec = math.sqrt(float(qe[0] * qe[0] + qe[1] * qe[1] + qe[2] * qe[2]))
     return 2.0 * math.atan2(vec, abs(float(qe[3])))
+
+
+def symmetrize(m) -> np.ndarray:
+    """Average a matrix, or each matrix of a stack, with its transpose."""
+    a = np.asarray(m, dtype=float)
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def solve(a, b) -> np.ndarray:
+    """Solve ``a @ x = b`` by Gauss-Jordan elimination with partial pivoting.
+
+    ``b`` may be a vector or a matrix of right-hand sides. Raises
+    NumericalFailure when a pivot collapses to zero.
+
+    The elimination runs on lists of Python floats, one list per row of
+    ``[a | b]``. The pivot is the first largest magnitude of its column (a
+    NaN counts as largest, as ``np.argmax`` has it); its row is divided by
+    it, and every other row with a nonzero entry in the column takes
+    ``x - f * y`` elementwise. Each of these is one correctly rounded IEEE
+    operation, so the result is bit for bit that of
+    :func:`solve_numpy_rows`.
+    """
+    a = np.asarray(a, dtype=float)
+    rhs = np.asarray(b, dtype=float)
+    vector = rhs.ndim == 1
+    if vector:
+        rhs = rhs.reshape(-1, 1)
+    n = a.shape[0]
+    rows = [ra + rb for ra, rb in zip(a.tolist(), rhs.tolist())]
+    for col in range(n):
+        piv, big = col, abs(rows[col][col])
+        for i in range(col + 1, n):
+            mag = abs(rows[i][col])
+            if mag > big or (mag != mag and big == big):
+                piv, big = i, mag
+        if big < 1e-300:
+            raise NumericalFailure("matrix is singular to working precision")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        prow = rows[col] = [v / p for v in rows[col]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != col and f != 0.0:
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+    if vector:
+        return np.array([row[n] for row in rows])
+    return np.array([row[n:] for row in rows])
+
+
+def kalman_update_by_solve(p, r, y):
+    """``(K y, P+)`` of an H = I update through :func:`solve`: K = solve(P + R, P)^T, P+ = symmetrize((I - K) P)."""
+    p = np.asarray(p, dtype=float)
+    k = solve(p + np.asarray(r, dtype=float), p).T
+    return k @ np.asarray(y, dtype=float), symmetrize((np.eye(len(p)) - k) @ p)
 
 
 def solve_numpy_rows(a, b):

@@ -10,17 +10,14 @@ from attsim.attitude import (
     error_angle,
     identity_quat,
     integrate_quat,
-    quat_conjugate,
     quat_left_matrix,
     quat_mul,
-    quat_normalize,
-    quat_to_gibbs,
     quat_to_matrix,
 )
 from attsim.errors import DegenerateQuaternion, GibbsSingularity, InvalidInput
 from attsim.numerics import RngStream
 
-from conftest import random_unit_quat, random_unit_vec
+from conftest import quat_conjugate, quat_normalize, quat_to_gibbs, random_unit_quat, random_unit_vec
 from oracles import (
     axis_angle_quat,
     block_product_tree,

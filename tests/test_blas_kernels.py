@@ -1,7 +1,9 @@
-"""The gyro increment products do not depend on the OpenBLAS kernel.
+"""The gyro increment products and the filter updates do not depend on the OpenBLAS kernel.
 
-``attsim.attitude.block_increments`` of one fixed stack is computed in a
-child process per ``OPENBLAS_CORETYPE`` and all must give one SHA-256.
+``attsim.attitude.block_increments`` of one fixed stack, and
+``attsim.filters.aekf_update`` and ``mekf_update`` over fixed random
+states, measurements and SPD covariances, are computed in a child process
+per ``OPENBLAS_CORETYPE``, and each must give one SHA-256 under all.
 That variable picks the kernel only when numpy links an OpenBLAS built
 with ``DYNAMIC_ARCH``; otherwise it has no effect and the children agree
 trivially. A core type the CPU cannot run (its instruction set flag is not
@@ -21,13 +23,36 @@ CPUINFO = Path("/proc/cpuinfo")
 # core type -> the /proc/cpuinfo flag its kernels need ("pni" is SSE3)
 _CORETYPES = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
 
-_CHILD = """
+_INCREMENTS = """
 import hashlib
 import numpy as np
 from attsim.attitude import block_increments
 w = np.random.default_rng(22).standard_normal((40, 100, 3))
 w[::3, 57:] = 0.0
 print(hashlib.sha256(block_increments(w, 0.01).tobytes()).hexdigest())
+"""
+
+# the inputs are built with elementwise products and sums only, which do
+# not go through BLAS, so every child updates the same bytes
+_UPDATES = """
+import hashlib
+import numpy as np
+from attsim.filters import AekfState, MekfState, aekf_update, mekf_update
+rng = np.random.default_rng(23)
+h = hashlib.sha256()
+def spd(n, scale):
+    a = rng.standard_normal((n, 2 * n))
+    return scale * (a[:, None, :] * a[None, :, :]).sum(axis=-1) / (2 * n)
+def unit(v):
+    return v / np.sqrt((v * v).sum())
+for _ in range(200):
+    q = unit(rng.standard_normal(4))
+    meas = unit(q + 0.01 * rng.standard_normal(4))
+    a = aekf_update(AekfState(q=q, p=spd(4, 1e-6)), meas, spd(4, 1e-6))
+    m = mekf_update(MekfState(q=q, p=spd(3, 1e-6)), meas, spd(3, 1e-6))
+    for x in (a.q, a.p, m.q, m.p):
+        h.update(x.tobytes())
+print(h.hexdigest())
 """
 
 
@@ -41,18 +66,26 @@ def _runnable_coretypes():
     return [core for core, flag in _CORETYPES.items() if flag in flags]
 
 
-def _digest(coretype):
+def _digest(coretype, child):
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
                           timeout=120, check=False)
     assert proc.returncode == 0, (coretype, proc.stderr)
     return proc.stdout.strip()
 
 
-def test_block_increments_have_one_digest_under_every_kernel():
+def _one_digest_under_every_kernel(child):
     cores = _runnable_coretypes()
     if len(cores) < 2:
         pytest.skip("needs /proc/cpuinfo and a CPU that runs at least two of the core types")
-    digests = {core: _digest(core) for core in cores}
+    digests = {core: _digest(core, child) for core in cores}
     assert len(set(digests.values())) == 1, digests
+
+
+def test_block_increments_have_one_digest_under_every_kernel():
+    _one_digest_under_every_kernel(_INCREMENTS)
+
+
+def test_filter_updates_have_one_digest_under_every_kernel():
+    _one_digest_under_every_kernel(_UPDATES)

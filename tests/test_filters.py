@@ -8,11 +8,8 @@ from attsim.attitude import (
     error_angle,
     identity_quat,
     integrate_quat,
-    quat_conjugate,
     quat_mul,
-    quat_normalize,
     quat_path,
-    quat_to_gibbs,
 )
 from attsim.errors import GibbsSingularity, InvalidInput, NumericalFailure
 from attsim.filters import (
@@ -31,8 +28,8 @@ from attsim.filters import (
 from attsim.harness import ORBIT_PERIOD_S, trajectory_omega
 from attsim.numerics import RngStream
 
-from conftest import random_unit_quat, random_unit_vec
-from oracles import axis_angle_quat, cross_matrix, gibbs_to_quat, predict_per_step
+from conftest import quat_conjugate, quat_normalize, quat_to_gibbs, random_unit_quat, random_unit_vec
+from oracles import axis_angle_quat, cross_matrix, gibbs_to_quat, kalman_update_by_solve, predict_per_step
 
 DT = 0.01
 
@@ -244,6 +241,33 @@ class TestAekfUpdate:
         with pytest.raises(NumericalFailure):
             aekf_update(s, s.q.copy(), np.zeros((4, 4)))
 
+    def test_matches_the_solve_route(self):
+        # the Gauss-Jordan gain the Cholesky kernel replaced: K y and
+        # (I - K) P from the oracle, then the same renormalization
+        rng = RngStream(68)
+        for _ in range(50):
+            q = random_unit_quat(rng)
+            meas = quat_mul(axis_angle_quat(random_unit_vec(rng), 0.01), q)
+            p, r4 = _psd(rng, 4, 1e-6), 4e-6 * np.eye(4)
+            ky, p_want = kalman_update_by_solve(p, r4, meas - q)
+            s2 = aekf_update(AekfState(q=q, p=p), meas, r4)
+            assert np.max(np.abs(s2.q - quat_normalize(q + ky))) <= 1e-15
+            assert np.max(np.abs(s2.p - p_want)) <= 1e-13 * np.max(np.abs(p))
+            assert s2.p.tobytes() == s2.p.T.copy().tobytes()
+
+    def test_rejects_bad_covariances_and_measurements(self):
+        rng = RngStream(69)
+        q = random_unit_quat(rng)
+        s, r4 = AekfState(q=q, p=_psd(rng, 4)), 1e-4 * np.eye(4)
+        nan_r = r4.copy()
+        nan_r[0, 3] = math.nan
+        for p, r in ((np.eye(3), r4), (s.p, np.eye(3)), (s.p, 1e-4), (s.p, nan_r), (np.full((4, 4), math.inf), r4)):
+            with pytest.raises(InvalidInput):
+                aekf_update(AekfState(q=q, p=p), q, r)
+        for meas in (np.array([math.nan, 0.0, 0.0, 1.0]), np.array([0.0, math.inf, 0.0, 1.0])):
+            with pytest.raises(InvalidInput):
+                aekf_update(s, meas, r4)
+
 
 class TestMekfMatrices:
     def test_q_with_zero_bias_walk(self):
@@ -377,6 +401,38 @@ class TestMekfUpdate:
         s = MekfState(q=q, p=np.eye(3))
         with pytest.raises(GibbsSingularity):
             mekf_update(s, meas, 1e-4 * np.eye(3))
+
+    def test_singular_innovation(self):
+        rng = RngStream(70)
+        s = MekfState(q=random_unit_quat(rng), p=np.zeros((3, 3)))
+        with pytest.raises(NumericalFailure):
+            mekf_update(s, s.q.copy(), np.zeros((3, 3)))
+
+    def test_matches_the_solve_route(self):
+        rng = RngStream(71)
+        for _ in range(50):
+            q = random_unit_quat(rng)
+            meas = quat_mul(axis_angle_quat(random_unit_vec(rng), 0.01), q)
+            p, r3 = _psd(rng, 3, 1e-6), 1e-6 * np.eye(3)
+            a, p_want = kalman_update_by_solve(p, r3, 2.0 * quat_to_gibbs(quat_mul(meas, quat_conjugate(q))))
+            s2 = mekf_update(MekfState(q=q, p=p), meas, r3)
+            q_want = quat_normalize(quat_mul(quat_normalize([*a, 2.0]), q))
+            assert np.max(np.abs(s2.q - q_want)) <= 1e-15
+            assert np.max(np.abs(s2.p - p_want)) <= 1e-13 * np.max(np.abs(p))
+            assert s2.p.tobytes() == s2.p.T.copy().tobytes()
+
+    def test_rejects_bad_covariances_and_measurements(self):
+        rng = RngStream(72)
+        q = random_unit_quat(rng)
+        s, r3 = MekfState(q=q, p=_psd(rng, 3)), 1e-4 * np.eye(3)
+        nan_r = r3.copy()
+        nan_r[0, 2] = math.nan
+        for p, r in ((np.eye(4), r3), (s.p, np.eye(4)), (s.p, 1e-4), (s.p, nan_r), (np.full((3, 3), -math.inf), r3)):
+            with pytest.raises(InvalidInput):
+                mekf_update(MekfState(q=q, p=p), q, r)
+        for meas in (np.array([math.nan, 0.0, 0.0, 1.0]), np.array([0.0, math.inf, 0.0, 1.0])):
+            with pytest.raises(InvalidInput):
+                mekf_update(s, meas, r3)
 
     def test_reset_mapping_first_order_agreement(self):
         # the exact reset normalize((a; 2) * q) agrees with its first-order

@@ -13,12 +13,19 @@ from attsim.numerics import (
     RngStream,
     condition_number,
     jacobi_eigen_sym,
-    solve,
-    symmetrize,
+    kalman_update3,
+    kalman_update4,
 )
 
 from conftest import random_symmetric
-from oracles import gaussian_vec_per_draw, jacobi_eigen_one, solve_numpy_rows
+from oracles import (
+    gaussian_vec_per_draw,
+    jacobi_eigen_one,
+    kalman_update_by_solve,
+    solve,
+    solve_numpy_rows,
+    symmetrize,
+)
 
 
 def _char_poly_roots_bisect(m: np.ndarray) -> np.ndarray:
@@ -394,7 +401,96 @@ class TestConditionNumber:
             condition_number(np.zeros((0, 0)))
 
 
+_KALMAN = {3: kalman_update3, 4: kalman_update4}
+
+
+def _spd(rng, n: int, scale: float) -> np.ndarray:
+    """A random SPD matrix ``scale * A A^T / 2n``, with ``A`` of shape ``(n, 2n)``.
+
+    The products are taken elementwise and summed in one order, so the
+    matrix is exactly symmetric and does not depend on the BLAS kernel.
+    """
+    a = rng.standard_normal((n, 2 * n))
+    return scale * (a[:, None, :] * a[None, :, :]).sum(axis=-1) / (2 * n)
+
+
+class TestKalmanUpdate:
+    """The written-out Cholesky updates against the Gauss-Jordan route they replaced."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("p_scale, r_scale", [(1.0, 1e-8), (1e-8, 1.0), (1.0, 1.0)],
+                             ids=["p-much-larger", "p-much-smaller", "comparable"])
+    def test_matches_the_solve_oracle(self, n, p_scale, r_scale):
+        # the bounds are about 60 times the largest deviation over 2000
+        # draws of each case: 1.7e-14 max|y| in K y (P >> R, where S
+        # inherits P's condition number) and 7.5e-16 max|P| in P+
+        rng = np.random.default_rng(100 + n)
+        for _ in range(200):
+            p, r = _spd(rng, n, p_scale), _spd(rng, n, r_scale)
+            y = rng.standard_normal(n)
+            ky, post = _KALMAN[n](p, r, y.tolist())
+            want_ky, want_post = kalman_update_by_solve(p, r, y)
+            assert np.max(np.abs(np.array(ky) - want_ky)) <= 1e-12 * np.max(np.abs(y))
+            assert np.max(np.abs(np.array(post) - want_post)) <= 5e-14 * np.max(np.abs(p))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_posterior_is_exactly_symmetric(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(100):
+            # R's upper triangle differs from its lower, which is the one read
+            r = _spd(rng, n, 0.5) + np.triu(rng.standard_normal((n, n)), 1)
+            _, post = _KALMAN[n](_spd(rng, n, 1.0), r, rng.standard_normal(n).tolist())
+            post = np.array(post)
+            assert post.tobytes() == post.T.copy().tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("case", ["zero", "rank-deficient", "indefinite", "nan-pivot"])
+    def test_not_positive_definite_raises(self, n, case):
+        p, r = np.zeros((n, n)), np.zeros((n, n))
+        if case == "rank-deficient":
+            p = np.ones((n, n))  # the second pivot is 1 - 1 * 1 = 0 exactly
+        elif case == "indefinite":
+            p, r = np.eye(n), -2.0 * np.eye(n)
+        elif case == "nan-pivot":
+            # finite entries whose sums overflow: S[1][0] = S[1][1] = inf,
+            # so the second pivot is inf - inf * inf = NaN
+            p = np.eye(n)
+            p[0, 1] = p[1, 0] = p[1, 1] = 1e308
+            r = p.copy()
+        with pytest.raises(NumericalFailure, match="not positive definite"):
+            _KALMAN[n](p, r, [1.0] * n)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rejects_bad_input(self, n):
+        ok, y = np.eye(n), [1.0] * n
+        for bad in (np.eye(n + 1), np.eye(n - 1), np.ones(n), np.ones((n, n, 1)), np.ones((1, n, n)), 1.0):
+            for args in ((bad, ok, y), (ok, bad, y)):
+                with pytest.raises(InvalidInput):
+                    _KALMAN[n](*args)
+        for value in (math.nan, math.inf, -math.inf):
+            # any entry, the upper triangle of R included, which the
+            # factorization does not read
+            for i, j in ((0, 0), (0, n - 1), (n - 1, 0)):
+                bad = np.eye(n)
+                bad[i, j] = value
+                for args in ((bad, ok, y), (ok, bad, y)):
+                    with pytest.raises(InvalidInput):
+                        _KALMAN[n](*args)
+            with pytest.raises(InvalidInput):
+                _KALMAN[n](ok, ok, [value] + y[1:])
+        for bad_y in (y[1:], y + [1.0]):
+            with pytest.raises(InvalidInput):
+                _KALMAN[n](ok, ok, bad_y)
+
+    def test_lists_and_arrays_give_the_same_bits(self):
+        rng = np.random.default_rng(7)
+        p, r, y = _spd(rng, 4, 1.0), _spd(rng, 4, 1.0), rng.standard_normal(4)
+        assert kalman_update4(p, r, y.tolist()) == kalman_update4(p.tolist(), r.tolist(), tuple(y.tolist()))
+
+
 class TestSolve:
+    """The Gauss-Jordan reference the filter updates are bounded against (tests/oracles.py)."""
+
     def test_roundtrip(self):
         rng = RngStream(21)
         a = random_symmetric(rng, 4) + 5.0 * np.eye(4)
@@ -472,7 +568,7 @@ def _systems(draw, near_singular=False):
 
 
 class TestSolveBitwise:
-    """The float-row elimination equals Gauss-Jordan on numpy rows bit for bit."""
+    """The reference's float-row elimination equals Gauss-Jordan on numpy rows bit for bit."""
 
     @_BITWISE
     @given(_systems())
@@ -521,6 +617,8 @@ class TestSolveBitwise:
 
 
 class TestSymmetrize:
+    """The reference symmetrize of tests/oracles.py, which the per-step predict oracle uses."""
+
     def test_result_is_symmetric(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         s = symmetrize(m)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from attsim.attitude import identity_quat, quat_mul, quat_conjugate, quat_to_matrix
+from attsim.attitude import identity_quat, quat_mul, quat_to_matrix
 from attsim.errors import InvalidInput
 from attsim.numerics import RngStream
 from attsim.startracker import (
@@ -19,7 +19,7 @@ from attsim.startracker import (
 )
 from attsim.wahba import davenport_solve
 
-from conftest import pack_sets, random_unit_quat
+from conftest import pack_sets, quat_conjugate, random_unit_quat
 from oracles import axis_angle_quat, generate_catalog_per_star, observe_one_epoch, observe_per_star
 
 FOV20 = math.radians(20.0)
