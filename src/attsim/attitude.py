@@ -26,8 +26,8 @@ Conventions used everywhere in this package:
   from the identity gives.
 
 The kernels the sequential estimate loop calls per block or per update
-(``quat_path``, ``quat_mul``, ``quat_norm``, ``error_angle`` and the
-block-by-block crossing of ``integrate_quat``, which is a ``quat_path``)
+(``quat_path``, ``quat_mul``, ``error_angle`` and the block-by-block
+crossing of ``integrate_quat``, which is a ``quat_path``)
 read an ``ndarray`` operand as Python floats (``tolist()``) and return
 arrays; the filter updates call the float expressions behind them
 (``_hamilton``, ``_unit``, ``_gibbs``) directly on their components.
@@ -104,21 +104,6 @@ def quat_left_matrix(a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     return (a @ _QUAT_LEFT_TABLE).reshape(a.shape[:-1] + (4, 4))
-
-
-def quat_norm(q) -> float:
-    x, y, z, w = _components(q)
-    return math.sqrt(x * x + y * y + z * z + w * w)
-
-
-def quat_norms(q) -> np.ndarray:
-    """Norm of each row of a ``(k, 4)`` stack, as ``sqrt(x*x + y*y + z*z + w*w)``.
-
-    The same expression as :func:`quat_norm`, elementwise; a ``(4,)``
-    quaternion gives its one norm.
-    """
-    x, y, z, w = np.asarray(q, dtype=float).T
-    return np.sqrt(x * x + y * y + z * z + w * w)
 
 
 def _unit(x, y, z, w):
@@ -220,8 +205,8 @@ def quat_to_matrix(q) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     x, y, z, w = q.T
-    # each product is taken once; the sums are those of quat_norms and of
-    # the entries written out, in the same order
+    # each product is taken once; the sums are those of startracker.row_norms
+    # and of the entries written out, in the same order
     xx, yy, zz, ww = x * x, y * y, z * z, w * w
     if np.any(np.abs(np.sqrt(xx + yy + zz + ww) - 1.0) > _UNIT_TOL):
         raise InvalidInput("quaternion must be unit norm")

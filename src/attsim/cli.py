@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, numerics, startracker, wahba
-from .attitude import error_angle, identity_quat, integrate_quat, quat_norm, quat_to_matrix
+from .attitude import error_angle, identity_quat, integrate_quat, quat_to_matrix
 from .errors import AttsimError, ConfigError, InvalidInput
 from .startracker import ObservationSet, row_norms
 
@@ -117,8 +117,6 @@ def _load_observations(path: str) -> ObservationSet:
 def _cmd_run(args) -> int:
     cfg = harness.SimConfig.from_json(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be nonnegative")
         cfg.seed = args.seed
     # a bad output path fails before the run; a run that raises leaves no directory
     out = Path(args.out)
@@ -159,10 +157,6 @@ def _cmd_triad(args) -> int:
 
 
 def _cmd_gen_catalog(args) -> int:
-    if args.n < 2:
-        raise ConfigError("catalog needs at least 2 stars")
-    if args.seed < 0:
-        raise ConfigError("seed must be nonnegative")
     catalog = startracker.generate_catalog(args.n, numerics.RngStream(args.seed))
     startracker.save_catalog(catalog, args.out)
     print(f"wrote {args.n} stars to {args.out}", file=sys.stderr)
@@ -175,7 +169,7 @@ def _selfcheck_cases(tol_scale: float):
     def random_quat():
         while True:
             q = np.array([rng.gaussian(1.0) for _ in range(4)])
-            n = quat_norm(q)
+            n = row_norms(q)
             if n > 1e-6:
                 return q / n
 
@@ -228,7 +222,7 @@ def _selfcheck_cases(tol_scale: float):
         # 1000 steps of random rates, as 1000 one-step blocks
         w = np.array([[[rng.gaussian(0.5) for _ in range(3)]] for _ in range(1000)])
         q = integrate_quat(identity_quat(), w, 0.01)[-1]
-        return abs(quat_norm(q) - 1.0), 1e-12 * tol_scale
+        return abs(row_norms(q) - 1.0), 1e-12 * tol_scale
 
     def check_rng_repeat():
         a = numerics.RngStream(7)

@@ -82,7 +82,7 @@ from typing import Optional
 import numpy as np
 
 from . import startracker
-from .attitude import _hamilton, block_increments, error_angle, integrate_quat, quat_norms
+from .attitude import _hamilton, block_increments, error_angle, integrate_quat
 from .errors import ConfigError, InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from .filters import (
     NoiseParams,
@@ -182,13 +182,21 @@ class SimConfig:
             raise ConfigError("n_cameras must be between 1 and 6")
         if not 0.0 < self.fov_half_angle_rad < 0.5 * math.pi:
             raise ConfigError("fov_half_angle_rad must be in (0, pi/2)")
-        # each sigma enters the run squared
+        # each sigma enters the run squared. sigma_gyro and sigma_star also
+        # add noise to 3-rows whose squared norms the run takes: a true
+        # component is at most 2 in magnitude (a rate's is at most pi/2, a
+        # star direction's 1), and a polar-method deviate at most 12.01 sigma
+        # (sqrt(-2 ln s) = 12.007 at its smallest nonzero s, 2^-104), so a
+        # noisy row's squared norm is finite while 3 (2 + 12.01 sigma)^2 is
         for name in ("sigma_gyro", "sigma_star", "sigma_meas"):
             sigma = float(getattr(self, name))
             if sigma < 0.0:
                 raise ConfigError(f"{name} must be nonnegative")
             if not math.isfinite(sigma * sigma):
                 raise ConfigError(f"{name} is too large: its square overflows")
+            row = 2.0 + 12.01 * sigma
+            if name != "sigma_meas" and not math.isfinite(3.0 * row * row):
+                raise ConfigError(f"{name} is too large: the squared norm of a noisy row overflows")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         x, y, z = (float(v) for v in self.axis)
@@ -686,7 +694,9 @@ def compute_metrics(result: RunResult) -> MetricsReport:
     def one(q_est: np.ndarray, err: np.ndarray, pnorm: np.ndarray, cond: np.ndarray,
             step_time: float) -> FilterMetrics:
         # sign-aligned difference: min(|q_true - q|, |q_true + q|) per record
-        qdiff = np.minimum(quat_norms(result.q_true - q_est), quat_norms(result.q_true + q_est))
+        qdiff = np.minimum(
+            startracker.row_norms(result.q_true - q_est), startracker.row_norms(result.q_true + q_est)
+        )
         return FilterMetrics(
             mean_error_angle_rad=float(np.mean(err)),
             max_error_angle_rad=float(np.max(err)),

@@ -43,10 +43,11 @@ in blocks, and returns, and leaves the stream in, exactly what ``n`` calls
 of ``gaussian(sigma)`` would:
 
 - The xorshift step T is linear over GF(2), so a ``(64, 256)`` table of
-  T^1 ... T^256 applied to each basis bit (128 KiB, built on first use)
-  gives the next 256 states as the XOR of the rows of the current state's
-  set bits (Haramoto et al. 2008 jump-ahead). Chaining from the last state
-  of each block gives any number of states.
+  T^1 ... T^256 applied to each basis bit (128 KiB, built on first use by
+  stepping the 64 basis bits 256 times) gives the next 256 states as the
+  XOR of the rows of the current state's set bits (Haramoto et al. 2008
+  jump-ahead). Chaining from the last state of each block gives any number
+  of states.
 - The ``*`` scramble wraps in ``uint64``; the uniforms, ``s = u*u + v*v``
   and the acceptance test ``0 < s < 1`` are array operations. ``np.sqrt``,
   ``*`` and ``/`` are correctly rounded, so they match ``math``.
@@ -95,19 +96,6 @@ def padded_rows(counts) -> np.ndarray:
     bounds = [0, *accumulate(counts.tolist())]
     cols = np.arange(counts.max(initial=0))
     return np.where(cols < counts[:, None], np.array(bounds[:-1], dtype=int)[:, None] + cols, bounds[-1])
-
-
-def _as_square(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise InvalidInput("expected a nonempty matrix, got shape (0, 0)")
-    if a.shape[0] > MAX_DIM:
-        raise InvalidInput(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
-    if not np.isfinite(a).all():
-        raise InvalidInput("matrix entries must be finite")
-    return a
 
 
 def jacobi_eigen_sym(m, vectors: bool = True):
@@ -281,8 +269,14 @@ def norms_and_conditions(evals):
 
 
 def condition_number(m) -> float:
-    """|lambda|_max / |lambda|_min of one symmetric matrix, +inf when rank deficient."""
-    evals = jacobi_eigen_sym(_as_square(m), vectors=False)
+    """|lambda|_max / |lambda|_min of one symmetric matrix, +inf when rank deficient.
+
+    The matrix is checked as :func:`jacobi_eigen_sym` checks a lone
+    ``(n, n)`` matrix; a stack is InvalidInput.
+    """
+    if np.ndim(m) != 2:
+        raise InvalidInput(f"expected a square matrix, got shape {np.asarray(m).shape}")
+    evals = jacobi_eigen_sym(m, vectors=False)
     return float(norms_and_conditions(evals[None])[1][0])
 
 
@@ -555,27 +549,15 @@ def _jump_table() -> np.ndarray:
     """``(64, _JUMP_LEN)`` table whose column ``k`` is T^(k+1) applied to each basis bit.
 
     T is the xorshift step, linear over GF(2), so T^k x is the XOR of
-    column ``k - 1`` over the set bits of ``x``. The columns are built in
-    groups of 32 that step together: group ``g`` starts from T^(32 g) of
-    each basis bit, T^32 applied to the start of group ``g - 1``, and T^32
-    comes from squaring T five times. Built once, read-only.
+    column ``k - 1`` over the set bits of ``x``. Column ``k`` is the 64
+    basis bits stepped ``k + 1`` times, written in place. Built once,
+    read-only.
     """
-    steps = 32
-    groups = _JUMP_LEN // steps
-    basis = _ONE << _BIT_SHIFTS
-    jump = basis.copy()
-    _xorshift_step(jump)
-    for _ in range(5):
-        jump = _apply_gf2(jump, jump)
-    x = np.empty((64, groups), dtype=np.uint64)
-    x[:, 0] = basis
-    for g in range(1, groups):
-        x[:, g] = _apply_gf2(jump, x[:, g - 1])
-    table = np.empty((64, groups, steps), dtype=np.uint64)
-    for k in range(steps):
+    table = np.empty((64, _JUMP_LEN), dtype=np.uint64)
+    x = _ONE << _BIT_SHIFTS
+    for column in table.T:
         _xorshift_step(x)
-        table[:, :, k] = x
-    table = table.reshape(64, _JUMP_LEN)
+        column[:] = x
     table.setflags(write=False)
     return table
 
@@ -585,12 +567,6 @@ def _xorshift_step(x: np.ndarray) -> None:
     x ^= x >> np.uint64(12)
     x ^= x << np.uint64(25)
     x ^= x >> np.uint64(27)
-
-
-def _apply_gf2(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A GF(2)-linear map applied to each state of ``x``, given its images ``m`` of the 64 basis bits."""
-    bits = ((x[:, None] >> _BIT_SHIFTS) & _ONE) != 0
-    return np.bitwise_xor.reduce(np.where(bits, m, np.uint64(0)), axis=1)
 
 
 def _xorshift_states(x: int, n_blocks: int) -> np.ndarray:

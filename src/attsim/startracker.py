@@ -193,9 +193,17 @@ def load_catalog(path) -> StarCatalog:
 
 
 def row_norms(v) -> np.ndarray:
-    """Euclidean norm of each row of an ``(..., 3)`` array, as ``sqrt(x*x + y*y + z*z)``."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.sqrt(x * x + y * y + z * z)
+    """Euclidean norm of each row of an ``(..., d)`` array, its squares summed left to right.
+
+    For three columns that is ``sqrt(x*x + y*y + z*z)``, for a quaternion
+    ``sqrt(x*x + y*y + z*z + w*w)``.
+    """
+    x = v[..., 0]
+    acc = x * x
+    for i in range(1, v.shape[-1]):
+        c = v[..., i]
+        acc += c * c  # in place: no new array per column
+    return np.sqrt(acc)
 
 
 def is_visible(body, cam: CameraModel) -> np.ndarray:

@@ -127,12 +127,16 @@ class TestRunCommand:
             ({"sigma_star": 1e200}, "sigma_star"),
             ({"sigma_meas": 1e200}, "sigma_meas"),
             ({"sigma_meas": 1e152, "aekf_r_scale": 1e10}, "aekf_r_scale"),
+            # finite squares, but a noisy gyro or star row's squared norm overflows
+            ({"sigma_gyro": 1e154}, "sigma_gyro"),
+            ({"sigma_star": 5e153}, "sigma_star"),
         ],
     )
     def test_sigma_whose_square_overflows_exits_2(self, tmp_path, capsys, config, name):
         # each sigma enters the run squared: such a sigma_star used to skip
         # every epoch and exit 0, the others to fail deep in the run, after
-        # numpy overflow warnings
+        # numpy overflow warnings. A noisy row of sigma_gyro 1e154 used to
+        # end in "P entries must be finite", one of sigma_star 5e153 to exit 0
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"duration_s": 2.0, **config}))
         with warnings.catch_warnings(record=True) as caught:
@@ -208,6 +212,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("attsim: config error: ") and err.count("\n") == 1
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "results"
+        rc = main(["run", "--config", str(cfg), "--out", str(out), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("attsim: config error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -547,6 +560,14 @@ class TestGenCatalog:
     def test_bad_n_exits_2(self, tmp_path):
         rc = main(["gen-catalog", "--n", "1", "--seed", "4", "--out", str(tmp_path / "c.csv")])
         assert rc == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        rc = main(["gen-catalog", "--n", "10", "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("attsim: config error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSelfcheck:

@@ -1,10 +1,11 @@
 """The library keeps only what the harness, the CLI or a documented contract uses.
 
-Every public module-level function and class of ``src/attsim`` must be
-referenced, as a name or an attribute, somewhere in the package outside
-its own definition. An import alone is not a use. A name that only a
-documented contract uses goes in ``_CONTRACT_ONLY`` with the README
-section that documents it.
+Every module-level function and class of ``src/attsim``, public or
+private (dunders aside), must be referenced, as a name or an attribute,
+somewhere in the package outside its own definition, so that a helper a
+deletion leaves behind fails too. An import alone is not a use. A public
+name that only a documented contract uses goes in ``_CONTRACT_ONLY`` with
+the README section that documents it.
 """
 
 import ast
@@ -18,14 +19,14 @@ _PACKAGE = Path(attsim.__file__).parent
 _CONTRACT_ONLY: dict = {}
 
 
-def _public_definitions(trees):
-    """``(module, name, node)`` of each public module-level function and class."""
+def _definitions(trees):
+    """``(module, name, node)`` of each module-level function and class but the dunders."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return [
         (module, node.name, node)
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, kinds) and not node.name.startswith("_")
+        if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
 
 
@@ -40,7 +41,7 @@ def _references(tree):
 
 def test_every_public_definition_is_used_in_the_package():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(_PACKAGE.glob("*.py"))}
-    definitions = _public_definitions(trees)
+    definitions = _definitions(trees)
     assert len(definitions) > 20  # the package was found and parsed
     refs = [ref for tree in trees.values() for ref in _references(tree)]
     unused = []
@@ -49,5 +50,5 @@ def test_every_public_definition_is_used_in_the_package():
         used = any(ref == name and id(n) not in inside for n, ref in refs)
         if not used and name not in _CONTRACT_ONLY:
             unused.append(f"{module}:{node.lineno} {name}")
-    assert not unused, "public definitions that nothing in src/attsim uses: " + ", ".join(unused)
+    assert not unused, "definitions that nothing in src/attsim uses: " + ", ".join(unused)
     assert set(_CONTRACT_ONLY) <= {name for _, name, _ in definitions}
