@@ -42,18 +42,22 @@ definition. ``RngStream.gaussian_vec(sigma, n)`` draws the same deviates
 in blocks, and returns, and leaves the stream in, exactly what ``n`` calls
 of ``gaussian(sigma)`` would:
 
-- The xorshift step T is linear over GF(2), so a ``(64, 256)`` table of
-  T^1 ... T^256 applied to each basis bit (128 KiB, built on first use by
-  stepping the 64 basis bits 256 times) gives the next 256 states as the
-  XOR of the rows of the current state's set bits (Haramoto et al. 2008
-  jump-ahead). Chaining from the last state of each block gives any number
-  of states.
+- The xorshift step T is linear over GF(2). A pass takes its states from
+  lanes: lane ``j`` starts at T^(16 j) of the current state, all lanes
+  step 16 times together, and lane after lane the states come out in
+  stream order. The lane starts come from a ``(64, 256)`` table of
+  T^16 ... T^4096 applied to each basis bit (128 KiB, built on first use
+  in about 1 ms by doubling from T^16): the XOR of the rows of one
+  start's set bits gives the next 256 starts (Haramoto et al. 2008
+  jump-ahead), chained from the last.
 - The ``*`` scramble wraps in ``uint64``; the uniforms, ``s = u*u + v*v``
-  and the acceptance test ``0 < s < 1`` are array operations. ``np.sqrt``,
-  ``*`` and ``/`` are correctly rounded, so they match ``math``.
+  and the acceptance test ``0 < s < 1`` are array operations on the
+  ``(pairs, 2)`` uniforms. ``np.sqrt``, ``*`` and ``/`` are correctly
+  rounded, so they match ``math``.
 - ``np.log`` is not: it differed from ``math.log`` on about 0.35 % of
   inputs on an AVX-512 host. So ``math.log`` is taken on the accepted
-  ``s`` values only.
+  ``s`` values only, one Python call each, which makes it the largest
+  part of a draw's cost.
 - The state left is the state at the last pair consumed, whatever the
   pass drew beyond it, and when ``n`` leaves half a pair, that pair's
   ``v*f`` becomes the spare deviate the next draw returns first.
@@ -78,10 +82,15 @@ _U53 = 1.0 / (1 << 53)
 _XS_MULT_NP = np.uint64(_XS_MULT)
 _ONE = np.uint64(1)
 _BIT_SHIFTS = np.arange(64, dtype=np.uint64)
-# states per application of the jump table (a 128 KiB table), and the most
-# candidate pairs one pass of gaussian_vec draws, which bounds its
+_BYTE = np.uint64(0xFF)
+# the xorshift64 shifts: x ^= x >> 12, x ^= x << 25, x ^= x >> 27
+_SHIFT_A, _SHIFT_B, _SHIFT_C = np.uint64(12), np.uint64(25), np.uint64(27)
+# states one lane steps through, which is the stride between lane starts;
+# lane starts per application of the jump table (a 128 KiB table); and the
+# most candidate pairs one pass of gaussian_vec draws, which bounds its
 # temporaries to a few MB for any n
-_JUMP_LEN = 256
+_LANE_LEN = 16
+_JUMP_LANES = 256
 _PASS_PAIRS = 1 << 14
 
 
@@ -120,8 +129,8 @@ def jacobi_eigen_sym(m, vectors: bool = True):
     matrix of a stack, and NumericalFailure if the off-diagonal norm has
     not dropped below 1e-12 * ||m||_F after 100 sweeps.
     """
-    lone = np.ndim(m) != 3
-    a, peak = _symmetric_stack(np.asarray(m)[None] if lone else m)
+    lone = np.ndim(m) == 2
+    a, peak = _symmetric_stack(m)
     evals, vecs, failed = _jacobi_sweep(a, vectors, peak)
     if lone:
         if failed.size:
@@ -138,25 +147,36 @@ def jacobi_eigen_sym(m, vectors: bool = True):
 
 
 def _symmetric_stack(m):
-    """A float copy of a stack ``(k, n, n)`` and each member's max|M|, or InvalidInput naming the first bad member.
+    """A float copy of ``m`` as a stack ``(k, n, n)`` and each member's max|M|, or InvalidInput naming the first bad member.
 
-    A member is symmetric when max|M - M^T| <= 1e-9 * max|M| (exactly, for
-    the zero matrix).
+    ``m`` is one ``(n, n)`` matrix, which becomes a stack of one, or a
+    stack; a message names the shape ``m`` came in. A member is symmetric
+    when max|M - M^T| <= 1e-9 * max|M| (exactly, for the zero matrix). The
+    largest |M_pq - M_qp| is taken over the strict upper triangle, where
+    |M_qp - M_pq| takes the same value, and max|M| is NaN or inf when an
+    entry is.
     """
     a = np.array(m, dtype=float)
+    shape = a.shape
+    if a.ndim == 2:
+        a = a[None]
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
-    n = a.shape[1]
+        raise InvalidInput(f"expected a square matrix or a stack of them, got shape {shape}")
+    k, n = a.shape[:2]
     if n == 0:
-        raise InvalidInput(f"expected a stack of nonempty matrices, got shape {a.shape}")
+        raise InvalidInput(f"expected nonempty matrices, got shape {shape}")
     if n > MAX_DIM:
         raise InvalidInput(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    if not np.isfinite(a).all():
+    flat = a.reshape(k, n * n)
+    peak = np.abs(flat).max(axis=1)
+    if not np.isfinite(peak).all():
         raise InvalidInput("matrix entries must be finite")
-    peak = np.abs(a).max(axis=(1, 2))
-    asym = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)) > _SYM_REL_TOL * peak
+    upper = [p * n + q for p in range(n) for q in range(p + 1, n)]
+    lower = [q * n + p for p in range(n) for q in range(p + 1, n)]
+    asym = np.abs(flat[:, upper] - flat[:, lower]).max(axis=1, initial=0.0) > _SYM_REL_TOL * peak
     if asym.any():
-        raise InvalidInput(f"matrix {int(np.argmax(asym))} of the stack is not symmetric within tolerance")
+        which = "the matrix" if len(shape) == 2 else f"matrix {int(np.argmax(asym))} of the stack"
+        raise InvalidInput(f"{which} is not symmetric within tolerance")
     return a, peak
 
 
@@ -272,10 +292,11 @@ def condition_number(m) -> float:
     """|lambda|_max / |lambda|_min of one symmetric matrix, +inf when rank deficient.
 
     The matrix is checked as :func:`jacobi_eigen_sym` checks a lone
-    ``(n, n)`` matrix; a stack is InvalidInput.
+    ``(n, n)`` matrix; a stack or a non-square array is InvalidInput.
     """
-    if np.ndim(m) != 2:
-        raise InvalidInput(f"expected a square matrix, got shape {np.asarray(m).shape}")
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidInput(f"expected a square matrix, got shape {shape}")
     evals = jacobi_eigen_sym(m, vectors=False)
     return float(norms_and_conditions(evals[None])[1][0])
 
@@ -503,10 +524,11 @@ class RngStream:
         Returns the values, and leaves the state and the spare deviate, that
         ``n`` calls of :meth:`gaussian` would, bit for bit. The draw runs in
         passes of at most ``_PASS_PAIRS`` candidate pairs, each sized from
-        the deviates still needed: the pass's states come from the jump
-        table, the scramble, the uniforms and the acceptance test are array
-        operations, and ``math.log`` is taken on the accepted ``s`` only.
-        A pass that accepts too few pairs is followed by another.
+        the deviates still needed: the pass's states come from lanes, the
+        scramble, the uniforms and the acceptance test are array operations
+        on the ``(pairs, 2)`` uniforms, and ``math.log`` is taken on the
+        accepted ``s`` only. A pass that accepts too few pairs is followed
+        by another.
         """
         if sigma < 0.0:
             raise InvalidInput("sigma must be nonnegative")
@@ -522,20 +544,20 @@ class RngStream:
             need = (n - i + 1) // 2
             # pi/4 of the candidate pairs are accepted on average
             pairs = min(_PASS_PAIRS, need * 4 // 3 + 32)
-            x = _xorshift_states(self._state, -(-2 * pairs // _JUMP_LEN))
+            x = _xorshift_states(self._state, -(-2 * pairs // _LANE_LEN))
             w = 2.0 * (((x * _XS_MULT_NP) >> np.uint64(11)).astype(float) * _U53) - 1.0
-            u, v = w[0::2], w[1::2]
-            s = u * u + v * v
+            s = w * w
+            s = s[0::2] + s[1::2]
             idx = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
             # the stream stops at the last pair consumed: the pass's last
             # pair when it fell short, else the last accepted pair used
             self._state = int(x[-1] if idx.size < need else x[2 * idx[-1] + 1])
+            del x  # frees the raw states before the accepted pairs are gathered
             s = s[idx]
             log_s = np.fromiter(map(math.log, s.tolist()), float, s.size)
             f = np.sqrt(-2.0 * log_s / s)
-            pair_out = np.empty((idx.size, 2))
-            pair_out[:, 0] = u[idx] * f
-            pair_out[:, 1] = v[idx] * f
+            pair_out = w.reshape(-1, 2)[idx]
+            pair_out *= f[:, None]
             m = min(2 * idx.size, n - i)
             if m < 2 * idx.size:
                 self._spare = float(pair_out[-1, 1])
@@ -546,39 +568,77 @@ class RngStream:
 
 @functools.cache
 def _jump_table() -> np.ndarray:
-    """``(64, _JUMP_LEN)`` table whose column ``k`` is T^(k+1) applied to each basis bit.
+    """``(64, _JUMP_LANES)`` table whose column ``k`` is T^(16 (k+1)) applied to each basis bit.
 
-    T is the xorshift step, linear over GF(2), so T^k x is the XOR of
-    column ``k - 1`` over the set bits of ``x``. Column ``k`` is the 64
-    basis bits stepped ``k + 1`` times, written in place. Built once,
-    read-only.
+    T is the xorshift step, linear over GF(2), so T^(16 k) x is the XOR of
+    column ``k - 1`` over the set bits of ``x``. Column 0 is the 64 basis
+    bits stepped ``_LANE_LEN`` times. Each later run of ``w`` columns,
+    ``m`` to ``m + w - 1`` with ``w = min(m, 32)``, is T^(16 w), which is
+    column ``w - 1``, applied by :func:`_gf2_apply` to the ``w`` columns
+    before it. Built once, read-only.
     """
-    table = np.empty((64, _JUMP_LEN), dtype=np.uint64)
-    x = _ONE << _BIT_SHIFTS
-    for column in table.T:
-        _xorshift_step(x)
-        column[:] = x
+    table = np.empty((64, _JUMP_LANES), dtype=np.uint64)
+    table[:, 0] = _step_lanes(_ONE << _BIT_SHIFTS)[-1]
+    m = 1
+    while m < _JUMP_LANES:
+        # at most 32 columns at a time keep the temporaries to 16 KiB each
+        w = min(m, 32)
+        table[:, m:m + w] = _gf2_apply(table[:, w - 1], table[:, m - w:m])
+        m += w
     table.setflags(write=False)
     return table
 
 
-def _xorshift_step(x: np.ndarray) -> None:
-    """One xorshift step of every state in the ``uint64`` array ``x``, in place."""
-    x ^= x >> np.uint64(12)
-    x ^= x << np.uint64(25)
-    x ^= x >> np.uint64(27)
+def _gf2_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The GF(2) map whose image of basis bit ``i`` is ``a[i]``, applied to every ``uint64`` of ``v``.
+
+    The image of ``v`` is the XOR of ``a[i]`` over its set bits, taken a
+    byte at a time: ``by_byte[p, c]`` is the XOR of ``a[8p + j]`` over the
+    set bits ``j`` of the byte value ``c``.
+    """
+    by_byte = np.zeros((8, 256), dtype=np.uint64)
+    a = a.reshape(8, 8)
+    for j in range(8):
+        by_byte[:, 1 << j:2 << j] = by_byte[:, :1 << j] ^ a[:, j:j + 1]
+    out = by_byte[0][v & _BYTE]
+    for p in range(1, 8):
+        out ^= by_byte[p][(v >> np.uint64(8 * p)) & _BYTE]
+    return out
 
 
-def _xorshift_states(x: int, n_blocks: int) -> np.ndarray:
-    """The ``n_blocks * _JUMP_LEN`` xorshift states that follow state ``x``, in order.
+def _step_lanes(lane: np.ndarray) -> np.ndarray:
+    """Each xorshift state of the ``uint64`` array ``lane`` stepped ``_LANE_LEN`` times.
 
-    Each block is one masked XOR-reduce of the jump table from the last
-    state of the block before it.
+    Returns ``(_LANE_LEN, lane.size)`` states: row ``t`` is every lane
+    after ``t + 1`` steps, each row taken from the one before it.
+    """
+    states = np.empty((_LANE_LEN, lane.size), dtype=np.uint64)
+    tmp = np.empty(lane.size, dtype=np.uint64)
+    for row in states:
+        np.right_shift(lane, _SHIFT_A, out=row)
+        row ^= lane
+        np.left_shift(row, _SHIFT_B, out=tmp)
+        row ^= tmp
+        np.right_shift(row, _SHIFT_C, out=tmp)
+        row ^= tmp
+        lane = row
+    return states
+
+
+def _xorshift_states(x: int, lanes: int) -> np.ndarray:
+    """The ``lanes * _LANE_LEN`` xorshift states that follow state ``x``, in order.
+
+    Lane ``j`` starts at T^(16 j) x, the lane starts coming 256 at a time
+    from one masked XOR-reduce of the jump table at the last start before
+    them. All lanes step together ``_LANE_LEN`` times, so lane ``j`` runs
+    through states ``16 j + 1`` to ``16 j + 16`` of the stream, and reading
+    the lanes one after another puts the states in stream order.
     """
     table = _jump_table()
-    states = np.empty((n_blocks + 1, _JUMP_LEN), dtype=np.uint64)
-    states[0, -1] = x
-    for b in range(n_blocks):
-        bits = ((states[b, -1] >> _BIT_SHIFTS) & _ONE) != 0
-        np.bitwise_xor.reduce(table[bits], axis=0, out=states[b + 1])
-    return states[1:].ravel()
+    lane = np.empty(lanes, dtype=np.uint64)
+    lane[0] = x
+    for b in range(0, lanes - 1, _JUMP_LANES):
+        bits = ((lane[b] >> _BIT_SHIFTS) & _ONE) != 0
+        starts = lane[b + 1:b + 1 + _JUMP_LANES]
+        np.bitwise_xor.reduce(table[bits, :starts.size], axis=0, out=starts)
+    return _step_lanes(lane).T.ravel()

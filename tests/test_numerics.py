@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ class TestJacobiStack:
         with pytest.raises(InvalidInput, match="matrix 3"):
             jacobi_eigen_sym(stack)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_one_non_finite_member(self, bad):
         rng = RngStream(42)
         stack = np.array([random_symmetric(rng, 3) for _ in range(5)])
@@ -224,6 +225,32 @@ class TestJacobiStack:
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(InvalidInput):
             jacobi_eigen_sym(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 3), "expected a square matrix or a stack of them, got shape (2, 3)"),
+            ((3,), "expected a square matrix or a stack of them, got shape (3,)"),
+            ((2, 3, 4), "expected a square matrix or a stack of them, got shape (2, 3, 4)"),
+            ((0, 0), "expected nonempty matrices, got shape (0, 0)"),
+            ((3, 0, 0), "expected nonempty matrices, got shape (3, 0, 0)"),
+        ],
+        ids=["not-square", "one-dim", "not-square-stack", "empty", "empty-stack"],
+    )
+    def test_messages_name_the_callers_shape(self, shape, message):
+        # a lone matrix is checked as a stack of one, but named as given
+        with pytest.raises(InvalidInput) as exc:
+            jacobi_eigen_sym(np.ones(shape))
+        assert str(exc.value) == message
+
+    def test_non_symmetric_messages(self):
+        m = np.array([[1.0, 3.0], [0.0, 1.0]])
+        with pytest.raises(InvalidInput) as lone:
+            jacobi_eigen_sym(m)
+        assert str(lone.value) == "the matrix is not symmetric within tolerance"
+        with pytest.raises(InvalidInput) as stack:
+            jacobi_eigen_sym(np.array([np.eye(2), m]))
+        assert str(stack.value) == "matrix 1 of the stack is not symmetric within tolerance"
 
     def test_sweep_limit_raises(self, monkeypatch):
         rng = RngStream(43)
@@ -272,6 +299,51 @@ def _pivot_stack(rng, n):
     mats.append(random_symmetric(rng, n) * 1e-9)
     mats.append(random_symmetric(rng, n) * 1e7)
     return np.array(mats)
+
+
+def _symmetry_over_whole_members(stack):
+    """Reference check: each member's max|M| and whether max|M - M^T| over the whole member is within 1e-9 of it."""
+    peak = np.abs(stack).max(axis=(1, 2))
+    return peak, np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) <= 1e-9 * peak
+
+
+class TestSymmetryCheck:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_same_peak_bits_and_decisions_as_the_whole_member_check(self, n):
+        # symmetric members at scales far apart, each also skewed in every
+        # off-diagonal entry, upper and lower, by the tolerance itself, by
+        # one step either side of it and by four times it
+        rng = RngStream(500 + n)
+        mats = [np.zeros((n, n))]
+        for scale in (1e-300, 1e-9, 1.0, 1e6, 1e300):
+            base = random_symmetric(rng, n) * scale
+            mats.append(base)
+            edge = 1e-9 * np.abs(base).max()
+            for p in range(n):
+                for q in range(n):
+                    if p == q:
+                        continue
+                    for d in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf), -edge, 4.0 * edge):
+                        m = base.copy()
+                        m[p, q] += d
+                        mats.append(m)
+        stack = np.array(mats)
+        peak, ok = _symmetry_over_whole_members(stack)
+        if n > 1:
+            assert 0 < ok.sum() < len(ok)
+        for i, m in enumerate(stack):
+            if ok[i]:
+                a, got = numerics._symmetric_stack(m)
+                assert got.tobytes() == peak[i:i + 1].tobytes()
+                assert a.tobytes() == m.tobytes()
+            else:
+                with pytest.raises(InvalidInput, match="not symmetric"):
+                    numerics._symmetric_stack(m)
+        _, got = numerics._symmetric_stack(stack[ok])
+        assert got.tobytes() == peak[ok].tobytes()
+        if n > 1:
+            with pytest.raises(InvalidInput, match=f"matrix {int(np.argmin(ok))} of the stack"):
+                numerics._symmetric_stack(stack)
 
 
 class TestJacobiValuesOnly:
@@ -399,6 +471,20 @@ class TestConditionNumber:
     def test_rejects_an_empty_matrix(self):
         with pytest.raises(InvalidInput):
             condition_number(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 3), "expected a square matrix, got shape (2, 3)"),
+            ((2, 3, 3), "expected a square matrix, got shape (2, 3, 3)"),
+            ((0, 0), "expected nonempty matrices, got shape (0, 0)"),
+        ],
+        ids=["not-square", "stack", "empty"],
+    )
+    def test_messages_name_the_callers_shape(self, shape, message):
+        with pytest.raises(InvalidInput) as exc:
+            condition_number(np.ones(shape))
+        assert str(exc.value) == message
 
 
 _KALMAN = {3: kalman_update3, 4: kalman_update4}
@@ -694,12 +780,16 @@ class TestRngStream:
             if i % 3 == 0:
                 assert a.gaussian(1.0) == b.gaussian(1.0) == c.gaussian(1.0)
 
-        # over 1e7 draws against the oracle: sizes around what one 256-state
-        # jump yields (about 200 deviates) and what one pass capped at
-        # 16,384 candidate pairs yields (about 25,700), odd sizes, and
-        # draws that take many passes
+        # over 1e7 draws against the oracle: sizes around what one lane of
+        # 16 states yields (about 12 deviates), what 256 states yield (about
+        # 200), where a pass first needs a second application of the jump
+        # table for 256 more lane starts (above 3,036: 4,096 states, about
+        # 3,200 deviates), where a pass first reaches the cap of 16,384
+        # candidate pairs (24,527) and what that capped pass yields (about
+        # 25,700), odd sizes, and draws that take many passes
         a, b = RngStream(7), RngStream(7)
-        sizes = (0, 1, 2, 3, 7, 199, 200, 201, 255, 256, 257, 511, 540, 12_288,
+        sizes = (0, 1, 2, 3, 7, 11, 12, 13, 14, 199, 200, 201, 255, 256, 257, 511, 540,
+                 3_036, 3_037, 3_070, 3_217, 12_288, 24_526, 24_527, 24_528,
                  25_735, 25_736, 25_737, 32_767, 32_768, 32_769, 65_537, 1_000_001, 2_000_003)
         drawn = 0
         for i, n in enumerate(sizes * 5):
@@ -712,3 +802,16 @@ class TestRngStream:
                 assert a.gaussian(1.0) == b.gaussian(1.0)
             drawn += n if sigma else 0
         assert drawn >= 10_000_000
+
+    def test_gaussian_vec_temporaries_stay_a_few_mb(self):
+        # passes of at most 16,384 candidate pairs bound what a draw holds
+        # besides the array it returns, however many deviates it draws
+        numerics._jump_table()
+        rng = RngStream(11)
+        tracemalloc.start()
+        try:
+            out = rng.gaussian_vec(1.0, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 3 * 2**20, peak - out.nbytes
