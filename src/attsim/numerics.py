@@ -34,36 +34,30 @@ eigenvectors are wanted carries their columns below its matrix, so that
 one column rotation turns both; without them, the rotations touch the
 matrix alone.
 
-The random stream is xorshift64* seeded through one round of splitmix64,
-with Gaussian deviates drawn by the polar (Marsaglia) method. The
-algorithm is part of the on-disk contract: changing it would invalidate
-golden outputs keyed by seed. ``RngStream.gaussian`` is its scalar
-definition. ``RngStream.gaussian_vec(sigma, n)`` draws the same deviates
-in blocks, and returns, and leaves the stream in, exactly what ``n`` calls
-of ``gaussian(sigma)`` would:
+The random stream is SplitMix64 (Steele, Lea & Flood 2014), with
+Gaussian deviates drawn by the polar (Marsaglia) method. Its state is a
+counter: draw k of ``RngStream(seed)`` is mix(seed + k gamma), mod 2^64,
+so any draw is computed without those before it. The algorithm is part of
+the on-disk contract: changing it would invalidate golden outputs keyed
+by seed. ``RngStream.gaussian`` is its scalar definition.
+``RngStream.gaussian_vec(sigma, n)`` draws the same deviates in blocks,
+and returns, and leaves the stream in, exactly what ``n`` calls of
+``gaussian(sigma)`` would:
 
-- The xorshift step T is linear over GF(2). A pass takes its states from
-  lanes: lane ``j`` starts at T^(16 j) of the current state, all lanes
-  step 16 times together, and lane after lane the states come out in
-  stream order. The lane starts come from a ``(64, 256)`` table of
-  T^16 ... T^4096 applied to each basis bit (128 KiB, built on first use
-  in about 1 ms by doubling from T^16): the XOR of the rows of one
-  start's set bits gives the next 256 starts (Haramoto et al. 2008
-  jump-ahead), chained from the last.
-- The ``*`` scramble wraps in ``uint64``; the uniforms, ``s = u*u + v*v``
-  and the acceptance test ``0 < s < 1`` are array operations on the
-  ``(pairs, 2)`` uniforms. ``np.sqrt``, ``*`` and ``/`` are correctly
+- A pass's counters are one ``arange`` times gamma plus the state, and
+  the mix, the uniforms, ``s = u*u + v*v`` and the acceptance test
+  ``0 < s < 1`` are array operations; ``uint64`` arrays wrap as the
+  scalar's ``mod 2^64`` does. ``np.sqrt``, ``*`` and ``/`` are correctly
   rounded, so they match ``math``.
 - ``np.log`` is not: it differed from ``math.log`` on about 0.35 % of
   inputs on an AVX-512 host. So ``math.log`` is taken on the accepted
   ``s`` values only, one Python call each, which makes it the largest
   part of a draw's cost.
-- The state left is the state at the last pair consumed, whatever the
+- The counter left is the one of the last pair consumed, whatever the
   pass drew beyond it, and when ``n`` leaves half a pair, that pair's
   ``v*f`` becomes the spare deviate the next draw returns first.
 """
 
-import functools
 import math
 from itertools import accumulate
 
@@ -77,20 +71,16 @@ _JACOBI_MAX_SWEEPS = 100
 _JACOBI_REL_TOL = 1e-12
 _SYM_REL_TOL = 1e-9
 _U64 = (1 << 64) - 1
-_XS_MULT = 0x2545F4914F6CDD1D
 _U53 = 1.0 / (1 << 53)
-_XS_MULT_NP = np.uint64(_XS_MULT)
-_ONE = np.uint64(1)
-_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
-_BYTE = np.uint64(0xFF)
-# the xorshift64 shifts: x ^= x >> 12, x ^= x << 25, x ^= x >> 27
-_SHIFT_A, _SHIFT_B, _SHIFT_C = np.uint64(12), np.uint64(25), np.uint64(27)
-# states one lane steps through, which is the stride between lane starts;
-# lane starts per application of the jump table (a 128 KiB table); and the
-# most candidate pairs one pass of gaussian_vec draws, which bounds its
-# temporaries to a few MB for any n
-_LANE_LEN = 16
-_JUMP_LANES = 256
+# SplitMix64: the counter's increment gamma (2^64 over the golden ratio)
+# and the multipliers of its mix, with their numpy forms and shifts for
+# the array mix; and the most candidate pairs one pass of gaussian_vec
+# draws, which bounds its temporaries to a few MB for any n
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+_GAMMA_NP, _MIX_A_NP, _MIX_B_NP = np.uint64(_GAMMA), np.uint64(_MIX_A), np.uint64(_MIX_B)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 _PASS_PAIRS = 1 << 14
 
 
@@ -466,33 +456,27 @@ def _pivot(d: float) -> float:
 
 
 class RngStream:
-    """Deterministic scalar random stream (xorshift64* core).
+    """Deterministic scalar random stream (SplitMix64, a counter-based generator).
 
-    Two streams built from the same seed produce bit-identical samples.
-    Gaussian sampling uses the polar method and keeps the spare deviate,
-    so draws come in the same order regardless of sigma. ``sigma == 0``
-    returns exactly 0.0 without consuming state.
+    The state is a counter: output k (k = 1, 2, ...) of ``RngStream(seed)``
+    is mix(seed + k gamma), mod 2^64. Two streams built from the same seed
+    produce bit-identical samples. Gaussian sampling uses the polar method
+    and keeps the spare deviate, so draws come in the same order regardless
+    of sigma. ``sigma == 0`` returns exactly 0.0 without consuming state.
     """
 
     def __init__(self, seed: int):
         seed = int(seed)
         if seed < 0 or seed > _U64:
             raise InvalidInput("seed must fit in an unsigned 64-bit integer")
-        # splitmix64 round decorrelates small consecutive seeds
-        z = (seed + 0x9E3779B97F4A7C15) & _U64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-        z ^= z >> 31
-        self._state = z if z != 0 else 0x9E3779B97F4A7C15
+        self._state = seed
         self._spare = None
 
     def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x ^= (x << 25) & _U64
-        x ^= x >> 27
-        self._state = x
-        return (x * _XS_MULT) & _U64
+        z = self._state = (self._state + _GAMMA) & _U64
+        z = ((z ^ (z >> 30)) * _MIX_A) & _U64
+        z = ((z ^ (z >> 27)) * _MIX_B) & _U64
+        return z ^ (z >> 31)
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
@@ -524,11 +508,13 @@ class RngStream:
         Returns the values, and leaves the state and the spare deviate, that
         ``n`` calls of :meth:`gaussian` would, bit for bit. The draw runs in
         passes of at most ``_PASS_PAIRS`` candidate pairs, each sized from
-        the deviates still needed: the pass's states come from lanes, the
-        scramble, the uniforms and the acceptance test are array operations
-        on the ``(pairs, 2)`` uniforms, and ``math.log`` is taken on the
-        accepted ``s`` only. A pass that accepts too few pairs is followed
-        by another.
+        the deviates still needed. A pass's outputs are the mix of the
+        counters state + k gamma, k = 1 ... 2 pairs, all taken at once in
+        ``uint64`` arrays; the uniforms and the acceptance test are array
+        operations on the ``(pairs, 2)`` uniforms, and ``math.log`` is
+        taken on the accepted ``s`` only. The counter then advances by
+        gamma times the outputs consumed. A pass that accepts too few pairs
+        is followed by another.
         """
         if sigma < 0.0:
             raise InvalidInput("sigma must be nonnegative")
@@ -544,15 +530,23 @@ class RngStream:
             need = (n - i + 1) // 2
             # pi/4 of the candidate pairs are accepted on average
             pairs = min(_PASS_PAIRS, need * 4 // 3 + 32)
-            x = _xorshift_states(self._state, -(-2 * pairs // _LANE_LEN))
-            w = 2.0 * (((x * _XS_MULT_NP) >> np.uint64(11)).astype(float) * _U53) - 1.0
+            z = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+            z *= _GAMMA_NP
+            z += np.uint64(self._state)
+            z ^= z >> _SHIFT_30
+            z *= _MIX_A_NP
+            z ^= z >> _SHIFT_27
+            z *= _MIX_B_NP
+            z ^= z >> _SHIFT_31
+            w = 2.0 * ((z >> _SHIFT_11).astype(float) * _U53) - 1.0
+            del z  # frees the raw outputs before the accepted pairs are gathered
             s = w * w
             s = s[0::2] + s[1::2]
             idx = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
             # the stream stops at the last pair consumed: the pass's last
             # pair when it fell short, else the last accepted pair used
-            self._state = int(x[-1] if idx.size < need else x[2 * idx[-1] + 1])
-            del x  # frees the raw states before the accepted pairs are gathered
+            used = 2 * pairs if idx.size < need else 2 * int(idx[-1]) + 2
+            self._state = (self._state + used * _GAMMA) & _U64
             s = s[idx]
             log_s = np.fromiter(map(math.log, s.tolist()), float, s.size)
             f = np.sqrt(-2.0 * log_s / s)
@@ -564,81 +558,3 @@ class RngStream:
             out[i:i + m] = pair_out.ravel()[:m] * sigma
             i += m
         return out
-
-
-@functools.cache
-def _jump_table() -> np.ndarray:
-    """``(64, _JUMP_LANES)`` table whose column ``k`` is T^(16 (k+1)) applied to each basis bit.
-
-    T is the xorshift step, linear over GF(2), so T^(16 k) x is the XOR of
-    column ``k - 1`` over the set bits of ``x``. Column 0 is the 64 basis
-    bits stepped ``_LANE_LEN`` times. Each later run of ``w`` columns,
-    ``m`` to ``m + w - 1`` with ``w = min(m, 32)``, is T^(16 w), which is
-    column ``w - 1``, applied by :func:`_gf2_apply` to the ``w`` columns
-    before it. Built once, read-only.
-    """
-    table = np.empty((64, _JUMP_LANES), dtype=np.uint64)
-    table[:, 0] = _step_lanes(_ONE << _BIT_SHIFTS)[-1]
-    m = 1
-    while m < _JUMP_LANES:
-        # at most 32 columns at a time keep the temporaries to 16 KiB each
-        w = min(m, 32)
-        table[:, m:m + w] = _gf2_apply(table[:, w - 1], table[:, m - w:m])
-        m += w
-    table.setflags(write=False)
-    return table
-
-
-def _gf2_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The GF(2) map whose image of basis bit ``i`` is ``a[i]``, applied to every ``uint64`` of ``v``.
-
-    The image of ``v`` is the XOR of ``a[i]`` over its set bits, taken a
-    byte at a time: ``by_byte[p, c]`` is the XOR of ``a[8p + j]`` over the
-    set bits ``j`` of the byte value ``c``.
-    """
-    by_byte = np.zeros((8, 256), dtype=np.uint64)
-    a = a.reshape(8, 8)
-    for j in range(8):
-        by_byte[:, 1 << j:2 << j] = by_byte[:, :1 << j] ^ a[:, j:j + 1]
-    out = by_byte[0][v & _BYTE]
-    for p in range(1, 8):
-        out ^= by_byte[p][(v >> np.uint64(8 * p)) & _BYTE]
-    return out
-
-
-def _step_lanes(lane: np.ndarray) -> np.ndarray:
-    """Each xorshift state of the ``uint64`` array ``lane`` stepped ``_LANE_LEN`` times.
-
-    Returns ``(_LANE_LEN, lane.size)`` states: row ``t`` is every lane
-    after ``t + 1`` steps, each row taken from the one before it.
-    """
-    states = np.empty((_LANE_LEN, lane.size), dtype=np.uint64)
-    tmp = np.empty(lane.size, dtype=np.uint64)
-    for row in states:
-        np.right_shift(lane, _SHIFT_A, out=row)
-        row ^= lane
-        np.left_shift(row, _SHIFT_B, out=tmp)
-        row ^= tmp
-        np.right_shift(row, _SHIFT_C, out=tmp)
-        row ^= tmp
-        lane = row
-    return states
-
-
-def _xorshift_states(x: int, lanes: int) -> np.ndarray:
-    """The ``lanes * _LANE_LEN`` xorshift states that follow state ``x``, in order.
-
-    Lane ``j`` starts at T^(16 j) x, the lane starts coming 256 at a time
-    from one masked XOR-reduce of the jump table at the last start before
-    them. All lanes step together ``_LANE_LEN`` times, so lane ``j`` runs
-    through states ``16 j + 1`` to ``16 j + 16`` of the stream, and reading
-    the lanes one after another puts the states in stream order.
-    """
-    table = _jump_table()
-    lane = np.empty(lanes, dtype=np.uint64)
-    lane[0] = x
-    for b in range(0, lanes - 1, _JUMP_LANES):
-        bits = ((lane[b] >> _BIT_SHIFTS) & _ONE) != 0
-        starts = lane[b + 1:b + 1 + _JUMP_LANES]
-        np.bitwise_xor.reduce(table[bits, :starts.size], axis=0, out=starts)
-    return _step_lanes(lane).T.ravel()

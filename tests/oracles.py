@@ -20,10 +20,11 @@ stack of matrices. :func:`jacobi_eigen_one` is the same sweep written for
 one matrix with scalar arithmetic, the reference each member of a stack
 must equal bit for bit.
 
-``attsim.numerics.RngStream.gaussian_vec`` draws its deviates in blocks
-from a jump table, and ``attsim.startracker.generate_catalog`` draws all
-its triples at once. :func:`gaussian_vec_per_draw` is the xorshift step and
-the polar method written out one draw at a time, and
+``attsim.numerics.RngStream.gaussian_vec`` draws its deviates in blocks,
+mixing a whole pass of counters at once, and
+``attsim.startracker.generate_catalog`` draws all its triples at once.
+:func:`gaussian_vec_per_draw` is SplitMix64 and the polar method written
+out on Python ints and floats, one draw at a time, and
 :func:`generate_catalog_per_star` draws one triple per star; each is the
 reference its block counterpart must equal bit for bit, in values, state
 and spare deviate.
@@ -233,9 +234,11 @@ _U64 = (1 << 64) - 1
 
 
 def gaussian_vec_per_draw(rng, sigma, n):
-    """``n`` samples from N(0, sigma^2) off ``rng``, one xorshift step and one polar pair at a time.
+    """``n`` samples from N(0, sigma^2) off ``rng``, one SplitMix64 output and one polar pair at a time.
 
-    Reads and leaves ``rng._state`` and ``rng._spare`` as ``n`` calls of
+    Output k after counter x is mix(x + k gamma), mod 2^64, with gamma and
+    the mix's constants written here, not read from the package. Reads and
+    leaves ``rng._state`` and ``rng._spare`` as ``n`` calls of
     ``rng.gaussian(sigma)`` would.
     """
     if sigma < 0.0:
@@ -249,18 +252,19 @@ def gaussian_vec_per_draw(rng, sigma, n):
         rng._spare = None
         i = 1
     x = rng._state
-    mult, u53 = numerics._XS_MULT, numerics._U53
+    gamma, mult_a, mult_b = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+    u53 = 1.0 / (1 << 53)
     log, sqrt = math.log, math.sqrt
     while i < n:
         while True:
-            x ^= x >> 12
-            x ^= (x << 25) & _U64
-            x ^= x >> 27
-            u = 2.0 * ((((x * mult) & _U64) >> 11) * u53) - 1.0
-            x ^= x >> 12
-            x ^= (x << 25) & _U64
-            x ^= x >> 27
-            v = 2.0 * ((((x * mult) & _U64) >> 11) * u53) - 1.0
+            x = (x + gamma) & _U64
+            z = ((x ^ (x >> 30)) * mult_a) & _U64
+            z = ((z ^ (z >> 27)) * mult_b) & _U64
+            u = 2.0 * (((z ^ (z >> 31)) >> 11) * u53) - 1.0
+            x = (x + gamma) & _U64
+            z = ((x ^ (x >> 30)) * mult_a) & _U64
+            z = ((z ^ (z >> 27)) * mult_b) & _U64
+            v = 2.0 * (((z ^ (z >> 31)) >> 11) * u53) - 1.0
             s = u * u + v * v
             if 0.0 < s < 1.0:
                 break

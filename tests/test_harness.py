@@ -771,9 +771,9 @@ def _passes(monkeypatch, cfg, fail=None, per_step=False, own_transitions=False):
 
 
 # a config whose update segments hold many blocks: skipped epochs, and a
-# record every 7 steps
+# record every 7 steps; seed 2 is the smallest seed whose run skips one
 _LONG_SEGMENTS = dict(duration_s=6.0, tracker_rate_hz=3.0, record_stride=7, fov_half_angle_rad=0.2,
-                      n_cameras=2, aekf_r_scale=0.25, aekf_q_flat=False, seed=1)
+                      n_cameras=2, aekf_r_scale=0.25, aekf_q_flat=False, seed=2)
 
 
 class TestSegmentPass:

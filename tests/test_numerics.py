@@ -758,6 +758,15 @@ class TestRngStream:
         xs = [rng.uniform() for _ in range(10_000)]
         assert min(xs) >= 0.0 and max(xs) < 1.0
 
+    def test_next_u64_is_splitmix64(self):
+        # the published first outputs of SplitMix64 from seed 0
+        rng = RngStream(0)
+        assert [rng.next_u64() for _ in range(3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
     def test_seed_validation(self):
         with pytest.raises(InvalidInput):
             RngStream(-1)
@@ -780,13 +789,11 @@ class TestRngStream:
             if i % 3 == 0:
                 assert a.gaussian(1.0) == b.gaussian(1.0) == c.gaussian(1.0)
 
-        # over 1e7 draws against the oracle: sizes around what one lane of
-        # 16 states yields (about 12 deviates), what 256 states yield (about
-        # 200), where a pass first needs a second application of the jump
-        # table for 256 more lane starts (above 3,036: 4,096 states, about
-        # 3,200 deviates), where a pass first reaches the cap of 16,384
-        # candidate pairs (24,527) and what that capped pass yields (about
-        # 25,700), odd sizes, and draws that take many passes
+        # over 1e7 draws against the oracle: small sizes and sizes around
+        # what 256 counters yield (about 200), the 12,288 deviates of a gyro
+        # window, where a pass first reaches the cap of 16,384 candidate
+        # pairs (24,527) and what that capped pass yields (about 25,700),
+        # odd sizes, and draws that take many passes
         a, b = RngStream(7), RngStream(7)
         sizes = (0, 1, 2, 3, 7, 11, 12, 13, 14, 199, 200, 201, 255, 256, 257, 511, 540,
                  3_036, 3_037, 3_070, 3_217, 12_288, 24_526, 24_527, 24_528,
@@ -806,7 +813,6 @@ class TestRngStream:
     def test_gaussian_vec_temporaries_stay_a_few_mb(self):
         # passes of at most 16,384 candidate pairs bound what a draw holds
         # besides the array it returns, however many deviates it draws
-        numerics._jump_table()
         rng = RngStream(11)
         tracemalloc.start()
         try:

@@ -6,9 +6,13 @@ somewhere in the package outside its own definition, so that a helper a
 deletion leaves behind fails too. An import alone is not a use. A public
 name that only a documented contract uses goes in ``_CONTRACT_ONLY`` with
 the README section that documents it.
+
+The package's ``__version__`` and the ``version`` of ``pyproject.toml``
+are one number, bumped together.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import attsim
@@ -52,3 +56,11 @@ def test_every_public_definition_is_used_in_the_package():
             unused.append(f"{module}:{node.lineno} {name}")
     assert not unused, "definitions that nothing in src/attsim uses: " + ", ".join(unused)
     assert set(_CONTRACT_ONLY) <= {name for _, name, _ in definitions}
+
+
+def test_version_matches_pyproject():
+    # read with a regex: tomllib is not in every Python the project supports
+    text = (_PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    versions = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project, flags=re.MULTILINE)
+    assert versions == [attsim.__version__]
