@@ -345,15 +345,14 @@ def trajectory_omega(t, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
     """Orbit-like angular rate at time ``t`` [s], along ``axis``.
 
     ``t`` is one time (returns a ``(3,)`` rate) or an array of ``n`` times
-    (returns ``(n, 3)``, one rate per row). The cosine is taken with
-    ``math.cos`` element by element, so a rate does not depend on how many
-    times are passed together.
+    (returns ``(n, 3)``, one rate per row). The cosine is ``np.cos``, which
+    gives ``math.cos``'s bits on the phases of an orbit (a test pins this),
+    so a rate does not depend on how many times are passed together.
     """
     times = np.asarray(t, dtype=float)
     if np.any(times < 0.0):
         raise InvalidInput("time must be nonnegative")
-    phase = (times.reshape(-1) / ORBIT_PERIOD_S * 2.0 * math.pi).tolist()
-    mag = -np.fromiter(map(math.cos, phase), float, len(phase)) * (0.5 * math.pi)
+    mag = -np.cos(times.reshape(-1) / ORBIT_PERIOD_S * 2.0 * math.pi) * (0.5 * math.pi)
     rates = mag[:, None] * np.asarray(axis, dtype=float)
     return rates[0] if times.ndim == 0 else rates
 
@@ -445,12 +444,15 @@ def _plan_chunks(cfg: SimConfig, n_stars: int):
         yield np.array(ends), at_epoch, keep, windows
 
 
-def _pad(rates: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _pad(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """A window's ``(n, 3)`` rates as a zero-padded ``(blocks, longest block, 3)`` stack.
 
-    ``rows`` is :func:`attsim.numerics.padded_rows` of the block lengths.
+    ``counts`` are the block lengths; when all are one length the stack is
+    a reshape of ``rates``.
     """
-    return np.concatenate((rates, np.zeros((1, 3))))[rows]
+    if (counts == counts[0]).all():
+        return rates.reshape(len(counts), -1, 3)
+    return np.concatenate((rates, np.zeros((1, 3))))[padded_rows(counts)]
 
 
 def _segments(increments, steps, measured, open_segment):
@@ -592,11 +594,10 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             last = int(ends[hi - 1])
             omega_true = trajectory_omega(np.arange(first, last) * dt + 0.5 * dt, axis)
             gyro = emulate_gyro(omega_true, cfg.sigma_gyro, rng_gyro)
-            rows = padded_rows(steps[lo:hi])
-            truth.append(integrate_quat(q_end, _pad(omega_true, rows), dt))
+            truth.append(integrate_quat(q_end, _pad(omega_true, steps[lo:hi]), dt))
             q_end = truth[-1][-1]
             t0 = time.perf_counter()
-            increments.append(block_increments(_pad(gyro, rows), dt))
+            increments.append(block_increments(_pad(gyro, steps[lo:hi]), dt))
             shared_s += time.perf_counter() - t0
             first = last
         truth = np.concatenate(truth)

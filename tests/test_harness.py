@@ -483,6 +483,16 @@ class TestScenarioPass:
         with pytest.raises(InvalidInput):
             trajectory_omega(np.array([1.0, -1e-9]), axis)
 
+    @pytest.mark.parametrize("n", [3, 8, 100, 4_096, 528_000])
+    def test_numpy_cosine_is_math_cos_over_an_orbit(self, n):
+        # trajectory_omega takes np.cos of a whole window's phases; it must
+        # give math.cos's bits on every step midpoint of a full default
+        # orbit (528,000 steps of 0.01 s), cut into arrays of n phases
+        phase = (np.arange(528_000) * 0.01 + 0.005) / ORBIT_PERIOD_S * 2.0 * math.pi
+        got = np.concatenate([np.cos(phase[i:i + n]) for i in range(0, phase.size, n)])
+        want = np.fromiter(map(math.cos, phase.tolist()), float, phase.size)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 5, 333])
     @pytest.mark.parametrize("spare", [False, True])
     def test_gyro_block_equals_one_step_calls(self, n, spare):
