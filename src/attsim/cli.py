@@ -157,7 +157,7 @@ def _cmd_triad(args) -> int:
 
 
 def _cmd_gen_catalog(args) -> int:
-    catalog = startracker.generate_catalog(args.n, numerics.RngStream(args.seed))
+    catalog = startracker.generate_catalog(args.n, harness.derived_streams(args.seed)[0])
     startracker.save_catalog(catalog, args.out)
     print(f"wrote {args.n} stars to {args.out}", file=sys.stderr)
     return 0

@@ -530,6 +530,19 @@ def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, seg
     return state, q_kept, p_kept, None
 
 
+def derived_streams(seed: int):
+    """A run's catalog, gyro and star streams, ``(catalog, gyro, star)``, derived from ``seed``.
+
+    Each is the ``RngStream`` seeded by one output of ``RngStream(seed)``.
+    Independent streams keep the gyro noise sequence identical when only
+    the star noise settings change (and vice versa), and ``attsim
+    gen-catalog --seed`` draws from the first, so it writes the catalog a
+    run at that seed generates.
+    """
+    root = RngStream(seed)
+    return tuple(RngStream(root.next_u64()) for _ in range(3))
+
+
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Run the simulation: truth, gyro, tracker epochs, both filters, chunk by chunk.
 
@@ -546,12 +559,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     fail earlier.
     """
     cfg.validate()
-    # independent derived sub-streams keep the gyro noise sequence identical
-    # when only the star noise settings change (and vice versa)
-    root = RngStream(cfg.seed)
-    rng_catalog = RngStream(root.next_u64())
-    rng_gyro = RngStream(root.next_u64())
-    rng_star = RngStream(root.next_u64())
+    rng_catalog, rng_gyro, rng_star = derived_streams(cfg.seed)
     if cfg.catalog_path is not None:
         catalog = startracker.load_catalog(cfg.catalog_path)
     else:

@@ -551,6 +551,18 @@ class TestGenCatalog:
         main(["gen-catalog", "--n", "10", "--seed", "4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_is_the_catalog_a_run_at_the_seed_generates(self, tmp_path):
+        # a 10 s run writes the same bytes whether it generates its catalog
+        # or reads the one gen-catalog wrote with the same n and seed
+        cat = tmp_path / "cat.csv"
+        assert main(["gen-catalog", "--n", "120", "--seed", "5", "--out", str(cat)]) == 0
+        for name, extra in (("generated", {}), ("pinned", {"catalog_path": str(cat)})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"duration_s": 10.0, "n_stars": 120, "seed": 5, **extra}))
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / name), "--no-timing"]) == 0
+        for output in ("metrics.json", "timeseries.csv"):
+            assert (tmp_path / "generated" / output).read_bytes() == (tmp_path / "pinned" / output).read_bytes()
+
     def test_directory_as_output_exits_2(self, tmp_path, capsys):
         rc = main(["gen-catalog", "--n", "10", "--seed", "4", "--out", str(tmp_path)])
         err = capsys.readouterr().err
