@@ -5,6 +5,6 @@ star trackers and a gyroscope, comparing an additive and a multiplicative
 extended Kalman filter side by side on an orbit-like trajectory.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from . import attitude, filters, harness, numerics, startracker, wahba  # noqa: F401

@@ -185,16 +185,16 @@ class SimConfig:
         # each sigma enters the run squared. sigma_gyro and sigma_star also
         # add noise to 3-rows whose squared norms the run takes: a true
         # component is at most 2 in magnitude (a rate's is at most pi/2, a
-        # star direction's 1), and a polar-method deviate at most 12.01 sigma
-        # (sqrt(-2 ln s) = 12.007 at its smallest nonzero s, 2^-104), so a
-        # noisy row's squared norm is finite while 3 (2 + 12.01 sigma)^2 is
+        # star direction's 1), and a deviate at most 12.13 sigma (Leva's
+        # |v / u| <= 2 sqrt(-ln u) = 12.122 at the smallest u, 2^-53), so a
+        # noisy row's squared norm is finite while 3 (2 + 12.13 sigma)^2 is
         for name in ("sigma_gyro", "sigma_star", "sigma_meas"):
             sigma = float(getattr(self, name))
             if sigma < 0.0:
                 raise ConfigError(f"{name} must be nonnegative")
             if not math.isfinite(sigma * sigma):
                 raise ConfigError(f"{name} is too large: its square overflows")
-            row = 2.0 + 12.01 * sigma
+            row = 2.0 + 12.13 * sigma
             if name != "sigma_meas" and not math.isfinite(3.0 * row * row):
                 raise ConfigError(f"{name} is too large: the squared norm of a noisy row overflows")
         if self.seed < 0:

@@ -35,27 +35,31 @@ one column rotation turns both; without them, the rotations touch the
 matrix alone.
 
 The random stream is SplitMix64 (Steele, Lea & Flood 2014), with
-Gaussian deviates drawn by the polar (Marsaglia) method. Its state is a
-counter: draw k of ``RngStream(seed)`` is mix(seed + k gamma), mod 2^64,
-so any draw is computed without those before it. The algorithm is part of
-the on-disk contract: changing it would invalidate golden outputs keyed
-by seed. ``RngStream.gaussian`` is its scalar definition.
-``RngStream.gaussian_vec(sigma, n)`` draws the same deviates in blocks,
-and returns, and leaves the stream in, exactly what ``n`` calls of
-``gaussian(sigma)`` would:
+Gaussian deviates drawn by Leva's ratio of uniforms (Kinderman & Monahan
+1977, with Leva's quadratic bounds, 1992). Its state is a counter and
+nothing else: output k of ``RngStream(seed)`` is mix(seed + k gamma), mod
+2^64, so any output is computed without those before it. Candidate k of a
+stream takes outputs 2k - 1 and 2k as ``u = 1 - U1`` in (0, 1] and
+``v = 1.7156 (U2 - 0.5)``; it is accepted inside Leva's inner bound on his
+quadratic Q, rejected outside the outer one, and between them (about 1 %
+of candidates) by the exact test ``v^2 <= -4 u^2 log u``. Each deviate is
+``sigma (v / u)`` of the first accepted candidate after the last one
+consumed. The algorithm is part of the on-disk contract: changing it would
+invalidate golden outputs keyed by seed. ``RngStream.gaussian`` is its
+scalar definition. ``RngStream.gaussian_vec(sigma, n)`` draws the same
+deviates in blocks, and returns, and leaves the counter at, exactly what
+``n`` calls of ``gaussian(sigma)`` would:
 
 - A pass's counters are one ``arange`` times gamma plus the state, and
-  the mix, the uniforms, ``s = u*u + v*v`` and the acceptance test
-  ``0 < s < 1`` are array operations; ``uint64`` arrays wrap as the
-  scalar's ``mod 2^64`` does. ``np.sqrt``, ``*`` and ``/`` are correctly
-  rounded, so they match ``math``.
+  the mix, the uniforms, ``u``, ``v``, Q and both bounds are array
+  operations; ``uint64`` arrays wrap as the scalar's ``mod 2^64`` does.
+  ``+``, ``-``, ``*``, ``/`` and ``abs`` are correctly rounded or exact,
+  so they match the scalar's Python floats.
 - ``np.log`` is not: it differed from ``math.log`` on about 0.35 % of
-  inputs on an AVX-512 host. So ``math.log`` is taken on the accepted
-  ``s`` values only, one Python call each, which makes it the largest
-  part of a draw's cost.
-- The counter left is the one of the last pair consumed, whatever the
-  pass drew beyond it, and when ``n`` leaves half a pair, that pair's
-  ``v*f`` becomes the spare deviate the next draw returns first.
+  inputs on an AVX-512 host. So ``math.log`` is taken on the candidates
+  between the bounds only, one Python call each, about 0.012 per deviate.
+- The counter left is the one of the last candidate consumed, whatever the
+  pass drew beyond it.
 """
 
 import math
@@ -74,14 +78,22 @@ _U64 = (1 << 64) - 1
 _U53 = 1.0 / (1 << 53)
 # SplitMix64: the counter's increment gamma (2^64 over the golden ratio)
 # and the multipliers of its mix, with their numpy forms and shifts for
-# the array mix; and the most candidate pairs one pass of gaussian_vec
-# draws, which bounds its temporaries to a few MB for any n
+# the array mix
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _GAMMA_NP, _MIX_A_NP, _MIX_B_NP = np.uint64(_GAMMA), np.uint64(_MIX_A), np.uint64(_MIX_B)
 _SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
-_PASS_PAIRS = 1 << 14
+# Leva's ratio of uniforms (ACM TOMS 18(4), 1992): the width of the v
+# interval (1.7156 > sqrt(8/e)), the centre (s, t) and coefficients (a, b)
+# of the quadratic Q, and its inner and outer bounds r1 and r2
+_LEVA_V = 1.7156
+_LEVA_S, _LEVA_T = 0.449871, -0.386595
+_LEVA_A, _LEVA_B = 0.19600, 0.25472
+_LEVA_R1, _LEVA_R2 = 0.27597, 0.27846
+# the most candidates one pass of gaussian_vec draws: its temporaries stay
+# in cache (about 0.5 MB) for any n; 2,048 and 8,192 measured slower
+_PASS_CANDIDATES = 1 << 12
 
 
 def padded_rows(counts) -> np.ndarray:
@@ -458,11 +470,13 @@ def _pivot(d: float) -> float:
 class RngStream:
     """Deterministic scalar random stream (SplitMix64, a counter-based generator).
 
-    The state is a counter: output k (k = 1, 2, ...) of ``RngStream(seed)``
-    is mix(seed + k gamma), mod 2^64. Two streams built from the same seed
-    produce bit-identical samples. Gaussian sampling uses the polar method
-    and keeps the spare deviate, so draws come in the same order regardless
-    of sigma. ``sigma == 0`` returns exactly 0.0 without consuming state.
+    The state is a counter, and nothing else: output k (k = 1, 2, ...) of
+    ``RngStream(seed)`` is mix(seed + k gamma), mod 2^64. Two streams built
+    from the same seed produce bit-identical samples. Gaussian sampling is
+    Leva's ratio of uniforms: candidate k takes outputs 2k - 1 and 2k, and
+    each deviate is the first accepted candidate after the one before, so
+    draws come in the same order regardless of sigma. ``sigma == 0``
+    returns exactly 0.0 without consuming state.
     """
 
     def __init__(self, seed: int):
@@ -470,7 +484,6 @@ class RngStream:
         if seed < 0 or seed > _U64:
             raise InvalidInput("seed must fit in an unsigned 64-bit integer")
         self._state = seed
-        self._spare = None
 
     def next_u64(self) -> int:
         z = self._state = (self._state + _GAMMA) & _U64
@@ -483,38 +496,33 @@ class RngStream:
         return (self.next_u64() >> 11) * _U53
 
     def gaussian(self, sigma: float) -> float:
-        """One sample from N(0, sigma^2)."""
+        """One sample from N(0, sigma^2), by Leva's ratio of uniforms."""
         if sigma < 0.0:
             raise InvalidInput("sigma must be nonnegative")
         if sigma == 0.0:
             return 0.0
-        if self._spare is not None:
-            z = self._spare
-            self._spare = None
-            return z * sigma
         while True:
-            u = 2.0 * self.uniform() - 1.0
-            v = 2.0 * self.uniform() - 1.0
-            s = u * u + v * v
-            if 0.0 < s < 1.0:
-                break
-        f = math.sqrt(-2.0 * math.log(s) / s)
-        self._spare = v * f
-        return u * f * sigma
+            u = 1.0 - self.uniform()
+            v = _LEVA_V * (self.uniform() - 0.5)
+            x = u - _LEVA_S
+            y = abs(v) - _LEVA_T
+            q = x * x + y * (_LEVA_A * y - _LEVA_B * x)
+            if q < _LEVA_R1 or (q <= _LEVA_R2 and v * v <= -4.0 * u * u * math.log(u)):
+                return sigma * (v / u)
 
     def gaussian_vec(self, sigma: float, n: int = 3) -> np.ndarray:
         """``n`` samples from N(0, sigma^2).
 
-        Returns the values, and leaves the state and the spare deviate, that
-        ``n`` calls of :meth:`gaussian` would, bit for bit. The draw runs in
-        passes of at most ``_PASS_PAIRS`` candidate pairs, each sized from
-        the deviates still needed. A pass's outputs are the mix of the
-        counters state + k gamma, k = 1 ... 2 pairs, all taken at once in
-        ``uint64`` arrays; the uniforms and the acceptance test are array
-        operations on the ``(pairs, 2)`` uniforms, and ``math.log`` is
-        taken on the accepted ``s`` only. The counter then advances by
-        gamma times the outputs consumed. A pass that accepts too few pairs
-        is followed by another.
+        Returns the values, and leaves the counter, that ``n`` calls of
+        :meth:`gaussian` would, bit for bit. The draw runs in passes of at
+        most ``_PASS_CANDIDATES`` candidates, each sized from the deviates
+        still needed. A pass mixes the counters of its candidates' first
+        outputs (state + (2k - 1) gamma) and second outputs (one gamma on)
+        as the two rows of one ``uint64`` array; the uniforms, ``u``, ``v``,
+        Leva's ``Q`` and both bounds are array operations, and ``math.log``
+        is taken on the candidates between the bounds only. The counter then
+        advances by 2 gamma per candidate consumed. A pass that accepts too
+        few candidates is followed by another.
         """
         if sigma < 0.0:
             raise InvalidInput("sigma must be nonnegative")
@@ -522,39 +530,37 @@ class RngStream:
             return np.zeros(max(n, 0))
         out = np.empty(n)
         i = 0
-        if self._spare is not None:
-            out[0] = self._spare * sigma
-            self._spare = None
-            i = 1
         while i < n:
-            need = (n - i + 1) // 2
-            # pi/4 of the candidate pairs are accepted on average
-            pairs = min(_PASS_PAIRS, need * 4 // 3 + 32)
-            z = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
-            z *= _GAMMA_NP
-            z += np.uint64(self._state)
+            need = n - i
+            # about 73 % of the candidates are accepted
+            cands = min(_PASS_CANDIDATES, need * 11 // 8 + 32)
+            z = np.empty((2, cands), dtype=np.uint64)
+            np.multiply(np.arange(1, 2 * cands, 2, dtype=np.uint64), _GAMMA_NP, out=z[0])
+            z[0] += np.uint64(self._state)
+            np.add(z[0], _GAMMA_NP, out=z[1])
             z ^= z >> _SHIFT_30
             z *= _MIX_A_NP
             z ^= z >> _SHIFT_27
             z *= _MIX_B_NP
             z ^= z >> _SHIFT_31
-            w = 2.0 * ((z >> _SHIFT_11).astype(float) * _U53) - 1.0
-            del z  # frees the raw outputs before the accepted pairs are gathered
-            s = w * w
-            s = s[0::2] + s[1::2]
-            idx = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
-            # the stream stops at the last pair consumed: the pass's last
-            # pair when it fell short, else the last accepted pair used
-            used = 2 * pairs if idx.size < need else 2 * int(idx[-1]) + 2
-            self._state = (self._state + used * _GAMMA) & _U64
-            s = s[idx]
-            log_s = np.fromiter(map(math.log, s.tolist()), float, s.size)
-            f = np.sqrt(-2.0 * log_s / s)
-            pair_out = w.reshape(-1, 2)[idx]
-            pair_out *= f[:, None]
-            m = min(2 * idx.size, n - i)
-            if m < 2 * idx.size:
-                self._spare = float(pair_out[-1, 1])
-            out[i:i + m] = pair_out.ravel()[:m] * sigma
-            i += m
+            w = (z >> _SHIFT_11).astype(float)
+            w *= _U53
+            u = 1.0 - w[0]
+            v = _LEVA_V * (w[1] - 0.5)
+            x = u - _LEVA_S
+            y = np.abs(v) - _LEVA_T
+            q = x * x + y * (_LEVA_A * y - _LEVA_B * x)
+            ok = q < _LEVA_R1
+            band = np.flatnonzero(~ok & (q <= _LEVA_R2))
+            if band.size:
+                ub, vb = u[band], v[band]
+                log_u = np.fromiter(map(math.log, ub.tolist()), float, band.size)
+                ok[band] = vb * vb <= -4.0 * ub * ub * log_u
+            idx = np.flatnonzero(ok)[:need]
+            # the stream stops at the last candidate consumed: the pass's
+            # last when it fell short, else the last accepted one used
+            used = cands if idx.size < need else int(idx[-1]) + 1
+            self._state = (self._state + 2 * used * _GAMMA) & _U64
+            out[i:i + idx.size] = sigma * (v[idx] / u[idx])
+            i += idx.size
         return out

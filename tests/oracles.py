@@ -21,13 +21,17 @@ one matrix with scalar arithmetic, the reference each member of a stack
 must equal bit for bit.
 
 ``attsim.numerics.RngStream.gaussian_vec`` draws its deviates in blocks,
-mixing a whole pass of counters at once, and
+mixing a whole pass of counters at once, testing every candidate against
+Leva's bounds as array operations and taking the logarithm on the
+candidates between the bounds only, and
 ``attsim.startracker.generate_catalog`` draws all its triples at once.
-:func:`gaussian_vec_per_draw` is SplitMix64 and the polar method written
-out on Python ints and floats, one draw at a time, and
-:func:`generate_catalog_per_star` draws one triple per star; each is the
-reference its block counterpart must equal bit for bit, in values, state
-and spare deviate.
+:func:`gaussian_vec_per_draw` is SplitMix64 and Leva's ratio of uniforms
+written out on Python ints and floats, one candidate at a time: candidate
+k takes outputs 2k - 1 and 2k, and the logarithm is taken only between
+the two bounds, as the scalar definition takes it.
+:func:`generate_catalog_per_star` draws one triple per star. Each is the
+reference its block counterpart must equal bit for bit, in values and in
+the counter it leaves.
 
 ``attsim.filters`` propagates each filter's covariance across a block, or
 an update segment of blocks, in closed form: the exact transition of the
@@ -234,11 +238,14 @@ _U64 = (1 << 64) - 1
 
 
 def gaussian_vec_per_draw(rng, sigma, n):
-    """``n`` samples from N(0, sigma^2) off ``rng``, one SplitMix64 output and one polar pair at a time.
+    """``n`` samples from N(0, sigma^2) off ``rng``, one SplitMix64 output and one Leva candidate at a time.
 
-    Output k after counter x is mix(x + k gamma), mod 2^64, with gamma and
-    the mix's constants written here, not read from the package. Reads and
-    leaves ``rng._state`` and ``rng._spare`` as ``n`` calls of
+    Output k after counter x is mix(x + k gamma), mod 2^64; a candidate
+    takes two outputs as ``u = 1 - U1`` and ``v = 1.7156 (U2 - 0.5)`` and
+    is kept by Leva's quadratic bounds and, between them, the exact test
+    ``v^2 <= -4 u^2 log u``; its deviate is ``sigma (v / u)``. Gamma, the
+    mix's multipliers and Leva's constants are written here, not read from
+    the package. Reads and leaves ``rng._state`` as ``n`` calls of
     ``rng.gaussian(sigma)`` would.
     """
     if sigma < 0.0:
@@ -246,35 +253,27 @@ def gaussian_vec_per_draw(rng, sigma, n):
     if sigma == 0.0 or n <= 0:
         return np.zeros(max(n, 0))
     out = [0.0] * n
-    i = 0
-    if rng._spare is not None:
-        out[0] = rng._spare * sigma
-        rng._spare = None
-        i = 1
     x = rng._state
     gamma, mult_a, mult_b = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
     u53 = 1.0 / (1 << 53)
-    log, sqrt = math.log, math.sqrt
-    while i < n:
+    s, t, a, b, r1, r2 = 0.449871, -0.386595, 0.19600, 0.25472, 0.27597, 0.27846
+    log = math.log
+    for i in range(n):
         while True:
             x = (x + gamma) & _U64
             z = ((x ^ (x >> 30)) * mult_a) & _U64
             z = ((z ^ (z >> 27)) * mult_b) & _U64
-            u = 2.0 * (((z ^ (z >> 31)) >> 11) * u53) - 1.0
+            u = 1.0 - ((z ^ (z >> 31)) >> 11) * u53
             x = (x + gamma) & _U64
             z = ((x ^ (x >> 30)) * mult_a) & _U64
             z = ((z ^ (z >> 27)) * mult_b) & _U64
-            v = 2.0 * (((z ^ (z >> 31)) >> 11) * u53) - 1.0
-            s = u * u + v * v
-            if 0.0 < s < 1.0:
+            v = 1.7156 * (((z ^ (z >> 31)) >> 11) * u53 - 0.5)
+            dx = u - s
+            dy = abs(v) - t
+            q = dx * dx + dy * (a * dy - b * dx)
+            if q < r1 or (q <= r2 and v * v <= -4.0 * u * u * log(u)):
                 break
-        f = sqrt(-2.0 * log(s) / s)
-        out[i] = u * f * sigma
-        if i + 1 < n:
-            out[i + 1] = v * f * sigma
-        else:
-            rng._spare = v * f
-        i += 2
+        out[i] = sigma * (v / u)
     rng._state = x
     return np.array(out)
 

@@ -494,17 +494,17 @@ class TestScenarioPass:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 333])
-    @pytest.mark.parametrize("spare", [False, True])
-    def test_gyro_block_equals_one_step_calls(self, n, spare):
+    @pytest.mark.parametrize("after_a_draw", [False, True])
+    def test_gyro_block_equals_one_step_calls(self, n, after_a_draw):
         a, b = RngStream(77), RngStream(77)
-        if spare:  # start the block with a spare deviate waiting
+        if after_a_draw:  # start the block with the counter mid-stream
             assert a.gaussian(1.0) == b.gaussian(1.0)
         rates = trajectory_omega(np.arange(n) * 0.01 + 0.005, (0.0, 0.0, 1.0))
         got = emulate_gyro(rates, 1e-3, a)
         want = np.array([emulate_gyro(w, 1e-3, b) for w in rates])
         assert got.shape == (n, 3)
         assert _same_bits(got, want)
-        assert (a._state, a._spare) == (b._state, b._spare)
+        assert a._state == b._state
         assert np.array_equal(emulate_gyro(rates, 0.0, a), rates)
 
     @pytest.mark.parametrize(
@@ -781,9 +781,9 @@ def _passes(monkeypatch, cfg, fail=None, per_step=False, own_transitions=False):
 
 
 # a config whose update segments hold many blocks: skipped epochs, and a
-# record every 7 steps; seed 2 is the smallest seed whose run skips one
+# record every 7 steps; seed 1 is the smallest seed whose run skips one
 _LONG_SEGMENTS = dict(duration_s=6.0, tracker_rate_hz=3.0, record_stride=7, fov_half_angle_rad=0.2,
-                      n_cameras=2, aekf_r_scale=0.25, aekf_q_flat=False, seed=2)
+                      n_cameras=2, aekf_r_scale=0.25, aekf_q_flat=False, seed=1)
 
 
 class TestSegmentPass:

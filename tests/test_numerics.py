@@ -771,11 +771,24 @@ class TestRngStream:
         with pytest.raises(InvalidInput):
             RngStream(-1)
 
+    def test_gaussian_first_deviates_are_pinned(self):
+        # outputs 1 and 2 of seed 0 give u = 1 - U1 = 0.11669 and
+        # v = 1.7156 (U2 - 0.5) = -0.11747, inside Leva's inner bound, so
+        # the first deviate is v / u; five deviates take six candidates
+        rng = RngStream(0)
+        assert [rng.gaussian(1.0) for _ in range(5)] == [
+            -1.0066962198062825,
+            -0.33149311496077105,
+            0.5639113319125546,
+            1.028095575317619,
+            0.7420163896206612,
+        ]
+        assert rng._state == 12 * 0x9E3779B97F4A7C15 % 2**64
+
     def test_gaussian_vec_is_the_per_draw_stream(self):
-        # interleaved with single draws, so each call starts with and
-        # without a spare deviate, and ends with and without leaving one;
-        # the per-draw oracle is checked against gaussian() here and the
-        # block generator against both
+        # interleaved with single draws, so each call starts mid-stream,
+        # with each sigma; the per-draw oracle is checked against gaussian()
+        # here and the block generator against both
         a, b, c = RngStream(2024), RngStream(2024), RngStream(2024)
         sizes = (1, 2, 3, 7, 533, 1, 1, 3, 2, 7, 533, 0, 2, 3)
         for i, n in enumerate(sizes * 3):
@@ -785,18 +798,20 @@ class TestRngStream:
             want = np.array([b.gaussian(sigma) for _ in range(n)])
             assert got.shape == (n,)
             assert got.tobytes() == want.tobytes() == oracle.tobytes()
-            assert (a._state, a._spare) == (b._state, b._spare) == (c._state, c._spare)
+            assert a._state == b._state == c._state
             if i % 3 == 0:
                 assert a.gaussian(1.0) == b.gaussian(1.0) == c.gaussian(1.0)
 
-        # over 1e7 draws against the oracle: small sizes and sizes around
-        # what 256 counters yield (about 200), the 12,288 deviates of a gyro
-        # window, where a pass first reaches the cap of 16,384 candidate
-        # pairs (24,527) and what that capped pass yields (about 25,700),
-        # odd sizes, and draws that take many passes
+        # over 1e7 draws against the oracle: small sizes, sizes around what
+        # 256 counters yield (about 200), where a pass first reaches the cap
+        # of 4,096 candidates (2,956) and what that capped pass yields
+        # (about 2,990), one and two capped passes' worth, the 12,288
+        # deviates of a gyro window, older pass boundaries, odd sizes, and
+        # draws that take many passes
         a, b = RngStream(7), RngStream(7)
         sizes = (0, 1, 2, 3, 7, 11, 12, 13, 14, 199, 200, 201, 255, 256, 257, 511, 540,
-                 3_036, 3_037, 3_070, 3_217, 12_288, 24_526, 24_527, 24_528,
+                 2_955, 2_956, 2_957, 2_990, 2_993, 2_996, 3_036, 3_037, 3_070, 3_217,
+                 4_095, 4_096, 4_097, 5_985, 5_986, 5_987, 12_288, 24_526, 24_527, 24_528,
                  25_735, 25_736, 25_737, 32_767, 32_768, 32_769, 65_537, 1_000_001, 2_000_003)
         drawn = 0
         for i, n in enumerate(sizes * 5):
@@ -804,14 +819,49 @@ class TestRngStream:
             got = a.gaussian_vec(sigma, n)
             want = gaussian_vec_per_draw(b, sigma, n)
             assert got.tobytes() == want.tobytes(), (i, n, sigma)
-            assert (a._state, a._spare) == (b._state, b._spare), (i, n, sigma)
+            assert a._state == b._state, (i, n, sigma)
             if i % 4 == 0:
                 assert a.gaussian(1.0) == b.gaussian(1.0)
             drawn += n if sigma else 0
         assert drawn >= 10_000_000
 
+    def test_leva_bounds_squeeze_the_exact_test(self):
+        # on 1e6 candidates spread over the whole (u, v) rectangle: every
+        # candidate inside the inner bound passes the exact test and none
+        # outside the outer bound does, so the log is needed only between
+        # them, where about 1 % of the candidates fall
+        w = np.random.default_rng(27).random((2, 1_000_000))
+        u = 1.0 - w[0]
+        v = numerics._LEVA_V * (w[1] - 0.5)
+        x = u - numerics._LEVA_S
+        y = np.abs(v) - numerics._LEVA_T
+        q = x * x + y * (numerics._LEVA_A * y - numerics._LEVA_B * x)
+        log_u = np.fromiter(map(math.log, u.tolist()), float, u.size)
+        exact = v * v <= -4.0 * u * u * log_u
+        inner, outer = q < numerics._LEVA_R1, q > numerics._LEVA_R2
+        assert exact[inner].all()
+        assert not exact[outer].any()
+        band = ~inner & ~outer
+        assert 0.005 < band.mean() < 0.015, band.mean()
+        assert exact[band].any() and not exact[band].all()
+        assert 0.72 < exact.mean() < 0.74  # sqrt(pi / 2) / 1.7156 = 0.7306
+
+    def test_gaussian_vec_is_normal(self):
+        # 1e6 draws: the Kolmogorov-Smirnov distance to Phi is below its
+        # 0.1 % critical value 1.95 / sqrt(n), and the counts beyond 3 and 4
+        # sigma (2,700 and 63 expected) are within 5 binomial standard
+        # deviations (260 and 40)
+        n = 1_000_000
+        xs = np.sort(RngStream(2027).gaussian_vec(1.0, n))
+        phi = 0.5 * (1.0 + np.fromiter(map(math.erf, (xs / math.sqrt(2.0)).tolist()), float, n))
+        ks = max((np.arange(1, n + 1) / n - phi).max(), (phi - np.arange(n) / n).max())
+        assert ks < 1.95 / math.sqrt(n), ks
+        tails = np.abs(xs)
+        assert abs(int((tails > 3.0).sum()) - 2_700) <= 260
+        assert abs(int((tails > 4.0).sum()) - 63) <= 40
+
     def test_gaussian_vec_temporaries_stay_a_few_mb(self):
-        # passes of at most 16,384 candidate pairs bound what a draw holds
+        # passes of at most 4,096 candidates bound what a draw holds
         # besides the array it returns, however many deviates it draws
         rng = RngStream(11)
         tracemalloc.start()
@@ -820,4 +870,4 @@ class TestRngStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= 3 * 2**20, peak - out.nbytes
+        assert peak - out.nbytes <= 2**20, peak - out.nbytes
