@@ -117,7 +117,7 @@ def observe_one_epoch(q_true, catalog, cams, sigma_star, rng):
 
     The array path ``attsim.startracker.observe`` had for one attitude
     before it took a stack of epochs; the stacked path must equal it bit
-    for bit, epoch after epoch, in rows, order, stream state and spare.
+    for bit, epoch after epoch, in rows, order and the counter it leaves.
     """
     body = catalog.stars @ quat_to_matrix(q_true).T
     bs, rs = [], []
