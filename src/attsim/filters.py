@@ -1,7 +1,7 @@
 """The two recursive attitude estimators under comparison.
 
 Additive EKF (AEKF)
-    The state is the raw 4-component quaternion with a 4x4 covariance.
+    A :class:`FilterState` holds the raw quaternion and a 4x4 covariance.
     Prediction propagates the quaternion through the exact kinematic steps,
     renormalizing once per block. The map ``q <- M q`` of a block's
     increment M is linear in q, and its matrix, the left Hamilton-product
@@ -104,27 +104,11 @@ class NoiseParams:
 
 
 @dataclass
-class AekfState:
-    """Quaternion state and 4x4 covariance."""
+class FilterState:
+    """The AEKF's quaternion and 4x4 covariance, or the MEKF's unit reference and 3x3 error covariance."""
 
     q: np.ndarray
     p: np.ndarray
-
-
-@dataclass
-class MekfState:
-    """Unit reference quaternion and 3x3 covariance of the attitude error."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-
-def aekf_init(q0, p0) -> AekfState:
-    return AekfState(q=np.asarray(q0, dtype=float).copy(), p=np.asarray(p0, dtype=float).copy())
-
-
-def mekf_init(q0, p0) -> MekfState:
-    return MekfState(q=np.asarray(q0, dtype=float).copy(), p=np.asarray(p0, dtype=float).copy())
 
 
 def _rotations(m) -> np.ndarray:
@@ -188,7 +172,7 @@ def _propagate(p: np.ndarray, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
     return x if x.ndim == 3 else x[None]
 
 
-def aekf_predict(s: AekfState, m, phi, n, dt: float, noise: NoiseParams):
+def aekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
     """Propagate the AEKF across k blocks of gyro steps of one update segment.
 
     ``s.q`` is the attitude before the blocks and ``s.p`` the covariance at
@@ -211,7 +195,7 @@ def aekf_predict(s: AekfState, m, phi, n, dt: float, noise: NoiseParams):
     return path, _propagate(s.p, phi, q)
 
 
-def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
+def aekf_update(s: FilterState, q_meas, r4) -> FilterState:
     """Fuse a measured quaternion with H = I and renormalize the result.
 
     The measurement is sign-aligned to the current estimate first, so q
@@ -233,10 +217,10 @@ def aekf_update(s: AekfState, q_meas, r4) -> AekfState:
     if dot < 0.0 or (dot == 0.0 and (mw, mz, my, mx) < (0.0, 0.0, 0.0, 0.0)):
         mx, my, mz, mw = -mx, -my, -mz, -mw
     (kx, ky, kz, kw), p = kalman_update4(s.p, r4, (mx - ex, my - ey, mz - ez, mw - ew))
-    return AekfState(q=np.array(_unit(ex + kx, ey + ky, ez + kz, ew + kw)), p=np.array(p))
+    return FilterState(q=np.array(_unit(ex + kx, ey + ky, ez + kz, ew + kw)), p=np.array(p))
 
 
-def mekf_predict(s: MekfState, m, phi, n, dt: float, noise: NoiseParams):
+def mekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
     """Propagate the MEKF reference and error covariance across k blocks of one update segment.
 
     ``s``, ``m``, ``phi`` and ``n`` are as for :func:`aekf_predict`, with
@@ -249,7 +233,7 @@ def mekf_predict(s: MekfState, m, phi, n, dt: float, noise: NoiseParams):
     return quat_path(s.q, m), _propagate(s.p, phi, var * _I3)
 
 
-def mekf_update(s: MekfState, q_meas, r3) -> MekfState:
+def mekf_update(s: FilterState, q_meas, r3) -> FilterState:
     """Fuse a measured quaternion multiplicatively, then reset.
 
     The innovation is twice the Gibbs vector of the error quaternion
@@ -266,4 +250,4 @@ def mekf_update(s: MekfState, q_meas, r3) -> MekfState:
     gx, gy, gz = _gibbs(*_hamilton(*_components(q_meas), -rx, -ry, -rz, rw))
     (ax, ay, az), p = kalman_update3(s.p, r3, (2.0 * gx, 2.0 * gy, 2.0 * gz))
     dq = _unit(ax, ay, az, 2.0)
-    return MekfState(q=np.array(_unit(*_hamilton(*dq, rx, ry, rz, rw))), p=np.array(p))
+    return FilterState(q=np.array(_unit(*_hamilton(*dq, rx, ry, rz, rw))), p=np.array(p))

@@ -85,12 +85,11 @@ from . import startracker
 from .attitude import _hamilton, block_increments, error_angle, integrate_quat
 from .errors import ConfigError, InvalidInput, NumericalFailure, UnderdeterminedAttitude
 from .filters import (
+    FilterState,
     NoiseParams,
-    aekf_init,
     aekf_predict,
     aekf_transitions,
     aekf_update,
-    mekf_init,
     mekf_predict,
     mekf_transitions,
     mekf_update,
@@ -197,6 +196,16 @@ class SimConfig:
             row = 2.0 + 12.13 * sigma
             if name != "sigma_meas" and not math.isfinite(3.0 * row * row):
                 raise ConfigError(f"{name} is too large: the squared norm of a noisy row overflows")
+        # a gyro step turns by at most sqrt(3) (pi/2 + 12.13 sigma_gyro) dt, and
+        # the covariances grow by at most n (sigma_gyro dt)^2 in a run. Each
+        # entry of Phi P Phi^T sums 16 terms of at most max|P| (|Phi_ij| <= 1):
+        # 16 bounds its partial sums, and the doubling in the symmetrizing
+        # average and in S = P + R
+        if not math.isfinite(math.sqrt(3.0) * (0.5 * math.pi + 12.13 * self.sigma_gyro) / self.gyro_rate_hz):
+            raise ConfigError("sigma_gyro and gyro_rate_hz: the largest gyro step angle overflows")
+        per_step = self.sigma_gyro / self.gyro_rate_hz
+        if not math.isfinite(16.0 * self.duration_s * self.gyro_rate_hz * per_step * per_step):
+            raise ConfigError("duration_s, gyro_rate_hz and sigma_gyro: the run's process variance overflows")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         x, y, z = (float(v) for v in self.axis)
@@ -497,8 +506,8 @@ def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, seg
     filter after each block; the last is then updated with the quaternion
     ``measured[hi - 1]`` (with covariance ``r``) unless it is None. Block
     ``i`` is snapshotted if ``keep[i]``, after its update if it has one.
-    Returns the filter to carry into the next chunk, in the form of
-    ``state``; the snapshots' quaternions ``(n_keep, 4)`` and covariances
+    Returns the filter to carry into the next chunk, a ``FilterState``;
+    the snapshots' quaternions ``(n_keep, 4)`` and covariances
     ``(n_keep, d, d)``; and None. If an update raises NumericalFailure, the
     pass stops at that block and the last item is ``(i, exception)``.
     """
@@ -507,7 +516,7 @@ def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, seg
     j = 0
     for lo, hi in segments:
         quats, covs = predict(state, increments[lo:hi], phi[lo:hi], counts[lo:hi], dt, noise)
-        after = type(state)(quats[-1], covs[-1])
+        after = FilterState(quats[-1], covs[-1])
         q_meas = measured[hi - 1]
         if q_meas is not None:
             try:
@@ -526,7 +535,7 @@ def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, seg
             q_kept[j] = after.q
             p_kept[j] = after.p
             j += 1
-        state = after if q_meas is not None else type(state)(after.q, state.p)
+        state = after if q_meas is not None else FilterState(after.q, state.p)
     return state, q_kept, p_kept, None
 
 
@@ -575,8 +584,8 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     noise = NoiseParams(sigma_v=cfg.sigma_gyro * math.sqrt(dt), aekf_q_flat=cfg.aekf_q_flat)
 
     q_end = np.array([0.0, 0.0, 0.0, 1.0])  # truth at the end of the last block built
-    aekf = aekf_init(q_end, _P0_ATTITUDE * np.eye(4))
-    mekf = mekf_init(q_end, _P0_ATTITUDE * np.eye(3))
+    aekf = FilterState(q_end, _P0_ATTITUDE * np.eye(4))
+    mekf = FilterState(q_end, _P0_ATTITUDE * np.eye(3))
     open_segment = _NO_SEGMENT
 
     records = []  # per chunk, a tuple of RunResult's record columns in field order

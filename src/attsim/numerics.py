@@ -191,6 +191,9 @@ def _off_norms(a: np.ndarray, pairs) -> np.ndarray:
     return np.sqrt(2.0 * acc)
 
 
+# at a tiny pivot theta = (a_qq - a_pp) / (2 a_pq) and its square may
+# overflow to inf; t is then 0, the right limit, so the warning is noise
+@np.errstate(over="ignore")
 def _jacobi_sweep(a: np.ndarray, vectors: bool, peak: np.ndarray):
     """The cyclic Jacobi sweep, vectorized over a checked stack ``a`` whose members' max|M| is ``peak``.
 

@@ -82,7 +82,7 @@ import attsim.numerics as numerics
 import attsim.wahba as wahba
 from attsim.attitude import integrate_quat, quat_mul, quat_to_matrix
 from attsim.errors import InvalidInput, NumericalFailure, UnderdeterminedAttitude
-from attsim.filters import AekfState
+from attsim.filters import FilterState
 from attsim.numerics import jacobi_eigen_sym
 from attsim.startracker import ObservationSet, StarCatalog, is_visible, row_norms
 
@@ -488,7 +488,7 @@ def predict_per_step(state, rates, dt: float, noise):
     noise ``sigma_v^2 dt I``, or for the AEKF with ``aekf_q_flat`` false
     ``0.25 sigma_v^2 dt (I - q q^T)`` at the attitude q after the step.
     """
-    aekf = isinstance(state, AekfState)
+    aekf = len(state.p) == 4
     kinematic = aekf and not noise.aekf_q_flat
     rates = np.asarray(rates, dtype=float).reshape(-1, 3)
     per_step = noise.sigma_v * noise.sigma_v * dt
@@ -501,7 +501,7 @@ def predict_per_step(state, rates, dt: float, noise):
         if kinematic:
             qn = 0.25 * per_step * (np.eye(4) - np.outer(q, q))
         p = symmetrize(phi @ p @ phi.T + qn)
-    return type(state)(q, p)
+    return FilterState(q, p)
 
 
 def estimate_per_step(rates, state, predict, update, r, dt, noise, phi, increments, counts, segments, measured,

@@ -37,7 +37,7 @@ print(hashlib.sha256(block_increments(w, 0.01).tobytes()).hexdigest())
 _UPDATES = """
 import hashlib
 import numpy as np
-from attsim.filters import AekfState, MekfState, aekf_update, mekf_update
+from attsim.filters import FilterState, aekf_update, mekf_update
 rng = np.random.default_rng(23)
 h = hashlib.sha256()
 def spd(n, scale):
@@ -48,8 +48,8 @@ def unit(v):
 for _ in range(200):
     q = unit(rng.standard_normal(4))
     meas = unit(q + 0.01 * rng.standard_normal(4))
-    a = aekf_update(AekfState(q=q, p=spd(4, 1e-6)), meas, spd(4, 1e-6))
-    m = mekf_update(MekfState(q=q, p=spd(3, 1e-6)), meas, spd(3, 1e-6))
+    a = aekf_update(FilterState(q=q, p=spd(4, 1e-6)), meas, spd(4, 1e-6))
+    m = mekf_update(FilterState(q=q, p=spd(3, 1e-6)), meas, spd(3, 1e-6))
     for x in (a.q, a.p, m.q, m.p):
         h.update(x.tobytes())
 print(h.hexdigest())

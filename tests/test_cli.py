@@ -130,13 +130,30 @@ class TestRunCommand:
             # finite squares, but a noisy gyro or star row's squared norm overflows
             ({"sigma_gyro": 1e154}, "sigma_gyro"),
             ({"sigma_star": 5e153}, "sigma_star"),
+            # the run's process variance (sigma_gyro dt)^2 overflows
+            ({"gyro_rate_hz": 1e-200, "tracker_rate_hz": 1e-200, "duration_s": 3e200}, "gyro_rate_hz"),
+            # the largest gyro step angle |omega| dt overflows
+            (
+                {
+                    "gyro_rate_hz": 2.8191573663942887e-203,
+                    "duration_s": 3.0365052447451173e203,
+                    "tracker_rate_hz": 4.574989672476562e-204,
+                    "sigma_gyro": 6.367075697493627e132,
+                    "sigma_star": 6.006169396344262e-203,
+                    "sigma_meas": 0.0,
+                    "aekf_r_scale": 1.6359988309001057e-100,
+                },
+                "gyro_rate_hz",
+            ),
         ],
     )
     def test_sigma_whose_square_overflows_exits_2(self, tmp_path, capsys, config, name):
         # each sigma enters the run squared: such a sigma_star used to skip
         # every epoch and exit 0, the others to fail deep in the run, after
         # numpy overflow warnings. A noisy row of sigma_gyro 1e154 used to
-        # end in "P entries must be finite", one of sigma_star 5e153 to exit 0
+        # end in "P entries must be finite", one of sigma_star 5e153 to exit 0.
+        # The two gyro steps that overflow used to warn and end in "P entries
+        # must be finite" after the whole scenario pass
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"duration_s": 2.0, **config}))
         with warnings.catch_warnings(record=True) as caught:

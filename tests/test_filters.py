@@ -13,14 +13,11 @@ from attsim.attitude import (
 )
 from attsim.errors import GibbsSingularity, InvalidInput, NumericalFailure
 from attsim.filters import (
-    AekfState,
-    MekfState,
+    FilterState,
     NoiseParams,
-    aekf_init,
     aekf_predict,
     aekf_transitions,
     aekf_update,
-    mekf_init,
     mekf_predict,
     mekf_transitions,
     mekf_update,
@@ -43,12 +40,17 @@ def _psd(rng, n, scale=1.0):
     return scale * (m @ m.T) / n + 1e-9 * np.eye(n)
 
 
+def _is_mekf(s):
+    """Whether ``s`` is an MEKF state: its covariance is 3x3, an AEKF's 4x4."""
+    return len(s.p) == 3
+
+
 def _predict_fn(s):
-    return mekf_predict if isinstance(s, MekfState) else aekf_predict
+    return mekf_predict if _is_mekf(s) else aekf_predict
 
 
 def _transitions_fn(s):
-    return mekf_transitions if isinstance(s, MekfState) else aekf_transitions
+    return mekf_transitions if _is_mekf(s) else aekf_transitions
 
 
 def predict_from_start(s, m, steps, dt, noise):
@@ -65,7 +67,7 @@ def predict_from_start(s, m, steps, dt, noise):
 def predict_segment(s, w, steps, dt, noise):
     """One predict across a segment of blocks of rates ``(k, L, 3)``; the state after its last block."""
     quats, covs = predict_from_start(s, block_increments(w, dt).tolist(), steps, dt, noise)
-    return type(s)(quats[-1], covs[-1])
+    return FilterState(quats[-1], covs[-1])
 
 
 def predict_rates(s, omegas, dt, noise):
@@ -85,7 +87,7 @@ def predict_blocks_prebuilt(s, w, steps, dt, noise):
     predict = _predict_fn(s)
     for b, m in enumerate(increments):
         quats, covs = predict(s, [m], phi[b:b + 1], [steps[b]], dt, noise)
-        s = type(s)(quats[-1], covs[-1])
+        s = FilterState(quats[-1], covs[-1])
     return s
 
 
@@ -110,7 +112,7 @@ def mekf_build_matrices(noise: NoiseParams, omega, dt: float):
 
 def _identity_starts():
     """An AEKF and an MEKF at the identity attitude with covariance 1e-4 I."""
-    return aekf_init(identity_quat(), 1e-4 * np.eye(4)), mekf_init(identity_quat(), 1e-4 * np.eye(3))
+    return FilterState(identity_quat(), 1e-4 * np.eye(4)), FilterState(identity_quat(), 1e-4 * np.eye(3))
 
 
 def _expm(a, terms=25):
@@ -126,7 +128,7 @@ def _expm(a, terms=25):
 class TestAekfPredict:
     def test_quiet_is_noop(self):
         rng = RngStream(50)
-        s = aekf_init(random_unit_quat(rng), _psd(rng, 4))
+        s = FilterState(random_unit_quat(rng), _psd(rng, 4))
         s2 = predict_rates(s, np.zeros(3), DT, _quiet())
         assert np.allclose(s2.q, s.q)
         assert np.allclose(s2.p, s.p)
@@ -134,7 +136,7 @@ class TestAekfPredict:
     @pytest.mark.parametrize("flat", [False, True])
     def test_process_noise_grows_trace(self, flat):
         rng = RngStream(51)
-        s = aekf_init(random_unit_quat(rng), _psd(rng, 4))
+        s = FilterState(random_unit_quat(rng), _psd(rng, 4))
         noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=flat)
         s2 = predict_rates(s, np.zeros(3), DT, noise)
         assert np.trace(s2.p) > np.trace(s.p)
@@ -169,7 +171,7 @@ class TestAekfPredict:
         # attitude after the block and zero along it
         rng = RngStream(53)
         q = random_unit_quat(rng)
-        s = aekf_init(q, np.zeros((4, 4)))
+        s = FilterState(q, np.zeros((4, 4)))
         noise = NoiseParams(sigma_v=2e-2, aekf_q_flat=False)
         rates = 0.8 * np.array([random_unit_vec(rng) for _ in range(7)])
         s2 = predict_rates(s, rates, DT, noise)
@@ -178,7 +180,7 @@ class TestAekfPredict:
         assert np.max(np.abs(s2.p @ s2.q)) <= 1e-19
 
     def test_rejects_bad_dt(self):
-        s = aekf_init(identity_quat(), np.eye(4))
+        s = FilterState(identity_quat(), np.eye(4))
         for dt in (0.0, -1.0):
             with pytest.raises(InvalidInput):
                 aekf_predict(s, [identity_quat()], aekf_transitions([identity_quat()]), [1], dt, _quiet())
@@ -188,7 +190,7 @@ class TestAekfUpdate:
     def test_zero_residual_keeps_state_shrinks_p(self):
         rng = RngStream(55)
         q = random_unit_quat(rng)
-        s = AekfState(q=q, p=_psd(rng, 4))
+        s = FilterState(q=q, p=_psd(rng, 4))
         s2 = aekf_update(s, q.copy(), 1e-4 * np.eye(4))
         assert error_angle(s2.q, q) <= 1e-12
         assert np.trace(s2.p) < np.trace(s.p)
@@ -199,8 +201,8 @@ class TestAekfUpdate:
         meas = quat_mul(axis_angle_quat([1.0, 0, 0], 0.02), q)
         p0 = _psd(rng, 4)
         r4 = 1e-4 * np.eye(4)
-        plus = aekf_update(AekfState(q=q.copy(), p=p0.copy()), meas, r4)
-        minus = aekf_update(AekfState(q=q.copy(), p=p0.copy()), -meas, r4)
+        plus = aekf_update(FilterState(q=q.copy(), p=p0.copy()), meas, r4)
+        minus = aekf_update(FilterState(q=q.copy(), p=p0.copy()), -meas, r4)
         assert np.array_equal(plus.q, minus.q)
         assert np.array_equal(plus.p, minus.p)
 
@@ -215,8 +217,8 @@ class TestAekfUpdate:
             meas = np.array([-y, x, -w, z])
             assert -y * x + x * y + -w * z + z * w == 0.0
             p0 = _psd(rng, 4)
-            plus = aekf_update(AekfState(q=q.copy(), p=p0.copy()), meas, r4)
-            minus = aekf_update(AekfState(q=q.copy(), p=p0.copy()), -meas, r4)
+            plus = aekf_update(FilterState(q=q.copy(), p=p0.copy()), meas, r4)
+            minus = aekf_update(FilterState(q=q.copy(), p=p0.copy()), -meas, r4)
             assert plus.q.tobytes() == minus.q.tobytes()
             assert plus.p.tobytes() == minus.p.tobytes()
 
@@ -224,7 +226,7 @@ class TestAekfUpdate:
         rng = RngStream(57)
         q = random_unit_quat(rng)
         meas = quat_mul(axis_angle_quat([0.0, 1.0, 0], 0.3), q)
-        s2 = aekf_update(AekfState(q=q.copy(), p=np.eye(4)), meas, 1e12 * np.eye(4))
+        s2 = aekf_update(FilterState(q=q.copy(), p=np.eye(4)), meas, 1e12 * np.eye(4))
         assert error_angle(s2.q, q) <= 1e-9
 
     def test_norm_restored(self):
@@ -232,12 +234,12 @@ class TestAekfUpdate:
         for _ in range(50):
             q = random_unit_quat(rng)
             meas = random_unit_quat(rng)
-            s2 = aekf_update(AekfState(q=q, p=_psd(rng, 4)), meas, 1e-2 * np.eye(4))
+            s2 = aekf_update(FilterState(q=q, p=_psd(rng, 4)), meas, 1e-2 * np.eye(4))
             assert abs(np.linalg.norm(s2.q) - 1.0) <= 1e-12
 
     def test_singular_innovation(self):
         rng = RngStream(59)
-        s = AekfState(q=random_unit_quat(rng), p=np.zeros((4, 4)))
+        s = FilterState(q=random_unit_quat(rng), p=np.zeros((4, 4)))
         with pytest.raises(NumericalFailure):
             aekf_update(s, s.q.copy(), np.zeros((4, 4)))
 
@@ -250,7 +252,7 @@ class TestAekfUpdate:
             meas = quat_mul(axis_angle_quat(random_unit_vec(rng), 0.01), q)
             p, r4 = _psd(rng, 4, 1e-6), 4e-6 * np.eye(4)
             ky, p_want = kalman_update_by_solve(p, r4, meas - q)
-            s2 = aekf_update(AekfState(q=q, p=p), meas, r4)
+            s2 = aekf_update(FilterState(q=q, p=p), meas, r4)
             assert np.max(np.abs(s2.q - quat_normalize(q + ky))) <= 1e-15
             assert np.max(np.abs(s2.p - p_want)) <= 1e-13 * np.max(np.abs(p))
             assert s2.p.tobytes() == s2.p.T.copy().tobytes()
@@ -258,12 +260,12 @@ class TestAekfUpdate:
     def test_rejects_bad_covariances_and_measurements(self):
         rng = RngStream(69)
         q = random_unit_quat(rng)
-        s, r4 = AekfState(q=q, p=_psd(rng, 4)), 1e-4 * np.eye(4)
+        s, r4 = FilterState(q=q, p=_psd(rng, 4)), 1e-4 * np.eye(4)
         nan_r = r4.copy()
         nan_r[0, 3] = math.nan
         for p, r in ((np.eye(3), r4), (s.p, np.eye(3)), (s.p, 1e-4), (s.p, nan_r), (np.full((4, 4), math.inf), r4)):
             with pytest.raises(InvalidInput):
-                aekf_update(AekfState(q=q, p=p), q, r)
+                aekf_update(FilterState(q=q, p=p), q, r)
         for meas in (np.array([math.nan, 0.0, 0.0, 1.0]), np.array([0.0, math.inf, 0.0, 1.0])):
             with pytest.raises(InvalidInput):
                 aekf_update(s, meas, r4)
@@ -276,7 +278,7 @@ class TestMekfMatrices:
         noise = NoiseParams(sigma_v=2e-3)
         _, q, _ = mekf_build_matrices(noise, np.zeros(3), DT)
         assert np.allclose(q, (noise.sigma_v**2 * DT) * np.eye(3))
-        s = predict_rates(mekf_init(identity_quat(), np.zeros((3, 3))), np.array([0.3, -0.2, 0.9]), DT, noise)
+        s = predict_rates(FilterState(identity_quat(), np.zeros((3, 3))), np.array([0.3, -0.2, 0.9]), DT, noise)
         assert np.allclose(s.p, q, rtol=1e-14, atol=0.0)
 
     def test_q_vanishes_with_dt(self):
@@ -298,14 +300,14 @@ class TestMekfMatrices:
 class TestMekfPredict:
     def test_quiet_zero_bias_cov_is_noop(self):
         rng = RngStream(60)
-        s = mekf_init(random_unit_quat(rng), _psd(rng, 3))
+        s = FilterState(random_unit_quat(rng), _psd(rng, 3))
         s2 = predict_rates(s, np.zeros(3), DT, _quiet())
         assert np.allclose(s2.q, s.q)
         assert np.allclose(s2.p, s.p)
 
     def test_process_noise_grows_attitude_trace(self):
         rng = RngStream(61)
-        s = mekf_init(random_unit_quat(rng), np.zeros((3, 3)))
+        s = FilterState(random_unit_quat(rng), np.zeros((3, 3)))
         s2 = predict_rates(s, random_unit_vec(rng), DT, NoiseParams(sigma_v=1e-3))
         assert np.trace(s2.p) > 0.0
 
@@ -320,7 +322,7 @@ class TestMekfPredict:
     def test_predict_equals_explicit_matrix_route(self):
         rng = RngStream(62)
         noise = NoiseParams(sigma_v=2e-4)
-        s = mekf_init(random_unit_quat(rng), _psd(rng, 3, 1e-4))
+        s = FilterState(random_unit_quat(rng), _psd(rng, 3, 1e-4))
         w = 1.3 * random_unit_vec(rng)
         f, q, _ = mekf_build_matrices(noise, w, DT)
         phi = _expm(f * DT)
@@ -345,13 +347,13 @@ class TestMekfPredict:
         for rates in (w[None, :], np.array([w, -0.5 * w, [0.4, 0.0, -0.2]])):
             m = block_increments(rates[None], dt).tolist()
             moved = quat_mul(m[0], q_true)
-            s = predict_rates(mekf_init(q_ref, np.outer(a, a)), rates, dt, _quiet())
+            s = predict_rates(FilterState(q_ref, np.outer(a, a)), rates, dt, _quiet())
             a_after = 2.0 * quat_to_gibbs(quat_mul(moved, quat_conjugate(s.q)))
             assert np.max(np.abs(s.p - np.outer(a_after, a_after))) <= 1e-12 * float(a @ a)
             assert np.max(np.abs(mekf_transitions(m)[0] @ a - a_after)) <= 1e-14
 
     def test_rejects_bad_dt(self):
-        s = mekf_init(identity_quat(), np.eye(3))
+        s = FilterState(identity_quat(), np.eye(3))
         for dt in (0.0, -1.0):
             with pytest.raises(InvalidInput):
                 mekf_predict(s, [identity_quat()], mekf_transitions([identity_quat()]), [1], dt, _quiet())
@@ -361,7 +363,7 @@ class TestMekfUpdate:
     def test_zero_innovation(self):
         rng = RngStream(63)
         q = random_unit_quat(rng)
-        s = MekfState(q=q, p=_psd(rng, 3))
+        s = FilterState(q=q, p=_psd(rng, 3))
         s2 = mekf_update(s, q.copy(), 1e-4 * np.eye(3))
         assert error_angle(s2.q, q) <= 1e-12
         assert np.trace(s2.p) < np.trace(s.p)
@@ -371,8 +373,8 @@ class TestMekfUpdate:
         q = random_unit_quat(rng)
         meas = quat_mul(axis_angle_quat([0.0, 0, 1.0], 0.05), q)
         p0 = _psd(rng, 3, 1e-2)
-        plus = mekf_update(MekfState(q=q.copy(), p=p0.copy()), meas, 1e-6 * np.eye(3))
-        minus = mekf_update(MekfState(q=q.copy(), p=p0.copy()), -meas, 1e-6 * np.eye(3))
+        plus = mekf_update(FilterState(q=q.copy(), p=p0.copy()), meas, 1e-6 * np.eye(3))
+        minus = mekf_update(FilterState(q=q.copy(), p=p0.copy()), -meas, 1e-6 * np.eye(3))
         assert np.array_equal(plus.q, minus.q)
         assert np.array_equal(plus.p, minus.p)
 
@@ -380,7 +382,7 @@ class TestMekfUpdate:
         rng = RngStream(65)
         q = random_unit_quat(rng)
         meas = quat_mul(axis_angle_quat([1.0, 0.0, 0.0], 0.01), q)
-        s = MekfState(q=q, p=np.eye(3))
+        s = FilterState(q=q, p=np.eye(3))
         s2 = mekf_update(s, meas, 1e-12 * np.eye(3))
         assert error_angle(s2.q, meas) <= 1e-4
 
@@ -391,20 +393,20 @@ class TestMekfUpdate:
             meas = random_unit_quat(rng)
             if error_angle(q, meas) > math.radians(170.0):
                 continue
-            s = MekfState(q=q, p=np.eye(3) * 1e-2)
+            s = FilterState(q=q, p=np.eye(3) * 1e-2)
             s2 = mekf_update(s, meas, 1e-4 * np.eye(3))
             assert abs(np.linalg.norm(s2.q) - 1.0) <= 1e-12
 
     def test_180_degree_innovation(self):
         q = identity_quat()
         meas = np.array([1.0, 0.0, 0.0, 0.0])
-        s = MekfState(q=q, p=np.eye(3))
+        s = FilterState(q=q, p=np.eye(3))
         with pytest.raises(GibbsSingularity):
             mekf_update(s, meas, 1e-4 * np.eye(3))
 
     def test_singular_innovation(self):
         rng = RngStream(70)
-        s = MekfState(q=random_unit_quat(rng), p=np.zeros((3, 3)))
+        s = FilterState(q=random_unit_quat(rng), p=np.zeros((3, 3)))
         with pytest.raises(NumericalFailure):
             mekf_update(s, s.q.copy(), np.zeros((3, 3)))
 
@@ -415,7 +417,7 @@ class TestMekfUpdate:
             meas = quat_mul(axis_angle_quat(random_unit_vec(rng), 0.01), q)
             p, r3 = _psd(rng, 3, 1e-6), 1e-6 * np.eye(3)
             a, p_want = kalman_update_by_solve(p, r3, 2.0 * quat_to_gibbs(quat_mul(meas, quat_conjugate(q))))
-            s2 = mekf_update(MekfState(q=q, p=p), meas, r3)
+            s2 = mekf_update(FilterState(q=q, p=p), meas, r3)
             q_want = quat_normalize(quat_mul(quat_normalize([*a, 2.0]), q))
             assert np.max(np.abs(s2.q - q_want)) <= 1e-15
             assert np.max(np.abs(s2.p - p_want)) <= 1e-13 * np.max(np.abs(p))
@@ -424,12 +426,12 @@ class TestMekfUpdate:
     def test_rejects_bad_covariances_and_measurements(self):
         rng = RngStream(72)
         q = random_unit_quat(rng)
-        s, r3 = MekfState(q=q, p=_psd(rng, 3)), 1e-4 * np.eye(3)
+        s, r3 = FilterState(q=q, p=_psd(rng, 3)), 1e-4 * np.eye(3)
         nan_r = r3.copy()
         nan_r[0, 2] = math.nan
         for p, r in ((np.eye(4), r3), (s.p, np.eye(4)), (s.p, 1e-4), (s.p, nan_r), (np.full((3, 3), -math.inf), r3)):
             with pytest.raises(InvalidInput):
-                mekf_update(MekfState(q=q, p=p), q, r)
+                mekf_update(FilterState(q=q, p=p), q, r)
         for meas in (np.array([math.nan, 0.0, 0.0, 1.0]), np.array([0.0, math.inf, 0.0, 1.0])):
             with pytest.raises(InvalidInput):
                 mekf_update(s, meas, r3)
@@ -476,8 +478,8 @@ class TestBlockPredict:
     def test_block_equals_sequential_steps(self, n):
         rng = np.random.default_rng(n)
         rates = rng.standard_normal((n, 3))
-        starts = [aekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(4)) for _ in range(2)]
-        starts.append(mekf_init(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(3)))
+        starts = [FilterState(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(4)) for _ in range(2)]
+        starts.append(FilterState(quat_normalize(rng.standard_normal(4)), 1e-4 * np.eye(3)))
         noises = [NoiseParams(sigma_v=1e-3, aekf_q_flat=flat) for flat in (True, False, True)]
         for start, noise in zip(starts, noises):
             a = predict_rates(start, rates, DT, noise)
@@ -507,9 +509,9 @@ class TestBlockPredict:
             w[b, :n] = rng.standard_normal((n, 3))
         q0 = quat_normalize(rng.standard_normal(4))
         cases = [
-            (aekf_init(q0, 1e-4 * np.eye(4)), NoiseParams(sigma_v=1e-3, aekf_q_flat=True)),
-            (aekf_init(q0, 1e-4 * np.eye(4)), NoiseParams(sigma_v=1e-3, aekf_q_flat=False)),
-            (mekf_init(q0, 1e-4 * np.eye(3)), NoiseParams(sigma_v=1e-3)),
+            (FilterState(q0, 1e-4 * np.eye(4)), NoiseParams(sigma_v=1e-3, aekf_q_flat=True)),
+            (FilterState(q0, 1e-4 * np.eye(4)), NoiseParams(sigma_v=1e-3, aekf_q_flat=False)),
+            (FilterState(q0, 1e-4 * np.eye(3)), NoiseParams(sigma_v=1e-3)),
         ]
         for start, noise in cases:
             quats, covs = predict_from_start(start, block_increments(w, DT).tolist(), sizes, DT, noise)
@@ -557,7 +559,7 @@ class TestBlockPredict:
         # a segment of two blocks: one count of the steps from the segment
         # start per block, strictly increasing from at least one
         m = [identity_quat().tolist()] * 2
-        for start in (aekf_init(identity_quat(), np.eye(4)), mekf_init(identity_quat(), np.eye(3))):
+        for start in (FilterState(identity_quat(), np.eye(4)), FilterState(identity_quat(), np.eye(3))):
             phi = _transitions_fn(start)(m)
             with pytest.raises(InvalidInput):
                 _predict_fn(start)(start, m, phi, steps, DT, _quiet())
@@ -582,7 +584,7 @@ class TestBlockPredict:
         for b, n in enumerate(steps):
             w[b, n:] = 0.0
         noise = NoiseParams(sigma_v=1e-2, aekf_q_flat=False)
-        start = aekf_init(quat_normalize(rng.standard_normal(4)), np.zeros((4, 4)))
+        start = FilterState(quat_normalize(rng.standard_normal(4)), np.zeros((4, 4)))
         quats, covs = predict_from_start(start, block_increments(w, DT).tolist(), steps, DT, noise)
         for j, n in enumerate(np.cumsum(steps)):
             expect = (0.25 * noise.sigma_v**2 * DT * n) * (np.eye(4) - np.outer(quats[j], quats[j]))
@@ -639,10 +641,10 @@ class TestBlockPredict:
         q_true = identity_quat()
         if name == "aekf":
             update, r = aekf_update, 1e-6 * np.eye(4)
-            a = b = c = aekf_init(q_true, 1e-6 * np.eye(4))
+            a = b = c = FilterState(q_true, 1e-6 * np.eye(4))
         else:
             update, r = mekf_update, 1e-6 * np.eye(3)
-            a = b = c = mekf_init(q_true, 1e-6 * np.eye(3))
+            a = b = c = FilterState(q_true, 1e-6 * np.eye(3))
         true, meas = _orbit_rates(3)
         rng = np.random.default_rng(4)
         q_gap = p_gap = 0.0
@@ -670,8 +672,8 @@ class TestFilterInvariants:
         r4 = 1e-5 * np.eye(4)
         r3 = 1e-5 * np.eye(3)
         q = identity_quat()
-        aekf = aekf_init(q, 1e-4 * np.eye(4))
-        mekf = mekf_init(q, 1e-4 * np.eye(3))
+        aekf = FilterState(q, 1e-4 * np.eye(4))
+        mekf = FilterState(q, 1e-4 * np.eye(3))
         n_cycles = 100_000
         update_every = 20
         for k in range(n_cycles):
@@ -697,10 +699,10 @@ class TestFilterInvariants:
         r4 = 1e-6 * np.eye(4)
         r3 = 1e-6 * np.eye(3)
         q_true = identity_quat()
-        sa1 = aekf_init(q_true, 1e-4 * np.eye(4))
-        sa2 = aekf_init(q_true, 1e-4 * np.eye(4))
-        sm1 = mekf_init(q_true, 1e-4 * np.eye(3))
-        sm2 = mekf_init(q_true, 1e-4 * np.eye(3))
+        sa1 = FilterState(q_true, 1e-4 * np.eye(4))
+        sa2 = FilterState(q_true, 1e-4 * np.eye(4))
+        sm1 = FilterState(q_true, 1e-4 * np.eye(3))
+        sm2 = FilterState(q_true, 1e-4 * np.eye(3))
         for k in range(200):
             w = trajectory_omega(k * DT, (0.0, 0.0, 1.0))
             q_true = integrate_quat(q_true, w[None, None], DT)[0]
@@ -725,8 +727,8 @@ class TestFilterInvariants:
         noise = _quiet()
         r4 = 1e-12 * np.eye(4)
         r3 = 1e-12 * np.eye(3)
-        aekf = aekf_init(start, 1e-2 * np.eye(4))
-        mekf = mekf_init(start, 1e-2 * np.eye(3))
+        aekf = FilterState(start, 1e-2 * np.eye(4))
+        mekf = FilterState(start, 1e-2 * np.eye(3))
         for k in range(300):
             w = trajectory_omega(k * DT, (0.0, 0.0, 1.0))
             q_true = integrate_quat(q_true, w[None, None], DT)[0]

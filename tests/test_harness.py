@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +101,18 @@ class TestSimConfig:
             {"sigma_gyro": -1.0},
             {"axis": [0.0, 0.0, 0.0]},
             {"aekf_r_scale": 0.0},
+            # the run's process variance (sigma_gyro dt)^2 overflows
+            {"gyro_rate_hz": 1e-200, "tracker_rate_hz": 1e-200, "duration_s": 3e200},
+            # the largest gyro step angle |omega| dt overflows
+            {
+                "gyro_rate_hz": 2.8191573663942887e-203,
+                "duration_s": 3.0365052447451173e203,
+                "tracker_rate_hz": 4.574989672476562e-204,
+                "sigma_gyro": 6.367075697493627e132,
+                "sigma_star": 6.006169396344262e-203,
+                "sigma_meas": 0.0,
+                "aekf_r_scale": 1.6359988309001057e-100,
+            },
         ):
             with pytest.raises(ConfigError):
                 SimConfig.from_dict(bad)
@@ -141,6 +155,46 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="overflows"):
             SimConfig.from_dict({"axis": [1e200, 0.0, 0.0]})
         assert np.array_equal(SimConfig(axis=(1e150, 0.0, 0.0)).axis_unit(), [1.0, 0.0, 0.0])
+
+    def test_every_config_that_passes_intake_runs(self):
+        # configs of at most 300 gyro steps over extreme rates and sigmas:
+        # intake rejects each one whose run would overflow, so every other
+        # one runs to a result (an abort is one) with no warning
+        rnd = random.Random(2028)
+
+        def sigma():
+            return 0.0 if rnd.random() < 0.25 else 10.0 ** rnd.uniform(-300.0, 150.0)
+
+        ran = 0
+        for _ in range(1000):
+            gyro = 10.0 ** rnd.uniform(-250.0, 4.0)
+            config = {
+                "gyro_rate_hz": gyro,
+                "tracker_rate_hz": gyro / 10.0 ** rnd.uniform(0.0, 3.0),
+                "duration_s": rnd.uniform(1.0, 300.0) / gyro,
+                "sigma_gyro": sigma(),
+                "sigma_star": sigma(),
+                "sigma_meas": sigma(),
+                "aekf_r_scale": 10.0 ** rnd.uniform(-100.0, 100.0),
+                "n_cameras": rnd.randint(1, 6),
+                "n_stars": rnd.choice((2, 5, 100)),
+                "fov_half_angle_rad": rnd.uniform(0.05, 1.5),
+                "record_stride": rnd.choice((0, 1, 3)),
+                "aekf_q_flat": rnd.random() < 0.5,
+                "seed": rnd.randrange(1000),
+            }
+            try:
+                cfg = SimConfig.from_dict(config)
+            except ConfigError:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    run_simulation(cfg)
+                except Exception as exc:
+                    raise AssertionError(f"{config} failed: {exc!r}") from exc
+            ran += 1
+        assert ran > 500  # intake let most of them through
 
     def test_integers_accepted_for_floats(self):
         cfg = SimConfig.from_dict({"duration_s": 30, "sigma_gyro": 0, "axis": [0, 1, 0]})

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ class TestJacobiStack:
             assert evals.shape == (n,) and evecs.shape == (n, n)
             assert np.array_equal(evals, ref_evals) and np.array_equal(evecs, ref_evecs)
             assert not np.any(np.signbit(evals) != np.signbit(ref_evals))
+
+    def test_tiny_pivot_rotates_without_a_warning(self):
+        # theta = (a_qq - a_pp) / (2 a_pq) is 5e159 at the tiny pivot, and
+        # its square overflows; t = 0 is then the right limit
+        m = np.array([[1.0, 1e-160, 0.5], [1e-160, 2.0, 0.0], [0.5, 0.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evals, evecs = jacobi_eigen_sym(m)
+            stack_evals, stack_evecs = jacobi_eigen_sym(np.array([random_symmetric(RngStream(7), 3), m]))
+        # measured: 1.1e-16, one ulp of the eigenvalue near 0.79; the bound is 8 ulps
+        assert np.abs(evals - np.linalg.eigvalsh(m)[::-1]).max() <= 8.9e-16
+        assert np.array_equal(evals, stack_evals[1]) and np.array_equal(evecs, stack_evecs[1])
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_empty_stack(self, n):

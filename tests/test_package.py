@@ -7,6 +7,9 @@ deletion leaves behind fails too. An import alone is not a use. A public
 name that only a documented contract uses goes in ``_CONTRACT_ONLY`` with
 the README section that documents it.
 
+No two module-level dataclasses of ``src/attsim`` have the same fields,
+names and annotations alike: one type per concept.
+
 The package's ``__version__`` and the ``version`` of ``pyproject.toml``
 are one number, bumped together.
 """
@@ -21,6 +24,11 @@ _PACKAGE = Path(attsim.__file__).parent
 
 # public name -> the README section that documents its contract
 _CONTRACT_ONLY: dict = {}
+
+
+def _trees():
+    """The parsed module of each ``src/attsim`` file, by file name."""
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(_PACKAGE.glob("*.py"))}
 
 
 def _definitions(trees):
@@ -44,7 +52,7 @@ def _references(tree):
 
 
 def test_every_public_definition_is_used_in_the_package():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(_PACKAGE.glob("*.py"))}
+    trees = _trees()
     definitions = _definitions(trees)
     assert len(definitions) > 20  # the package was found and parsed
     refs = [ref for tree in trees.values() for ref in _references(tree)]
@@ -56,6 +64,23 @@ def test_every_public_definition_is_used_in_the_package():
             unused.append(f"{module}:{node.lineno} {name}")
     assert not unused, "definitions that nothing in src/attsim uses: " + ", ".join(unused)
     assert set(_CONTRACT_ONLY) <= {name for _, name, _ in definitions}
+
+
+def test_no_two_dataclasses_have_the_same_fields():
+    trees = _trees()
+    by_fields = {}
+    for module, name, node in _definitions(trees):
+        decorators = {ast.unparse(d).split("(")[0] for d in node.decorator_list}
+        if isinstance(node, ast.ClassDef) and decorators & {"dataclass", "dataclasses.dataclass"}:
+            key = tuple(
+                (stmt.target.id, ast.unparse(stmt.annotation))
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            )
+            by_fields.setdefault(key, []).append(f"{module}:{name}")
+    assert len(by_fields) > 3  # the dataclasses were found
+    same = [names for names in by_fields.values() if len(names) > 1]
+    assert not same, "dataclasses with the same fields: " + "; ".join(", ".join(n) for n in same)
 
 
 def test_version_matches_pyproject():
