@@ -26,18 +26,19 @@ Conventions used everywhere in this package:
   from the identity gives.
 
 The kernels the sequential estimate loop calls per block or per update
-(``quat_path``, ``quat_mul``, ``error_angle`` and the block-by-block
-crossing of ``integrate_quat``, which is a ``quat_path``)
+(``quat_path``, ``quat_mul`` and the block-by-block crossing of
+``integrate_quat``, which is a ``quat_path``)
 read an ``ndarray`` operand as Python floats (``tolist()``) and return
 arrays; the filter updates call the float expressions behind them
 (``_hamilton``, ``_unit``, ``_gibbs``) directly on their components.
 Indexing an array yields numpy float64
 scalars, whose arithmetic costs about ten times as much per operation;
 both are IEEE double operations, correctly rounded, so the same expressions
-in the same order give the same bits. ``error_angle`` also takes ``(k, 4)``
-stacks: the relative quaternions and norms are the same expressions
-elementwise, and ``math.atan2`` is taken row by row (numpy does not promise
-that ``np.arctan2`` matches it), so each row equals the pair alone.
+in the same order give the same bits. ``error_angle`` takes ``(k, 4)``
+stacks, a pair as a stack of one: the relative quaternions and norms are
+the same expressions elementwise, and ``math.atan2`` is taken row by row
+(numpy does not promise that ``np.arctan2`` matches it), so each row equals
+the pair alone.
 
 File formats that print quaternions for humans emit the scalar first;
 only the in-memory layout is vector-first.
@@ -229,17 +230,15 @@ def error_angle(a, b):
     significant digits.
 
     ``a`` and ``b`` are two quaternions (returns a float) or two ``(k, 4)``
-    stacks (returns the ``(k,)`` angles of their rows). A stack takes the
-    relative quaternions and their vector norms elementwise, in the order
-    of the one-pair expressions, and ``math.atan2`` row by row, so each
-    angle is bit for bit the one the pair alone gives.
+    stacks (returns the ``(k,)`` angles of their rows). A pair is a stack
+    of one. The relative quaternions and their vector norms are taken
+    elementwise and ``math.atan2`` row by row, so each angle is bit for bit
+    the one its pair alone gives.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    one = a.ndim == 1 and b.ndim == 1
-    bx, by, bz, bw = b.tolist() if one else b.T
-    ex, ey, ez, ew = _hamilton(*(a.tolist() if one else a.T), -bx, -by, -bz, bw)
-    if one:
-        return 2.0 * math.atan2(math.sqrt(ex * ex + ey * ey + ez * ez), abs(ew))
+    bx, by, bz, bw = b.reshape(-1, 4).T
+    ex, ey, ez, ew = _hamilton(*a.reshape(-1, 4).T, -bx, -by, -bz, bw)
     vec = np.sqrt(ex * ex + ey * ey + ez * ez)
-    return 2.0 * np.fromiter(map(math.atan2, vec.tolist(), np.abs(ew).tolist()), float, vec.size)
+    angles = 2.0 * np.fromiter(map(math.atan2, vec.tolist(), np.abs(ew).tolist()), float, vec.size)
+    return float(angles[0]) if a.ndim == 1 and b.ndim == 1 else angles

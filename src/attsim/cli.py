@@ -13,6 +13,7 @@ go to files or stdout. Quaternions print scalar-first.
 import argparse
 import logging
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +26,11 @@ from .startracker import ObservationSet, row_norms
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" and "-inf" for options: they are numbers here
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits 2 on usage problems by default; the CLI contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -37,6 +43,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_run = sub.add_parser("run", help="run a batch simulation from a JSON config")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("--config", required=True, help="path to a JSON SimConfig file")
     p_run.add_argument("--out", required=True, help="output directory for metrics.json and timeseries.csv")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -47,9 +54,11 @@ def _build_parser() -> _Parser:
     )
 
     p_wahba = sub.add_parser("solve-wahba", help="Davenport q-method on an observations CSV")
+    p_wahba.set_defaults(handler=_cmd_solve_wahba)
     p_wahba.add_argument("obs_csv", help="CSV with header bx,by,bz,rx,ry,rz[,weight]")
 
     p_triad = sub.add_parser("triad", help="attitude matrix from two vector pairs")
+    p_triad.set_defaults(handler=_cmd_triad)
     p_triad.add_argument(
         "numbers",
         type=float,
@@ -59,11 +68,13 @@ def _build_parser() -> _Parser:
     )
 
     p_cat = sub.add_parser("gen-catalog", help="write a seeded star catalog CSV")
+    p_cat.set_defaults(handler=_cmd_gen_catalog)
     p_cat.add_argument("--n", type=int, required=True, help="number of stars")
     p_cat.add_argument("--seed", type=int, required=True)
     p_cat.add_argument("--out", required=True, help="output CSV path")
 
     p_check = sub.add_parser("selfcheck", help="run built-in verification checks")
+    p_check.set_defaults(handler=_cmd_selfcheck)
     p_check.add_argument(
         "--profile",
         choices=("default", "strict"),
@@ -277,23 +288,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "solve-wahba":
-            return _cmd_solve_wahba(args)
-        if args.command == "triad":
-            return _cmd_triad(args)
-        if args.command == "gen-catalog":
-            return _cmd_gen_catalog(args)
-        if args.command == "selfcheck":
-            return _cmd_selfcheck(args)
+        return args.handler(args)
     except (ConfigError, InvalidInput, OSError) as exc:  # OSError: an output path
         print(f"attsim: config error: {exc}", file=sys.stderr)
         return 2
     except AttsimError as exc:
         print(f"attsim: numerical failure: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable: unknown command")
 
 
 if __name__ == "__main__":

@@ -94,7 +94,7 @@ from .filters import (
     mekf_transitions,
     mekf_update,
 )
-from .numerics import RngStream, jacobi_eigen_sym, norms_and_conditions, padded_rows
+from .numerics import _U64, RngStream, jacobi_eigen_sym, norms_and_conditions, padded_rows
 from .wahba import WahbaSolution, davenport_solve
 
 logger = logging.getLogger(__name__)
@@ -175,8 +175,8 @@ class SimConfig:
             )
         if self.gyro_rate_hz < self.tracker_rate_hz:
             raise ConfigError("gyro rate must be at least the tracker rate")
-        if self.n_stars < 2:
-            raise ConfigError("n_stars must be at least 2")
+        if not 2 <= self.n_stars <= startracker._MAX_CATALOG_STARS:
+            raise ConfigError(f"n_stars must be between 2 and {startracker._MAX_CATALOG_STARS}")
         if not 1 <= self.n_cameras <= 6:
             raise ConfigError("n_cameras must be between 1 and 6")
         if not 0.0 < self.fov_half_angle_rad < 0.5 * math.pi:
@@ -206,8 +206,8 @@ class SimConfig:
         per_step = self.sigma_gyro / self.gyro_rate_hz
         if not math.isfinite(16.0 * self.duration_s * self.gyro_rate_hz * per_step * per_step):
             raise ConfigError("duration_s, gyro_rate_hz and sigma_gyro: the run's process variance overflows")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        if not 0 <= self.seed <= _U64:
+            raise ConfigError("seed must fit in an unsigned 64-bit integer")
         x, y, z = (float(v) for v in self.axis)
         squared_norm = x * x + y * y + z * z
         if not math.isfinite(squared_norm):
@@ -286,13 +286,6 @@ class SimConfig:
             raise ConfigError("config file must hold a JSON object")
         return cls.from_dict(data)
 
-    def to_json(self, path) -> None:
-        d = asdict(self)
-        d["axis"] = list(self.axis)
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(d, f, indent=2)
-            f.write("\n")
-
 
 @dataclass
 class RunResult:
@@ -350,7 +343,7 @@ class MetricsReport:
         return {"aekf": asdict(self.aekf), "mekf": asdict(self.mekf)}
 
 
-def trajectory_omega(t, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
+def trajectory_omega(t, axis) -> np.ndarray:
     """Orbit-like angular rate at time ``t`` [s], along ``axis``.
 
     ``t`` is one time (returns a ``(3,)`` rate) or an array of ``n`` times

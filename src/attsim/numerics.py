@@ -513,7 +513,7 @@ class RngStream:
             if q < _LEVA_R1 or (q <= _LEVA_R2 and v * v <= -4.0 * u * u * math.log(u)):
                 return sigma * (v / u)
 
-    def gaussian_vec(self, sigma: float, n: int = 3) -> np.ndarray:
+    def gaussian_vec(self, sigma: float, n: int) -> np.ndarray:
         """``n`` samples from N(0, sigma^2).
 
         Returns the values, and leaves the counter, that ``n`` calls of

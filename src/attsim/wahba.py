@@ -70,9 +70,12 @@ def _unit(v, name: str) -> np.ndarray:
         raise InvalidInput(f"{name} must be a 3-vector")
     if not np.isfinite(v).all():
         raise InvalidInput(f"{name} must have finite components")
-    n = row_norms(v)
+    with np.errstate(over="ignore"):
+        n = row_norms(v)
     if n < 1e-12:
         raise InvalidInput(f"{name} must be a nonzero vector")
+    if not np.isfinite(n):
+        raise InvalidInput(f"{name} must have a finite norm")
     return v / n
 
 

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 
 from attsim.attitude import _components, _gibbs, _unit
@@ -25,6 +28,15 @@ def random_unit_vec(rng: RngStream) -> np.ndarray:
 def random_symmetric(rng: RngStream, n: int) -> np.ndarray:
     m = np.array([[rng.gaussian(1.0) for _ in range(n)] for _ in range(n)])
     return 0.5 * (m + m.T)
+
+
+def write_config(cfg, path) -> None:
+    """Write ``cfg`` as the JSON config file ``SimConfig.from_json`` reads."""
+    d = asdict(cfg)
+    d["axis"] = list(cfg.axis)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(d, f, indent=2)
+        f.write("\n")
 
 
 def pack_sets(sets) -> ObservationSet:

@@ -22,7 +22,7 @@ from attsim.numerics import RngStream, condition_number, jacobi_eigen_sym
 from attsim.startracker import ObservationSet
 from attsim.wahba import davenport_solve, triad, wahba_loss
 
-from conftest import random_symmetric, random_unit_quat, random_unit_vec
+from conftest import random_symmetric, random_unit_quat, random_unit_vec, write_config
 
 SWEEP_SEEDS = tuple(range(1, 11))
 
@@ -187,7 +187,7 @@ def test_c09_numerics_suite():
 def test_c10_cli_determinism(tmp_path):
     cfg = SimConfig(duration_s=30.0, seed=6)
     cfg_path = tmp_path / "cfg.json"
-    cfg.to_json(cfg_path)
+    write_config(cfg, cfg_path)
     rc1 = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a"), "--no-timing"])
     rc2 = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b"), "--no-timing"])
     assert rc1 == 0 and rc2 == 0

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import tempfile
 import warnings
 from dataclasses import fields
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 from attsim.cli import main
 from attsim.harness import SimConfig
 
+from conftest import write_config
+
 
 def write_cfg(tmp_path, **kw):
     cfg = SimConfig(duration_s=6.0, gyro_rate_hz=50.0, tracker_rate_hz=1.0, seed=3, **kw)
     path = tmp_path / "cfg.json"
-    cfg.to_json(path)
+    write_config(cfg, path)
     return path
 
 
@@ -237,6 +240,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("attsim: config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_seed_override_past_u64_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        rc = main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out), "--seed", str(2**64)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.splitlines() == ["attsim: config error: seed must fit in an unsigned 64-bit integer"]
         assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -519,6 +530,42 @@ class TestFuzz:
         assert rc in (0, 2, 3)
         assert "Traceback" not in err
 
+    def test_triad_and_solve_wahba_on_extreme_numbers(self, tmp_path):
+        # each number is 0, +-10**k over the whole float range and past it
+        # (1e-330 reads as 0), or now and then nan or inf; a call ends in
+        # exit 0, 2 or 3, a failure in one "attsim: " line, and neither
+        # with a warning
+        rnd = random.Random(2029)
+
+        def number():
+            if rnd.random() < 0.02:
+                return rnd.choice(("nan", "inf", "-inf"))
+            if rnd.random() < 0.15:
+                return "0"
+            # half of them of ordinary size, so that some calls get past intake
+            k = rnd.randint(-330, 308) if rnd.random() < 0.5 else rnd.randint(-3, 3)
+            return f"{rnd.choice('+-')}1e{k}"
+
+        path = tmp_path / "obs.csv"
+        codes = set()
+        for i in range(300):
+            if i % 2:
+                width = rnd.choice((6, 7))
+                header = "bx,by,bz,rx,ry,rz,weight"[: 17 if width == 6 else None]
+                rows = [",".join(number() for _ in range(width)) for _ in range(rnd.randint(1, 4))]
+                path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+                argv = ["solve-wahba", str(path)]
+            else:
+                argv = ["triad", *(number() for _ in range(12))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc, err = run_main_captured(argv)
+            assert rc in (0, 2, 3), argv
+            if rc:
+                assert len(err.splitlines()) == 1 and err.startswith("attsim: "), (argv, err)
+            codes.add(rc)
+        assert codes == {0, 2, 3}
+
 
 class TestTriad:
     def test_prints_rotation(self, capsys):
@@ -545,6 +592,20 @@ class TestTriad:
         assert rc == 2
         assert out.out == "" and not caught
         assert out.err.splitlines() == ["attsim: config error: b2 must have finite components"]
+
+    def test_overflowing_norm_exits_2(self, capsys):
+        # the squares overflowed: it warned and called the orthogonal pair collinear
+        rc = main(["triad"] + "1e300 0 0 0 1e300 0 0 1 0 -1 0 0".split())
+        out = capsys.readouterr()
+        assert rc == 2 and out.out == ""
+        assert out.err.splitlines() == ["attsim: config error: r1 must have a finite norm"]
+
+    def test_negative_numbers_in_any_notation(self, capsys):
+        # argparse took "-1e0" for an unknown option and exited 1
+        rc = main(["triad"] + "1 0 0 0 1 0 0 1 0 -1e0 0 -.0".split())
+        assert rc == 0
+        rows = [[float(v) for v in line.split()] for line in capsys.readouterr().out.splitlines()]
+        assert np.allclose(rows, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
 
     def test_wrong_arity_exits_1(self, capsys):
         rc = main(["triad", "1", "2", "3"])

@@ -22,6 +22,8 @@ from attsim.harness import (
 )
 from attsim.numerics import RngStream
 
+from conftest import write_config
+
 
 def short_cfg(**kw):
     base = dict(
@@ -113,9 +115,15 @@ class TestSimConfig:
                 "sigma_meas": 0.0,
                 "aekf_r_scale": 1.6359988309001057e-100,
             },
+            # no RngStream takes this seed, and no catalog this many stars
+            {"seed": 2**64},
+            {"n_stars": 10_000_001},
         ):
             with pytest.raises(ConfigError):
                 SimConfig.from_dict(bad)
+        # the bounds themselves pass intake
+        SimConfig.from_dict({"seed": 2**64 - 1})
+        SimConfig.from_dict({"n_stars": 10_000_000})
 
     def test_non_finite_and_mistyped_values_rejected(self):
         nan, inf = float("nan"), float("inf")
@@ -157,13 +165,20 @@ class TestSimConfig:
         assert np.array_equal(SimConfig(axis=(1e150, 0.0, 0.0)).axis_unit(), [1.0, 0.0, 0.0])
 
     def test_every_config_that_passes_intake_runs(self):
-        # configs of at most 300 gyro steps over extreme rates and sigmas:
-        # intake rejects each one whose run would overflow, so every other
-        # one runs to a result (an abort is one) with no warning
+        # configs of at most 300 gyro steps over extreme rates and sigmas,
+        # seeds on both sides of 0 and of 2**64 and a star count past the
+        # catalog's bound: intake rejects each one whose run would overflow
+        # or raise, so every other one runs to a result (an abort is one)
+        # with no warning
         rnd = random.Random(2028)
 
         def sigma():
             return 0.0 if rnd.random() < 0.25 else 10.0 ** rnd.uniform(-300.0, 150.0)
+
+        def seed():
+            if rnd.random() < 0.8:
+                return rnd.randrange(1000)
+            return rnd.choice((0, 2**64)) + rnd.randint(-3, 2)
 
         ran = 0
         for _ in range(1000):
@@ -177,11 +192,11 @@ class TestSimConfig:
                 "sigma_meas": sigma(),
                 "aekf_r_scale": 10.0 ** rnd.uniform(-100.0, 100.0),
                 "n_cameras": rnd.randint(1, 6),
-                "n_stars": rnd.choice((2, 5, 100)),
+                "n_stars": rnd.choice((2, 5, 100, 10_000_001)),
                 "fov_half_angle_rad": rnd.uniform(0.05, 1.5),
                 "record_stride": rnd.choice((0, 1, 3)),
                 "aekf_q_flat": rnd.random() < 0.5,
-                "seed": rnd.randrange(1000),
+                "seed": seed(),
             }
             try:
                 cfg = SimConfig.from_dict(config)
@@ -203,7 +218,7 @@ class TestSimConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = short_cfg(seed=77)
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        write_config(cfg, path)
         back = SimConfig.from_json(path)
         assert back == cfg
 
@@ -402,7 +417,7 @@ class TestRunSimulation:
 
         cfg = short_cfg(duration_s=100.0, n_stars=1000, record_stride=record_stride)
         config = tmp_path / "config.json"
-        cfg.to_json(config)
+        write_config(cfg, config)
         real, calls = smod.observe, []
         results, outputs = [], []
         for star_rows in (hmod._STAR_ROWS, 1 << 30):
@@ -1121,7 +1136,7 @@ class TestUpdateExceptionAbort:
             _fail_update_at(m, name, q_bad, "synthetic failure")
             want = run_simulation(cfg)
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        write_config(cfg, path)
         with monkeypatch.context() as m:
             m.setattr(hmod, f"{name}_update", update)
             got = run_simulation(cfg)
@@ -1304,6 +1319,6 @@ class TestTracedNames:
 
             monkeypatch.setattr(hmod, attr, counted)
         config = tmp_path / "config.json"
-        short_cfg(duration_s=4.0, record_stride=record_stride).to_json(config)
+        write_config(short_cfg(duration_s=4.0, record_stride=record_stride), config)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert not [attr for attr, n in calls.items() if n == 0]

@@ -1,11 +1,12 @@
 """The library keeps only what the harness, the CLI or a documented contract uses.
 
-Every module-level function and class of ``src/attsim``, public or
-private (dunders aside), must be referenced, as a name or an attribute,
-somewhere in the package outside its own definition, so that a helper a
-deletion leaves behind fails too. An import alone is not a use. A public
-name that only a documented contract uses goes in ``_CONTRACT_ONLY`` with
-the README section that documents it.
+Every module-level function and class of ``src/attsim``, and every
+method of such a class, public or private (dunders aside), must be
+referenced, as a name or an attribute, somewhere in the package outside
+its own definition, so that a helper a deletion leaves behind fails too.
+An import alone is not a use, and neither is a call from a test. A public
+name that only a documented contract uses goes in ``_CONTRACT_ONLY``
+(a method as ``Class.method``) with the README section that documents it.
 
 No two module-level dataclasses of ``src/attsim`` have the same fields,
 names and annotations alike: one type per concept.
@@ -22,7 +23,7 @@ import attsim
 
 _PACKAGE = Path(attsim.__file__).parent
 
-# public name -> the README section that documents its contract
+# public name (a method as "Class.method") -> the README section that documents its contract
 _CONTRACT_ONLY: dict = {}
 
 
@@ -42,6 +43,18 @@ def _definitions(trees):
     ]
 
 
+def _methods(definitions):
+    """``(module, "Class.method", name, node)`` of each method of a module-level class but the dunders."""
+    return [
+        (module, f"{cls}.{node.name}", node.name, node)
+        for module, cls, class_node in definitions
+        if isinstance(class_node, ast.ClassDef)
+        for node in class_node.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
 def _references(tree):
     """Each Name and Attribute node of ``tree`` with the name it reads."""
     for node in ast.walk(tree):
@@ -55,15 +68,18 @@ def test_every_public_definition_is_used_in_the_package():
     trees = _trees()
     definitions = _definitions(trees)
     assert len(definitions) > 20  # the package was found and parsed
+    methods = _methods(definitions)
+    assert len(methods) > 10  # the classes' methods were found
     refs = [ref for tree in trees.values() for ref in _references(tree)]
     unused = []
-    for module, name, node in definitions:
+    labelled = [(module, name, name, node) for module, name, node in definitions] + methods
+    for module, label, name, node in labelled:
         inside = {id(n) for n in ast.walk(node)}
         used = any(ref == name and id(n) not in inside for n, ref in refs)
-        if not used and name not in _CONTRACT_ONLY:
-            unused.append(f"{module}:{node.lineno} {name}")
+        if not used and label not in _CONTRACT_ONLY:
+            unused.append(f"{module}:{node.lineno} {label}")
     assert not unused, "definitions that nothing in src/attsim uses: " + ", ".join(unused)
-    assert set(_CONTRACT_ONLY) <= {name for _, name, _ in definitions}
+    assert set(_CONTRACT_ONLY) <= {label for _, label, _, _ in labelled}
 
 
 def test_no_two_dataclasses_have_the_same_fields():
