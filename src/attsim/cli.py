@@ -22,7 +22,7 @@ import numpy as np
 from . import harness, numerics, startracker, wahba
 from .attitude import error_angle, identity_quat, integrate_quat, quat_to_matrix
 from .errors import AttsimError, ConfigError, InvalidInput
-from .startracker import ObservationSet, row_norms
+from .startracker import ObservationSet, row_norms, scaled_norms
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,13 +116,12 @@ def _load_observations(path: str) -> ObservationSet:
     if not math.isfinite(4.0 * sum(row[6] for row in rows)):
         raise ConfigError("observation weights are too large: four times their sum overflows")
     table = np.array(rows, dtype=float).reshape(-1, 7)
-    b, r = table[:, 0:3], table[:, 3:6]
-    with np.errstate(over="ignore"):
-        norms = np.concatenate([row_norms(b), row_norms(r)])
-    if not np.all((norms >= 1e-12) & np.isfinite(norms)):
-        raise ConfigError("observation vectors must be nonzero, with a finite norm")
-    m = table.shape[0]
-    return ObservationSet(b=b / norms[:m, None], r=r / norms[m:, None], weights=table[:, 6])
+    b, b_norms = scaled_norms(table[:, 0:3])
+    r, r_norms = scaled_norms(table[:, 3:6])
+    norms = np.concatenate((b_norms, r_norms))
+    if not np.all((norms > 0.0) & np.isfinite(norms)):
+        raise ConfigError("observation vectors must be nonzero")
+    return ObservationSet(b=b / b_norms[:, None], r=r / r_norms[:, None], weights=table[:, 6])
 
 
 def _cmd_run(args) -> int:

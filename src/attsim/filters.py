@@ -56,6 +56,23 @@ Segment predict
     The predict returns the state after every block, so a caller can
     snapshot the filter inside the segment.
 
+Float path
+    The filter state moves between the kernels on Python floats: the
+    quaternion as 4 floats and the covariance as n rows of n floats, as
+    the updates return them (a ``FilterState`` may also hold arrays, which
+    every kernel reads). A predict of one block whose transition comes as
+    rows of floats, a list of one n-by-n list, takes ``Phi P Phi^T + Q``
+    from the written-out kernel of its size
+    (:func:`attsim.numerics.covariance_step4` for the AEKF,
+    :func:`attsim.numerics.covariance_step3` for the MEKF), which mirrors
+    the upper triangle and makes no BLAS call, and returns a list of one
+    quaternion and a list of one covariance. The harness hands every
+    one-block segment that ends in an update this way, so the filter
+    crosses it, predict and update, without numpy. Any other call takes
+    the stack: ``phi`` as a ``(k, n, n)`` array, and the covariances as one
+    batched ``Phi P Phi^T + Q`` through BLAS, averaged with its transpose,
+    returned as ``(k, 4)`` and ``(k, n, n)`` arrays.
+
 The AEKF update sign-aligns the measured quaternion against the current
 estimate before forming a residual, and the MEKF's Gibbs innovation does
 not depend on the sign, which makes both filters insensitive to the q/-q
@@ -63,10 +80,10 @@ double cover. Each update takes its gain product K y and its covariance
 (I - K) P from the written-out Cholesky kernel of its size, on Python
 floats (:func:`attsim.numerics.kalman_update4` for the AEKF,
 :func:`attsim.numerics.kalman_update3` for the MEKF), so each filter pays
-for its own dimension. The kernel builds the covariance on the upper
-triangle and mirrors it, so it is exactly symmetric, and no step of an
-update goes through BLAS. Each block's predicted covariance ``Phi P
-Phi^T + Q`` still does, and is averaged with its transpose.
+for its own dimension, and returns the quaternion as 4 floats and the
+covariance as rows of floats. The kernel builds the covariance on the
+upper triangle and mirrors it, so it is exactly symmetric, and no step of
+an update goes through BLAS.
 """
 
 from dataclasses import dataclass
@@ -75,7 +92,7 @@ import numpy as np
 
 from .attitude import _components, _gibbs, _hamilton, _unit, quat_left_matrix, quat_path, quat_to_matrix
 from .errors import InvalidInput
-from .numerics import kalman_update3, kalman_update4
+from .numerics import covariance_step3, covariance_step4, kalman_update3, kalman_update4
 
 _I3 = np.eye(3)
 _I4 = np.eye(4)
@@ -105,10 +122,13 @@ class NoiseParams:
 
 @dataclass
 class FilterState:
-    """The AEKF's quaternion and 4x4 covariance, or the MEKF's unit reference and 3x3 error covariance."""
+    """The AEKF's quaternion and 4x4 covariance, or the MEKF's unit reference and 3x3 error covariance.
 
-    q: np.ndarray
-    p: np.ndarray
+    Each is Python floats (4 floats; n rows of n floats) or an array.
+    """
+
+    q: object
+    p: object
 
 
 def _rotations(m) -> np.ndarray:
@@ -141,12 +161,8 @@ def mekf_transitions(m) -> np.ndarray:
     return quat_to_matrix(_rotations(m)).swapaxes(-1, -2)
 
 
-def _segment(m, phi, n, dt: float, noise: NoiseParams):
-    """The validated transitions and process-noise variances ``sigma_v^2 dt N_j`` of k blocks.
-
-    One block gets its 2-D transition and a float, whose products cost less
-    than a stack of one's; more get the stack and a ``(k, 1, 1)`` array.
-    """
+def _segment(m, phi, n, dt: float, noise: NoiseParams) -> float:
+    """Check the increments, transitions and step counts of k blocks; the process noise sigma_v^2 dt of a step."""
     k = len(m)
     if dt <= 0.0:
         raise InvalidInput("dt must be positive")
@@ -154,22 +170,18 @@ def _segment(m, phi, n, dt: float, noise: NoiseParams):
         raise InvalidInput("one transition and one step count per block are needed")
     if n[0] < 1 or (k > 1 and not all(a < b for a, b in zip(n, n[1:]))):
         raise InvalidInput("each block must cross at least one gyro step")
-    per_step = noise.sigma_v * noise.sigma_v * dt
-    if k == 1:
-        return phi[0], n[0] * per_step
-    return phi, per_step * np.asarray(n)[:, None, None]
+    return noise.sigma_v * noise.sigma_v * dt
 
 
-def _propagate(p: np.ndarray, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``Phi P Phi^T + Q`` of each block, averaged with its transpose, as a ``(k, n, n)`` stack.
+def _propagate(p, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``Phi P Phi^T + Q`` of each block of a stack, averaged with its transpose, ``(k, n, n)``.
 
     The products go through BLAS, so their rounding depends on the kernel
     (ROADMAP item 6); the average makes each block's covariance exactly
     symmetric.
     """
     x = phi @ p @ phi.swapaxes(-1, -2) + q
-    x = 0.5 * (x + x.swapaxes(-1, -2))
-    return x if x.ndim == 3 else x[None]
+    return 0.5 * (x + x.swapaxes(-1, -2))
 
 
 def aekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
@@ -184,10 +196,31 @@ def aekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
     block j is ``L(R_j) P L(R_j)^T + Q_j``, with ``Q_j = sigma_v^2 dt N_j
     I`` (flat), or ``0.25 sigma_v^2 dt N_j (I - q_j q_j^T)`` at the
     attitude ``q_j`` after the block (kinematic). Returns the attitude
-    ``(k, 4)`` and the covariance ``(k, 4, 4)`` after each block.
+    ``(k, 4)`` and the covariance ``(k, 4, 4)`` after each block; with one
+    block whose transition comes as rows of floats, a list of one
+    quaternion and a list of one covariance, on Python floats (see the
+    module docstring).
     """
-    phi, var = _segment(m, phi, n, dt, noise)
+    per_step = _segment(m, phi, n, dt, noise)
+    if type(phi) is list and len(m) == 1:
+        q = _unit(*_hamilton(*m[0], *_components(s.q)))
+        var = n[0] * per_step
+        if noise.aekf_q_flat:
+            qn = [[var, 0.0, 0.0, 0.0], [0.0, var, 0.0, 0.0], [0.0, 0.0, var, 0.0], [0.0, 0.0, 0.0, var]]
+        else:
+            c = 0.25 * var
+            x, y, z, w = q
+            xy, xz, xw = c * -(x * y), c * -(x * z), c * -(x * w)
+            yz, yw, zw = c * -(y * z), c * -(y * w), c * -(z * w)
+            qn = [
+                [c * (1.0 - x * x), xy, xz, xw],
+                [xy, c * (1.0 - y * y), yz, yw],
+                [xz, yz, c * (1.0 - z * z), zw],
+                [xw, yw, zw, c * (1.0 - w * w)],
+            ]
+        return [q], [covariance_step4(phi[0], _components(s.p), qn)]
     path = quat_path(s.q, m, normalize=True)
+    var = per_step * np.asarray(n)[:, None, None]
     if noise.aekf_q_flat:
         q = var * _I4
     else:
@@ -217,7 +250,7 @@ def aekf_update(s: FilterState, q_meas, r4) -> FilterState:
     if dot < 0.0 or (dot == 0.0 and (mw, mz, my, mx) < (0.0, 0.0, 0.0, 0.0)):
         mx, my, mz, mw = -mx, -my, -mz, -mw
     (kx, ky, kz, kw), p = kalman_update4(s.p, r4, (mx - ex, my - ey, mz - ez, mw - ew))
-    return FilterState(q=np.array(_unit(ex + kx, ey + ky, ez + kz, ew + kw)), p=np.array(p))
+    return FilterState(q=_unit(ex + kx, ey + ky, ez + kz, ew + kw), p=p)
 
 
 def mekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
@@ -227,10 +260,16 @@ def mekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
     ``phi`` from :func:`mekf_transitions`, ``(k, 3, 3)``. The increments
     carry the reference exactly, and the covariance after block j is
     ``A(R_j)^T P A(R_j) + sigma_v^2 dt N_j I``. Returns the reference
-    ``(k, 4)`` and the covariance ``(k, 3, 3)`` after each block.
+    ``(k, 4)`` and the covariance ``(k, 3, 3)`` after each block, or on
+    floats as :func:`aekf_predict` does.
     """
-    phi, var = _segment(m, phi, n, dt, noise)
-    return quat_path(s.q, m), _propagate(s.p, phi, var * _I3)
+    per_step = _segment(m, phi, n, dt, noise)
+    if type(phi) is list and len(m) == 1:
+        q = _hamilton(*m[0], *_components(s.q))
+        v = n[0] * per_step
+        qn = [[v, 0.0, 0.0], [0.0, v, 0.0], [0.0, 0.0, v]]
+        return [q], [covariance_step3(phi[0], _components(s.p), qn)]
+    return quat_path(s.q, m), _propagate(s.p, phi, per_step * np.asarray(n)[:, None, None] * _I3)
 
 
 def mekf_update(s: FilterState, q_meas, r3) -> FilterState:
@@ -250,4 +289,4 @@ def mekf_update(s: FilterState, q_meas, r3) -> FilterState:
     gx, gy, gz = _gibbs(*_hamilton(*_components(q_meas), -rx, -ry, -rz, rw))
     (ax, ay, az), p = kalman_update3(s.p, r3, (2.0 * gx, 2.0 * gy, 2.0 * gz))
     dq = _unit(ax, ay, az, 2.0)
-    return FilterState(q=np.array(_unit(*_hamilton(*dq, rx, ry, rz, rw))), p=np.array(p))
+    return FilterState(q=_unit(*_hamilton(*dq, rx, ry, rz, rw)), p=p)

@@ -487,7 +487,7 @@ def _segments(increments, steps, measured, open_segment):
     return bounds, rotations, counts, (r, n)
 
 
-def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, segments, measured, keep):
+def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, segments, measured, keep, carried):
     """One filter's estimate pass over the first ``len(measured)`` blocks of a chunk.
 
     ``segments`` and ``counts`` come from :func:`_segments`, and ``phi``
@@ -497,18 +497,26 @@ def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, seg
     ``predict(state, increments[lo:hi], phi[lo:hi], counts[lo:hi], dt,
     noise)`` (see :func:`attsim.filters.aekf_predict`), which gives the
     filter after each block; the last is then updated with the quaternion
-    ``measured[hi - 1]`` (with covariance ``r``) unless it is None. Block
-    ``i`` is snapshotted if ``keep[i]``, after its update if it has one.
-    Returns the filter to carry into the next chunk, a ``FilterState``;
-    the snapshots' quaternions ``(n_keep, 4)`` and covariances
-    ``(n_keep, d, d)``; and None. If an update raises NumericalFailure, the
-    pass stops at that block and the last item is ``(i, exception)``.
+    ``measured[hi - 1]`` (with covariance ``r``) unless it is None. A
+    segment of one block that ends in an update takes its transition as
+    rows of floats, so its predict and update keep the filter on floats;
+    any other takes its slice of the stack. ``carried`` says that the first
+    segment is open at the chunk start: a segment cut by chunk ends takes
+    the stack in every part, so no covariance depends on where chunks end.
+    Block ``i`` is snapshotted if ``keep[i]``, after its update if it has
+    one. Returns the filter to carry into the next chunk, a
+    ``FilterState``; the snapshots' quaternions ``(n_keep, 4)`` and
+    covariances ``(n_keep, d, d)``; and None. If an update raises
+    NumericalFailure, the pass stops at that block and the last item is
+    ``(i, exception)``.
     """
     q_kept = np.empty((sum(keep), 4))
-    p_kept = np.empty(q_kept.shape[:1] + state.p.shape)
+    p_kept = np.empty(q_kept.shape[:1] + np.shape(state.p))
     j = 0
     for lo, hi in segments:
-        quats, covs = predict(state, increments[lo:hi], phi[lo:hi], counts[lo:hi], dt, noise)
+        one = hi - lo == 1 and measured[lo] is not None and (lo > 0 or not carried)
+        quats, covs = predict(state, increments[lo:hi], [phi[lo].tolist()] if one else phi[lo:hi],
+                              counts[lo:hi], dt, noise)
         after = FilterState(quats[-1], covs[-1])
         q_meas = measured[hi - 1]
         if q_meas is not None:
@@ -572,8 +580,8 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     axis = cfg.axis_unit()
 
     r_meas = max(cfg.sigma_meas * cfg.sigma_meas, _R_FLOOR)
-    r3 = r_meas * np.eye(3)
-    r4 = (cfg.aekf_r_scale * r_meas) * np.eye(4)
+    r3 = (r_meas * np.eye(3)).tolist()
+    r4 = ((cfg.aekf_r_scale * r_meas) * np.eye(4)).tolist()
     noise = NoiseParams(sigma_v=cfg.sigma_gyro * math.sqrt(dt), aekf_q_flat=cfg.aekf_q_flat)
 
     q_end = np.array([0.0, 0.0, 0.0, 1.0])  # truth at the end of the last block built
@@ -623,7 +631,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         failure = None  # (block, exception)
         for i, outcome in zip(epoch_blocks, outcomes):
             if isinstance(outcome, WahbaSolution):
-                measured[i] = outcome.q
+                measured[i] = outcome.q.tolist()
             elif failure is None and not isinstance(outcome, UnderdeterminedAttitude):
                 failure = (i, outcome)
 
@@ -633,6 +641,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         # all run again from its start, without the update at j and with a
         # record there
         steps_list = steps.tolist()
+        carried = open_segment[1] > 0
         while True:
             if failure is not None:
                 stop = failure[0]
@@ -641,10 +650,10 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             segments, rotations, counts, segment_out = _segments(m_list, steps_list, measured, open_segment)
             t1 = time.perf_counter()
             aekf_out = _estimate(aekf, aekf_predict, aekf_update, r4, dt, noise, aekf_transitions(rotations),
-                                 m_list, counts, segments, measured, keep)
+                                 m_list, counts, segments, measured, keep, carried)
             t2 = time.perf_counter()
             mekf_out = _estimate(mekf, mekf_predict, mekf_update, r3, dt, noise, mekf_transitions(rotations),
-                                 m_list, counts, segments, measured, keep)
+                                 m_list, counts, segments, measured, keep, carried)
             t3 = time.perf_counter()
             failures = [out[3] for out in (aekf_out, mekf_out) if out[3] is not None]
             if not failures:

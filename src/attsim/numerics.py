@@ -2,20 +2,26 @@
 
 This module owns the linear algebra the estimators depend on: a cyclic
 Jacobi eigensolver for symmetric matrices up to 6x6, the Kalman update
-with H = I of each filter's size, a seeded noise stream, and the row
-layout that pads runs of rows into one stack (:func:`padded_rows`: the
-harness's gyro blocks, the Davenport solve's epochs). Matrices and vectors
-are plain float64 numpy arrays at the interface; nothing here calls into
-``numpy.linalg``, so seeded artifacts reproduce bit for bit across runs.
+with H = I and one block's covariance step of each filter's size, a
+seeded noise stream, and the row layout that pads runs of rows into one
+stack (:func:`padded_rows`: the harness's gyro blocks, the Davenport
+solve's epochs). Matrices and vectors are plain float64 numpy arrays at
+the interface, except for the filter kernels, which take and return
+Python floats; nothing here calls into ``numpy.linalg``, so seeded
+artifacts reproduce bit for bit across runs.
 
 The updates (:func:`kalman_update4`, :func:`kalman_update3`) factor the
 innovation covariance S = P + R = L L^T and take the gain product and the
-posterior covariance from L by forward substitution. Each is written out
-for its size on Python floats: the 3x3 and 4x4 systems are too small to
-pay numpy's per-call cost, a loop over the indices measured about six
-times the written-out 4x4 form, a Python float rounds each operation as
-a numpy element does, and no product goes through BLAS, whose rounding
-depends on the CPU kernel it picks.
+posterior covariance from L by forward substitution; the covariance steps
+(:func:`covariance_step4`, :func:`covariance_step3`) form ``Phi P Phi^T +
+Q`` of one block. Each is written out for its size on Python floats: the
+3x3 and 4x4 systems are too small to pay numpy's per-call cost, a loop
+over the indices measured about six times the written-out 4x4 form, a
+Python float rounds each operation as a numpy element does, and no
+product goes through BLAS, whose rounding depends on the CPU kernel it
+picks. A matrix moves between them as n rows of n floats; the updates
+also read arrays, and reject a non-finite entry of P or R, which a
+covariance step carries through unchecked.
 
 The eigensolver is one cyclic Jacobi sweep, vectorized over a stack of
 matrices, shape ``(k, n, n)``: each rotation is the same elementwise IEEE
@@ -63,7 +69,7 @@ deviates in blocks, and returns, and leaves the counter at, exactly what
 """
 
 import math
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -310,7 +316,8 @@ def kalman_update4(p, r, y):
     """Kalman measurement update with H = I of a 4-state filter, on Python floats.
 
     ``p`` is the prior covariance P and ``r`` the measurement covariance R,
-    both ``(4, 4)``, and ``y`` the innovation, 4 floats. Returns ``(K y,
+    both 4x4, as 4 rows of 4 floats or as arrays, and ``y`` the innovation,
+    4 floats. Returns ``(K y,
     P+)`` for the gain K = P S^-1 of S = P + R: K y as a tuple of 4 floats
     and P+ = (I - K) P as a list of 4 rows of floats.
 
@@ -444,14 +451,121 @@ def kalman_update3(p, r, y):
     ]
 
 
+def covariance_step4(phi, p, q):
+    """``Phi P Phi^T + Q`` of 4x4 matrices, on Python floats.
+
+    ``phi``, ``p`` and ``q`` are each 4 rows of 4 floats; ``q`` is taken as
+    symmetric and only its upper triangle is read. Phi P is formed in full,
+    then the upper triangle of its product with Phi^T, to which Q is added,
+    and the triangle is mirrored, so the result, 4 rows of 4 floats, is
+    exactly symmetric. Every entry is one expression written out for this
+    size, so no BLAS call is made and the rounding does not depend on the
+    CPU kernel. Nothing is checked: a non-finite entry propagates to the
+    update, which rejects it.
+    """
+    ((f00, f01, f02, f03),
+     (f10, f11, f12, f13),
+     (f20, f21, f22, f23),
+     (f30, f31, f32, f33)) = phi
+    ((p00, p01, p02, p03),
+     (p10, p11, p12, p13),
+     (p20, p21, p22, p23),
+     (p30, p31, p32, p33)) = p
+    ((q00, q01, q02, q03),
+     (_, q11, q12, q13),
+     (_, _, q22, q23),
+     (_, _, _, q33)) = q
+    # T = Phi P; tij is T[i][j]
+    t00 = f00 * p00 + f01 * p10 + f02 * p20 + f03 * p30
+    t01 = f00 * p01 + f01 * p11 + f02 * p21 + f03 * p31
+    t02 = f00 * p02 + f01 * p12 + f02 * p22 + f03 * p32
+    t03 = f00 * p03 + f01 * p13 + f02 * p23 + f03 * p33
+    t10 = f10 * p00 + f11 * p10 + f12 * p20 + f13 * p30
+    t11 = f10 * p01 + f11 * p11 + f12 * p21 + f13 * p31
+    t12 = f10 * p02 + f11 * p12 + f12 * p22 + f13 * p32
+    t13 = f10 * p03 + f11 * p13 + f12 * p23 + f13 * p33
+    t20 = f20 * p00 + f21 * p10 + f22 * p20 + f23 * p30
+    t21 = f20 * p01 + f21 * p11 + f22 * p21 + f23 * p31
+    t22 = f20 * p02 + f21 * p12 + f22 * p22 + f23 * p32
+    t23 = f20 * p03 + f21 * p13 + f22 * p23 + f23 * p33
+    t30 = f30 * p00 + f31 * p10 + f32 * p20 + f33 * p30
+    t31 = f30 * p01 + f31 * p11 + f32 * p21 + f33 * p31
+    t32 = f30 * p02 + f31 * p12 + f32 * p22 + f33 * p32
+    t33 = f30 * p03 + f31 * p13 + f32 * p23 + f33 * p33
+    # Phi P Phi^T + Q on the upper triangle, entry (i, j) from row i of T and row j of Phi
+    a00 = t00 * f00 + t01 * f01 + t02 * f02 + t03 * f03 + q00
+    a01 = t00 * f10 + t01 * f11 + t02 * f12 + t03 * f13 + q01
+    a02 = t00 * f20 + t01 * f21 + t02 * f22 + t03 * f23 + q02
+    a03 = t00 * f30 + t01 * f31 + t02 * f32 + t03 * f33 + q03
+    a11 = t10 * f10 + t11 * f11 + t12 * f12 + t13 * f13 + q11
+    a12 = t10 * f20 + t11 * f21 + t12 * f22 + t13 * f23 + q12
+    a13 = t10 * f30 + t11 * f31 + t12 * f32 + t13 * f33 + q13
+    a22 = t20 * f20 + t21 * f21 + t22 * f22 + t23 * f23 + q22
+    a23 = t20 * f30 + t21 * f31 + t22 * f32 + t23 * f33 + q23
+    a33 = t30 * f30 + t31 * f31 + t32 * f32 + t33 * f33 + q33
+    return [
+        [a00, a01, a02, a03],
+        [a01, a11, a12, a13],
+        [a02, a12, a22, a23],
+        [a03, a13, a23, a33],
+    ]
+
+
+def covariance_step3(phi, p, q):
+    """:func:`covariance_step4` written out for 3x3 matrices."""
+    ((f00, f01, f02),
+     (f10, f11, f12),
+     (f20, f21, f22)) = phi
+    ((p00, p01, p02),
+     (p10, p11, p12),
+     (p20, p21, p22)) = p
+    ((q00, q01, q02),
+     (_, q11, q12),
+     (_, _, q22)) = q
+    t00 = f00 * p00 + f01 * p10 + f02 * p20
+    t01 = f00 * p01 + f01 * p11 + f02 * p21
+    t02 = f00 * p02 + f01 * p12 + f02 * p22
+    t10 = f10 * p00 + f11 * p10 + f12 * p20
+    t11 = f10 * p01 + f11 * p11 + f12 * p21
+    t12 = f10 * p02 + f11 * p12 + f12 * p22
+    t20 = f20 * p00 + f21 * p10 + f22 * p20
+    t21 = f20 * p01 + f21 * p11 + f22 * p21
+    t22 = f20 * p02 + f21 * p12 + f22 * p22
+    a00 = t00 * f00 + t01 * f01 + t02 * f02 + q00
+    a01 = t00 * f10 + t01 * f11 + t02 * f12 + q01
+    a02 = t00 * f20 + t01 * f21 + t02 * f22 + q02
+    a11 = t10 * f10 + t11 * f11 + t12 * f12 + q11
+    a12 = t10 * f20 + t11 * f21 + t12 * f22 + q12
+    a22 = t20 * f20 + t21 * f21 + t22 * f22 + q22
+    return [
+        [a00, a01, a02],
+        [a01, a11, a12],
+        [a02, a12, a22],
+    ]
+
+
 def _entries(m, n: int, name: str) -> list:
-    """The entries of an ``(n, n)`` matrix, row by row, as Python floats; InvalidInput unless all are finite."""
-    if type(m) is not np.ndarray or m.dtype != np.float64:
-        m = np.asarray(m, dtype=float)
-    if m.shape != (n, n):
-        raise InvalidInput(f"{name} must be {n}x{n}, got shape {m.shape}")
-    flat = m.ravel().tolist()
-    if not all(map(math.isfinite, flat)):
+    """The entries of an ``(n, n)`` matrix, row by row, as Python floats; InvalidInput unless all are finite.
+
+    ``m`` is n lists of n floats, as the kernels here return a matrix, or
+    anything ``numpy.asarray`` reads as an ``(n, n)`` array.
+    """
+    try:
+        rows = type(m) is list and [*map(len, m)] == [n] * n
+    except TypeError:  # an item of the list that is not a row
+        rows = False
+    if rows:
+        flat = [*chain.from_iterable(m)]
+    else:
+        try:
+            m = np.asarray(m, dtype=float)
+        except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+            raise InvalidInput(f"{name} must be a {n}x{n} matrix of numbers") from None
+        if m.shape != (n, n):
+            raise InvalidInput(f"{name} must be {n}x{n}, got shape {m.shape}")
+        flat = m.ravel().tolist()
+    # a finite sum has no infinite or NaN term; one that overflows is checked term by term
+    if not (math.isfinite(sum(flat)) or all(map(math.isfinite, flat))):
         raise InvalidInput(f"{name} entries must be finite")
     return flat
 

@@ -206,6 +206,20 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt(acc)
 
 
+def scaled_norms(v):
+    """Each row of a finite ``(..., d)`` array scaled by the power of two of its largest component, and its norm.
+
+    The scaling is exact and brings the largest component into [0.5, 1),
+    so the squares neither underflow nor overflow and the norm is 0 only
+    for a zero row: ``scaled / norm`` is the row's direction at any scale.
+    Within the range where the squares of the unscaled row are normal
+    numbers it is bit for bit ``row / row_norms(row)``.
+    """
+    _, e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))
+    v = np.ldexp(v, -e)
+    return v, row_norms(v)
+
+
 def is_visible(body, cam: CameraModel) -> np.ndarray:
     """Mask of the rows of an ``(..., 3)`` body-frame stack strictly inside the head's cone.
 

@@ -41,6 +41,7 @@ make an epoch's total depend on how far it is padded. The solver does not
 form the loss; :func:`wahba_loss` gives it for one set and attitude.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ from .errors import (
     UnderdeterminedAttitude,
 )
 from .numerics import jacobi_eigen_sym, padded_rows
-from .startracker import ObservationSet, row_norms
+from .startracker import ObservationSet, row_norms, scaled_norms
 
 _COLLINEAR_EPS = 1e-8
 _EIG_GAP_REL = 1e-9
@@ -70,12 +71,9 @@ def _unit(v, name: str) -> np.ndarray:
         raise InvalidInput(f"{name} must be a 3-vector")
     if not np.isfinite(v).all():
         raise InvalidInput(f"{name} must have finite components")
-    with np.errstate(over="ignore"):
-        n = row_norms(v)
-    if n < 1e-12:
+    v, n = scaled_norms(v)
+    if not 0.0 < n < math.inf:
         raise InvalidInput(f"{name} must be a nonzero vector")
-    if not np.isfinite(n):
-        raise InvalidInput(f"{name} must have a finite norm")
     return v / n
 
 

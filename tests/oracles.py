@@ -64,7 +64,11 @@ replaced, K from :func:`solve`, a Gauss-Jordan elimination with partial
 pivoting on Python floats, then ``K y`` and ``symmetrize((I - K) P)``
 (:func:`symmetrize`); the kernels are bounded against it.
 :func:`solve_numpy_rows` is the same elimination on numpy rows, which
-:func:`solve` must equal bit for bit.
+:func:`solve` must equal bit for bit. ``covariance_step4`` and
+``covariance_step3`` write out one block's ``Phi P Phi^T + Q`` on Python
+floats; :func:`covariance_step_by_blas` is the BLAS route they replaced on
+one-block segments, the products through ``@`` and the sum averaged with
+its transpose, which they are bounded against.
 
 :func:`quat_kinematics` is the right-hand side of the kinematic equation,
 which the RK4 reference for ``attsim.attitude.integrate_quat`` integrates,
@@ -360,6 +364,12 @@ def symmetrize(m) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
+def covariance_step_by_blas(phi, p, q) -> np.ndarray:
+    """``symmetrize(Phi P Phi^T + Q)`` with the products through BLAS."""
+    phi = np.asarray(phi, dtype=float)
+    return symmetrize(phi @ np.asarray(p, dtype=float) @ phi.T + np.asarray(q, dtype=float))
+
+
 def solve(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by Gauss-Jordan elimination with partial pivoting.
 
@@ -492,7 +502,7 @@ def predict_per_step(state, rates, dt: float, noise):
     kinematic = aekf and not noise.aekf_q_flat
     rates = np.asarray(rates, dtype=float).reshape(-1, 3)
     per_step = noise.sigma_v * noise.sigma_v * dt
-    q, p = state.q, state.p
+    q, p = np.asarray(state.q, dtype=float), np.asarray(state.p, dtype=float)
     qn = per_step * np.eye(p.shape[0])
     for w, phi in zip(rates, step_transitions(rates, dt, aekf)):
         q = integrate_quat(q, w[None, None], dt)[0]
@@ -505,7 +515,7 @@ def predict_per_step(state, rates, dt: float, noise):
 
 
 def estimate_per_step(rates, state, predict, update, r, dt, noise, phi, increments, counts, segments, measured,
-                      keep):
+                      keep, carried):
     """``attsim.harness._estimate`` with one predict per gyro step, written out.
 
     ``rates`` is the chunk's zero-padded ``(blocks, longest block, 3)``
@@ -514,11 +524,11 @@ def estimate_per_step(rates, state, predict, update, r, dt, noise, phi, incremen
     starts, so the gyro steps of each block are the differences of
     ``counts`` within its segment. Block ``i`` crosses its steps' rates by
     :func:`predict_per_step`; then the block's update and snapshot follow.
-    ``predict``, ``phi`` and ``increments`` are not used.
+    ``predict``, ``phi``, ``increments`` and ``carried`` are not used.
     """
     steps = [int(x) for lo, hi in segments for x in np.diff(counts[lo:hi], prepend=0)]
     q_kept = np.empty((sum(keep), 4))
-    p_kept = np.empty(q_kept.shape[:1] + state.p.shape)
+    p_kept = np.empty(q_kept.shape[:1] + np.shape(state.p))
     j = 0
     for i, q_meas in enumerate(measured):
         state = predict_per_step(state, rates[i, :steps[i]], dt, noise)

@@ -371,6 +371,24 @@ class TestSolveWahba:
         assert abs(qz) == pytest.approx(s, abs=1e-9)
         assert qw == pytest.approx(s, abs=1e-9)
 
+    @pytest.mark.parametrize("scale", ["1e-13", "1e-300", "1e300"])
+    def test_any_scale_gives_the_rotation(self, tmp_path, capsys, scale):
+        # two pairs whose vectors are all of one scale: a norm below 1e-12
+        # was called zero (exit 2), as was one whose squares overflowed
+        path = tmp_path / "obs.csv"
+        path.write_text(f"bx,by,bz,rx,ry,rz\n0,{scale},0,{scale},0,0\n-{scale},0,0,0,{scale},0\n")
+        assert main(["solve-wahba", str(path)]) == 0
+        out = capsys.readouterr().out
+        path.write_text("bx,by,bz,rx,ry,rz\n0,1,0,1,0,0\n-1,0,0,0,1,0\n")
+        assert main(["solve-wahba", str(path)]) == 0
+        assert out == capsys.readouterr().out
+
+    def test_zero_vector_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "obs.csv"
+        path.write_text("bx,by,bz,rx,ry,rz\n0,1,0,1,0,0\n-1,0,0,0,0,0\n")
+        assert main(["solve-wahba", str(path)]) == 2
+        assert capsys.readouterr().err == "attsim: config error: observation vectors must be nonzero\n"
+
     def test_row_length_must_match_the_header(self, tmp_path, capsys):
         # a weight field under a header without the weight column is a row
         # of the wrong length; a row without a weight under a weighted
@@ -593,12 +611,24 @@ class TestTriad:
         assert out.out == "" and not caught
         assert out.err.splitlines() == ["attsim: config error: b2 must have finite components"]
 
-    def test_overflowing_norm_exits_2(self, capsys):
-        # the squares overflowed: it warned and called the orthogonal pair collinear
-        rc = main(["triad"] + "1e300 0 0 0 1e300 0 0 1 0 -1 0 0".split())
+    @pytest.mark.parametrize("scale", ["1e-13", "1e-300", "1e300"])
+    def test_any_scale_prints_the_rotation(self, capsys, scale):
+        # a norm below 1e-12 was called zero (exit 2), and squares past the
+        # float range made the norm infinite (exit 2): the norm is taken
+        # after an exact power-of-two scaling, so only the directions count
+        rc = main(["triad"] + f"{scale} 0 0 0 {scale} 0 0 1 0 -1 0 0".split())
+        out = capsys.readouterr()
+        assert rc == 0 and out.err == ""
+        rows = [[float(v) for v in line.split()] for line in out.out.splitlines()]
+        assert rows == [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("args", ["0 0 0 0 1 0 0 1 0 -1 0 0", "1 0 0 0 1 0 0 1 0 -0.0 0 0"])
+    def test_zero_vector_exits_2(self, capsys, args):
+        rc = main(["triad"] + args.split())
         out = capsys.readouterr()
         assert rc == 2 and out.out == ""
-        assert out.err.splitlines() == ["attsim: config error: r1 must have a finite norm"]
+        name = "r1" if args.startswith("0") else "b2"
+        assert out.err.splitlines() == [f"attsim: config error: {name} must be a nonzero vector"]
 
     def test_negative_numbers_in_any_notation(self, capsys):
         # argparse took "-1e0" for an unknown option and exited 1

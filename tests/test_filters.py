@@ -23,10 +23,17 @@ from attsim.filters import (
     mekf_update,
 )
 from attsim.harness import ORBIT_PERIOD_S, trajectory_omega
-from attsim.numerics import RngStream
+from attsim.numerics import RngStream, covariance_step3, covariance_step4
 
 from conftest import quat_conjugate, quat_normalize, quat_to_gibbs, random_unit_quat, random_unit_vec
-from oracles import axis_angle_quat, cross_matrix, gibbs_to_quat, kalman_update_by_solve, predict_per_step
+from oracles import (
+    axis_angle_quat,
+    covariance_step_by_blas,
+    cross_matrix,
+    gibbs_to_quat,
+    kalman_update_by_solve,
+    predict_per_step,
+)
 
 DT = 0.01
 
@@ -58,16 +65,22 @@ def predict_from_start(s, m, steps, dt, noise):
 
     It takes the transitions of the rotations from the segment start, the
     products of ``quat_path`` from the identity, and the steps summed from
-    the segment start, as the harness plans them.
+    the segment start, as the harness plans them, and, as the harness hands
+    a segment of one block, one block's transition as rows of floats.
     """
     phi = _transitions_fn(s)(quat_path(identity_quat(), m))
-    return _predict_fn(s)(s, m, phi, np.cumsum(steps).tolist(), dt, noise)
+    return _predict_fn(s)(s, m, _rows_if_one(phi), np.cumsum(steps).tolist(), dt, noise)
+
+
+def _rows_if_one(phi):
+    """A stack of one transition as rows of floats, which takes the float kernel; a longer stack as it is."""
+    return phi.tolist() if len(phi) == 1 else phi
 
 
 def predict_segment(s, w, steps, dt, noise):
-    """One predict across a segment of blocks of rates ``(k, L, 3)``; the state after its last block."""
+    """One predict across a segment of blocks of rates ``(k, L, 3)``; the state after its last block, as arrays."""
     quats, covs = predict_from_start(s, block_increments(w, dt).tolist(), steps, dt, noise)
-    return FilterState(quats[-1], covs[-1])
+    return FilterState(np.asarray(quats[-1]), np.asarray(covs[-1]))
 
 
 def predict_rates(s, omegas, dt, noise):
@@ -86,8 +99,8 @@ def predict_blocks_prebuilt(s, w, steps, dt, noise):
     phi = _transitions_fn(s)([quat_path(identity_quat(), [m])[0] for m in increments])
     predict = _predict_fn(s)
     for b, m in enumerate(increments):
-        quats, covs = predict(s, [m], phi[b:b + 1], [steps[b]], dt, noise)
-        s = FilterState(quats[-1], covs[-1])
+        quats, covs = predict(s, [m], phi[b:b + 1].tolist(), [steps[b]], dt, noise)
+        s = FilterState(np.asarray(quats[-1]), np.asarray(covs[-1]))
     return s
 
 
@@ -219,8 +232,8 @@ class TestAekfUpdate:
             p0 = _psd(rng, 4)
             plus = aekf_update(FilterState(q=q.copy(), p=p0.copy()), meas, r4)
             minus = aekf_update(FilterState(q=q.copy(), p=p0.copy()), -meas, r4)
-            assert plus.q.tobytes() == minus.q.tobytes()
-            assert plus.p.tobytes() == minus.p.tobytes()
+            assert np.asarray(plus.q).tobytes() == np.asarray(minus.q).tobytes()
+            assert np.asarray(plus.p).tobytes() == np.asarray(minus.p).tobytes()
 
     def test_no_trust_limit(self):
         rng = RngStream(57)
@@ -254,8 +267,9 @@ class TestAekfUpdate:
             ky, p_want = kalman_update_by_solve(p, r4, meas - q)
             s2 = aekf_update(FilterState(q=q, p=p), meas, r4)
             assert np.max(np.abs(s2.q - quat_normalize(q + ky))) <= 1e-15
-            assert np.max(np.abs(s2.p - p_want)) <= 1e-13 * np.max(np.abs(p))
-            assert s2.p.tobytes() == s2.p.T.copy().tobytes()
+            p2 = np.asarray(s2.p)
+            assert np.max(np.abs(p2 - p_want)) <= 1e-13 * np.max(np.abs(p))
+            assert p2.tobytes() == p2.T.copy().tobytes()
 
     def test_rejects_bad_covariances_and_measurements(self):
         rng = RngStream(69)
@@ -420,8 +434,9 @@ class TestMekfUpdate:
             s2 = mekf_update(FilterState(q=q, p=p), meas, r3)
             q_want = quat_normalize(quat_mul(quat_normalize([*a, 2.0]), q))
             assert np.max(np.abs(s2.q - q_want)) <= 1e-15
-            assert np.max(np.abs(s2.p - p_want)) <= 1e-13 * np.max(np.abs(p))
-            assert s2.p.tobytes() == s2.p.T.copy().tobytes()
+            p2 = np.asarray(s2.p)
+            assert np.max(np.abs(p2 - p_want)) <= 1e-13 * np.max(np.abs(p))
+            assert p2.tobytes() == p2.T.copy().tobytes()
 
     def test_rejects_bad_covariances_and_measurements(self):
         rng = RngStream(72)
@@ -514,7 +529,7 @@ class TestBlockPredict:
             (FilterState(q0, 1e-4 * np.eye(3)), NoiseParams(sigma_v=1e-3)),
         ]
         for start, noise in cases:
-            quats, covs = predict_from_start(start, block_increments(w, DT).tolist(), sizes, DT, noise)
+            quats, covs = map(np.asarray, predict_from_start(start, block_increments(w, DT).tolist(), sizes, DT, noise))
             assert quats.shape == (len(sizes), 4) and covs.shape == (len(sizes),) + start.p.shape
             s = start
             for b, n in enumerate(sizes):
@@ -605,7 +620,7 @@ class TestBlockPredict:
                 assert stack[b].tobytes() == alone[0].tobytes()
                 taken = _predict_fn(start)(start, m[b:b + 1], stack[b:b + 1], [3], DT, noise)
                 built = _predict_fn(start)(start, m[b:b + 1], alone, [3], DT, noise)
-                assert all(x.tobytes() == y.tobytes() for x, y in zip(built, taken))
+                assert all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(built, taken))
             for shape in ((0, 4), (4,), (2, 3), (2, 4, 1)):
                 with pytest.raises(InvalidInput):
                     _transitions_fn(start)(np.zeros(shape))
@@ -658,9 +673,66 @@ class TestBlockPredict:
             a, b, c = update(a, z, r), update(b, z, r), update(c, z, r)
             for x in (a, c):
                 q_gap = max(q_gap, error_angle(x.q, b.q))
-                p_gap = max(p_gap, float(np.max(np.abs(x.p - b.p)) / np.max(np.abs(b.p))))
+                p_gap = max(p_gap, float(np.max(np.abs(np.subtract(x.p, b.p))) / np.max(np.abs(b.p))))
         assert q_gap <= 1e-12, f"quaternion gap {q_gap:.3e} rad"
         assert p_gap <= 1e-10, f"relative covariance gap {p_gap:.3e}"
+
+
+def _spd_elementwise(rng, n, scale):
+    """A random SPD matrix built with elementwise products and one sum, so exactly symmetric."""
+    a = rng.standard_normal((n, 2 * n))
+    return scale * (a[:, None, :] * a[None, :, :]).sum(axis=-1) / (2 * n)
+
+
+class TestCovarianceStep:
+    """The written-out one-block ``Phi P Phi^T + Q`` that keeps a one-block segment on floats."""
+
+    _STEPS = {4: (covariance_step4, aekf_transitions), 3: (covariance_step3, mekf_transitions)}
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_the_blas_route(self, n):
+        # the largest deviation over 2000 draws of each size, P and Q of
+        # scale 1 and 1e-6 under the exact transitions of random rotations,
+        # was 4.3e-16 (4x4) and 4.0e-16 (3x3) of max|Phi P Phi^T + Q|; the
+        # bound is about 12 times that
+        step, build = self._STEPS[n]
+        rng = np.random.default_rng(300 + n)
+        for _ in range(200):
+            phi = build(quat_normalize(rng.standard_normal(4))[None])[0]
+            for scale in (1.0, 1e-6):
+                p, q = _spd_elementwise(rng, n, scale), _spd_elementwise(rng, n, scale * rng.uniform())
+                want = covariance_step_by_blas(phi, p, q)
+                got = np.array(step(phi.tolist(), p.tolist(), q.tolist()))
+                assert np.max(np.abs(got - want)) <= 5e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_output_is_exactly_symmetric(self, n):
+        # a Phi that is not orthogonal and a Q whose lower triangle differs
+        # from its upper, which is the one read
+        step, _ = self._STEPS[n]
+        rng = np.random.default_rng(310 + n)
+        for _ in range(100):
+            phi = rng.standard_normal((n, n))
+            q = _spd_elementwise(rng, n, 1.0) + np.tril(rng.standard_normal((n, n)), -1)
+            got = np.array(step(phi.tolist(), _spd_elementwise(rng, n, 1.0).tolist(), q.tolist()))
+            assert got.tobytes() == got.T.copy().tobytes()
+
+    @pytest.mark.parametrize("name", ["aekf", "mekf"])
+    def test_non_finite_covariance_is_rejected_by_the_update(self, name):
+        # the kernel checks nothing; a NaN or inf it carries from P reaches
+        # the update as rows of floats, which rejects it
+        n, predict, update = (4, aekf_predict, aekf_update) if name == "aekf" else (3, mekf_predict, mekf_update)
+        m = [axis_angle_quat([0.0, 0.0, 1.0], 0.01).tolist()]
+        phi = _transitions_fn(FilterState(identity_quat(), np.eye(n)))(m).tolist()
+        for value in (math.nan, math.inf, -math.inf):
+            p = (1e-6 * np.eye(n)).tolist()
+            p[0][n - 1] = p[n - 1][0] = value
+            quats, covs = predict(FilterState(identity_quat(), p), m, phi, [100], DT, NoiseParams(sigma_v=1e-4))
+            assert isinstance(covs[0], list) and not np.all(np.isfinite(covs[0]))
+            with pytest.raises(InvalidInput):
+                update(FilterState(quats[0], covs[0]), quats[0], (1e-6 * np.eye(n)).tolist())
+            with pytest.raises(InvalidInput):
+                update(FilterState(quats[0], p), quats[0], (1e-6 * np.eye(n)).tolist())
 
 
 class TestFilterInvariants:

@@ -750,7 +750,7 @@ class TestBlockTransitions:
         assert len(passes) == 2 and rot_a is rot_m
         assert passes[0][6] is phi_a and passes[1][6] is phi_m
         for args in passes:
-            _, _, _, _, pass_dt, noise, _, m, counts, segments, _, _ = args
+            _, _, _, _, pass_dt, noise, _, m, counts, segments, _, _, _ = args
             assert pass_dt == dt and m == increments.tolist()
             assert [n for lo, hi in segments for n in np.diff(counts[lo:hi], prepend=0)] == sizes
             assert noise == NoiseParams(sigma_v=1e-3 * math.sqrt(dt), aekf_q_flat=True)
@@ -798,6 +798,11 @@ def _segment_configs(n):
     return out
 
 
+def _as_given(given, phi):
+    """``phi`` in the form of ``given``: rows of floats if ``given`` is a list, else the stack."""
+    return phi.tolist() if isinstance(given, list) else phi
+
+
 def _passes(monkeypatch, cfg, fail=None, per_step=False, own_transitions=False):
     """Run ``cfg``; the result and every estimate pass's return.
 
@@ -807,7 +812,8 @@ def _passes(monkeypatch, cfg, fail=None, per_step=False, own_transitions=False):
     gyro rates, and no segment may span a chunk end; with
     ``own_transitions`` every predict takes the transitions of its
     segment's rotations built alone, where the harness hands it its rows of
-    the chunk's build.
+    the chunk's build, in the form the harness hands them (floats or a
+    stack).
     """
     import attsim.harness as hmod
     from attsim.attitude import identity_quat, quat_path
@@ -845,7 +851,7 @@ def _passes(monkeypatch, cfg, fail=None, per_step=False, own_transitions=False):
                 predict, build = getattr(hmod, f"{name}_predict"), getattr(hmod, f"{name}_transitions")
                 m.setattr(hmod, f"{name}_predict",
                           lambda s, m_, phi, *rest, predict=predict, build=build:
-                          predict(s, m_, build(quat_path(identity_quat(), m_)), *rest))
+                          predict(s, m_, _as_given(phi, build(quat_path(identity_quat(), m_))), *rest))
         return run_simulation(short_cfg(**cfg)), returns
 
 

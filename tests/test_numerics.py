@@ -581,6 +581,27 @@ class TestKalmanUpdate:
             with pytest.raises(InvalidInput):
                 _KALMAN[n](ok, ok, bad_y)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rejects_bad_rows(self, n):
+        # the matrices as rows of floats, as the kernels return them: a
+        # wrong count of rows or of entries in one, a flat list, or a
+        # non-finite entry anywhere, the upper triangle of R included
+        ok, y = np.eye(n).tolist(), [1.0] * n
+        ragged = np.eye(n).tolist()
+        ragged[0].append(0.0)
+        ragged[1].pop()
+        for bad in (ok[1:], ok + [[0.0] * n], ragged, [1.0] * n, [1.0] * (n * n)):
+            for args in ((bad, ok, y), (ok, bad, y)):
+                with pytest.raises(InvalidInput):
+                    _KALMAN[n](*args)
+        for value in (math.nan, math.inf, -math.inf):
+            for i, j in ((0, 0), (0, n - 1), (n - 1, 0)):
+                bad = np.eye(n).tolist()
+                bad[i][j] = value
+                for args in ((bad, ok, y), (ok, bad, y)):
+                    with pytest.raises(InvalidInput):
+                        _KALMAN[n](*args)
+
     def test_lists_and_arrays_give_the_same_bits(self):
         rng = np.random.default_rng(7)
         p, r, y = _spd(rng, 4, 1.0), _spd(rng, 4, 1.0), rng.standard_normal(4)

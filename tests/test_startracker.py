@@ -15,7 +15,9 @@ from attsim.startracker import (
     is_visible,
     load_catalog,
     observe,
+    row_norms,
     save_catalog,
+    scaled_norms,
 )
 from attsim.wahba import davenport_solve
 
@@ -464,3 +466,19 @@ class TestObserveStack:
         assert obs.counts == () and len(obs) == 0
         assert rng._state == state
         assert davenport_solve(observe(np.zeros((0, 4)), cat, cams, 0.0, rng)) == []
+
+
+class TestScaledNorms:
+    def test_directions_at_every_scale(self):
+        # in the range where the squares are normal numbers the direction is
+        # row / row_norms(row) bit for bit; at 2^-1000 and 2^1000 it is the
+        # same direction, and a zero row has norm 0
+        rows = np.random.default_rng(8).standard_normal((200, 3))
+        want = rows / row_norms(rows)[:, None]
+        for scale in (1.0, 2.0**-400, 2.0**400, 2.0**-1000, 2.0**1000):
+            scaled, norms = scaled_norms(rows * scale)
+            assert (scaled / norms[:, None]).tobytes() == want.tobytes()
+        scaled, norms = scaled_norms(np.array([[0.0, 0.0, 0.0], [0.0, -1e-320, 0.0], [1e308, -1e308, 1e308]]))
+        assert norms[0] == 0.0 and (scaled[1:] / norms[1:, None]).tolist() == [
+            [0.0, -1.0, 0.0], [1 / math.sqrt(3.0), -1 / math.sqrt(3.0), 1 / math.sqrt(3.0)]
+        ]
