@@ -93,7 +93,8 @@ def predict_blocks_prebuilt(s, w, steps, dt, noise):
     """One predict per block of ``w`` ``(k, L, 3)``, each a segment of one, as the harness runs it.
 
     The transitions of all the blocks' rotations, each from the identity,
-    are built in one call, and each predict takes its block's row.
+    are built in one call, and each predict takes its block's row as rows
+    of floats.
     """
     increments = block_increments(w, dt).tolist()
     phi = _transitions_fn(s)([quat_path(identity_quat(), [m])[0] for m in increments])
