@@ -56,22 +56,21 @@ Segment predict
     The predict returns the state after every block, so a caller can
     snapshot the filter inside the segment.
 
-Float path
-    The filter state moves between the kernels on Python floats: the
-    quaternion as 4 floats and the covariance as n rows of n floats, as
-    the updates return them (a ``FilterState`` may also hold arrays, which
-    every kernel reads). A predict of one block whose transition comes as
-    rows of floats, a list of one n-by-n list, takes ``Phi P Phi^T + Q``
-    from the written-out kernel of its size
-    (:func:`attsim.numerics.covariance_step4` for the AEKF,
-    :func:`attsim.numerics.covariance_step3` for the MEKF), which mirrors
-    the upper triangle and makes no BLAS call, and returns a list of one
-    quaternion and a list of one covariance. The harness hands every
-    one-block segment that ends in an update this way, so the filter
-    crosses it, predict and update, without numpy. Any other call takes
-    the stack: ``phi`` as a ``(k, n, n)`` array, and the covariances as one
-    batched ``Phi P Phi^T + Q`` through BLAS, averaged with its transpose,
-    returned as ``(k, 4)`` and ``(k, n, n)`` arrays.
+    Each covariance step is the written-out kernel of the filter's size,
+    :func:`attsim.numerics.covariance_step4` for the AEKF and
+    :func:`attsim.numerics.covariance_step3` for the MEKF, which mirrors
+    the upper triangle and makes no BLAS call. It has two carriers, picked
+    by the number of blocks. One block runs it on Python floats and
+    returns a list of one quaternion (4 floats) and a list of one
+    covariance (n rows of n floats), as the updates take and return them,
+    so a filter crosses a one-block segment, predict and update, without
+    numpy (a ``FilterState`` may also hold arrays, which every kernel
+    reads). A segment of k > 1 blocks runs the same expressions
+    elementwise on ``(k,)`` arrays, ``phi`` taken component-major as a
+    ``(n, n, k)`` view, and returns ``(k, 4)`` and ``(k, n, n)`` arrays.
+    Every step of the kernel is one rounded +, - or x, so each block gets
+    the bits of the scalar call on its own transition, and the carrier
+    changes the cost, not the result.
 
 The AEKF update sign-aligns the measured quaternion against the current
 estimate before forming a residual, and the MEKF's Gibbs innovation does
@@ -93,10 +92,6 @@ import numpy as np
 from .attitude import _components, _gibbs, _hamilton, _unit, quat_left_matrix, quat_path, quat_to_matrix
 from .errors import InvalidInput
 from .numerics import covariance_step3, covariance_step4, kalman_update3, kalman_update4
-
-_I3 = np.eye(3)
-_I4 = np.eye(4)
-
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -161,8 +156,15 @@ def mekf_transitions(m) -> np.ndarray:
     return quat_to_matrix(_rotations(m)).swapaxes(-1, -2)
 
 
-def _segment(m, phi, n, dt: float, noise: NoiseParams) -> float:
-    """Check the increments, transitions and step counts of k blocks; the process noise sigma_v^2 dt of a step."""
+def _segment(m, phi, n, dt: float, noise: NoiseParams):
+    """Check the increments, transitions and step counts of k blocks; the transitions and noise in the kernel's carrier.
+
+    Returns the transitions and each block's process noise ``N_j sigma_v^2
+    dt``: for one block, its transition as rows of Python floats and one
+    float; for more, the transitions component-major, a ``(n, n, k)`` view
+    of the ``(k, n, n)`` stack, and a ``(k,)`` array, so each expression of
+    the covariance step runs elementwise over the blocks.
+    """
     k = len(m)
     if dt <= 0.0:
         raise InvalidInput("dt must be positive")
@@ -170,18 +172,15 @@ def _segment(m, phi, n, dt: float, noise: NoiseParams) -> float:
         raise InvalidInput("one transition and one step count per block are needed")
     if n[0] < 1 or (k > 1 and not all(a < b for a, b in zip(n, n[1:]))):
         raise InvalidInput("each block must cross at least one gyro step")
-    return noise.sigma_v * noise.sigma_v * dt
+    per_step = noise.sigma_v * noise.sigma_v * dt
+    if k == 1:
+        return phi[0].tolist(), n[0] * per_step
+    return phi.transpose(1, 2, 0), per_step * np.asarray(n)
 
 
-def _propagate(p, phi: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``Phi P Phi^T + Q`` of each block of a stack, averaged with its transpose, ``(k, n, n)``.
-
-    The products go through BLAS, so their rounding depends on the kernel
-    (ROADMAP item 6); the average makes each block's covariance exactly
-    symmetric.
-    """
-    x = phi @ p @ phi.swapaxes(-1, -2) + q
-    return 0.5 * (x + x.swapaxes(-1, -2))
+def _blocks(cov, k: int):
+    """A covariance step's result as the predict returns it: a list of one for one block, else ``(k, n, n)``."""
+    return [cov] if k == 1 else np.array(cov).transpose(2, 0, 1)
 
 
 def aekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
@@ -195,37 +194,32 @@ def aekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
     exact steps preserve the norm to about 1e-16. The covariance after
     block j is ``L(R_j) P L(R_j)^T + Q_j``, with ``Q_j = sigma_v^2 dt N_j
     I`` (flat), or ``0.25 sigma_v^2 dt N_j (I - q_j q_j^T)`` at the
-    attitude ``q_j`` after the block (kinematic). Returns the attitude
-    ``(k, 4)`` and the covariance ``(k, 4, 4)`` after each block; with one
-    block whose transition comes as rows of floats, a list of one
-    quaternion and a list of one covariance, on Python floats (see the
-    module docstring).
+    attitude ``q_j`` after the block (kinematic), from
+    :func:`attsim.numerics.covariance_step4`. Returns the attitude and the
+    covariance after each block: for one block, a list of one quaternion
+    and a list of one covariance, on Python floats; for more, ``(k, 4)``
+    and ``(k, 4, 4)`` arrays (see the module docstring).
     """
-    per_step = _segment(m, phi, n, dt, noise)
-    if type(phi) is list and len(m) == 1:
-        q = _unit(*_hamilton(*m[0], *_components(s.q)))
-        var = n[0] * per_step
-        if noise.aekf_q_flat:
-            qn = [[var, 0.0, 0.0, 0.0], [0.0, var, 0.0, 0.0], [0.0, 0.0, var, 0.0], [0.0, 0.0, 0.0, var]]
-        else:
-            c = 0.25 * var
-            x, y, z, w = q
-            xy, xz, xw = c * -(x * y), c * -(x * z), c * -(x * w)
-            yz, yw, zw = c * -(y * z), c * -(y * w), c * -(z * w)
-            qn = [
-                [c * (1.0 - x * x), xy, xz, xw],
-                [xy, c * (1.0 - y * y), yz, yw],
-                [xz, yz, c * (1.0 - z * z), zw],
-                [xw, yw, zw, c * (1.0 - w * w)],
-            ]
-        return [q], [covariance_step4(phi[0], _components(s.p), qn)]
-    path = quat_path(s.q, m, normalize=True)
-    var = per_step * np.asarray(n)[:, None, None]
-    if noise.aekf_q_flat:
-        q = var * _I4
+    f, var = _segment(m, phi, n, dt, noise)
+    if len(m) == 1:
+        path = [_unit(*_hamilton(*m[0], *_components(s.q)))]
+        x, y, z, w = path[0]
     else:
-        q = 0.25 * var * (_I4 - path[:, :, None] * path[:, None, :])
-    return path, _propagate(s.p, phi, q)
+        path = quat_path(s.q, m, normalize=True)
+        x, y, z, w = path.T
+    if noise.aekf_q_flat:
+        qn = [[var, 0.0, 0.0, 0.0], [0.0, var, 0.0, 0.0], [0.0, 0.0, var, 0.0], [0.0, 0.0, 0.0, var]]
+    else:
+        c = 0.25 * var
+        xy, xz, xw = c * -(x * y), c * -(x * z), c * -(x * w)
+        yz, yw, zw = c * -(y * z), c * -(y * w), c * -(z * w)
+        qn = [
+            [c * (1.0 - x * x), xy, xz, xw],
+            [xy, c * (1.0 - y * y), yz, yw],
+            [xz, yz, c * (1.0 - z * z), zw],
+            [xw, yw, zw, c * (1.0 - w * w)],
+        ]
+    return path, _blocks(covariance_step4(f, _components(s.p), qn), len(m))
 
 
 def aekf_update(s: FilterState, q_meas, r4) -> FilterState:
@@ -259,17 +253,15 @@ def mekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
     ``s``, ``m``, ``phi`` and ``n`` are as for :func:`aekf_predict`, with
     ``phi`` from :func:`mekf_transitions`, ``(k, 3, 3)``. The increments
     carry the reference exactly, and the covariance after block j is
-    ``A(R_j)^T P A(R_j) + sigma_v^2 dt N_j I``. Returns the reference
-    ``(k, 4)`` and the covariance ``(k, 3, 3)`` after each block, or on
-    floats as :func:`aekf_predict` does.
+    ``A(R_j)^T P A(R_j) + sigma_v^2 dt N_j I``, from
+    :func:`attsim.numerics.covariance_step3`. Returns the reference and the
+    covariance after each block, on floats for one block and as ``(k, 4)``
+    and ``(k, 3, 3)`` arrays for more, as :func:`aekf_predict` does.
     """
-    per_step = _segment(m, phi, n, dt, noise)
-    if type(phi) is list and len(m) == 1:
-        q = _hamilton(*m[0], *_components(s.q))
-        v = n[0] * per_step
-        qn = [[v, 0.0, 0.0], [0.0, v, 0.0], [0.0, 0.0, v]]
-        return [q], [covariance_step3(phi[0], _components(s.p), qn)]
-    return quat_path(s.q, m), _propagate(s.p, phi, per_step * np.asarray(n)[:, None, None] * _I3)
+    f, v = _segment(m, phi, n, dt, noise)
+    path = [_hamilton(*m[0], *_components(s.q))] if len(m) == 1 else quat_path(s.q, m)
+    qn = [[v, 0.0, 0.0], [0.0, v, 0.0], [0.0, 0.0, v]]
+    return path, _blocks(covariance_step3(f, _components(s.p), qn), len(m))
 
 
 def mekf_update(s: FilterState, q_meas, r3) -> FilterState:

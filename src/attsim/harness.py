@@ -34,7 +34,8 @@ then one estimate pass per filter, then its records:
   MEKF's: each builds its filter's transition of every R_j in one call
   (see :mod:`attsim.filters`), then takes one predict per segment, which
   advances the quaternion block by block (q <- M q) and the covariance in
-  closed form, the last block's update with the epoch's Davenport
+  closed form (each block gets the same bits however many blocks the
+  predict crosses), the last block's update with the epoch's Davenport
   quaternion, and the snapshots at the segment's record instants. A filter
   whose segment is open at the chunk's end is carried with the attitude
   after its last block and the covariance at the segment start, so each
@@ -487,7 +488,7 @@ def _segments(increments, steps, measured, open_segment):
     return bounds, rotations, counts, (r, n)
 
 
-def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, segments, measured, keep, carried):
+def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, segments, measured, keep):
     """One filter's estimate pass over the first ``len(measured)`` blocks of a chunk.
 
     ``segments`` and ``counts`` come from :func:`_segments`, and ``phi``
@@ -497,12 +498,10 @@ def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, seg
     ``predict(state, increments[lo:hi], phi[lo:hi], counts[lo:hi], dt,
     noise)`` (see :func:`attsim.filters.aekf_predict`), which gives the
     filter after each block; the last is then updated with the quaternion
-    ``measured[hi - 1]`` (with covariance ``r``) unless it is None. A
-    segment of one block that ends in an update takes its transition as
-    rows of floats, so its predict and update keep the filter on floats;
-    any other takes its slice of the stack. ``carried`` says that the first
-    segment is open at the chunk start: a segment cut by chunk ends takes
-    the stack in every part, so no covariance depends on where chunks end.
+    ``measured[hi - 1]`` (with covariance ``r``) unless it is None. Every
+    segment, and every part of a segment that chunk ends cut, takes its
+    slice of the stack; a predict gives each block the same bits however
+    many blocks it crosses, so no output depends on where chunks end.
     Block ``i`` is snapshotted if ``keep[i]``, after its update if it has
     one. Returns the filter to carry into the next chunk, a
     ``FilterState``; the snapshots' quaternions ``(n_keep, 4)`` and
@@ -514,9 +513,7 @@ def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, seg
     p_kept = np.empty(q_kept.shape[:1] + np.shape(state.p))
     j = 0
     for lo, hi in segments:
-        one = hi - lo == 1 and measured[lo] is not None and (lo > 0 or not carried)
-        quats, covs = predict(state, increments[lo:hi], [phi[lo].tolist()] if one else phi[lo:hi],
-                              counts[lo:hi], dt, noise)
+        quats, covs = predict(state, increments[lo:hi], phi[lo:hi], counts[lo:hi], dt, noise)
         after = FilterState(quats[-1], covs[-1])
         q_meas = measured[hi - 1]
         if q_meas is not None:
@@ -641,7 +638,6 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         # all run again from its start, without the update at j and with a
         # record there
         steps_list = steps.tolist()
-        carried = open_segment[1] > 0
         while True:
             if failure is not None:
                 stop = failure[0]
@@ -650,10 +646,10 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             segments, rotations, counts, segment_out = _segments(m_list, steps_list, measured, open_segment)
             t1 = time.perf_counter()
             aekf_out = _estimate(aekf, aekf_predict, aekf_update, r4, dt, noise, aekf_transitions(rotations),
-                                 m_list, counts, segments, measured, keep, carried)
+                                 m_list, counts, segments, measured, keep)
             t2 = time.perf_counter()
             mekf_out = _estimate(mekf, mekf_predict, mekf_update, r3, dt, noise, mekf_transitions(rotations),
-                                 m_list, counts, segments, measured, keep, carried)
+                                 m_list, counts, segments, measured, keep)
             t3 = time.perf_counter()
             failures = [out[3] for out in (aekf_out, mekf_out) if out[3] is not None]
             if not failures:

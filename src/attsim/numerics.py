@@ -14,7 +14,8 @@ The updates (:func:`kalman_update4`, :func:`kalman_update3`) factor the
 innovation covariance S = P + R = L L^T and take the gain product and the
 posterior covariance from L by forward substitution; the covariance steps
 (:func:`covariance_step4`, :func:`covariance_step3`) form ``Phi P Phi^T +
-Q`` of one block. Each is written out for its size on Python floats: the
+Q`` of one block, or elementwise of the blocks of a segment when handed
+arrays. Each is written out for its size on Python floats: the
 3x3 and 4x4 systems are too small to pay numpy's per-call cost, a loop
 over the indices measured about six times the written-out 4x4 form, a
 Python float rounds each operation as a numpy element does, and no
@@ -452,16 +453,20 @@ def kalman_update3(p, r, y):
 
 
 def covariance_step4(phi, p, q):
-    """``Phi P Phi^T + Q`` of 4x4 matrices, on Python floats.
+    """``Phi P Phi^T + Q`` of 4x4 matrices, on Python floats or elementwise over blocks.
 
-    ``phi``, ``p`` and ``q`` are each 4 rows of 4 floats; ``q`` is taken as
-    symmetric and only its upper triangle is read. Phi P is formed in full,
-    then the upper triangle of its product with Phi^T, to which Q is added,
-    and the triangle is mirrored, so the result, 4 rows of 4 floats, is
-    exactly symmetric. Every entry is one expression written out for this
-    size, so no BLAS call is made and the rounding does not depend on the
-    CPU kernel. Nothing is checked: a non-finite entry propagates to the
-    update, which rejects it.
+    ``phi``, ``p`` and ``q`` are each 4 rows of 4 entries; ``q`` is taken as
+    symmetric and only its upper triangle is read. An entry is a float, or
+    a ``(k,)`` array of one entry of k blocks (``phi`` as a component-major
+    ``(4, 4, k)`` view of a ``(k, 4, 4)`` stack), and the expressions then
+    run elementwise. Phi P is formed in full, then the upper triangle of its
+    product with Phi^T, to which Q is added, and the triangle is mirrored,
+    so the result, 4 rows of 4 entries, is exactly symmetric. Every entry
+    is one expression written out for this size, each step one rounded +
+    or x, so no BLAS call is made, the rounding does not depend on the CPU
+    kernel, and each block of an array call gets the bits of its own float
+    call. Nothing is checked: a non-finite entry propagates to the update,
+    which rejects it.
     """
     ((f00, f01, f02, f03),
      (f10, f11, f12, f13),

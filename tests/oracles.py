@@ -65,10 +65,10 @@ pivoting on Python floats, then ``K y`` and ``symmetrize((I - K) P)``
 (:func:`symmetrize`); the kernels are bounded against it.
 :func:`solve_numpy_rows` is the same elimination on numpy rows, which
 :func:`solve` must equal bit for bit. ``covariance_step4`` and
-``covariance_step3`` write out one block's ``Phi P Phi^T + Q`` on Python
-floats; :func:`covariance_step_by_blas` is the BLAS route they replaced on
-one-block segments, the products through ``@`` and the sum averaged with
-its transpose, which they are bounded against.
+``covariance_step3`` write out ``Phi P Phi^T + Q`` on Python floats, or
+elementwise over blocks; :func:`covariance_step_by_blas` is the BLAS route
+they replaced, the products through ``@`` and the sum averaged with its
+transpose, which they are bounded against.
 
 :func:`quat_kinematics` is the right-hand side of the kinematic equation,
 which the RK4 reference for ``attsim.attitude.integrate_quat`` integrates,
@@ -515,7 +515,7 @@ def predict_per_step(state, rates, dt: float, noise):
 
 
 def estimate_per_step(rates, state, predict, update, r, dt, noise, phi, increments, counts, segments, measured,
-                      keep, carried):
+                      keep):
     """``attsim.harness._estimate`` with one predict per gyro step, written out.
 
     ``rates`` is the chunk's zero-padded ``(blocks, longest block, 3)``
@@ -524,7 +524,7 @@ def estimate_per_step(rates, state, predict, update, r, dt, noise, phi, incremen
     starts, so the gyro steps of each block are the differences of
     ``counts`` within its segment. Block ``i`` crosses its steps' rates by
     :func:`predict_per_step`; then the block's update and snapshot follow.
-    ``predict``, ``phi``, ``increments`` and ``carried`` are not used.
+    ``predict``, ``phi`` and ``increments`` are not used.
     """
     steps = [int(x) for lo, hi in segments for x in np.diff(counts[lo:hi], prepend=0)]
     q_kept = np.empty((sum(keep), 4))

@@ -65,16 +65,10 @@ def predict_from_start(s, m, steps, dt, noise):
 
     It takes the transitions of the rotations from the segment start, the
     products of ``quat_path`` from the identity, and the steps summed from
-    the segment start, as the harness plans them, and, as the harness hands
-    a segment of one block, one block's transition as rows of floats.
+    the segment start, as the harness plans them.
     """
     phi = _transitions_fn(s)(quat_path(identity_quat(), m))
-    return _predict_fn(s)(s, m, _rows_if_one(phi), np.cumsum(steps).tolist(), dt, noise)
-
-
-def _rows_if_one(phi):
-    """A stack of one transition as rows of floats, which takes the float kernel; a longer stack as it is."""
-    return phi.tolist() if len(phi) == 1 else phi
+    return _predict_fn(s)(s, m, phi, np.cumsum(steps).tolist(), dt, noise)
 
 
 def predict_segment(s, w, steps, dt, noise):
@@ -93,14 +87,14 @@ def predict_blocks_prebuilt(s, w, steps, dt, noise):
     """One predict per block of ``w`` ``(k, L, 3)``, each a segment of one, as the harness runs it.
 
     The transitions of all the blocks' rotations, each from the identity,
-    are built in one call, and each predict takes its block's row as rows
-    of floats.
+    are built in one call, and each predict takes its block's row of the
+    stack.
     """
     increments = block_increments(w, dt).tolist()
     phi = _transitions_fn(s)([quat_path(identity_quat(), [m])[0] for m in increments])
     predict = _predict_fn(s)
     for b, m in enumerate(increments):
-        quats, covs = predict(s, [m], phi[b:b + 1].tolist(), [steps[b]], dt, noise)
+        quats, covs = predict(s, [m], phi[b:b + 1], [steps[b]], dt, noise)
         s = FilterState(np.asarray(quats[-1]), np.asarray(covs[-1]))
     return s
 
@@ -686,7 +680,8 @@ def _spd_elementwise(rng, n, scale):
 
 
 class TestCovarianceStep:
-    """The written-out one-block ``Phi P Phi^T + Q`` that keeps a one-block segment on floats."""
+    """The written-out ``Phi P Phi^T + Q`` that every predict takes: on floats
+    for one block, elementwise over component-major arrays for more."""
 
     _STEPS = {4: (covariance_step4, aekf_transitions), 3: (covariance_step3, mekf_transitions)}
 
@@ -718,13 +713,61 @@ class TestCovarianceStep:
             got = np.array(step(phi.tolist(), _spd_elementwise(rng, n, 1.0).tolist(), q.tolist()))
             assert got.tobytes() == got.T.copy().tobytes()
 
+    @staticmethod
+    def _rotations(rng, k):
+        r = rng.standard_normal((k, 4))
+        return r / np.sqrt((r * r).sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 100, 1800])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_component_major_blocks_get_the_scalar_bits(self, n, k):
+        # the kernel on (n, n, k) transitions and per-block Q arrays gives
+        # each block the bytes of the scalar call on that block's entries
+        step, build = self._STEPS[n]
+        rng = np.random.default_rng(320 + n + k)
+        phi = build(self._rotations(rng, k))
+        p = _spd_elementwise(rng, n, 1e-6).tolist()
+        q = np.array([_spd_elementwise(rng, n, 1e-9) for _ in range(k)])
+        got = np.array(step(phi.transpose(1, 2, 0), p, q.transpose(1, 2, 0))).transpose(2, 0, 1)
+        assert got.shape == (k, n, n)
+        for j in range(k):
+            assert got[j].tobytes() == np.array(step(phi[j].tolist(), p, q[j].tolist())).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 100, 1800])
+    @pytest.mark.parametrize("name", ["aekf-flat-q", "aekf-kinematic-q", "mekf"])
+    def test_every_block_of_a_predict_is_the_scalar_kernel(self, name, k):
+        # block j of a k-block predict is the scalar kernel on Phi(R_j), the
+        # segment-start P and Q_j, byte for byte, with Q_j = N_j sigma_v^2
+        # dt I, or 0.25 N_j sigma_v^2 dt (I - q_j q_j^T) at the attitude
+        # after block j
+        n = 3 if name == "mekf" else 4
+        step, build = self._STEPS[n]
+        predict = mekf_predict if name == "mekf" else aekf_predict
+        noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=name == "aekf-flat-q")
+        rng = np.random.default_rng(330 + n + k)
+        m = self._rotations(rng, k).tolist()
+        counts = np.cumsum(rng.integers(1, 100, size=k)).tolist()
+        phi = build(quat_path(identity_quat(), m))
+        p = _spd_elementwise(rng, n, 1e-6)
+        quats, covs = predict(FilterState(self._rotations(rng, 1)[0], p), m, phi, counts, DT, noise)
+        assert np.shape(covs) == (k, n, n)
+        per_step = noise.sigma_v * noise.sigma_v * DT
+        for j in range(k):
+            var = counts[j] * per_step
+            if name == "aekf-kinematic-q":
+                q_j = (0.25 * var) * (np.eye(4) - np.outer(quats[j], quats[j]))
+            else:
+                q_j = var * np.eye(n)
+            want = np.array(step(phi[j].tolist(), p.tolist(), q_j.tolist()))
+            assert np.asarray(covs[j]).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", ["aekf", "mekf"])
     def test_non_finite_covariance_is_rejected_by_the_update(self, name):
         # the kernel checks nothing; a NaN or inf it carries from P reaches
         # the update as rows of floats, which rejects it
         n, predict, update = (4, aekf_predict, aekf_update) if name == "aekf" else (3, mekf_predict, mekf_update)
         m = [axis_angle_quat([0.0, 0.0, 1.0], 0.01).tolist()]
-        phi = _transitions_fn(FilterState(identity_quat(), np.eye(n)))(m).tolist()
+        phi = _transitions_fn(FilterState(identity_quat(), np.eye(n)))(m)
         for value in (math.nan, math.inf, -math.inf):
             p = (1e-6 * np.eye(n)).tolist()
             p[0][n - 1] = p[n - 1][0] = value
