@@ -21,16 +21,15 @@ Conventions used everywhere in this package:
   on the BLAS kernel. The filters take the same block products of the gyro
   rates (see :mod:`attsim.filters`), and their covariance transitions are
   the matrices of those rotations: :func:`quat_left_matrix` for the AEKF
-  and the transpose of :func:`quat_to_matrix` for the MEKF, of a block's
-  product or of the product of a run of blocks, which :func:`quat_path`
-  from the identity gives.
+  and the transpose of :func:`quat_to_matrix` for the MEKF, of the product
+  of a segment's blocks up to each block.
 
-The kernels the sequential estimate loop calls per block or per update
-(``quat_path``, ``quat_mul`` and the block-by-block crossing of
-``integrate_quat``, which is a ``quat_path``)
-read an ``ndarray`` operand as Python floats (``tolist()``) and return
-arrays; the filter updates call the float expressions behind them
-(``_hamilton``, ``_unit``, ``_gibbs``) directly on their components.
+The kernels called per block or per update (``quat_path``, ``quat_mul``
+and the block-by-block crossing of ``integrate_quat``, which is a
+``quat_path``) read an ``ndarray`` operand as Python floats (``tolist()``)
+and return arrays; the filters call the float expressions behind them
+(``_hamilton``, ``_unit``, ``_gibbs``) directly on their components, or
+elementwise on arrays of components.
 Indexing an array yields numpy float64
 scalars, whose arithmetic costs about ten times as much per operation;
 both are IEEE double operations, correctly rounded, so the same expressions
@@ -108,28 +107,36 @@ def quat_left_matrix(a) -> np.ndarray:
 
 
 def _unit(x, y, z, w):
-    """Components of the unit quaternion along (x, y, z, w), on floats; never flips sign."""
-    n = math.sqrt(x * x + y * y + z * z + w * w)
-    if n <= _NORM_EPS:
-        raise DegenerateQuaternion(f"cannot normalize quaternion with norm {n:.3e}")
+    """Components of the unit quaternion along (x, y, z, w); never flips sign.
+
+    On floats, or elementwise on arrays of components: ``np.sqrt`` and
+    ``math.sqrt`` are both the correctly rounded square root, so each
+    element gets the bits of its own float call.
+    """
+    s = x * x + y * y + z * z + w * w
+    if isinstance(s, float):
+        n = math.sqrt(s)
+        if n <= _NORM_EPS:
+            raise DegenerateQuaternion(f"cannot normalize quaternion with norm {n:.3e}")
+    else:
+        n = np.sqrt(s)
+        if (n <= _NORM_EPS).any():
+            raise DegenerateQuaternion(f"cannot normalize quaternion with norm {n.min():.3e}")
     return x / n, y / n, z / n, w / n
 
 
-def quat_path(q, increments, normalize: bool = False) -> np.ndarray:
+def quat_path(q, increments) -> np.ndarray:
     """Attitudes after each of a sequence of left products ``q <- m * q``.
 
     ``increments`` is a sequence of k >= 1 quaternions (4-float sequences
-    or arrays), applied in order; with ``normalize`` each product is
-    renormalized. Returns ``(k, 4)``. The recursion runs on Python floats
-    with the expressions of :func:`quat_mul` and of the normalization
-    :func:`_unit`, so row i is bit for bit what i + 1 calls of those give.
+    or arrays), applied in order. Returns ``(k, 4)``. The recursion runs on
+    Python floats with the expressions of :func:`quat_mul`, so row i is
+    bit for bit what i + 1 calls of it give.
     """
     out = []
     q = _components(q)
     for m in increments:
         q = _hamilton(*m, *q)
-        if normalize:
-            q = _unit(*q)
         out.append(q)
     return np.array(out)
 

@@ -2,10 +2,10 @@
 
 Additive EKF (AEKF)
     A :class:`FilterState` holds the raw quaternion and a 4x4 covariance.
-    Prediction propagates the quaternion through the exact kinematic steps,
-    renormalizing once per block. The map ``q <- M q`` of a block's
-    increment M is linear in q, and its matrix, the left Hamilton-product
-    matrix L(M), is the covariance transition (:func:`aekf_transitions`).
+    Prediction propagates the quaternion through the exact kinematic steps
+    and renormalizes it. The map ``q <- M q`` of a block's increment M is
+    linear in q, and its matrix, the left Hamilton-product matrix L(M), is
+    the covariance transition (:func:`aekf_transitions`).
     The update treats the measured quaternion as a direct observation
     (H = I), adds the Kalman correction componentwise, and renormalizes the
     result by brute force.
@@ -28,33 +28,31 @@ Multiplicative EKF (MEKF)
     updates. The truth gyro has no bias and the filter estimates none.
 
 Segment predict
-    Each filter has one predict, and it crosses blocks of gyro steps of an
-    update segment, the blocks between two measurements: ``predict(state,
-    m, phi, n, dt, noise)``. ``m`` lists the product of each block's exact
-    quaternion step increments (:func:`attsim.attitude.block_increments`),
-    the same for both filters since both read the same gyro rates. Both
-    transitions are exact and orthogonal, so the segment has a closed form.
-    With ``R_j = M_j ... M_1`` the rotation from the segment start to the
-    end of block j, the covariance after block j is ``Phi(R_j) P
-    Phi(R_j)^T + Q_j``, with P the covariance at the segment start; ``phi``
-    holds the ``Phi(R_j)`` (:func:`aekf_transitions`,
-    :func:`mekf_transitions` of the ``R_j``) and ``n`` the gyro steps
-    ``N_j`` from the segment start to the end of each block. The per-step
-    process noise ``sigma_v^2 dt I`` is isotropic, so an orthogonal
-    transition leaves it as it is and ``Q_j = N_j sigma_v^2 dt I``. The
-    AEKF's kinematic noise ``0.25 sigma_v^2 dt (I - q q^T)`` is taken at
-    the attitude after each step, and ``L`` carries ``I - q q^T`` at one
-    attitude to ``I - q' q'^T`` at the next, so ``Q_j = 0.25 N_j sigma_v^2
-    dt (I - q_j q_j^T)`` at the filter's attitude after block j. Each
-    equals the per-step recursion up to rounding. The first-order
+    Each filter has one predict, ``predict(state, r, phi, n, dt, noise)``,
+    and it takes k blocks of gyro steps, each from the start of its update
+    segment, the blocks between two measurements. Both filters read the
+    same gyro rates, so both take the same product M of each block's exact
+    quaternion step increments (:func:`attsim.attitude.block_increments`).
+    Both transitions are exact and orthogonal, so a segment has a closed
+    form. With ``R_j = M_j ... M_1`` the rotation from the segment start to
+    the end of block j (``r``), the attitude after block j is ``R_j q0``
+    and the covariance ``Phi(R_j) P Phi(R_j)^T + Q_j``, with q0 and P the
+    state at the segment start; ``phi`` holds the ``Phi(R_j)``
+    (:func:`aekf_transitions`, :func:`mekf_transitions` of the ``R_j``) and
+    ``n`` the gyro steps ``N_j`` from the segment start to the end of each
+    block. The per-step process noise ``sigma_v^2 dt I`` is isotropic, so
+    an orthogonal transition leaves it as it is and ``Q_j = N_j sigma_v^2
+    dt I``. The AEKF's kinematic noise ``0.25 sigma_v^2 dt (I - q q^T)`` is
+    taken at the attitude after each step, and ``L`` carries ``I - q q^T``
+    at one attitude to ``I - q' q'^T`` at the next, so ``Q_j = 0.25 N_j
+    sigma_v^2 dt (I - q_j q_j^T)`` at the filter's attitude after block j.
+    Each equals the per-step recursion up to rounding. The first-order
     transitions ``I - [omega x] dt`` and ``I + 0.5 Omega(omega) dt`` this
     replaces are not orthogonal: they inflated the covariance by up to 2.5 %
     per tracker epoch, process noise that no tuning chose. The caller plans
-    the segments and their rotations (the harness once for both filters);
-    a segment may be crossed in parts, each predict starting from the
-    attitude the part before left and the covariance at the segment start.
-    The predict returns the state after every block, so a caller can
-    snapshot the filter inside the segment.
+    the segments and their rotations (the harness once for both filters).
+    No block of a segment depends on another, so a caller asks for the
+    blocks it needs: the one before each update, and those it records.
 
     Each covariance step is the written-out kernel of the filter's size,
     :func:`attsim.numerics.covariance_step4` for the AEKF and
@@ -63,14 +61,17 @@ Segment predict
     by the number of blocks. One block runs it on Python floats and
     returns a list of one quaternion (4 floats) and a list of one
     covariance (n rows of n floats), as the updates take and return them,
-    so a filter crosses a one-block segment, predict and update, without
+    so a filter crosses a segment's last block, predict and update, without
     numpy (a ``FilterState`` may also hold arrays, which every kernel
-    reads). A segment of k > 1 blocks runs the same expressions
-    elementwise on ``(k,)`` arrays, ``phi`` taken component-major as a
-    ``(n, n, k)`` view, and returns ``(k, 4)`` and ``(k, n, n)`` arrays.
-    Every step of the kernel is one rounded +, - or x, so each block gets
-    the bits of the scalar call on its own transition, and the carrier
-    changes the cost, not the result.
+    reads). A call of k > 1 blocks runs the same expressions elementwise on
+    ``(k,)`` arrays, ``phi`` taken component-major as a ``(n, n, k)`` view,
+    and returns ``(k, 4)`` and ``(k, n, n)`` arrays. Its blocks share one
+    segment-start state or each bring their own, a stack of k, so one call
+    takes recorded blocks of several segments. Every step of the kernel and
+    of ``R_j q0`` is one rounded +, - or x, and the AEKF's renormalization
+    one correctly rounded square root and division, so each block gets the
+    bits of the float call on that block alone, and the carrier changes the
+    cost, not the result.
 
 The AEKF update sign-aligns the measured quaternion against the current
 estimate before forming a residual, and the MEKF's Gibbs innovation does
@@ -89,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import _components, _gibbs, _hamilton, _unit, quat_left_matrix, quat_path, quat_to_matrix
+from .attitude import _components, _gibbs, _hamilton, _unit, quat_left_matrix, quat_to_matrix
 from .errors import InvalidInput
 from .numerics import covariance_step3, covariance_step4, kalman_update3, kalman_update4
 
@@ -119,7 +120,9 @@ class NoiseParams:
 class FilterState:
     """The AEKF's quaternion and 4x4 covariance, or the MEKF's unit reference and 3x3 error covariance.
 
-    Each is Python floats (4 floats; n rows of n floats) or an array.
+    Each is Python floats (4 floats; n rows of n floats) or an array. A
+    predict also takes a stack of k states, one per block: ``q`` ``(k, 4)``
+    and ``p`` ``(k, n, n)``.
     """
 
     q: object
@@ -156,57 +159,68 @@ def mekf_transitions(m) -> np.ndarray:
     return quat_to_matrix(_rotations(m)).swapaxes(-1, -2)
 
 
-def _segment(m, phi, n, dt: float, noise: NoiseParams):
-    """Check the increments, transitions and step counts of k blocks; the transitions and noise in the kernel's carrier.
+def _segment(s: FilterState, r, phi, n, dt: float, noise: NoiseParams):
+    """Check the inputs of a predict of k blocks; its operands in the kernel's carrier.
 
-    Returns the transitions and each block's process noise ``N_j sigma_v^2
-    dt``: for one block, its transition as rows of Python floats and one
-    float; for more, the transitions component-major, a ``(n, n, k)`` view
-    of the ``(k, n, n)`` stack, and a ``(k,)`` array, so each expression of
-    the covariance step runs elementwise over the blocks.
+    ``s`` holds one segment-start state, which every block starts from, or
+    one per block, ``q`` a ``(k, 4)`` and ``p`` a ``(k, n, n)`` stack. The
+    blocks may come from several segments, so each step count is checked
+    on its own. Returns the transitions, each block's process noise ``N_j
+    sigma_v^2 dt``, the segment-start covariance and the components of
+    ``R_j q0``: for one block, rows of Python floats, one float, rows of
+    floats and four floats; for more, the transitions and covariances
+    component-major, ``(n, n, k)`` views of the ``(k, n, n)`` stacks, and
+    ``(k,)`` arrays (a shared state's floats broadcast), so each
+    expression runs elementwise over the blocks.
     """
-    k = len(m)
+    k = len(r)
     if dt <= 0.0:
         raise InvalidInput("dt must be positive")
     if k == 0 or len(phi) != k or len(n) != k:
-        raise InvalidInput("one transition and one step count per block are needed")
-    if n[0] < 1 or (k > 1 and not all(a < b for a, b in zip(n, n[1:]))):
-        raise InvalidInput("each block must cross at least one gyro step")
+        raise InvalidInput("one rotation, one transition and one step count per block are needed")
     per_step = noise.sigma_v * noise.sigma_v * dt
+    q, p = s.q, s.p
+    stacked = isinstance(q, np.ndarray) and q.ndim == 2
+    if stacked and (len(q) != k or len(p) != k):
+        raise InvalidInput("one segment-start state per block is needed")
     if k == 1:
-        return phi[0].tolist(), n[0] * per_step
-    return phi.transpose(1, 2, 0), per_step * np.asarray(n)
+        if n[0] < 1:
+            raise InvalidInput("each block must cross at least one gyro step")
+        if stacked:
+            q, p = q[0], p[0]
+        return phi[0].tolist(), n[0] * per_step, _components(p), _hamilton(*r[0], *_components(q))
+    n = np.asarray(n)
+    if n.min() < 1:
+        raise InvalidInput("each block must cross at least one gyro step")
+    q, p = (q.T, p.transpose(1, 2, 0)) if stacked else (_components(q), _components(p))
+    return phi.transpose(1, 2, 0), per_step * n, p, _hamilton(*_rotations(r).T, *q)
 
 
-def _blocks(cov, k: int):
-    """A covariance step's result as the predict returns it: a list of one for one block, else ``(k, n, n)``."""
-    return [cov] if k == 1 else np.array(cov).transpose(2, 0, 1)
+def _blocks(q, cov, k: int):
+    """A predict's attitudes and covariances as it returns them: lists of one for one block, else ``(k, 4)`` and ``(k, n, n)``."""
+    if k == 1:
+        return [q], [cov]
+    return np.array(q).T, np.array(cov).transpose(2, 0, 1)
 
 
-def aekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
-    """Propagate the AEKF across k blocks of gyro steps of one update segment.
+def aekf_predict(s: FilterState, r, phi, n, dt: float, noise: NoiseParams):
+    """The AEKF after each of k blocks, each from the start of its update segment.
 
-    ``s.q`` is the attitude before the blocks and ``s.p`` the covariance at
-    the segment start. ``m``, ``phi`` (here :func:`aekf_transitions` of the
-    ``R_j``, ``(k, 4, 4)``) and ``n`` (the ``N_j``, strictly increasing from
-    1 or more) are as in the module docstring. The quaternion advances by
-    each increment in turn and is renormalized once per block, since the
-    exact steps preserve the norm to about 1e-16. The covariance after
-    block j is ``L(R_j) P L(R_j)^T + Q_j``, with ``Q_j = sigma_v^2 dt N_j
-    I`` (flat), or ``0.25 sigma_v^2 dt N_j (I - q_j q_j^T)`` at the
-    attitude ``q_j`` after the block (kinematic), from
+    ``s`` is the state at the segment start, one shared by the blocks or
+    one per block (see :func:`_segment`). ``r`` holds each block's rotation
+    ``R_j`` from its segment start, ``phi`` their :func:`aekf_transitions`
+    ``(k, 4, 4)`` and ``n`` the gyro steps ``N_j`` from the segment start,
+    each at least 1. The attitude after block j is ``R_j q0``, renormalized
+    once. The covariance is ``L(R_j) P L(R_j)^T + Q_j``, with ``Q_j =
+    sigma_v^2 dt N_j I`` (flat), or ``0.25 sigma_v^2 dt N_j (I - q_j
+    q_j^T)`` at the attitude ``q_j`` after the block (kinematic), from
     :func:`attsim.numerics.covariance_step4`. Returns the attitude and the
     covariance after each block: for one block, a list of one quaternion
     and a list of one covariance, on Python floats; for more, ``(k, 4)``
     and ``(k, 4, 4)`` arrays (see the module docstring).
     """
-    f, var = _segment(m, phi, n, dt, noise)
-    if len(m) == 1:
-        path = [_unit(*_hamilton(*m[0], *_components(s.q)))]
-        x, y, z, w = path[0]
-    else:
-        path = quat_path(s.q, m, normalize=True)
-        x, y, z, w = path.T
+    f, var, p0, q = _segment(s, r, phi, n, dt, noise)
+    x, y, z, w = q = _unit(*q)
     if noise.aekf_q_flat:
         qn = [[var, 0.0, 0.0, 0.0], [0.0, var, 0.0, 0.0], [0.0, 0.0, var, 0.0], [0.0, 0.0, 0.0, var]]
     else:
@@ -219,7 +233,7 @@ def aekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
             [xz, yz, c * (1.0 - z * z), zw],
             [xw, yw, zw, c * (1.0 - w * w)],
         ]
-    return path, _blocks(covariance_step4(f, _components(s.p), qn), len(m))
+    return _blocks(q, covariance_step4(f, p0, qn), len(r))
 
 
 def aekf_update(s: FilterState, q_meas, r4) -> FilterState:
@@ -247,21 +261,20 @@ def aekf_update(s: FilterState, q_meas, r4) -> FilterState:
     return FilterState(q=_unit(ex + kx, ey + ky, ez + kz, ew + kw), p=p)
 
 
-def mekf_predict(s: FilterState, m, phi, n, dt: float, noise: NoiseParams):
-    """Propagate the MEKF reference and error covariance across k blocks of one update segment.
+def mekf_predict(s: FilterState, r, phi, n, dt: float, noise: NoiseParams):
+    """The MEKF reference and error covariance after each of k blocks, each from the start of its update segment.
 
-    ``s``, ``m``, ``phi`` and ``n`` are as for :func:`aekf_predict`, with
-    ``phi`` from :func:`mekf_transitions`, ``(k, 3, 3)``. The increments
-    carry the reference exactly, and the covariance after block j is
-    ``A(R_j)^T P A(R_j) + sigma_v^2 dt N_j I``, from
-    :func:`attsim.numerics.covariance_step3`. Returns the reference and the
-    covariance after each block, on floats for one block and as ``(k, 4)``
-    and ``(k, 3, 3)`` arrays for more, as :func:`aekf_predict` does.
+    ``s``, ``r``, ``phi`` and ``n`` are as for :func:`aekf_predict`, with
+    ``phi`` from :func:`mekf_transitions`, ``(k, 3, 3)``. The reference
+    after block j is ``R_j q0``, and the covariance ``A(R_j)^T P A(R_j) +
+    sigma_v^2 dt N_j I``, from :func:`attsim.numerics.covariance_step3`.
+    Returns the reference and the covariance after each block, on floats
+    for one block and as ``(k, 4)`` and ``(k, 3, 3)`` arrays for more, as
+    :func:`aekf_predict` does.
     """
-    f, v = _segment(m, phi, n, dt, noise)
-    path = [_hamilton(*m[0], *_components(s.q))] if len(m) == 1 else quat_path(s.q, m)
+    f, v, p0, q = _segment(s, r, phi, n, dt, noise)
     qn = [[v, 0.0, 0.0], [0.0, v, 0.0], [0.0, 0.0, v]]
-    return path, _blocks(covariance_step3(f, _components(s.p), qn), len(m))
+    return _blocks(q, covariance_step3(f, p0, qn), len(r))
 
 
 def mekf_update(s: FilterState, q_meas, r3) -> FilterState:

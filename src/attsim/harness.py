@@ -32,14 +32,15 @@ then one estimate pass per filter, then its records:
   carries its last R_j and N_j into the next chunk's plan;
 * the estimate passes (:func:`_estimate`), the AEKF's and then the
   MEKF's: each builds its filter's transition of every R_j in one call
-  (see :mod:`attsim.filters`), then takes one predict per segment, which
-  advances the quaternion block by block (q <- M q) and the covariance in
-  closed form (each block gets the same bits however many blocks the
-  predict crosses), the last block's update with the epoch's Davenport
-  quaternion, and the snapshots at the segment's record instants. A filter
-  whose segment is open at the chunk's end is carried with the attitude
-  after its last block and the covariance at the segment start, so each
-  block is crossed once and the outputs do not depend on where chunks end;
+  (see :mod:`attsim.filters`). A block's state is closed-form in its R_j
+  and N_j from the state at its segment's start, so the pass steps once
+  per tracker epoch, a float predict of the segment's last block and the
+  update with the epoch's Davenport quaternion, and then gets every other
+  recorded block's state from batched predicts, each block from its own
+  segment-start state (each block gets the same bits however many blocks
+  a predict takes). A filter whose segment is open at the chunk's end is
+  carried as the state at the segment start, so the outputs do not
+  depend on where chunks end;
 * the records: both filters' error angles from one call, and each
   filter's covariance norms and condition numbers from one eigensolve of
   the chunk's snapshots. A stacked call gives each member the bits it gets
@@ -77,6 +78,7 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain, compress
 from pathlib import Path
 from typing import Optional
 
@@ -129,8 +131,13 @@ _CHUNK_BLOCKS = 4096
 _STAR_ROWS = 1 << 15
 _WINDOW_STEPS = 4096
 
+# the most blocks one batched predict takes, so what a call allocates stays
+# bounded whatever the chunk: at 512 blocks a traced peak of 189 KiB for the
+# AEKF's kinematic-noise predict and 99 KiB for the MEKF's
+_PREDICT_BLOCKS = 512
+
 # the rotation and gyro steps of an update segment before its first block
-_NO_SEGMENT = ((0.0, 0.0, 0.0, 1.0), 0)
+_NO_SEGMENT = (None, 0)
 
 
 def _is_finite_number(value) -> bool:
@@ -209,11 +216,8 @@ class SimConfig:
             raise ConfigError("duration_s, gyro_rate_hz and sigma_gyro: the run's process variance overflows")
         if not 0 <= self.seed <= _U64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        x, y, z = (float(v) for v in self.axis)
-        squared_norm = x * x + y * y + z * z
-        if not math.isfinite(squared_norm):
-            raise ConfigError("axis is too long: its squared norm overflows")
-        if squared_norm < 1e-12:
+        # scaled by a power of two, any finite nonzero axis has a direction
+        if startracker.scaled_norms(np.array(self.axis, dtype=float))[1] == 0.0:
             raise ConfigError("axis must be a nonzero 3-vector")
         if self.aekf_r_scale <= 0.0:
             raise ConfigError("aekf_r_scale must be positive")
@@ -253,9 +257,9 @@ class SimConfig:
             raise ConfigError(f"catalog_path must be a string or null, not {self.catalog_path!r}")
 
     def axis_unit(self) -> np.ndarray:
-        x, y, z = (float(v) for v in self.axis)
-        norm = math.sqrt(x * x + y * y + z * z)
-        return np.array([x / norm, y / norm, z / norm])
+        """The direction of ``axis``, scaled first by :func:`attsim.startracker.scaled_norms` so no length overflows."""
+        v, norm = startracker.scaled_norms(np.array(self.axis, dtype=float))
+        return v / norm
 
     def effective_stride(self) -> int:
         if self.record_stride > 0:
@@ -458,6 +462,21 @@ def _pad(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.concatenate((rates, np.zeros((1, 3))))[padded_rows(counts)]
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """A chunk's update segments, planned once for both filters by :func:`_segments`.
+
+    ``segments`` lists each segment's ``(lo, hi, r)``: its block range and
+    the rotation of its last block, as four floats. Block j's rotation R_j
+    from its segment's start is row j of ``rotation_rows``, ``(blocks,
+    4)``, and its gyro steps N_j from that start are ``counts[j]``.
+    """
+
+    segments: list
+    rotation_rows: np.ndarray
+    counts: list
+
+
 def _segments(increments, steps, measured, open_segment):
     """The update segments of the first ``len(measured)`` blocks of a chunk, for both filters.
 
@@ -465,75 +484,93 @@ def _segments(increments, steps, measured, open_segment):
     None), or stays open at the last block. ``open_segment`` is ``(r, n)``
     of the segment open at the chunk start, ``_NO_SEGMENT`` if none: the
     rotation from its start to its last block's end, as four floats, and
-    its gyro steps. Returns each segment's ``(lo, hi)`` block range; each
-    block's rotation R_j = M_j R_(j-1) from its segment's start, the
-    products of :func:`attsim.attitude.quat_path`, as ``(blocks, 4)``; its
-    gyro steps N_j from that start, as a list; and the ``(r, n)`` to carry.
+    its gyro steps. A segment's first rotation is its block's increment,
+    R_1 = M_1, and each later one R_j = M_j R_(j-1). Returns the chunk's
+    :class:`_Plan` and the ``(r, n)`` to carry; the plan keeps the R_j as
+    one array, not as Python floats.
     """
-    bounds, counts = [], []
-    rotations = np.empty((len(measured), 4))
+    bounds, rotations, counts = [], [], []
     r, n = open_segment
     lo = 0
     for i, (m, k, q_meas) in enumerate(zip(increments, steps, measured)):
-        r = _hamilton(*m, *r)
+        r = _hamilton(*m, *r) if n else m
         n += k
-        rotations[i] = r
+        rotations.append(r)
         counts.append(n)
         if q_meas is not None:
-            bounds.append((lo, i + 1))
+            bounds.append((lo, i + 1, r))
             lo = i + 1
             r, n = _NO_SEGMENT
     if lo < len(measured):
-        bounds.append((lo, len(measured)))
-    return bounds, rotations, counts, (r, n)
+        bounds.append((lo, len(measured), r))
+    rows = np.fromiter(chain.from_iterable(rotations), float, 4 * len(rotations)).reshape(-1, 4)
+    return _Plan(bounds, rows, counts), (r, n)
 
 
-def _estimate(state, predict, update, r, dt, noise, phi, increments, counts, segments, measured, keep):
+def _estimate(state, predict, update, r, dt, noise, phi, plan, measured, keep):
     """One filter's estimate pass over the first ``len(measured)`` blocks of a chunk.
 
-    ``segments`` and ``counts`` come from :func:`_segments`, and ``phi``
-    holds the filter's transition of each block's R_j. ``state`` is the
-    filter at the chunk start; if a segment is open then, its covariance is
-    the one at the segment start. Segment ``[lo, hi)`` is crossed by one
-    ``predict(state, increments[lo:hi], phi[lo:hi], counts[lo:hi], dt,
-    noise)`` (see :func:`attsim.filters.aekf_predict`), which gives the
-    filter after each block; the last is then updated with the quaternion
-    ``measured[hi - 1]`` (with covariance ``r``) unless it is None. Every
-    segment, and every part of a segment that chunk ends cut, takes its
-    slice of the stack; a predict gives each block the same bits however
-    many blocks it crosses, so no output depends on where chunks end.
-    Block ``i`` is snapshotted if ``keep[i]``, after its update if it has
-    one. Returns the filter to carry into the next chunk, a
-    ``FilterState``; the snapshots' quaternions ``(n_keep, 4)`` and
-    covariances ``(n_keep, d, d)``; and None. If an update raises
-    NumericalFailure, the pass stops at that block and the last item is
-    ``(i, exception)``.
+    ``plan`` is the chunk's :class:`_Plan`, and ``phi`` holds the filter's
+    transition of each block's R_j. ``state`` is the filter at the start
+    of the chunk's first segment, which may have opened in a chunk before.
+    Every predict (see :func:`attsim.filters.aekf_predict`) takes a block
+    from the state at its segment's start, so no block depends on another
+    of its segment:
+
+    * a segment ``(lo, hi, r)`` that ends in an update crosses only its
+      last block, by one ``predict(state, [r], phi[hi - 1:hi], counts[hi -
+      1:hi], dt, noise)`` on Python floats, whose state is updated with
+      ``measured[hi - 1]`` (with covariance ``r``) and starts the next
+      segment;
+    * every other kept block gets its state from the batched predicts
+      after the segments: each takes the rows of up to ``_PREDICT_BLOCKS``
+      such blocks and a stack of their segment-start states.
+
+    A predict gives each block the same bits however many blocks it takes,
+    so no output depends on where chunks end or on the batch bound. Block
+    ``i`` is snapshotted if ``keep[i]``, after its update if it has one.
+    Returns the filter to carry into the next chunk, the state at the start
+    of the segment open then, a ``FilterState``; the snapshots' quaternions
+    ``(n_keep, 4)`` and covariances ``(n_keep, d, d)``; and None. If an
+    update raises NumericalFailure, the pass stops at that block and the
+    last item is ``(i, exception)``.
     """
     q_kept = np.empty((sum(keep), 4))
     p_kept = np.empty(q_kept.shape[:1] + np.shape(state.p))
+    counts = plan.counts
+    starts = []  # the segment-start states of the blocks to batch
+    blocks, rows, owners = [], [], []  # each such block, its snapshot row, its index in starts
     j = 0
-    for lo, hi in segments:
-        quats, covs = predict(state, increments[lo:hi], phi[lo:hi], counts[lo:hi], dt, noise)
-        after = FilterState(quats[-1], covs[-1])
+    for lo, hi, r_end in plan.segments:
         q_meas = measured[hi - 1]
+        end = hi if q_meas is None else hi - 1
+        n_in = sum(keep[lo:end])
+        if n_in:
+            blocks.extend(compress(range(lo, end), keep[lo:end]))
+            rows.extend(range(j, j + n_in))
+            owners.extend([len(starts)] * n_in)
+            starts.append(state)
+            j += n_in
         if q_meas is not None:
+            (q,), (p,) = predict(state, [r_end], phi[hi - 1:hi], counts[hi - 1:hi], dt, noise)
             try:
-                after = update(after, q_meas, r)
+                state = update(FilterState(q, p), q_meas, r)
             except NumericalFailure as exc:
                 return state, q_kept, p_kept, (hi - 1, exc)
-        # the snapshots inside the segment: a slice when every inner block is kept
-        inner = keep[lo:hi - 1]
-        n_in = sum(inner)
-        if n_in:
-            rows = slice(n_in) if n_in == len(inner) else [i for i, kept in enumerate(inner) if kept]
-            q_kept[j:j + n_in] = quats[rows]
-            p_kept[j:j + n_in] = covs[rows]
-            j += n_in
-        if keep[hi - 1]:
-            q_kept[j] = after.q
-            p_kept[j] = after.p
-            j += 1
-        state = after if q_meas is not None else FilterState(after.q, state.p)
+            if keep[hi - 1]:
+                q_kept[j] = state.q
+                p_kept[j] = state.p
+                j += 1
+    if blocks:
+        blocks, rows, owners = np.array(blocks), np.array(rows), np.array(owners)
+        q0 = np.array([s.q for s in starts])
+        p0 = np.array([s.p for s in starts])
+        n = np.array(counts)
+        for a in range(0, len(blocks), _PREDICT_BLOCKS):
+            b, o = blocks[a:a + _PREDICT_BLOCKS], owners[a:a + _PREDICT_BLOCKS]
+            quats, covs = predict(FilterState(q0[o], p0[o]), plan.rotation_rows[b], phi[b], n[b], dt, noise)
+            q_kept[rows[a:a + _PREDICT_BLOCKS]] = quats
+            p_kept[rows[a:a + _PREDICT_BLOCKS]] = covs
     return state, q_kept, p_kept, None
 
 
@@ -643,13 +680,13 @@ def run_simulation(cfg: SimConfig) -> RunResult:
                 stop = failure[0]
                 measured, keep = measured[:stop] + [None], keep[:stop] + [True]
             t0 = time.perf_counter()
-            segments, rotations, counts, segment_out = _segments(m_list, steps_list, measured, open_segment)
+            plan, segment_out = _segments(m_list, steps_list, measured, open_segment)
             t1 = time.perf_counter()
-            aekf_out = _estimate(aekf, aekf_predict, aekf_update, r4, dt, noise, aekf_transitions(rotations),
-                                 m_list, counts, segments, measured, keep)
+            aekf_out = _estimate(aekf, aekf_predict, aekf_update, r4, dt, noise,
+                                 aekf_transitions(plan.rotation_rows), plan, measured, keep)
             t2 = time.perf_counter()
-            mekf_out = _estimate(mekf, mekf_predict, mekf_update, r3, dt, noise, mekf_transitions(rotations),
-                                 m_list, counts, segments, measured, keep)
+            mekf_out = _estimate(mekf, mekf_predict, mekf_update, r3, dt, noise,
+                                 mekf_transitions(plan.rotation_rows), plan, measured, keep)
             t3 = time.perf_counter()
             failures = [out[3] for out in (aekf_out, mekf_out) if out[3] is not None]
             if not failures:

@@ -514,19 +514,19 @@ def predict_per_step(state, rates, dt: float, noise):
     return FilterState(q, p)
 
 
-def estimate_per_step(rates, state, predict, update, r, dt, noise, phi, increments, counts, segments, measured,
-                      keep):
+def estimate_per_step(rates, state, predict, update, r, dt, noise, phi, plan, measured, keep):
     """``attsim.harness._estimate`` with one predict per gyro step, written out.
 
     ``rates`` is the chunk's zero-padded ``(blocks, longest block, 3)``
     stack of gyro rates; the other arguments are those of ``_estimate``, and
-    the return is what it returns. No segment may be open when the chunk
-    starts, so the gyro steps of each block are the differences of
-    ``counts`` within its segment. Block ``i`` crosses its steps' rates by
+    the return is what it returns, except that the state returned is the
+    one after the last block. No segment may be open when the chunk starts,
+    so the gyro steps of each block are the differences of the plan's
+    counts within its segment. Block ``i`` crosses its steps' rates by
     :func:`predict_per_step`; then the block's update and snapshot follow.
-    ``predict``, ``phi`` and ``increments`` are not used.
+    ``predict``, ``phi`` and the plan's rotations are not used.
     """
-    steps = [int(x) for lo, hi in segments for x in np.diff(counts[lo:hi], prepend=0)]
+    steps = [int(x) for lo, hi, _ in plan.segments for x in np.diff(plan.counts[lo:hi], prepend=0)]
     q_kept = np.empty((sum(keep), 4))
     p_kept = np.empty(q_kept.shape[:1] + np.shape(state.p))
     j = 0

@@ -111,9 +111,9 @@ for k in (2, 100):
         n = np.cumsum(rng.integers(1, 100, size=k)).tolist()
         r = quat_path(identity_quat(), m)
         for noise in (flat, kinematic):
-            out = aekf_predict(FilterState(q=q, p=spd(4, 1e-6)), m, aekf_transitions(r), n, 0.01, noise)
+            out = aekf_predict(FilterState(q=q, p=spd(4, 1e-6)), r, aekf_transitions(r), n, 0.01, noise)
             h.update(np.asarray(out[0]).tobytes() + np.ascontiguousarray(out[1]).tobytes())
-        out = mekf_predict(FilterState(q=q, p=spd(3, 1e-6)), m, mekf_transitions(r), n, 0.01, flat)
+        out = mekf_predict(FilterState(q=q, p=spd(3, 1e-6)), r, mekf_transitions(r), n, 0.01, flat)
         h.update(np.asarray(out[0]).tobytes() + np.ascontiguousarray(out[1]).tobytes())
 print(h.hexdigest())
 """

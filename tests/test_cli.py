@@ -111,17 +111,35 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("axis", [[1e200, 0.0, 0.0], [0.0, -1e155, 1e155]])
-    def test_overflowing_axis_exits_2(self, tmp_path, capsys, axis):
-        # the squared norm is inf: such an axis used to run at zero rate
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"duration_s": 2.0, "axis": axis}))
-        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "config error" in err and "axis" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "o").exists()
+    @pytest.mark.parametrize(
+        "axis, unit",
+        [
+            ([1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+            ([0.0, -2.0**520, 2.0**520], [0.0, -1.0, 1.0]),
+            ([1e-7, 0.0, 0.0], [1.0, 0.0, 0.0]),
+            ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ],
+        ids=["1e200", "2^520", "1e-7", "1e-200"],
+    )
+    def test_axis_of_any_scale_runs(self, tmp_path, capsys, axis, unit):
+        # the direction is taken after scaling by a power of two, so a
+        # finite nonzero axis runs as its unit-scale twin does, byte for
+        # byte, however short or long; these used to exit 2 (an overflowing
+        # or a sub-1e-6 norm), and a zero axis still does
+        outputs = []
+        for name, value in (("scaled", axis), ("unit", unit), ("zero", [0.0, 0.0, 0.0])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"duration_s": 2.0, "axis": value}))
+            rc = main(["run", "--config", str(path), "--out", str(tmp_path / name), "--no-timing"])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if name == "zero":
+                assert rc == 2 and "config error" in err and "axis" in err
+                assert not (tmp_path / name).exists()
+            else:
+                assert rc == 0
+                outputs.append((tmp_path / name / "timeseries.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "config, name",

@@ -60,15 +60,22 @@ def _transitions_fn(s):
     return mekf_transitions if _is_mekf(s) else aekf_transitions
 
 
+def rotations_from_start(m):
+    """Each block's rotation from the segment start, as the harness plans it: R_1 = M_1, R_j = M_j R_(j-1)."""
+    r = [np.asarray(m[0], dtype=float)]
+    for x in m[1:]:
+        r.append(quat_mul(x, r[-1]))
+    return np.array(r)
+
+
 def predict_from_start(s, m, steps, dt, noise):
     """One predict across blocks of increments ``m`` and gyro steps ``steps``, a whole segment.
 
-    It takes the transitions of the rotations from the segment start, the
-    products of ``quat_path`` from the identity, and the steps summed from
-    the segment start, as the harness plans them.
+    It takes the rotations from the segment start and their transitions,
+    and the steps summed from the segment start, as the harness plans them.
     """
-    phi = _transitions_fn(s)(quat_path(identity_quat(), m))
-    return _predict_fn(s)(s, m, phi, np.cumsum(steps).tolist(), dt, noise)
+    r = rotations_from_start(m)
+    return _predict_fn(s)(s, r, _transitions_fn(s)(r), np.cumsum(steps).tolist(), dt, noise)
 
 
 def predict_segment(s, w, steps, dt, noise):
@@ -86,12 +93,12 @@ def predict_rates(s, omegas, dt, noise):
 def predict_blocks_prebuilt(s, w, steps, dt, noise):
     """One predict per block of ``w`` ``(k, L, 3)``, each a segment of one, as the harness runs it.
 
-    The transitions of all the blocks' rotations, each from the identity,
+    The transitions of all the blocks' rotations, each its own increment,
     are built in one call, and each predict takes its block's row of the
     stack.
     """
     increments = block_increments(w, dt).tolist()
-    phi = _transitions_fn(s)([quat_path(identity_quat(), [m])[0] for m in increments])
+    phi = _transitions_fn(s)(increments)
     predict = _predict_fn(s)
     for b, m in enumerate(increments):
         quats, covs = predict(s, [m], phi[b:b + 1], [steps[b]], dt, noise)
@@ -510,9 +517,9 @@ class TestBlockPredict:
     @pytest.mark.parametrize("sizes", [[1], [4], [1] * 9, [3, 1, 7, 2, 5], [1, 1, 20, 1, 1, 1]])
     def test_segment_equals_one_predict_per_block(self, sizes):
         # one predict across a segment of blocks gives every block's state:
-        # the quaternions of one predict per block bit for bit, and their
-        # covariances up to rounding; a segment of one block is that block's
-        # predict, bit for bit
+        # that of one predict per block up to rounding, each block's
+        # attitude R_j q0 against the product of the blocks' own steps; a
+        # segment of one block is that block's predict, bit for bit
         rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
         w = np.zeros((len(sizes), max(sizes), 3))
         for b, n in enumerate(sizes):
@@ -529,11 +536,11 @@ class TestBlockPredict:
             s = start
             for b, n in enumerate(sizes):
                 s = predict_blocks_prebuilt(s, w[b:b + 1, :n], [n], DT, noise)
-                assert quats[b].tobytes() == s.q.tobytes()
+                assert error_angle(quats[b], s.q) <= 1e-15 * (b + 1)
                 assert np.array_equal(covs[b], covs[b].T)
                 assert np.max(np.abs(covs[b] - s.p)) <= 1e-12 * np.max(np.abs(s.p))
                 if len(sizes) == 1:
-                    assert covs[b].tobytes() == s.p.tobytes()
+                    assert quats[b].tobytes() == s.q.tobytes() and covs[b].tobytes() == s.p.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 33])
     def test_prefixes_are_the_sequential_compositions(self, k):
@@ -548,9 +555,10 @@ class TestBlockPredict:
         for start in _identity_starts():
             transitions = _transitions_fn(start)
             block = transitions(m)
-            prefix = transitions(quat_path(identity_quat(), m))
+            r = rotations_from_start(m)
+            prefix = transitions(r)
             assert prefix[0].tobytes() == block[0].tobytes()
-            _, covs = _predict_fn(start)(start, m, prefix, np.cumsum(steps).tolist(), DT, noise)
+            _, covs = _predict_fn(start)(start, r, prefix, np.cumsum(steps).tolist(), DT, noise)
             want_phi, want_p = np.eye(len(start.p)), start.p
             for j in range(k):
                 want_phi = block[j] @ want_phi
@@ -564,10 +572,10 @@ class TestBlockPredict:
         with pytest.raises(InvalidInput):
             block_increments(np.zeros(shape), DT)
 
-    @pytest.mark.parametrize("steps", [[0, 2], [2, 2], [3, 1], [2]])
+    @pytest.mark.parametrize("steps", [[0, 2], [2, 0], [3, -1], [2]])
     def test_rejects_step_counts_outside_the_stack(self, steps):
-        # a segment of two blocks: one count of the steps from the segment
-        # start per block, strictly increasing from at least one
+        # two blocks: one count of the steps from its segment's start per
+        # block, each at least one
         m = [identity_quat().tolist()] * 2
         for start in (FilterState(identity_quat(), np.eye(4)), FilterState(identity_quat(), np.eye(3))):
             phi = _transitions_fn(start)(m)
@@ -576,7 +584,7 @@ class TestBlockPredict:
 
     @pytest.mark.parametrize("lengths", [(2, 1, 2), (1, 2, 2), (2, 2, 1), (2, 2, 3), (0, 0, 0)])
     def test_rejects_inputs_of_other_lengths(self, lengths):
-        # one increment, one transition and one step count per block, and
+        # one rotation, one transition and one step count per block, and
         # at least one block
         k_m, k_phi, k_n = lengths
         for start in _identity_starts():
@@ -745,11 +753,11 @@ class TestCovarianceStep:
         predict = mekf_predict if name == "mekf" else aekf_predict
         noise = NoiseParams(sigma_v=1e-3, aekf_q_flat=name == "aekf-flat-q")
         rng = np.random.default_rng(330 + n + k)
-        m = self._rotations(rng, k).tolist()
+        r = quat_path(identity_quat(), self._rotations(rng, k).tolist())
         counts = np.cumsum(rng.integers(1, 100, size=k)).tolist()
-        phi = build(quat_path(identity_quat(), m))
+        phi = build(r)
         p = _spd_elementwise(rng, n, 1e-6)
-        quats, covs = predict(FilterState(self._rotations(rng, 1)[0], p), m, phi, counts, DT, noise)
+        quats, covs = predict(FilterState(self._rotations(rng, 1)[0], p), r, phi, counts, DT, noise)
         assert np.shape(covs) == (k, n, n)
         per_step = noise.sigma_v * noise.sigma_v * DT
         for j in range(k):
@@ -777,6 +785,88 @@ class TestCovarianceStep:
                 update(FilterState(quats[0], covs[0]), quats[0], (1e-6 * np.eye(n)).tolist())
             with pytest.raises(InvalidInput):
                 update(FilterState(quats[0], p), quats[0], (1e-6 * np.eye(n)).tolist())
+
+
+class TestBatchedPredict:
+    """A predict takes blocks from several segments at once, each from its own
+    segment-start state, and gives each block the bits of the float predict
+    of that block alone."""
+
+    _CASES = {
+        "aekf-flat-q": (aekf_predict, aekf_transitions, 4, NoiseParams(sigma_v=1e-3, aekf_q_flat=True)),
+        "aekf-kinematic-q": (aekf_predict, aekf_transitions, 4, NoiseParams(sigma_v=1e-3, aekf_q_flat=False)),
+        "mekf": (mekf_predict, mekf_transitions, 3, NoiseParams(sigma_v=1e-3)),
+    }
+
+    @staticmethod
+    def _segments(rng, n, sizes):
+        """Per block of segments of ``sizes`` blocks: its segment-start attitude and covariance, R_j and N_j."""
+        q0, p0, r, counts = [], [], [], []
+        for size in sizes:
+            q, p = quat_normalize(rng.standard_normal(4)), _spd_elementwise(rng, n, 1e-6)
+            m = [quat_normalize(rng.standard_normal(4)) for _ in range(size)]
+            q0 += [q] * size
+            p0 += [p] * size
+            r.extend(rotations_from_start(m))
+            counts.extend(np.cumsum(rng.integers(1, 100, size=size)).tolist())
+        return np.array(q0), np.array(p0), np.array(r), counts
+
+    @pytest.mark.parametrize("sizes", [[1, 1], [3], [2, 5, 1, 4], [100, 7, 1]])
+    @pytest.mark.parametrize("name", ["aekf-flat-q", "aekf-kinematic-q", "mekf"])
+    def test_each_block_is_its_float_predict_alone(self, name, sizes):
+        predict, build, n, noise = self._CASES[name]
+        rng = np.random.default_rng(400 + n + len(sizes) + sum(sizes))
+        q0, p0, r, counts = self._segments(rng, n, sizes)
+        phi = build(r)
+        quats, covs = predict(FilterState(q0, p0), r, phi, counts, DT, noise)
+        k = len(r)
+        assert np.shape(quats) == (k, 4) and np.shape(covs) == (k, n, n)
+        for i in range(k):
+            alone = FilterState(q0[i].tolist(), p0[i].tolist())
+            (q,), (p,) = predict(alone, [r[i].tolist()], phi[i:i + 1], [counts[i]], DT, noise)
+            assert isinstance(q, tuple) and isinstance(p, list)
+            assert np.asarray(quats[i]).tobytes() == np.array(q).tobytes()
+            assert np.asarray(covs[i]).tobytes() == np.array(p).tobytes()
+
+    @pytest.mark.parametrize("name", ["aekf-flat-q", "aekf-kinematic-q", "mekf"])
+    def test_a_shared_start_and_any_cut_give_the_same_bits(self, name):
+        # one segment of 9 blocks: its blocks from one shared start state,
+        # from a stack of that state, and in calls cut after any block
+        predict, build, n, noise = self._CASES[name]
+        rng = np.random.default_rng(420 + n)
+        q0, p0, r, counts = self._segments(rng, n, [9])
+        phi = build(r)
+        whole = predict(FilterState(q0, p0), r, phi, counts, DT, noise)
+        shared = predict(FilterState(q0[0], p0[0]), r, phi, counts, DT, noise)
+        for a, b in zip(whole, shared):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for cut in range(1, 9):
+            parts = [predict(FilterState(q0[s], p0[s]), r[s], phi[s], counts[s], DT, noise)
+                     for s in (slice(0, cut), slice(cut, 9))]
+            for got, want in zip(zip(*parts), whole):
+                assert np.concatenate([np.asarray(g) for g in got]).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("name", ["aekf-flat-q", "aekf-kinematic-q", "mekf"])
+    def test_counts_from_several_segments_are_accepted(self, name):
+        # per-block counts need not increase: [2, 2] and [3, 1] are blocks of
+        # two segments, each block the float predict of its own
+        predict, build, n, noise = self._CASES[name]
+        rng = np.random.default_rng(430 + n)
+        q0, p0, r, _ = self._segments(rng, n, [1, 1])
+        phi = build(r)
+        for counts in ([2, 2], [3, 1]):
+            quats, covs = predict(FilterState(q0, p0), r, phi, counts, DT, noise)
+            for i in range(2):
+                (q,), (p,) = predict(FilterState(q0[i], p0[i]), r[i:i + 1], phi[i:i + 1], counts[i:i + 1], DT, noise)
+                assert quats[i].tobytes() == np.array(q).tobytes() and covs[i].tobytes() == np.array(p).tobytes()
+
+    def test_rejects_a_stack_of_other_length(self):
+        rng = np.random.default_rng(440)
+        for name in ("aekf-flat-q", "mekf"):
+            predict, build, n, noise = self._CASES[name]
+            q0, p0, r, counts = self._segments(rng, n, [2, 1])
+            with pytest.raises(InvalidInput):
+                predict(FilterState(q0[:2], p0[:2]), r, build(r), counts, DT, noise)
 
 
 class TestFilterInvariants:

@@ -2,11 +2,12 @@ import json
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from attsim.attitude import error_angle
+from attsim.attitude import error_angle, quat_mul
 from attsim.errors import ConfigError, InvalidInput
 from attsim.harness import (
     ORBIT_PERIOD_S,
@@ -159,10 +160,18 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="gyro steps"):
             SimConfig.from_dict({"duration_s": 1e300, "gyro_rate_hz": 1e-3, "tracker_rate_hz": 1e-3})
 
-    def test_overflowing_axis_rejected(self):
-        with pytest.raises(ConfigError, match="overflows"):
-            SimConfig.from_dict({"axis": [1e200, 0.0, 0.0]})
-        assert np.array_equal(SimConfig(axis=(1e150, 0.0, 0.0)).axis_unit(), [1.0, 0.0, 0.0])
+    def test_axis_of_any_length_has_its_direction(self):
+        # the axis is scaled by a power of two before its norm is taken, so
+        # neither a long nor a short axis overflows or underflows
+        for scale in (1e200, 1e150, 1.0, 1e-7, 1e-200, 5e-324):
+            cfg = SimConfig.from_dict({"axis": [scale, 0.0, 0.0]})
+            assert cfg.axis_unit().tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
+        want = SimConfig(axis=(1.0, -2.0, 0.5)).axis_unit()
+        for scale in (2.0**600, 2.0**-600):
+            assert SimConfig(axis=(scale, -2.0 * scale, 0.5 * scale)).axis_unit().tobytes() == want.tobytes()
+        assert np.array_equal(want, np.array([1.0, -2.0, 0.5]) / math.sqrt(5.25))
+        with pytest.raises(ConfigError, match="nonzero"):
+            SimConfig.from_dict({"axis": [0.0, -0.0, 0.0]})
 
     def test_every_config_that_passes_intake_runs(self):
         # configs of at most 300 gyro steps over extreme rates and sigmas,
@@ -453,58 +462,65 @@ def _fail_update_at(monkeypatch, name, q_bad, reason):
 
 
 def _spy_block_sizes(monkeypatch, name):
-    """Spy on filter ``name``'s transition builds, predicts and updates in the harness.
+    """Spy on the segment plans and on filter ``name``'s transition builds and predicts in the harness.
 
-    Returns a function that gives the gyro steps of every block the filter
-    crossed, in order, after checking that the predicts after each build
-    crossed the built rotations once each, in order, each taking its rows
-    of the build; and that each block's rotation is its increment times the
-    rotation before, and its step count its steps plus the count before,
-    both from scratch after an update. A segment open at a chunk end so
-    continues in the next chunk, and no block is crossed twice.
+    Returns a function that gives the gyro steps of every block the plans
+    covered, in order, after checking that each block's rotation is its
+    increment at a segment's start and its increment times the rotation
+    before otherwise, and its step count its steps plus the count before,
+    both from scratch after an update, so a segment open at a chunk end
+    continues in the next chunk's plan and no block is planned twice; that
+    each segment of a plan lists the rotation of its last block; that
+    each build takes its plan's rotations; and that each predict takes
+    rotations of the last plan with their rows of the build. For runs that
+    do not abort.
     """
     import attsim.harness as hmod
-    from attsim.attitude import identity_quat, quat_path
 
-    build, predict, update = (getattr(hmod, f"{name}_{f}") for f in ("transitions", "predict", "update"))
-    events = []
+    plan_fn, build, predict = hmod._segments, *(getattr(hmod, f"{name}_{f}") for f in ("transitions", "predict"))
+    plans, builds, predicts = [], [], []
+
+    def plan_spy(increments, steps, measured, open_segment):
+        out = plan_fn(increments, steps, measured, open_segment)
+        plans.append((np.array(increments), list(steps), list(measured), open_segment, out))
+        return out
 
     def build_spy(rotations):
         phi = build(rotations)
-        events.append(("build", np.array(rotations), phi.copy()))
+        builds.append((len(plans), np.array(rotations), phi.copy()))
         return phi
 
-    def predict_spy(s, m, phi, n, dt, noise):
-        events.append(("predict", np.array(m), phi.copy(), list(n)))
-        return predict(s, m, phi, n, dt, noise)
+    def predict_spy(s, r, phi, n, dt, noise):
+        predicts.append((len(plans), np.array(r), phi.copy()))
+        return predict(s, r, phi, n, dt, noise)
 
-    def update_spy(s, q_meas, r):
-        events.append(("update",))
-        return update(s, q_meas, r)
-
+    monkeypatch.setattr(hmod, "_segments", plan_spy)
     monkeypatch.setattr(hmod, f"{name}_transitions", build_spy)
     monkeypatch.setattr(hmod, f"{name}_predict", predict_spy)
-    monkeypatch.setattr(hmod, f"{name}_update", update_spy)
 
     def sizes():
         out = []
-        r, count = identity_quat(), 0  # of the segment open before the next predict
-        rotations, row = np.zeros((0, 4)), 0
-        for event in events:
-            if event[0] == "build":
-                assert row == len(rotations)
-                _, rotations, phi_built = event
-                row = 0
-            elif event[0] == "predict":
-                _, m, phi, n = event
-                k = len(m)
-                assert _same_bits(phi, phi_built[row:row + k])
-                assert _same_bits(quat_path(r, m), rotations[row:row + k])
-                out.extend(np.diff(n, prepend=count).tolist())
-                r, count, row = rotations[row + k - 1], n[-1], row + k
-            else:
-                r, count = identity_quat(), 0
-        assert row == len(rotations)
+        carry = hmod._NO_SEGMENT
+        for increments, steps, measured, open_segment, (plan, segment_out) in plans:
+            assert open_segment == carry
+            r, count = carry
+            for i, (m, k, q_meas) in enumerate(zip(increments, steps, measured)):
+                r = m if count == 0 else quat_mul(m, r)
+                count += k
+                assert _same_bits(plan.rotation_rows[i], r) and plan.counts[i] == count
+                if q_meas is not None:
+                    r, count = hmod._NO_SEGMENT
+            for lo, hi, r_end in plan.segments:
+                assert _same_bits(np.array(r_end), plan.rotation_rows[hi - 1])
+            carry = segment_out
+            out.extend(steps)
+        assert len(builds) == len(plans)
+        for (at, rotations, _), (*_, (plan, _)) in zip(builds, plans):
+            assert _same_bits(rotations, plan.rotation_rows)
+        for at, r, phi in predicts:
+            (_, rotations, built), = [b for b in builds if b[0] == at]
+            rows = [int(np.flatnonzero((rotations == row).all(axis=1))[0]) for row in r]
+            assert _same_bits(r, rotations[rows]) and _same_bits(phi, built[rows])
         return out
 
     return sizes
@@ -743,19 +759,21 @@ class TestBlockTransitions:
             assert window_rates.shape == window_true.shape == (len(held), max(held), 3)
         sizes = [n for held in windows for n in held]
         # both builds take the same rotations: each block's is the product
-        # of its segment's increments up to it, from the identity
+        # of its segment's increments up to it
         (_, (rot_a,), phi_a), = [c for c in calls if c[0] == "aekf_transitions"]
         (_, (rot_m,), phi_m), = [c for c in calls if c[0] == "mekf_transitions"]
         passes = [c[1] for c in calls if c[0] == "_estimate"]
         assert len(passes) == 2 and rot_a is rot_m
         assert passes[0][6] is phi_a and passes[1][6] is phi_m
         for args in passes:
-            _, _, _, _, pass_dt, noise, _, m, counts, segments, _, _ = args
-            assert pass_dt == dt and m == increments.tolist()
-            assert [n for lo, hi in segments for n in np.diff(counts[lo:hi], prepend=0)] == sizes
+            _, _, _, _, pass_dt, noise, _, plan, _, _ = args
+            assert pass_dt == dt and plan.rotation_rows is rot_a
+            assert [n for lo, hi, _ in plan.segments for n in np.diff(plan.counts[lo:hi], prepend=0)] == sizes
             assert noise == NoiseParams(sigma_v=1e-3 * math.sqrt(dt), aekf_q_flat=True)
-        for lo, hi in segments:
-            assert _same_bits(rot_a[lo:hi], quat_path(identity_quat(), increments[lo:hi]))
+        # a segment's first rotation is its first increment, bit for bit
+        for lo, hi, _ in plan.segments:
+            assert _same_bits(rot_a[lo], increments[lo])
+            assert _same_bits(rot_a[lo:hi][1:], quat_path(increments[lo], increments[lo + 1:hi]).reshape(-1, 4))
         q_prev = truth_start
         for b, n in enumerate(sizes):
             assert not np.any(rates[b][n:]) and not np.any(true_rates[b][n:])
@@ -769,6 +787,28 @@ class TestBlockTransitions:
             # the truth crosses each block as one block-alone propagation would
             q_prev = integrate_quat(q_prev, true_rates[b][None, :n], dt)[0]
             assert _same_bits(truth[b], q_prev)
+
+
+    def test_one_block_rotation_is_its_increment_zero_signs_included(self, monkeypatch):
+        # the noiseless golden config turns about z alone, so every
+        # increment's x and y are zeros; with the tracker at the gyro rate
+        # each block is one step, whose increment's zeros are negative while
+        # the rate is. Each segment is one block, and its rotation is the
+        # increment itself, bit for bit (a product with the identity would
+        # make -0.0 into 0.0)
+        import attsim.harness as hmod
+
+        config = json.loads((Path(__file__).resolve().parent / "golden" / "noiseless.json").read_text())
+        config.update(duration_s=3.0, gyro_rate_hz=10.0, tracker_rate_hz=10.0)
+        plans = []
+        real = hmod._segments
+        monkeypatch.setattr(hmod, "_segments", lambda m, *rest: plans.append((m, real(m, *rest))) or plans[-1][1])
+        run_simulation(SimConfig(**config))
+        for m, (plan, _) in plans:
+            assert all(hi - lo == 1 for lo, hi, _ in plan.segments)
+            m = np.array(m)
+            assert not np.any(m[:, :2]) and np.any(np.signbit(m[:, :2]))
+            assert _same_bits(plan.rotation_rows, m)
 
 
 def _segment_configs(n):
@@ -810,7 +850,6 @@ def _passes(monkeypatch, cfg, fail=None, per_step=False, own_transitions=False):
     the chunk's build.
     """
     import attsim.harness as hmod
-    from attsim.attitude import identity_quat, quat_path
     from oracles import estimate_per_step
 
     returns = []
@@ -844,8 +883,7 @@ def _passes(monkeypatch, cfg, fail=None, per_step=False, own_transitions=False):
             for name in ("aekf", "mekf"):
                 predict, build = getattr(hmod, f"{name}_predict"), getattr(hmod, f"{name}_transitions")
                 m.setattr(hmod, f"{name}_predict",
-                          lambda s, m_, phi, *rest, predict=predict, build=build:
-                          predict(s, m_, build(quat_path(identity_quat(), m_)), *rest))
+                          lambda s, r_, phi, *rest, predict=predict, build=build: predict(s, r_, build(r_), *rest))
         return run_simulation(short_cfg(**cfg)), returns
 
 
@@ -922,9 +960,11 @@ class TestSegmentPass:
             assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "small" / name).read_bytes()
 
     def test_chunk_cuts_cross_each_block_once(self, monkeypatch):
-        # under small chunks each filter's predicts cross every block of the
-        # run once, in order; more predicts, since segments are cut at chunk
-        # ends, but no more blocks
+        # under small chunks the segment plans cover every block of the run
+        # once, in order, and each filter's predicts take every block that
+        # ends in an update or is recorded once, and no other block; more
+        # predicts, since the batches are cut at chunk ends, but no more
+        # blocks
         import attsim.harness as hmod
 
         def crossed():
@@ -933,17 +973,18 @@ class TestSegmentPass:
                 for name, out in lengths.items():
                     real = getattr(hmod, f"{name}_predict")
                     m.setattr(hmod, f"{name}_predict",
-                              lambda s, inc, *rest, real=real, out=out: out.append(len(inc)) or real(s, inc, *rest))
-                run_simulation(short_cfg(**_LONG_SEGMENTS))
-            return lengths
+                              lambda s, r, *rest, real=real, out=out: out.append(len(r)) or real(s, r, *rest))
+                res = run_simulation(short_cfg(**_LONG_SEGMENTS))
+            return res, lengths
 
-        whole = crossed()
+        res, whole = crossed()
+        needed = len(res.epoch_t) + len(res.t) - len(np.intersect1d(res.t, res.epoch_t))
         self._cut_into_small_chunks(monkeypatch)
         ends = np.concatenate([plan[0] for plan in hmod._plan_chunks(short_cfg(**_LONG_SEGMENTS), 100)])
         planned = np.diff(ends, prepend=0).tolist()
-        cut = crossed()
+        _, cut = crossed()
         for name in ("aekf", "mekf"):
-            assert sum(cut[name]) == sum(whole[name]) == len(planned)
+            assert sum(cut[name]) == sum(whole[name]) == needed < len(planned)
             assert len(cut[name]) > len(whole[name]) and max(whole[name]) > 2
         sizes = {name: _spy_block_sizes(monkeypatch, name) for name in ("aekf", "mekf")}
         run_simulation(short_cfg(**_LONG_SEGMENTS))
@@ -970,6 +1011,118 @@ class TestSegmentPass:
         write_outputs(want, tmp_path / "blocks", no_timing=True)
         for name in ("metrics.json", "timeseries.csv"):
             assert (tmp_path / "segments" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes()
+
+
+def _spy_passes(monkeypatch):
+    """Spy on the segment plans, the estimate passes and both filters' predicts in the harness.
+
+    Returns a list that gains ``("plan", open_segment)`` per segment plan
+    and ``(plan, measured, keep, calls)`` per estimate pass: the pass's
+    segment plan, measurements and record flags, and each predict it made,
+    as ``(name, args, result)``.
+    """
+    import attsim.harness as hmod
+
+    passes = []
+    estimate, plan_fn = hmod._estimate, hmod._segments
+
+    def plan_spy(*args):
+        passes.append(("plan", args[-1]))
+        return plan_fn(*args)
+
+    def estimate_spy(state, predict, update, r, dt, noise, phi, plan, measured, keep):
+        passes.append((plan, measured, keep, []))
+        return estimate(state, predict, update, r, dt, noise, phi, plan, measured, keep)
+
+    for name in ("aekf", "mekf"):
+        def predict_spy(*args, name=name, real=getattr(hmod, f"{name}_predict")):
+            out = real(*args)
+            passes[-1][-1].append((name, args, out))
+            return out
+
+        monkeypatch.setattr(hmod, f"{name}_predict", predict_spy)
+    monkeypatch.setattr(hmod, "_estimate", estimate_spy)
+    monkeypatch.setattr(hmod, "_segments", plan_spy)
+    return passes
+
+
+class TestBatchedPredicts:
+    """Each filter steps once per update, on floats, from the state at its
+    segment's start; every other recorded block takes its state from
+    batched predicts of at most ``_PREDICT_BLOCKS`` blocks, each block from
+    its own segment-start state."""
+
+    @staticmethod
+    def _run(monkeypatch, cfg):
+        with monkeypatch.context() as m:
+            passes = _spy_passes(m)
+            run_simulation(short_cfg(**cfg))
+        return passes
+
+    @pytest.mark.parametrize(
+        "cfg, chunk_blocks",
+        [
+            (dict(duration_s=30.0, record_stride=1), 4096),  # 30 updates, 1470 batched blocks a pass
+            (dict(duration_s=30.0, record_stride=1), 700),
+            (_LONG_SEGMENTS, 4096),
+            (dict(duration_s=10.0), 4096),  # every block ends in an update
+        ],
+        ids=["dense", "dense-chunks", "long-segments", "one-block-segments"],
+    )
+    def test_predict_calls_per_pass(self, cfg, chunk_blocks, monkeypatch):
+        import attsim.harness as hmod
+
+        monkeypatch.setattr(hmod, "_CHUNK_BLOCKS", chunk_blocks)
+        passes = [p for p in self._run(monkeypatch, cfg) if p[0] != "plan"]
+        assert passes
+        for _, measured, keep, calls in passes:
+            updates = sum(q is not None for q in measured)
+            batched = sum(k and q is None for q, k in zip(measured, keep))
+            assert len(calls) == updates + -(-batched // hmod._PREDICT_BLOCKS)
+            # the update steps come first, one block each, on floats
+            for _, args, (quats, covs) in calls[:updates]:
+                assert len(args[1]) == 1 and isinstance(quats, list) and isinstance(covs, list)
+            assert sum(len(args[1]) for _, args, _ in calls[updates:]) == batched
+            assert all(len(args[1]) <= hmod._PREDICT_BLOCKS for _, args, _ in calls)
+
+    def test_each_batched_block_is_its_float_predict_alone(self, monkeypatch):
+        # long segments cut by chunk ends: every block of every batched call
+        # equals the float predict of that block alone from its own
+        # segment-start state, byte for byte, for the AEKF under both
+        # process-noise models and the MEKF
+        import attsim.harness as hmod
+
+        TestSegmentPass._cut_into_small_chunks(monkeypatch)
+        monkeypatch.setattr(hmod, "_PREDICT_BLOCKS", 3)
+        checked = {}
+        for flat in (True, False):
+            passes = self._run(monkeypatch, dict(_LONG_SEGMENTS, aekf_q_flat=flat))
+            assert any(p[1] != hmod._NO_SEGMENT for p in passes if p[0] == "plan")  # a segment cut by a chunk end
+            for _, _, _, calls in (p for p in passes if p[0] != "plan"):
+                for name, (s, r, phi, n, dt, noise), (quats, covs) in calls:
+                    if not (isinstance(s.q, np.ndarray) and s.q.ndim == 2):
+                        continue
+                    predict = getattr(hmod, f"{name}_predict")
+                    for j in range(len(r)):
+                        alone = hmod.FilterState(s.q[j].tolist(), s.p[j].tolist())
+                        (q,), (p,) = predict(alone, [r[j].tolist()], phi[j:j + 1], [int(n[j])], dt, noise)
+                        assert np.asarray(quats[j]).tobytes() == np.array(q).tobytes()
+                        assert np.asarray(covs[j]).tobytes() == np.array(p).tobytes()
+                        checked[name, noise.aekf_q_flat] = checked.get((name, noise.aekf_q_flat), 0) + 1
+        assert len(checked) == 4 and min(checked.values()) > 10
+
+    def test_batch_bound_does_not_change_outputs(self, monkeypatch):
+        # batches of at most 7 blocks, against the default 512: many more
+        # predicts, byte-identical records
+        import attsim.harness as hmod
+
+        cfg = short_cfg(duration_s=2100 / 50.0, record_stride=1)
+        whole = run_simulation(cfg)
+        monkeypatch.setattr(hmod, "_PREDICT_BLOCKS", 7)
+        each = run_simulation(cfg)
+        assert len(each.t) == 2100
+        for name in _RECORD_FIELDS:
+            assert getattr(whole, name).tobytes() == getattr(each, name).tobytes(), name
 
 
 _RECORD_FIELDS = ("t", "q_true", "q_aekf", "q_mekf", "err_aekf", "err_mekf",
