@@ -517,11 +517,11 @@ def _estimate(state, predict, update, r, dt, noise, phi, plan, measured, keep):
     from the state at its segment's start, so no block depends on another
     of its segment:
 
-    * a segment ``(lo, hi, r)`` that ends in an update crosses only its
-      last block, by one ``predict(state, [r], phi[hi - 1:hi], counts[hi -
-      1:hi], dt, noise)`` on Python floats, whose state is updated with
-      ``measured[hi - 1]`` (with covariance ``r``) and starts the next
-      segment;
+    * a segment ``(lo, hi, r_end)`` that ends in an update crosses only its
+      last block, by one ``predict(state, [r_end], phi[hi - 1:hi],
+      counts[hi - 1:hi], dt, noise)`` on Python floats, whose state is
+      updated with ``measured[hi - 1]`` (with covariance ``r``) and starts
+      the next segment;
     * every other kept block gets its state from the batched predicts
       after the segments: each takes the rows of up to ``_PREDICT_BLOCKS``
       such blocks and a stack of their segment-start states.
